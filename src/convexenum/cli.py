@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from convexenum import cfrac, perms, words
-from convexenum.exact.roots import decimal_value
+from convexenum.exact.roots import render_interval
 from convexenum.exact.series import DEFAULT_ORDER, TruncatedSeries
 
 
@@ -130,7 +130,7 @@ def cmd_words(args) -> OutputRecord:
         rec = OutputRecord("words gf",
                            {"p": args.p, "k": args.k, "order": order})
         gf = words.word_gf(args.p, args.k, order)
-        rec.provenance = ["transfer"]
+        rec.provenance = ["dp"]
         rec.add("coefficients", _series_strings(gf.series))
         return rec
     if sub == "stable":
@@ -197,18 +197,14 @@ def cmd_perms(args) -> OutputRecord:
         if args.k not in (1, 2):
             raise ValueError("bounds require k in {1, 2}")
         gb = perms.growth_bounds(args.k, precision)
-        rec.provenance = ["digraph", "transfer"]
+        rec.provenance = ["digraph", "walk_dp", "berlekamp_massey"]
         rec.add("lower_gf_num", str(gb.lower_gf.num))
         rec.add("lower_gf_den", str(gb.lower_gf.den))
         rec.add("upper_gf_num", str(gb.upper_gf.num))
         rec.add("upper_gf_den", str(gb.upper_gf.den))
         digits = min(precision, 20)
-        rec.add("lower_gf_root", "[%s, %s]" % (
-            decimal_value(gb.lower_root[0], digits),
-            decimal_value(gb.lower_root[1], digits)))
-        rec.add("upper_gf_root", "[%s, %s]" % (
-            decimal_value(gb.upper_root[0], digits),
-            decimal_value(gb.upper_root[1], digits)))
+        rec.add("lower_gf_root", render_interval(*gb.lower_root, digits))
+        rec.add("upper_gf_root", render_interval(*gb.upper_root, digits))
         rec.add("rate_lower_bound", gb.lower_rate)
         rec.add("rate_upper_bound", gb.upper_rate)
         return rec

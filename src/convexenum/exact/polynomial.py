@@ -190,11 +190,6 @@ class Polynomial:
             acc = acc * x + c
         return acc
 
-    def scale_arg(self, factor) -> "Polynomial":
-        """p(factor * x)."""
-        f = _frac(factor)
-        return Polynomial(tuple(c * f**i for i, c in enumerate(self.coeffs)))
-
     # -- display ------------------------------------------------------
 
     def __repr__(self):

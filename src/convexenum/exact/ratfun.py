@@ -59,6 +59,44 @@ class RationalFunction:
     # -- basics -------------------------------------------------------
 
     @classmethod
+    def from_sequence(cls, terms, complexity_bound: int) -> "RationalFunction":
+        """The N/D whose expansion is ``terms``, by Berlekamp–Massey.
+
+        ``complexity_bound`` must bound the linear complexity
+        max(deg D, deg N + 1) of the reduced N/D with D(0) != 0.  Then the
+        first 2*bound terms determine N/D uniquely (Massey 1969); every
+        further term is checked against the recurrence found.
+        """
+        s = [Fraction(t) for t in terms]
+        if len(s) < 2 * complexity_bound:
+            raise ValueError(f"need {2 * complexity_bound} terms, got {len(s)}")
+
+        def discrepancy(c, i):
+            return sum((cj * s[i - j] for j, cj in enumerate(c) if j <= i),
+                       Fraction(0))
+
+        c, b = [Fraction(1)], [Fraction(1)]  # connection polynomials
+        length, shift, last = 0, 1, Fraction(1)
+        for i in range(2 * complexity_bound):
+            d = discrepancy(c, i)
+            if d == 0:
+                shift += 1
+                continue
+            new = c + [Fraction(0)] * max(0, len(b) + shift - len(c))
+            for j, bj in enumerate(b):
+                new[j + shift] -= d / last * bj
+            if 2 * length <= i:
+                b, length, last, shift = c, i + 1 - length, d, 1
+            else:
+                shift += 1
+            c = new
+        if length > complexity_bound or any(
+                discrepancy(c, i) for i in range(2 * complexity_bound, len(s))):
+            raise ArithmeticError("terms break the recovered recurrence")
+        num = [discrepancy(c, i) for i in range(length)]
+        return cls(Polynomial(num), Polynomial(c))
+
+    @classmethod
     def zero(cls) -> "RationalFunction":
         return cls(Polynomial.zero())
 

@@ -183,7 +183,3 @@ class TruncatedSeries:
     def __repr__(self):
         return f"TruncatedSeries({list(self.coeffs)!r}, order={self.order})"
 
-
-def series_invert(s: TruncatedSeries) -> TruncatedSeries:
-    """Functional alias for :meth:`TruncatedSeries.invert`."""
-    return s.invert()

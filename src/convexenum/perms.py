@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from convexenum.exact.linalg import matrix_resolvent_row
-from convexenum.exact.polynomial import Polynomial
 from convexenum.exact.ratfun import RationalFunction
 from convexenum.exact.roots import decimal_value, smallest_positive_root
 
@@ -508,20 +506,26 @@ def gf_bound(k: int, side: str,
     """Rational generating function bounding f_k(n) from below or above.
 
     The truncated (cut) digraph undercounts walks, the loop-augmented one
-    overcounts; the first-row resolvent sum W of the adjacency matrix is
-    rescaled to full counts as 1 + x + 2 x^2 W(x).
+    overcounts; the walk totals W(x) from the start node are rescaled to
+    full counts as 1 + x + 2 x^2 W(x).  With n nodes, W = P/D where D is
+    det(I - xA) of degree <= n and deg P < n, so the bound has linear
+    complexity at most n + 2: the integer walk DP supplies its first
+    2n + 4 coefficients (plus two checked ones), from which
+    Berlekamp-Massey recovers the closed form exactly.
     """
     if side not in ("lower", "upper"):
         raise ValueError("side must be 'lower' or 'upper'")
     policy = TruncationPolicy(cutoff or DEFAULT_CUTOFF[k],
                               mode="cut" if side == "lower" else "loop")
     g = build_digraph(k, truncation=policy)
-    row = matrix_resolvent_row(g.adjacency(), g.start)
-    walks = RationalFunction.zero()
-    for entry in row:
-        walks = walks + entry
-    x = RationalFunction(Polynomial.x())
-    return RationalFunction(Polynomial((1, 1))) + 2 * x * x * walks
+    adj = g.adjacency()
+    walks = [int(i == g.start) for i in range(len(adj))]
+    terms = [1, 1]
+    for _ in range(2 * len(adj) + 4):
+        terms.append(2 * sum(walks))
+        walks = [sum(w * row[j] for w, row in zip(walks, adj) if w)
+                 for j in range(len(adj))]
+    return RationalFunction.from_sequence(terms, len(adj) + 2)
 
 
 def growth_bounds(k: int, precision: int = 20) -> GrowthBounds:

@@ -9,11 +9,8 @@ encode/decode pair below realizes that bijection explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
-from convexenum.exact.linalg import SeriesMatrix, solve_field_system, solve_series_system
-from convexenum.exact.polynomial import Polynomial
 from convexenum.exact.ratfun import RationalFunction
 from convexenum.exact.series import DEFAULT_ORDER, TruncatedSeries
 
@@ -124,55 +121,36 @@ def count_words_dp(n: int, p: int, k: int) -> int:
 
 def word_gf(p: int, k: int, order: int = DEFAULT_ORDER,
             with_ratfun: bool = False) -> WordGF:
-    """Solve the p^2 x p^2 transfer system for the full generating function.
+    """The generating function of k-convex words on [p], to ``order``.
 
-    Unknowns F(a, b) are ordered lexicographically; the solved system is
-    summed and the length-0 and length-1 boundary terms added back.
-    With ``with_ratfun`` the same system is solved over the
-    rational-function field to produce an exact closed form.
+    Coefficients come from the first-two-letters DP over the p^2 letter
+    pairs.  The closed form is F = 1 + p x + x^2 1^T (I - xB)^{-1} 1 with
+    B the p^2 x p^2 pair-transition matrix, so deg D <= p^2 and
+    deg N <= p^2 + 1: its linear complexity is at most p^2 + 2, and with
+    ``with_ratfun`` Berlekamp-Massey recovers it exactly from the first
+    2(p^2 + 2) coefficients, checking a few more.
     """
     if p < 1:
         raise ValueError("p must be positive")
-    pairs = [(a, b) for a in range(1, p + 1) for b in range(1, p + 1)]
-    index = {ab: i for i, ab in enumerate(pairs)}
-    m = len(pairs)
+    bound = p * p + 2
+    n_terms = max(order + 1, 2 * bound + 4) if with_ratfun else order + 1
+    terms = _word_counts(p, k, n_terms)
+    ratfun = RationalFunction.from_sequence(terms, bound) if with_ratfun else None
+    return WordGF(p=p, k=k, series=TruncatedSeries(terms[: order + 1], order),
+                  ratfun=ratfun)
 
-    def row_support(a, b):
-        # F(a,b) - x * sum_{i <= min(p, k+2b-a)} F(b,i) = x^2
-        hi = min(p, k + 2 * b - a)
-        return [(index[(b, i)], -1) for i in range(1, hi + 1)]
 
-    x = TruncatedSeries.x(order)
-    one = TruncatedSeries.one(order)
-    rows = []
-    for a, b in pairs:
-        row = [TruncatedSeries.zero(order)] * m
-        row[index[(a, b)]] = one
-        for j, sgn in row_support(a, b):
-            row[j] = row[j] + sgn * x
-        rows.append(row)
-    rhs = [TruncatedSeries.monomial(2, order)] * m
-    sol = solve_series_system(SeriesMatrix(rows), rhs)
-    total = TruncatedSeries((1, p), order)
-    for s in sol:
-        total = total + s
-
-    ratfun = None
-    if with_ratfun:
-        px = RationalFunction(Polynomial.x())
-        rows_rf = []
-        for a, b in pairs:
-            row = [RationalFunction.zero()] * m
-            row[index[(a, b)]] = row[index[(a, b)]] + 1
-            for j, sgn in row_support(a, b):
-                row[j] = row[j] + sgn * px
-            rows_rf.append(row)
-        rhs_rf = [px * px] * m
-        sol_rf = solve_field_system(rows_rf, rhs_rf)
-        ratfun = RationalFunction(Polynomial((1, p)))
-        for s in sol_rf:
-            ratfun = ratfun + s
-    return WordGF(p=p, k=k, series=total, ratfun=ratfun)
+def _word_counts(p: int, k: int, terms: int) -> list[int]:
+    """Counts of k-convex words on [p] of lengths 0 .. terms-1."""
+    # pair (a, b) has index (a-1)*p + (b-1); succ lists the pairs (b, c)
+    succ = [[(b - 1) * p + c - 1 for c in range(1, min(p, k + 2 * b - a) + 1)]
+            for a in range(1, p + 1) for b in range(1, p + 1)]
+    f = [1] * len(succ)  # words of the current length, by first pair
+    counts = [1, p]
+    while len(counts) < terms:
+        counts.append(sum(f))
+        f = [sum(f[j] for j in s) for s in succ]
+    return counts[:terms]
 
 
 @lru_cache(maxsize=None)

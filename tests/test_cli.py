@@ -40,6 +40,7 @@ class TestWordsCommands:
         assert code == 0
         res = results_dict(payload)
         assert res["coefficients"] == ["1", "3", "9", "16", "20", "21", "21"]
+        assert payload["provenance"] == ["dp"]
 
     def test_stable_count(self, capsys):
         code, payload = run_json(capsys, "words", "stable", "--p", "9")
@@ -89,6 +90,8 @@ class TestPermsCommands:
         assert res["rate_upper_bound"].startswith("1.53501416")
         assert res["lower_gf_root"].startswith("[0.65149869151455837")
         assert res["upper_gf_root"].startswith("[0.65145978572056851")
+        assert payload["provenance"] == \
+            ["digraph", "walk_dp", "berlekamp_massey"]
 
     def test_digraph_dot_output(self, capsys):
         code, out = run(capsys, "perms", "digraph", "--k", "1",

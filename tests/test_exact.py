@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from convexenum.exact.linalg import (
     NonUnitDeterminantError,
@@ -120,6 +121,39 @@ class TestRationalFunction:
     def test_expansion_requires_unit_denominator(self):
         with pytest.raises(ZeroDivisionError):
             RationalFunction(Polynomial.one(), Polynomial.x()).to_series(5)
+
+
+class TestFromSequence:
+    FIBONACCI = [1, 1, 2, 3, 5, 8, 13, 21, 34, 55]
+
+    def test_fibonacci(self):
+        x = Polynomial.x()
+        expected = RationalFunction(Polynomial.one(), 1 - x - x * x)
+        assert RationalFunction.from_sequence(self.FIBONACCI[:4], 2) == expected
+        assert RationalFunction.from_sequence(self.FIBONACCI, 2) == expected
+        assert RationalFunction.from_sequence(self.FIBONACCI, 3) == expected
+
+    def test_too_few_terms(self):
+        with pytest.raises(ValueError):
+            RationalFunction.from_sequence(self.FIBONACCI[:3], 2)
+
+    def test_extra_term_breaking_the_recurrence(self):
+        with pytest.raises(ArithmeticError):
+            RationalFunction.from_sequence(self.FIBONACCI[:-1] + [56], 2)
+
+    def test_complexity_above_the_bound(self):
+        # x^3 has linear complexity 4; no extra terms are given
+        with pytest.raises(ArithmeticError):
+            RationalFunction.from_sequence([0, 0, 0, 1], 2)
+
+    @given(st.lists(st.integers(-5, 5), max_size=6),
+           st.integers(-5, 5).filter(bool),
+           st.lists(st.integers(-5, 5), max_size=6))
+    def test_series_roundtrip(self, num, d0, den_tail):
+        rf = RationalFunction(Polynomial(num), Polynomial([d0] + den_tail))
+        bound = max(rf.den.degree, rf.num.degree + 1)
+        terms = rf.to_series(2 * bound + 2).coeffs
+        assert RationalFunction.from_sequence(terms, bound) == rf
 
 
 class TestLinearAlgebra:

@@ -15,6 +15,7 @@ from _goldens import (
     TABLE_F2,
     root_fraction,
 )
+from convexenum.exact.linalg import matrix_resolvent_row
 from convexenum.exact.polynomial import Polynomial
 from convexenum.exact.ratfun import RationalFunction
 from convexenum.exact.series import TruncatedSeries
@@ -204,6 +205,17 @@ class TestGrowthBounds:
         expected = (TruncatedSeries.one(order) + x
                     + 2 * x * x * reference.to_series(order))
         assert gf_bound(k, side).to_series(order) == expected
+
+    def test_matches_resolvent_elimination(self):
+        # independent oracle: 1 + x + 2 x^2 times the start row of
+        # (I - xA)^{-1}, summed, solved over the rational-function field
+        g = build_digraph(2, truncation=TruncationPolicy(DEFAULT_CUTOFF[2],
+                                                         mode="loop"))
+        walks = RationalFunction.zero()
+        for entry in matrix_resolvent_row(g.adjacency(), g.start):
+            walks = walks + entry
+        x = RationalFunction(Polynomial.x())
+        assert gf_bound(2, "upper") == 1 + x + 2 * x * x * walks
 
     def test_lower_bound_undercounts_only_eventually(self):
         lower = gf_bound(1, "lower").to_series(20)

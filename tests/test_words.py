@@ -4,6 +4,9 @@ import pytest
 
 from _goldens import ENCODE_EXAMPLES, G0P_STABLE, WORD_GF_30
 from convexenum import words
+from convexenum.exact.linalg import solve_field_system
+from convexenum.exact.polynomial import Polynomial
+from convexenum.exact.ratfun import RationalFunction
 from convexenum.words import (
     IntegerPartition,
     Word,
@@ -72,18 +75,37 @@ class TestGeneratingFunction:
         gf = word_gf(3, 0, order=20)
         assert [int(c) for c in gf.series.coeffs] == WORD_GF_30
 
-    def test_series_matches_dp(self):
+    def test_series_matches_bruteforce(self):
         for p in range(1, 5):
             for k in range(4):
                 gf = word_gf(p, k, order=10)
                 for n in range(11):
-                    assert gf.series[n] == count_words_dp(n, p, k), (n, p, k)
+                    assert gf.series[n] == count_words_bruteforce(n, p, k), \
+                        (n, p, k)
 
     def test_closed_form_expansion_matches_series(self):
         for p, k in [(2, 0), (3, 0), (2, 1), (3, 2)]:
             gf = word_gf(p, k, order=15, with_ratfun=True)
             assert gf.ratfun is not None
             assert gf.ratfun.to_series(15) == gf.series.truncate(15)
+
+    def test_closed_form_matches_transfer_system_elimination(self):
+        # independent oracle: F(a,b) - x * sum_{c <= k+2b-a} F(b,c) = x^2,
+        # solved over the rational-function field
+        x = RationalFunction(Polynomial.x())
+        for p, k in [(2, 0), (3, 0), (2, 1), (3, 2)]:
+            pairs = [(a, b) for a in range(1, p + 1) for b in range(1, p + 1)]
+            rows = []
+            for a, b in pairs:
+                row = [RationalFunction(int(ab == (a, b))) for ab in pairs]
+                for c in range(1, min(p, k + 2 * b - a) + 1):
+                    j = pairs.index((b, c))
+                    row[j] = row[j] - x
+                rows.append(row)
+            total = RationalFunction(Polynomial((1, p)))
+            for s in solve_field_system(rows, [x * x] * len(pairs)):
+                total = total + s
+            assert word_gf(p, k, with_ratfun=True).ratfun == total, (p, k)
 
 
 class TestStableCounts:
