@@ -16,12 +16,7 @@ from dataclasses import dataclass
 
 from convexenum.exact.linalg import SeriesMatrix, solve_series_system
 from convexenum.exact.series import DEFAULT_ORDER, TruncatedSeries
-from convexenum.perms import (
-    _SEED_KEY,
-    _canonical_key,
-    _key_transitions,
-    _SEED,
-)
+from convexenum.perms import build_digraph, perm_counts, state_key, walks
 
 
 @dataclass(frozen=True)
@@ -129,56 +124,17 @@ def m1_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
 # Walk oracles on the explicitly built ladder subgraphs
 # ---------------------------------------------------------------------------
 
-def _digraph_closure(k: int, start_keys, order: int, drop_edges=()):
-    """Adjacency over merged state keys reachable within ``order`` steps.
-
-    ``drop_edges`` lists (key, label) out-edges to suppress; used to cut
-    the subgraph loose from the rest of the transition digraph.
+def _subgraph_walks(k: int, root, order: int, drop, ends):
+    """Walk counts of lengths 0..order from ``root`` with the ``drop``
+    out-edges removed: the totals, and for each key in ``ends`` the walks
+    ending there (all zero for a node not reached within ``order`` steps).
     """
-    adj: dict = {}
-    frontier = list(start_keys)
-    seen = set(frontier)
-    for _ in range(order + 1):
-        nxt = []
-        for key in frontier:
-            if key in adj:
-                continue
-            base = _SEED if key == _SEED_KEY else key
-            outs = [(lab, child) for lab, child in _key_transitions(base, k)
-                    if (key, lab) not in drop_edges]
-            adj[key] = outs
-            for _, child in outs:
-                if child not in seen:
-                    seen.add(child)
-                    nxt.append(child)
-        frontier = nxt
-        if not frontier:
-            break
-    for key in seen:
-        adj.setdefault(key, [])
-    return adj
-
-
-def _walk_dp(adj, start, order: int):
-    """Per-length walk counts from ``start``: total, and per ending node."""
-    counts = {start: 1}
-    totals = [1]
-    ending: dict = {key: [0] * (order + 1) for key in adj}
-    ending[start][0] = 1
-    for step in range(1, order + 1):
-        nxt: dict = {}
-        for key, c in counts.items():
-            for _, child in adj.get(key, ()):
-                nxt[child] = nxt.get(child, 0) + c
-        counts = nxt
-        totals.append(sum(counts.values()))
-        for key, c in counts.items():
-            ending[key][step] = c
-    return totals, ending
-
-
-def _k1_ladder_root():
-    return _canonical_key((1, 2, 2, 3), 1)  # the 1223 node
+    g = build_digraph(k, depth=order, root=root, drop=drop)
+    vectors = list(walks(g, order))
+    index = {key: i for i, key in enumerate(g.nodes)}
+    ending = [[c[index[key]] if key in index else 0 for c in vectors]
+              for key in ends]
+    return [sum(c) for c in vectors], ending
 
 
 def ladder_walk_oracle(order: int = 20):
@@ -188,10 +144,9 @@ def ladder_walk_oracle(order: int = 20):
     right (downward) edge is removed; this is the structure the
     continued fractions describe, so it is an independent check on them.
     """
-    root = _k1_ladder_root()
-    adj = _digraph_closure(1, [root], order, drop_edges={(root, "R")})
-    totals, ending = _walk_dp(adj, root, order)
-    return totals, ending[root]
+    root = state_key((1, 2, 2, 3), 1)  # the 1223 node
+    totals, (returns,) = _subgraph_walks(1, root, order, {(root, "R")}, [root])
+    return totals, returns
 
 
 def k2_components(order: int = DEFAULT_ORDER, root: str = "1234"):
@@ -205,19 +160,17 @@ def k2_components(order: int = DEFAULT_ORDER, root: str = "1234"):
     edge), bot1'/bot2' have zero constant term; ``root="1245"`` counts
     from the first node strictly inside the subgraph instead.
     """
-    n1234 = _canonical_key((1, 2, 3, 4), 2)
-    n1245 = _canonical_key((1, 2, 4, 5), 2)
-    n1256 = _canonical_key((1, 2, 5, 6), 2)
+    n1234 = state_key((1, 2, 3, 4), 2)
+    n1245 = state_key((1, 2, 4, 5), 2)
+    n1256 = state_key((1, 2, 5, 6), 2)
     if root not in ("1234", "1245"):
         raise ValueError("root must be '1234' or '1245'")
     start = n1234 if root == "1234" else n1245
     drop = {(n1234, "R"), (n1245, "R"), (n1256, "R")}
-    adj = _digraph_closure(2, [start], order, drop_edges=drop)
-    totals, ending = _walk_dp(adj, start, order)
-    tot = TruncatedSeries(totals, order)
-    bot1 = TruncatedSeries(ending[n1245], order)
-    bot2 = TruncatedSeries(ending[n1256], order)
-    return tot, bot1, bot2
+    totals, (bot1, bot2) = _subgraph_walks(2, start, order, drop,
+                                           (n1245, n1256))
+    return (TruncatedSeries(totals, order), TruncatedSeries(bot1, order),
+            TruncatedSeries(bot2, order))
 
 
 def f2_formula_series(order: int = DEFAULT_ORDER,
@@ -282,9 +235,7 @@ def f2_formula_check(order: int = 20) -> dict:
     agreement flags and a first-disagreement index.  The q^0 boundary is
     included (both sides use f_2(0) = 1 for the empty permutation).
     """
-    from convexenum.perms import count_perms_digraph
-
-    exact = [1] + [count_perms_digraph(2, n) for n in range(1, order + 1)]
+    exact = [1] + perm_counts(2, order)
     report = {"order": order, "exact": exact, "evaluations": {}}
     for root in ("1234", "1245"):
         formula = f2_formula_series(order, root=root)

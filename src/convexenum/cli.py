@@ -184,11 +184,10 @@ def cmd_perms(args) -> OutputRecord:
     if sub == "table":
         rec = OutputRecord("perms table", {"max_n": args.max_n})
         rec.provenance = ["closed_form", "digraph"]
+        f1 = perms.perm_counts(1, args.max_n)
+        f2 = perms.perm_counts(2, args.max_n)
         for n in range(1, args.max_n + 1):
-            row = [perms.f0_closed(n),
-                   perms.count_perms_digraph(1, n),
-                   perms.count_perms_digraph(2, n)]
-            rec.add(f"n={n}", row)
+            rec.add(f"n={n}", [perms.f0_closed(n), f1[n - 1], f2[n - 1]])
         return rec
     if sub == "bounds":
         precision = args.precision or 20

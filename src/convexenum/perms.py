@@ -165,7 +165,7 @@ def mountain_from_coloring(n: int, red: set[int]) -> Permutation:
 # ---------------------------------------------------------------------------
 
 _SEED = (1, 2, 1, 2)  # endpoint tuple of the permutation 12
-_SEED_KEY = "12"  # sentinel: the start node is never merged with a class
+START_KEY = "12"  # key of the start node, which is never merged with a class
 
 
 @dataclass(frozen=True)
@@ -277,22 +277,24 @@ def _key_sort(t):
     return tuple(0 if v is None else v for v in t)
 
 
-def _canonical_key(t, k):
-    """Reversal-minimal starred tuple; merged nodes compare equal."""
+def state_key(t, k):
+    """Digraph node key of an endpoint tuple: the reversal-minimal
+    starred tuple, so identically-descending states compare equal."""
     cands = [_star(t, k), _star((t[3], t[2], t[1], t[0]), k)]
     return min(cands, key=_key_sort)
 
 
-def _key_transitions(t, k):
-    """Out-edges of a merged state, labeled in canonical orientation."""
-    a, b, c, d = t
+def transitions(key, k):
+    """Out-edges ``(label, child key)`` of a node key, ``START_KEY`` included,
+    labeled "L"/"R" in canonical orientation."""
+    a, b, c, d = _SEED if key == START_KEY else key
     out = []
     if b is None or b - 2 * a <= k:  # left descent
         child = (1, a + 1, None if c is None else c + 1, d + 1)
-        out.append(("L", _canonical_key(child, k)))
+        out.append(("L", state_key(child, k)))
     if c is None or c - 2 * d <= k:  # right descent
         child = (a + 1, None if b is None else b + 1, d + 1, 1)
-        out.append(("R", _canonical_key(child, k)))
+        out.append(("R", state_key(child, k)))
     return out
 
 
@@ -332,7 +334,7 @@ def canonicalize_state(s: EndpointState, k: int) -> EndpointState:
         return EndpointState(*_SEED, canonical=True)
     if not _realizable(s.tuple, k):
         raise ValueError(f"state {s} is not realizable for k={k}")
-    key = _canonical_key(s.tuple, k)
+    key = state_key(s.tuple, k)
     return EndpointState(*_least_concrete(key, k), canonical=True)
 
 
@@ -364,14 +366,22 @@ class DescendantDigraph:
     """Finite piece of the identically-descending transition digraph."""
 
     k: int
-    nodes: tuple  # merged state keys, BFS order; index 0 is the start
-    labels: tuple[str, ...]
+    nodes: tuple  # merged state keys, BFS order; index 0 is the root
     edges: tuple  # (from_index, to_index, "L"/"R")
     truncation: TruncationPolicy | None = None
 
     @property
     def start(self) -> int:
         return 0
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        """The least realizable endpoint tuple of each node, as digits."""
+        return tuple(
+            key if key == START_KEY
+            else "".join(str(x) for x in _least_concrete(key, self.k))
+            for key in self.nodes
+        )
 
     def adjacency(self) -> list[list[int]]:
         m = [[0] * len(self.nodes) for _ in self.nodes]
@@ -394,39 +404,39 @@ class DescendantDigraph:
 
 def build_digraph(k: int, depth: int | None = None,
                   truncation: TruncationPolicy | None = None,
-                  max_nodes: int = 10_000) -> DescendantDigraph:
-    """BFS the transition digraph from the start state (permutation 12).
+                  root=START_KEY, drop=frozenset()) -> DescendantDigraph:
+    """BFS the transition digraph from the node key ``root``.
 
-    Without a truncation policy, expansion stops after ``depth``
-    generations (the graph is infinite).  With one, the edited graph is
-    explored to closure; left edges are explored before right edges.
+    The root defaults to the start node (the permutation 12).  The
+    ``(key, label)`` out-edges listed in ``drop`` are left out, which
+    cuts a subgraph loose from the rest of the digraph.  Without a
+    truncation policy, expansion stops after ``depth`` generations (the
+    graph is infinite), so walks of up to ``depth`` steps from the root
+    are exact.  With one, the left edge of its cutoff is dropped as well
+    and the edited graph is explored to closure.  Left edges are
+    explored before right edges.
     """
     if k not in (1, 2):
         raise ValueError("digraph machinery requires k in {1, 2}")
     if truncation is None and depth is None:
         raise ValueError("need a depth bound or a truncation policy")
-    cutoff_key = (_canonical_key(truncation.cutoff, k)
-                  if truncation is not None else None)
+    if truncation is not None:
+        cutoff_key = state_key(truncation.cutoff, k)
+        drop = drop | {(cutoff_key, "L")}  # both modes sever the ladder here
 
-    nodes = [_SEED_KEY]
-    index = {_SEED_KEY: 0}
+    nodes = [root]
+    index = {root: 0}
     edges = []
     frontier = [0]
     generation = 0
-    while frontier:
-        if depth is not None and generation >= depth:
-            break
+    while frontier and (depth is None or generation < depth):
         nxt = []
         for u in frontier:
             key = nodes[u]
-            transitions = (_key_transitions(_SEED, k) if key == _SEED_KEY
-                           else _key_transitions(key, k))
-            for label, child in transitions:
-                if cutoff_key is not None and key == cutoff_key and label == "L":
-                    continue  # both truncation modes sever the ladder here
+            for label, child in transitions(key, k):
+                if (key, label) in drop:
+                    continue
                 if child not in index:
-                    if len(nodes) >= max_nodes:
-                        raise RuntimeError("node budget exceeded")
                     index[child] = len(nodes)
                     nodes.append(child)
                     nxt.append(index[child])
@@ -444,13 +454,30 @@ def build_digraph(k: int, depth: int | None = None,
             cur = out[cur][0]
         edges.append((cur, cur, "L"))
 
-    labels = tuple(
-        "12" if key == _SEED_KEY
-        else "".join(str(x) for x in _least_concrete(key, k))
-        for key in nodes
-    )
-    return DescendantDigraph(k=k, nodes=tuple(nodes), labels=labels,
-                             edges=tuple(edges), truncation=truncation)
+    return DescendantDigraph(k=k, nodes=tuple(nodes), edges=tuple(edges),
+                             truncation=truncation)
+
+
+def walks(g: DescendantDigraph, steps: int):
+    """Yield, for lengths 0..steps, the number of walks from the root
+    ending at each node (a fresh list indexed like ``g.nodes``).
+
+    On a depth-bounded digraph the counts are exact up to its depth.
+    """
+    out = [[] for _ in g.nodes]
+    for u, v, _ in g.edges:
+        out[u].append(v)
+    counts = [0] * len(g.nodes)
+    counts[g.start] = 1
+    yield counts
+    for _ in range(steps):
+        nxt = [0] * len(g.nodes)
+        for u, cu in enumerate(counts):
+            if cu:
+                for v in out[u]:
+                    nxt[v] += cu
+        counts = nxt
+        yield counts
 
 
 def walk_count(g: DescendantDigraph, n: int) -> int:
@@ -462,27 +489,26 @@ def walk_count(g: DescendantDigraph, n: int) -> int:
     """
     if n < 2:
         raise ValueError("walk counts are defined for n >= 2")
-    counts = [0] * len(g.nodes)
-    counts[g.start] = 1
-    out = {}
-    for u, v, _ in g.edges:
-        out.setdefault(u, []).append(v)
-    for _ in range(n - 2):
-        nxt = [0] * len(g.nodes)
-        for u, cu in enumerate(counts):
-            if cu:
-                for v in out.get(u, ()):
-                    nxt[v] += cu
-        counts = nxt
+    for counts in walks(g, n - 2):
+        pass
     return sum(counts)
+
+
+def perm_counts(k: int, max_n: int) -> list[int]:
+    """[f_k(1), ..., f_k(max_n)] (k in {1, 2}) from one digraph build and
+    one walk DP pass; f_k(n) = 2 * walk_count(g, n) for n >= 2.
+    """
+    if max_n < 0:
+        raise ValueError("max_n must be nonnegative")
+    g = build_digraph(k, depth=max(max_n - 2, 0))
+    return ([1] + [2 * sum(c) for c in walks(g, max_n - 2)])[:max_n]
 
 
 def count_perms_digraph(k: int, n: int) -> int:
     """f_k(n) via the transition digraph (k in {1, 2})."""
-    if n == 1:
-        return 1
-    g = build_digraph(k, depth=n - 2)
-    return 2 * walk_count(g, n)
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    return perm_counts(k, n)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -518,14 +544,9 @@ def gf_bound(k: int, side: str,
     policy = TruncationPolicy(cutoff or DEFAULT_CUTOFF[k],
                               mode="cut" if side == "lower" else "loop")
     g = build_digraph(k, truncation=policy)
-    adj = g.adjacency()
-    walks = [int(i == g.start) for i in range(len(adj))]
-    terms = [1, 1]
-    for _ in range(2 * len(adj) + 4):
-        terms.append(2 * sum(walks))
-        walks = [sum(w * row[j] for w, row in zip(walks, adj) if w)
-                 for j in range(len(adj))]
-    return RationalFunction.from_sequence(terms, len(adj) + 2)
+    n = len(g.nodes)
+    terms = [1, 1] + [2 * sum(c) for c in walks(g, 2 * n + 3)]
+    return RationalFunction.from_sequence(terms, n + 2)
 
 
 def growth_bounds(k: int, precision: int = 20) -> GrowthBounds:
@@ -552,7 +573,7 @@ def check_subadditivity(k: int, max_n: int) -> dict:
     This is a report, not an assertion: the inequality is checked as
     stated and any failing split is listed.
     """
-    f = {n: count_perms_digraph(k, n) for n in range(1, max_n + 1)}
+    f = dict(enumerate(perm_counts(k, max_n), start=1))
     violations = [
         {"m": m, "n": n, "f_mn": f[m + n], "bound": f[m] * f[n]}
         for m in range(1, max_n)

@@ -100,23 +100,10 @@ def count_words_bruteforce(n: int, p: int, k: int) -> int:
 
 
 def count_words_dp(n: int, p: int, k: int) -> int:
-    """Iterate the first-two-letter recurrence; agrees with brute force."""
+    """Count by the first-two-letters DP; agrees with brute force."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        return 1
-    if n == 1:
-        return p
-    # f[(a, b)] = number of convex words of the current length starting a, b
-    f = {(a, b): 1 for a in range(1, p + 1) for b in range(1, p + 1)}
-    for _ in range(n - 2):
-        g = {}
-        for a in range(1, p + 1):
-            for b in range(1, p + 1):
-                hi = min(p, k + 2 * b - a)
-                g[(a, b)] = sum(f[(b, i)] for i in range(1, hi + 1))
-        f = g
-    return sum(f.values())
+    return _word_counts(p, k, n + 1)[n]
 
 
 def word_gf(p: int, k: int, order: int = DEFAULT_ORDER,

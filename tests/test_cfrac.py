@@ -15,7 +15,7 @@ from convexenum.cfrac import (
     m1_series,
     tot_series,
 )
-from convexenum.perms import count_perms_digraph
+from convexenum.perms import count_perms_digraph, perm_counts
 
 
 class TestLadderSeries:
@@ -56,6 +56,10 @@ class TestOneConvexSeries:
         f1 = f1_series(20)
         for n in range(1, 21):
             assert int(f1[n]) == count_perms_digraph(1, n), n
+        f1 = f1_series(40)
+        assert [int(f1[n]) for n in range(1, 41)] == perm_counts(1, 40)
+        f2 = f2_exact_series(40)
+        assert [int(f2[n]) for n in range(1, 41)] == perm_counts(2, 40)
 
 
 class TestTwoConvexComponents:
@@ -66,6 +70,14 @@ class TestTwoConvexComponents:
         assert tot_b[0] == 1 and bot1_b[0] == 1  # the root is the exit node
         with pytest.raises(ValueError):
             k2_components(10, root="9999")
+
+    def test_small_orders(self):
+        # a tracked node not reached within the order has a zero series
+        for root in ("1234", "1245"):
+            deep = k2_components(10, root=root)
+            for order in range(4):
+                assert k2_components(order, root=root) == tuple(
+                    s.truncate(order) for s in deep), (root, order)
 
     def test_derived_closed_form_is_exact(self):
         f2 = f2_exact_series(20)

@@ -136,6 +136,13 @@ class TestCfracCommands:
         assert res["root_1234_first_mismatch"] == 7
         assert res["root_1245_first_mismatch"] == 13
 
+    def test_f2check_order_zero(self, capsys):
+        code, payload = run_json(capsys, "cfrac", "f2check", "--order", "0")
+        assert code == 0
+        res = results_dict(payload)
+        assert res["exact"] == ["1"]
+        assert res["derived_closed_form_agrees"] is True
+
 
 class TestOutputFormats:
     def test_text_default(self, capsys):

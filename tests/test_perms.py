@@ -38,6 +38,7 @@ from convexenum.perms import (
     is_convex_perm,
     is_slow_riser,
     mountain_from_coloring,
+    perm_counts,
     walk_count,
 )
 
@@ -80,6 +81,15 @@ class TestCounting:
         assert [f0_closed(n) for n in range(1, 13)] == TABLE_F0
         assert [count_perms_digraph(1, n) for n in range(1, 13)] == TABLE_F1
         assert [count_perms_digraph(2, n) for n in range(1, 13)] == TABLE_F2
+
+    def test_perm_counts_short_and_long(self):
+        for k in (1, 2):
+            assert perm_counts(k, 0) == []
+            assert perm_counts(k, 1) == [1]
+        # the depth-248 digraph has over 15,000 nodes
+        counts = perm_counts(2, 250)
+        assert counts[:12] == TABLE_F2
+        assert count_perms_digraph(2, 250) == counts[-1]
 
     def test_generator_matches_counts(self):
         for k in range(3):
