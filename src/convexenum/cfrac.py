@@ -57,13 +57,16 @@ def bot_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
 
 
 def tot_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """All walks from the ladder root, counted by length.
+    """All walks from the ladder root, counted by length."""
+    return _tot_from_tower(ladder_tower(order))
 
-    Sum over the highest level n+1 reached: q^n forward steps, a
+
+def _tot_from_tower(tower: TowerSeries) -> TruncatedSeries:
+    """Sum over the highest level n+1 reached: q^n forward steps, a
     partial descent of up to n+1 further steps, and independent
     excursions from each level visited.
     """
-    tower = ladder_tower(order)
+    order = tower.order
     one = TruncatedSeries.one(order)
     total = TruncatedSeries.zero(order)
     prod = one
@@ -80,8 +83,9 @@ def tot_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
 def f1_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """Exact counting series for 1-convex permutations by length."""
     q = TruncatedSeries.x(order)
-    bot = bot_series(order)
-    tot = tot_series(order)
+    tower = ladder_tower(order)
+    bot = tower.levels[0]
+    tot = _tot_from_tower(tower)
     one = TruncatedSeries.one(order)
     num = one + bot * q.shift(1) + tot * q
     den = -one + q + bot * q.shift(2)
@@ -96,8 +100,9 @@ def m1_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
     resolvent is rescaled exactly as for the unweighted matrices.
     """
     q = TruncatedSeries.x(order)
-    bot = bot_series(order)
-    tot = tot_series(order)
+    tower = ladder_tower(order)
+    bot = tower.levels[0]
+    tot = _tot_from_tower(tower)
     zero = TruncatedSeries.zero(order)
     one = TruncatedSeries.one(order)
     m = [

@@ -16,7 +16,6 @@ import io
 import json
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from convexenum import cfrac, perms, words
 from convexenum.exact.roots import render_interval
@@ -45,14 +44,8 @@ class OutputRecord:
         }
 
 
-def _exact_str(v) -> str:
-    if isinstance(v, Fraction):
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-    return str(v)
-
-
 def _series_strings(s: TruncatedSeries) -> list:
-    return [_exact_str(c) for c in s.coeffs]
+    return [str(c) for c in s.coeffs]
 
 
 def _render(record: OutputRecord, fmt: str) -> str:

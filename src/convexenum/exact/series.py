@@ -11,28 +11,36 @@ from convexenum.exact.polynomial import Polynomial
 DEFAULT_ORDER = 64
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _exact(x) -> int | Fraction:
+    """Normalized exact coefficient: an integer value is an ``int``, any
+    other value a ``Fraction``, so equal series have equal tuples."""
+    if type(x) is int:
+        return x
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 class TruncatedSeries:
     """A power series known exactly through the coefficient of x^order.
 
-    Arithmetic never reads or writes coefficients beyond the order;
-    binary operations between series of different orders truncate to the
-    smaller one.
+    Coefficients are normalized (see ``_exact``): integers stay ``int``,
+    and a series with constant term 1 or -1 inverts without leaving the
+    integers.  Arithmetic never reads or writes coefficients beyond the
+    order; binary operations between series of different orders truncate
+    to the smaller one.
     """
 
     __slots__ = ("order", "coeffs")
 
     def __init__(self, coeffs, order: int | None = None):
-        cs = [_frac(c) for c in coeffs]
+        cs = [_exact(c) for c in coeffs]
         if order is None:
             order = len(cs) - 1
         if order < 0:
             raise ValueError("order must be nonnegative")
         if len(cs) < order + 1:
-            cs += [Fraction(0)] * (order + 1 - len(cs))
+            cs += [0] * (order + 1 - len(cs))
         else:
             cs = cs[: order + 1]
         object.__setattr__(self, "order", order)
@@ -67,7 +75,7 @@ class TruncatedSeries:
 
     # -- basics -------------------------------------------------------
 
-    def __getitem__(self, n: int) -> Fraction:
+    def __getitem__(self, n: int) -> int | Fraction:
         if not 0 <= n <= self.order:
             raise IndexError(f"coefficient {n} beyond truncation order {self.order}")
         return self.coeffs[n]
@@ -75,6 +83,8 @@ class TruncatedSeries:
     def truncate(self, order: int) -> "TruncatedSeries":
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
+        if order == self.order:
+            return self
         return TruncatedSeries(self.coeffs[: order + 1], order)
 
     def __eq__(self, other) -> bool:
@@ -134,7 +144,7 @@ class TruncatedSeries:
         if a is NotImplemented:
             return NotImplemented
         n = a.order
-        cs = [Fraction(0)] * (n + 1)
+        cs = [0] * (n + 1)
         for i, x in enumerate(a.coeffs):
             if x == 0:
                 continue
@@ -151,15 +161,16 @@ class TruncatedSeries:
         c0 = self.coeffs[0]
         if c0 == 0:
             raise ZeroDivisionError("series with zero constant term is not a unit")
+        u = c0 if c0 in (1, -1) else Fraction(1) / c0  # 1/c0
         n = self.order
-        inv = [Fraction(0)] * (n + 1)
-        inv[0] = 1 / c0
+        inv = [0] * (n + 1)
+        inv[0] = u
         for m in range(1, n + 1):
-            acc = Fraction(0)
+            acc = 0
             for j in range(1, m + 1):
                 if self.coeffs[j] != 0:
                     acc += self.coeffs[j] * inv[m - j]
-            inv[m] = -acc / c0
+            inv[m] = -acc * u
         return TruncatedSeries(inv, n)
 
     def __truediv__(self, other):

@@ -414,7 +414,8 @@ def build_digraph(k: int, depth: int | None = None,
     graph is infinite), so walks of up to ``depth`` steps from the root
     are exact.  With one, the left edge of its cutoff is dropped as well
     and the edited graph is explored to closure.  Left edges are
-    explored before right edges.
+    explored before right edges.  In "loop" mode a ``depth`` that stops
+    before the cutoff's return path is expanded raises ``ValueError``.
     """
     if k not in (1, 2):
         raise ValueError("digraph machinery requires k in {1, 2}")
@@ -445,13 +446,24 @@ def build_digraph(k: int, depth: int | None = None,
         generation += 1
 
     if truncation is not None and truncation.mode == "loop":
-        # self-loop at the deepest node of the cutoff's return path
+        # self-loop at the deepest node of the cutoff's return path.  Nodes
+        # of the last frontier were never expanded, so their out-edges are
+        # unknown and the path cannot be followed through them.
         out = {}
         for u, v, _ in edges:
             out.setdefault(u, []).append(v)
-        cur = out[index[cutoff_key]][0]
-        while len(out.get(out[cur][0], ())) == 1:
-            cur = out[cur][0]
+        unexpanded = set(frontier)
+
+        def successors(u):
+            if u is None or u in unexpanded:
+                raise ValueError(
+                    f"depth {depth} stops before the return path of the "
+                    f"loop cutoff {truncation.cutoff} is expanded")
+            return out.get(u, ())
+
+        cur = successors(index.get(cutoff_key))[0]
+        while len(successors(successors(cur)[0])) == 1:
+            cur = successors(cur)[0]
         edges.append((cur, cur, "L"))
 
     return DescendantDigraph(k=k, nodes=tuple(nodes), edges=tuple(edges),

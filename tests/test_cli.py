@@ -106,6 +106,13 @@ class TestPermsCommands:
         assert code == 0
         assert results_dict(payload)["nodes"] == 23
 
+    def test_digraph_loop_too_shallow_exits_2(self, capsys):
+        code = main(["perms", "digraph", "--k", "1", "--depth", "5",
+                     "--truncate", "loop"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_subadd_report(self, capsys):
         code, payload = run_json(capsys, "perms", "subadd",
                                  "--k", "2", "--max-n", "12")

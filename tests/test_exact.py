@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from convexenum import cfrac, words
 from convexenum.exact.linalg import (
     NonUnitDeterminantError,
     SeriesMatrix,
@@ -95,6 +96,31 @@ class TestTruncatedSeries:
         s = TruncatedSeries.one(3)
         with pytest.raises(AttributeError):
             s.order = 5
+
+    def test_counting_series_stay_int(self):
+        for s in (cfrac.f1_series(80), cfrac.tot_series(60),
+                  cfrac.f2_exact_series(40), words.word_gf(3, 0).series):
+            assert all(type(c) is int for c in s.coeffs)
+
+    def test_non_unit_inverse_stays_exact(self):
+        inv = TruncatedSeries((2, -1), 8).invert()
+        for m in range(9):
+            assert inv[m] == Fraction(1, 2 ** (m + 1))
+
+    def test_integral_fractions_are_normalized(self):
+        a = TruncatedSeries((Fraction(3), Fraction(1, 2)))
+        b = TruncatedSeries((3, Fraction(1, 2)))
+        assert a == b and hash(a) == hash(b)
+        assert type(a[0]) is int
+
+    @given(st.sampled_from([1, -1]),
+           st.lists(st.integers(-9, 9), max_size=12),
+           st.integers(0, 15))
+    def test_unit_inverse_roundtrip(self, c0, tail, n):
+        s = TruncatedSeries([c0] + tail, n)
+        inv = s.invert()
+        assert s * inv == TruncatedSeries.one(n)
+        assert all(type(c) is int for c in inv.coeffs)
 
 
 class TestRationalFunction:

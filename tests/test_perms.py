@@ -188,6 +188,23 @@ class TestDigraph:
         assert ours.number_of_edges() == reference.number_of_edges()
         assert nx.is_isomorphic(reference, ours)
 
+    def test_loop_depth_must_reach_the_return_path(self):
+        # The loop sits at the end of the cutoff's return path; a depth
+        # bound that leaves part of that path unexpanded used to crash
+        # (shallow) or misplace the loop (deeper), and now raises.
+        for k, first_ok in ((1, 11), (2, 12)):
+            policy = TruncationPolicy(DEFAULT_CUTOFF[k], "loop")
+            for depth in range(1, first_ok):
+                with pytest.raises(ValueError):
+                    build_digraph(k, depth=depth, truncation=policy)
+            closure = build_digraph(k, truncation=policy)
+            for depth in (first_ok, first_ok + 1, first_ok + 5):
+                g = build_digraph(k, depth=depth, truncation=policy)
+                assert (g.nodes, g.edges) == (closure.nodes, closure.edges)
+            loops = [u for u, v, _ in closure.edges if u == v]
+            assert [closure.labels[u] for u in loops] == \
+                ["1332", {1: "12125", 2: "12135"}[k]]
+
     def test_dot_export(self):
         g = build_digraph(1, truncation=TruncationPolicy(
             DEFAULT_CUTOFF[1], "loop"))
