@@ -5,21 +5,29 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def exact_coefficient(x) -> int | Fraction:
+    """Normalized exact coefficient: an integer value is an ``int``, any
+    other value a ``Fraction``, so equal polynomials and series have
+    equal coefficient tuples."""
+    if type(x) is int:
+        return x
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 class Polynomial:
     """A polynomial stored as a coefficient tuple, index = exponent.
 
-    Trailing zeros are stripped, so the zero polynomial has an empty
-    coefficient tuple and degree -1.
+    Coefficients are normalized (see ``exact_coefficient``), so integer
+    coefficients stay ``int``.  Trailing zeros are stripped, so the zero
+    polynomial has an empty coefficient tuple and degree -1.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [_frac(c) for c in coeffs]
+        cs = [exact_coefficient(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -54,9 +62,9 @@ class Polynomial:
         if not terms:
             return cls.zero()
         n = max(e for e, _ in terms)
-        cs = [Fraction(0)] * (n + 1)
+        cs = [0] * (n + 1)
         for e, c in terms:
-            cs[e] += _frac(c)
+            cs[e] += exact_coefficient(c)
         return cls(cs)
 
     # -- basics -------------------------------------------------------
@@ -71,13 +79,13 @@ class Polynomial:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def __getitem__(self, exponent: int) -> Fraction:
+    def __getitem__(self, exponent: int) -> int | Fraction:
         if 0 <= exponent < len(self.coeffs):
             return self.coeffs[exponent]
-        return Fraction(0)
+        return 0
 
-    def leading_coeff(self) -> Fraction:
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
+    def leading_coeff(self) -> int | Fraction:
+        return self.coeffs[-1] if self.coeffs else 0
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial):
@@ -126,7 +134,7 @@ class Polynomial:
             return NotImplemented
         if not self.coeffs or not other.coeffs:
             return Polynomial.zero()
-        cs = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        cs = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
@@ -155,8 +163,8 @@ class Polynomial:
         dq = len(rem) - len(div)
         if dq < 0:
             return Polynomial.zero(), self
-        quot = [Fraction(0)] * (dq + 1)
-        lead = div[-1]
+        quot = [0] * (dq + 1)
+        lead = Fraction(div[-1])  # int / int would be a float
         for i in range(dq, -1, -1):
             c = rem[i + len(div) - 1] / lead
             quot[i] = c
@@ -178,14 +186,14 @@ class Polynomial:
             a, b = b, a % b
         if a.is_zero():
             return a
-        return a * (1 / a.leading_coeff())
+        return a * (Fraction(1) / a.leading_coeff())
 
     def derivative(self) -> "Polynomial":
         return Polynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i))
 
     def __call__(self, x):
         """Exact evaluation by Horner's rule."""
-        acc = Fraction(0)
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc

@@ -89,18 +89,14 @@ def smallest_positive_root(p: Polynomial, precision: int = 18,
 
 def render_interval(lo: Fraction, hi: Fraction, digits: int) -> str:
     """Decimal rendering of an interval's shared prefix, e.g. for display."""
-    return f"[{_decimal(lo, digits)}, {_decimal(hi, digits)}]"
+    return f"[{decimal_value(lo, digits)}, {decimal_value(hi, digits)}]"
 
 
-def _decimal(x: Fraction, digits: int) -> str:
+def decimal_value(x: Fraction, digits: int) -> str:
+    """Truncated (not rounded) decimal string with ``digits`` places."""
     sign = "-" if x < 0 else ""
     x = abs(x)
     scaled = x * 10**digits
     whole = int(scaled)
     frac = str(whole % 10**digits).rjust(digits, "0")
     return f"{sign}{whole // 10 ** digits}.{frac}"
-
-
-def decimal_value(x: Fraction, digits: int) -> str:
-    """Truncated (not rounded) decimal string with ``digits`` places."""
-    return _decimal(x, digits)

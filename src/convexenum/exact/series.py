@@ -4,29 +4,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from convexenum.exact.polynomial import Polynomial
+from convexenum.exact.polynomial import Polynomial, exact_coefficient
 
 #: Truncation order used when callers do not specify one.  Large enough to
 #: cover every golden sequence with margin.
 DEFAULT_ORDER = 64
 
 
-def _exact(x) -> int | Fraction:
-    """Normalized exact coefficient: an integer value is an ``int``, any
-    other value a ``Fraction``, so equal series have equal tuples."""
-    if type(x) is int:
-        return x
-    if not isinstance(x, Fraction):
-        x = Fraction(x)
-    return x.numerator if x.denominator == 1 else x
-
-
 class TruncatedSeries:
     """A power series known exactly through the coefficient of x^order.
 
-    Coefficients are normalized (see ``_exact``): integers stay ``int``,
-    and a series with constant term 1 or -1 inverts without leaving the
-    integers.  Arithmetic never reads or writes coefficients beyond the
+    Coefficients are normalized (see ``exact_coefficient``): integers
+    stay ``int``, and a series with constant term 1 or -1 inverts without
+    leaving the integers.  Arithmetic never reads or writes coefficients beyond the
     order; binary operations between series of different orders truncate
     to the smaller one.
     """
@@ -34,7 +24,7 @@ class TruncatedSeries:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, coeffs, order: int | None = None):
-        cs = [_exact(c) for c in coeffs]
+        cs = [exact_coefficient(c) for c in coeffs]
         if order is None:
             order = len(cs) - 1
         if order < 0:

@@ -18,6 +18,7 @@ from functools import lru_cache
 
 from convexenum.exact.ratfun import RationalFunction
 from convexenum.exact.roots import decimal_value, smallest_positive_root
+from convexenum.words import convex_sequences, count_convex_sequences
 
 
 @dataclass(frozen=True)
@@ -55,73 +56,17 @@ def is_slow_riser(perm: Permutation) -> bool:
 
 
 def count_perms_bruteforce(n: int, k: int) -> int:
-    """Count k-convex permutations by backtracking with incremental pruning.
-
-    Values are placed left to right; the convexity bound on the next
-    entry (at most k + 2*last - prev) prunes the search to valid
-    prefixes only.
-    """
+    """Count k-convex permutations by backtracking: they are the k-convex
+    words on [n] without a repeated letter."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n == 1:
-        return 1
-
-    count = 0
-    used = [False] * (n + 1)
-
-    def extend(prev: int, last: int, placed: int):
-        nonlocal count
-        bound = min(n, k + 2 * last - prev)
-        for v in range(1, bound + 1):
-            if used[v]:
-                continue
-            if placed + 1 == n:
-                count += 1
-            else:
-                used[v] = True
-                extend(last, v, placed + 1)
-                used[v] = False
-
-    for first in range(1, n + 1):
-        used[first] = True
-        for second in range(1, n + 1):
-            if second == first:
-                continue
-            used[second] = True
-            if n == 2:
-                count += 1
-            else:
-                extend(first, second, 2)
-            used[second] = False
-        used[first] = False
-    return count
+    return count_convex_sequences(n, n, k, distinct=True)
 
 
 def all_convex_perms(n: int, k: int):
     """Yield every k-convex permutation of length n."""
-    if n == 1:
-        yield Permutation((1,))
-        return
-    used = [False] * (n + 1)
-    path: list[int] = []
-
-    def extend():
-        if len(path) == n:
-            yield Permutation(tuple(path))
-            return
-        if len(path) < 2:
-            lo, hi = 1, n
-        else:
-            lo, hi = 1, min(n, k + 2 * path[-1] - path[-2])
-        for v in range(lo, hi + 1):
-            if not used[v]:
-                used[v] = True
-                path.append(v)
-                yield from extend()
-                path.pop()
-                used[v] = False
-
-    yield from extend()
+    for entries in convex_sequences(n, n, k, distinct=True):
+        yield Permutation(tuple(entries))
 
 
 def f0_closed(n: int) -> int:

@@ -8,6 +8,7 @@ encode/decode pair below realizes that bijection explicitly.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -72,31 +73,76 @@ def is_convex_word(w: Word, k: int) -> bool:
     return all(a[i - 1] + a[i + 1] - 2 * a[i] <= k for i in range(1, len(a) - 1))
 
 
-def count_words_bruteforce(n: int, p: int, k: int) -> int:
-    """Exact count by DFS with the convexity check applied incrementally."""
+def count_convex_sequences(n: int, p: int, k: int, distinct: bool) -> int:
+    """Number of k-convex sequences of length n on [p], with no entry
+    repeated when ``distinct`` (so ``p = n`` counts permutations).
+
+    Backtracking with incremental pruning: the next entry is at most
+    min(p, k + 2*last - prev), so the search visits valid prefixes only.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return 1
-    if n == 1:
-        return p
+    if n > sys.getrecursionlimit() // 2:  # extend() recurses n calls deep
+        return sum(1 for _ in convex_sequences(n, p, k, distinct))
+    used = [False] * (p + 1)
 
-    count = 0
-    stack = [(a, b) for a in range(1, p + 1) for b in range(1, p + 1)]
-    if n == 2:
-        return len(stack)
-    # each stack item is a path of letters; extend respecting the bound
-    paths = [[a, b] for a, b in stack]
-    while paths:
-        path = paths.pop()
-        a, b = path[-2], path[-1]
-        hi = min(p, k + 2 * b - a)
-        for c in range(1, hi + 1):
-            if len(path) + 1 == n:
-                count += 1
+    def extend(last: int, hi: int, left: int) -> int:
+        total = 0
+        for v in range(1, hi + 1):
+            if used[v]:
+                continue
+            if left == 1:
+                total += 1
             else:
-                paths.append(path + [c])
-    return count
+                used[v] = distinct
+                total += extend(v, min(p, k + 2 * v - last), left - 1)
+                used[v] = False
+        return total
+
+    # the first two entries are free: the first is bounded by p, and a
+    # virtual entry k + 2 - p before it bounds the second by p as well
+    return extend(k + 2 - p, p, n)
+
+
+def convex_sequences(n: int, p: int, k: int, distinct: bool):
+    """Yield the sequences :func:`count_convex_sequences` counts, in
+    lexicographic order.
+
+    The same list is yielded every time, updated in place; copy it to
+    keep it.  The search keeps one ``range`` iterator per placed entry.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    seq: list[int] = []
+    if n == 0:
+        yield seq
+        return
+    used = [False] * (p + 1)
+    stack = [iter(range(1, p + 1))]
+    while stack:
+        for v in stack[-1]:
+            if not used[v]:
+                break
+        else:  # this prefix has no more extensions
+            stack.pop()
+            if seq:
+                used[seq.pop()] = False
+            continue
+        seq.append(v)
+        if len(seq) == n:
+            yield seq
+            seq.pop()
+        else:
+            used[v] = distinct
+            prev = seq[-2] if len(seq) > 1 else k + 2 - p  # as in the counter
+            stack.append(iter(range(1, min(p, k + 2 * v - prev) + 1)))
+
+
+def count_words_bruteforce(n: int, p: int, k: int) -> int:
+    """Exact count by backtracking (:func:`count_convex_sequences`)."""
+    return count_convex_sequences(n, p, k, distinct=False)
 
 
 def count_words_dp(n: int, p: int, k: int) -> int:
@@ -230,19 +276,5 @@ def decode_word(w: Word) -> tuple[int, IntegerPartition, IntegerPartition]:
 
 def all_convex_words(n: int, p: int, k: int):
     """Yield every k-convex word of length n on [p] (brute force)."""
-    if n == 0:
-        yield Word((), p)
-        return
-
-    def extend(path):
-        if len(path) == n:
-            yield Word(tuple(path), p)
-            return
-        if len(path) < 2:
-            lo, hi = 1, p
-        else:
-            lo, hi = 1, min(p, k + 2 * path[-1] - path[-2])
-        for c in range(lo, hi + 1):
-            yield from extend(path + [c])
-
-    yield from extend([])
+    for letters in convex_sequences(n, p, k, distinct=False):
+        yield Word(tuple(letters), p)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from convexenum import cfrac, words
+from convexenum import cfrac, perms, words
 from convexenum.exact.linalg import (
     NonUnitDeterminantError,
     SeriesMatrix,
@@ -66,6 +66,24 @@ class TestPolynomial:
     def test_str(self):
         assert str(Polynomial((1, -1, 0, 2))) == "1 - x + 2*x^3"
         assert str(Polynomial.zero()) == "0"
+
+    def test_closed_forms_stay_int(self):
+        gfs = [perms.gf_bound(k, side) for k in (1, 2)
+               for side in ("lower", "upper")]
+        gfs.append(words.word_gf(4, 1, with_ratfun=True).ratfun)
+        for gf in gfs:
+            assert all(type(c) is int for c in gf.num.coeffs + gf.den.coeffs)
+
+    def test_division_stays_exact(self):
+        # int / int is a float, and 1/3 is not exact in binary
+        q, r = divmod(Polynomial((1, 0, 1)), Polynomial((0, 3)))
+        assert q.coeffs == (0, Fraction(1, 3)) and r.coeffs == (1,)
+        q, r = divmod(Polynomial((1, 0, 1)), Polynomial((0, 2)))
+        assert q.coeffs == (0, Fraction(1, 2)) and r.coeffs == (1,)
+        assert type(q.coeffs[1]) is Fraction
+        g = Polynomial((2, 4)).gcd(Polynomial((1, 2)))
+        assert g.coeffs == (Fraction(1, 2), 1)
+        assert type(g.coeffs[0]) is Fraction
 
 
 class TestTruncatedSeries:

@@ -1,6 +1,7 @@
 """Tests for convex permutations, the transition digraph, and growth bounds."""
 
 from fractions import Fraction
+from itertools import permutations
 
 import networkx as nx
 import pytest
@@ -92,11 +93,16 @@ class TestCounting:
         assert count_perms_digraph(2, 250) == counts[-1]
 
     def test_generator_matches_counts(self):
-        for k in range(3):
-            for n in range(1, 7):
-                got = list(all_convex_perms(n, k))
-                assert len(got) == count_perms_bruteforce(n, k)
-                assert all(is_convex_perm(p, k) for p in got)
+        # the definition itself, filtered over all n! permutations in
+        # lexicographic order, is the oracle for the shared search
+        for n in range(1, 8):
+            every = [Permutation(e) for e in permutations(range(1, n + 1))]
+            for k in range(-1, 4):
+                convex = [p for p in every if is_convex_perm(p, k)]
+                assert list(all_convex_perms(n, k)) == convex, (n, k)
+                assert count_perms_bruteforce(n, k) == len(convex), (n, k)
+        with pytest.raises(ValueError):
+            count_perms_bruteforce(0, 1)
 
 
 class TestDescendants:

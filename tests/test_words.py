@@ -1,5 +1,7 @@
 """Tests for locally convex word counting and the partition bijection."""
 
+from itertools import product
+
 import pytest
 
 from _goldens import ENCODE_EXAMPLES, G0P_STABLE, WORD_GF_30
@@ -55,19 +57,28 @@ class TestCounting:
                 for n in range(9):
                     assert count_words_bruteforce(n, p, k) == \
                         count_words_dp(n, p, k), (n, p, k)
+        # a search deeper than Python's recursion limit
+        assert count_words_bruteforce(1200, 3, 0) == count_words_dp(1200, 3, 0)
 
     def test_generator_matches_counts(self):
-        for p in range(1, 4):
-            for k in range(3):
-                for n in range(6):
-                    got = list(all_convex_words(n, p, k))
-                    assert len(got) == count_words_dp(n, p, k)
-                    assert len(set(got)) == len(got)
-                    assert all(is_convex_word(w, k) for w in got)
+        # the definition itself, filtered over all p^n words in
+        # lexicographic order, is the oracle for the shared search
+        for p in range(1, 5):
+            for n in range(8):
+                every = [Word(w, p) for w in product(range(1, p + 1), repeat=n)]
+                for k in range(-1, 4):
+                    convex = [w for w in every if is_convex_word(w, k)]
+                    assert list(all_convex_words(n, p, k)) == convex, (n, p, k)
+                    assert count_words_bruteforce(n, p, k) == len(convex) == \
+                        count_words_dp(n, p, k), (n, p, k)
 
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):
             count_words_dp(-1, 2, 0)
+        with pytest.raises(ValueError):
+            count_words_bruteforce(-1, 2, 0)
+        with pytest.raises(ValueError):
+            next(all_convex_words(-1, 2, 0))
 
 
 class TestGeneratingFunction:
