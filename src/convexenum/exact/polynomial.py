@@ -8,9 +8,12 @@ from fractions import Fraction
 def exact_coefficient(x) -> int | Fraction:
     """Normalized exact coefficient: an integer value is an ``int``, any
     other value a ``Fraction``, so equal polynomials and series have
-    equal coefficient tuples."""
+    equal coefficient tuples.  A ``float`` raises ``TypeError``: its
+    binary value is almost never the number that was meant."""
     if type(x) is int:
         return x
+    if isinstance(x, float):
+        raise TypeError(f"inexact coefficient {x!r}")
     if not isinstance(x, Fraction):
         x = Fraction(x)
     return x.numerator if x.denominator == 1 else x

@@ -142,14 +142,30 @@ def endpoint_state(perm: Permutation) -> EndpointState:
     return EndpointState(e[0], e[1], e[-2], e[-1])
 
 
-@lru_cache(maxsize=None)
 def _realizable(t: tuple[int, int, int, int], k: int) -> bool:
-    """Whether some k-convex mountain permutation has these endpoints.
+    """Whether some k-convex permutation (k in {1, 2}) has the endpoint
+    tuple ``t`` = (first, second, second-to-last, last).
 
-    Valid for k <= 2, where convex permutations are exactly the convex
-    mountains: a sorted ascent set followed by the remaining values in
-    decreasing order.
+    For k <= 2 every k-convex permutation is a mountain, since a valley
+    x > y < z of distinct entries has x + z - 2y >= 3.  A mountain is
+    k-convex iff its ascent gaps read from the left, and its descent
+    gaps read from the right, grow by at most k per step (the peak's
+    second difference is negative).
+
+    Past the seed, length-3, identity and reverse-identity shapes, the
+    values are distinct with a < b and d < c, and t is realizable iff
+    every value below min(b, c) is a or d.  Necessity: ascent entries
+    after a are >= b and descent entries before d are >= c, so no other
+    value below min(b, c) has a place.  Sufficiency, for k >= 1: if
+    b > c, take a, then [1, b] minus {a} decreasing; if c > b, take
+    [1, c] minus {d} increasing, then d.  By the condition these end in
+    a, b, c, d.  The long side skips only a (resp. d), so its gaps are 1
+    or 2 and grow by at most 1; the short side has a single gap.  For
+    k = 0 the condition does not suffice: (1, 2, 5, 3) meets it, but
+    4 must follow 2 in the ascent, a gap of 2 after a gap of 1.
     """
+    if k not in (1, 2):
+        raise ValueError("realizability requires k in {1, 2}")
     a, b, c, d = t
     if min(t) < 1:
         return False
@@ -167,44 +183,7 @@ def _realizable(t: tuple[int, int, int, int], k: int) -> bool:
     if a > b:
         # starts descending: reverse identity only
         return (b, c, d) == (a - 1, 2, 1) and a >= 4
-
-    # General mountain search.  Values below both b and c cannot be
-    # placed at all; values below b go to the descent, values below c to
-    # the ascent, values above max(b, c) are free.
-    hi = max(t)
-    for n in range(hi, hi + 7):
-        fixed = {a, b, c, d}
-        forced_desc, forced_asc, free = [], [], []
-        ok = True
-        for v in range(1, n + 1):
-            if v in fixed:
-                continue
-            below_b, below_c = v < b, v < c
-            if below_b and below_c:
-                ok = False
-                break
-            if below_b:
-                forced_desc.append(v)
-            elif below_c:
-                forced_asc.append(v)
-            else:
-                free.append(v)
-        if not ok:
-            continue
-        base_asc = sorted([a, b] + forced_asc)
-        base_desc = sorted([c, d] + forced_desc)
-        for mask in range(1 << len(free)):
-            asc = list(base_asc)
-            desc = list(base_desc)
-            for i, v in enumerate(free):
-                (desc if mask >> i & 1 else asc).append(v)
-            seq = sorted(asc) + sorted(desc, reverse=True)
-            if seq[0] != a or seq[1] != b or seq[-2] != c or seq[-1] != d:
-                continue
-            if all(seq[i - 1] + seq[i + 1] - 2 * seq[i] <= k
-                   for i in range(1, len(seq) - 1)):
-                return True
-    return False
+    return set(range(1, min(b, c))) <= {a, d}
 
 
 # Internal merged representation: (a, b, c, d) where b is None when all
@@ -274,13 +253,14 @@ def canonicalize_state(s: EndpointState, k: int) -> EndpointState:
     Applies reversal symmetry, then replaces the mutable end entries
     (second-to-last when the state right-descends, second when it left
     descends) by the least values that keep the state realizable.
+    Raises ``ValueError`` unless k is 1 or 2 and ``s`` is realizable.
     """
-    if s.tuple == _SEED or s.tuple == _SEED[::-1]:
-        return EndpointState(*_SEED, canonical=True)
-    if not _realizable(s.tuple, k):
+    t = _SEED if s.tuple == _SEED[::-1] else s.tuple
+    if not _realizable(t, k):
         raise ValueError(f"state {s} is not realizable for k={k}")
-    key = state_key(s.tuple, k)
-    return EndpointState(*_least_concrete(key, k), canonical=True)
+    if t == _SEED:
+        return EndpointState(*_SEED, canonical=True)
+    return EndpointState(*_least_concrete(state_key(t, k), k), canonical=True)
 
 
 @dataclass(frozen=True)

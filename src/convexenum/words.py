@@ -73,6 +73,13 @@ def is_convex_word(w: Word, k: int) -> bool:
     return all(a[i - 1] + a[i + 1] - 2 * a[i] <= k for i in range(1, len(a) - 1))
 
 
+def _check_length_and_alphabet(n: int, p: int) -> None:
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if p < 1:
+        raise ValueError("p must be positive")
+
+
 def count_convex_sequences(n: int, p: int, k: int, distinct: bool) -> int:
     """Number of k-convex sequences of length n on [p], with no entry
     repeated when ``distinct`` (so ``p = n`` counts permutations).
@@ -80,8 +87,7 @@ def count_convex_sequences(n: int, p: int, k: int, distinct: bool) -> int:
     Backtracking with incremental pruning: the next entry is at most
     min(p, k + 2*last - prev), so the search visits valid prefixes only.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _check_length_and_alphabet(n, p)
     if n == 0:
         return 1
     if n > sys.getrecursionlimit() // 2:  # extend() recurses n calls deep
@@ -113,8 +119,7 @@ def convex_sequences(n: int, p: int, k: int, distinct: bool):
     The same list is yielded every time, updated in place; copy it to
     keep it.  The search keeps one ``range`` iterator per placed entry.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _check_length_and_alphabet(n, p)
     seq: list[int] = []
     if n == 0:
         yield seq
@@ -147,8 +152,7 @@ def count_words_bruteforce(n: int, p: int, k: int) -> int:
 
 def count_words_dp(n: int, p: int, k: int) -> int:
     """Count by the first-two-letters DP; agrees with brute force."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _check_length_and_alphabet(n, p)
     return _word_counts(p, k, n + 1)[n]
 
 

@@ -78,3 +78,15 @@ MATRIX_A_ROWS = {
     14: [15], 15: [16], 16: [8], 17: [18], 18: [19], 19: [20], 20: [21],
     21: [22], 22: [12],
 }
+
+# SHA-256 of DescendantDigraph.to_dot(), keyed by (k, depth) for
+# depth-bounded digraphs and by (k, mode) for TruncationPolicy at
+# DEFAULT_CUTOFF[k]; the node labels are least realizable endpoint tuples
+DOT_SHA256 = {
+    (1, 60): "7f179b7d953efb03884d461cf3b06c9b76acaf0ae20e2862d4e466612dacb01a",
+    (2, 60): "ea2142b668e4bf84b10740811a204285f4f65bb2c262dda84e24d6df786ca9d0",
+    (1, "cut"): "578767b3073acded3bbc811fe771dc2d4ae05e77f52e637ea0862cc26155ca90",
+    (1, "loop"): "ec616d21f671d34090204a7a38761716e26c9899ad3d0a973ca552da119ec7ac",
+    (2, "cut"): "e6d40744d1b9f3aef1c53ecd0272f063c4418e088e9c0422d2d67b114fe23bd9",
+    (2, "loop"): "47faa225a23fca0a999129ee657ce3f5f5e2977dd54c43af314e827ca0c55d31",
+}

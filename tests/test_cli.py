@@ -66,6 +66,12 @@ class TestWordsCommands:
         capsys.readouterr()
         assert code == 2
 
+    def test_empty_alphabet_exits_2(self, capsys):
+        code = main(["words", "count", "--n", "1", "--p", "-1", "--k", "0"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: p must be positive\n"
+
 
 class TestPermsCommands:
     def test_count_multiple_engines(self, capsys):

@@ -13,7 +13,7 @@ from convexenum.exact.linalg import (
     solve_field_system,
     solve_series_system,
 )
-from convexenum.exact.polynomial import Polynomial
+from convexenum.exact.polynomial import Polynomial, exact_coefficient
 from convexenum.exact.ratfun import RationalFunction
 from convexenum.exact.roots import (
     NoRootError,
@@ -84,6 +84,15 @@ class TestPolynomial:
         g = Polynomial((2, 4)).gcd(Polynomial((1, 2)))
         assert g.coeffs == (Fraction(1, 2), 1)
         assert type(g.coeffs[0]) is Fraction
+
+    def test_floats_rejected(self):
+        # 0.1 would otherwise be kept as its binary value
+        with pytest.raises(TypeError):
+            exact_coefficient(0.1)
+        with pytest.raises(TypeError):
+            Polynomial([0.5])
+        with pytest.raises(TypeError):
+            TruncatedSeries([0.5], 2)
 
 
 class TestTruncatedSeries:

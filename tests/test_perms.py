@@ -1,13 +1,15 @@
 """Tests for convex permutations, the transition digraph, and growth bounds."""
 
+import hashlib
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import networkx as nx
 import pytest
 
 from _goldens import (
     BOUND_GF,
+    DOT_SHA256,
     MATRIX_A_ROWS,
     RATES,
     ROOT_DIGITS,
@@ -132,6 +134,49 @@ class TestDescendants:
             mountain_from_coloring(3, {5})
 
 
+def _accepted(t, k):
+    """Whether canonicalize_state takes the endpoint tuple t."""
+    try:
+        canonicalize_state(EndpointState(*t), k)
+    except ValueError:
+        return False
+    return True
+
+
+def _mountain_dp(t, k):
+    """Whether a k-convex mountain with endpoints t and its peak at most
+    max(t) + 2 exists.
+
+    Values 1, 2, ... go in increasing order to the ascent or to the
+    descent; both are then built from their low end, the ascent must
+    start a, b and the descent (read from the right) d, c, and a gap may
+    grow by at most k from one step to the next.  A side is (length,
+    last value, last gap).  The peak ends both sides.
+    """
+    a, b, c, d = t
+
+    def place(side, v, first, second):
+        size, last, gap = side
+        if size == 0:
+            return (1, v, None) if v == first else None
+        if size == 1:
+            return (2, v, v - last) if v == second else None
+        return (size + 1, v, v - last) if v - last <= gap + k else None
+
+    states = {((0, None, None), (0, None, None))}
+    for v in range(1, max(t) + 3):
+        if not states:
+            break
+        if v >= max(t) and any(place(asc, v, a, b) and place(desc, v, d, c)
+                               for asc, desc in states):
+            return True
+        states = {pair for asc, desc in states
+                  for pair in ((place(asc, v, a, b), desc),
+                               (asc, place(desc, v, d, c)))
+                  if all(pair)}
+    return False
+
+
 class TestCanonicalization:
     def test_example_state(self):
         s = canonicalize_state(EndpointState(1, 2, 6, 4), 2)
@@ -151,6 +196,32 @@ class TestCanonicalization:
     def test_unrealizable_rejected(self):
         with pytest.raises(ValueError):
             canonicalize_state(EndpointState(5, 1, 1, 5), 1)
+
+    def test_only_mountain_parameters(self):
+        # the endpoint test is proved for k in {1, 2} only (for k = 0 it
+        # would accept (1, 2, 5, 3)), so other k are rejected even for a
+        # state that ends a 0-convex permutation, such as 1342
+        for k in (0, 3):
+            with pytest.raises(ValueError):
+                canonicalize_state(EndpointState(1, 3, 4, 2), k)
+            with pytest.raises(ValueError):
+                canonicalize_state(EndpointState(1, 2, 1, 2), k)
+
+    def test_accepts_exactly_the_endpoint_states(self):
+        # every realizable tuple in the box ends a permutation of length
+        # at most 8, so lengths up to 12 give the exact set
+        box = set(product(range(1, 9), repeat=4))
+        for k in (1, 2):
+            ends = {endpoint_state(p).tuple for n in range(2, 13)
+                    for p in all_convex_perms(n, k)}
+            assert {t for t in box if _accepted(t, k)} == ends & box, k
+
+    def test_general_states_match_value_order_dp(self):
+        for k in (1, 2):
+            for t in permutations(range(1, 19), 4):
+                a, b, c, d = t
+                if a < b and d < c:
+                    assert _accepted(t, k) == _mountain_dp(t, k), (t, k)
 
 
 class TestDigraph:
@@ -218,6 +289,16 @@ class TestDigraph:
         assert dot.startswith("digraph")
         assert 'label="12"' in dot
         assert "style=dashed" in dot  # the truncation loop is marked
+
+    def test_dot_matches_golden_hashes(self):
+        for (k, how), digest in DOT_SHA256.items():
+            if how == 60:
+                g = build_digraph(k, depth=60)
+            else:
+                g = build_digraph(k, truncation=TruncationPolicy(
+                    DEFAULT_CUTOFF[k], how))
+            assert hashlib.sha256(g.to_dot().encode()).hexdigest() == \
+                digest, (k, how)
 
     def test_needs_depth_or_truncation(self):
         with pytest.raises(ValueError):

@@ -80,6 +80,15 @@ class TestCounting:
         with pytest.raises(ValueError):
             next(all_convex_words(-1, 2, 0))
 
+    def test_empty_alphabet_rejected(self):
+        for p in (0, -1):
+            with pytest.raises(ValueError):
+                count_words_dp(1, p, 0)
+            with pytest.raises(ValueError):
+                count_words_bruteforce(1, p, 0)
+            with pytest.raises(ValueError):
+                next(all_convex_words(1, p, 0))
+
 
 class TestGeneratingFunction:
     def test_three_letter_zero_convex_coefficients(self):
