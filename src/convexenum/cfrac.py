@@ -240,6 +240,8 @@ def f2_formula_check(order: int = 20) -> dict:
     agreement flags and a first-disagreement index.  The q^0 boundary is
     included (both sides use f_2(0) = 1 for the empty permutation).
     """
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     exact = [1] + perm_counts(2, order)
     report = {"order": order, "exact": exact, "evaluations": {}}
     for root in ("1234", "1245"):

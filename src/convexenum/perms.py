@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, repeat
 
 from convexenum.exact.ratfun import RationalFunction
 from convexenum.exact.roots import decimal_value, smallest_positive_root
@@ -183,29 +184,29 @@ def _realizable(t: tuple[int, int, int, int], k: int) -> bool:
     if a > b:
         # starts descending: reverse identity only
         return (b, c, d) == (a - 1, 2, 1) and a >= 4
-    return set(range(1, min(b, c))) <= {a, d}
+    return all(v in (a, d) for v in range(1, min(b, c)))
 
 
 # Internal merged representation: (a, b, c, d) where b is None when all
 # left-descending second entries collapse to one class, and c is None
 # likewise for right-descending second-to-last entries.
 
-def _star(t, k):
-    a, b, c, d = t
-    b2 = None if (b is not None and b - 2 * a <= k) else b
-    c2 = None if (c is not None and c - 2 * d <= k) else c
-    return (a, b2, c2, d)
-
-
-def _key_sort(t):
-    return tuple(0 if v is None else v for v in t)
-
-
 def state_key(t, k):
     """Digraph node key of an endpoint tuple: the reversal-minimal
-    starred tuple, so identically-descending states compare equal."""
-    cands = [_star(t, k), _star((t[3], t[2], t[1], t[0]), k)]
-    return min(cands, key=_key_sort)
+    starred tuple, so identically-descending states compare equal.
+
+    Starring (replacing a descending inner entry by None) commutes with
+    reversal, so the tuple is starred once; None sorts as 0, and on a
+    tie of the outer pairs the two orientations are equal.
+    """
+    a, b, c, d = t
+    if b is not None and b - 2 * a <= k:
+        b = None
+    if c is not None and c - 2 * d <= k:
+        c = None
+    if (a, b or 0) <= (d, c or 0):
+        return (a, b, c, d)
+    return (d, c, b, a)
 
 
 def transitions(key, k):
@@ -226,25 +227,18 @@ def transitions(key, k):
 def _least_concrete(key, k) -> tuple[int, int, int, int]:
     """Smallest realizable endpoint tuple in a merged class."""
     a, b, c, d = key
-    b_opts = [b] if b is not None else [
-        v for v in range(1, 2 * a + k + 1) if v - 2 * a <= k and v not in (a, d)]
-    best = None
-    for bv in sorted(b_opts):
-        if c is not None:
-            c_opts = [c]
-        else:
-            c_opts = [v for v in range(1, 2 * d + k + 1)
-                      if v - 2 * d <= k and v not in (a, d)]
-        for cv in sorted(c_opts):
-            cand = (a, bv, cv, d)
-            if _realizable(cand, k):
-                best = cand
-                break
-        if best is not None:
-            break
-    if best is None:
-        raise ValueError(f"no realizable representative for class {key}")
-    return best
+    # a starred entry ranges over the descending values other than a, d
+    b_opts = range(1, 2 * a + k + 1) if b is None else (b,)
+    c_opts = range(1, 2 * d + k + 1) if c is None else (c,)
+    for bv in b_opts:
+        if b is None and bv in (a, d):
+            continue
+        for cv in c_opts:
+            if c is None and cv in (a, d):
+                continue
+            if _realizable((a, bv, cv, d), k):
+                return (a, bv, cv, d)
+    raise ValueError(f"no realizable representative for class {key}")
 
 
 def canonicalize_state(s: EndpointState, k: int) -> EndpointState:
@@ -346,6 +340,8 @@ def build_digraph(k: int, depth: int | None = None,
         raise ValueError("digraph machinery requires k in {1, 2}")
     if truncation is None and depth is None:
         raise ValueError("need a depth bound or a truncation policy")
+    if depth is not None and depth < 0:
+        raise ValueError("depth must be nonnegative")
     if truncation is not None:
         cutoff_key = state_key(truncation.cutoff, k)
         drop = drop | {(cutoff_key, "L")}  # both modes sever the ladder here
@@ -400,19 +396,45 @@ def walks(g: DescendantDigraph, steps: int):
     ending at each node (a fresh list indexed like ``g.nodes``).
 
     On a depth-bounded digraph the counts are exact up to its depth.
+    Each step pulls every node's count from its first in-neighbour in one
+    gather, then adds its other in-edges.  Only the prefix of nodes below
+    ``reach`` is gathered: it holds every successor of the previous
+    prefix, so all later counts are zero (on a digraph from
+    :func:`build_digraph` it is the nodes within that many steps of the
+    root).
     """
-    out = [[] for _ in g.nodes]
+    n = len(g.nodes)
+    first = [None] * n
+    extra = {}  # node -> in-neighbours past the first one
+    top = [0] * n  # 1 + the largest successor of each node
     for u, v, _ in g.edges:
-        out[u].append(v)
-    counts = [0] * len(g.nodes)
+        if first[v] is None:
+            first[v] = u
+        else:
+            extra.setdefault(v, []).append(u)
+        top[u] = max(top[u], v + 1)
+    reach_after = [0, *accumulate(top, max)]  # indexed by the prefix end
+    orphans = [v for v in range(n) if first[v] is None]
+    for v in orphans:
+        first[v] = v  # gathered, then reset to zero
+    extra = sorted(extra.items())
+    counts = [0] * n
     counts[g.start] = 1
+    reach = g.start + 1
     yield counts
     for _ in range(steps):
-        nxt = [0] * len(g.nodes)
-        for u, cu in enumerate(counts):
-            if cu:
-                for v in out[u]:
-                    nxt[v] += cu
+        reach = reach_after[reach]
+        nxt = list(map(counts.__getitem__, first[:reach]))
+        for v, us in extra:
+            if v >= reach:
+                break
+            for u in us:
+                nxt[v] += counts[u]
+        for v in orphans:
+            if v >= reach:
+                break
+            nxt[v] = 0
+        nxt.extend(repeat(0, n - reach))
         counts = nxt
         yield counts
 

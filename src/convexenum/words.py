@@ -95,6 +95,8 @@ def count_convex_sequences(n: int, p: int, k: int, distinct: bool) -> int:
     used = [False] * (p + 1)
 
     def extend(last: int, hi: int, left: int) -> int:
+        if left == 1 and not distinct:  # a word may end in any of 1..hi
+            return max(hi, 0)
         total = 0
         for v in range(1, hi + 1):
             if used[v]:

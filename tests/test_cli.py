@@ -119,6 +119,13 @@ class TestPermsCommands:
         assert code == 2
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_digraph_negative_depth_exits_2(self, capsys):
+        code = main(["perms", "digraph", "--k", "1", "--depth", "-3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: depth must be nonnegative\n"
+        assert captured.out == ""
+
     def test_subadd_report(self, capsys):
         code, payload = run_json(capsys, "perms", "subadd",
                                  "--k", "2", "--max-n", "12")
@@ -155,6 +162,13 @@ class TestCfracCommands:
         res = results_dict(payload)
         assert res["exact"] == ["1"]
         assert res["derived_closed_form_agrees"] is True
+
+
+    def test_f2check_negative_order_exits_2(self, capsys):
+        code = main(["cfrac", "f2check", "--order", "-1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: order must be nonnegative\n"
 
 
 class TestOutputFormats:

@@ -6,6 +6,7 @@ from itertools import permutations, product
 
 import networkx as nx
 import pytest
+from hypothesis import given, strategies as st
 
 from _goldens import (
     BOUND_GF,
@@ -24,6 +25,8 @@ from convexenum.exact.ratfun import RationalFunction
 from convexenum.exact.series import TruncatedSeries
 from convexenum.perms import (
     DEFAULT_CUTOFF,
+    START_KEY,
+    DescendantDigraph,
     EndpointState,
     Permutation,
     TruncationPolicy,
@@ -42,7 +45,9 @@ from convexenum.perms import (
     is_slow_riser,
     mountain_from_coloring,
     perm_counts,
+    state_key,
     walk_count,
+    walks,
 )
 
 
@@ -177,7 +182,26 @@ def _mountain_dp(t, k):
     return False
 
 
+def _starred_pair_key(t, k):
+    """The node key as first defined: star each orientation, then take
+    the smaller one with None read as 0 (the forward one on a tie)."""
+    def star(s):
+        a, b, c, d = s
+        return (a, None if b is not None and b - 2 * a <= k else b,
+                None if c is not None and c - 2 * d <= k else c, d)
+
+    return min(star(t), star(t[::-1]),
+               key=lambda s: tuple(0 if v is None else v for v in s))
+
+
 class TestCanonicalization:
+    def test_state_key_matches_starred_pair_definition(self):
+        inner = [None, *range(1, 11)]
+        for k in (1, 2):
+            for a, b, c, d in product(range(1, 9), inner, inner, range(1, 9)):
+                t = (a, b, c, d)
+                assert state_key(t, k) == _starred_pair_key(t, k), (t, k)
+
     def test_example_state(self):
         s = canonicalize_state(EndpointState(1, 2, 6, 4), 2)
         assert s.tuple == (1, 2, 3, 4)
@@ -305,6 +329,83 @@ class TestDigraph:
             build_digraph(1)
         with pytest.raises(ValueError):
             build_digraph(3, depth=2)
+        for truncation in (None, TruncationPolicy(DEFAULT_CUTOFF[1], "cut")):
+            with pytest.raises(ValueError, match="depth must be nonnegative"):
+                build_digraph(1, depth=-3, truncation=truncation)
+
+
+def _push_walks(g, steps):
+    """The walk DP as first written: every node pushes its count along
+    its out-edges, at every step."""
+    out = [[] for _ in g.nodes]
+    for u, v, _ in g.edges:
+        out[u].append(v)
+    counts = [0] * len(g.nodes)
+    counts[g.start] = 1
+    yield counts
+    for _ in range(steps):
+        nxt = [0] * len(g.nodes)
+        for u, cu in enumerate(counts):
+            if cu:
+                for v in out[u]:
+                    nxt[v] += cu
+        counts = nxt
+        yield counts
+
+
+def _assert_walks_match_push_form(g, steps):
+    yielded = list(walks(g, steps))
+    assert yielded == list(_push_walks(g, steps))
+    assert len({id(c) for c in yielded}) == steps + 1  # fresh lists
+
+
+class TestWalks:
+    def test_depth_bounded_graphs(self):
+        for k in (1, 2):
+            g = build_digraph(k, depth=40)
+            # past the depth, the unexpanded frontier has no out-edges
+            _assert_walks_match_push_form(g, 45)
+
+    def test_truncation_closures(self):
+        for k in (1, 2):
+            for mode in ("cut", "loop"):
+                g = build_digraph(k, truncation=TruncationPolicy(
+                    DEFAULT_CUTOFF[k], mode))
+                _assert_walks_match_push_form(g, 60)
+
+    def test_rooted_ladder_subgraphs(self):
+        # the subgraphs the continued-fraction oracles walk on
+        r1223 = state_key((1, 2, 2, 3), 1)
+        _assert_walks_match_push_form(
+            build_digraph(1, depth=30, root=r1223, drop={(r1223, "R")}), 30)
+        n1234, n1245, n1256 = (state_key(t, 2) for t in (
+            (1, 2, 3, 4), (1, 2, 4, 5), (1, 2, 5, 6)))
+        drop = {(n1234, "R"), (n1245, "R"), (n1256, "R")}
+        for root in (n1234, n1245):
+            _assert_walks_match_push_form(
+                build_digraph(2, depth=30, root=root, drop=drop), 30)
+
+    def test_hand_built_graph(self):
+        # a double edge 0 -> 1, a self-loop at 1, a back edge 2 -> 0, and
+        # node 3, never reached, with an edge into the reachable part
+        g = DescendantDigraph(k=1, nodes=(START_KEY, "x", "y", "z"), edges=(
+            (0, 1, "L"), (0, 1, "R"), (1, 1, "L"), (1, 2, "R"), (2, 0, "L"),
+            (3, 1, "L")))
+        _assert_walks_match_push_form(g, 12)
+        assert list(walks(g, 3)) == [
+            [1, 0, 0, 0], [0, 2, 0, 0], [0, 2, 2, 0], [2, 2, 2, 0]]
+        _assert_walks_match_push_form(
+            DescendantDigraph(k=1, nodes=(START_KEY,), edges=()), 3)
+
+    @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                           st.sampled_from("LR")), max_size=20),
+        st.integers(0, 12))))
+    def test_random_graphs(self, case):
+        n, edges, steps = case
+        g = DescendantDigraph(k=1, nodes=tuple(range(n)), edges=tuple(edges))
+        _assert_walks_match_push_form(g, steps)
 
 
 class TestGrowthBounds:
