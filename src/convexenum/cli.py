@@ -183,7 +183,7 @@ def cmd_perms(args) -> OutputRecord:
             rec.add(f"n={n}", [perms.f0_closed(n), f1[n - 1], f2[n - 1]])
         return rec
     if sub == "bounds":
-        precision = args.precision or 20
+        precision = args.precision
         rec = OutputRecord("perms bounds",
                            {"k": args.k, "precision": precision})
         if args.k not in (1, 2):
@@ -314,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p = sp.add_parser("bounds")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--precision", type=int)
+    p.add_argument("--precision", type=int, default=20)
     _add_common(p)
     p = sp.add_parser("digraph")
     p.add_argument("--k", type=int, required=True)

@@ -50,14 +50,6 @@ class SeriesMatrix:
         i, j = idx
         return self.entries[i][j]
 
-    @property
-    def order(self):
-        for row in self.entries:
-            for e in row:
-                if isinstance(e, TruncatedSeries):
-                    return e.order
-        return None
-
 
 def solve_series_system(m: SeriesMatrix, rhs) -> list[TruncatedSeries]:
     """Solve M * F = rhs over truncated series.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def exact_coefficient(x) -> int | Fraction:
@@ -51,10 +52,6 @@ class Polynomial:
     @classmethod
     def x(cls) -> "Polynomial":
         return cls((0, 1))
-
-    @classmethod
-    def monomial(cls, exponent: int, coeff=1) -> "Polynomial":
-        return cls((0,) * exponent + (coeff,))
 
     @classmethod
     def from_terms(cls, terms) -> "Polynomial":
@@ -182,14 +179,33 @@ class Polynomial:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
+    def primitive(self) -> "Polynomial":
+        """Positive rational multiple with integer coefficients, content 1."""
+        scale = lcm(*(c.denominator for c in self.coeffs))
+        ints = [c.numerator * (scale // c.denominator) for c in self.coeffs]
+        content = gcd(*ints) or 1
+        return Polynomial([c // content for c in ints])
+
+    def pseudo_remainder(self, other: "Polynomial") -> "Polynomial":
+        """lc(other)^(deg self - deg other + 1) * (self mod other), without
+        division (Knuth, TAOCP vol. 2, 4.6.1, Algorithm R)."""
+        if other.is_zero():
+            raise ZeroDivisionError("division by zero polynomial")
+        rem, div = list(self.coeffs), other.coeffs
+        lead, top = div[-1], len(div) - 1
+        for i in range(len(rem) - len(div), -1, -1):
+            q = rem.pop()
+            rem = [lead * c for c in rem]
+            for j in range(top):
+                rem[i + j] -= q * div[j]
+        return Polynomial(rem)
+
     def gcd(self, other: "Polynomial") -> "Polynomial":
-        """Monic greatest common divisor (Euclid over the rationals)."""
-        a, b = self, self._coerce(other)
-        while not b.is_zero():
-            a, b = b, a % b
-        if a.is_zero():
-            return a
-        return a * (Fraction(1) / a.leading_coeff())
+        """Monic gcd, by the primitive pseudo-remainder sequence over Z."""
+        a, b = self.primitive(), self._coerce(other).primitive()
+        while b:
+            a, b = b, a.pseudo_remainder(b).primitive()
+        return a * Fraction(1, a.leading_coeff()) if a else a
 
     def derivative(self) -> "Polynomial":
         return Polynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i))

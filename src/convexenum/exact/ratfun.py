@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from convexenum.exact.polynomial import Polynomial
 from convexenum.exact.series import TruncatedSeries
@@ -46,12 +47,10 @@ class RationalFunction:
         g = num.gcd(den)
         if g.degree > 0:
             num, den = num // g, den // g
-        # clear coefficient denominators, then divide by integer content
-        denom_lcm = lcm(*(c.denominator for c in num.coeffs + den.coeffs))
-        ints = [int(c * denom_lcm) for c in num.coeffs + den.coeffs]
-        content = gcd(*ints)
-        scale = Fraction(denom_lcm, content)
-        num, den = num * scale, den * scale
+        # one integer scale for both: clear denominators, divide by content
+        split = len(num.coeffs)
+        both = Polynomial(num.coeffs + den.coeffs).primitive().coeffs
+        num, den = Polynomial(both[:split]), Polynomial(both[split:])
         if den.leading_coeff() < 0:
             num, den = -num, -den
         return num, den
@@ -65,26 +64,33 @@ class RationalFunction:
         ``complexity_bound`` must bound the linear complexity
         max(deg D, deg N + 1) of the reduced N/D with D(0) != 0.  Then the
         first 2*bound terms determine N/D uniquely (Massey 1969); every
-        further term is checked against the recurrence found.
+        further term is checked against the recurrence found.  It runs
+        fraction-free, on primitive integer multiples of the rational
+        connection polynomials.
         """
         s = [Fraction(t) for t in terms]
         if len(s) < 2 * complexity_bound:
             raise ValueError(f"need {2 * complexity_bound} terms, got {len(s)}")
+        # fraction-free: run on L * terms, L the lcm of their denominators
+        scale = lcm(*(t.denominator for t in s))
+        s = [t.numerator * (scale // t.denominator) for t in s]
 
         def discrepancy(c, i):
-            return sum((cj * s[i - j] for j, cj in enumerate(c) if j <= i),
-                       Fraction(0))
+            return sum(map(mul, c, s[i::-1]))
 
-        c, b = [Fraction(1)], [Fraction(1)]  # connection polynomials
-        length, shift, last = 0, 1, Fraction(1)
+        c, b = [1], [1]  # connection polynomials, each up to a scalar
+        length, shift, last = 0, 1, 1
         for i in range(2 * complexity_bound):
             d = discrepancy(c, i)
             if d == 0:
                 shift += 1
                 continue
-            new = c + [Fraction(0)] * max(0, len(b) + shift - len(c))
+            # last*c - d*x^shift*b: a multiple of the rational update
+            new = [last * cj for cj in c] + [0] * (len(b) + shift - len(c))
             for j, bj in enumerate(b):
-                new[j + shift] -= d / last * bj
+                new[j + shift] -= d * bj
+            content = gcd(*new)
+            new = [cj // content for cj in new]
             if 2 * length <= i:
                 b, length, last, shift = c, i + 1 - length, d, 1
             else:
@@ -94,7 +100,7 @@ class RationalFunction:
                 discrepancy(c, i) for i in range(2 * complexity_bound, len(s))):
             raise ArithmeticError("terms break the recovered recurrence")
         num = [discrepancy(c, i) for i in range(length)]
-        return cls(Polynomial(num), Polynomial(c))
+        return cls(Polynomial(num), Polynomial([scale * cj for cj in c]))
 
     @classmethod
     def zero(cls) -> "RationalFunction":

@@ -1,13 +1,14 @@
 """Certified isolation of the smallest positive real root of a polynomial.
 
-All evaluation is exact over the rationals; the returned interval is
-certified by an exact sign change at its endpoints.  Decimal output is a
+All arithmetic is in the integers; the returned interval is certified
+by an exact sign change at its endpoints.  Decimal output is a
 rendering step only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache, partial
 
 from convexenum.exact.polynomial import Polynomial
 
@@ -16,21 +17,31 @@ class NoRootError(ValueError):
     """No positive real root was found in the search interval."""
 
 
-def _sturm_chain(p: Polynomial) -> list[Polynomial]:
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero():
-        chain.append(-(chain[-2] % chain[-1]))
-    chain.pop()
-    return chain
+def _sturm_chain(p: Polynomial) -> list[tuple[int, ...]]:
+    """Coefficients of the Sturm chain of an integer p.  Each element
+    -sign(lc(b))^(deg a - deg b + 1) prem(a, b) over its content is a
+    positive multiple of the remainder -(a mod b)."""
+    chain = [p, p.derivative().primitive()]
+    while chain[-1]:
+        a, b = chain[-2:]
+        rem = a.pseudo_remainder(b)
+        flip = b.leading_coeff() > 0 or (a.degree - b.degree) % 2
+        chain.append((-rem if flip else rem).primitive())
+    return [q.coeffs for q in chain[:-1]]
+
+
+def _sign_at(coeffs, x: Fraction) -> int:
+    """Sign of the polynomial at x = u/v: that of sum c_i u^i v^(d-i)."""
+    u, v = x.numerator, x.denominator
+    acc, w = 0, 1
+    for c in reversed(coeffs):
+        acc, w = acc * u + c * w, w * v
+    return (acc > 0) - (acc < 0)
 
 
 def _sign_variations(chain, x: Fraction) -> int:
-    signs = []
-    for q in chain:
-        v = q(x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    signs = [s for s in (_sign_at(q, x) for q in chain) if s]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def smallest_positive_root(p: Polynomial, precision: int = 18,
@@ -40,32 +51,38 @@ def smallest_positive_root(p: Polynomial, precision: int = 18,
 
     Isolation uses a Sturm chain of the squarefree part; the final
     certificate is an exact sign change of that squarefree part at the
-    endpoints.  Requires p(0) != 0 and at least one root in the range.
+    endpoints.  Requires precision >= 1, p(0) != 0 and a root in range.
     """
+    if precision < 1:
+        raise ValueError("precision must be positive")
     if p.is_zero():
         raise ValueError("zero polynomial")
-    if p(Fraction(0)) == 0:
+    if p[0] == 0:
         raise ValueError("p(0) = 0; strip the root at the origin first")
-    sqf = p // p.gcd(p.derivative())
-    chain = _sturm_chain(sqf)
+    chain = _sturm_chain(p.primitive())
+    if len(chain[-1]) > 1:  # the chain ends in gcd(p, p'): strip it
+        chain = _sturm_chain((p // Polynomial(chain[-1])).primitive())
+    sqf = chain[0]
     lo, hi = Fraction(0), Fraction(search_bound)
-    if sqf(hi) == 0:
+    if _sign_at(sqf, hi) == 0:
         # nudge the right endpoint past the root so sign logic stays exact
         hi += Fraction(1, 10**precision)
 
+    variations = cache(partial(_sign_variations, chain))  # points recur
+
     def roots_in(a: Fraction, b: Fraction) -> int:
-        return _sign_variations(chain, a) - _sign_variations(chain, b)
+        return variations(a) - variations(b)
 
     if roots_in(lo, hi) < 1:
         raise NoRootError(f"no root of {p} in (0, {search_bound}]")
 
     # shrink toward the leftmost root, then bisect on the sign change
-    while roots_in(lo, hi) > 1 or sqf(lo) * sqf(hi) >= 0:
+    eps = Fraction(1, 10 ** (precision + 2))
+    while roots_in(lo, hi) > 1 or _sign_at(sqf, lo) * _sign_at(sqf, hi) >= 0:
         mid = (lo + hi) / 2
-        if sqf(mid) == 0:
+        if _sign_at(sqf, mid) == 0:
             # land exactly on the root only if it is the smallest one
             if roots_in(lo, mid) == 1:
-                eps = Fraction(1, 10 ** (precision + 2))
                 return mid - eps, mid + eps
             hi = mid
             continue
@@ -76,11 +93,10 @@ def smallest_positive_root(p: Polynomial, precision: int = 18,
     width_goal = Fraction(1, 10**precision)
     while hi - lo >= width_goal:
         mid = (lo + hi) / 2
-        v = sqf(mid)
+        v = _sign_at(sqf, mid)
         if v == 0:
-            eps = Fraction(1, 10 ** (precision + 2))
             return mid - eps, mid + eps
-        if (v > 0) == (sqf(lo) > 0):
+        if v == _sign_at(sqf, lo):
             lo = mid
         else:
             hi = mid

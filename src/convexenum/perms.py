@@ -401,7 +401,7 @@ def walks(g: DescendantDigraph, steps: int):
     ``reach`` is gathered: it holds every successor of the previous
     prefix, so all later counts are zero (on a digraph from
     :func:`build_digraph` it is the nodes within that many steps of the
-    root).
+    root).  The DP never reads back a list it has yielded.
     """
     n = len(g.nodes)
     first = [None] * n
@@ -418,10 +418,10 @@ def walks(g: DescendantDigraph, steps: int):
     for v in orphans:
         first[v] = v  # gathered, then reset to zero
     extra = sorted(extra.items())
-    counts = [0] * n
+    counts = [0] * n  # private: a caller may edit the lists it is given
     counts[g.start] = 1
     reach = g.start + 1
-    yield counts
+    yield counts[:]
     for _ in range(steps):
         reach = reach_after[reach]
         nxt = list(map(counts.__getitem__, first[:reach]))
@@ -434,9 +434,9 @@ def walks(g: DescendantDigraph, steps: int):
             if v >= reach:
                 break
             nxt[v] = 0
+        counts[:reach] = nxt
         nxt.extend(repeat(0, n - reach))
-        counts = nxt
-        yield counts
+        yield nxt
 
 
 def walk_count(g: DescendantDigraph, n: int) -> int:

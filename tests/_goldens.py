@@ -66,6 +66,29 @@ RATES = {
 }
 
 
+# exact root intervals, recorded from the rational-arithmetic Sturm
+# isolation: growth_bounds(k, 20) keyed by (k, side), and the root of
+# gf_bound(1, "lower", cutoff=(1, 2, 7, 8)).den at precision 20
+ROOT_INTERVALS = {
+    (1, "lower"): (Fraction(6009014813362853545, 9223372036854775808),
+                   Fraction(96144237013805656721, 147573952589676412928)),
+    (1, "upper"): (
+        Fraction(1922769910640158655719227699106401586557,
+                 2951479051793528258560000000000000000000),
+        Fraction(4806924776600396639348069247766003966393,
+                 7378697629483820646400000000000000000000)),
+    (2, "lower"): (Fraction(41305458662082886149, 73786976294838206464),
+                   Fraction(82610917324165772299, 147573952589676412928)),
+    (2, "upper"): (Fraction(20652025329999783781, 36893488147419103232),
+                   Fraction(82608101319999135125, 147573952589676412928)),
+}
+CUTOFF_1278_ROOT = (
+    Fraction(2403603619320092754924036036193200927549,
+             3689348814741910323200000000000000000000),
+    Fraction(9614414477280371019796144144772803710197,
+             14757395258967641292800000000000000000000))
+
+
 def root_fraction(k, side) -> Fraction:
     return Fraction(int(ROOT_DIGITS[(k, side)]), 10**20)
 

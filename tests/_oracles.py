@@ -1,0 +1,126 @@
+"""Rational-arithmetic oracles for the integer certificate kernel.
+
+These are the textbook algorithms over ``Fraction``: Euclid's gcd, a
+Sturm chain of Euclidean remainders with Horner sign tests, and
+Berlekamp–Massey with rational connection polynomials.  The library
+computes the same results in integer arithmetic; the tests compare the
+two.
+"""
+
+from fractions import Fraction
+
+from convexenum.exact.polynomial import Polynomial
+from convexenum.exact.ratfun import RationalFunction
+from convexenum.exact.roots import NoRootError
+
+
+def euclid_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Monic gcd by Euclid's algorithm over the rationals."""
+    while not b.is_zero():
+        a, b = b, a % b
+    if a.is_zero():
+        return a
+    return a * (Fraction(1) / a.leading_coeff())
+
+
+def squarefree_part(p: Polynomial) -> Polynomial:
+    return p // euclid_gcd(p, p.derivative())
+
+
+def sturm_chain(p: Polynomial) -> list[Polynomial]:
+    chain = [p, p.derivative()]
+    while not chain[-1].is_zero():
+        chain.append(-(chain[-2] % chain[-1]))
+    chain.pop()
+    return chain
+
+
+def sign_variations(chain, x: Fraction) -> int:
+    signs = []
+    for q in chain:
+        v = q(x)
+        if v != 0:
+            signs.append(1 if v > 0 else -1)
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def sturm_count(chain, a: Fraction, b: Fraction) -> int:
+    """Distinct roots in (a, b] of the chain's first polynomial."""
+    return sign_variations(chain, a) - sign_variations(chain, b)
+
+
+def smallest_positive_root(p: Polynomial, precision: int = 18,
+                           search_bound=Fraction(1)):
+    """Sturm isolation evaluated at ``Fraction`` points throughout."""
+    if p.is_zero():
+        raise ValueError("zero polynomial")
+    if p(Fraction(0)) == 0:
+        raise ValueError("p(0) = 0; strip the root at the origin first")
+    sqf = squarefree_part(p)
+    chain = sturm_chain(sqf)
+    lo, hi = Fraction(0), Fraction(search_bound)
+    if sqf(hi) == 0:
+        hi += Fraction(1, 10**precision)
+
+    def roots_in(a: Fraction, b: Fraction) -> int:
+        return sturm_count(chain, a, b)
+
+    if roots_in(lo, hi) < 1:
+        raise NoRootError(f"no root of {p} in (0, {search_bound}]")
+    while roots_in(lo, hi) > 1 or sqf(lo) * sqf(hi) >= 0:
+        mid = (lo + hi) / 2
+        if sqf(mid) == 0:
+            if roots_in(lo, mid) == 1:
+                eps = Fraction(1, 10 ** (precision + 2))
+                return mid - eps, mid + eps
+            hi = mid
+            continue
+        if roots_in(lo, mid) >= 1:
+            hi = mid
+        else:
+            lo = mid
+    width_goal = Fraction(1, 10**precision)
+    while hi - lo >= width_goal:
+        mid = (lo + hi) / 2
+        v = sqf(mid)
+        if v == 0:
+            eps = Fraction(1, 10 ** (precision + 2))
+            return mid - eps, mid + eps
+        if (v > 0) == (sqf(lo) > 0):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def berlekamp_massey(terms, complexity_bound: int) -> RationalFunction:
+    """Berlekamp–Massey over the rationals, with the same contract as
+    ``RationalFunction.from_sequence``."""
+    s = [Fraction(t) for t in terms]
+    if len(s) < 2 * complexity_bound:
+        raise ValueError(f"need {2 * complexity_bound} terms, got {len(s)}")
+
+    def discrepancy(c, i):
+        return sum((cj * s[i - j] for j, cj in enumerate(c) if j <= i),
+                   Fraction(0))
+
+    c, b = [Fraction(1)], [Fraction(1)]
+    length, shift, last = 0, 1, Fraction(1)
+    for i in range(2 * complexity_bound):
+        d = discrepancy(c, i)
+        if d == 0:
+            shift += 1
+            continue
+        new = c + [Fraction(0)] * max(0, len(b) + shift - len(c))
+        for j, bj in enumerate(b):
+            new[j + shift] -= d / last * bj
+        if 2 * length <= i:
+            b, length, last, shift = c, i + 1 - length, d, 1
+        else:
+            shift += 1
+        c = new
+    if length > complexity_bound or any(
+            discrepancy(c, i) for i in range(2 * complexity_bound, len(s))):
+        raise ArithmeticError("terms break the recovered recurrence")
+    num = [discrepancy(c, i) for i in range(length)]
+    return RationalFunction(Polynomial(num), Polynomial(c))

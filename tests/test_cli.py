@@ -134,6 +134,14 @@ class TestPermsCommands:
         assert res["holds"] is False
         assert any("m=6 n=6" in v for v in res["violations"])
 
+    @pytest.mark.parametrize("precision", ["-3", "0"])
+    def test_bounds_nonpositive_precision_exits_2(self, capsys, precision):
+        code = main(["perms", "bounds", "--k", "1", "--precision", precision])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: precision must be positive\n"
+        assert captured.out == ""
+
     def test_bad_k_exits_2(self, capsys):
         code = main(["perms", "bounds", "--k", "3"])
         capsys.readouterr()

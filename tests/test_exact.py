@@ -1,10 +1,13 @@
 """Unit tests for the exact-arithmetic core."""
 
 from fractions import Fraction
+from itertools import product
+from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import _oracles
 from convexenum import cfrac, perms, words
 from convexenum.exact.linalg import (
     NonUnitDeterminantError,
@@ -21,6 +24,9 @@ from convexenum.exact.roots import (
     smallest_positive_root,
 )
 from convexenum.exact.series import TruncatedSeries
+
+# small rationals, cheaper to draw than st.fractions
+_FRACTIONS = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4))
 
 
 class TestPolynomial:
@@ -56,6 +62,28 @@ class TestPolynomial:
         assert g == 1 - x or g == Polynomial((1, -1)) * Fraction(-1)
         assert g.leading_coeff() == 1
         assert (a % g).is_zero() and (b % g).is_zero()
+
+    @given(*[st.lists(_FRACTIONS, max_size=4)] * 3)
+    def test_gcd_matches_euclid_over_the_rationals(self, f, g, h):
+        a, b = Polynomial(f) * Polynomial(h), Polynomial(g) * Polynomial(h)
+        assert a.gcd(b) == _oracles.euclid_gcd(a, b)
+        assert b.gcd(a) == _oracles.euclid_gcd(b, a)
+
+    @given(st.lists(_FRACTIONS, max_size=6), st.lists(_FRACTIONS, max_size=4))
+    def test_pseudo_remainder_and_primitive_part(self, a, b):
+        a, b = Polynomial(a), Polynomial(b)
+        prim = a.primitive()
+        if a:
+            assert all(type(c) is int for c in prim.coeffs)
+            assert gcd(*prim.coeffs) == 1
+            assert prim * a.leading_coeff() == a * prim.leading_coeff()
+            assert prim.leading_coeff() * a.leading_coeff() > 0
+        if b:
+            delta = max(a.degree - b.degree + 1, 0)
+            assert a.pseudo_remainder(b) == a * b.leading_coeff() ** delta % b
+        else:
+            with pytest.raises(ZeroDivisionError):
+                a.pseudo_remainder(b)
 
     def test_evaluation_and_derivative(self):
         p = Polynomial((1, -3, 2))  # 2x^2 - 3x + 1
@@ -209,6 +237,49 @@ class TestFromSequence:
         assert RationalFunction.from_sequence(terms, bound) == rf
 
 
+    @pytest.mark.parametrize("k,side", list(product((1, 2), ("lower", "upper"))))
+    def test_gf_bound_terms_match_rational_oracle(self, k, side):
+        g = perms.build_digraph(k, truncation=perms.TruncationPolicy(
+            perms.DEFAULT_CUTOFF[k], "cut" if side == "lower" else "loop"))
+        n = len(g.nodes)
+        terms = [1, 1] + [2 * sum(c) for c in perms.walks(g, 2 * n + 3)]
+        rf = RationalFunction.from_sequence(terms, n + 2)
+        assert rf == _oracles.berlekamp_massey(terms, n + 2)
+        assert rf == perms.gf_bound(k, side)
+
+    @pytest.mark.parametrize("p,k", list(product(range(1, 5), (-1, 0, 1, 2))))
+    def test_word_gf_terms_match_rational_oracle(self, p, k):
+        bound = p * p + 2
+        wg = words.word_gf(p, k, order=2 * bound + 3, with_ratfun=True)
+        terms = wg.series.coeffs
+        assert RationalFunction.from_sequence(terms, bound) == wg.ratfun
+        assert wg.ratfun == _oracles.berlekamp_massey(terms, bound)
+
+    @given(st.lists(_FRACTIONS, max_size=5),
+           _FRACTIONS.filter(lambda d: d not in (0, 1, -1)),
+           st.lists(_FRACTIONS, max_size=5))
+    def test_fraction_terms_match_rational_oracle(self, num, d0, den_tail):
+        rf = RationalFunction(Polynomial(num), Polynomial([d0] + den_tail))
+        bound = max(rf.den.degree, rf.num.degree + 1)
+        terms = rf.to_series(2 * bound + 2).coeffs
+        assert RationalFunction.from_sequence(terms, bound) == rf
+        assert _oracles.berlekamp_massey(terms, bound) == rf
+
+    @given(st.lists(_FRACTIONS, max_size=12),
+           st.integers(0, 6))
+    def test_any_sequence_matches_rational_oracle(self, terms, bound):
+        # equal results, or the same exception
+        assert _outcome(RationalFunction.from_sequence, terms, bound) == \
+            _outcome(_oracles.berlekamp_massey, terms, bound)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc)
+
+
 class TestLinearAlgebra:
     def test_solve_series_system(self):
         order = 10
@@ -239,6 +310,18 @@ class TestLinearAlgebra:
         assert [int(c) for c in s.coeffs] == [1] * 7  # one walk per length
 
 
+@st.composite
+def _root_cases(draw):
+    """An integer polynomial times rational linear factors, some of them
+    repeated, so roots can be exact, multiple, or at the search bound."""
+    p = Polynomial(draw(st.lists(st.integers(-6, 6), min_size=1, max_size=4)))
+    for _ in range(draw(st.integers(1, 3))):
+        factor = Polynomial((-draw(st.integers(0, 6)), draw(st.integers(1, 6))))
+        for _ in range(draw(st.integers(1, 3))):
+            p = p * factor
+    return p
+
+
 class TestRoots:
     def test_golden_ratio_root(self):
         p = Polynomial((1, -1, -1))  # 1 - x - x^2, root (sqrt(5)-1)/2
@@ -267,6 +350,32 @@ class TestRoots:
     def test_root_at_origin_rejected(self):
         with pytest.raises(ValueError):
             smallest_positive_root(Polynomial((0, 1)), 10)
+
+    @pytest.mark.parametrize("precision", [0, -3])
+    def test_nonpositive_precision_rejected(self, precision):
+        with pytest.raises(ValueError, match="precision must be positive"):
+            smallest_positive_root(Polynomial((-1, 2)), precision)
+
+    @settings(max_examples=200)
+    @given(_root_cases(), st.integers(1, 20),
+           st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(2)]))
+    def test_certificate_matches_rational_oracle(self, p, precision, bound):
+        try:
+            expected = _oracles.smallest_positive_root(p, precision, bound)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                smallest_positive_root(p, precision, bound)
+            assert type(raised.value) is type(exc)
+            return
+        lo, hi = smallest_positive_root(p, precision, bound)
+        assert (lo, hi) == expected
+        assert type(lo) is Fraction and type(hi) is Fraction
+        assert 0 < hi - lo < Fraction(1, 10**precision)
+        sqf = _oracles.squarefree_part(p)
+        assert sqf(lo) * sqf(hi) < 0
+        chain = _oracles.sturm_chain(sqf)
+        assert _oracles.sturm_count(chain, lo, hi) == 1
+        assert _oracles.sturm_count(chain, Fraction(0), lo) == 0
 
     def test_decimal_value_truncates(self):
         assert decimal_value(Fraction(2, 3), 5) == "0.66666"

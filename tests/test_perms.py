@@ -10,10 +10,12 @@ from hypothesis import given, strategies as st
 
 from _goldens import (
     BOUND_GF,
+    CUTOFF_1278_ROOT,
     DOT_SHA256,
     MATRIX_A_ROWS,
     RATES,
     ROOT_DIGITS,
+    ROOT_INTERVALS,
     TABLE_F0,
     TABLE_F1,
     TABLE_F2,
@@ -22,6 +24,7 @@ from _goldens import (
 from convexenum.exact.linalg import matrix_resolvent_row
 from convexenum.exact.polynomial import Polynomial
 from convexenum.exact.ratfun import RationalFunction
+from convexenum.exact.roots import smallest_positive_root
 from convexenum.exact.series import TruncatedSeries
 from convexenum.perms import (
     DEFAULT_CUTOFF,
@@ -397,6 +400,13 @@ class TestWalks:
         _assert_walks_match_push_form(
             DescendantDigraph(k=1, nodes=(START_KEY,), edges=()), 3)
 
+    def test_editing_a_yielded_list_leaves_later_counts_alone(self):
+        totals = []
+        for counts in walks(build_digraph(2, 3), 3):
+            totals.append(sum(counts))
+            counts[:] = [0] * len(counts)
+        assert totals == [1, 2, 4, 8]
+
     @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
         st.just(n),
         st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
@@ -452,6 +462,18 @@ class TestGrowthBounds:
         assert abs(float(gb.lower_rate) - RATES[(k, "lower")]) < 1e-9
         assert abs(float(gb.upper_rate) - RATES[(k, "upper")]) < 1e-9
         assert float(gb.lower_rate) < float(gb.upper_rate)
+
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_root_intervals_are_exact_goldens(self, k):
+        gb = growth_bounds(k, precision=20)
+        for root, side in ((gb.lower_root, "lower"), (gb.upper_root, "upper")):
+            assert root == ROOT_INTERVALS[(k, side)]
+            assert all(type(end) is Fraction for end in root)
+
+    def test_cutoff_root_interval_is_exact_golden(self):
+        den = gf_bound(1, "lower", cutoff=(1, 2, 7, 8)).den
+        assert smallest_positive_root(den, 20) == CUTOFF_1278_ROOT
 
 
 class TestSubadditivity:
