@@ -44,10 +44,6 @@ class OutputRecord:
         }
 
 
-def _series_strings(s: TruncatedSeries) -> list:
-    return [str(c) for c in s.coeffs]
-
-
 def _render(record: OutputRecord, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(record.to_dict(), indent=2, sort_keys=False) + "\n"
@@ -100,174 +96,144 @@ def _parse_letters(text: str) -> tuple:
     return tuple(int(ch) for ch in text)
 
 
-# ---------------------------------------------------------------------------
-# words
-# ---------------------------------------------------------------------------
+def _add_series(rec: OutputRecord, engine: str, s: TruncatedSeries) -> None:
+    rec.provenance = [engine]
+    rec.add("coefficients", [str(c) for c in s.coeffs])
 
-def cmd_words(args) -> OutputRecord:
-    sub = args.subcommand
-    if sub == "count":
-        rec = OutputRecord("words count",
-                           {"n": args.n, "p": args.p, "k": args.k})
-        bf = words.count_words_bruteforce(args.n, args.p, args.k)
-        dp = words.count_words_dp(args.n, args.p, args.k)
-        rec.provenance = ["bruteforce", "dp"]
-        rec.add("bruteforce", bf)
-        rec.add("dp", dp)
-        rec.add("agree", bf == dp)
-        if bf != dp:
-            rec.exit_code = 1
-        return rec
-    if sub == "gf":
-        order = args.order if args.order is not None else DEFAULT_ORDER
-        rec = OutputRecord("words gf",
-                           {"p": args.p, "k": args.k, "order": order})
-        gf = words.word_gf(args.p, args.k, order)
-        rec.provenance = ["dp"]
-        rec.add("coefficients", _series_strings(gf.series))
-        return rec
-    if sub == "stable":
-        rec = OutputRecord("words stable", {"p": args.p})
-        rec.provenance = ["dp"]
-        rec.add("stable_count", words.g0p_stable(args.p))
-        return rec
-    if sub == "encode":
-        rec = OutputRecord("words encode",
-                           {"p": args.p, "m": args.m, "w1": args.w1,
-                            "w2": args.w2, "n": args.n})
-        w = words.encode_word(args.m, _parse_partition(args.w1),
-                              _parse_partition(args.w2), args.n, p=args.p)
-        rec.provenance = ["bijection"]
-        rec.add("word", str(w))
-        return rec
-    if sub == "decode":
-        rec = OutputRecord("words decode", {"word": args.word, "p": args.p})
-        w = words.Word(_parse_letters(args.word), args.p)
-        m, w1, w2 = words.decode_word(w)
-        rec.provenance = ["bijection"]
-        rec.add("m", m)
-        rec.add("w1", str(w1))
-        rec.add("w2", str(w2))
-        return rec
-    raise ValueError(f"unknown words subcommand {sub!r}")
+
+def _add_agreement(rec: OutputRecord, engines: dict) -> None:
+    """Report each engine's value and whether they agree; exit 1 if not."""
+    rec.provenance = list(engines)
+    for name, value in engines.items():
+        rec.add(name, value)
+    agree = len(set(engines.values())) == 1
+    rec.add("agree", agree)
+    rec.exit_code = 0 if agree else 1
 
 
 # ---------------------------------------------------------------------------
-# perms
+# subcommand handlers: each fills the record main() built from its arguments
 # ---------------------------------------------------------------------------
 
-def cmd_perms(args) -> OutputRecord:
-    sub = args.subcommand
-    if sub == "count":
-        rec = OutputRecord("perms count", {"n": args.n, "k": args.k})
-        engines = {}
-        engines["bruteforce"] = perms.count_perms_bruteforce(args.n, args.k)
-        if args.k == 0:
-            engines["closed_form"] = perms.f0_closed(args.n)
-        elif args.k in (1, 2):
-            engines["digraph"] = perms.count_perms_digraph(args.k, args.n)
-        rec.provenance = list(engines)
-        for name, value in engines.items():
-            rec.add(name, value)
-        agree = len(set(engines.values())) == 1
-        rec.add("agree", agree)
-        if not agree:
-            rec.exit_code = 1
-        return rec
-    if sub == "table":
-        rec = OutputRecord("perms table", {"max_n": args.max_n})
-        rec.provenance = ["closed_form", "digraph"]
-        f1 = perms.perm_counts(1, args.max_n)
-        f2 = perms.perm_counts(2, args.max_n)
-        for n in range(1, args.max_n + 1):
-            rec.add(f"n={n}", [perms.f0_closed(n), f1[n - 1], f2[n - 1]])
-        return rec
-    if sub == "bounds":
-        precision = args.precision
-        rec = OutputRecord("perms bounds",
-                           {"k": args.k, "precision": precision})
-        if args.k not in (1, 2):
-            raise ValueError("bounds require k in {1, 2}")
-        gb = perms.growth_bounds(args.k, precision)
-        rec.provenance = ["digraph", "walk_dp", "berlekamp_massey"]
-        rec.add("lower_gf_num", str(gb.lower_gf.num))
-        rec.add("lower_gf_den", str(gb.lower_gf.den))
-        rec.add("upper_gf_num", str(gb.upper_gf.num))
-        rec.add("upper_gf_den", str(gb.upper_gf.den))
-        digits = min(precision, 20)
-        rec.add("lower_gf_root", render_interval(*gb.lower_root, digits))
-        rec.add("upper_gf_root", render_interval(*gb.upper_root, digits))
-        rec.add("rate_lower_bound", gb.lower_rate)
-        rec.add("rate_upper_bound", gb.upper_rate)
-        return rec
-    if sub == "digraph":
-        rec = OutputRecord("perms digraph",
-                           {"k": args.k, "depth": args.depth,
-                            "truncate": args.truncate})
-        if args.k not in (1, 2):
-            raise ValueError("digraph requires k in {1, 2}")
-        truncation = None
-        if args.truncate:
-            truncation = perms.TruncationPolicy(
-                perms.DEFAULT_CUTOFF[args.k], mode=args.truncate)
-        g = perms.build_digraph(args.k, depth=args.depth,
-                                truncation=truncation)
-        rec.provenance = ["digraph"]
-        rec.add("nodes", len(g.nodes))
-        rec.add("edges", len(g.edges))
-        rec.add("dot", g.to_dot())
-        return rec
-    if sub == "subadd":
-        rec = OutputRecord("perms subadd", {"k": args.k, "max_n": args.max_n})
-        if args.k not in (1, 2):
-            raise ValueError("subadd requires k in {1, 2}")
-        report = perms.check_subadditivity(args.k, args.max_n)
-        rec.provenance = ["digraph"]
-        rec.add("holds", report["holds"])
-        rec.add("violations",
-                [f"m={v['m']} n={v['n']} f={v['f_mn']} bound={v['bound']}"
-                 for v in report["violations"]])
-        return rec
-    raise ValueError(f"unknown perms subcommand {sub!r}")
+def _words_count(args, rec):
+    _add_agreement(rec, {
+        "bruteforce": words.count_words_bruteforce(args.n, args.p, args.k),
+        "dp": words.count_words_dp(args.n, args.p, args.k)})
 
 
-# ---------------------------------------------------------------------------
-# cfrac
-# ---------------------------------------------------------------------------
+def _words_gf(args, rec):
+    _add_series(rec, "dp", words.word_gf(args.p, args.k, args.order).series)
 
-def cmd_cfrac(args) -> OutputRecord:
-    sub = args.subcommand
-    order = args.order if args.order is not None else DEFAULT_ORDER
-    if sub in ("bot", "tot", "f1"):
-        rec = OutputRecord(f"cfrac {sub}", {"order": order})
-        series = {"bot": cfrac.bot_series, "tot": cfrac.tot_series,
-                  "f1": cfrac.f1_series}[sub](order)
-        rec.provenance = ["cfrac"]
-        rec.add("coefficients", _series_strings(series))
-        return rec
-    if sub == "f2check":
-        rec = OutputRecord("cfrac f2check", {"order": order})
-        report = cfrac.f2_formula_check(order)
-        rec.provenance = ["cfrac", "digraph"]
-        rec.add("exact", [str(v) for v in report["exact"]])
-        for root, ev in report["evaluations"].items():
-            rec.add(f"{root}_formula",
-                    [c["formula"] for c in ev["coefficients"]])
-            rec.add(f"{root}_first_mismatch", ev["first_mismatch"])
-        rec.add("derived_closed_form_agrees",
-                report["derived_closed_form_agrees"])
-        return rec
-    raise ValueError(f"unknown cfrac subcommand {sub!r}")
+
+def _words_stable(args, rec):
+    rec.provenance = ["dp"]
+    rec.add("stable_count", words.g0p_stable(args.p))
+
+
+def _words_encode(args, rec):
+    w = words.encode_word(args.m, _parse_partition(args.w1),
+                          _parse_partition(args.w2), args.n, p=args.p)
+    rec.provenance = ["bijection"]
+    rec.add("word", str(w))
+
+
+def _words_decode(args, rec):
+    m, w1, w2 = words.decode_word(words.Word(_parse_letters(args.word), args.p))
+    rec.provenance = ["bijection"]
+    rec.add("m", m)
+    rec.add("w1", str(w1))
+    rec.add("w2", str(w2))
+
+
+def _perms_count(args, rec):
+    engines = {"bruteforce": perms.count_perms_bruteforce(args.n, args.k)}
+    if args.k == 0:
+        engines["closed_form"] = perms.f0_closed(args.n)
+    elif args.k in (1, 2):
+        engines["digraph"] = perms.count_perms_digraph(args.k, args.n)
+    _add_agreement(rec, engines)
+
+
+def _perms_table(args, rec):
+    rec.provenance = ["closed_form", "digraph"]
+    f1 = perms.perm_counts(1, args.max_n)
+    f2 = perms.perm_counts(2, args.max_n)
+    for n in range(1, args.max_n + 1):
+        rec.add(f"n={n}", [perms.f0_closed(n), f1[n - 1], f2[n - 1]])
+
+
+def _perms_bounds(args, rec):
+    gb = perms.growth_bounds(args.k, args.precision)
+    rec.provenance = ["digraph", "walk_dp", "berlekamp_massey"]
+    rec.add("lower_gf_num", str(gb.lower_gf.num))
+    rec.add("lower_gf_den", str(gb.lower_gf.den))
+    rec.add("upper_gf_num", str(gb.upper_gf.num))
+    rec.add("upper_gf_den", str(gb.upper_gf.den))
+    digits = min(args.precision, 20)
+    rec.add("lower_gf_root", render_interval(*gb.lower_root, digits))
+    rec.add("upper_gf_root", render_interval(*gb.upper_root, digits))
+    rec.add("rate_lower_bound", gb.lower_rate)
+    rec.add("rate_upper_bound", gb.upper_rate)
+
+
+def _perms_digraph(args, rec):
+    if args.k not in perms.DEFAULT_CUTOFF:  # guards the cutoff lookup
+        raise ValueError("digraph requires k in {1, 2}")
+    truncation = None
+    if args.truncate:
+        truncation = perms.TruncationPolicy(
+            perms.DEFAULT_CUTOFF[args.k], mode=args.truncate)
+    g = perms.build_digraph(args.k, depth=args.depth, truncation=truncation)
+    rec.provenance = ["digraph"]
+    rec.add("nodes", len(g.nodes))
+    rec.add("edges", len(g.edges))
+    rec.add("dot", g.to_dot())
+
+
+def _perms_subadd(args, rec):
+    report = perms.check_subadditivity(args.k, args.max_n)
+    rec.provenance = ["digraph"]
+    rec.add("holds", report["holds"])
+    rec.add("violations",
+            [f"m={v['m']} n={v['n']} f={v['f_mn']} bound={v['bound']}"
+             for v in report["violations"]])
+
+
+def _cfrac_series(args, rec):
+    engine = {"bot": cfrac.bot_series, "tot": cfrac.tot_series,
+              "f1": cfrac.f1_series}[args.subcommand]
+    _add_series(rec, "cfrac", engine(args.order))
+
+
+def _cfrac_f2check(args, rec):
+    report = cfrac.f2_formula_check(args.order)
+    rec.provenance = ["cfrac", "digraph"]
+    rec.add("exact", [str(v) for v in report["exact"]])
+    for root, ev in report["evaluations"].items():
+        rec.add(f"{root}_formula", [c["formula"] for c in ev["coefficients"]])
+        rec.add(f"{root}_first_mismatch", ev["first_mismatch"])
+    rec.add("derived_closed_form_agrees", report["derived_closed_form_agrees"])
 
 
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
-def _add_common(p):
-    p.add_argument("--json", action="store_true", help="emit JSON")
-    p.add_argument("--csv", action="store_true", help="emit CSV")
+_INT = {"type": int, "required": True}
+_ORDER = {"type": int, "default": DEFAULT_ORDER}
+
+
+def _command(subparsers, name: str, handler, **options) -> None:
+    """Declare one subcommand: its options in order, the output flags
+    shared by every subcommand, and the handler that fills its record."""
+    p = subparsers.add_parser(name)
+    for dest, spec in options.items():
+        p.add_argument("--" + dest.replace("_", "-"), **spec)
+    fmt = p.add_mutually_exclusive_group()
+    fmt.add_argument("--json", action="store_true", help="emit JSON")
+    fmt.add_argument("--csv", action="store_true", help="emit CSV")
     p.add_argument("--out", help="write output to a file")
+    p.set_defaults(handler=handler)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -278,78 +244,52 @@ def build_parser() -> argparse.ArgumentParser:
 
     pw = top.add_parser("words", help="locally convex words")
     sw = pw.add_subparsers(dest="subcommand", required=True)
-    p = sw.add_parser("count")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    _add_common(p)
-    p = sw.add_parser("gf")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--order", type=int)
-    _add_common(p)
-    p = sw.add_parser("stable")
-    p.add_argument("--p", type=int, required=True)
-    _add_common(p)
-    p = sw.add_parser("encode")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--w1", default="")
-    p.add_argument("--w2", default="")
-    p.add_argument("--n", type=int, required=True)
-    _add_common(p)
-    p = sw.add_parser("decode")
-    p.add_argument("--word", required=True)
-    p.add_argument("--p", type=int, required=True)
-    _add_common(p)
+    _command(sw, "count", _words_count, n=_INT, p=_INT, k=_INT)
+    _command(sw, "gf", _words_gf, p=_INT, k=_INT, order=_ORDER)
+    _command(sw, "stable", _words_stable, p=_INT)
+    _command(sw, "encode", _words_encode, p=_INT, m=_INT,
+             w1={"default": ""}, w2={"default": ""}, n=_INT)
+    _command(sw, "decode", _words_decode, word={"required": True}, p=_INT)
 
     pp = top.add_parser("perms", help="locally convex permutations")
     sp = pp.add_subparsers(dest="subcommand", required=True)
-    p = sp.add_parser("count")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    _add_common(p)
-    p = sp.add_parser("table")
-    p.add_argument("--max-n", dest="max_n", type=int, default=12)
-    _add_common(p)
-    p = sp.add_parser("bounds")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--precision", type=int, default=20)
-    _add_common(p)
-    p = sp.add_parser("digraph")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--depth", type=int)
-    p.add_argument("--truncate", choices=["cut", "loop"])
-    p.add_argument("--dot", action="store_true",
-                   help="emit raw DOT instead of a record")
-    _add_common(p)
-    p = sp.add_parser("subadd")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--max-n", dest="max_n", type=int, default=12)
-    _add_common(p)
+    max_n = {"type": int, "default": 12}
+    _command(sp, "count", _perms_count, n=_INT, k=_INT)
+    _command(sp, "table", _perms_table, max_n=max_n)
+    _command(sp, "bounds", _perms_bounds, k=_INT,
+             precision={"type": int, "default": 20})
+    _command(sp, "digraph", _perms_digraph, k=_INT, depth={"type": int},
+             truncate={"choices": ["cut", "loop"]},
+             dot={"action": "store_true",
+                  "help": "emit raw DOT instead of a record"})
+    _command(sp, "subadd", _perms_subadd, k=_INT, max_n=max_n)
 
     pc = top.add_parser("cfrac", help="continued-fraction series")
     sc = pc.add_subparsers(dest="subcommand", required=True)
-    for name in ("bot", "tot", "f1", "f2check"):
-        p = sc.add_parser(name)
-        p.add_argument("--order", type=int)
-        _add_common(p)
+    for name in ("bot", "tot", "f1"):
+        _command(sc, name, _cfrac_series, order=_ORDER)
+    _command(sc, "f2check", _cfrac_f2check, order=_ORDER)
 
     return parser
 
 
-_DISPATCH = {"words": cmd_words, "perms": cmd_perms, "cfrac": cmd_cfrac}
+# parsed arguments that select the handler or the output, not the result
+_NOT_PARAMETERS = {"group", "subcommand", "handler", "json", "csv", "out", "dot"}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; exit 0 on success, 1 when engines disagree and 2
+    on a usage, input or output error (one ``error:`` line on stderr)."""
+    args = build_parser().parse_args(argv)
+    record = OutputRecord(
+        f"{args.group} {args.subcommand}",
+        {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS})
     try:
-        record = _DISPATCH[args.group](args)
-    except (ValueError, ZeroDivisionError) as exc:
+        args.handler(args, record)
+        return _emit(record, args)
+    except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return _emit(record, args)
 
 
 if __name__ == "__main__":

@@ -35,7 +35,8 @@ class SeriesMatrix:
         if order is not None:
             entries = [
                 [e if isinstance(e, TruncatedSeries)
-                 else TruncatedSeries._coerce(e, order)
+                 else TruncatedSeries(
+                     e.coeffs if isinstance(e, Polynomial) else (e,), order)
                  for e in row]
                 for row in entries
             ]
@@ -124,7 +125,7 @@ def matrix_resolvent_row(m, row: int) -> list[RationalFunction]:
     x = Polynomial.x()
     # Solve (I - Mx)^T y = e_row; then y_j = [(I - Mx)^{-1}]_{row, j}.
     sys = [
-        [RationalFunction((1 if i == j else 0) - RationalFunction._as_poly(m[j][i]) * x)
+        [RationalFunction((1 if i == j else 0) - x * m[j][i])
          for j in range(n)]
         for i in range(n)
     ]

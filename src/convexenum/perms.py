@@ -498,6 +498,8 @@ def gf_bound(k: int, side: str,
     2n + 4 coefficients (plus two checked ones), from which
     Berlekamp-Massey recovers the closed form exactly.
     """
+    if k not in DEFAULT_CUTOFF:
+        raise ValueError("bounds require k in {1, 2}")
     if side not in ("lower", "upper"):
         raise ValueError("side must be 'lower' or 'upper'")
     policy = TruncationPolicy(cutoff or DEFAULT_CUTOFF[k],
@@ -510,6 +512,8 @@ def gf_bound(k: int, side: str,
 
 def growth_bounds(k: int, precision: int = 20) -> GrowthBounds:
     """Certified interval bounds on the exponential growth rate of f_k."""
+    if precision < 1:
+        raise ValueError("precision must be positive")
     lower = gf_bound(k, "lower")
     upper = gf_bound(k, "upper")
     lo_root = smallest_positive_root(lower.den, precision)

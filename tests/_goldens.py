@@ -113,3 +113,113 @@ DOT_SHA256 = {
     (2, "cut"): "e6d40744d1b9f3aef1c53ecd0272f063c4418e088e9c0422d2d67b114fe23bd9",
     (2, "loop"): "47faa225a23fca0a999129ee657ce3f5f5e2977dd54c43af314e827ca0c55d31",
 }
+
+# SHA-256 of the CLI's stdout, keyed by its arguments; every command exits 0.
+# Each subcommand runs as text, with --json and with --csv, plus one
+# digraph with --dot; "words gf" and "cfrac f1" run at the default order.
+CLI_STDOUT_SHA256 = {
+    "words count --n 6 --p 3 --k 1":
+        "e6abf65c0e42cfeb331e7823c921b7ca437c525fa896ebf922d777397f798cdc",
+    "words count --n 6 --p 3 --k 1 --json":
+        "36189f012196b0be51cc928599b8dd62331e0e74ca5ab1c2bbfd8ea33ab73d0b",
+    "words count --n 6 --p 3 --k 1 --csv":
+        "cbbc1408678aba8dff6299e21031da8c9f8f5d36334b14e1d4aadaa09a436743",
+    "words gf --p 3 --k 1 --order 8":
+        "3ed9c95fb48b17483cc6ed3ffa91d91bf6fab1977ded9910a879d06aaec086ac",
+    "words gf --p 3 --k 1 --order 8 --json":
+        "cc202da9e8f3f3c9b451bd65d2935bf1c1dd9dc21da4c06623eae44373d878aa",
+    "words gf --p 3 --k 1 --order 8 --csv":
+        "3367a7f5d8ce39c4d043ea5422294542baef32c80a9aa573c47f1cec89c57c1e",
+    "words gf --p 2 --k 0":
+        "9056220e4e304a8f749df8bb2af9ae7e53692a7457bd09c6e56e8db410aa3145",
+    "words gf --p 2 --k 0 --json":
+        "0ec07c992291134b923c4dd679102fc433de9145d036b2c7a02dce66698d4b70",
+    "words gf --p 2 --k 0 --csv":
+        "6dd07f6d6b12aa7566f18e0cbfe2f01a6e2ffe1392de4e48b4c45995668454ff",
+    "words stable --p 4":
+        "ebac6f9f4035ade8e57f697738008ff72c9db81e43c1f14dbb5e66eed746b9c0",
+    "words stable --p 4 --json":
+        "8d59fa264699bb1b49f0542f92cc6f21da0bbd401be727bb9e7e20764ff59772",
+    "words stable --p 4 --csv":
+        "f9cebc111abae9915f4298b161e7e28952f913b0f822a7a565c084e52e068fd4",
+    "words encode --p 3 --m 3 --w1 1 --w2 1,1 --n 5":
+        "f368b26b79b34fd77d6b1e3d7b1a5222921837d667793c21b9519b027413f319",
+    "words encode --p 3 --m 3 --w1 1 --w2 1,1 --n 5 --json":
+        "70d4f915932a354667ec4fb5fece5e78cc1c8a1cc516128deb59bef8ebf6ca8a",
+    "words encode --p 3 --m 3 --w1 1 --w2 1,1 --n 5 --csv":
+        "a2ca1111c2e3f08d871954064771929e812362d47e003028ac48cf7adbb4af44",
+    "words decode --word 23321 --p 3":
+        "c645cfb1a8af9d13bf27efc0cb3ed56b73433778decaa84f1066f3737974d3db",
+    "words decode --word 23321 --p 3 --json":
+        "79b89a49a291d69538cd9c79669514e2de92d9b885596d39555f0edda4bd2156",
+    "words decode --word 23321 --p 3 --csv":
+        "5162e4b87ccc014262938b3b61ffb2cd1ca751eaef4f79864a161484d90dc423",
+    "perms count --n 6 --k 0":
+        "b6da8b623a8811daae0458751505da78f266079017bb9382e95fe04ced9ace9a",
+    "perms count --n 6 --k 0 --json":
+        "d367e6b554efb19d91c681859ccde380299d441ef17d0154712ab0d9451a7c3c",
+    "perms count --n 6 --k 0 --csv":
+        "77244c9f371924dc0bb1750644044f689a673fa82a9a0d267e46b87fe00ae766",
+    "perms count --n 6 --k 1":
+        "e1fb8e057043ae0283f310f65fe3fa4fc6e1d8dab63c1bec5aa402b778abd8f9",
+    "perms count --n 6 --k 1 --json":
+        "fbe06c994cd47d4c2437190653dfd78347c0e39729e588b6f1b0efaa0dd83054",
+    "perms count --n 6 --k 1 --csv":
+        "c29132f9bb27881955008dc2e01ac4d8506a3091ada21fee03b496760c3bfff5",
+    "perms count --n 6 --k 2":
+        "aa668d61ec7ff21e3e78f021b2db37924fdad13fc2f80471e242a4ebb72481ca",
+    "perms count --n 6 --k 2 --json":
+        "f5561f922ad46fc1e6ebf2ff49b26e4c320fc13871498722996a19df6f66d97b",
+    "perms count --n 6 --k 2 --csv":
+        "2136a83e318c4728fb8e8f9d1dd7d4b86f3729f1c4ce8db485db9d538a81d3f5",
+    "perms table --max-n 8":
+        "8a591a024d784ef0c017f20306acb4e2e5f5ebe82d7025e0c5b0ca29cc107e23",
+    "perms table --max-n 8 --json":
+        "d97294990e89a3863d77c3e6eabf424ca47e0f8a3df64e7711d1deee46c6e409",
+    "perms table --max-n 8 --csv":
+        "7feb24b1d37eaa48420462157100f5c1e52ce16e538b01196419d98fc945352e",
+    "perms bounds --k 1 --precision 12":
+        "9ee6f421c80a4228c2fdac001dcfdbb9f86e0e8f19f710c43afcbc9e9b697749",
+    "perms bounds --k 1 --precision 12 --json":
+        "5c3a868012e89041fcf04e02913a3ac10671274130cedabdef457efeb522f97a",
+    "perms bounds --k 1 --precision 12 --csv":
+        "a582970778add4a4ecf267e36e1f328da0cc172904aec6f17b9dfc99c5ef90e8",
+    "perms digraph --k 2 --depth 6 --truncate cut":
+        "fb0493de7b4c3b390c4df67e0d8b8a762d4bab18c577b8779d4eed0bbe10cba4",
+    "perms digraph --k 2 --depth 6 --truncate cut --json":
+        "a34992538138ea4969a20fee9759d552402de13dee48adafee9038d426204d7c",
+    "perms digraph --k 2 --depth 6 --truncate cut --csv":
+        "d6fb45d49e3d2513b7abb832c045e399bb5f27b58b5edac19e8a78d154a7f02b",
+    "perms subadd --k 2 --max-n 12":
+        "e89e57b1df1284f0a53e683e722f4a1e2626e7cdc44bf3f995cbd0435c820b44",
+    "perms subadd --k 2 --max-n 12 --json":
+        "0119827707ce5c88176fb50ca36f735ca0b7c2990a3b2a049dabf3b3451bf3ca",
+    "perms subadd --k 2 --max-n 12 --csv":
+        "6dd81ca3667d6ac09d4a0ffa6338534104221eead3ea1ef9b50b37215679b565",
+    "cfrac bot --order 10":
+        "d9d050957f13afeef9efac5ddba45a5c42bb15393479be7eba5aa4ac54674f64",
+    "cfrac bot --order 10 --json":
+        "c926d61d7073e1778a7b719dac9552424f391706bb21286fc5a420565d1b1eac",
+    "cfrac bot --order 10 --csv":
+        "b436319f20247b3364f6dcbc58b29fb87794c69b06d61f3ca07036f9495b6280",
+    "cfrac tot --order 10":
+        "eeca747b370916a60e79d82237555f0df6d453642465e92631070edf6acbf499",
+    "cfrac tot --order 10 --json":
+        "7c93a423b17071f25051324db37ce298b07cfcaafe1dfb906e0b8fb098b5b055",
+    "cfrac tot --order 10 --csv":
+        "31d24de80a0623f8eeaed0f04d9cdda8b4d54960965e4235764ca14bcdb5051c",
+    "cfrac f1":
+        "5a352dd85f2aab1eb1051725af4480aeeb78d120cffcc8d6ffc029cc30be123b",
+    "cfrac f1 --json":
+        "ccfff36b72774c26985928c96239529da2dabc1182b0065a30b3e74cb92841b1",
+    "cfrac f1 --csv":
+        "27df38bd2aa6db0bb457f435040228d2e7e0ef11347ba5be6e95011e328abfb5",
+    "cfrac f2check --order 10":
+        "d38325a1372e231e7b95d76c3ba820ec1b6fe6c7f982f98ff2dac5739d8c346b",
+    "cfrac f2check --order 10 --json":
+        "41c7565fc5546ec52c78b30d1cc91861ff63f228f274cb0fdc07358fa59054f6",
+    "cfrac f2check --order 10 --csv":
+        "539ee7f0f4cb0d2f0d3e42d728da049697b978da0b63529277ff227d289dd911",
+    "perms digraph --k 1 --truncate loop --dot":
+        "ec616d21f671d34090204a7a38761716e26c9899ad3d0a973ca552da119ec7ac",
+}

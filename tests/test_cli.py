@@ -1,11 +1,13 @@
 """End-to-end tests of the command-line interface."""
 
 import csv
+import hashlib
 import io
 import json
 
 import pytest
 
+from _goldens import CLI_STDOUT_SHA256
 from convexenum.cli import main
 
 
@@ -147,6 +149,20 @@ class TestPermsCommands:
         capsys.readouterr()
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--k", "0"],
+        ["subadd", "--k", "3"],
+        ["digraph", "--k", "3", "--truncate", "cut"],
+    ])
+    def test_bad_k_is_one_error_line(self, capsys, argv):
+        code = main(["perms", *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:")
+        assert "k in {1, 2}" in captured.err
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
 
 class TestCfracCommands:
     def test_f1_coefficients(self, capsys):
@@ -205,3 +221,25 @@ class TestOutputFormats:
         with pytest.raises(SystemExit):
             main(["nonsense"])
         capsys.readouterr()
+
+    def test_json_and_csv_are_exclusive(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["words", "stable", "--p", "3", "--json", "--csv"])
+        assert "not allowed with" in capsys.readouterr().err
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        code = main(["words", "stable", "--p", "3",
+                     "--out", str(tmp_path / "missing" / "x.json")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", list(CLI_STDOUT_SHA256))
+def test_stdout_matches_golden_hash(capsys, command):
+    code, out = run(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        CLI_STDOUT_SHA256[command]

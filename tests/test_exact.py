@@ -290,6 +290,14 @@ class TestLinearAlgebra:
         f, g = solve_series_system(m, [one, one])
         assert f.coeffs == (1,) * (order + 1)
 
+    def test_series_matrix_coerces_scalars_and_polynomials(self):
+        order = 3
+        x = TruncatedSeries.x(order)
+        m = SeriesMatrix([[1, -x], [Polynomial((0, -1)), Fraction(1, 2)]])
+        assert m[0, 0] == TruncatedSeries.one(order)
+        assert m[1, 0] == -x
+        assert m[1, 1] == TruncatedSeries((Fraction(1, 2),), order)
+
     def test_non_unit_pivot_raises(self):
         order = 4
         x = TruncatedSeries.x(order)
@@ -308,6 +316,11 @@ class TestLinearAlgebra:
         total = row[0] + row[1]
         s = total.to_series(6)
         assert [int(c) for c in s.coeffs] == [1] * 7  # one walk per length
+
+    def test_resolvent_accepts_polynomial_weights(self):
+        # one loop of weight x: (1 - x^2)^{-1}
+        row = matrix_resolvent_row([[Polynomial.x()]], 0)
+        assert row == [RationalFunction(1, Polynomial((1, 0, -1)))]
 
 
 @st.composite

@@ -475,6 +475,18 @@ class TestGrowthBounds:
         den = gf_bound(1, "lower", cutoff=(1, 2, 7, 8)).den
         assert smallest_positive_root(den, 20) == CUTOFF_1278_ROOT
 
+    @pytest.mark.parametrize("call", [lambda: growth_bounds(3),
+                                      lambda: gf_bound(0, "lower")])
+    def test_bad_k_is_a_value_error(self, call):
+        with pytest.raises(ValueError, match="k in"):
+            call()
+
+    def test_bad_precision_is_rejected_before_any_digraph(self):
+        gf_bound.cache_clear()
+        with pytest.raises(ValueError, match="precision"):
+            growth_bounds(1, 0)
+        assert gf_bound.cache_info().misses == 0
+
 
 class TestSubadditivity:
     def test_report_lists_violations(self):
