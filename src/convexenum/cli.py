@@ -5,7 +5,8 @@ Grammar: ``convexenum <words|perms|cfrac> <subcommand> [--flags]``.
 Every numeric value is rendered exactly: integers verbatim, rationals
 as num/den, root intervals as decimal strings with explicit endpoints.
 Commands that run more than one engine report their agreement in-band
-and exit nonzero on a mismatch.
+and exit nonzero on a mismatch; an engine that cannot run is named
+in-band as skipped.
 """
 
 from __future__ import annotations
@@ -102,13 +103,15 @@ def _add_series(rec: OutputRecord, engine: str, s: TruncatedSeries) -> None:
 
 
 def _add_agreement(rec: OutputRecord, engines: dict) -> None:
-    """Report each engine's value and whether they agree; exit 1 if not."""
+    """Report each engine's value and, when more than one ran, whether
+    they agree; exit 1 if not."""
     rec.provenance = list(engines)
     for name, value in engines.items():
         rec.add(name, value)
-    agree = len(set(engines.values())) == 1
-    rec.add("agree", agree)
-    rec.exit_code = 0 if agree else 1
+    if len(engines) > 1:
+        agree = len(set(engines.values())) == 1
+        rec.add("agree", agree)
+        rec.exit_code = 0 if agree else 1
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +155,8 @@ def _perms_count(args, rec):
     elif args.k in (1, 2):
         engines["digraph"] = perms.count_perms_digraph(args.k, args.n)
     _add_agreement(rec, engines)
+    if len(engines) == 1:  # nothing cross-checks the search
+        rec.add("skipped", "digraph (k must be 1 or 2)")
 
 
 def _perms_table(args, rec):

@@ -143,7 +143,7 @@ def endpoint_state(perm: Permutation) -> EndpointState:
     return EndpointState(e[0], e[1], e[-2], e[-1])
 
 
-def _realizable(t: tuple[int, int, int, int], k: int) -> bool:
+def realizable(t: tuple[int, int, int, int], k: int) -> bool:
     """Whether some k-convex permutation (k in {1, 2}) has the endpoint
     tuple ``t`` = (first, second, second-to-last, last).
 
@@ -184,7 +184,10 @@ def _realizable(t: tuple[int, int, int, int], k: int) -> bool:
     if a > b:
         # starts descending: reverse identity only
         return (b, c, d) == (a - 1, 2, 1) and a >= 4
-    return all(v in (a, d) for v in range(1, min(b, c)))
+    # a and d are distinct, so the m - 1 values below m are all a or d
+    # iff that many of a, d lie below m
+    m = min(b, c)
+    return (a < m) + (d < m) == m - 1
 
 
 # Internal merged representation: (a, b, c, d) where b is None when all
@@ -223,22 +226,40 @@ def transitions(key, k):
     return out
 
 
-@lru_cache(maxsize=None)
 def _least_concrete(key, k) -> tuple[int, int, int, int]:
-    """Smallest realizable endpoint tuple in a merged class."""
+    """Smallest realizable endpoint tuple in a merged class (k in {1, 2}).
+
+    A starred entry ranges over the values other than a and d that keep
+    the tuple descending, and tuples compare by (second, second-to-last).
+    Every realizable tuple has 1 at an end: a mountain's least entry is
+    first or last.  A key is oriented with a <= d, so a = 1, or the class
+    is not realizable.  The least second entry other than 1 and d is 2,
+    or 3 when d = 2.  Filling the stars with it and with the
+    second-to-last entry d - 1, or 3 when d = 2, gives the least member,
+    when any member is realizable (cases of :func:`realizable`):
+
+    - both starred: d = 2 gives the length-3 shape 1332, d = 3 gives
+      1223, and d >= 4 gives the identity 1 2 (d-1) d.  For d >= 4 a
+      smaller second-to-last entry after 2 lies below d, which only the
+      identity allows (the shape 1 2 2 d needs d = 3).
+    - second starred, second-to-last c concrete: c > 2d + k > d, and
+      (1, 2, c, d), or (1, 3, c, 2), meets the general condition.
+    - second b concrete, second-to-last starred: b > 2 + k, so 2 and 3
+      lie below b; for d >= 3 the value 2 has no place (the descent
+      side before d holds values above d), and for d = 2 the least
+      choice is 3, which meets the general condition.
+    - both concrete: the class is the key itself.
+
+    So the class is realizable iff the filled tuple is.
+    """
     a, b, c, d = key
-    # a starred entry ranges over the descending values other than a, d
-    b_opts = range(1, 2 * a + k + 1) if b is None else (b,)
-    c_opts = range(1, 2 * d + k + 1) if c is None else (c,)
-    for bv in b_opts:
-        if b is None and bv in (a, d):
-            continue
-        for cv in c_opts:
-            if c is None and cv in (a, d):
-                continue
-            if _realizable((a, bv, cv, d), k):
-                return (a, bv, cv, d)
-    raise ValueError(f"no realizable representative for class {key}")
+    if b is None:
+        b = 3 if d == 2 else 2
+    if c is None:
+        c = 3 if d == 2 else d - 1
+    if a != 1 or not realizable((a, b, c, d), k):
+        raise ValueError(f"no realizable representative for class {key}")
+    return (a, b, c, d)
 
 
 def canonicalize_state(s: EndpointState, k: int) -> EndpointState:
@@ -250,7 +271,7 @@ def canonicalize_state(s: EndpointState, k: int) -> EndpointState:
     Raises ``ValueError`` unless k is 1 or 2 and ``s`` is realizable.
     """
     t = _SEED if s.tuple == _SEED[::-1] else s.tuple
-    if not _realizable(t, k):
+    if not realizable(t, k):
         raise ValueError(f"state {s} is not realizable for k={k}")
     if t == _SEED:
         return EndpointState(*_SEED, canonical=True)
@@ -298,7 +319,7 @@ class DescendantDigraph:
         """The least realizable endpoint tuple of each node, as digits."""
         return tuple(
             key if key == START_KEY
-            else "".join(str(x) for x in _least_concrete(key, self.k))
+            else "%d%d%d%d" % _least_concrete(key, self.k)
             for key in self.nodes
         )
 

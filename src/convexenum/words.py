@@ -11,6 +11,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import perm
 
 from convexenum.exact.ratfun import RationalFunction
 from convexenum.exact.series import DEFAULT_ORDER, TruncatedSeries
@@ -84,34 +85,119 @@ def count_convex_sequences(n: int, p: int, k: int, distinct: bool) -> int:
     """Number of k-convex sequences of length n on [p], with no entry
     repeated when ``distinct`` (so ``p = n`` counts permutations).
 
-    Backtracking with incremental pruning: the next entry is at most
-    min(p, k + 2*last - prev), so the search visits valid prefixes only.
+    Backtracking: the entry after ``prev, last`` is at most
+    hi = min(p, k + 2*last - prev).  Two shortcuts count without
+    visiting every node.
+
+    Word tails: with two letters to go, a word continues with any v in
+    [1, hi] and then with any of clamp(k + 2v - last, 0, p) letters, so
+    the tail count is a flat sum over v.
+
+    Permutation reach (p = n, so every unused value must still be
+    placed): a child is cut when the largest unused value lies above
+    every entry its prefix can still reach; :func:`_first_children`
+    proves the bound and tabulates the least child that survives, once
+    per search.  With p > n no value must be placed, and nothing is cut.
     """
     _check_length_and_alphabet(n, p)
-    if n == 0:
-        return 1
+    if n < 3:  # no second difference to check
+        return perm(p, n) if distinct else p ** n
     if n > sys.getrecursionlimit() // 2:  # extend() recurses n calls deep
         return sum(1 for _ in convex_sequences(n, p, k, distinct))
     used = [False] * (p + 1)
+    first = _first_children(n, k) if distinct and p == n else None
 
-    def extend(last: int, hi: int, left: int) -> int:
-        if left == 1 and not distinct:  # a word may end in any of 1..hi
-            return max(hi, 0)
+    def extend(last: int, hi: int, left: int, top: int) -> int:
+        # top: the largest value the prefix must still place, or 0
         total = 0
-        for v in range(1, hi + 1):
+        if left == 2 and not distinct:  # count the last two letters
+            for v in range(1, hi + 1):
+                room = k + 2 * v - last
+                if room > 0:
+                    total += room if room < p else p
+            return total
+        for v in range(first[left - 1][last][top] if top else 1, hi + 1):
             if used[v]:
                 continue
             if left == 1:
                 total += 1
-            else:
-                used[v] = distinct
-                total += extend(v, min(p, k + 2 * v - last), left - 1)
-                used[v] = False
+                continue
+            used[v] = distinct
+            below = top
+            if v == top:
+                below -= 1
+                while used[below]:
+                    below -= 1
+            total += extend(v, min(p, k + 2 * v - last), left - 1, below)
+            used[v] = False
         return total
 
-    # the first two entries are free: the first is bounded by p, and a
-    # virtual entry k + 2 - p before it bounds the second by p as well
-    return extend(k + 2 - p, p, n)
+    # the first entry is free, and nothing before it bounds the second;
+    # the largest value left to place is then p, or p - 1 after p
+    total = 0
+    for v in range(1, p + 1):
+        used[v] = distinct
+        total += extend(v, p, n - 1, (p - (v == p)) if first else 0)
+        used[v] = False
+    return total
+
+
+def _first_children(n: int, k: int) -> list[list[list[int]]]:
+    """``first[l][last][top]``: the least child v of a prefix of a
+    k-convex permutation of [n] that the reach bound keeps, when the
+    prefix ends at ``last``, its largest unused value is ``top``, and l
+    entries follow v.
+
+    Write d_i for the differences of a sequence of distinct entries.
+    Then d_i != 0, d_{i+1} != -d_i (else an entry repeats), and
+    convexity gives d_{i+1} <= d_i + k.  So d_{i+1} <= g(d_i), with g(x)
+    the largest integer <= x + k other than 0 and -x.  g is
+    nondecreasing on the nonzero integers: for x < x',
+    g(x') >= x' + k - 2 >= g(x) when x' >= x + 2.  When x' = x + 1, the
+    value x + k >= g(x) is allowed for x' unless x + k = 0, where
+    g(x) <= x' + k - 2 <= g(x'), or x + k = -x', where g(x) = x + k and
+    g(x') = x' + k.  By induction, the j-th difference after d is at
+    most D_j, where D_0 = d and D_{j+1} = g(D_j).  So within l more
+    entries no entry exceeds v + climb(l, d), where d = v - last and
+    climb(l, d) = max(0, max_{j <= l} (D_1 + ... + D_j)).  A child v < top
+    with top > v + climb(l, v - last) has no completion, since top must
+    still be placed.  Children v >= top are kept, and a child kept for
+    some top is kept for every smaller one, so the least kept child is
+    nondecreasing in top.  For k <= 2 a negative D stays negative, so a
+    descent to v is cut whenever a value above v is unused: no prefix
+    survives that cannot begin a mountain.
+    """
+    def g(x):
+        y = x + k
+        while y == 0 or y == -x:
+            y -= 1
+        return y
+
+    # climb[l][d] for d in (-n, n), a negative d indexed from the end;
+    # d = 0 stays 0 and is never read for a child, since last is used
+    climb = [[0] * (2 * n - 1) for _ in range(n - 1)]
+    for d in range(1 - n, n):
+        if d == 0:
+            continue
+        x, total, best = d, 0, 0
+        for row in climb[1:]:
+            x = g(x)
+            total += x
+            best = max(best, total)
+            row[d] = best
+    first = []
+    for row in climb:
+        by_last = [[]]
+        for last in range(1, n + 1):
+            least = [1] * (n + 1)
+            v = 1
+            for top in range(2, n + 1):
+                while v < top and v + row[v - last] < top:
+                    v += 1
+                least[top] = v
+            by_last.append(least)
+        first.append(by_last)
+    return first
 
 
 def convex_sequences(n: int, p: int, k: int, distinct: bool):
@@ -143,7 +229,8 @@ def convex_sequences(n: int, p: int, k: int, distinct: bool):
             seq.pop()
         else:
             used[v] = distinct
-            prev = seq[-2] if len(seq) > 1 else k + 2 - p  # as in the counter
+            # a virtual entry k + 2 - p before the first bounds the second by p
+            prev = seq[-2] if len(seq) > 1 else k + 2 - p
             stack.append(iter(range(1, min(p, k + 2 * v - prev) + 1)))
 
 

@@ -114,6 +114,22 @@ DOT_SHA256 = {
     (2, "loop"): "47faa225a23fca0a999129ee657ce3f5f5e2977dd54c43af314e827ca0c55d31",
 }
 
+# SHA-256 of "\n".join(build_digraph(k, 150).labels), recorded while the
+# labels were still found by searching each merged class in order
+LABELS_SHA256 = {
+    (1, 150): "92edd8cb91531380ec35bb7b1fe1316b44f8f9d306457c0acff1f7939eb13145",
+    (2, 150): "b17414383859824f2d9e5be4111e3c5f4ac87a0cab36389a3e25dd5f93478711",
+}
+
+# exhaustive counts past the tables, keyed by (n, p, k, distinct) of
+# words.count_convex_sequences; recorded from the unpruned generator
+# words.convex_sequences (p = n with distinct entries counts f_k(n))
+SEARCH_COUNTS = {
+    (12, 12, 3, True): 125264,
+    (11, 11, 4, True): 156380,
+    (12, 5, 1, False): 277900,
+}
+
 # SHA-256 of the CLI's stdout, keyed by its arguments; every command exits 0.
 # Each subcommand runs as text, with --json and with --csv, plus one
 # digraph with --dot; "words gf" and "cfrac f1" run at the default order.

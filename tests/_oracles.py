@@ -1,10 +1,11 @@
-"""Rational-arithmetic oracles for the integer certificate kernel.
+"""Oracles for closed forms and integer algorithms of the library.
 
 These are the textbook algorithms over ``Fraction``: Euclid's gcd, a
 Sturm chain of Euclidean remainders with Horner sign tests, and
 Berlekamp–Massey with rational connection polynomials.  The library
 computes the same results in integer arithmetic; the tests compare the
-two.
+two.  The least realizable tuple of a merged digraph class is found by
+trying every filling in order; the library gives it by a closed form.
 """
 
 from fractions import Fraction
@@ -12,6 +13,7 @@ from fractions import Fraction
 from convexenum.exact.polynomial import Polynomial
 from convexenum.exact.ratfun import RationalFunction
 from convexenum.exact.roots import NoRootError
+from convexenum.perms import realizable
 
 
 def euclid_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -124,3 +126,21 @@ def berlekamp_massey(terms, complexity_bound: int) -> RationalFunction:
         raise ArithmeticError("terms break the recovered recurrence")
     num = [discrepancy(c, i) for i in range(length)]
     return RationalFunction(Polynomial(num), Polynomial(c))
+
+
+def least_concrete(key, k):
+    """Smallest realizable endpoint tuple in a merged class, by trying
+    every filling of its starred entries in lexicographic order."""
+    a, b, c, d = key
+    # a starred entry ranges over the descending values other than a, d
+    b_opts = range(1, 2 * a + k + 1) if b is None else (b,)
+    c_opts = range(1, 2 * d + k + 1) if c is None else (c,)
+    for bv in b_opts:
+        if b is None and bv in (a, d):
+            continue
+        for cv in c_opts:
+            if c is None and cv in (a, d):
+                continue
+            if realizable((a, bv, cv, d), k):
+                return (a, bv, cv, d)
+    raise ValueError(f"no realizable representative for class {key}")

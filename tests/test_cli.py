@@ -84,6 +84,22 @@ class TestPermsCommands:
         assert res["bruteforce"] == res["digraph"] == 66
         assert res["agree"] is True
 
+    @pytest.mark.parametrize("k, count", [("3", 136), ("-1", 0)])
+    def test_count_names_the_skipped_engine(self, capsys, k, count):
+        # brute force alone is not a cross-check, so no agreement is claimed
+        code, out = run(capsys, "perms", "count", "--n", "6", "--k", k)
+        assert code == 0
+        assert out == ("perms count\n"
+                       f"  parameters: n=6 k={k}\n"
+                       "  engines: bruteforce\n"
+                       f"  bruteforce: {count}\n"
+                       "  skipped: digraph (k must be 1 or 2)\n")
+        code, payload = run_json(capsys, "perms", "count", "--n", "6", "--k", k)
+        assert code == 0
+        assert payload["provenance"] == ["bruteforce"]
+        assert payload["results"] == [
+            ["bruteforce", count], ["skipped", "digraph (k must be 1 or 2)"]]
+
     def test_table(self, capsys):
         code, payload = run_json(capsys, "perms", "table", "--max-n", "12")
         assert code == 0

@@ -8,10 +8,12 @@ import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
 
+import _oracles
 from _goldens import (
     BOUND_GF,
     CUTOFF_1278_ROOT,
     DOT_SHA256,
+    LABELS_SHA256,
     MATRIX_A_ROWS,
     RATES,
     ROOT_DIGITS,
@@ -48,10 +50,12 @@ from convexenum.perms import (
     is_slow_riser,
     mountain_from_coloring,
     perm_counts,
+    realizable,
     state_key,
     walk_count,
     walks,
 )
+from convexenum.words import convex_sequences, count_convex_sequences
 
 
 class TestPermutationBasics:
@@ -113,6 +117,19 @@ class TestCounting:
                 assert count_perms_bruteforce(n, k) == len(convex), (n, k)
         with pytest.raises(ValueError):
             count_perms_bruteforce(0, 1)
+
+    def test_reach_cut_matches_generator(self):
+        # the counter cuts a permutation prefix whose largest unused value
+        # is out of reach; with p > n no value has to be placed, which a
+        # cut taken over from p = n gets wrong (at n=3, p=5, k=-1).  The
+        # unpruned generator is the oracle; larger cases would take it
+        # minutes, so n = 8..10 run with p = n and k <= 4 only
+        cases = [(n, p, k) for n in range(1, 8) for p in (n, n + 1, n + 3)
+                 for k in range(-1, 7)]
+        cases += [(n, n, k) for n in (8, 9, 10) for k in range(-1, 5)]
+        for n, p, k in cases:
+            assert count_convex_sequences(n, p, k, True) == \
+                sum(1 for _ in convex_sequences(n, p, k, True)), (n, p, k)
 
 
 class TestDescendants:
@@ -242,6 +259,27 @@ class TestCanonicalization:
             ends = {endpoint_state(p).tuple for n in range(2, 13)
                     for p in all_convex_perms(n, k)}
             assert {t for t in box if _accepted(t, k)} == ends & box, k
+
+    def test_least_concrete_matches_search_oracle(self):
+        # the closed form against trying every filling of a class in
+        # order: on every label of the depth-150 digraphs, and on the
+        # canonical form of every realizable tuple with entries <= 12
+        def expected_label(key, k):
+            if key == START_KEY:
+                return key
+            return "".join(str(x) for x in _oracles.least_concrete(key, k))
+
+        for k in (1, 2):
+            g = build_digraph(k, depth=150)
+            assert g.labels == tuple(expected_label(key, k) for key in g.nodes)
+            assert hashlib.sha256("\n".join(g.labels).encode()).hexdigest() \
+                == LABELS_SHA256[k, 150]
+            for t in product(range(1, 13), repeat=4):
+                if realizable(t, k):
+                    want = t if t == (1, 2, 1, 2) else \
+                        _oracles.least_concrete(state_key(t, k), k)
+                    assert canonicalize_state(EndpointState(*t), k).tuple \
+                        == want, (t, k)
 
     def test_general_states_match_value_order_dp(self):
         for k in (1, 2):

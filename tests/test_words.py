@@ -1,10 +1,12 @@
 """Tests for locally convex word counting and the partition bijection."""
 
 from itertools import product
+from math import perm
 
 import pytest
+from hypothesis import given, strategies as st
 
-from _goldens import ENCODE_EXAMPLES, G0P_STABLE, WORD_GF_30
+from _goldens import ENCODE_EXAMPLES, G0P_STABLE, SEARCH_COUNTS, WORD_GF_30
 from convexenum import words
 from convexenum.exact.linalg import solve_field_system
 from convexenum.exact.polynomial import Polynomial
@@ -22,6 +24,17 @@ from convexenum.words import (
     partition_count,
     word_gf,
 )
+
+
+@st.composite
+def _searches(draw):
+    """(n, p, k, distinct) with n, p <= 9 and at most 20,000 candidate
+    sequences, so that the generator can enumerate them."""
+    p = draw(st.integers(1, 9))
+    distinct = draw(st.booleans())
+    size = (lambda n: perm(p, n)) if distinct else (lambda n: p ** n)
+    n = draw(st.integers(0, max(n for n in range(10) if size(n) <= 20_000)))
+    return n, p, draw(st.integers(-3, 5)), distinct
 
 
 class TestWordBasics:
@@ -57,8 +70,30 @@ class TestCounting:
                 for n in range(9):
                     assert count_words_bruteforce(n, p, k) == \
                         count_words_dp(n, p, k), (n, p, k)
-        # a search deeper than Python's recursion limit
+
+    def test_deep_search_falls_back_to_the_generator(self, monkeypatch):
+        # a search deeper than Python's recursion limit runs the generator
+        calls = []
+        generator = words.convex_sequences
+
+        def spy(*args):
+            calls.append(args)
+            return generator(*args)
+
+        monkeypatch.setattr(words, "convex_sequences", spy)
         assert count_words_bruteforce(1200, 3, 0) == count_words_dp(1200, 3, 0)
+        assert calls == [(1200, 3, 0, False)]
+
+    def test_recorded_search_count(self):
+        assert count_words_bruteforce(12, 5, 1) == \
+            SEARCH_COUNTS[12, 5, 1, False] == count_words_dp(12, 5, 1)
+
+    @given(_searches())
+    def test_counter_matches_generator(self, search):
+        # the generator visits every node, so it is the oracle for the
+        # counter's flat word tails and its permutation reach cut
+        assert words.count_convex_sequences(*search) == \
+            sum(1 for _ in words.convex_sequences(*search)), search
 
     def test_generator_matches_counts(self):
         # the definition itself, filtered over all p^n words in
