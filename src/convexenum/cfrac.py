@@ -12,48 +12,31 @@ subgraph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from convexenum.exact.linalg import SeriesMatrix, solve_series_system
 from convexenum.exact.series import DEFAULT_ORDER, TruncatedSeries
 from convexenum.perms import build_digraph, perm_counts, state_key, walks
 
 
-@dataclass(frozen=True)
-class TowerSeries:
-    """The materialized levels H_1..H_depth of the return recurrence.
+def ladder_tower(order: int = DEFAULT_ORDER) -> tuple[TruncatedSeries, ...]:
+    """The levels H_1..H_depth of the return recurrence
+    H_j = 1 / (1 - q^(3+j) H_{j+1}), solved bottom-up from a truncated 1.
 
-    Level j carries the edge weight q^(3+j); the deepest level is
-    truncated to 1, which cannot affect coefficients up to the order.
+    H_j = 1 + O(q^(3+j)), so every level with 3 + j > order is exactly 1
+    to this order, in any product: the tower stops at depth
+    max(1, order - 3), whose level stands on a truncated 1.
     """
-
-    depth: int
-    levels: tuple[TruncatedSeries, ...]
-    order: int
-
-
-def _tower_depth(order: int) -> int:
-    # H_j = 1 + O(q^(3+j)), so every level with 3 + j > order is exactly 1
-    # to this order, in any product.
-    return max(1, order - 3)
-
-
-def ladder_tower(order: int = DEFAULT_ORDER) -> TowerSeries:
-    """Solve H_j = 1 / (1 - q^(3+j) H_{j+1}) bottom-up from a truncated 1."""
-    depth = _tower_depth(order)
     h_next = TruncatedSeries.one(order)
     levels: list[TruncatedSeries] = []
-    for j in range(depth, 0, -1):
+    for j in range(max(1, order - 3), 0, -1):
         weight = TruncatedSeries.monomial(3 + j, order)
         h_next = (TruncatedSeries.one(order) - weight * h_next).invert()
         levels.append(h_next)
-    levels.reverse()
-    return TowerSeries(depth=depth, levels=tuple(levels), order=order)
+    return tuple(reversed(levels))
 
 
 def bot_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """Returns to the ladder root, counted by walk length."""
-    return ladder_tower(order).levels[0]
+    return ladder_tower(order)[0]
 
 
 def tot_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -61,18 +44,18 @@ def tot_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
     return _tot_from_tower(ladder_tower(order))
 
 
-def _tot_from_tower(tower: TowerSeries) -> TruncatedSeries:
+def _tot_from_tower(tower: tuple[TruncatedSeries, ...]) -> TruncatedSeries:
     """Sum over the highest level n+1 reached: q^n forward steps, a
     partial descent of up to n+1 further steps, and independent
     excursions from each level visited.
     """
-    order = tower.order
+    order = tower[0].order
     one = TruncatedSeries.one(order)
     total = TruncatedSeries.zero(order)
     prod = one
     for n in range(order + 1):
-        if n + 1 <= tower.depth:
-            prod = prod * tower.levels[n]
+        if n < len(tower):
+            prod = prod * tower[n]
         # else: deeper levels are 1 to this order
         ramp_len = 1 if n == 0 else n + 2  # 1 + q + ... + q^(n+1)
         ramp = TruncatedSeries([1] * ramp_len, order)
@@ -84,7 +67,7 @@ def f1_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """Exact counting series for 1-convex permutations by length."""
     q = TruncatedSeries.x(order)
     tower = ladder_tower(order)
-    bot = tower.levels[0]
+    bot = tower[0]
     tot = _tot_from_tower(tower)
     one = TruncatedSeries.one(order)
     num = one + bot * q.shift(1) + tot * q
@@ -101,7 +84,7 @@ def m1_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """
     q = TruncatedSeries.x(order)
     tower = ladder_tower(order)
-    bot = tower.levels[0]
+    bot = tower[0]
     tot = _tot_from_tower(tower)
     zero = TruncatedSeries.zero(order)
     one = TruncatedSeries.one(order)

@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import sys
+import traceback
 from dataclasses import dataclass, field
 
 from convexenum import cfrac, perms, words
@@ -283,8 +284,9 @@ _NOT_PARAMETERS = {"group", "subcommand", "handler", "json", "csv", "out", "dot"
 
 
 def main(argv=None) -> int:
-    """Run one command; exit 0 on success, 1 when engines disagree and 2
-    on a usage, input or output error (one ``error:`` line on stderr)."""
+    """Run one command; exit 0 on success, 1 when engines disagree, 2
+    on a usage, input or output error (one ``error:`` line on stderr)
+    and 3 on an internal error (its traceback on stderr)."""
     args = build_parser().parse_args(argv)
     record = OutputRecord(
         f"{args.group} {args.subcommand}",
@@ -295,6 +297,9 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -185,8 +185,8 @@ class RationalFunction:
         if self.den[0] == 0:
             raise ZeroDivisionError(
                 "denominator constant term is zero; no power-series expansion")
-        num = TruncatedSeries.from_polynomial(self.num, order)
-        den = TruncatedSeries.from_polynomial(self.den, order)
+        num = TruncatedSeries(self.num.coeffs, order)
+        den = TruncatedSeries(self.den.coeffs, order)
         return num * den.invert()
 
     def __repr__(self):

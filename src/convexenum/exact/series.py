@@ -54,14 +54,9 @@ class TruncatedSeries:
         return cls((0, 1), order)
 
     @classmethod
-    def monomial(cls, exponent: int, order: int = DEFAULT_ORDER,
-                 coeff=1) -> "TruncatedSeries":
-        return cls((0,) * exponent + (coeff,), order)
-
-    @classmethod
-    def from_polynomial(cls, p: Polynomial,
-                        order: int = DEFAULT_ORDER) -> "TruncatedSeries":
-        return cls(p.coeffs, order)
+    def monomial(cls, exponent: int,
+                 order: int = DEFAULT_ORDER) -> "TruncatedSeries":
+        return cls((0,) * exponent + (1,), order)
 
     # -- basics -------------------------------------------------------
 
@@ -97,7 +92,7 @@ class TruncatedSeries:
         if isinstance(other, (int, Fraction)):
             return TruncatedSeries((other,), order)
         if isinstance(other, Polynomial):
-            return TruncatedSeries.from_polynomial(other, order)
+            return TruncatedSeries(other.coeffs, order)
         return NotImplemented
 
     def _pair(self, other):

@@ -12,9 +12,8 @@ permutations themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate, repeat
 
 from convexenum.exact.ratfun import RationalFunction
@@ -114,33 +113,16 @@ _SEED = (1, 2, 1, 2)  # endpoint tuple of the permutation 12
 START_KEY = "12"  # key of the start node, which is never merged with a class
 
 
-@dataclass(frozen=True)
-class EndpointState:
-    """Canonical (first, second, second-to-last, last) quadruple.
+def endpoint_state(perm: Permutation) -> tuple[int, int, int, int]:
+    """The (first, second, second-to-last, last) entries of ``perm``.
 
     For length-3 permutations the middle entry fills both inner slots;
     the start permutation 12 maps to the degenerate tuple (1, 2, 1, 2).
     """
-
-    a: int
-    b: int
-    c: int
-    d: int
-    canonical: bool = field(default=False, compare=False)
-
-    @property
-    def tuple(self) -> tuple[int, int, int, int]:
-        return (self.a, self.b, self.c, self.d)
-
-    def __str__(self):
-        return "".join(str(x) for x in self.tuple)
-
-
-def endpoint_state(perm: Permutation) -> EndpointState:
     e = perm.entries
     if len(e) < 2:
         raise ValueError("need length at least 2")
-    return EndpointState(e[0], e[1], e[-2], e[-1])
+    return (e[0], e[1], e[-2], e[-1])
 
 
 def realizable(t: tuple[int, int, int, int], k: int) -> bool:
@@ -262,31 +244,30 @@ def _least_concrete(key, k) -> tuple[int, int, int, int]:
     return (a, b, c, d)
 
 
-def canonicalize_state(s: EndpointState, k: int) -> EndpointState:
-    """Smallest endpoint state identically-descending with ``s``.
+def canonicalize_state(t: tuple[int, int, int, int],
+                       k: int) -> tuple[int, int, int, int]:
+    """Smallest endpoint tuple identically-descending with ``t``.
 
     Applies reversal symmetry, then replaces the mutable end entries
     (second-to-last when the state right-descends, second when it left
     descends) by the least values that keep the state realizable.
-    Raises ``ValueError`` unless k is 1 or 2 and ``s`` is realizable.
+    Raises ``ValueError`` unless k is 1 or 2 and ``t`` is realizable.
     """
-    t = _SEED if s.tuple == _SEED[::-1] else s.tuple
+    t = _SEED if t == _SEED[::-1] else t
     if not realizable(t, k):
-        raise ValueError(f"state {s} is not realizable for k={k}")
-    if t == _SEED:
-        return EndpointState(*_SEED, canonical=True)
-    return EndpointState(*_least_concrete(state_key(t, k), k), canonical=True)
+        raise ValueError(f"state {t} is not realizable for k={k}")
+    return t if t == _SEED else _least_concrete(state_key(t, k), k)
 
 
 @dataclass(frozen=True)
 class TruncationPolicy:
     """Where and how to make the infinite digraph finite.
 
-    ``cutoff`` names the node whose ladder-ascending (left) edge is
-    deleted.  Mode "cut" stops there, undercounting walks.  Mode "loop"
-    additionally adds a self-loop at the deepest node of the cutoff's
-    return path, which dominates the lost walks asymptotically and
-    yields an upper bound on the growth rate.
+    ``cutoff`` names the ladder node whose ladder-ascending (left) edge
+    is deleted.  Mode "cut" stops there, undercounting walks.  Mode
+    "loop" additionally adds a self-loop at the deepest node of the
+    cutoff's return path, which dominates the lost walks asymptotically
+    and yields an upper bound on the growth rate.
     """
 
     cutoff: tuple[int, int, int, int]
@@ -308,11 +289,6 @@ class DescendantDigraph:
     k: int
     nodes: tuple  # merged state keys, BFS order; index 0 is the root
     edges: tuple  # (from_index, to_index, "L"/"R")
-    truncation: TruncationPolicy | None = None
-
-    @property
-    def start(self) -> int:
-        return 0
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -330,13 +306,17 @@ class DescendantDigraph:
         return m
 
     def to_dot(self) -> str:
+        """DOT source; the self-loop that loop truncation adds is dashed.
+
+        It is the only L self-loop: the L child (1, 2, c + 1, d + 1) of a
+        key ending in d is never reversed, as 1 < d + 1, so its key ends
+        in d + 1.
+        """
         lines = ["digraph descendants {"]
         for i, lab in enumerate(self.labels):
             lines.append(f'  n{i} [label="{lab}"];')
         for u, v, lab in self.edges:
-            style = ""
-            if self.truncation and self.truncation.mode == "loop" and u == v:
-                style = ", style=dashed"
+            style = ", style=dashed" if u == v and lab == "L" else ""
             lines.append(f'  n{u} -> n{v} [label="{lab}"{style}];')
         lines.append("}")
         return "\n".join(lines)
@@ -352,10 +332,45 @@ def build_digraph(k: int, depth: int | None = None,
     cuts a subgraph loose from the rest of the digraph.  Without a
     truncation policy, expansion stops after ``depth`` generations (the
     graph is infinite), so walks of up to ``depth`` steps from the root
-    are exact.  With one, the left edge of its cutoff is dropped as well
-    and the edited graph is explored to closure.  Left edges are
-    explored before right edges.  In "loop" mode a ``depth`` that stops
-    before the cutoff's return path is expanded raises ``ValueError``.
+    are exact.  Left edges are explored before right edges.
+
+    A truncation cuts the ladder.  Write L_D for the ladder key
+    (1, *, *, D), with * a starred entry; L_2 is the class of 1332.  The
+    cutoff's key must be L_D with D >= 3.  Its left edge is dropped, and
+    the edited graph is explored from the start node to closure, or for
+    ``depth`` generations.  The closure is finite.  Past the start
+    node every key is (1, b, c, d), and by :func:`transitions`:
+
+    - an L step needs b starred and gives (1, *, c + 1, d + 1), where
+      c + 1 is starred when c is or when c + 1 - 2(d + 1) <= k: a
+      concrete c loses one against 2d + k at each L step;
+    - an R step needs c starred and gives (1, d + 1, b + 1, 2) (the
+      child is reversed), where d + 1 is starred when d - 1 <= k, and
+      b + 1 when b is or when b - 3 <= k.
+
+    So a key with b concrete has no L edge, one with c concrete no R
+    edge, and L_j has both.  The start node steps to L_3 (L) and L_2
+    (R), and L_2 to L_3 (L) and to itself (R).  From L_j the ladder
+    climbs to L_(j+1), and for j >= k + 3 the right edge starts the
+    return path
+
+        L_j -R-> (1, j+1, *, 2) -R-> (1, *, j+2, 2) -L-> ...
+            -L-> (1, *, 2j-1-k, j-1-k) -L-> L_(j-k),
+
+    since (1, *, j+2, 2) is j - 2 - k L steps from a starred c.  For
+    3 <= j <= k + 2 at most two R steps lead to L_2.  With the left edge
+    of L_D dropped, every node reached is then L_2 .. L_D or on the
+    return path of one of them, and every return path rejoins the
+    ladder below its start: the closure is finite.  With any other
+    cutoff the ladder L_3 -L-> L_4 -L-> ... stays whole and the closure
+    is infinite, so such a cutoff raises ``ValueError`` before the BFS,
+    as does a truncation from another root.
+
+    Mode "loop" puts its self-loop, labeled L, at the last node
+    (1, *, 2D-1-k, D-1-k) of the cutoff's return path.  That needs
+    D >= k + 3, since a shorter return path has no such node, and the
+    whole closure: a ``depth`` that stops before it raises
+    ``ValueError``.
     """
     if k not in (1, 2):
         raise ValueError("digraph machinery requires k in {1, 2}")
@@ -365,6 +380,13 @@ def build_digraph(k: int, depth: int | None = None,
         raise ValueError("depth must be nonnegative")
     if truncation is not None:
         cutoff_key = state_key(truncation.cutoff, k)
+        level = cutoff_key[3]
+        if cutoff_key[:3] != (1, None, None) or level < 3 or root != START_KEY:
+            raise ValueError(
+                "a truncation needs the start node as root and a ladder "
+                f"cutoff (1, *, *, D) with D >= 3, not {truncation.cutoff}")
+        if truncation.mode == "loop" and level < k + 3:
+            raise ValueError(f"loop mode needs a cutoff level D >= {k + 3}")
         drop = drop | {(cutoff_key, "L")}  # both modes sever the ladder here
 
     nodes = [root]
@@ -388,28 +410,14 @@ def build_digraph(k: int, depth: int | None = None,
         generation += 1
 
     if truncation is not None and truncation.mode == "loop":
-        # self-loop at the deepest node of the cutoff's return path.  Nodes
-        # of the last frontier were never expanded, so their out-edges are
-        # unknown and the path cannot be followed through them.
-        out = {}
-        for u, v, _ in edges:
-            out.setdefault(u, []).append(v)
-        unexpanded = set(frontier)
+        if frontier:
+            raise ValueError(
+                f"depth {depth} stops before the closure of the loop cutoff "
+                f"{truncation.cutoff} is built")
+        u = index[(1, None, 2 * level - 1 - k, level - 1 - k)]
+        edges.append((u, u, "L"))
 
-        def successors(u):
-            if u is None or u in unexpanded:
-                raise ValueError(
-                    f"depth {depth} stops before the return path of the "
-                    f"loop cutoff {truncation.cutoff} is expanded")
-            return out.get(u, ())
-
-        cur = successors(index.get(cutoff_key))[0]
-        while len(successors(successors(cur)[0])) == 1:
-            cur = successors(cur)[0]
-        edges.append((cur, cur, "L"))
-
-    return DescendantDigraph(k=k, nodes=tuple(nodes), edges=tuple(edges),
-                             truncation=truncation)
+    return DescendantDigraph(k=k, nodes=tuple(nodes), edges=tuple(edges))
 
 
 def walks(g: DescendantDigraph, steps: int):
@@ -440,8 +448,8 @@ def walks(g: DescendantDigraph, steps: int):
         first[v] = v  # gathered, then reset to zero
     extra = sorted(extra.items())
     counts = [0] * n  # private: a caller may edit the lists it is given
-    counts[g.start] = 1
-    reach = g.start + 1
+    counts[0] = 1  # the root
+    reach = 1
     yield counts[:]
     for _ in range(steps):
         reach = reach_after[reach]
@@ -506,7 +514,6 @@ class GrowthBounds:
     upper_rate: str
 
 
-@lru_cache(maxsize=None)
 def gf_bound(k: int, side: str,
              cutoff: tuple[int, int, int, int] | None = None) -> RationalFunction:
     """Rational generating function bounding f_k(n) from below or above.

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from functools import lru_cache
+from itertools import accumulate
 from math import perm
 
 from convexenum.exact.ratfun import RationalFunction
@@ -279,7 +279,6 @@ def _word_counts(p: int, k: int, terms: int) -> list[int]:
     return counts[:terms]
 
 
-@lru_cache(maxsize=None)
 def partition_count(j: int) -> int:
     """Number of integer partitions of j, by a parts-bounded DP."""
     if j < 0:
@@ -325,7 +324,7 @@ def encode_word(m: int, w1: IntegerPartition, w2: IntegerPartition,
     if w1.total >= m or w2.total >= m:
         raise ValueError("partition totals must be less than the maximum m")
     pf = _prefix_from_partition(m, w1)
-    sf = [m - s for s in _partial_sums(w2.parts)]
+    sf = [m - s for s in accumulate(w2.parts)]
     plateau = n - len(pf) - len(sf)
     if plateau < 1:
         raise ValueError(f"length {n} too small for prefix, plateau and suffix")
@@ -333,20 +332,13 @@ def encode_word(m: int, w1: IntegerPartition, w2: IntegerPartition,
     return Word(tuple(letters), p if p is not None else m)
 
 
-def _partial_sums(parts):
-    acc = 0
-    out = []
-    for x in parts:
-        acc += x
-        out.append(acc)
-    return out
-
-
 def decode_word(w: Word) -> tuple[int, IntegerPartition, IntegerPartition]:
     """Inverse of :func:`encode_word` on 0-convex words.
 
     Splits at the maximal plateau and reads both partitions off the gap
-    sequences of the flanks.
+    sequences of the flanks.  The plateau is contiguous: a 0-convex
+    word has non-increasing differences, so no letter between two
+    maxima is smaller.
     """
     if not is_convex_word(w, 0):
         raise ValueError("word is not 0-convex")
@@ -356,8 +348,6 @@ def decode_word(w: Word) -> tuple[int, IntegerPartition, IntegerPartition]:
     m = max(a)
     first = a.index(m)
     last = len(a) - 1 - a[::-1].index(m)
-    if any(a[i] != m for i in range(first, last + 1)):
-        raise ValueError("maximum not attained on a contiguous plateau")
     pf = a[:first]
     sf = a[last + 1:]
     gaps1 = [b - c for b, c in zip(pf[1:] + (m,), pf)] if pf else []

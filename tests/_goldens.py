@@ -104,14 +104,18 @@ MATRIX_A_ROWS = {
 
 # SHA-256 of DescendantDigraph.to_dot(), keyed by (k, depth) for
 # depth-bounded digraphs and by (k, mode) for TruncationPolicy at
-# DEFAULT_CUTOFF[k]; the node labels are least realizable endpoint tuples
+# DEFAULT_CUTOFF[k]; the node labels are least realizable endpoint tuples.
+# The two loop digests (and the CLI one for k = 1 below) were re-recorded
+# when only the added L self-loop stayed dashed: each output differs from
+# the earlier one in one line, where 1332's own R self-loop loses its
+# ", style=dashed"
 DOT_SHA256 = {
     (1, 60): "7f179b7d953efb03884d461cf3b06c9b76acaf0ae20e2862d4e466612dacb01a",
     (2, 60): "ea2142b668e4bf84b10740811a204285f4f65bb2c262dda84e24d6df786ca9d0",
     (1, "cut"): "578767b3073acded3bbc811fe771dc2d4ae05e77f52e637ea0862cc26155ca90",
-    (1, "loop"): "ec616d21f671d34090204a7a38761716e26c9899ad3d0a973ca552da119ec7ac",
+    (1, "loop"): "c19e57a9f14aaa6b301b6b638fb0453cda6321c995dbedf98b4dbb5f0791a943",
     (2, "cut"): "e6d40744d1b9f3aef1c53ecd0272f063c4418e088e9c0422d2d67b114fe23bd9",
-    (2, "loop"): "47faa225a23fca0a999129ee657ce3f5f5e2977dd54c43af314e827ca0c55d31",
+    (2, "loop"): "07f5de399c2d56ea57b802ff9d576e8a905d52b84c40c7fab7cf0b56151dee78",
 }
 
 # SHA-256 of "\n".join(build_digraph(k, 150).labels), recorded while the
@@ -237,5 +241,5 @@ CLI_STDOUT_SHA256 = {
     "cfrac f2check --order 10 --csv":
         "539ee7f0f4cb0d2f0d3e42d728da049697b978da0b63529277ff227d289dd911",
     "perms digraph --k 1 --truncate loop --dot":
-        "ec616d21f671d34090204a7a38761716e26c9899ad3d0a973ca552da119ec7ac",
+        "c19e57a9f14aaa6b301b6b638fb0453cda6321c995dbedf98b4dbb5f0791a943",
 }

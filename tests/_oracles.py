@@ -5,7 +5,9 @@ Sturm chain of Euclidean remainders with Horner sign tests, and
 Berlekamp–Massey with rational connection polynomials.  The library
 computes the same results in integer arithmetic; the tests compare the
 two.  The least realizable tuple of a merged digraph class is found by
-trying every filling in order; the library gives it by a closed form.
+trying every filling in order, and the node that carries the loop of a
+truncated digraph by following the cutoff's return path; the library
+gives both by closed forms.
 """
 
 from fractions import Fraction
@@ -144,3 +146,21 @@ def least_concrete(key, k):
             if realizable((a, bv, cv, d), k):
                 return (a, bv, cv, d)
     raise ValueError(f"no realizable representative for class {key}")
+
+
+def loop_node(g, cutoff_key):
+    """Index of the node where loop truncation puts its self-loop, found
+    in the cut digraph ``g`` built to closure: from the cutoff's one
+    remaining (right) successor, follow first out-edges while the next
+    node has a single out-edge."""
+    out = {}
+    for u, v, _ in g.edges:
+        out.setdefault(u, []).append(v)
+
+    def successors(u):
+        return out.get(u, ())
+
+    cur = successors(g.nodes.index(cutoff_key))[0]
+    while len(successors(successors(cur)[0])) == 1:
+        cur = successors(cur)[0]
+    return cur

@@ -206,8 +206,7 @@ def test_criterion_9_property_suites():
         profiles = {}
         for n in range(2, 10):
             for p in perms.all_convex_perms(n, k):
-                key = perms.canonicalize_state(
-                    perms.endpoint_state(p), k).tuple
+                key = perms.canonicalize_state(perms.endpoint_state(p), k)
                 got = profile(p, k)
                 assert profiles.setdefault(key, got) == got, (p, key)
 

@@ -35,8 +35,7 @@ class TestLadderSeries:
             assert large.truncate(18) == small
 
     def test_tower_levels_are_unit_series(self):
-        tower = ladder_tower(20)
-        for j, level in enumerate(tower.levels, start=1):
+        for j, level in enumerate(ladder_tower(20), start=1):
             assert level[0] == 1
             # level j first deviates from 1 at its edge weight 3 + j
             for n in range(1, min(3 + j, 21)):

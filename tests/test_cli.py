@@ -8,6 +8,7 @@ import json
 import pytest
 
 from _goldens import CLI_STDOUT_SHA256
+from convexenum import words
 from convexenum.cli import main
 
 
@@ -250,6 +251,20 @@ class TestOutputFormats:
         assert code == 2
         assert captured.err.startswith("error:")
         assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    def test_internal_error_exits_3_with_traceback(self, monkeypatch, capsys):
+        # 1 means "engines disagree", so an unexpected exception must not
+        # exit 1; the handler's engine raising stands in for a bug
+        def broken(p):
+            raise RuntimeError("broken engine")
+
+        monkeypatch.setattr(words, "g0p_stable", broken)
+        code = main(["words", "stable", "--p", "3"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith("Traceback")
+        assert captured.err.rstrip().endswith("RuntimeError: broken engine")
         assert captured.out == ""
 
 

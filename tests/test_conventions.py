@@ -1,0 +1,93 @@
+"""Code conventions checked on the source tree itself.
+
+No module reaches into another module's private names: every ``.py``
+file under ``src/`` and ``tests/`` is parsed, and neither
+``from convexenum... import _name`` nor ``<convexenum module>._name``
+may appear.  Dunder names such as ``__version__`` are public.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _library_modules() -> set[str]:
+    modules = set()
+    for path in SRC.rglob("*.py"):
+        parts = path.relative_to(SRC).with_suffix("").parts
+        modules.add(".".join(parts[:-1] if parts[-1] == "__init__" else parts))
+    return modules
+
+
+def _dotted(node) -> str | None:
+    """``a.b.c`` for a chain of attribute reads on a name, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        head = _dotted(node.value)
+        return head and f"{head}.{node.attr}"
+    return None
+
+
+def private_uses(source: str, modules: set[str]) -> list[str]:
+    """The private names of the library ``modules`` that ``source``
+    imports or reads as a module attribute."""
+    tree = ast.parse(source)
+    bound = {}  # local name -> the library module it is bound to
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = alias.name if alias.asname else name
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 \
+                and (node.module or "").split(".")[0] == "convexenum":
+            for alias in node.names:
+                if _private(alias.name):
+                    found.append(f"from {node.module} import {alias.name}")
+                if f"{node.module}.{alias.name}" in modules:
+                    bound[alias.asname or alias.name] = \
+                        f"{node.module}.{alias.name}"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _private(node.attr):
+            head, _, rest = (_dotted(node.value) or "").partition(".")
+            module = ".".join(filter(None, (bound.get(head), rest)))
+            if head in bound and module in modules:
+                found.append(f"{module}.{node.attr}")
+    return found
+
+
+def test_no_module_uses_another_modules_private_names():
+    modules = _library_modules()
+    assert {"convexenum", "convexenum.exact.series"} <= modules
+    files = sorted(SRC.rglob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    assert len(files) > 15
+    uses = {str(path.relative_to(ROOT)): private_uses(path.read_text(), modules)
+            for path in files}
+    assert {path: found for path, found in uses.items() if found} == {}
+
+
+def test_the_check_finds_both_forms():
+    source = (
+        "import convexenum.perms\n"
+        "import convexenum.exact.series as series\n"
+        "from convexenum import words as w\n"
+        "from convexenum.perms import _least_concrete, state_key\n"
+        "from convexenum import __version__\n"
+        "convexenum.perms._SEED\n"
+        "series._private\n"
+        "w._word_counts(2, 0, 3)\n"
+        "w.word_gf(2, 0)._attribute_of_a_result\n"
+        "state_key._attribute_of_a_function\n"
+        "self._own_attribute\n")
+    assert private_uses(source, _library_modules()) == [
+        "from convexenum.perms import _least_concrete",
+        "convexenum.perms._SEED",
+        "convexenum.exact.series._private",
+        "convexenum.words._word_counts"]

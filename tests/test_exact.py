@@ -29,6 +29,18 @@ from convexenum.exact.series import TruncatedSeries
 _FRACTIONS = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4))
 
 
+def _assert_ring_laws(a, b, c, zero, one):
+    """The commutative ring axioms on three elements."""
+    assert (a + b) + c == a + (b + c)
+    assert a + b == b + a
+    assert a + zero == a
+    assert a + (-a) == zero and a - b == a + (-b)
+    assert (a * b) * c == a * (b * c)
+    assert a * b == b * a
+    assert a * one == a
+    assert a * (b + c) == a * b + a * c
+
+
 class TestPolynomial:
     def test_trailing_zeros_stripped(self):
         assert Polynomial((1, 2, 0, 0)).coeffs == (1, 2)
@@ -84,6 +96,11 @@ class TestPolynomial:
         else:
             with pytest.raises(ZeroDivisionError):
                 a.pseudo_remainder(b)
+
+    @given(*[st.lists(_FRACTIONS, max_size=5)] * 3)
+    def test_ring_laws(self, f, g, h):
+        _assert_ring_laws(Polynomial(f), Polynomial(g), Polynomial(h),
+                          Polynomial.zero(), Polynomial.one())
 
     def test_evaluation_and_derivative(self):
         p = Polynomial((1, -3, 2))  # 2x^2 - 3x + 1
@@ -178,6 +195,14 @@ class TestTruncatedSeries:
         assert all(type(c) is int for c in inv.coeffs)
 
 
+    @given(st.integers(0, 8).flatmap(lambda n: st.tuples(
+        st.just(n), *[st.lists(_FRACTIONS, max_size=n + 3)] * 3)))
+    def test_ring_laws(self, case):
+        n, *cs = case
+        _assert_ring_laws(*(TruncatedSeries(c, n) for c in cs),
+                          TruncatedSeries.zero(n), TruncatedSeries.one(n))
+
+
 class TestRationalFunction:
     def test_canonical_form(self):
         # common factor removed, integer content cleared, positive lead:
@@ -186,6 +211,23 @@ class TestRationalFunction:
                               Polynomial((Fraction(-1, 2), Fraction(-1, 2))))
         assert rf.num == Polynomial((-1, 1))
         assert rf.den == Polynomial.one()
+
+    @given(st.lists(_FRACTIONS, max_size=5),
+           st.lists(_FRACTIONS, min_size=1, max_size=5).filter(any),
+           st.lists(_FRACTIONS, max_size=3))
+    def test_canonical_form_of_any_quotient(self, num, den, common):
+        # a shared factor, rational coefficients and any sign all reduce
+        # away: coprime integer num/den with content 1 and a positive
+        # leading denominator coefficient, equal to the quotient given
+        factor = Polynomial(common) or Polynomial.one()
+        num, den = Polynomial(num), Polynomial(den)
+        rf = RationalFunction(num * factor, den * factor)
+        coeffs = rf.num.coeffs + rf.den.coeffs
+        assert all(type(c) is int for c in coeffs)
+        assert gcd(*coeffs) == 1
+        assert rf.den.leading_coeff() > 0
+        assert _oracles.euclid_gcd(rf.num, rf.den) == Polynomial.one()
+        assert rf.num * den == rf.den * num
 
     def test_field_arithmetic(self):
         x = RationalFunction(Polynomial.x())

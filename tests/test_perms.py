@@ -1,6 +1,7 @@
 """Tests for convex permutations, the transition digraph, and growth bounds."""
 
 import hashlib
+import time
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -23,6 +24,7 @@ from _goldens import (
     TABLE_F2,
     root_fraction,
 )
+from convexenum import perms
 from convexenum.exact.linalg import matrix_resolvent_row
 from convexenum.exact.polynomial import Polynomial
 from convexenum.exact.ratfun import RationalFunction
@@ -32,7 +34,6 @@ from convexenum.perms import (
     DEFAULT_CUTOFF,
     START_KEY,
     DescendantDigraph,
-    EndpointState,
     Permutation,
     TruncationPolicy,
     all_convex_perms,
@@ -162,7 +163,7 @@ class TestDescendants:
 def _accepted(t, k):
     """Whether canonicalize_state takes the endpoint tuple t."""
     try:
-        canonicalize_state(EndpointState(*t), k)
+        canonicalize_state(t, k)
     except ValueError:
         return False
     return True
@@ -223,23 +224,20 @@ class TestCanonicalization:
                 assert state_key(t, k) == _starred_pair_key(t, k), (t, k)
 
     def test_example_state(self):
-        s = canonicalize_state(EndpointState(1, 2, 6, 4), 2)
-        assert s.tuple == (1, 2, 3, 4)
-        assert s.canonical
+        assert canonicalize_state((1, 2, 6, 4), 2) == (1, 2, 3, 4)
 
     def test_seed_is_fixed(self):
-        s = canonicalize_state(EndpointState(1, 2, 1, 2), 1)
-        assert s.tuple == (1, 2, 1, 2)
+        assert canonicalize_state((1, 2, 1, 2), 1) == (1, 2, 1, 2)
 
     def test_idempotent(self):
         for k in (1, 2):
             for p in all_convex_perms(7, k):
                 s = canonicalize_state(endpoint_state(p), k)
-                assert canonicalize_state(s, k).tuple == s.tuple
+                assert canonicalize_state(s, k) == s
 
     def test_unrealizable_rejected(self):
         with pytest.raises(ValueError):
-            canonicalize_state(EndpointState(5, 1, 1, 5), 1)
+            canonicalize_state((5, 1, 1, 5), 1)
 
     def test_only_mountain_parameters(self):
         # the endpoint test is proved for k in {1, 2} only (for k = 0 it
@@ -247,16 +245,16 @@ class TestCanonicalization:
         # state that ends a 0-convex permutation, such as 1342
         for k in (0, 3):
             with pytest.raises(ValueError):
-                canonicalize_state(EndpointState(1, 3, 4, 2), k)
+                canonicalize_state((1, 3, 4, 2), k)
             with pytest.raises(ValueError):
-                canonicalize_state(EndpointState(1, 2, 1, 2), k)
+                canonicalize_state((1, 2, 1, 2), k)
 
     def test_accepts_exactly_the_endpoint_states(self):
         # every realizable tuple in the box ends a permutation of length
         # at most 8, so lengths up to 12 give the exact set
         box = set(product(range(1, 9), repeat=4))
         for k in (1, 2):
-            ends = {endpoint_state(p).tuple for n in range(2, 13)
+            ends = {endpoint_state(p) for n in range(2, 13)
                     for p in all_convex_perms(n, k)}
             assert {t for t in box if _accepted(t, k)} == ends & box, k
 
@@ -278,8 +276,7 @@ class TestCanonicalization:
                 if realizable(t, k):
                     want = t if t == (1, 2, 1, 2) else \
                         _oracles.least_concrete(state_key(t, k), k)
-                    assert canonicalize_state(EndpointState(*t), k).tuple \
-                        == want, (t, k)
+                    assert canonicalize_state(t, k) == want, (t, k)
 
     def test_general_states_match_value_order_dp(self):
         for k in (1, 2):
@@ -347,13 +344,55 @@ class TestDigraph:
             assert [closure.labels[u] for u in loops] == \
                 ["1332", {1: "12125", 2: "12135"}[k]]
 
+    def test_closed_form_loop_node_matches_search_oracle(self):
+        # loop mode is the cut digraph plus one L self-loop, at the node
+        # the return-path search finds, for every ladder cutoff it allows
+        for k in (1, 2):
+            for level in range(3, 41):
+                cutoff = (1, 2, level - 1, level)
+                cut = build_digraph(k, truncation=TruncationPolicy(cutoff))
+                if level < k + 3:
+                    with pytest.raises(ValueError, match="loop mode"):
+                        build_digraph(k, truncation=TruncationPolicy(
+                            cutoff, "loop"))
+                    continue
+                u = _oracles.loop_node(cut, (1, None, None, level))
+                assert cut.nodes[u] == \
+                    (1, None, 2 * level - 1 - k, level - 1 - k)
+                loop = build_digraph(k, truncation=TruncationPolicy(
+                    cutoff, "loop"))
+                assert (loop.nodes, loop.edges) == \
+                    (cut.nodes, cut.edges + ((u, u, "L"),)), (k, level)
+
+    @pytest.mark.parametrize("cutoff", [(9, 9, 9, 9), (1, 3, 3, 2),
+                                        (1, 2, 9, 3), (1, 9, 3, 4)])
+    def test_off_ladder_cutoff_raises_at_once(self, cutoff):
+        # the ladder stays whole, so the closure would be infinite
+        for k in (1, 2):
+            for mode in ("cut", "loop"):
+                start = time.perf_counter()
+                with pytest.raises(ValueError, match="ladder"):
+                    build_digraph(k, truncation=TruncationPolicy(cutoff, mode))
+                assert time.perf_counter() - start < 1
+            with pytest.raises(ValueError, match="ladder"):
+                gf_bound(k, "lower", cutoff=cutoff)
+
+    def test_truncation_closes_from_the_start_node_only(self):
+        ladder = state_key((1, 2, 3, 4), 1)
+        with pytest.raises(ValueError, match="start node"):
+            build_digraph(1, truncation=TruncationPolicy(DEFAULT_CUTOFF[1]),
+                          root=ladder)
+
     def test_dot_export(self):
         g = build_digraph(1, truncation=TruncationPolicy(
             DEFAULT_CUTOFF[1], "loop"))
         dot = g.to_dot()
         assert dot.startswith("digraph")
         assert 'label="12"' in dot
-        assert "style=dashed" in dot  # the truncation loop is marked
+        # only the truncation loop is marked, not 1332's own R self-loop
+        assert [line for line in dot.splitlines() if "dashed" in line] == \
+            ['  n21 -> n21 [label="L", style=dashed];']
+        assert '  n2 -> n2 [label="R"];' in dot
 
     def test_dot_matches_golden_hashes(self):
         for (k, how), digest in DOT_SHA256.items():
@@ -382,7 +421,7 @@ def _push_walks(g, steps):
     for u, v, _ in g.edges:
         out[u].append(v)
     counts = [0] * len(g.nodes)
-    counts[g.start] = 1
+    counts[0] = 1
     yield counts
     for _ in range(steps):
         nxt = [0] * len(g.nodes)
@@ -475,7 +514,7 @@ class TestGrowthBounds:
         g = build_digraph(2, truncation=TruncationPolicy(DEFAULT_CUTOFF[2],
                                                          mode="loop"))
         walks = RationalFunction.zero()
-        for entry in matrix_resolvent_row(g.adjacency(), g.start):
+        for entry in matrix_resolvent_row(g.adjacency(), 0):
             walks = walks + entry
         x = RationalFunction(Polynomial.x())
         assert gf_bound(2, "upper") == 1 + x + 2 * x * x * walks
@@ -519,11 +558,13 @@ class TestGrowthBounds:
         with pytest.raises(ValueError, match="k in"):
             call()
 
-    def test_bad_precision_is_rejected_before_any_digraph(self):
-        gf_bound.cache_clear()
+    def test_bad_precision_is_rejected_before_any_digraph(self, monkeypatch):
+        def no_digraph(*args, **kwargs):
+            raise AssertionError("a digraph was built")
+
+        monkeypatch.setattr(perms, "build_digraph", no_digraph)
         with pytest.raises(ValueError, match="precision"):
             growth_bounds(1, 0)
-        assert gf_bound.cache_info().misses == 0
 
 
 class TestSubadditivity:

@@ -139,6 +139,14 @@ class TestGeneratingFunction:
                     assert gf.series[n] == count_words_bruteforce(n, p, k), \
                         (n, p, k)
 
+    @given(st.integers(1, 5), st.integers(-3, 4), st.integers(0, 16),
+           st.booleans())
+    def test_series_matches_dp(self, p, k, n, with_ratfun):
+        series = word_gf(p, k, order=n, with_ratfun=with_ratfun).series
+        assert series.order == n
+        assert list(series.coeffs) == [count_words_dp(m, p, k)
+                                       for m in range(n + 1)]
+
     def test_closed_form_expansion_matches_series(self):
         for p, k in [(2, 0), (3, 0), (2, 1), (3, 2)]:
             gf = word_gf(p, k, order=15, with_ratfun=True)
