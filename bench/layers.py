@@ -1,5 +1,5 @@
-"""Layer timings of the exhaustive searches, the digraph labels and
-the start-up import, and the size of the library's code.
+"""Layer timings of the exhaustive searches and the digraph labels,
+and the size of the library's code.
 
     python bench/layers.py [--label NAME] [--src DIR]
 
@@ -7,14 +7,13 @@ Each in-process case runs five times, timed with ``time.perf_counter``,
 and its best time is kept.  Every result is checked against
 ``tests/_goldens.py`` first, and a wrong one stops the run with exit 1.
 No cache is left in ``convexenum.perms``, so the labels are timed cold.
+The code size is the number of lines of ``src`` that hold a token,
+leaving out blank lines, comments and docstrings.
 
-The import case starts five fresh interpreters that write no bytecode,
-each on a copy of the ``src`` tree without ``__pycache__``, so every
-library module compiles from source as in a fresh checkout; each child
-times ``import convexenum.cli`` with ``time.perf_counter`` and prints
-it, and the best is kept.  The code size is the number of lines of
-``src`` that hold a token, leaving out blank lines, comments and
-docstrings.
+Start-up is not timed here: a best of five fresh interpreters cannot
+resolve differences below about 30 ms on a noisy 2-core host.  The
+benchmark in ``perfbench/`` measures it as ``setup_s`` on every job,
+with its spread.
 
 The times are merged into ``BENCH_layers.json`` at the repository root
 under NAME (default ``current``), next to the runs already there, and
@@ -32,10 +31,7 @@ import io
 import json
 import os
 import platform
-import shutil
-import subprocess
 import sys
-import tempfile
 import time
 import tokenize
 from pathlib import Path
@@ -86,26 +82,6 @@ def best_time(call, check) -> float:
     return best
 
 
-IMPORT_CASE = "import convexenum.cli, fresh interpreter"
-CHILD = ("import time; t = time.perf_counter(); import convexenum.cli; "
-         "print(time.perf_counter() - t)")
-
-
-def import_time(src: Path) -> float:
-    """Best time of ``import convexenum.cli`` over REPEAT children."""
-    with tempfile.TemporaryDirectory() as tmp:
-        copy = Path(tmp) / "src"
-        shutil.copytree(src, copy,
-                        ignore=shutil.ignore_patterns("__pycache__"))
-        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
-                   PYTHONPATH=str(copy))
-        return min(
-            float(subprocess.run([sys.executable, "-c", CHILD], env=env,
-                                 capture_output=True, text=True,
-                                 check=True).stdout)
-            for _ in range(REPEAT))
-
-
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENDMARKER}
 
@@ -144,8 +120,6 @@ def main(argv=None) -> int:
     for name, call, check in cases(perms, words, _goldens):
         times[name] = round(best_time(call, check), 5)
         print(f"{times[name] * 1000:10.1f} ms  {name}")
-    times[IMPORT_CASE] = round(import_time(args.src), 5)
-    print(f"{times[IMPORT_CASE] * 1000:10.1f} ms  {IMPORT_CASE}")
     lines = code_lines(args.src)
     print(f"{lines:10d} code lines in {args.src}")
 
@@ -154,7 +128,7 @@ def main(argv=None) -> int:
     runs[args.label] = {
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {os.cpu_count()} cores",
-        "statistic": f"best of {REPEAT}, in process except {IMPORT_CASE!r}",
+        "statistic": f"best of {REPEAT}, in process",
         "times_s": times,
         "src_code_lines": lines,
     }

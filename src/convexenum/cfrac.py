@@ -137,25 +137,30 @@ def ladder_walk_oracle(order: int = 20):
     return totals, returns
 
 
-def k2_components(order: int = DEFAULT_ORDER, root: str = "1234"):
-    """(tot', bot1', bot2') for the 2-convex upper subgraph.
+def k2_components(order: int = DEFAULT_ORDER):
+    """(tot', bot1', bot2') for the 2-convex upper subgraph, walked from
+    the 1245 node.
 
     The subgraph hangs above the 1234 node of the 2-convex digraph;
     returns from the 1245 and 1256 nodes leave it, so their downward
     edges are suppressed and walks ending on those nodes are tracked
     separately.  There is no closed form; the construction itself is the
-    oracle.  With the default root 1234 (reached only via its upward
-    edge), bot1'/bot2' have zero constant term; ``root="1245"`` counts
-    from the first node strictly inside the subgraph instead.
+    oracle.
+
+    Rooted at 1234 instead, the triple is (1 + q tot', q bot1',
+    q bot2').  In the ladder notation of :func:`build_digraph` (k = 2),
+    1234, 1245 and 1256 are L_4, L_5 and L_6.  With their R edges
+    dropped, L_4 has one out-edge, L, to L_5.  No edge re-enters L_4:
+    ladder L edges climb, every kept R edge lies on the return path of
+    some L_j with j >= 7, and that path rejoins the ladder at
+    L_(j-2) >= L_5.  So a walk from 1234 is the empty walk, or an L step
+    followed by a walk from 1245.
     """
     n1234 = state_key((1, 2, 3, 4), 2)
     n1245 = state_key((1, 2, 4, 5), 2)
     n1256 = state_key((1, 2, 5, 6), 2)
-    if root not in ("1234", "1245"):
-        raise ValueError("root must be '1234' or '1245'")
-    start = n1234 if root == "1234" else n1245
     drop = {(n1234, "R"), (n1245, "R"), (n1256, "R")}
-    totals, (bot1, bot2) = _subgraph_walks(2, start, order, drop,
+    totals, (bot1, bot2) = _subgraph_walks(2, n1245, order, drop,
                                            (n1245, n1256))
     return (TruncatedSeries(totals, order), TruncatedSeries(bot1, order),
             TruncatedSeries(bot2, order))
@@ -166,12 +171,16 @@ def f2_formula_series(order: int = DEFAULT_ORDER,
     """Evaluate the reference closed form for f_2 from the components.
 
     The closed form is stated in prose that leaves the walk root of the
-    component series ambiguous; both rootings are supported so the
-    check below can report on each.
+    component series ambiguous; both rootings, "1234" and "1245", are
+    supported so the check below can report on each.
     """
+    if root not in ("1234", "1245"):
+        raise ValueError("root must be '1234' or '1245'")
     q = TruncatedSeries.x(order)
     one = TruncatedSeries.one(order)
-    totp, bot1, bot2 = k2_components(order, root=root)
+    totp, bot1, bot2 = k2_components(order)
+    if root == "1234":  # one L step first; see k2_components
+        totp, bot1, bot2 = one + q * totp, q * bot1, q * bot2
 
     def p(exp):  # q^exp
         return TruncatedSeries.monomial(exp, order)
@@ -194,7 +203,7 @@ def f2_exact_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """
     q = TruncatedSeries.x(order)
     one = TruncatedSeries.one(order)
-    totp, bot1, bot2 = k2_components(order, root="1245")
+    totp, bot1, bot2 = k2_components(order)
 
     def p(exp):
         return TruncatedSeries.monomial(exp, order)

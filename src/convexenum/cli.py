@@ -183,13 +183,10 @@ def _perms_bounds(args, rec):
 
 
 def _perms_digraph(args, rec):
-    if args.k not in perms.DEFAULT_CUTOFF:  # guards the cutoff lookup
-        raise ValueError("digraph requires k in {1, 2}")
-    truncation = None
-    if args.truncate:
-        truncation = perms.TruncationPolicy(
-            perms.DEFAULT_CUTOFF[args.k], mode=args.truncate)
-    g = perms.build_digraph(args.k, depth=args.depth, truncation=truncation)
+    g = perms.build_digraph(
+        args.k, depth=args.depth,
+        cutoff=perms.DEFAULT_CUTOFF.get(args.k) if args.truncate else None,
+        loop=args.truncate == "loop")
     rec.provenance = ["digraph"]
     rec.add("nodes", len(g.nodes))
     rec.add("edges", len(g.edges))
@@ -231,11 +228,13 @@ _ORDER = {"type": int, "default": DEFAULT_ORDER}
 
 def _command(subparsers, name: str, handler, **options) -> None:
     """Declare one subcommand: its options in order, the output flags
-    shared by every subcommand, and the handler that fills its record."""
+    shared by every subcommand, and the handler that fills its record.
+    A ``dot`` option is an output format, exclusive with JSON and CSV."""
     p = subparsers.add_parser(name)
-    for dest, spec in options.items():
-        p.add_argument("--" + dest.replace("_", "-"), **spec)
     fmt = p.add_mutually_exclusive_group()
+    for dest, spec in options.items():
+        (fmt if dest == "dot" else p).add_argument(
+            "--" + dest.replace("_", "-"), **spec)
     fmt.add_argument("--json", action="store_true", help="emit JSON")
     fmt.add_argument("--csv", action="store_true", help="emit CSV")
     p.add_argument("--out", help="write output to a file")

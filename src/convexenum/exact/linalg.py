@@ -12,44 +12,31 @@ class NonUnitDeterminantError(ValueError):
 
 
 class SeriesMatrix:
-    """A rectangular grid of entries sharing one truncation order.
-
-    Entries are :class:`TruncatedSeries`; exact (polynomial) variants of
-    the algorithms below take plain nested lists instead.
+    """A rectangular grid of :class:`TruncatedSeries` entries sharing
+    one truncation order; the field variants of the algorithms below
+    take plain nested lists instead.
     """
 
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries):
-        entries = [list(row) for row in entries]
+        entries = tuple(tuple(row) for row in entries)
         if not entries or not entries[0]:
             raise ValueError("matrix must be nonempty")
         cols = len(entries[0])
         if any(len(row) != cols for row in entries):
             raise ValueError("ragged matrix")
-        orders = {e.order for row in entries for e in row
-                  if isinstance(e, TruncatedSeries)}
-        if len(orders) > 1:
+        if not all(isinstance(e, TruncatedSeries)
+                   for row in entries for e in row):
+            raise TypeError("entries must be TruncatedSeries")
+        if len({e.order for row in entries for e in row}) > 1:
             raise ValueError("entries must share one truncation order")
-        order = orders.pop() if orders else None
-        if order is not None:
-            entries = [
-                [e if isinstance(e, TruncatedSeries)
-                 else TruncatedSeries(
-                     e.coeffs if isinstance(e, Polynomial) else (e,), order)
-                 for e in row]
-                for row in entries
-            ]
         object.__setattr__(self, "rows", len(entries))
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", tuple(tuple(r) for r in entries))
+        object.__setattr__(self, "entries", entries)
 
     def __setattr__(self, name, value):
         raise AttributeError("SeriesMatrix is immutable")
-
-    def __getitem__(self, idx):
-        i, j = idx
-        return self.entries[i][j]
 
 
 def solve_series_system(m: SeriesMatrix, rhs) -> list[TruncatedSeries]:

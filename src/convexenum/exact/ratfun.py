@@ -34,11 +34,7 @@ class RationalFunction:
 
     @staticmethod
     def _as_poly(p) -> Polynomial:
-        if isinstance(p, Polynomial):
-            return p
-        if isinstance(p, (int, Fraction)):
-            return Polynomial((p,))
-        return Polynomial(p)
+        return p if isinstance(p, Polynomial) else Polynomial((p,))
 
     @staticmethod
     def _canonicalize(num: Polynomial, den: Polynomial):

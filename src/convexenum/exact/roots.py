@@ -104,12 +104,16 @@ def smallest_positive_root(p: Polynomial, precision: int = 18,
 
 
 def render_interval(lo: Fraction, hi: Fraction, digits: int) -> str:
-    """Decimal rendering of an interval's shared prefix, e.g. for display."""
+    """Both endpoints of an interval, each truncated to ``digits``
+    decimal places, e.g. for display."""
     return f"[{decimal_value(lo, digits)}, {decimal_value(hi, digits)}]"
 
 
 def decimal_value(x: Fraction, digits: int) -> str:
-    """Truncated (not rounded) decimal string with ``digits`` places."""
+    """Truncated (not rounded) decimal string with ``digits`` places;
+    needs digits >= 1."""
+    if digits < 1:
+        raise ValueError("digits must be positive")
     sign = "-" if x < 0 else ""
     x = abs(x)
     scaled = x * 10**digits

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from convexenum.exact.polynomial import Polynomial, exact_coefficient
+from convexenum.exact.polynomial import exact_coefficient
 
 #: Truncation order used when callers do not specify one.  Large enough to
 #: cover every golden sequence with margin.
@@ -91,8 +91,6 @@ class TruncatedSeries:
             return other
         if isinstance(other, (int, Fraction)):
             return TruncatedSeries((other,), order)
-        if isinstance(other, Polynomial):
-            return TruncatedSeries(other.coeffs, order)
         return NotImplemented
 
     def _pair(self, other):
@@ -163,12 +161,6 @@ class TruncatedSeries:
         if a is NotImplemented:
             return NotImplemented
         return a * b.invert()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other, self.order)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
 
     def shift(self, exponent: int) -> "TruncatedSeries":
         """Multiply by x^exponent, keeping the truncation order."""

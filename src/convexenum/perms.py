@@ -259,25 +259,6 @@ def canonicalize_state(t: tuple[int, int, int, int],
     return t if t == _SEED else _least_concrete(state_key(t, k), k)
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """Where and how to make the infinite digraph finite.
-
-    ``cutoff`` names the ladder node whose ladder-ascending (left) edge
-    is deleted.  Mode "cut" stops there, undercounting walks.  Mode
-    "loop" additionally adds a self-loop at the deepest node of the
-    cutoff's return path, which dominates the lost walks asymptotically
-    and yields an upper bound on the growth rate.
-    """
-
-    cutoff: tuple[int, int, int, int]
-    mode: str = "cut"
-
-    def __post_init__(self):
-        if self.mode not in ("cut", "loop"):
-            raise ValueError("mode must be 'cut' or 'loop'")
-
-
 #: Truncation points matching the published bound computations.
 DEFAULT_CUTOFF = {1: (1, 2, 6, 7), 2: (1, 2, 7, 8)}
 
@@ -322,24 +303,25 @@ class DescendantDigraph:
         return "\n".join(lines)
 
 
-def build_digraph(k: int, depth: int | None = None,
-                  truncation: TruncationPolicy | None = None,
-                  root=START_KEY, drop=frozenset()) -> DescendantDigraph:
+def build_digraph(k: int, depth: int | None = None, cutoff=None,
+                  loop: bool = False, root=START_KEY,
+                  drop=frozenset()) -> DescendantDigraph:
     """BFS the transition digraph from the node key ``root``.
 
     The root defaults to the start node (the permutation 12).  The
     ``(key, label)`` out-edges listed in ``drop`` are left out, which
     cuts a subgraph loose from the rest of the digraph.  Without a
-    truncation policy, expansion stops after ``depth`` generations (the
-    graph is infinite), so walks of up to ``depth`` steps from the root
-    are exact.  Left edges are explored before right edges.
+    ``cutoff``, expansion stops after ``depth`` generations (the graph
+    is infinite), so walks of up to ``depth`` steps from the root are
+    exact.  Left edges are explored before right edges.
 
-    A truncation cuts the ladder.  Write L_D for the ladder key
-    (1, *, *, D), with * a starred entry; L_2 is the class of 1332.  The
-    cutoff's key must be L_D with D >= 3.  Its left edge is dropped, and
-    the edited graph is explored from the start node to closure, or for
-    ``depth`` generations.  The closure is finite.  Past the start
-    node every key is (1, b, c, d), and by :func:`transitions`:
+    A ``cutoff`` endpoint tuple truncates the digraph: it cuts the
+    ladder.  Write L_D for the ladder key (1, *, *, D), with * a starred
+    entry; L_2 is the class of 1332.  The cutoff's key must be L_D with
+    D >= 3.  Its left edge is dropped, and the edited graph is explored
+    from the start node to closure, or for ``depth`` generations.  The
+    closure is finite.  Past the start node every key is (1, b, c, d),
+    and by :func:`transitions`:
 
     - an L step needs b starred and gives (1, *, c + 1, d + 1), where
       c + 1 is starred when c is or when c + 1 - 2(d + 1) <= k: a
@@ -366,28 +348,30 @@ def build_digraph(k: int, depth: int | None = None,
     is infinite, so such a cutoff raises ``ValueError`` before the BFS,
     as does a truncation from another root.
 
-    Mode "loop" puts its self-loop, labeled L, at the last node
-    (1, *, 2D-1-k, D-1-k) of the cutoff's return path.  That needs
-    D >= k + 3, since a shorter return path has no such node, and the
-    whole closure: a ``depth`` that stops before it raises
-    ``ValueError``.
+    With ``loop`` the truncation also puts a self-loop, labeled L, at
+    the last node (1, *, 2D-1-k, D-1-k) of the cutoff's return path.
+    That needs a ``cutoff`` with D >= k + 3, since a shorter return path
+    has no such node, and the whole closure: a ``depth`` that stops
+    before it raises ``ValueError``.
     """
     if k not in (1, 2):
         raise ValueError("digraph machinery requires k in {1, 2}")
-    if truncation is None and depth is None:
-        raise ValueError("need a depth bound or a truncation policy")
+    if loop and cutoff is None:
+        raise ValueError("loop mode needs a truncation cutoff")
+    if cutoff is None and depth is None:
+        raise ValueError("need a depth bound or a truncation cutoff")
     if depth is not None and depth < 0:
         raise ValueError("depth must be nonnegative")
-    if truncation is not None:
-        cutoff_key = state_key(truncation.cutoff, k)
+    if cutoff is not None:
+        cutoff_key = state_key(cutoff, k)
         level = cutoff_key[3]
         if cutoff_key[:3] != (1, None, None) or level < 3 or root != START_KEY:
             raise ValueError(
                 "a truncation needs the start node as root and a ladder "
-                f"cutoff (1, *, *, D) with D >= 3, not {truncation.cutoff}")
-        if truncation.mode == "loop" and level < k + 3:
+                f"cutoff (1, *, *, D) with D >= 3, not {cutoff}")
+        if loop and level < k + 3:
             raise ValueError(f"loop mode needs a cutoff level D >= {k + 3}")
-        drop = drop | {(cutoff_key, "L")}  # both modes sever the ladder here
+        drop = drop | {(cutoff_key, "L")}  # with or without the loop
 
     nodes = [root]
     index = {root: 0}
@@ -409,11 +393,11 @@ def build_digraph(k: int, depth: int | None = None,
         frontier = nxt
         generation += 1
 
-    if truncation is not None and truncation.mode == "loop":
+    if loop:
         if frontier:
             raise ValueError(
                 f"depth {depth} stops before the closure of the loop cutoff "
-                f"{truncation.cutoff} is built")
+                f"{cutoff} is built")
         u = index[(1, None, 2 * level - 1 - k, level - 1 - k)]
         edges.append((u, u, "L"))
 
@@ -433,24 +417,23 @@ def walks(g: DescendantDigraph, steps: int):
     root).  The DP never reads back a list it has yielded.
     """
     n = len(g.nodes)
-    first = [None] * n
+    first = [n] * n  # a node without in-edges reads the zero slot n
     extra = {}  # node -> in-neighbours past the first one
     top = [0] * n  # 1 + the largest successor of each node
     for u, v, _ in g.edges:
-        if first[v] is None:
+        if first[v] == n:
             first[v] = u
         else:
             extra.setdefault(v, []).append(u)
         top[u] = max(top[u], v + 1)
     reach_after = [0, *accumulate(top, max)]  # indexed by the prefix end
-    orphans = [v for v in range(n) if first[v] is None]
-    for v in orphans:
-        first[v] = v  # gathered, then reset to zero
     extra = sorted(extra.items())
-    counts = [0] * n  # private: a caller may edit the lists it is given
+    # private: a caller may edit the lists it is given; slot n stays 0,
+    # as reach <= n
+    counts = [0] * (n + 1)
     counts[0] = 1  # the root
     reach = 1
-    yield counts[:]
+    yield counts[:n]
     for _ in range(steps):
         reach = reach_after[reach]
         nxt = list(map(counts.__getitem__, first[:reach]))
@@ -459,10 +442,6 @@ def walks(g: DescendantDigraph, steps: int):
                 break
             for u in us:
                 nxt[v] += counts[u]
-        for v in orphans:
-            if v >= reach:
-                break
-            nxt[v] = 0
         counts[:reach] = nxt
         nxt.extend(repeat(0, n - reach))
         yield nxt
@@ -530,9 +509,8 @@ def gf_bound(k: int, side: str,
         raise ValueError("bounds require k in {1, 2}")
     if side not in ("lower", "upper"):
         raise ValueError("side must be 'lower' or 'upper'")
-    policy = TruncationPolicy(cutoff or DEFAULT_CUTOFF[k],
-                              mode="cut" if side == "lower" else "loop")
-    g = build_digraph(k, truncation=policy)
+    g = build_digraph(k, cutoff=cutoff or DEFAULT_CUTOFF[k],
+                      loop=side == "upper")
     n = len(g.nodes)
     terms = [1, 1] + [2 * sum(c) for c in walks(g, 2 * n + 3)]
     return RationalFunction.from_sequence(terms, n + 2)

@@ -303,16 +303,6 @@ def g0p_stable(p: int) -> int:
     return total
 
 
-def _prefix_from_partition(m: int, w1: IntegerPartition) -> list[int]:
-    # increasing run below the plateau: gaps are the parts, largest first
-    out = []
-    remaining = w1.total
-    for part in sorted(w1.parts, reverse=True):
-        out.append(m - remaining)
-        remaining -= part
-    return out
-
-
 def encode_word(m: int, w1: IntegerPartition, w2: IntegerPartition,
                 n: int, p: int | None = None) -> Word:
     """Build the 0-convex word (prefix)(m...m)(suffix) of length n.
@@ -323,7 +313,9 @@ def encode_word(m: int, w1: IntegerPartition, w2: IntegerPartition,
     """
     if w1.total >= m or w2.total >= m:
         raise ValueError("partition totals must be less than the maximum m")
-    pf = _prefix_from_partition(m, w1)
+    # each flank steps away from the plateau by its parts, smallest first:
+    # the prefix is the mirror image of the suffix formula
+    pf = [m - s for s in accumulate(w1.parts)][::-1]
     sf = [m - s for s in accumulate(w2.parts)]
     plateau = n - len(pf) - len(sf)
     if plateau < 1:

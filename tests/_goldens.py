@@ -103,8 +103,10 @@ MATRIX_A_ROWS = {
 }
 
 # SHA-256 of DescendantDigraph.to_dot(), keyed by (k, depth) for
-# depth-bounded digraphs and by (k, mode) for TruncationPolicy at
-# DEFAULT_CUTOFF[k]; the node labels are least realizable endpoint tuples.
+# depth-bounded digraphs and by (k, "cut" or "loop") for
+# build_digraph(k, cutoff=DEFAULT_CUTOFF[k], loop=...), the truncation
+# without and with its self-loop; the node labels are least realizable
+# endpoint tuples.
 # The two loop digests (and the CLI one for k = 1 below) were re-recorded
 # when only the added L self-loop stayed dashed: each output differs from
 # the earlier one in one line, where 1332's own R self-loop loses its

@@ -15,7 +15,14 @@ from convexenum.cfrac import (
     m1_series,
     tot_series,
 )
-from convexenum.perms import count_perms_digraph, perm_counts
+from convexenum.exact.series import TruncatedSeries
+from convexenum.perms import (
+    build_digraph,
+    count_perms_digraph,
+    perm_counts,
+    state_key,
+    walks,
+)
 
 
 class TestLadderSeries:
@@ -63,20 +70,35 @@ class TestOneConvexSeries:
 
 class TestTwoConvexComponents:
     def test_root_conventions(self):
-        tot, bot1, bot2 = k2_components(10, root="1234")
-        assert tot[0] == 1 and bot1[0] == 0 and bot2[0] == 0
-        tot_b, bot1_b, _ = k2_components(10, root="1245")
-        assert tot_b[0] == 1 and bot1_b[0] == 1  # the root is the exit node
-        with pytest.raises(ValueError):
-            k2_components(10, root="9999")
-
-    def test_small_orders(self):
+        # walks from 1245: its own empty walk is a return to it
+        tot, bot1, bot2 = k2_components(10)
+        assert (tot[0], bot1[0], bot2[0]) == (1, 1, 0)
         # a tracked node not reached within the order has a zero series
-        for root in ("1234", "1245"):
-            deep = k2_components(10, root=root)
-            for order in range(4):
-                assert k2_components(order, root=root) == tuple(
-                    s.truncate(order) for s in deep), (root, order)
+        for order in range(4):
+            assert k2_components(order) == tuple(
+                s.truncate(order) for s in (tot, bot1, bot2)), order
+        with pytest.raises(ValueError, match="root must be"):
+            f2_formula_series(10, root="9999")
+
+    def test_1234_rooting_matches_direct_walk(self):
+        # the rooting f2_formula_series derives for 1234, (1 + q tot,
+        # q bot1, q bot2), against a walk DP on the subgraph built from
+        # 1234 itself
+        n1234, n1245, n1256 = (state_key(t, 2) for t in (
+            (1, 2, 3, 4), (1, 2, 4, 5), (1, 2, 5, 6)))
+        drop = {(n1234, "R"), (n1245, "R"), (n1256, "R")}
+        for order in range(61):
+            g = build_digraph(2, depth=order, root=n1234, drop=drop)
+            index = {key: i for i, key in enumerate(g.nodes)}
+            direct = [[], [], []]
+            for c in walks(g, order):
+                direct[0].append(sum(c))
+                for series, key in zip(direct[1:], (n1245, n1256)):
+                    series.append(c[index[key]] if key in index else 0)
+            q = TruncatedSeries.x(order)
+            tot, bot1, bot2 = k2_components(order)
+            derived = (TruncatedSeries.one(order) + q * tot, q * bot1, q * bot2)
+            assert [list(s.coeffs) for s in derived] == direct, order
 
     def test_derived_closed_form_is_exact(self):
         f2 = f2_exact_series(20)

@@ -244,6 +244,16 @@ class TestOutputFormats:
             main(["words", "stable", "--p", "3", "--json", "--csv"])
         assert "not allowed with" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fmt", ["--json", "--csv"])
+    def test_dot_and_record_formats_are_exclusive(self, capsys, fmt):
+        # --dot is an output format too: combining formats is a usage error
+        with pytest.raises(SystemExit) as exc:
+            main(["perms", "digraph", "--k", "1", "--depth", "2", "--dot",
+                  fmt])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "not allowed with" in captured.err and captured.out == ""
+
     def test_unwritable_out_exits_2(self, tmp_path, capsys):
         code = main(["words", "stable", "--p", "3",
                      "--out", str(tmp_path / "missing" / "x.json")])

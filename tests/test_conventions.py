@@ -4,10 +4,24 @@ No module reaches into another module's private names: every ``.py``
 file under ``src/`` and ``tests/`` is parsed, and neither
 ``from convexenum... import _name`` nor ``<convexenum module>._name``
 may appear.  Dunder names such as ``__version__`` are public.
+
+Every name the benchmark's tracer (``perfbench/tracing.py``) wraps
+still exists, with the parameters its counter hooks read, and each
+hook counts on a real call.
 """
 
 import ast
+import importlib
+import importlib.util
+import inspect
+from collections import Counter
+from fractions import Fraction
 from pathlib import Path
+
+from convexenum import perms
+from convexenum.exact import linalg, roots
+from convexenum.exact.polynomial import Polynomial
+from convexenum.exact.series import TruncatedSeries
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -91,3 +105,54 @@ def test_the_check_finds_both_forms():
         "convexenum.perms._SEED",
         "convexenum.exact.series._private",
         "convexenum.words._word_counts"]
+
+
+def _tracing_module():
+    """``perfbench/tracing.py``, imported without installing its wrappers."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves():
+    tracing = _tracing_module()
+    entries = [(module, attr) for module, attr, *_ in tracing.SPANS
+               + tracing.COUNTS]
+    assert len(entries) > 20
+    for module_name, attr in entries:
+        module = importlib.import_module(module_name)
+        if "." in attr:  # a method: the wrapper replaces the class's own
+            cls_name, method = attr.split(".")
+            assert method in vars(getattr(module, cls_name)), attr
+        else:
+            assert callable(getattr(module, attr, None)), attr
+
+
+def test_traced_functions_keep_what_their_hooks_read():
+    for fn, names in ((perms.walk_count, {"g", "n"}),
+                      (linalg.solve_field_system, {"matrix"}),
+                      (linalg.solve_series_system, {"m"}),
+                      (roots.smallest_positive_root, {"p"})):
+        assert names <= set(inspect.signature(fn).parameters), fn.__name__
+    # each hook runs on a real call and counts something
+    one = TruncatedSeries.one(3)
+    calls = {
+        "perms.build_digraph": ((1,), {"depth": 2}),
+        "perms.walk_count": ((perms.build_digraph(1, depth=2), 4), {}),
+        "exact.linalg.solve_field_system": (([[Fraction(2)]], [1]), {}),
+        "exact.linalg.solve_series_system": (
+            (linalg.SeriesMatrix([[one]]), [one]), {}),
+        "exact.roots.smallest_positive_root": ((Polynomial((-1, 2)),), {}),
+    }
+    tracing = _tracing_module()
+    hooked = {name: (module, attr, hook)
+              for module, attr, name, hook in tracing.SPANS if hook}
+    assert set(hooked) == set(calls)
+    for name, (module, attr, hook) in hooked.items():
+        fn = getattr(importlib.import_module(module), attr)
+        args, kwargs = calls[name]
+        counters = Counter()
+        hook(counters, fn, args, kwargs, fn(*args, **kwargs))
+        assert counters and all(v > 0 for v in counters.values()), name

@@ -21,6 +21,7 @@ from convexenum.exact.ratfun import RationalFunction
 from convexenum.exact.roots import (
     NoRootError,
     decimal_value,
+    render_interval,
     smallest_positive_root,
 )
 from convexenum.exact.series import TruncatedSeries
@@ -281,8 +282,8 @@ class TestFromSequence:
 
     @pytest.mark.parametrize("k,side", list(product((1, 2), ("lower", "upper"))))
     def test_gf_bound_terms_match_rational_oracle(self, k, side):
-        g = perms.build_digraph(k, truncation=perms.TruncationPolicy(
-            perms.DEFAULT_CUTOFF[k], "cut" if side == "lower" else "loop"))
+        g = perms.build_digraph(k, cutoff=perms.DEFAULT_CUTOFF[k],
+                                loop=side == "upper")
         n = len(g.nodes)
         terms = [1, 1] + [2 * sum(c) for c in perms.walks(g, 2 * n + 3)]
         rf = RationalFunction.from_sequence(terms, n + 2)
@@ -332,13 +333,13 @@ class TestLinearAlgebra:
         f, g = solve_series_system(m, [one, one])
         assert f.coeffs == (1,) * (order + 1)
 
-    def test_series_matrix_coerces_scalars_and_polynomials(self):
-        order = 3
-        x = TruncatedSeries.x(order)
-        m = SeriesMatrix([[1, -x], [Polynomial((0, -1)), Fraction(1, 2)]])
-        assert m[0, 0] == TruncatedSeries.one(order)
-        assert m[1, 0] == -x
-        assert m[1, 1] == TruncatedSeries((Fraction(1, 2),), order)
+    def test_series_matrix_takes_series_entries_only(self):
+        x = TruncatedSeries.x(3)
+        for entry in (1, Fraction(1, 2), Polynomial((0, -1))):
+            with pytest.raises(TypeError, match="TruncatedSeries"):
+                SeriesMatrix([[x, entry], [-x, x]])
+        with pytest.raises(ValueError, match="one truncation order"):
+            SeriesMatrix([[x, TruncatedSeries.x(4)]])
 
     def test_non_unit_pivot_raises(self):
         order = 4
@@ -436,3 +437,16 @@ class TestRoots:
         assert decimal_value(Fraction(2, 3), 5) == "0.66666"
         assert decimal_value(Fraction(-1, 8), 2) == "-0.12"
         assert decimal_value(Fraction(5, 4), 3) == "1.250"
+
+    def test_decimal_value_needs_a_digit(self):
+        # with no places the rendering is wrong: 37/10 would read '3.0'
+        # and -1/8 '-0.0'
+        for x in (Fraction(37, 10), Fraction(-1, 8)):
+            for digits in (0, -2):
+                with pytest.raises(ValueError, match="digits must be positive"):
+                    decimal_value(x, digits)
+
+    def test_render_interval_truncates_both_endpoints(self):
+        # each endpoint is cut to its own digits, not to a shared prefix
+        assert render_interval(Fraction(1, 3), Fraction(2, 3), 3) == \
+            "[0.333, 0.666]"

@@ -5,7 +5,6 @@ import time
 from fractions import Fraction
 from itertools import permutations, product
 
-import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
 
@@ -35,7 +34,6 @@ from convexenum.perms import (
     START_KEY,
     DescendantDigraph,
     Permutation,
-    TruncationPolicy,
     all_convex_perms,
     build_digraph,
     canonicalize_state,
@@ -289,16 +287,13 @@ class TestCanonicalization:
 class TestDigraph:
     def test_cut_sizes(self):
         for k, nodes in ((1, 22), (2, 23)):
-            g = build_digraph(k, truncation=TruncationPolicy(
-                DEFAULT_CUTOFF[k], "cut"))
+            g = build_digraph(k, cutoff=DEFAULT_CUTOFF[k])
             assert len(g.nodes) == nodes
 
     def test_loop_adds_one_self_edge(self):
         for k in (1, 2):
-            cut = build_digraph(k, truncation=TruncationPolicy(
-                DEFAULT_CUTOFF[k], "cut"))
-            loop = build_digraph(k, truncation=TruncationPolicy(
-                DEFAULT_CUTOFF[k], "loop"))
+            cut = build_digraph(k, cutoff=DEFAULT_CUTOFF[k])
+            loop = build_digraph(k, cutoff=DEFAULT_CUTOFF[k], loop=True)
             assert len(loop.edges) == len(cut.edges) + 1
             # exactly one self-loop is added (the merged bottom class
             # already carries its own)
@@ -313,32 +308,33 @@ class TestDigraph:
             assert 2 * walk_count(g, n) == TABLE_F1[n - 1]
 
     def test_matches_reference_adjacency(self):
-        reference = nx.DiGraph()
-        reference.add_nodes_from(MATRIX_A_ROWS)
-        for u, vs in MATRIX_A_ROWS.items():
-            for v in vs:
-                reference.add_edge(u, v)
-        g = build_digraph(1, truncation=TruncationPolicy(
-            DEFAULT_CUTOFF[1], "cut"))
-        ours = nx.DiGraph()
-        ours.add_nodes_from(range(len(g.nodes)))
-        for u, v, _ in g.edges:
-            ours.add_edge(u, v)
-        assert ours.number_of_edges() == reference.number_of_edges()
-        assert nx.is_isomorphic(reference, ours)
+        # the one isomorphism from the reference rows to our nodes, as
+        # the label of the node each row stands for; equal edge sets
+        # check strictly more than isomorphism
+        row_labels = (
+            "12", "1332", "1432", "1223", "1234", "1532", "1362", "1245",
+            "1632", "1372", "1283", "1256", "1732", "1382", "1293", "12104",
+            "1267", "1832", "1392", "12103", "12114", "12125")
+        g = build_digraph(1, cutoff=DEFAULT_CUTOFF[1])
+        row = {label: i for i, label in enumerate(row_labels, start=1)}
+        assert sorted(g.labels) == sorted(row_labels)
+        ours = [(row[g.labels[u]], row[g.labels[v]]) for u, v, _ in g.edges]
+        reference = {(u, v) for u, vs in MATRIX_A_ROWS.items() for v in vs}
+        assert len(ours) == len(reference)
+        assert set(ours) == reference
 
     def test_loop_depth_must_reach_the_return_path(self):
         # The loop sits at the end of the cutoff's return path; a depth
         # bound that leaves part of that path unexpanded used to crash
         # (shallow) or misplace the loop (deeper), and now raises.
         for k, first_ok in ((1, 11), (2, 12)):
-            policy = TruncationPolicy(DEFAULT_CUTOFF[k], "loop")
+            loop = {"cutoff": DEFAULT_CUTOFF[k], "loop": True}
             for depth in range(1, first_ok):
                 with pytest.raises(ValueError):
-                    build_digraph(k, depth=depth, truncation=policy)
-            closure = build_digraph(k, truncation=policy)
+                    build_digraph(k, depth=depth, **loop)
+            closure = build_digraph(k, **loop)
             for depth in (first_ok, first_ok + 1, first_ok + 5):
-                g = build_digraph(k, depth=depth, truncation=policy)
+                g = build_digraph(k, depth=depth, **loop)
                 assert (g.nodes, g.edges) == (closure.nodes, closure.edges)
             loops = [u for u, v, _ in closure.edges if u == v]
             assert [closure.labels[u] for u in loops] == \
@@ -350,17 +346,15 @@ class TestDigraph:
         for k in (1, 2):
             for level in range(3, 41):
                 cutoff = (1, 2, level - 1, level)
-                cut = build_digraph(k, truncation=TruncationPolicy(cutoff))
+                cut = build_digraph(k, cutoff=cutoff)
                 if level < k + 3:
                     with pytest.raises(ValueError, match="loop mode"):
-                        build_digraph(k, truncation=TruncationPolicy(
-                            cutoff, "loop"))
+                        build_digraph(k, cutoff=cutoff, loop=True)
                     continue
                 u = _oracles.loop_node(cut, (1, None, None, level))
                 assert cut.nodes[u] == \
                     (1, None, 2 * level - 1 - k, level - 1 - k)
-                loop = build_digraph(k, truncation=TruncationPolicy(
-                    cutoff, "loop"))
+                loop = build_digraph(k, cutoff=cutoff, loop=True)
                 assert (loop.nodes, loop.edges) == \
                     (cut.nodes, cut.edges + ((u, u, "L"),)), (k, level)
 
@@ -369,10 +363,10 @@ class TestDigraph:
     def test_off_ladder_cutoff_raises_at_once(self, cutoff):
         # the ladder stays whole, so the closure would be infinite
         for k in (1, 2):
-            for mode in ("cut", "loop"):
+            for loop in (False, True):
                 start = time.perf_counter()
                 with pytest.raises(ValueError, match="ladder"):
-                    build_digraph(k, truncation=TruncationPolicy(cutoff, mode))
+                    build_digraph(k, cutoff=cutoff, loop=loop)
                 assert time.perf_counter() - start < 1
             with pytest.raises(ValueError, match="ladder"):
                 gf_bound(k, "lower", cutoff=cutoff)
@@ -380,12 +374,10 @@ class TestDigraph:
     def test_truncation_closes_from_the_start_node_only(self):
         ladder = state_key((1, 2, 3, 4), 1)
         with pytest.raises(ValueError, match="start node"):
-            build_digraph(1, truncation=TruncationPolicy(DEFAULT_CUTOFF[1]),
-                          root=ladder)
+            build_digraph(1, cutoff=DEFAULT_CUTOFF[1], root=ladder)
 
     def test_dot_export(self):
-        g = build_digraph(1, truncation=TruncationPolicy(
-            DEFAULT_CUTOFF[1], "loop"))
+        g = build_digraph(1, cutoff=DEFAULT_CUTOFF[1], loop=True)
         dot = g.to_dot()
         assert dot.startswith("digraph")
         assert 'label="12"' in dot
@@ -399,8 +391,8 @@ class TestDigraph:
             if how == 60:
                 g = build_digraph(k, depth=60)
             else:
-                g = build_digraph(k, truncation=TruncationPolicy(
-                    DEFAULT_CUTOFF[k], how))
+                g = build_digraph(k, cutoff=DEFAULT_CUTOFF[k],
+                                  loop=how == "loop")
             assert hashlib.sha256(g.to_dot().encode()).hexdigest() == \
                 digest, (k, how)
 
@@ -409,9 +401,14 @@ class TestDigraph:
             build_digraph(1)
         with pytest.raises(ValueError):
             build_digraph(3, depth=2)
-        for truncation in (None, TruncationPolicy(DEFAULT_CUTOFF[1], "cut")):
+        for cutoff in (None, DEFAULT_CUTOFF[1]):
             with pytest.raises(ValueError, match="depth must be nonnegative"):
-                build_digraph(1, depth=-3, truncation=truncation)
+                build_digraph(1, depth=-3, cutoff=cutoff)
+
+    def test_loop_needs_a_cutoff(self):
+        for depth in (None, 0, 5):
+            with pytest.raises(ValueError, match="loop mode needs"):
+                build_digraph(1, depth=depth, loop=True)
 
 
 def _push_walks(g, steps):
@@ -448,9 +445,8 @@ class TestWalks:
 
     def test_truncation_closures(self):
         for k in (1, 2):
-            for mode in ("cut", "loop"):
-                g = build_digraph(k, truncation=TruncationPolicy(
-                    DEFAULT_CUTOFF[k], mode))
+            for loop in (False, True):
+                g = build_digraph(k, cutoff=DEFAULT_CUTOFF[k], loop=loop)
                 _assert_walks_match_push_form(g, 60)
 
     def test_rooted_ladder_subgraphs(self):
@@ -511,8 +507,7 @@ class TestGrowthBounds:
     def test_matches_resolvent_elimination(self):
         # independent oracle: 1 + x + 2 x^2 times the start row of
         # (I - xA)^{-1}, summed, solved over the rational-function field
-        g = build_digraph(2, truncation=TruncationPolicy(DEFAULT_CUTOFF[2],
-                                                         mode="loop"))
+        g = build_digraph(2, cutoff=DEFAULT_CUTOFF[2], loop=True)
         walks = RationalFunction.zero()
         for entry in matrix_resolvent_row(g.adjacency(), 0):
             walks = walks + entry
