@@ -73,12 +73,21 @@ class TestTwoConvexComponents:
         # walks from 1245: its own empty walk is a return to it
         tot, bot1, bot2 = k2_components(10)
         assert (tot[0], bot1[0], bot2[0]) == (1, 1, 0)
-        # a tracked node not reached within the order has a zero series
-        for order in range(4):
-            assert k2_components(order) == tuple(
-                s.truncate(order) for s in (tot, bot1, bot2)), order
         with pytest.raises(ValueError, match="root must be"):
             f2_formula_series(10, root="9999")
+
+    def test_small_orders(self):
+        # a tracked node not reached within the order has a zero series
+        deep = k2_components(10)
+        for order in range(4):
+            assert k2_components(order) == tuple(
+                s.truncate(order) for s in deep), order
+        # both rootings of the closed form stay exact at tiny orders
+        for root in ("1234", "1245"):
+            deep = f2_formula_series(10, root=root)
+            for order in range(4):
+                assert f2_formula_series(order, root=root) == deep.truncate(
+                    order), (root, order)
 
     def test_1234_rooting_matches_direct_walk(self):
         # the rooting f2_formula_series derives for 1234, (1 + q tot,
