@@ -1,5 +1,5 @@
-"""Layer timings of the exhaustive searches and the digraph labels,
-and the size of the library's code.
+"""Layer timings of the exhaustive searches, the digraph labels and
+the 2-convex formula report, and the size of the library's code.
 
     python bench/layers.py [--label NAME] [--src DIR]
 
@@ -8,7 +8,8 @@ and its best time is kept.  Every result is checked against
 ``tests/_goldens.py`` first, and a wrong one stops the run with exit 1.
 No cache is left in ``convexenum.perms``, so the labels are timed cold.
 The code size is the number of lines of ``src`` that hold a token,
-leaving out blank lines, comments and docstrings.
+leaving out blank lines, comments and docstrings, in total and per
+module.
 
 Start-up is not timed here: a best of five fresh interpreters cannot
 resolve differences below about 30 ms on a noisy 2-core host.  The
@@ -41,7 +42,7 @@ OUT = ROOT / "BENCH_layers.json"
 REPEAT = 5
 
 
-def cases(perms, words, g):
+def cases(cfrac, perms, words, g):
     """(name, call, check) for every timed case."""
     search = g.SEARCH_COUNTS
 
@@ -68,6 +69,10 @@ def cases(perms, words, g):
          lambda: perms.count_perms_bruteforce(11, 4),
          lambda out: out == search[11, 11, 4, True]),
         ("labels of build_digraph(2, 150), cold", *labels(2, 150)),
+        ("f2_formula_check(40)",
+         lambda: cfrac.f2_formula_check(40),
+         lambda out: out["exact"][1:13] == g.TABLE_F2
+         and out["derived_closed_form_agrees"] is True),
     ]
 
 
@@ -86,11 +91,11 @@ _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENDMARKER}
 
 
-def code_lines(src: Path) -> int:
-    """Lines of the ``.py`` files under ``src`` that hold a token, not
-    counting blank lines, comments and docstrings."""
-    total = 0
-    for path in src.rglob("*.py"):
+def code_lines(src: Path) -> dict[str, int]:
+    """Lines of each ``.py`` file under ``src`` that hold a token, not
+    counting blank lines, comments and docstrings, by module name."""
+    counts = {}
+    for path in sorted(src.rglob("*.py")):
         text = path.read_text()
         docstrings = set()
         for node in ast.walk(ast.parse(text)):
@@ -103,8 +108,10 @@ def code_lines(src: Path) -> int:
         for tok in tokenize.generate_tokens(io.StringIO(text).readline):
             if tok.type not in _NOT_CODE:
                 lines.update(range(tok.start[0], tok.end[0] + 1))
-        total += len(lines - docstrings)
-    return total
+        parts = path.relative_to(src).with_suffix("").parts
+        module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        counts[module] = len(lines - docstrings)
+    return counts
 
 
 def main(argv=None) -> int:
@@ -114,13 +121,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sys.path[:0] = [str(args.src.resolve()), str(ROOT / "tests")]
     import _goldens
-    from convexenum import perms, words
+    from convexenum import cfrac, perms, words
 
     times = {}
-    for name, call, check in cases(perms, words, _goldens):
+    for name, call, check in cases(cfrac, perms, words, _goldens):
         times[name] = round(best_time(call, check), 5)
         print(f"{times[name] * 1000:10.1f} ms  {name}")
-    lines = code_lines(args.src)
+    by_module = code_lines(args.src)
+    lines = sum(by_module.values())
     print(f"{lines:10d} code lines in {args.src}")
 
     report = json.loads(OUT.read_text()) if OUT.exists() else {}
@@ -131,6 +139,7 @@ def main(argv=None) -> int:
         "statistic": f"best of {REPEAT}, in process",
         "times_s": times,
         "src_code_lines": lines,
+        "src_code_lines_by_module": by_module,
     }
     first = {}  # case -> its time in the first run that timed it
     for run in runs.values():

@@ -166,9 +166,10 @@ def k2_components(order: int = DEFAULT_ORDER):
             TruncatedSeries(bot2, order))
 
 
-def f2_formula_series(order: int = DEFAULT_ORDER,
-                      root: str = "1234") -> TruncatedSeries:
-    """Evaluate the reference closed form for f_2 from the components.
+def f2_formula_series(components, root: str = "1234") -> TruncatedSeries:
+    """Evaluate the reference closed form for f_2 from the components
+    (tot', bot1', bot2') that :func:`k2_components` returns, to their
+    order.
 
     The closed form is stated in prose that leaves the walk root of the
     component series ambiguous; both rootings, "1234" and "1245", are
@@ -176,9 +177,10 @@ def f2_formula_series(order: int = DEFAULT_ORDER,
     """
     if root not in ("1234", "1245"):
         raise ValueError("root must be '1234' or '1245'")
+    totp, bot1, bot2 = components
+    order = totp.order
     q = TruncatedSeries.x(order)
     one = TruncatedSeries.one(order)
-    totp, bot1, bot2 = k2_components(order)
     if root == "1234":  # one L step first; see k2_components
         totp, bot1, bot2 = one + q * totp, q * bot1, q * bot2
 
@@ -191,8 +193,10 @@ def f2_formula_series(order: int = DEFAULT_ORDER,
     return one + q - 2 * p(2) * (num / den)
 
 
-def f2_exact_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """Exact f_2 series from the subgraph components (derived closed form).
+def f2_exact_series(components) -> TruncatedSeries:
+    """Exact f_2 series, to their order, from the components
+    (tot', bot1', bot2') that :func:`k2_components` returns (derived
+    closed form).
 
     The lower part of the 2-convex digraph is a fixed 5-node system; the
     upper subgraph enters through the node 1234, whose episode weight
@@ -201,9 +205,10 @@ def f2_exact_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
     walks ending on 1245 re-enter at 1223 after 3 more steps, and walks
     ending on 1256 re-enter at 1234 after 4 more steps.
     """
+    totp, bot1, bot2 = components
+    order = totp.order
     q = TruncatedSeries.x(order)
     one = TruncatedSeries.one(order)
-    totp, bot1, bot2 = k2_components(order)
 
     def p(exp):
         return TruncatedSeries.monomial(exp, order)
@@ -235,9 +240,10 @@ def f2_formula_check(order: int = 20) -> dict:
     if order < 0:
         raise ValueError("order must be nonnegative")
     exact = [1] + perm_counts(2, order)
+    components = k2_components(order)
     report = {"order": order, "exact": exact, "evaluations": {}}
     for root in ("1234", "1245"):
-        formula = f2_formula_series(order, root=root)
+        formula = f2_formula_series(components, root=root)
         per_coeff = []
         first_mismatch = None
         for n in range(order + 1):
@@ -251,7 +257,7 @@ def f2_formula_check(order: int = 20) -> dict:
             "first_mismatch": first_mismatch,
             "agrees": first_mismatch is None,
         }
-    derived = f2_exact_series(order)
+    derived = f2_exact_series(components)
     report["derived_closed_form_agrees"] = all(
         derived[n] == exact[n] for n in range(order + 1))
     report["agrees"] = any(ev["agrees"]

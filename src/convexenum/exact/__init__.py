@@ -1,25 +1,3 @@
 """Exact arithmetic kernel: polynomials, truncated series, rational
 functions, linear algebra over those rings, and certified real root
 isolation."""
-
-from convexenum.exact.polynomial import Polynomial
-from convexenum.exact.series import TruncatedSeries, DEFAULT_ORDER
-from convexenum.exact.ratfun import RationalFunction
-from convexenum.exact.linalg import (
-    SeriesMatrix,
-    solve_series_system,
-    matrix_resolvent_row,
-)
-from convexenum.exact.roots import smallest_positive_root, render_interval
-
-__all__ = [
-    "Polynomial",
-    "TruncatedSeries",
-    "DEFAULT_ORDER",
-    "RationalFunction",
-    "SeriesMatrix",
-    "solve_series_system",
-    "matrix_resolvent_row",
-    "smallest_positive_root",
-    "render_interval",
-]

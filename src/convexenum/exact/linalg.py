@@ -65,7 +65,7 @@ def solve_series_system(m: SeriesMatrix, rhs) -> list[TruncatedSeries]:
         a[col] = [e * inv for e in a[col]]
         b[col] = b[col] * inv
         for r in range(n):
-            if r == col or a[r][col].is_zero():
+            if r == col or not a[r][col]:
                 continue
             f = a[r][col]
             a[r] = [e - f * p for e, p in zip(a[r], a[col])]

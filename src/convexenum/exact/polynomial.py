@@ -54,17 +54,11 @@ class Polynomial:
         return cls((0, 1))
 
     @classmethod
-    def from_terms(cls, terms) -> "Polynomial":
-        """Build from {exponent: coefficient} or (exponent, coeff) pairs."""
-        if hasattr(terms, "items"):
-            terms = terms.items()
-        terms = list(terms)
-        if not terms:
-            return cls.zero()
-        n = max(e for e, _ in terms)
-        cs = [0] * (n + 1)
-        for e, c in terms:
-            cs[e] += exact_coefficient(c)
+    def from_terms(cls, terms: dict) -> "Polynomial":
+        """Build from {exponent: coefficient}."""
+        cs = [0] * (max(terms, default=-1) + 1)
+        for e, c in terms.items():
+            cs[e] = c
         return cls(cs)
 
     # -- basics -------------------------------------------------------
@@ -72,9 +66,6 @@ class Polynomial:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -90,8 +81,6 @@ class Polynomial:
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial):
             return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == Polynomial((other,))
         return NotImplemented
 
     def __hash__(self):
@@ -156,7 +145,7 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if other.is_zero():
+        if not other:
             raise ZeroDivisionError("division by zero polynomial")
         rem = list(self.coeffs)
         div = other.coeffs
@@ -189,7 +178,7 @@ class Polynomial:
     def pseudo_remainder(self, other: "Polynomial") -> "Polynomial":
         """lc(other)^(deg self - deg other + 1) * (self mod other), without
         division (Knuth, TAOCP vol. 2, 4.6.1, Algorithm R)."""
-        if other.is_zero():
+        if not other:
             raise ZeroDivisionError("division by zero polynomial")
         rem, div = list(self.coeffs), other.coeffs
         lead, top = div[-1], len(div) - 1

@@ -23,7 +23,7 @@ class RationalFunction:
     def __init__(self, num, den=Polynomial((1,))):
         num = self._as_poly(num)
         den = self._as_poly(den)
-        if den.is_zero():
+        if not den:
             raise ZeroDivisionError("zero denominator")
         num, den = self._canonicalize(num, den)
         object.__setattr__(self, "num", num)
@@ -38,7 +38,7 @@ class RationalFunction:
 
     @staticmethod
     def _canonicalize(num: Polynomial, den: Polynomial):
-        if num.is_zero():
+        if not num:
             return Polynomial.zero(), Polynomial.one()
         g = num.gcd(den)
         if g.degree > 0:
@@ -106,17 +106,13 @@ class RationalFunction:
     def one(cls) -> "RationalFunction":
         return cls(Polynomial.one())
 
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __bool__(self):
-        return not self.is_zero()
+    def __bool__(self) -> bool:
+        return bool(self.num)
 
     def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
+        if isinstance(other, RationalFunction):
+            return self.num == other.num and self.den == other.den
+        return NotImplemented
 
     def __hash__(self):
         return hash((self.num, self.den))
@@ -164,7 +160,7 @@ class RationalFunction:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if other.is_zero():
+        if not other:
             raise ZeroDivisionError("division by zero rational function")
         return RationalFunction(self.num * other.den, self.den * other.num)
 

@@ -55,7 +55,7 @@ def smallest_positive_root(p: Polynomial, precision: int = 18,
     """
     if precision < 1:
         raise ValueError("precision must be positive")
-    if p.is_zero():
+    if not p:
         raise ValueError("zero polynomial")
     if p[0] == 0:
         raise ValueError("p(0) = 0; strip the root at the origin first")

@@ -16,17 +16,17 @@ class TruncatedSeries:
 
     Coefficients are normalized (see ``exact_coefficient``): integers
     stay ``int``, and a series with constant term 1 or -1 inverts without
-    leaving the integers.  Arithmetic never reads or writes coefficients beyond the
-    order; binary operations between series of different orders truncate
-    to the smaller one.
+    leaving the integers.  Arithmetic never reads or writes coefficients
+    beyond the order.  Both operands of a binary operation have this one
+    order: an ``int`` or ``Fraction`` is a constant series of it, and a
+    series of another order raises ``ValueError``.  The zero series is
+    falsy.
     """
 
     __slots__ = ("order", "coeffs")
 
-    def __init__(self, coeffs, order: int | None = None):
+    def __init__(self, coeffs, order: int):
         cs = [exact_coefficient(c) for c in coeffs]
-        if order is None:
-            order = len(cs) - 1
         if order < 0:
             raise ValueError("order must be nonnegative")
         if len(cs) < order + 1:
@@ -80,32 +80,27 @@ class TruncatedSeries:
     def __hash__(self):
         return hash((self.order, self.coeffs))
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+    def __bool__(self) -> bool:
+        return any(self.coeffs)
 
     # -- arithmetic ---------------------------------------------------
 
-    @staticmethod
-    def _coerce(other, order):
+    def _operand(self, other):
         if isinstance(other, TruncatedSeries):
+            if other.order != self.order:
+                raise ValueError(
+                    f"series orders differ: {self.order} and {other.order}")
             return other
         if isinstance(other, (int, Fraction)):
-            return TruncatedSeries((other,), order)
+            return TruncatedSeries((other,), self.order)
         return NotImplemented
 
-    def _pair(self, other):
-        other = self._coerce(other, self.order)
-        if other is NotImplemented:
-            return NotImplemented, None
-        n = min(self.order, other.order)
-        return self.truncate(n), other.truncate(n)
-
     def __add__(self, other):
-        a, b = self._pair(other)
-        if a is NotImplemented:
+        other = self._operand(other)
+        if other is NotImplemented:
             return NotImplemented
         return TruncatedSeries(
-            tuple(x + y for x, y in zip(a.coeffs, b.coeffs)), a.order)
+            tuple(x + y for x, y in zip(self.coeffs, other.coeffs)), self.order)
 
     __radd__ = __add__
 
@@ -113,26 +108,26 @@ class TruncatedSeries:
         return TruncatedSeries(tuple(-c for c in self.coeffs), self.order)
 
     def __sub__(self, other):
-        a, b = self._pair(other)
-        if a is NotImplemented:
+        other = self._operand(other)
+        if other is NotImplemented:
             return NotImplemented
         return TruncatedSeries(
-            tuple(x - y for x, y in zip(a.coeffs, b.coeffs)), a.order)
+            tuple(x - y for x, y in zip(self.coeffs, other.coeffs)), self.order)
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other):
-        a, b = self._pair(other)
-        if a is NotImplemented:
+        other = self._operand(other)
+        if other is NotImplemented:
             return NotImplemented
-        n = a.order
+        n = self.order
         cs = [0] * (n + 1)
-        for i, x in enumerate(a.coeffs):
+        for i, x in enumerate(self.coeffs):
             if x == 0:
                 continue
             for j in range(n + 1 - i):
-                y = b.coeffs[j]
+                y = other.coeffs[j]
                 if y != 0:
                     cs[i + j] += x * y
         return TruncatedSeries(cs, n)
@@ -157,10 +152,10 @@ class TruncatedSeries:
         return TruncatedSeries(inv, n)
 
     def __truediv__(self, other):
-        a, b = self._pair(other)
-        if a is NotImplemented:
+        other = self._operand(other)
+        if other is NotImplemented:
             return NotImplemented
-        return a * b.invert()
+        return self * other.invert()
 
     def shift(self, exponent: int) -> "TruncatedSeries":
         """Multiply by x^exponent, keeping the truncation order."""

@@ -20,9 +20,9 @@ from convexenum.perms import realizable
 
 def euclid_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic gcd by Euclid's algorithm over the rationals."""
-    while not b.is_zero():
+    while b:
         a, b = b, a % b
-    if a.is_zero():
+    if not a:
         return a
     return a * (Fraction(1) / a.leading_coeff())
 
@@ -33,7 +33,7 @@ def squarefree_part(p: Polynomial) -> Polynomial:
 
 def sturm_chain(p: Polynomial) -> list[Polynomial]:
     chain = [p, p.derivative()]
-    while not chain[-1].is_zero():
+    while chain[-1]:
         chain.append(-(chain[-2] % chain[-1]))
     chain.pop()
     return chain
@@ -56,7 +56,7 @@ def sturm_count(chain, a: Fraction, b: Fraction) -> int:
 def smallest_positive_root(p: Polynomial, precision: int = 18,
                            search_bound=Fraction(1)):
     """Sturm isolation evaluated at ``Fraction`` points throughout."""
-    if p.is_zero():
+    if not p:
         raise ValueError("zero polynomial")
     if p(Fraction(0)) == 0:
         raise ValueError("p(0) = 0; strip the root at the origin first")

@@ -3,6 +3,7 @@
 import pytest
 
 from _goldens import TABLE_F1, TABLE_F2
+from convexenum import cfrac
 from convexenum.cfrac import (
     bot_series,
     f1_series,
@@ -64,7 +65,7 @@ class TestOneConvexSeries:
             assert int(f1[n]) == count_perms_digraph(1, n), n
         f1 = f1_series(40)
         assert [int(f1[n]) for n in range(1, 41)] == perm_counts(1, 40)
-        f2 = f2_exact_series(40)
+        f2 = f2_exact_series(k2_components(40))
         assert [int(f2[n]) for n in range(1, 41)] == perm_counts(2, 40)
 
 
@@ -74,7 +75,7 @@ class TestTwoConvexComponents:
         tot, bot1, bot2 = k2_components(10)
         assert (tot[0], bot1[0], bot2[0]) == (1, 1, 0)
         with pytest.raises(ValueError, match="root must be"):
-            f2_formula_series(10, root="9999")
+            f2_formula_series((tot, bot1, bot2), root="9999")
 
     def test_small_orders(self):
         # a tracked node not reached within the order has a zero series
@@ -84,10 +85,10 @@ class TestTwoConvexComponents:
                 s.truncate(order) for s in deep), order
         # both rootings of the closed form stay exact at tiny orders
         for root in ("1234", "1245"):
-            deep = f2_formula_series(10, root=root)
+            deep = f2_formula_series(k2_components(10), root=root)
             for order in range(4):
-                assert f2_formula_series(order, root=root) == deep.truncate(
-                    order), (root, order)
+                assert f2_formula_series(k2_components(order), root=root) \
+                    == deep.truncate(order), (root, order)
 
     def test_1234_rooting_matches_direct_walk(self):
         # the rooting f2_formula_series derives for 1234, (1 + q tot,
@@ -110,7 +111,7 @@ class TestTwoConvexComponents:
             assert [list(s.coeffs) for s in derived] == direct, order
 
     def test_derived_closed_form_is_exact(self):
-        f2 = f2_exact_series(20)
+        f2 = f2_exact_series(k2_components(20))
         assert int(f2[0]) == 1
         for n in range(1, 21):
             assert int(f2[n]) == count_perms_digraph(2, n), n
@@ -119,8 +120,9 @@ class TestTwoConvexComponents:
         # the reference closed form is checked, not assumed; both rootings
         # eventually disagree with the exact counts
         exact = [1] + [count_perms_digraph(2, n) for n in range(1, 21)]
+        components = k2_components(20)
         for root in ("1234", "1245"):
-            series = f2_formula_series(20, root=root)
+            series = f2_formula_series(components, root=root)
             assert any(int(series[n]) != exact[n] for n in range(21)), root
 
 
@@ -141,3 +143,18 @@ class TestFormulaReport:
         report = f2_formula_check(16)
         assert report["evaluations"]["root_1234"]["first_mismatch"] == 7
         assert report["evaluations"]["root_1245"]["first_mismatch"] == 13
+
+    def test_components_are_built_once(self, monkeypatch):
+        # both formula rootings and the derived closed form read one
+        # triple of components
+        calls = []
+
+        def counted(order):
+            calls.append(order)
+            return k2_components(order)
+
+        monkeypatch.setattr(cfrac, "k2_components", counted)
+        report = f2_formula_check(12)
+        assert calls == [12]
+        assert report["exact"][1:] == TABLE_F2
+        assert report["derived_closed_form_agrees"] is True

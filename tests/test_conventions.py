@@ -5,6 +5,9 @@ file under ``src/`` and ``tests/`` is parsed, and neither
 ``from convexenum... import _name`` nor ``<convexenum module>._name``
 may appear.  Dunder names such as ``__version__`` are public.
 
+Every name has one import path, its defining module: no package
+``__init__.py`` imports anything or binds a name other than a dunder.
+
 Every name the benchmark's tracer (``perfbench/tracing.py``) wraps
 still exists, with the parameters its counter hooks read, and each
 hook counts on a real call.
@@ -105,6 +108,27 @@ def test_the_check_finds_both_forms():
         "convexenum.perms._SEED",
         "convexenum.exact.series._private",
         "convexenum.words._word_counts"]
+
+
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def test_package_inits_bind_only_dunders():
+    inits = sorted(SRC.rglob("__init__.py"))
+    assert len(inits) >= 2
+    for path in inits:
+        tree = ast.parse(path.read_text())
+        imports = [node for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))]
+        bound = [node.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Name)
+                 and isinstance(node.ctx, ast.Store)]
+        bound += [node.name for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                       ast.ClassDef))]
+        assert not imports, path.relative_to(ROOT)
+        assert all(map(_dunder, bound)), path.relative_to(ROOT)
 
 
 def _tracing_module():

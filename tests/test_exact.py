@@ -3,6 +3,7 @@
 from fractions import Fraction
 from itertools import product
 from math import gcd
+from operator import add, mul, sub, truediv
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -45,7 +46,7 @@ def _assert_ring_laws(a, b, c, zero, one):
 class TestPolynomial:
     def test_trailing_zeros_stripped(self):
         assert Polynomial((1, 2, 0, 0)).coeffs == (1, 2)
-        assert Polynomial((0, 0)).is_zero()
+        assert not Polynomial((0, 0))
         assert Polynomial.zero().degree == -1
 
     def test_from_terms(self):
@@ -74,7 +75,7 @@ class TestPolynomial:
         g = a.gcd(b)
         assert g == 1 - x or g == Polynomial((1, -1)) * Fraction(-1)
         assert g.leading_coeff() == 1
-        assert (a % g).is_zero() and (b % g).is_zero()
+        assert not a % g and not b % g
 
     @given(*[st.lists(_FRACTIONS, max_size=4)] * 3)
     def test_gcd_matches_euclid_over_the_rationals(self, f, g, h):
@@ -160,10 +161,20 @@ class TestTruncatedSeries:
         s = x.shift(2) / (1 - x)  # x^3 + x^4 + ...
         assert s.coeffs == (0, 0, 0, 1, 1, 1, 1, 1, 1)
 
-    def test_mixed_orders_truncate_to_smaller(self):
+    def test_operands_share_one_order(self):
         a = TruncatedSeries((1, 1), 10)
         b = TruncatedSeries((1, 1), 4)
-        assert (a * b).order == 4
+        for op in (add, sub, mul, truediv):
+            for left, right in ((a, b), (b, a)):
+                with pytest.raises(ValueError, match="orders differ: "):
+                    op(left, right)
+        # a scalar is a constant series of the other operand's order
+        for c in (3, Fraction(1, 2)):
+            assert a + c == c + a == TruncatedSeries((1 + c, 1), 10)
+            assert a - c == -(c - a) == TruncatedSeries((1 - c, 1), 10)
+            assert a * c == c * a == TruncatedSeries((c, c), 10)
+            inv = 1 / Fraction(c)
+            assert a / c == TruncatedSeries((inv, inv), 10)
 
     def test_immutability(self):
         s = TruncatedSeries.one(3)
@@ -172,7 +183,8 @@ class TestTruncatedSeries:
 
     def test_counting_series_stay_int(self):
         for s in (cfrac.f1_series(80), cfrac.tot_series(60),
-                  cfrac.f2_exact_series(40), words.word_gf(3, 0).series):
+                  cfrac.f2_exact_series(cfrac.k2_components(40)),
+                  words.word_gf(3, 0).series):
             assert all(type(c) is int for c in s.coeffs)
 
     def test_non_unit_inverse_stays_exact(self):
@@ -181,8 +193,8 @@ class TestTruncatedSeries:
             assert inv[m] == Fraction(1, 2 ** (m + 1))
 
     def test_integral_fractions_are_normalized(self):
-        a = TruncatedSeries((Fraction(3), Fraction(1, 2)))
-        b = TruncatedSeries((3, Fraction(1, 2)))
+        a = TruncatedSeries((Fraction(3), Fraction(1, 2)), 1)
+        b = TruncatedSeries((3, Fraction(1, 2)), 1)
         assert a == b and hash(a) == hash(b)
         assert type(a[0]) is int
 
@@ -245,6 +257,27 @@ class TestRationalFunction:
     def test_expansion_requires_unit_denominator(self):
         with pytest.raises(ZeroDivisionError):
             RationalFunction(Polynomial.one(), Polynomial.x()).to_series(5)
+
+
+class TestValueSemantics:
+    def test_equal_only_within_one_type(self):
+        # equal values must hash equally, and these hash differently
+        assert Polynomial((5,)) != 5
+        assert RationalFunction(3) != 3
+        assert RationalFunction(Polynomial.x()) != Polynomial.x()
+
+    @given(st.lists(_FRACTIONS, max_size=4),
+           st.lists(_FRACTIONS, min_size=1, max_size=3).filter(any),
+           st.integers(0, 5))
+    def test_only_zero_is_falsy(self, cs, den, n):
+        p = Polynomial(cs)
+        s = TruncatedSeries(cs, n)
+        rf = RationalFunction(p, Polynomial(den))
+        assert bool(p) == (p != Polynomial.zero())
+        assert bool(s) == (s != TruncatedSeries.zero(n))
+        assert bool(rf) == (rf != RationalFunction.zero())
+        assert not Polynomial.zero() and not TruncatedSeries.zero(n) \
+            and not RationalFunction.zero()
 
 
 class TestFromSequence:
