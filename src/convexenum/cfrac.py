@@ -13,11 +13,11 @@ subgraph.
 from __future__ import annotations
 
 from convexenum.exact.linalg import SeriesMatrix, solve_series_system
-from convexenum.exact.series import DEFAULT_ORDER, TruncatedSeries
+from convexenum.exact.series import TruncatedSeries
 from convexenum.perms import build_digraph, perm_counts, state_key, walks
 
 
-def ladder_tower(order: int = DEFAULT_ORDER) -> tuple[TruncatedSeries, ...]:
+def ladder_tower(order: int) -> tuple[TruncatedSeries, ...]:
     """The levels H_1..H_depth of the return recurrence
     H_j = 1 / (1 - q^(3+j) H_{j+1}), solved bottom-up from a truncated 1.
 
@@ -34,12 +34,12 @@ def ladder_tower(order: int = DEFAULT_ORDER) -> tuple[TruncatedSeries, ...]:
     return tuple(reversed(levels))
 
 
-def bot_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
+def bot_series(order: int) -> TruncatedSeries:
     """Returns to the ladder root, counted by walk length."""
     return ladder_tower(order)[0]
 
 
-def tot_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
+def tot_series(order: int) -> TruncatedSeries:
     """All walks from the ladder root, counted by length."""
     return _tot_from_tower(ladder_tower(order))
 
@@ -57,25 +57,27 @@ def _tot_from_tower(tower: tuple[TruncatedSeries, ...]) -> TruncatedSeries:
         if n < len(tower):
             prod = prod * tower[n]
         # else: deeper levels are 1 to this order
-        ramp_len = 1 if n == 0 else n + 2  # 1 + q + ... + q^(n+1)
-        ramp = TruncatedSeries([1] * ramp_len, order)
-        total = total + ramp.shift(n) * prod
+        ramp_len = 1 if n == 0 else n + 2  # q^n (1 + q + ... + q^(n+1))
+        ramp = TruncatedSeries([0] * n + [1] * ramp_len, order)
+        total = total + ramp * prod
     return total
 
 
-def f1_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
+def f1_series(order: int) -> TruncatedSeries:
     """Exact counting series for 1-convex permutations by length."""
     q = TruncatedSeries.x(order)
+    q2 = TruncatedSeries.monomial(2, order)
+    q3 = TruncatedSeries.monomial(3, order)
     tower = ladder_tower(order)
     bot = tower[0]
     tot = _tot_from_tower(tower)
     one = TruncatedSeries.one(order)
-    num = one + bot * q.shift(1) + tot * q
-    den = -one + q + bot * q.shift(2)
-    return one + q - 2 * q.shift(1) * (num / den)
+    num = one + q2 * bot + q * tot
+    den = -one + q + q3 * bot
+    return one + q - 2 * q2 * (num / den)
 
 
-def m1_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
+def m1_series(order: int) -> TruncatedSeries:
     """Independent reassembly via the 5x5 weighted transfer matrix.
 
     The ladder is collapsed into two series-weighted edges (returns, and
@@ -97,7 +99,7 @@ def m1_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
     ]
     n = len(m)
     system = [
-        [(one if i == j else zero) - m[i][j] * q for j in range(n)]
+        [(one if i == j else zero) - q * m[i][j] for j in range(n)]
         for i in range(n)
     ]
     rhs = [one if i == 0 else zero for i in range(n)]
@@ -125,7 +127,7 @@ def _subgraph_walks(k: int, root, order: int, drop, ends):
     return [sum(c) for c in vectors], ending
 
 
-def ladder_walk_oracle(order: int = 20):
+def ladder_walk_oracle(order: int):
     """Exact (tot, bot) coefficient vectors from the built k=1 subgraph.
 
     The subgraph is everything reachable from the 1223 node once its
@@ -137,7 +139,7 @@ def ladder_walk_oracle(order: int = 20):
     return totals, returns
 
 
-def k2_components(order: int = DEFAULT_ORDER):
+def k2_components(order: int):
     """(tot', bot1', bot2') for the 2-convex upper subgraph, walked from
     the 1245 node.
 
@@ -228,7 +230,7 @@ def f2_exact_series(components) -> TruncatedSeries:
     return one + q + 2 * p(2) * sol[0]
 
 
-def f2_formula_check(order: int = 20) -> dict:
+def f2_formula_check(order: int) -> dict:
     """Differential report: the reference f_2 closed form vs exact counts.
 
     The walk-count pipeline is ground truth; the formula side is

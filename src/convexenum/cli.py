@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from convexenum import cfrac, perms, words
 from convexenum.exact.roots import render_interval
-from convexenum.exact.series import DEFAULT_ORDER, TruncatedSeries
+from convexenum.exact.series import TruncatedSeries
 
 
 @dataclass
@@ -223,7 +223,7 @@ def _cfrac_f2check(args, rec):
 # ---------------------------------------------------------------------------
 
 _INT = {"type": int, "required": True}
-_ORDER = {"type": int, "default": DEFAULT_ORDER}
+_ORDER = {"type": int, "default": words.DEFAULT_ORDER}
 
 
 def _command(subparsers, name: str, handler, **options) -> None:

@@ -17,7 +17,7 @@ class SeriesMatrix:
     take plain nested lists instead.
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "entries")
 
     def __init__(self, entries):
         entries = tuple(tuple(row) for row in entries)
@@ -32,36 +32,33 @@ class SeriesMatrix:
         if len({e.order for row in entries for e in row}) > 1:
             raise ValueError("entries must share one truncation order")
         object.__setattr__(self, "rows", len(entries))
-        object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
 
     def __setattr__(self, name, value):
         raise AttributeError("SeriesMatrix is immutable")
 
 
-def solve_series_system(m: SeriesMatrix, rhs) -> list[TruncatedSeries]:
-    """Solve M * F = rhs over truncated series.
+def _gauss_jordan(rows, rhs, is_unit, inverse):
+    """Solve rows * X = rhs by Gauss-Jordan elimination.
 
-    Requires a square system whose determinant is a unit in the series
-    ring; elimination pivots only on entries with a nonzero constant
-    term, so a failure to find such a pivot is exactly a non-unit
-    determinant.
+    Each column pivots on its first remaining entry for which
+    ``is_unit`` holds, and the pivot row is scaled by ``inverse`` of its
+    pivot; no such entry means the determinant is not a unit.
     """
-    if m.rows != m.cols:
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise ValueError("system matrix must be square")
-    n = m.rows
     if len(rhs) != n:
         raise ValueError("right-hand side length mismatch")
-    a = [list(row) for row in m.entries]
+    a = [list(row) for row in rows]
     b = list(rhs)
     for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col].coeffs[0] != 0), None)
+        piv = next((r for r in range(col, n) if is_unit(a[r][col])), None)
         if piv is None:
-            raise NonUnitDeterminantError(
-                f"no unit pivot in column {col}; determinant has zero constant term")
+            raise NonUnitDeterminantError(f"no unit pivot in column {col}")
         a[col], a[piv] = a[piv], a[col]
         b[col], b[piv] = b[piv], b[col]
-        inv = a[col][col].invert()
+        inv = inverse(a[col][col])
         a[col] = [e * inv for e in a[col]]
         b[col] = b[col] * inv
         for r in range(n):
@@ -73,30 +70,24 @@ def solve_series_system(m: SeriesMatrix, rhs) -> list[TruncatedSeries]:
     return b
 
 
+def solve_series_system(m: SeriesMatrix, rhs) -> list[TruncatedSeries]:
+    """Solve M * F = rhs over truncated series.
+
+    Requires a square system whose determinant is a unit in the series
+    ring: the pivots are entries with a nonzero constant term, so a
+    column without one means the determinant's constant term is zero.
+    """
+    return _gauss_jordan(m.entries, rhs, lambda e: e.coeffs[0] != 0,
+                         TruncatedSeries.invert)
+
+
 def solve_field_system(matrix, rhs):
-    """Gaussian elimination over any field (entries support /, ==, bool).
+    """Gaussian elimination over any field (entries support +, -, *,
+    ``1 / e`` and ``bool``).
 
     ``matrix`` is a square nested list; raises on a singular matrix.
     """
-    n = len(matrix)
-    a = [list(row) for row in matrix]
-    b = list(rhs)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            raise NonUnitDeterminantError(f"singular system at column {col}")
-        a[col], a[piv] = a[piv], a[col]
-        b[col], b[piv] = b[piv], b[col]
-        p = a[col][col]
-        a[col] = [e / p for e in a[col]]
-        b[col] = b[col] / p
-        for r in range(n):
-            if r == col or not a[r][col]:
-                continue
-            f = a[r][col]
-            a[r] = [e - f * pe for e, pe in zip(a[r], a[col])]
-            b[r] = b[r] - f * b[col]
-    return b
+    return _gauss_jordan(matrix, rhs, bool, lambda e: 1 / e)
 
 
 def matrix_resolvent_row(m, row: int) -> list[RationalFunction]:

@@ -9,15 +9,29 @@ from math import gcd, lcm
 def exact_coefficient(x) -> int | Fraction:
     """Normalized exact coefficient: an integer value is an ``int``, any
     other value a ``Fraction``, so equal polynomials and series have
-    equal coefficient tuples.  A ``float`` raises ``TypeError``: its
-    binary value is almost never the number that was meant."""
+    equal coefficient tuples.  Anything but an ``int`` or a ``Fraction``
+    raises ``TypeError``: a ``float``'s binary value is almost never the
+    number that was meant, and parsing a string or a ``Decimal`` is the
+    caller's choice to make."""
     if type(x) is int:
         return x
-    if isinstance(x, float):
-        raise TypeError(f"inexact coefficient {x!r}")
     if not isinstance(x, Fraction):
-        x = Fraction(x)
+        raise TypeError(f"inexact coefficient {x!r}")
     return x.numerator if x.denominator == 1 else x
+
+
+def convolve(a, b, length: int) -> list:
+    """The first ``length`` coefficients of the product of the
+    coefficient sequences ``a`` and ``b``, skipping zero terms of both."""
+    out = [0] * length
+    terms = [(j, y) for j, y in enumerate(b[:length]) if y]
+    for i, x in enumerate(a[:length]):
+        while terms and terms[-1][0] >= length - i:
+            terms.pop()  # beyond the last coefficient kept
+        if x:
+            for j, y in terms:
+                out[i + j] += x * y
+    return out
 
 
 class Polynomial:
@@ -55,7 +69,9 @@ class Polynomial:
 
     @classmethod
     def from_terms(cls, terms: dict) -> "Polynomial":
-        """Build from {exponent: coefficient}."""
+        """Build from {exponent: coefficient}; exponents are nonnegative."""
+        if any(e < 0 for e in terms):
+            raise ValueError("negative exponent")
         cs = [0] * (max(terms, default=-1) + 1)
         for e, c in terms.items():
             cs[e] = c
@@ -121,15 +137,8 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return Polynomial.zero()
-        cs = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                cs[i + j] += a * b
-        return Polynomial(cs)
+        a, b = self.coeffs, other.coeffs
+        return Polynomial(convolve(a, b, len(a) + len(b) - 1))
 
     __rmul__ = __mul__
 

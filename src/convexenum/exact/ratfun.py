@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from convexenum.exact.polynomial import Polynomial
+from convexenum.exact.polynomial import Polynomial, convolve
 from convexenum.exact.series import TruncatedSeries
 
 
@@ -95,7 +95,7 @@ class RationalFunction:
         if length > complexity_bound or any(
                 discrepancy(c, i) for i in range(2 * complexity_bound, len(s))):
             raise ArithmeticError("terms break the recovered recurrence")
-        num = [discrepancy(c, i) for i in range(length)]
+        num = convolve(c, s, length)
         return cls(Polynomial(num), Polynomial([scale * cj for cj in c]))
 
     @classmethod
@@ -174,12 +174,8 @@ class RationalFunction:
 
     def to_series(self, order: int) -> TruncatedSeries:
         """Power-series expansion; the denominator must be a unit at 0."""
-        if self.den[0] == 0:
-            raise ZeroDivisionError(
-                "denominator constant term is zero; no power-series expansion")
-        num = TruncatedSeries(self.num.coeffs, order)
-        den = TruncatedSeries(self.den.coeffs, order)
-        return num * den.invert()
+        return (TruncatedSeries(self.num.coeffs, order)
+                / TruncatedSeries(self.den.coeffs, order))
 
     def __repr__(self):
         return f"RationalFunction({self.num!r}, {self.den!r})"

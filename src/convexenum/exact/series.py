@@ -4,11 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from convexenum.exact.polynomial import exact_coefficient
-
-#: Truncation order used when callers do not specify one.  Large enough to
-#: cover every golden sequence with margin.
-DEFAULT_ORDER = 64
+from convexenum.exact.polynomial import convolve, exact_coefficient
 
 
 class TruncatedSeries:
@@ -42,20 +38,23 @@ class TruncatedSeries:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, order: int = DEFAULT_ORDER) -> "TruncatedSeries":
+    def zero(cls, order: int) -> "TruncatedSeries":
         return cls((), order)
 
     @classmethod
-    def one(cls, order: int = DEFAULT_ORDER) -> "TruncatedSeries":
+    def one(cls, order: int) -> "TruncatedSeries":
         return cls((1,), order)
 
     @classmethod
-    def x(cls, order: int = DEFAULT_ORDER) -> "TruncatedSeries":
+    def x(cls, order: int) -> "TruncatedSeries":
         return cls((0, 1), order)
 
     @classmethod
-    def monomial(cls, exponent: int,
-                 order: int = DEFAULT_ORDER) -> "TruncatedSeries":
+    def monomial(cls, exponent: int, order: int) -> "TruncatedSeries":
+        """x^exponent.  Multiplying by x^e is a product with it, best on
+        the left, where the product walks its one nonzero term."""
+        if exponent < 0:
+            raise ValueError("negative exponent")
         return cls((0,) * exponent + (1,), order)
 
     # -- basics -------------------------------------------------------
@@ -121,16 +120,8 @@ class TruncatedSeries:
         other = self._operand(other)
         if other is NotImplemented:
             return NotImplemented
-        n = self.order
-        cs = [0] * (n + 1)
-        for i, x in enumerate(self.coeffs):
-            if x == 0:
-                continue
-            for j in range(n + 1 - i):
-                y = other.coeffs[j]
-                if y != 0:
-                    cs[i + j] += x * y
-        return TruncatedSeries(cs, n)
+        return TruncatedSeries(
+            convolve(self.coeffs, other.coeffs, self.order + 1), self.order)
 
     __rmul__ = __mul__
 
@@ -156,12 +147,6 @@ class TruncatedSeries:
         if other is NotImplemented:
             return NotImplemented
         return self * other.invert()
-
-    def shift(self, exponent: int) -> "TruncatedSeries":
-        """Multiply by x^exponent, keeping the truncation order."""
-        if exponent < 0:
-            raise ValueError("negative shift")
-        return TruncatedSeries((0,) * exponent + self.coeffs, self.order)
 
     def __repr__(self):
         return f"TruncatedSeries({list(self.coeffs)!r}, order={self.order})"

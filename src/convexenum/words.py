@@ -14,7 +14,11 @@ from itertools import accumulate
 from math import perm
 
 from convexenum.exact.ratfun import RationalFunction
-from convexenum.exact.series import DEFAULT_ORDER, TruncatedSeries
+from convexenum.exact.series import TruncatedSeries
+
+#: Order of :func:`word_gf`, and of the CLI's series, when none is given.
+#: Large enough to cover every golden sequence with margin.
+DEFAULT_ORDER = 64
 
 
 @dataclass(frozen=True)

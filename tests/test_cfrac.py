@@ -42,6 +42,13 @@ class TestLadderSeries:
             large = series(36)
             assert large.truncate(18) == small
 
+    def test_order_is_required(self):
+        for fn in (ladder_tower, bot_series, tot_series, f1_series,
+                   m1_series, k2_components, ladder_walk_oracle,
+                   f2_formula_check):
+            with pytest.raises(TypeError):
+                fn()
+
     def test_tower_levels_are_unit_series(self):
         for j, level in enumerate(ladder_tower(20), start=1):
             assert level[0] == 1

@@ -1,5 +1,6 @@
 """Unit tests for the exact-arithmetic core."""
 
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -17,7 +18,7 @@ from convexenum.exact.linalg import (
     solve_field_system,
     solve_series_system,
 )
-from convexenum.exact.polynomial import Polynomial, exact_coefficient
+from convexenum.exact.polynomial import Polynomial, convolve, exact_coefficient
 from convexenum.exact.ratfun import RationalFunction
 from convexenum.exact.roots import (
     NoRootError,
@@ -53,6 +54,16 @@ class TestPolynomial:
         p = Polynomial.from_terms({0: 1, 3: -2})
         assert p.coeffs == (1, 0, 0, -2)
         assert Polynomial.from_terms({}) == Polynomial.zero()
+        for terms in ({2: 1, -1: 3}, {-3: 5}):
+            with pytest.raises(ValueError, match="negative exponent"):
+                Polynomial.from_terms(terms)
+
+    @given(st.lists(st.integers(-3, 3), max_size=6),
+           st.lists(st.integers(-3, 3), max_size=6), st.integers(0, 12))
+    def test_convolve_is_the_truncated_product(self, a, b, length):
+        schoolbook = [sum(a[i] * b[n - i] for i in range(len(a))
+                          if 0 <= n - i < len(b)) for n in range(length)]
+        assert convolve(a, b, length) == schoolbook
 
     def test_ring_arithmetic(self):
         x = Polynomial.x()
@@ -133,13 +144,16 @@ class TestPolynomial:
         assert type(g.coeffs[0]) is Fraction
 
     def test_floats_rejected(self):
-        # 0.1 would otherwise be kept as its binary value
-        with pytest.raises(TypeError):
-            exact_coefficient(0.1)
-        with pytest.raises(TypeError):
-            Polynomial([0.5])
-        with pytest.raises(TypeError):
-            TruncatedSeries([0.5], 2)
+        # 0.1 would otherwise be kept as its binary value, the string
+        # "12" read as the coefficients 1 and 2, and a Decimal parsed
+        for value in (0.1, "12", Decimal("0.5")):
+            with pytest.raises(TypeError):
+                exact_coefficient(value)
+            coeffs = value if isinstance(value, str) else [value]
+            with pytest.raises(TypeError):
+                Polynomial(coeffs)
+            with pytest.raises(TypeError):
+                TruncatedSeries(coeffs, 2)
 
 
 class TestTruncatedSeries:
@@ -156,10 +170,24 @@ class TestTruncatedSeries:
         with pytest.raises(ZeroDivisionError):
             TruncatedSeries.x(5).invert()
 
-    def test_shift_and_division(self):
+    def test_monomial_product_and_division(self):
         x = TruncatedSeries.x(8)
-        s = x.shift(2) / (1 - x)  # x^3 + x^4 + ...
+        x2 = TruncatedSeries.monomial(2, 8)
+        assert x2 == x * x
+        assert TruncatedSeries.monomial(0, 8) == TruncatedSeries.one(8)
+        s = x2 * x / (1 - x)  # x^3 + x^4 + ...
         assert s.coeffs == (0, 0, 0, 1, 1, 1, 1, 1, 1)
+        assert TruncatedSeries.monomial(9, 8) == TruncatedSeries.zero(8)
+        with pytest.raises(ValueError, match="negative exponent"):
+            TruncatedSeries.monomial(-2, 5)
+
+    def test_order_is_required(self):
+        for make in (TruncatedSeries.zero, TruncatedSeries.one,
+                     TruncatedSeries.x):
+            with pytest.raises(TypeError):
+                make()
+        with pytest.raises(TypeError):
+            TruncatedSeries.monomial(2)
 
     def test_operands_share_one_order(self):
         a = TruncatedSeries((1, 1), 10)
@@ -385,6 +413,19 @@ class TestLinearAlgebra:
             [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]],
             [Fraction(5), Fraction(10)])
         assert sol == [Fraction(1), Fraction(3)]
+
+    def test_system_shape_is_checked(self):
+        f = Fraction
+        for matrix in ([[f(1), f(5)]], [[f(1), f(2)], [f(3)]]):
+            with pytest.raises(ValueError, match="must be square"):
+                solve_field_system(matrix, [f(2)] * len(matrix))
+        with pytest.raises(ValueError, match="length mismatch"):
+            solve_field_system([[f(1)]], [f(1), f(2)])
+        one = TruncatedSeries.one(3)
+        with pytest.raises(ValueError, match="must be square"):
+            solve_series_system(SeriesMatrix([[one, one]]), [one])
+        with pytest.raises(ValueError, match="length mismatch"):
+            solve_series_system(SeriesMatrix([[one]]), [one, one])
 
     def test_resolvent_counts_walks(self):
         # two-cycle: walks from 0 back and forth alternate 1, 0, 1, ...
