@@ -12,27 +12,25 @@ in-band as skipped.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import sys
-import traceback
-from dataclasses import dataclass, field
 
 from convexenum import cfrac, perms, words
 from convexenum.exact.roots import render_interval
 from convexenum.exact.series import TruncatedSeries
 
 
-@dataclass
 class OutputRecord:
     """Machine-readable result of one CLI invocation."""
 
-    command: str
-    parameters: dict
-    results: list = field(default_factory=list)
-    provenance: list = field(default_factory=list)
-    exit_code: int = 0
+    __slots__ = ("command", "parameters", "results", "provenance", "exit_code")
+
+    def __init__(self, command: str, parameters: dict):
+        self.command = command
+        self.parameters = parameters
+        self.results = []
+        self.provenance = []
+        self.exit_code = 0
 
     def add(self, name: str, value) -> None:
         self.results.append((name, value))
@@ -47,9 +45,13 @@ class OutputRecord:
 
 
 def _render(record: OutputRecord, fmt: str) -> str:
+    # json and csv are imported by the formats that use them, so that a
+    # command's start-up does not pay for either
     if fmt == "json":
+        import json
         return json.dumps(record.to_dict(), indent=2, sort_keys=False) + "\n"
     if fmt == "csv":
+        import csv
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["name", "value"])
@@ -297,6 +299,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:
+        import traceback  # here, so that start-up does not pay for it
         traceback.print_exc()
         return 3
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from convexenum.exact.polynomial import Polynomial
 from convexenum.exact.ratfun import RationalFunction
 from convexenum.exact.series import TruncatedSeries
@@ -83,11 +85,13 @@ def solve_series_system(m: SeriesMatrix, rhs) -> list[TruncatedSeries]:
 
 def solve_field_system(matrix, rhs):
     """Gaussian elimination over any field (entries support +, -, *,
-    ``1 / e`` and ``bool``).
+    ``bool`` and division of a ``Fraction`` by them).
 
     ``matrix`` is a square nested list; raises on a singular matrix.
+    Each pivot is inverted as ``Fraction(1) / e``, so integer entries
+    give exact ``Fraction`` results, never floats.
     """
-    return _gauss_jordan(matrix, rhs, bool, lambda e: 1 / e)
+    return _gauss_jordan(matrix, rhs, bool, lambda e: Fraction(1) / e)
 
 
 def matrix_resolvent_row(m, row: int) -> list[RationalFunction]:

@@ -12,7 +12,6 @@ permutations themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
 
@@ -21,17 +20,31 @@ from convexenum.exact.roots import decimal_value, smallest_positive_root
 from convexenum.words import convex_sequences, count_convex_sequences
 
 
-@dataclass(frozen=True)
 class Permutation:
     """A bijection on [1, n] in one-line notation."""
 
-    entries: tuple[int, ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        n = len(self.entries)
-        if sorted(self.entries) != list(range(1, n + 1)):
-            raise ValueError(f"{self.entries} is not a permutation of [1, {n}]")
+    def __init__(self, entries):
+        entries = tuple(entries)
+        n = len(entries)
+        if sorted(entries) != list(range(1, n + 1)):
+            raise ValueError(f"{entries} is not a permutation of [1, {n}]")
+        object.__setattr__(self, "entries", entries)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Permutation is immutable")
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Permutation):
+            return self.entries == other.entries
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.entries)
+
+    def __repr__(self):
+        return f"Permutation({self.entries!r})"
 
     @property
     def n(self) -> int:
@@ -263,13 +276,22 @@ def canonicalize_state(t: tuple[int, int, int, int],
 DEFAULT_CUTOFF = {1: (1, 2, 6, 7), 2: (1, 2, 7, 8)}
 
 
-@dataclass(frozen=True)
 class DescendantDigraph:
-    """Finite piece of the identically-descending transition digraph."""
+    """Finite piece of the identically-descending transition digraph.
 
-    k: int
-    nodes: tuple  # merged state keys, BFS order; index 0 is the root
-    edges: tuple  # (from_index, to_index, "L"/"R")
+    ``nodes`` are merged state keys in BFS order, index 0 the root;
+    ``edges`` are ``(from_index, to_index, "L"/"R")``.
+    """
+
+    __slots__ = ("k", "nodes", "edges")
+
+    def __init__(self, k: int, nodes: tuple, edges: tuple):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "edges", edges)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("DescendantDigraph is immutable")
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -482,24 +504,44 @@ def count_perms_digraph(k: int, n: int) -> int:
 # Rational bounds on the growth constant
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class GrowthBounds:
-    k: int
-    lower_gf: RationalFunction
-    upper_gf: RationalFunction
-    lower_root: tuple[Fraction, Fraction]
-    upper_root: tuple[Fraction, Fraction]
-    lower_rate: str
-    upper_rate: str
+    """The bound GFs of f_k, their smallest positive roots as intervals,
+    and the growth-rate bounds those roots give, as decimal strings."""
+
+    __slots__ = ("k", "lower_gf", "upper_gf", "lower_root", "upper_root",
+                 "lower_rate", "upper_rate")
+
+    def __init__(self, k: int, lower_gf: RationalFunction,
+                 upper_gf: RationalFunction,
+                 lower_root: tuple[Fraction, Fraction],
+                 upper_root: tuple[Fraction, Fraction],
+                 lower_rate: str, upper_rate: str):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "lower_gf", lower_gf)
+        object.__setattr__(self, "upper_gf", upper_gf)
+        object.__setattr__(self, "lower_root", lower_root)
+        object.__setattr__(self, "upper_root", upper_root)
+        object.__setattr__(self, "lower_rate", lower_rate)
+        object.__setattr__(self, "upper_rate", upper_rate)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GrowthBounds is immutable")
 
 
 def gf_bound(k: int, side: str,
              cutoff: tuple[int, int, int, int] | None = None) -> RationalFunction:
-    """Rational generating function bounding f_k(n) from below or above.
+    """Rational generating function of a truncated digraph's walk totals:
+    the ``"lower"`` side cuts the digraph, the ``"upper"`` side cuts it
+    and adds loop truncation's self-loop.
 
-    The truncated (cut) digraph undercounts walks, the loop-augmented one
-    overcounts; the walk totals W(x) from the start node are rescaled to
-    full counts as 1 + x + 2 x^2 W(x).  With n nodes, W = P/D where D is
+    The cut digraph is a subgraph of the infinite one, so its totals are
+    at most f_k(n).  The loop digraph gives the published upper GF, but
+    its totals do not dominate either: at the default cutoffs and
+    n <= 250 they fall below f_k(n) at every n >= 8 (k = 1) and n >= 9
+    (k = 2), so no certificate for the upper rate exists yet.
+
+    The walk totals W(x) from the start node are rescaled to full
+    counts as 1 + x + 2 x^2 W(x).  With n nodes, W = P/D where D is
     det(I - xA) of degree <= n and deg P < n, so the bound has linear
     complexity at most n + 2: the integer walk DP supplies its first
     2n + 4 coefficients (plus two checked ones), from which
@@ -517,7 +559,10 @@ def gf_bound(k: int, side: str,
 
 
 def growth_bounds(k: int, precision: int = 20) -> GrowthBounds:
-    """Certified interval bounds on the exponential growth rate of f_k."""
+    """Bounds on the exponential growth rate of f_k from the smallest
+    roots of both :func:`gf_bound` sides, isolated in certified
+    intervals; only the lower rate is a proved bound (see
+    :func:`gf_bound`)."""
     if precision < 1:
         raise ValueError("precision must be positive")
     lower = gf_bound(k, "lower")

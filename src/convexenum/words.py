@@ -9,7 +9,6 @@ encode/decode pair below realizes that bijection explicitly.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
 from itertools import accumulate
 from math import perm
 
@@ -21,18 +20,33 @@ from convexenum.exact.series import TruncatedSeries
 DEFAULT_ORDER = 64
 
 
-@dataclass(frozen=True)
 class Word:
     """A finite sequence of letters from the alphabet [1, p]."""
 
-    letters: tuple[int, ...]
-    alphabet_size: int
+    __slots__ = ("letters", "alphabet_size")
 
-    def __post_init__(self):
-        object.__setattr__(self, "letters", tuple(self.letters))
-        for x in self.letters:
-            if not 1 <= x <= self.alphabet_size:
-                raise ValueError(f"letter {x} outside [1, {self.alphabet_size}]")
+    def __init__(self, letters, alphabet_size: int):
+        letters = tuple(letters)
+        for x in letters:
+            if not 1 <= x <= alphabet_size:
+                raise ValueError(f"letter {x} outside [1, {alphabet_size}]")
+        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "alphabet_size", alphabet_size)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Word is immutable")
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Word):
+            return (self.letters == other.letters
+                    and self.alphabet_size == other.alphabet_size)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.letters, self.alphabet_size))
+
+    def __repr__(self):
+        return f"Word({self.letters!r}, {self.alphabet_size!r})"
 
     def __len__(self):
         return len(self.letters)
@@ -42,18 +56,32 @@ class Word:
         return sep.join(str(x) for x in self.letters)
 
 
-@dataclass(frozen=True)
 class IntegerPartition:
     """Parts stored weakly increasing; total is their sum."""
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
-        if any(p <= 0 for p in self.parts):
+    def __init__(self, parts):
+        parts = tuple(parts)
+        if any(p <= 0 for p in parts):
             raise ValueError("parts must be positive")
-        if any(a > b for a, b in zip(self.parts, self.parts[1:])):
+        if any(a > b for a, b in zip(parts, parts[1:])):
             raise ValueError("parts must be weakly increasing")
+        object.__setattr__(self, "parts", parts)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("IntegerPartition is immutable")
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, IntegerPartition):
+            return self.parts == other.parts
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.parts)
+
+    def __repr__(self):
+        return f"IntegerPartition({self.parts!r})"
 
     @property
     def total(self) -> int:
@@ -63,14 +91,20 @@ class IntegerPartition:
         return "{" + ",".join(str(p) for p in self.parts) + "}" if self.parts else "{}"
 
 
-@dataclass(frozen=True)
 class WordGF:
     """Generating-function bundle for fixed (p, k)."""
 
-    p: int
-    k: int
-    series: TruncatedSeries
-    ratfun: RationalFunction | None = field(default=None)
+    __slots__ = ("p", "k", "series", "ratfun")
+
+    def __init__(self, p: int, k: int, series: TruncatedSeries,
+                 ratfun: RationalFunction | None = None):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "series", series)
+        object.__setattr__(self, "ratfun", ratfun)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("WordGF is immutable")
 
 
 def is_convex_word(w: Word, k: int) -> bool:

@@ -11,20 +11,33 @@ Every name has one import path, its defining module: no package
 Every name the benchmark's tracer (``perfbench/tracing.py``) wraps
 still exists, with the parameters its counter hooks read, and each
 hook counts on a real call.
+
+``import convexenum.cli`` loads every module the tracer binds, and no
+standard module that only some commands need.
+
+The paper's value types compare by value, only to their own type, and
+they and the library's records cannot be assigned to.
 """
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from convexenum import perms
 from convexenum.exact import linalg, roots
 from convexenum.exact.polynomial import Polynomial
+from convexenum.exact.ratfun import RationalFunction
 from convexenum.exact.series import TruncatedSeries
+from convexenum.perms import Permutation
+from convexenum.words import IntegerPartition, Word, WordGF
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -180,3 +193,56 @@ def test_traced_functions_keep_what_their_hooks_read():
         counters = Counter()
         hook(counters, fn, args, kwargs, fn(*args, **kwargs))
         assert counters and all(v > 0 for v in counters.values()), name
+
+
+def _modules_after(code: str) -> set[str]:
+    """The names in ``sys.modules`` after a fresh interpreter runs ``code``."""
+    out = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys; print(*sys.modules)"],
+        capture_output=True, text=True, check=True).stdout
+    return set(out.split())
+
+
+def test_cli_import_defers_what_only_some_commands_need():
+    # against a bare interpreter, so that what ``site`` preloads on a
+    # given host does not count
+    bare = _modules_after("pass")
+    cli = _modules_after(f"import sys; sys.path.insert(0, {str(SRC)!r})\n"
+                         "import convexenum.cli")
+    new = cli - bare
+    # dataclasses pulls in inspect; traceback serves exit 3 only, csv
+    # and json one output format each
+    assert not new & {"dataclasses", "inspect", "traceback", "csv", "json"}
+    # the tracer looks its modules up in sys.modules after this import
+    tracing = _tracing_module()
+    assert {module for module, *_ in tracing.SPANS + tracing.COUNTS} <= cli
+
+
+VALUES = [(Permutation, ((2, 3, 1),)), (Word, ((1, 2, 3), 3)),
+          (IntegerPartition, ((1, 1, 3),))]
+
+
+@pytest.mark.parametrize("cls,args", VALUES)
+def test_value_types_compare_by_value_and_only_to_their_own_type(cls, args):
+    a, b = cls(*args), cls(list(args[0]), *args[1:])
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != args[0] and args[0] != a  # not a tuple of its entries
+    assert all(a != other(*other_args) for other, other_args in VALUES
+               if other is not cls)
+
+
+def test_frozen_types_reject_assignment():
+    one = TruncatedSeries.one(3)
+    rf = RationalFunction(1)
+    frozen = [
+        Permutation((2, 1)), Word((1,), 2), IntegerPartition((1,)),
+        perms.DescendantDigraph(k=1, nodes=(perms.START_KEY,), edges=()),
+        perms.GrowthBounds(k=1, lower_gf=rf, upper_gf=rf, lower_root=(0, 1),
+                           upper_root=(0, 1), lower_rate="1", upper_rate="1"),
+        WordGF(p=2, k=0, series=one),
+    ]
+    assert frozen[-1].ratfun is None
+    for value in frozen:
+        for name in (*type(value).__slots__, "other"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)

@@ -414,6 +414,15 @@ class TestLinearAlgebra:
             [Fraction(5), Fraction(10)])
         assert sol == [Fraction(1), Fraction(3)]
 
+    def test_solve_field_system_is_exact_on_integers(self):
+        # Fraction(1, 2) == 0.5, so the types are checked as well
+        for matrix, rhs, expected in (
+                ([[2]], [1], [Fraction(1, 2)]),
+                ([[2, 1], [1, 3]], [5, 10], [1, 3])):
+            sol = solve_field_system(matrix, rhs)
+            assert sol == expected
+            assert all(isinstance(v, (int, Fraction)) for v in sol), sol
+
     def test_system_shape_is_checked(self):
         f = Fraction
         for matrix in ([[f(1), f(5)]], [[f(1), f(2)], [f(3)]]):

@@ -522,6 +522,16 @@ class TestGrowthBounds:
             assert lower[n] == TABLE_F1[n - 1]  # exact before the cut bites
         assert lower[8] < TABLE_F1[7]
 
+    @pytest.mark.xfail(strict=True,
+                       reason="the published loop truncation does not "
+                              "dominate: its totals fall below f_k(n) from "
+                              "n = 8 (k = 1) and n = 9 (k = 2) on")
+    def test_loop_truncation_dominates_the_counts(self):
+        for k in (1, 2):
+            upper = gf_bound(k, "upper").to_series(250)
+            f = perm_counts(k, 250)
+            assert all(upper[n] >= f[n - 1] for n in range(1, 251)), k
+
     @pytest.mark.parametrize("k", [1, 2])
     def test_certified_roots_and_rates(self, k):
         gb = growth_bounds(k, precision=20)
