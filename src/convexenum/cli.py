@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import json
 import sys
 
 from convexenum import cfrac, perms, words
@@ -45,13 +46,10 @@ class OutputRecord:
 
 
 def _render(record: OutputRecord, fmt: str) -> str:
-    # json and csv are imported by the formats that use them, so that a
-    # command's start-up does not pay for either
     if fmt == "json":
-        import json
         return json.dumps(record.to_dict(), indent=2, sort_keys=False) + "\n"
     if fmt == "csv":
-        import csv
+        import csv  # here, so that start-up does not pay for it
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["name", "value"])

@@ -39,6 +39,10 @@ class SeriesMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("SeriesMatrix is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, not __setattr__
+        return type(self), (self.entries,)
+
 
 def _gauss_jordan(rows, rhs, is_unit, inverse):
     """Solve rows * X = rhs by Gauss-Jordan elimination.

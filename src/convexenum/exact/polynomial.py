@@ -53,6 +53,10 @@ class Polynomial:
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, not __setattr__
+        return type(self), (self.coeffs,)
+
     # -- constructors -------------------------------------------------
 
     @classmethod

@@ -32,6 +32,10 @@ class RationalFunction:
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, not __setattr__
+        return type(self), (self.num, self.den)
+
     @staticmethod
     def _as_poly(p) -> Polynomial:
         return p if isinstance(p, Polynomial) else Polynomial((p,))

@@ -35,6 +35,10 @@ class TruncatedSeries:
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, not __setattr__
+        return type(self), (self.coeffs, self.order)
+
     # -- constructors -------------------------------------------------
 
     @classmethod

@@ -17,10 +17,11 @@ from itertools import accumulate, repeat
 
 from convexenum.exact.ratfun import RationalFunction
 from convexenum.exact.roots import decimal_value, smallest_positive_root
+from convexenum.frozen import Frozen
 from convexenum.words import convex_sequences, count_convex_sequences
 
 
-class Permutation:
+class Permutation(Frozen):
     """A bijection on [1, n] in one-line notation."""
 
     __slots__ = ("entries",)
@@ -30,21 +31,7 @@ class Permutation:
         n = len(entries)
         if sorted(entries) != list(range(1, n + 1)):
             raise ValueError(f"{entries} is not a permutation of [1, {n}]")
-        object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Permutation is immutable")
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Permutation):
-            return self.entries == other.entries
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __repr__(self):
-        return f"Permutation({self.entries!r})"
+        super().__init__(entries)
 
     @property
     def n(self) -> int:
@@ -276,7 +263,7 @@ def canonicalize_state(t: tuple[int, int, int, int],
 DEFAULT_CUTOFF = {1: (1, 2, 6, 7), 2: (1, 2, 7, 8)}
 
 
-class DescendantDigraph:
+class DescendantDigraph(Frozen):
     """Finite piece of the identically-descending transition digraph.
 
     ``nodes`` are merged state keys in BFS order, index 0 the root;
@@ -286,12 +273,7 @@ class DescendantDigraph:
     __slots__ = ("k", "nodes", "edges")
 
     def __init__(self, k: int, nodes: tuple, edges: tuple):
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "edges", edges)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DescendantDigraph is immutable")
+        super().__init__(k, nodes, edges)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -504,7 +486,7 @@ def count_perms_digraph(k: int, n: int) -> int:
 # Rational bounds on the growth constant
 # ---------------------------------------------------------------------------
 
-class GrowthBounds:
+class GrowthBounds(Frozen):
     """The bound GFs of f_k, their smallest positive roots as intervals,
     and the growth-rate bounds those roots give, as decimal strings."""
 
@@ -516,16 +498,8 @@ class GrowthBounds:
                  lower_root: tuple[Fraction, Fraction],
                  upper_root: tuple[Fraction, Fraction],
                  lower_rate: str, upper_rate: str):
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "lower_gf", lower_gf)
-        object.__setattr__(self, "upper_gf", upper_gf)
-        object.__setattr__(self, "lower_root", lower_root)
-        object.__setattr__(self, "upper_root", upper_root)
-        object.__setattr__(self, "lower_rate", lower_rate)
-        object.__setattr__(self, "upper_rate", upper_rate)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GrowthBounds is immutable")
+        super().__init__(k, lower_gf, upper_gf, lower_root, upper_root,
+                         lower_rate, upper_rate)
 
 
 def gf_bound(k: int, side: str,

@@ -14,13 +14,14 @@ from math import perm
 
 from convexenum.exact.ratfun import RationalFunction
 from convexenum.exact.series import TruncatedSeries
+from convexenum.frozen import Frozen
 
 #: Order of :func:`word_gf`, and of the CLI's series, when none is given.
 #: Large enough to cover every golden sequence with margin.
 DEFAULT_ORDER = 64
 
 
-class Word:
+class Word(Frozen):
     """A finite sequence of letters from the alphabet [1, p]."""
 
     __slots__ = ("letters", "alphabet_size")
@@ -30,23 +31,7 @@ class Word:
         for x in letters:
             if not 1 <= x <= alphabet_size:
                 raise ValueError(f"letter {x} outside [1, {alphabet_size}]")
-        object.__setattr__(self, "letters", letters)
-        object.__setattr__(self, "alphabet_size", alphabet_size)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Word is immutable")
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Word):
-            return (self.letters == other.letters
-                    and self.alphabet_size == other.alphabet_size)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.letters, self.alphabet_size))
-
-    def __repr__(self):
-        return f"Word({self.letters!r}, {self.alphabet_size!r})"
+        super().__init__(letters, alphabet_size)
 
     def __len__(self):
         return len(self.letters)
@@ -56,7 +41,7 @@ class Word:
         return sep.join(str(x) for x in self.letters)
 
 
-class IntegerPartition:
+class IntegerPartition(Frozen):
     """Parts stored weakly increasing; total is their sum."""
 
     __slots__ = ("parts",)
@@ -67,21 +52,7 @@ class IntegerPartition:
             raise ValueError("parts must be positive")
         if any(a > b for a, b in zip(parts, parts[1:])):
             raise ValueError("parts must be weakly increasing")
-        object.__setattr__(self, "parts", parts)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntegerPartition is immutable")
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, IntegerPartition):
-            return self.parts == other.parts
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.parts)
-
-    def __repr__(self):
-        return f"IntegerPartition({self.parts!r})"
+        super().__init__(parts)
 
     @property
     def total(self) -> int:
@@ -91,20 +62,14 @@ class IntegerPartition:
         return "{" + ",".join(str(p) for p in self.parts) + "}" if self.parts else "{}"
 
 
-class WordGF:
+class WordGF(Frozen):
     """Generating-function bundle for fixed (p, k)."""
 
     __slots__ = ("p", "k", "series", "ratfun")
 
     def __init__(self, p: int, k: int, series: TruncatedSeries,
                  ratfun: RationalFunction | None = None):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "series", series)
-        object.__setattr__(self, "ratfun", ratfun)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WordGF is immutable")
+        super().__init__(p, k, series, ratfun)
 
 
 def is_convex_word(w: Word, k: int) -> bool:

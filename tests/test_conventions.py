@@ -16,13 +16,16 @@ hook counts on a real call.
 standard module that only some commands need.
 
 The paper's value types compare by value, only to their own type, and
-they and the library's records cannot be assigned to.
+they, the library's records and the exact kernel's types cannot be
+assigned to, and pickle and copy back to an equal value.
 """
 
 import ast
+import copy
 import importlib
 import importlib.util
 import inspect
+import pickle
 import subprocess
 import sys
 from collections import Counter
@@ -211,15 +214,23 @@ def test_cli_import_defers_what_only_some_commands_need():
                          "import convexenum.cli")
     new = cli - bare
     # dataclasses pulls in inspect; traceback serves exit 3 only, csv
-    # and json one output format each
-    assert not new & {"dataclasses", "inspect", "traceback", "csv", "json"}
+    # one output format
+    assert not new & {"dataclasses", "inspect", "traceback", "csv"}
     # the tracer looks its modules up in sys.modules after this import
     tracing = _tracing_module()
     assert {module for module, *_ in tracing.SPANS + tracing.COUNTS} <= cli
 
 
-VALUES = [(Permutation, ((2, 3, 1),)), (Word, ((1, 2, 3), 3)),
-          (IntegerPartition, ((1, 1, 3),))]
+# the permutation and the partition hold the same field values, so only
+# their types tell them apart
+VALUES = [(Permutation, ((1, 2, 3),)), (Word, ((1, 2, 3), 3)),
+          (IntegerPartition, ((1, 2, 3),))]
+
+
+def _copies(value):
+    """``value`` through pickle, ``copy.copy`` and ``copy.deepcopy``."""
+    return (pickle.loads(pickle.dumps(value)), copy.copy(value),
+            copy.deepcopy(value))
 
 
 @pytest.mark.parametrize("cls,args", VALUES)
@@ -229,20 +240,37 @@ def test_value_types_compare_by_value_and_only_to_their_own_type(cls, args):
     assert a != args[0] and args[0] != a  # not a tuple of its entries
     assert all(a != other(*other_args) for other, other_args in VALUES
                if other is not cls)
+    assert all(type(c) is cls and c == a and hash(c) == hash(a)
+               for c in _copies(a))
 
 
 def test_frozen_types_reject_assignment():
     one = TruncatedSeries.one(3)
-    rf = RationalFunction(1)
-    frozen = [
-        Permutation((2, 1)), Word((1,), 2), IntegerPartition((1,)),
+    rf = RationalFunction(Polynomial((1, -1)), Polynomial((1, -2)))
+    bounds = dict(k=1, lower_gf=rf, upper_gf=rf, lower_root=(0, 1),
+                  upper_root=(0, 1), lower_rate="1", upper_rate="1")
+    records = [
         perms.DescendantDigraph(k=1, nodes=(perms.START_KEY,), edges=()),
-        perms.GrowthBounds(k=1, lower_gf=rf, upper_gf=rf, lower_root=(0, 1),
-                           upper_root=(0, 1), lower_rate="1", upper_rate="1"),
+        perms.GrowthBounds(**bounds),
         WordGF(p=2, k=0, series=one),
     ]
-    assert frozen[-1].ratfun is None
-    for value in frozen:
+    assert records[-1].ratfun is None
+    assert records[1] == perms.GrowthBounds(**bounds)
+    assert records[1] != perms.GrowthBounds(**{**bounds, "k": 2})
+    assert repr(Permutation((2, 1))) == "Permutation(entries=(2, 1))"
+    assert repr(records[0]) == (f"DescendantDigraph(k=1, "
+                                f"nodes=({perms.START_KEY!r},), edges=())")
+    own = [Permutation((2, 1)), Word((1,), 2), IntegerPartition((1,)),
+           *records]
+    kernel = [Polynomial((1, 2)), rf, one, linalg.SeriesMatrix([[one, one]])]
+    for value in own:
+        with pytest.raises(AttributeError):
+            delattr(value, type(value).__slots__[0])
+    for value in own + kernel:
         for name in (*type(value).__slots__, "other"):
             with pytest.raises(AttributeError):
                 setattr(value, name, None)
+        for clone in _copies(value):
+            assert type(clone) is type(value), value
+            assert all(getattr(clone, name) == getattr(value, name)
+                       for name in type(value).__slots__), value

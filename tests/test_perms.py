@@ -522,7 +522,7 @@ class TestGrowthBounds:
             assert lower[n] == TABLE_F1[n - 1]  # exact before the cut bites
         assert lower[8] < TABLE_F1[7]
 
-    @pytest.mark.xfail(strict=True,
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
                        reason="the published loop truncation does not "
                               "dominate: its totals fall below f_k(n) from "
                               "n = 8 (k = 1) and n = 9 (k = 2) on")
