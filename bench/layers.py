@@ -1,11 +1,15 @@
-"""Layer timings of the exhaustive searches, the digraph labels and
-the 2-convex formula report, and the size of the library's code.
+"""Layer timings of the exhaustive searches, the ladder counts of
+k-convex permutations, the digraph labels and the 2-convex formula
+report, and the size of the library's code.
 
     python bench/layers.py [--label NAME] [--src DIR]
 
-Each in-process case runs five times, timed with ``time.perf_counter``,
-and its best time is kept.  Every result is checked against
-``tests/_goldens.py`` first, and a wrong one stops the run with exit 1.
+Each in-process case runs seven times, timed with ``time.perf_counter``;
+its median, its quartiles and its best time are kept.  On a noisy
+2-core host the best of a run can swing by 1.7x from one run to the
+next, so the quartiles show how far a run's times spread.  Every result
+is checked against ``tests/_goldens.py``, and a wrong one stops the run
+with exit 1.
 No cache is left in ``convexenum.perms``, so the labels are timed cold.
 The code size is the number of lines of ``src`` that hold a token,
 leaving out blank lines, comments and docstrings, in total and per
@@ -18,8 +22,10 @@ with its spread.
 
 The times are merged into ``BENCH_layers.json`` at the repository root
 under NAME (default ``current``), next to the runs already there, and
-each run's speedup over the first run in the file that timed the same
-case is recomputed.  ``--src`` measures the library in another
+each run's speedup over the first run in the file that recorded a
+median for the same case is recomputed from the medians.  Runs recorded
+before medians were kept have only best times and keep the speedups
+they were written with.  ``--src`` measures the library in another
 checkout's ``src`` directory, for example a clone of an older commit.
 """
 
@@ -32,6 +38,7 @@ import io
 import json
 import os
 import platform
+import statistics
 import sys
 import time
 import tokenize
@@ -39,7 +46,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_layers.json"
-REPEAT = 5
+REPEAT = 7
 
 
 def cases(cfrac, perms, words, g):
@@ -51,6 +58,10 @@ def cases(cfrac, perms, words, g):
         digest = g.LABELS_SHA256[k, depth]
         return lambda: graph.labels, lambda out: hashlib.sha256(
             "\n".join(out).encode()).hexdigest() == digest
+
+    def ladder(k, n):
+        return (f"perm_counts({k}, {n})", lambda: perms.perm_counts(k, n),
+                lambda out: len(out) == n and out[-1] == g.DEEP_F[k, n])
 
     return [
         ("count_words_bruteforce(12, 5, 1)",
@@ -68,6 +79,9 @@ def cases(cfrac, perms, words, g):
         ("count_perms_bruteforce(11, 4)",
          lambda: perms.count_perms_bruteforce(11, 4),
          lambda out: out == search[11, 11, 4, True]),
+        ladder(1, 120),
+        ladder(2, 250),
+        ladder(2, 500),
         ("labels of build_digraph(2, 150), cold", *labels(2, 150)),
         ("f2_formula_check(40)",
          lambda: cfrac.f2_formula_check(40),
@@ -76,15 +90,15 @@ def cases(cfrac, perms, words, g):
     ]
 
 
-def best_time(call, check) -> float:
-    best = float("inf")
+def run_times(call, check) -> list[float]:
+    times = []
     for _ in range(REPEAT):
         start = time.perf_counter()
         out = call()
-        best = min(best, time.perf_counter() - start)
+        times.append(time.perf_counter() - start)
         if not check(out):
             raise SystemExit(f"wrong result: {out!r}")
-    return best
+    return times
 
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
@@ -123,10 +137,15 @@ def main(argv=None) -> int:
     import _goldens
     from convexenum import cfrac, perms, words
 
-    times = {}
+    times, medians, quartiles = {}, {}, {}
     for name, call, check in cases(cfrac, perms, words, _goldens):
-        times[name] = round(best_time(call, check), 5)
-        print(f"{times[name] * 1000:10.1f} ms  {name}")
+        ts = run_times(call, check)
+        q1, median, q3 = statistics.quantiles(ts, n=4)
+        times[name] = round(min(ts), 5)
+        medians[name] = round(median, 5)
+        quartiles[name] = [round(q1, 5), round(q3, 5)]
+        print(f"{median * 1000:10.1f} ms  [{q1 * 1000:.1f}, {q3 * 1000:.1f}]"
+              f"  best {min(ts) * 1000:.1f}  {name}")
     by_module = code_lines(args.src)
     lines = sum(by_module.values())
     print(f"{lines:10d} code lines in {args.src}")
@@ -136,17 +155,21 @@ def main(argv=None) -> int:
     runs[args.label] = {
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {os.cpu_count()} cores",
-        "statistic": f"best of {REPEAT}, in process",
+        "statistic": f"median, quartiles and best of {REPEAT}, in process",
         "times_s": times,
+        "median_s": medians,
+        "quartiles_s": quartiles,
         "src_code_lines": lines,
         "src_code_lines_by_module": by_module,
     }
-    first = {}  # case -> its time in the first run that timed it
+    first = {}  # case -> its median in the first run that recorded one
     for run in runs.values():
-        for name, t in run["times_s"].items():
+        if "median_s" not in run:
+            continue
+        for name, t in run["median_s"].items():
             first.setdefault(name, t)
         run["speedup"] = {name: round(first[name] / t, 2)
-                          for name, t in run["times_s"].items() if t > 0}
+                          for name, t in run["median_s"].items() if t > 0}
     OUT.write_text(json.dumps({"harness": "bench/layers.py", "runs": runs},
                               indent=2) + "\n")
     print(f"wrote {OUT.name}: {', '.join(runs)}")

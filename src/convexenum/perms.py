@@ -344,7 +344,11 @@ def build_digraph(k: int, depth: int | None = None, cutoff=None,
             -L-> (1, *, 2j-1-k, j-1-k) -L-> L_(j-k),
 
     since (1, *, j+2, 2) is j - 2 - k L steps from a starred c.  For
-    3 <= j <= k + 2 at most two R steps lead to L_2.  With the left edge
+    j = k + 2 the second R step already stars both inner entries and
+    gives L_2, and for j = k + 1 (k = 2) the first one does.  So for
+    every j >= 3 the return path of L_j has exactly j - k steps and
+    ends at L_max(2, j-k), and each node inside it has a concrete entry,
+    so it is not on the ladder and has one out-edge.  With the left edge
     of L_D dropped, every node reached is then L_2 .. L_D or on the
     return path of one of them, and every return path rejoins the
     ladder below its start: the closure is finite.  With any other
@@ -466,13 +470,53 @@ def walk_count(g: DescendantDigraph, n: int) -> int:
 
 
 def perm_counts(k: int, max_n: int) -> list[int]:
-    """[f_k(1), ..., f_k(max_n)] (k in {1, 2}) from one digraph build and
-    one walk DP pass; f_k(n) = 2 * walk_count(g, n) for n >= 2.
+    """[f_k(1), ..., f_k(max_n)] (k in {1, 2}) from walks on the ladder
+    alone, in O(max_n^2) integer additions; f_k(n) = 2 W_(n-2) for
+    n >= 2, where W_t counts the walks of length t from the start node
+    (see :func:`walk_count`).
+
+    By :func:`build_digraph`, every node reached from the start node is
+    the start node, a ladder node L_j, or an inner node of the return
+    path of some L_j (j >= 3).  That path leaves by L_j's R edge and
+    enters L_max(2, j-k) after exactly j - k steps, and its inner nodes
+    have one out-edge each.  The start node has L_2's out-edges (L to
+    L_3, R to L_2), so walks from it are counted as walks from L_2.
+
+    Let c_t[m] be the number of walks of length t that end at L_m, with
+    c_0 = [L_2: 1].  Split a walk of length t + 1 that ends at L_m at its
+    last visit to the ladder before the end.  Either that visit is at
+    length t and the last edge is L_2's R self-loop (m = 2) or the L
+    edge from L_(m-1) (m >= 3), or the walk left some L_j by its R edge
+    at length t + 1 - (j - k) and followed the return path, which it
+    cannot leave, to L_m = L_max(2, j-k).  The parts are disjoint, so
+
+        c_(t+1)[2] = c_t[2] + sum over 3 <= j <= k + 2 of c_(t+1+k-j)[j],
+        c_(t+1)[m] = c_t[m-1] + c_(t+1-m)[m+k]          (m >= 3),
+
+    where c_s[j] = 0 unless 0 <= s and j <= s + 2: a walk climbs one
+    level per step.  A walk of length t + 1 is a walk of length t and
+    one out-edge of its end.  Ladder nodes have two out-edges and every
+    other node reached has one, so W_0 = 1 and
+
+        W_(t+1) = W_t + sum over m of c_t[m].
     """
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
-    g = build_digraph(k, depth=max(max_n - 2, 0))
-    return ([1] + [2 * sum(c) for c in walks(g, max_n - 2)])[:max_n]
+    if k not in (1, 2):
+        raise ValueError("digraph machinery requires k in {1, 2}")
+    rows = [[0, 0, 1]]  # rows[t][m] = c_t[m] for m <= t + 2
+    totals = [1]  # totals[t] = W_t
+    for t in range(max_n - 2):
+        row = rows[t]
+        totals.append(totals[t] + sum(row))
+        nxt = [0, 0, row[2], *row[2:]]  # the self-loop and the L edges
+        top = (t + 3 + k) // 2  # c_(t+1+k-j)[j] = 0 for every j > top
+        for j in range(3, min(k + 2, top) + 1):
+            nxt[2] += rows[t + 1 + k - j][j]
+        for j in range(k + 3, top + 1):
+            nxt[j - k] += rows[t + 1 + k - j][j]
+        rows.append(nxt)
+    return [1, *(2 * w for w in totals)][:max_n]
 
 
 def count_perms_digraph(k: int, n: int) -> int:

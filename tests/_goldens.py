@@ -11,6 +11,16 @@ TABLE_F0 = [1, 2, 4, 6, 8, 8, 8, 8, 8, 8, 8, 8]
 TABLE_F1 = [1, 2, 4, 8, 14, 24, 40, 66, 106, 170, 270, 426]
 TABLE_F2 = [1, 2, 4, 8, 16, 30, 56, 102, 186, 336, 606, 1088]
 
+# f_k(n) at deep n, recorded from the depth-bounded BFS and walk DP
+DEEP_F = {
+    (1, 120): 59829794435020262074022,
+    (1, 250): 92941931301726113465284085063358626565051716590,
+    (2, 250): 1027986655778360554331545629830166860136959244782503549766377276,
+    (2, 500): int(
+        "101218249306742572241231272770779915844576104658976061339209347"
+        "4213229995134465283872348284566692486200905591085546176192079474"),
+}
+
 # 0-convex words on 3 letters, counts by length 0..20
 WORD_GF_30 = [1, 3, 9, 16, 20] + [21] * 16
 

@@ -7,7 +7,9 @@ computes the same results in integer arithmetic; the tests compare the
 two.  The least realizable tuple of a merged digraph class is found by
 trying every filling in order, and the node that carries the loop of a
 truncated digraph by following the cutoff's return path; the library
-gives both by closed forms.
+gives both by closed forms.  The counts of k-convex permutations come
+from a BFS of the digraph and the walk DP over all its nodes; the
+library counts walks on the ladder alone.
 """
 
 from fractions import Fraction
@@ -15,7 +17,7 @@ from fractions import Fraction
 from convexenum.exact.polynomial import Polynomial
 from convexenum.exact.ratfun import RationalFunction
 from convexenum.exact.roots import NoRootError
-from convexenum.perms import realizable
+from convexenum.perms import build_digraph, realizable, walks
 
 
 def euclid_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -164,3 +166,10 @@ def loop_node(g, cutoff_key):
     while len(successors(successors(cur)[0])) == 1:
         cur = successors(cur)[0]
     return cur
+
+
+def perm_counts_by_walks(k, max_n):
+    """[f_k(1), ..., f_k(max_n)] from the digraph built by BFS to depth
+    max_n - 2 and the walk DP over all of its nodes."""
+    g = build_digraph(k, depth=max(max_n - 2, 0))
+    return ([1] + [2 * sum(c) for c in walks(g, max_n - 2)])[:max_n]

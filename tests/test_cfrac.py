@@ -75,6 +75,12 @@ class TestOneConvexSeries:
         f2 = f2_exact_series(k2_components(40))
         assert [int(f2[n]) for n in range(1, 41)] == perm_counts(2, 40)
 
+    def test_tower_matches_ladder_counts_deep(self):
+        # two independent engines: the continued-fraction tower and the
+        # ladder recurrence
+        f1 = f1_series(150)
+        assert [int(f1[n]) for n in range(1, 151)] == perm_counts(1, 150)
+
 
 class TestTwoConvexComponents:
     def test_root_conventions(self):

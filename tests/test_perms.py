@@ -12,6 +12,7 @@ import _oracles
 from _goldens import (
     BOUND_GF,
     CUTOFF_1278_ROOT,
+    DEEP_F,
     DOT_SHA256,
     LABELS_SHA256,
     MATRIX_A_ROWS,
@@ -51,6 +52,7 @@ from convexenum.perms import (
     perm_counts,
     realizable,
     state_key,
+    transitions,
     walk_count,
     walks,
 )
@@ -100,10 +102,31 @@ class TestCounting:
         for k in (1, 2):
             assert perm_counts(k, 0) == []
             assert perm_counts(k, 1) == [1]
-        # the depth-248 digraph has over 15,000 nodes
+            assert perm_counts(k, 2) == [1, 2]
+        # a walk of length 248 reaches ladder level 250
         counts = perm_counts(2, 250)
         assert counts[:12] == TABLE_F2
+        assert counts[-1] == DEEP_F[2, 250]
         assert count_perms_digraph(2, 250) == counts[-1]
+        assert perm_counts(1, 250)[-1] == DEEP_F[1, 250]
+        assert perm_counts(1, 120)[-1] == DEEP_F[1, 120]
+        assert perm_counts(2, 500)[-1] == DEEP_F[2, 500]
+
+    def test_ladder_counts_match_walks_on_the_bfs_digraph(self):
+        for k in (1, 2):
+            for max_n in [*range(61), 250]:
+                assert perm_counts(k, max_n) == \
+                    _oracles.perm_counts_by_walks(k, max_n), (k, max_n)
+
+    def test_perm_counts_rejects_bad_arguments(self):
+        for k in (0, 3):
+            with pytest.raises(ValueError, match=r"^digraph machinery "
+                               r"requires k in \{1, 2\}$"):
+                perm_counts(k, 5)
+        for k in (1, 3):
+            with pytest.raises(ValueError,
+                               match="^max_n must be nonnegative$"):
+                perm_counts(k, -1)
 
     def test_generator_matches_counts(self):
         # the definition itself, filtered over all n! permutations in
@@ -301,6 +324,32 @@ class TestDigraph:
             new_loops = {e for e in loop.edges if e[0] == e[1]} - cut_loops
             assert len(new_loops) == 1
             assert next(iter(new_loops))[2] == "L"
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_return_paths_rejoin_the_ladder(self, k):
+        # the lemma perm_counts rests on: the start node branches like
+        # L_2, and the R edge of L_j starts a path of j - k steps that
+        # runs through nodes off the ladder with one out-edge each and
+        # ends at L_max(2, j-k)
+        def ladder(j):
+            return (1, None, None, j)
+
+        assert transitions(START_KEY, k) == transitions(ladder(2), k)
+        for j in range(3, 201):
+            path = [child for label, child in transitions(ladder(j), k)
+                    if label == "R"]
+            while len(path) < j - k:
+                key = path[-1]
+                assert key[:3] != (1, None, None), (j, path)
+                (_, child), = transitions(key, k)
+                path.append(child)
+            assert path[-1] == ladder(max(2, j - k)), (j, path)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_only_the_start_node_and_the_ladder_branch(self, k):
+        for key in build_digraph(k, depth=120).nodes:
+            branches = key == START_KEY or key[:3] == (1, None, None)
+            assert len(transitions(key, k)) == (2 if branches else 1), key
 
     def test_depth_bounded_walks_match_counts(self):
         g = build_digraph(1, depth=10)
