@@ -6,15 +6,15 @@ ladder root satisfy a continued-fraction recurrence, and the total walk
 count is an explicit sum over ladder levels.  Feeding those series into
 a 5x5 weighted transfer matrix reproduces the exact counting series for
 1-convex permutations.  The 2-convex analogue has no closed form; its
-components are computed by dynamic programming on the explicitly built
-subgraph.
+components are walk counts on the ladder above the node 1245, from the
+ladder recurrence of :func:`convexenum.perms.ladder_walks`.
 """
 
 from __future__ import annotations
 
 from convexenum.exact.linalg import SeriesMatrix, solve_series_system
 from convexenum.exact.series import TruncatedSeries
-from convexenum.perms import build_digraph, perm_counts, state_key, walks
+from convexenum.perms import ladder_walks, perm_counts
 
 
 def ladder_tower(order: int) -> tuple[TruncatedSeries, ...]:
@@ -110,35 +110,6 @@ def m1_series(order: int) -> TruncatedSeries:
     return one + q + 2 * (q * q * total)
 
 
-# ---------------------------------------------------------------------------
-# Walk oracles on the explicitly built ladder subgraphs
-# ---------------------------------------------------------------------------
-
-def _subgraph_walks(k: int, root, order: int, drop, ends):
-    """Walk counts of lengths 0..order from ``root`` with the ``drop``
-    out-edges removed: the totals, and for each key in ``ends`` the walks
-    ending there (all zero for a node not reached within ``order`` steps).
-    """
-    g = build_digraph(k, depth=order, root=root, drop=drop)
-    vectors = list(walks(g, order))
-    index = {key: i for i, key in enumerate(g.nodes)}
-    ending = [[c[index[key]] if key in index else 0 for c in vectors]
-              for key in ends]
-    return [sum(c) for c in vectors], ending
-
-
-def ladder_walk_oracle(order: int):
-    """Exact (tot, bot) coefficient vectors from the built k=1 subgraph.
-
-    The subgraph is everything reachable from the 1223 node once its
-    right (downward) edge is removed; this is the structure the
-    continued fractions describe, so it is an independent check on them.
-    """
-    root = state_key((1, 2, 2, 3), 1)  # the 1223 node
-    totals, (returns,) = _subgraph_walks(1, root, order, {(root, "R")}, [root])
-    return totals, returns
-
-
 def k2_components(order: int):
     """(tot', bot1', bot2') for the 2-convex upper subgraph, walked from
     the 1245 node.
@@ -146,26 +117,31 @@ def k2_components(order: int):
     The subgraph hangs above the 1234 node of the 2-convex digraph;
     returns from the 1245 and 1256 nodes leave it, so their downward
     edges are suppressed and walks ending on those nodes are tracked
-    separately.  There is no closed form; the construction itself is the
-    oracle.
+    separately.  There is no closed form; the tests check the counts
+    against walks over the transitions with those edges dropped.
+
+    In the ladder notation of :func:`convexenum.perms.build_digraph`
+    (k = 2), 1234, 1245 and 1256 are L_4, L_5 and L_6, and the subgraph
+    is :func:`convexenum.perms.ladder_walks` at root 5.  That root cuts
+    the R edges that land below L_5.  L_j's lands at L_max(2, j-2), by
+    the return-path lemma in :func:`convexenum.perms.build_digraph`'s
+    docstring, so these are the R edges of L_2 .. L_6.  The
+    suppressed edges are those of L_4, L_5 and L_6.  Both sets keep the
+    R edge of every L_j with j >= 7, which lands at L_(j-2) >= L_5, and
+    L edges climb, so from L_5 neither subgraph reaches L_2 .. L_4.  On
+    the nodes it reaches the two cut the same edges, those of L_5 and
+    L_6, and so they have the same walks from 1245: tot' is the totals,
+    and bot1' and bot2' are the walks that end at L_5 and L_6.
 
     Rooted at 1234 instead, the triple is (1 + q tot', q bot1',
-    q bot2').  In the ladder notation of :func:`build_digraph` (k = 2),
-    1234, 1245 and 1256 are L_4, L_5 and L_6.  With their R edges
-    dropped, L_4 has one out-edge, L, to L_5.  No edge re-enters L_4:
-    ladder L edges climb, every kept R edge lies on the return path of
-    some L_j with j >= 7, and that path rejoins the ladder at
-    L_(j-2) >= L_5.  So a walk from 1234 is the empty walk, or an L step
-    followed by a walk from 1245.
+    q bot2').  With its R edge dropped, L_4 has one out-edge, L, to
+    L_5, and no edge re-enters L_4.  So a walk from 1234 is the empty
+    walk, or an L step followed by a walk from 1245.
     """
-    n1234 = state_key((1, 2, 3, 4), 2)
-    n1245 = state_key((1, 2, 4, 5), 2)
-    n1256 = state_key((1, 2, 5, 6), 2)
-    drop = {(n1234, "R"), (n1245, "R"), (n1256, "R")}
-    totals, (bot1, bot2) = _subgraph_walks(2, n1245, order, drop,
-                                           (n1245, n1256))
-    return (TruncatedSeries(totals, order), TruncatedSeries(bot1, order),
-            TruncatedSeries(bot2, order))
+    rows, totals = ladder_walks(2, 5, order)
+    return (TruncatedSeries(totals, order),
+            TruncatedSeries([row[5] for row in rows], order),
+            TruncatedSeries([0, *(row[6] for row in rows[1:])], order))
 
 
 def f2_formula_series(components, root: str = "1234") -> TruncatedSeries:

@@ -13,7 +13,6 @@ permutations themselves.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, repeat
 
 from convexenum.exact.ratfun import RationalFunction
 from convexenum.exact.roots import decimal_value, smallest_positive_root
@@ -284,12 +283,6 @@ class DescendantDigraph(Frozen):
             for key in self.nodes
         )
 
-    def adjacency(self) -> list[list[int]]:
-        m = [[0] * len(self.nodes) for _ in self.nodes]
-        for u, v, _ in self.edges:
-            m[u][v] += 1
-        return m
-
     def to_dot(self) -> str:
         """DOT source; the self-loop that loop truncation adds is dashed.
 
@@ -308,16 +301,13 @@ class DescendantDigraph(Frozen):
 
 
 def build_digraph(k: int, depth: int | None = None, cutoff=None,
-                  loop: bool = False, root=START_KEY,
-                  drop=frozenset()) -> DescendantDigraph:
-    """BFS the transition digraph from the node key ``root``.
+                  loop: bool = False) -> DescendantDigraph:
+    """BFS the transition digraph from the start node (the permutation
+    12).
 
-    The root defaults to the start node (the permutation 12).  The
-    ``(key, label)`` out-edges listed in ``drop`` are left out, which
-    cuts a subgraph loose from the rest of the digraph.  Without a
-    ``cutoff``, expansion stops after ``depth`` generations (the graph
-    is infinite), so walks of up to ``depth`` steps from the root are
-    exact.  Left edges are explored before right edges.
+    Without a ``cutoff``, expansion stops after ``depth`` generations
+    (the graph is infinite), so walks of up to ``depth`` steps from the
+    start node are exact.  Left edges are explored before right edges.
 
     A ``cutoff`` endpoint tuple truncates the digraph: it cuts the
     ladder.  Write L_D for the ladder key (1, *, *, D), with * a starred
@@ -353,8 +343,7 @@ def build_digraph(k: int, depth: int | None = None, cutoff=None,
     return path of one of them, and every return path rejoins the
     ladder below its start: the closure is finite.  With any other
     cutoff the ladder L_3 -L-> L_4 -L-> ... stays whole and the closure
-    is infinite, so such a cutoff raises ``ValueError`` before the BFS,
-    as does a truncation from another root.
+    is infinite, so such a cutoff raises ``ValueError`` before the BFS.
 
     With ``loop`` the truncation also puts a self-loop, labeled L, at
     the last node (1, *, 2D-1-k, D-1-k) of the cutoff's return path.
@@ -370,19 +359,19 @@ def build_digraph(k: int, depth: int | None = None, cutoff=None,
         raise ValueError("need a depth bound or a truncation cutoff")
     if depth is not None and depth < 0:
         raise ValueError("depth must be nonnegative")
+    cut = None  # the cutoff's L edge, left out with or without the loop
     if cutoff is not None:
         cutoff_key = state_key(cutoff, k)
         level = cutoff_key[3]
-        if cutoff_key[:3] != (1, None, None) or level < 3 or root != START_KEY:
-            raise ValueError(
-                "a truncation needs the start node as root and a ladder "
-                f"cutoff (1, *, *, D) with D >= 3, not {cutoff}")
+        if cutoff_key[:3] != (1, None, None) or level < 3:
+            raise ValueError("a truncation needs a ladder cutoff "
+                             f"(1, *, *, D) with D >= 3, not {cutoff}")
         if loop and level < k + 3:
             raise ValueError(f"loop mode needs a cutoff level D >= {k + 3}")
-        drop = drop | {(cutoff_key, "L")}  # with or without the loop
+        cut = (cutoff_key, "L")
 
-    nodes = [root]
-    index = {root: 0}
+    nodes = [START_KEY]
+    index = {START_KEY: 0}
     edges = []
     frontier = [0]
     generation = 0
@@ -391,7 +380,7 @@ def build_digraph(k: int, depth: int | None = None, cutoff=None,
         for u in frontier:
             key = nodes[u]
             for label, child in transitions(key, k):
-                if (key, label) in drop:
+                if (key, label) == cut:
                     continue
                 if child not in index:
                     index[child] = len(nodes)
@@ -414,44 +403,31 @@ def build_digraph(k: int, depth: int | None = None, cutoff=None,
 
 def walks(g: DescendantDigraph, steps: int):
     """Yield, for lengths 0..steps, the number of walks from the root
+    (node 0, the start node of a digraph from :func:`build_digraph`)
     ending at each node (a fresh list indexed like ``g.nodes``).
 
     On a depth-bounded digraph the counts are exact up to its depth.
     Each step pulls every node's count from its first in-neighbour in one
-    gather, then adds its other in-edges.  Only the prefix of nodes below
-    ``reach`` is gathered: it holds every successor of the previous
-    prefix, so all later counts are zero (on a digraph from
-    :func:`build_digraph` it is the nodes within that many steps of the
-    root).  The DP never reads back a list it has yielded.
+    gather, then adds its other in-edges.  The DP never reads back a list
+    it has yielded.
     """
     n = len(g.nodes)
     first = [n] * n  # a node without in-edges reads the zero slot n
     extra = {}  # node -> in-neighbours past the first one
-    top = [0] * n  # 1 + the largest successor of each node
     for u, v, _ in g.edges:
         if first[v] == n:
             first[v] = u
         else:
             extra.setdefault(v, []).append(u)
-        top[u] = max(top[u], v + 1)
-    reach_after = [0, *accumulate(top, max)]  # indexed by the prefix end
-    extra = sorted(extra.items())
-    # private: a caller may edit the lists it is given; slot n stays 0,
-    # as reach <= n
-    counts = [0] * (n + 1)
+    counts = [0] * (n + 1)  # private: a caller may edit the lists it is given
     counts[0] = 1  # the root
-    reach = 1
     yield counts[:n]
     for _ in range(steps):
-        reach = reach_after[reach]
-        nxt = list(map(counts.__getitem__, first[:reach]))
-        for v, us in extra:
-            if v >= reach:
-                break
+        nxt = list(map(counts.__getitem__, first))
+        for v, us in extra.items():
             for u in us:
                 nxt[v] += counts[u]
-        counts[:reach] = nxt
-        nxt.extend(repeat(0, n - reach))
+        counts[:n] = nxt
         yield nxt
 
 
@@ -469,53 +445,81 @@ def walk_count(g: DescendantDigraph, n: int) -> int:
     return sum(counts)
 
 
+def ladder_walks(k: int, root: int, steps: int):
+    """Walks from the ladder node L_root that never go below it
+    (k in {1, 2}, root >= 2), in O(steps^2) integer additions:
+    ``(rows, totals)``, where rows[t][m] (m <= root + t) counts the walks
+    of length t that end at L_m and totals[t] counts all walks of
+    length t, for t = 0..steps.
+
+    By :func:`build_digraph`, L_j = (1, *, *, j) has an L edge to
+    L_(j+1), and its R edge leads to L_max(2, j-k) after exactly
+    d_j = max(1, j - k) steps; for j = 2 that edge is L_2's self-loop.
+    Each node inside a return path has one out-edge, so a walk that
+    takes L_j's R edge follows the path to its end or stops inside it.
+    Walks stay at or above L_root when they take only the R edges that
+    land there: the R edge of L_j is kept iff max(2, j - k) >= root,
+    that is, for every j >= lo, where lo = 2 at root 2 and lo = root + k
+    above.  Every node reached is then a ladder node L_m with m >= root,
+    or inside the return path of some L_j with j >= lo.
+
+    Let c_t[m] = rows[t][m], with c_0 = [L_root: 1].  Split a walk of
+    length t + 1 that ends at L_m at its last visit to the ladder before
+    the end.  Either that visit is at length t and the last edge is the
+    L edge from L_(m-1) (m > root), or the walk left some L_j (j >= lo)
+    by its kept R edge at length t + 1 - d_j and followed the return
+    path, which it cannot leave, to L_m = L_max(2, j-k); a cut R edge
+    would land below L_root.  The parts are disjoint, so
+
+        c_(t+1)[m] = c_t[m-1] + sum over j >= lo with max(2, j-k) = m
+                     of c_(t+1-d_j)[j],
+
+    where c_s[j] = 0 unless 0 <= s and j <= root + s: a walk climbs one
+    level per step.  For m >= 3 the sum has the one term j = m + k; for
+    m = 2 (root 2 only) it runs over 2 <= j <= k + 2.  As j >= root, a
+    term with j - k >= 1 is nonzero only if 2j <= t + 1 + k + root.
+
+    A walk of length t + 1 is a walk of length t and one out-edge of its
+    end.  L_m with m >= lo has two out-edges; every other node reached
+    has one (L_root .. L_(lo-1) their L edge), so W_0 = 1 and
+
+        W_(t+1) = W_t + sum over m >= lo of c_t[m].
+    """
+    if k not in (1, 2):
+        raise ValueError("digraph machinery requires k in {1, 2}")
+    if root < 2:
+        raise ValueError("root must be a ladder level >= 2")
+    if steps < 0:
+        raise ValueError("steps must be nonnegative")
+    lo = 2 if root == 2 else root + k  # the least level whose R edge is kept
+    rows = [[0] * root + [1]]  # rows[t][m] = c_t[m] for m <= root + t
+    totals = [1]  # totals[t] = W_t
+    for t in range(steps):
+        row = rows[t]
+        totals.append(totals[t] + sum(row[lo:]))
+        nxt = [0, *row]  # the L edges
+        top = (t + 1 + k + root) // 2  # c_(t+1+k-j)[j] = 0 for every j > top
+        for j in range(lo, min(k + 2, top) + 1):  # the R edges into L_2
+            nxt[2] += rows[t + 1 - max(1, j - k)][j]
+        for j in range(max(lo, k + 3), top + 1):
+            nxt[j - k] += rows[t + 1 + k - j][j]
+        rows.append(nxt)
+    return rows, totals
+
+
 def perm_counts(k: int, max_n: int) -> list[int]:
     """[f_k(1), ..., f_k(max_n)] (k in {1, 2}) from walks on the ladder
     alone, in O(max_n^2) integer additions; f_k(n) = 2 W_(n-2) for
     n >= 2, where W_t counts the walks of length t from the start node
     (see :func:`walk_count`).
 
-    By :func:`build_digraph`, every node reached from the start node is
-    the start node, a ladder node L_j, or an inner node of the return
-    path of some L_j (j >= 3).  That path leaves by L_j's R edge and
-    enters L_max(2, j-k) after exactly j - k steps, and its inner nodes
-    have one out-edge each.  The start node has L_2's out-edges (L to
-    L_3, R to L_2), so walks from it are counted as walks from L_2.
-
-    Let c_t[m] be the number of walks of length t that end at L_m, with
-    c_0 = [L_2: 1].  Split a walk of length t + 1 that ends at L_m at its
-    last visit to the ladder before the end.  Either that visit is at
-    length t and the last edge is L_2's R self-loop (m = 2) or the L
-    edge from L_(m-1) (m >= 3), or the walk left some L_j by its R edge
-    at length t + 1 - (j - k) and followed the return path, which it
-    cannot leave, to L_m = L_max(2, j-k).  The parts are disjoint, so
-
-        c_(t+1)[2] = c_t[2] + sum over 3 <= j <= k + 2 of c_(t+1+k-j)[j],
-        c_(t+1)[m] = c_t[m-1] + c_(t+1-m)[m+k]          (m >= 3),
-
-    where c_s[j] = 0 unless 0 <= s and j <= s + 2: a walk climbs one
-    level per step.  A walk of length t + 1 is a walk of length t and
-    one out-edge of its end.  Ladder nodes have two out-edges and every
-    other node reached has one, so W_0 = 1 and
-
-        W_(t+1) = W_t + sum over m of c_t[m].
+    The start node has L_2's out-edges (L to L_3, R to L_2), so walks
+    from it are counted as the walks of :func:`ladder_walks` from L_2,
+    where no R edge is cut.
     """
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
-    if k not in (1, 2):
-        raise ValueError("digraph machinery requires k in {1, 2}")
-    rows = [[0, 0, 1]]  # rows[t][m] = c_t[m] for m <= t + 2
-    totals = [1]  # totals[t] = W_t
-    for t in range(max_n - 2):
-        row = rows[t]
-        totals.append(totals[t] + sum(row))
-        nxt = [0, 0, row[2], *row[2:]]  # the self-loop and the L edges
-        top = (t + 3 + k) // 2  # c_(t+1+k-j)[j] = 0 for every j > top
-        for j in range(3, min(k + 2, top) + 1):
-            nxt[2] += rows[t + 1 + k - j][j]
-        for j in range(k + 3, top + 1):
-            nxt[j - k] += rows[t + 1 + k - j][j]
-        rows.append(nxt)
+    _, totals = ladder_walks(k, 2, max(max_n - 2, 0))
     return [1, *(2 * w for w in totals)][:max_n]
 
 

@@ -21,6 +21,10 @@ DEEP_F = {
         "4213229995134465283872348284566692486200905591085546176192079474"),
 }
 
+# tot', bot1' and bot2' of k2_components(200) at q^200, recorded from
+# the BFS of the 2-convex upper subgraph and the walk DP over it
+K2_COMPONENTS_200 = (4139556609329472, 22399155389340, 40421421440816)
+
 # 0-convex words on 3 letters, counts by length 0..20
 WORD_GF_30 = [1, 3, 9, 16, 20] + [21] * 16
 

@@ -8,8 +8,10 @@ two.  The least realizable tuple of a merged digraph class is found by
 trying every filling in order, and the node that carries the loop of a
 truncated digraph by following the cutoff's return path; the library
 gives both by closed forms.  The counts of k-convex permutations come
-from a BFS of the digraph and the walk DP over all its nodes; the
-library counts walks on the ladder alone.
+from a BFS of the digraph and the walk DP over all its nodes, and the
+walks on a ladder subgraph from following the transitions with an
+explicit set of edges dropped; the library counts walks on the ladder
+alone, by a recurrence that rests on the return-path lemma.
 """
 
 from fractions import Fraction
@@ -17,7 +19,13 @@ from fractions import Fraction
 from convexenum.exact.polynomial import Polynomial
 from convexenum.exact.ratfun import RationalFunction
 from convexenum.exact.roots import NoRootError
-from convexenum.perms import build_digraph, realizable, walks
+from convexenum.perms import (
+    build_digraph,
+    realizable,
+    state_key,
+    transitions,
+    walks,
+)
 
 
 def euclid_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -173,3 +181,45 @@ def perm_counts_by_walks(k, max_n):
     max_n - 2 and the walk DP over all of its nodes."""
     g = build_digraph(k, depth=max(max_n - 2, 0))
     return ([1] + [2 * sum(c) for c in walks(g, max_n - 2)])[:max_n]
+
+
+def adjacency(g):
+    """The adjacency matrix of the digraph ``g``, edges counted with
+    multiplicity."""
+    m = [[0] * len(g.nodes) for _ in g.nodes]
+    for u, v, _ in g.edges:
+        m[u][v] += 1
+    return m
+
+
+def subgraph_walks(k, root, order, drop, ends):
+    """Walk counts of lengths 0..order from the node key ``root`` when
+    the ``(key, label)`` out-edges in ``drop`` are left out: the totals,
+    and for each key in ``ends`` the walks ending there.  Each step
+    pushes every count along the out-edges that :func:`transitions`
+    gives; nothing about the shape of the digraph is assumed."""
+    counts = {root: 1}
+    totals, ending = [], [[] for _ in ends]
+    for _ in range(order + 1):
+        totals.append(sum(counts.values()))
+        for series, key in zip(ending, ends):
+            series.append(counts.get(key, 0))
+        nxt = {}
+        for key, c in counts.items():
+            for label, child in transitions(key, k):
+                if (key, label) not in drop:
+                    nxt[child] = nxt.get(child, 0) + c
+        counts = nxt
+    return totals, ending
+
+
+def ladder_walk_oracle(order):
+    """Exact (tot, bot) coefficient vectors of the k = 1 ladder walks.
+
+    The subgraph is everything reachable from the 1223 node once its
+    right (downward) edge is removed; this is the structure the
+    continued fractions describe, so it is an independent check on them.
+    """
+    root = state_key((1, 2, 2, 3), 1)  # the 1223 node
+    totals, (returns,) = subgraph_walks(1, root, order, {(root, "R")}, [root])
+    return totals, returns

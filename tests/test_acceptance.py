@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+import _oracles
 from _goldens import (
     BOUND_GF,
     ENCODE_EXAMPLES,
@@ -115,7 +116,7 @@ def test_criterion_7_continued_fraction_consistency():
     g = perms.build_digraph(1, depth=28)
     for n in range(2, 31):
         assert int(f1[n]) == 2 * perms.walk_count(g, n), n
-    totals, returns = cfrac.ladder_walk_oracle(20)
+    totals, returns = _oracles.ladder_walk_oracle(20)
     bot = cfrac.bot_series(20)
     tot = cfrac.tot_series(20)
     assert [int(bot[n]) for n in range(21)] == returns

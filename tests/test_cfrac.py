@@ -2,7 +2,8 @@
 
 import pytest
 
-from _goldens import TABLE_F1, TABLE_F2
+import _oracles
+from _goldens import K2_COMPONENTS_200, TABLE_F1, TABLE_F2
 from convexenum import cfrac
 from convexenum.cfrac import (
     bot_series,
@@ -12,24 +13,23 @@ from convexenum.cfrac import (
     f2_formula_series,
     k2_components,
     ladder_tower,
-    ladder_walk_oracle,
     m1_series,
     tot_series,
 )
 from convexenum.exact.series import TruncatedSeries
-from convexenum.perms import (
-    build_digraph,
-    count_perms_digraph,
-    perm_counts,
-    state_key,
-    walks,
-)
+from convexenum.perms import count_perms_digraph, perm_counts, state_key
+
+# the 2-convex upper subgraph as first built: walked from 1245 with the
+# downward (R) edges of 1234, 1245 and 1256 left out
+N1234, N1245, N1256 = (state_key(t, 2) for t in (
+    (1, 2, 3, 4), (1, 2, 4, 5), (1, 2, 5, 6)))
+K2_DROP = {(N1234, "R"), (N1245, "R"), (N1256, "R")}
 
 
 class TestLadderSeries:
     def test_bot_and_tot_match_walk_oracle(self):
         order = 20
-        totals, returns = ladder_walk_oracle(order)
+        totals, returns = _oracles.ladder_walk_oracle(order)
         bot = bot_series(order)
         tot = tot_series(order)
         assert [int(bot[n]) for n in range(order + 1)] == returns
@@ -44,8 +44,7 @@ class TestLadderSeries:
 
     def test_order_is_required(self):
         for fn in (ladder_tower, bot_series, tot_series, f1_series,
-                   m1_series, k2_components, ladder_walk_oracle,
-                   f2_formula_check):
+                   m1_series, k2_components, f2_formula_check):
             with pytest.raises(TypeError):
                 fn()
 
@@ -103,25 +102,37 @@ class TestTwoConvexComponents:
                 assert f2_formula_series(k2_components(order), root=root) \
                     == deep.truncate(order), (root, order)
 
+    def test_matches_subgraph_walk_oracle(self):
+        # the ladder recurrence at root 5 against walks over the
+        # transitions with the suppressed edges dropped
+        totals, ending = _oracles.subgraph_walks(
+            2, N1245, 60, K2_DROP, (N1245, N1256))
+        for order in range(61):
+            assert [list(s.coeffs) for s in k2_components(order)] == \
+                [c[:order + 1] for c in (totals, *ending)], order
+
     def test_1234_rooting_matches_direct_walk(self):
         # the rooting f2_formula_series derives for 1234, (1 + q tot,
-        # q bot1, q bot2), against a walk DP on the subgraph built from
-        # 1234 itself
-        n1234, n1245, n1256 = (state_key(t, 2) for t in (
-            (1, 2, 3, 4), (1, 2, 4, 5), (1, 2, 5, 6)))
-        drop = {(n1234, "R"), (n1245, "R"), (n1256, "R")}
+        # q bot1, q bot2), against walks from 1234 itself
+        totals, ending = _oracles.subgraph_walks(
+            2, N1234, 60, K2_DROP, (N1245, N1256))
         for order in range(61):
-            g = build_digraph(2, depth=order, root=n1234, drop=drop)
-            index = {key: i for i, key in enumerate(g.nodes)}
-            direct = [[], [], []]
-            for c in walks(g, order):
-                direct[0].append(sum(c))
-                for series, key in zip(direct[1:], (n1245, n1256)):
-                    series.append(c[index[key]] if key in index else 0)
             q = TruncatedSeries.x(order)
             tot, bot1, bot2 = k2_components(order)
             derived = (TruncatedSeries.one(order) + q * tot, q * bot1, q * bot2)
-            assert [list(s.coeffs) for s in derived] == direct, order
+            assert [list(s.coeffs) for s in derived] == \
+                [c[:order + 1] for c in (totals, *ending)], order
+
+    def test_deep_components_match_golden(self):
+        # recorded from the BFS of the subgraph and the walk DP over it
+        components = k2_components(200)
+        assert tuple(s[200] for s in components) == K2_COMPONENTS_200
+        f2 = f2_exact_series(components)
+        assert list(f2.coeffs) == [1] + perm_counts(2, 200)
+
+    def test_negative_order_is_a_value_error(self):
+        with pytest.raises(ValueError):
+            k2_components(-1)
 
     def test_derived_closed_form_is_exact(self):
         f2 = f2_exact_series(k2_components(20))

@@ -48,6 +48,7 @@ from convexenum.perms import (
     growth_bounds,
     is_convex_perm,
     is_slow_riser,
+    ladder_walks,
     mountain_from_coloring,
     perm_counts,
     realizable,
@@ -127,6 +128,30 @@ class TestCounting:
             with pytest.raises(ValueError,
                                match="^max_n must be nonnegative$"):
                 perm_counts(k, -1)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_ladder_walks_match_walks_over_the_transitions(self, k):
+        # the oracle cuts the R edges that land below the root, found by
+        # following them, so it does not rest on the return-path lemma
+        order = 60
+        for root in range(2, 12):
+            levels = range(root, root + order + 1)
+            drop = {((1, None, None, j), "R") for j in levels
+                    if _r_edge_landing(k, j) < root}
+            totals, ending = _oracles.subgraph_walks(
+                k, (1, None, None, root), order, drop,
+                [(1, None, None, m) for m in levels])
+            expected = [[0] * root + [ending[i][t] for i in range(t + 1)]
+                        for t in range(order + 1)]
+            for steps in range(order + 1):
+                assert ladder_walks(k, root, steps) == \
+                    (expected[:steps + 1], totals[:steps + 1]), (root, steps)
+
+    def test_ladder_walks_rejects_bad_arguments(self):
+        for args, message in (((3, 2, 5), "k in"), ((1, 1, 5), "root"),
+                              ((2, 5, -1), "steps")):
+            with pytest.raises(ValueError, match=message):
+                ladder_walks(*args)
 
     def test_generator_matches_counts(self):
         # the definition itself, filtered over all n! permutations in
@@ -420,11 +445,6 @@ class TestDigraph:
             with pytest.raises(ValueError, match="ladder"):
                 gf_bound(k, "lower", cutoff=cutoff)
 
-    def test_truncation_closes_from_the_start_node_only(self):
-        ladder = state_key((1, 2, 3, 4), 1)
-        with pytest.raises(ValueError, match="start node"):
-            build_digraph(1, cutoff=DEFAULT_CUTOFF[1], root=ladder)
-
     def test_dot_export(self):
         g = build_digraph(1, cutoff=DEFAULT_CUTOFF[1], loop=True)
         dot = g.to_dot()
@@ -458,6 +478,16 @@ class TestDigraph:
         for depth in (None, 0, 5):
             with pytest.raises(ValueError, match="loop mode needs"):
                 build_digraph(1, depth=depth, loop=True)
+
+
+def _r_edge_landing(k, j):
+    """The ladder level that the R edge of L_j leads to, found by
+    following the transitions through nodes with one out-edge."""
+    (key,) = [child for label, child in transitions((1, None, None, j), k)
+              if label == "R"]
+    while key[:3] != (1, None, None):
+        (_, key), = transitions(key, k)
+    return key[3]
 
 
 def _push_walks(g, steps):
@@ -497,18 +527,6 @@ class TestWalks:
             for loop in (False, True):
                 g = build_digraph(k, cutoff=DEFAULT_CUTOFF[k], loop=loop)
                 _assert_walks_match_push_form(g, 60)
-
-    def test_rooted_ladder_subgraphs(self):
-        # the subgraphs the continued-fraction oracles walk on
-        r1223 = state_key((1, 2, 2, 3), 1)
-        _assert_walks_match_push_form(
-            build_digraph(1, depth=30, root=r1223, drop={(r1223, "R")}), 30)
-        n1234, n1245, n1256 = (state_key(t, 2) for t in (
-            (1, 2, 3, 4), (1, 2, 4, 5), (1, 2, 5, 6)))
-        drop = {(n1234, "R"), (n1245, "R"), (n1256, "R")}
-        for root in (n1234, n1245):
-            _assert_walks_match_push_form(
-                build_digraph(2, depth=30, root=root, drop=drop), 30)
 
     def test_hand_built_graph(self):
         # a double edge 0 -> 1, a self-loop at 1, a back edge 2 -> 0, and
@@ -558,7 +576,7 @@ class TestGrowthBounds:
         # (I - xA)^{-1}, summed, solved over the rational-function field
         g = build_digraph(2, cutoff=DEFAULT_CUTOFF[2], loop=True)
         walks = RationalFunction.zero()
-        for entry in matrix_resolvent_row(g.adjacency(), 0):
+        for entry in matrix_resolvent_row(_oracles.adjacency(g), 0):
             walks = walks + entry
         x = RationalFunction(Polynomial.x())
         assert gf_bound(2, "upper") == 1 + x + 2 * x * x * walks
