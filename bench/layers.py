@@ -1,5 +1,6 @@
 """Layer timings of the exhaustive searches, the ladder counts of
-k-convex permutations, the digraph labels and the 2-convex formula
+k-convex permutations, the digraph labels, the exact kernel's
+certified growth bounds and f_1 series, and the 2-convex formula
 report, and the size of the library's code.
 
     python bench/layers.py [--label NAME] [--src DIR]
@@ -63,6 +64,11 @@ def cases(cfrac, perms, words, g):
         return (f"perm_counts({k}, {n})", lambda: perms.perm_counts(k, n),
                 lambda out: len(out) == n and out[-1] == g.DEEP_F[k, n])
 
+    def bounds(k):
+        roots = g.ROOT_INTERVALS[k, "lower"], g.ROOT_INTERVALS[k, "upper"]
+        return (f"growth_bounds({k}, 20)", lambda: perms.growth_bounds(k, 20),
+                lambda out: (out.lower_root, out.upper_root) == roots)
+
     return [
         ("count_words_bruteforce(12, 5, 1)",
          lambda: words.count_words_bruteforce(12, 5, 1),
@@ -83,6 +89,10 @@ def cases(cfrac, perms, words, g):
         ladder(2, 250),
         ladder(2, 500),
         ("labels of build_digraph(2, 150), cold", *labels(2, 150)),
+        bounds(1),
+        bounds(2),
+        ("f1_series(120)", lambda: cfrac.f1_series(120),
+         lambda out: out[120] == g.DEEP_F[1, 120]),
         ("f2_formula_check(40)",
          lambda: cfrac.f2_formula_check(40),
          lambda out: out["exact"][1:13] == g.TABLE_F2

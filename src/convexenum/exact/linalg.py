@@ -7,19 +7,20 @@ from fractions import Fraction
 from convexenum.exact.polynomial import Polynomial
 from convexenum.exact.ratfun import RationalFunction
 from convexenum.exact.series import TruncatedSeries
+from convexenum.frozen import Frozen
 
 
 class NonUnitDeterminantError(ValueError):
     """Raised when elimination cannot find a pivot that is a unit."""
 
 
-class SeriesMatrix:
+class SeriesMatrix(Frozen):
     """A rectangular grid of :class:`TruncatedSeries` entries sharing
     one truncation order; the field variants of the algorithms below
     take plain nested lists instead.
     """
 
-    __slots__ = ("rows", "entries")
+    __slots__ = ("entries",)
 
     def __init__(self, entries):
         entries = tuple(tuple(row) for row in entries)
@@ -33,15 +34,11 @@ class SeriesMatrix:
             raise TypeError("entries must be TruncatedSeries")
         if len({e.order for row in entries for e in row}) > 1:
             raise ValueError("entries must share one truncation order")
-        object.__setattr__(self, "rows", len(entries))
-        object.__setattr__(self, "entries", entries)
+        super().__init__(entries)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SeriesMatrix is immutable")
-
-    def __reduce__(self):
-        # pickle and copy rebuild through __init__, not __setattr__
-        return type(self), (self.entries,)
+    @property
+    def rows(self) -> int:
+        return len(self.entries)
 
 
 def _gauss_jordan(rows, rhs, is_unit, inverse):

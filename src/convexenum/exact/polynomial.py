@@ -5,6 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+from convexenum.frozen import Frozen
+
 
 def exact_coefficient(x) -> int | Fraction:
     """Normalized exact coefficient: an integer value is an ``int``, any
@@ -34,7 +36,7 @@ def convolve(a, b, length: int) -> list:
     return out
 
 
-class Polynomial:
+class Polynomial(Frozen):
     """A polynomial stored as a coefficient tuple, index = exponent.
 
     Coefficients are normalized (see ``exact_coefficient``), so integer
@@ -48,14 +50,7 @@ class Polynomial:
         cs = [exact_coefficient(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
-
-    def __reduce__(self):
-        # pickle and copy rebuild through __init__, not __setattr__
-        return type(self), (self.coeffs,)
+        super().__init__(tuple(cs))
 
     # -- constructors -------------------------------------------------
 
@@ -97,14 +92,6 @@ class Polynomial:
 
     def leading_coeff(self) -> int | Fraction:
         return self.coeffs[-1] if self.coeffs else 0
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Polynomial):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     # -- ring arithmetic ----------------------------------------------
 
@@ -220,9 +207,6 @@ class Polynomial:
         return acc
 
     # -- display ------------------------------------------------------
-
-    def __repr__(self):
-        return f"Polynomial({list(self.coeffs)!r})"
 
     def __str__(self):
         if not self.coeffs:

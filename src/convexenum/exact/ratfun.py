@@ -8,9 +8,10 @@ from operator import mul
 
 from convexenum.exact.polynomial import Polynomial, convolve
 from convexenum.exact.series import TruncatedSeries
+from convexenum.frozen import Frozen
 
 
-class RationalFunction:
+class RationalFunction(Frozen):
     """A quotient num/den of integer-coefficient polynomials.
 
     Canonical form: gcd(num, den) = 1, coefficients are integers with
@@ -25,16 +26,7 @@ class RationalFunction:
         den = self._as_poly(den)
         if not den:
             raise ZeroDivisionError("zero denominator")
-        num, den = self._canonicalize(num, den)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalFunction is immutable")
-
-    def __reduce__(self):
-        # pickle and copy rebuild through __init__, not __setattr__
-        return type(self), (self.num, self.den)
+        super().__init__(*self._canonicalize(num, den))
 
     @staticmethod
     def _as_poly(p) -> Polynomial:
@@ -113,14 +105,6 @@ class RationalFunction:
     def __bool__(self) -> bool:
         return bool(self.num)
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, RationalFunction):
-            return self.num == other.num and self.den == other.den
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
     # -- field arithmetic ---------------------------------------------
 
     @classmethod
@@ -180,9 +164,6 @@ class RationalFunction:
         """Power-series expansion; the denominator must be a unit at 0."""
         return (TruncatedSeries(self.num.coeffs, order)
                 / TruncatedSeries(self.den.coeffs, order))
-
-    def __repr__(self):
-        return f"RationalFunction({self.num!r}, {self.den!r})"
 
     def __str__(self):
         return f"({self.num}) / ({self.den})"

@@ -5,9 +5,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from convexenum.exact.polynomial import convolve, exact_coefficient
+from convexenum.frozen import Frozen
 
 
-class TruncatedSeries:
+class TruncatedSeries(Frozen):
     """A power series known exactly through the coefficient of x^order.
 
     Coefficients are normalized (see ``exact_coefficient``): integers
@@ -19,7 +20,7 @@ class TruncatedSeries:
     falsy.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("coeffs", "order")
 
     def __init__(self, coeffs, order: int):
         cs = [exact_coefficient(c) for c in coeffs]
@@ -29,15 +30,7 @@ class TruncatedSeries:
             cs += [0] * (order + 1 - len(cs))
         else:
             cs = cs[: order + 1]
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedSeries is immutable")
-
-    def __reduce__(self):
-        # pickle and copy rebuild through __init__, not __setattr__
-        return type(self), (self.coeffs, self.order)
+        super().__init__(tuple(cs), order)
 
     # -- constructors -------------------------------------------------
 
@@ -74,14 +67,6 @@ class TruncatedSeries:
         if order == self.order:
             return self
         return TruncatedSeries(self.coeffs[: order + 1], order)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, TruncatedSeries):
-            return self.order == other.order and self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.order, self.coeffs))
 
     def __bool__(self) -> bool:
         return any(self.coeffs)
@@ -151,7 +136,3 @@ class TruncatedSeries:
         if other is NotImplemented:
             return NotImplemented
         return self * other.invert()
-
-    def __repr__(self):
-        return f"TruncatedSeries({list(self.coeffs)!r}, order={self.order})"
-

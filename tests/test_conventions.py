@@ -15,9 +15,12 @@ hook counts on a real call.
 ``import convexenum.cli`` loads every module the tracer binds, and no
 standard module that only some commands need.
 
-The paper's value types compare by value, only to their own type, and
-they, the library's records and the exact kernel's types cannot be
-assigned to, and pickle and copy back to an equal value.
+The paper's value types and the exact kernel's compare by value, only
+to their own type.  They and the library's records cannot be assigned
+to or deleted from, pickle and copy back to an equal value, and the
+kernel's print as an expression that evaluates back to an equal value.
+No class but ``Frozen`` implements immutability, equality or pickling
+itself, so that there is one implementation of each.
 """
 
 import ast
@@ -39,6 +42,7 @@ from convexenum.exact import linalg, roots
 from convexenum.exact.polynomial import Polynomial
 from convexenum.exact.ratfun import RationalFunction
 from convexenum.exact.series import TruncatedSeries
+from convexenum.frozen import Frozen
 from convexenum.perms import Permutation
 from convexenum.words import IntegerPartition, Word, WordGF
 
@@ -221,10 +225,11 @@ def test_cli_import_defers_what_only_some_commands_need():
     assert {module for module, *_ in tracing.SPANS + tracing.COUNTS} <= cli
 
 
-# the permutation and the partition hold the same field values, so only
-# their types tell them apart
+# the permutation, the partition and the polynomial hold the same field
+# values, so only their types tell them apart
 VALUES = [(Permutation, ((1, 2, 3),)), (Word, ((1, 2, 3), 3)),
-          (IntegerPartition, ((1, 2, 3),))]
+          (IntegerPartition, ((1, 2, 3),)), (Polynomial, ((1, 2, 3),)),
+          (TruncatedSeries, ((1, 2, 3), 2))]
 
 
 def _copies(value):
@@ -263,10 +268,10 @@ def test_frozen_types_reject_assignment():
     own = [Permutation((2, 1)), Word((1,), 2), IntegerPartition((1,)),
            *records]
     kernel = [Polynomial((1, 2)), rf, one, linalg.SeriesMatrix([[one, one]])]
-    for value in own:
+    assert kernel[-1].rows == 1
+    for value in own + kernel:
         with pytest.raises(AttributeError):
             delattr(value, type(value).__slots__[0])
-    for value in own + kernel:
         for name in (*type(value).__slots__, "other"):
             with pytest.raises(AttributeError):
                 setattr(value, name, None)
@@ -274,3 +279,56 @@ def test_frozen_types_reject_assignment():
             assert type(clone) is type(value), value
             assert all(getattr(clone, name) == getattr(value, name)
                        for name in type(value).__slots__), value
+
+
+def test_kernel_values_print_as_an_expression_for_an_equal_value():
+    one = TruncatedSeries((1, Fraction(1, 2)), 3)
+    values = [Polynomial((1, Fraction(-2, 3))), one,
+              RationalFunction(Polynomial((1, -1)), Polynomial((1, -2))),
+              linalg.SeriesMatrix([[one, one], [one, -one]])]
+    names = {cls.__name__: cls for cls in map(type, values)}
+    for value in values:
+        assert type(value).__repr__ is Frozen.__repr__
+        assert eval(repr(value), {"Fraction": Fraction, **names}) == value
+    assert repr(values[0]) == "Polynomial(coeffs=(1, Fraction(-2, 3)))"
+
+
+PROTOCOL = {"__setattr__", "__delattr__", "__reduce__", "__eq__", "__hash__"}
+
+
+def protocol_forks(source: str) -> list[str]:
+    """``Class.method`` for each method of :class:`Frozen`'s protocol
+    that a class of ``source`` other than ``Frozen`` defines or binds."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef) or node.name == "Frozen":
+            continue
+        for item in node.body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [item.name]
+            elif isinstance(item, ast.Assign):
+                names = [t.id for t in item.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            found += [f"{node.name}.{name}" for name in names
+                      if name in PROTOCOL]
+    return found
+
+
+def test_only_frozen_implements_immutability_equality_and_pickling():
+    files = sorted(SRC.rglob("*.py"))
+    assert len(files) > 10
+    forks = {str(path.relative_to(ROOT)): protocol_forks(path.read_text())
+             for path in files}
+    assert {path: found for path, found in forks.items() if found} == {}
+
+
+def test_the_fork_check_finds_methods_and_bindings():
+    source = (
+        "class Frozen:\n"
+        "    def __eq__(self, other): ...\n"
+        "class Value(Frozen):\n"
+        "    __hash__ = None\n"
+        "    def __delattr__(self, name): ...\n"
+        "    def __repr__(self): ...\n")
+    assert protocol_forks(source) == ["Value.__hash__", "Value.__delattr__"]
