@@ -1,7 +1,7 @@
 """Layer timings of the exhaustive searches, the ladder counts of
 k-convex permutations, the digraph labels, the exact kernel's
-certified growth bounds and f_1 series, and the 2-convex formula
-report, and the size of the library's code.
+certified growth bounds, the k = 1 ladder's tot and f_1 series, and the
+2-convex formula report, and the size of the library's code.
 
     python bench/layers.py [--label NAME] [--src DIR]
 
@@ -9,8 +9,9 @@ Each in-process case runs seven times, timed with ``time.perf_counter``;
 its median, its quartiles and its best time are kept.  On a noisy
 2-core host the best of a run can swing by 1.7x from one run to the
 next, so the quartiles show how far a run's times spread.  Every result
-is checked against ``tests/_goldens.py``, and a wrong one stops the run
-with exit 1.
+is checked against ``tests/_goldens.py``, or ``tot_series`` against the
+ladder recurrence of ``perms.ladder_walks``, and a wrong one stops the
+run with exit 1.
 No cache is left in ``convexenum.perms``, so the labels are timed cold.
 The code size is the number of lines of ``src`` that hold a token,
 leaving out blank lines, comments and docstrings, in total and per
@@ -53,6 +54,7 @@ REPEAT = 7
 def cases(cfrac, perms, words, g):
     """(name, call, check) for every timed case."""
     search = g.SEARCH_COUNTS
+    _, ladder_totals = perms.ladder_walks(1, 3, 60)  # walks from 1223
 
     def labels(k, depth):
         graph = perms.build_digraph(k, depth=depth)
@@ -91,8 +93,12 @@ def cases(cfrac, perms, words, g):
         ("labels of build_digraph(2, 150), cold", *labels(2, 150)),
         bounds(1),
         bounds(2),
+        ("tot_series(60)", lambda: cfrac.tot_series(60),
+         lambda out: list(out.coeffs) == ladder_totals),
         ("f1_series(120)", lambda: cfrac.f1_series(120),
          lambda out: out[120] == g.DEEP_F[1, 120]),
+        ("f1_series(250)", lambda: cfrac.f1_series(250),
+         lambda out: out[250] == g.DEEP_F[1, 250]),
         ("f2_formula_check(40)",
          lambda: cfrac.f2_formula_check(40),
          lambda out: out["exact"][1:13] == g.TABLE_F2

@@ -3,14 +3,21 @@
 The infinite ladder subgraph hanging above the start of the 1-convex
 transition digraph supports closed-form walk counts: returns to the
 ladder root satisfy a continued-fraction recurrence, and the total walk
-count is an explicit sum over ladder levels.  Feeding those series into
-a 5x5 weighted transfer matrix reproduces the exact counting series for
-1-convex permutations.  The 2-convex analogue has no closed form; its
-components are walk counts on the ladder above the node 1245, from the
-ladder recurrence of :func:`convexenum.perms.ladder_walks`.
+count is an explicit sum over ladder levels.  Both are evaluated by the
+fraction's convergents, whose numerators and denominators obey a
+three-term recurrence of shifted integer subtractions, with one series
+division per series (see :func:`_convergents`).  Feeding those series
+into a 5x5 weighted transfer matrix reproduces the exact counting
+series for 1-convex permutations.  For the 2-convex analogue the
+paper's closed form disagrees with the counts (first at order 13 when
+rooted at 1245, see :func:`f2_formula_check`); its components are walk
+counts on the ladder above the node 1245, from the ladder recurrence of
+:func:`convexenum.perms.ladder_walks`.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 from convexenum.exact.linalg import SeriesMatrix, solve_series_system
 from convexenum.exact.series import TruncatedSeries
@@ -34,47 +41,72 @@ def ladder_tower(order: int) -> tuple[TruncatedSeries, ...]:
     return tuple(reversed(levels))
 
 
+def _convergents(order: int):
+    """(B_1, B_2, T) for the tower of :func:`ladder_tower`, in about
+    1.25 order^2 integer additions, as series to ``order``.
+
+    Set B_j = 1 for 3 + j > order and B_j = B_(j+1) - q^(3+j) B_(j+2)
+    below, each a shifted subtraction.  Then H_j = B_(j+1)/B_j for every
+    level j of the tower, and H_j = 1 = B_(j+1)/B_j deeper: by downward
+    induction, H_j = 1/(1 - q^(3+j) B_(j+2)/B_(j+1)) = B_(j+1)/B_j.
+    The tower's level j stops at depth max(1, order - 3) on a truncated
+    1, and B_j = 1 there too.  Truncating at order is a ring map, so the
+    identity holds in the truncated ring, and every B_j has constant
+    term 1, so each quotient stays in Z[[q]].  Products telescope,
+    H_1 ... H_m = B_(m+1)/B_1, so bot = H_1 = B_2/B_1, and the walk sum
+    of :func:`tot_series` is tot = T/B_1 with
+
+        T = sum over n of ramp_n B_(n+2),
+
+    where ramp_0 = 1 and ramp_n = q^n (1 + q + ... + q^(n+1)) for
+    n >= 1.  Each ramp_n is (q^n - q^end)/(1 - q) with end = n + 1 at
+    n = 0 and 2n + 2 above, so (1 - q) T is two shifted additions per
+    level, and T is its running sum.
+    """
+    b, b_up = [1] + [0] * order, [1] + [0] * order  # B_(j+1), B_(j+2)
+    u = [0] * (order + 1)  # (1 - q) T
+    for j in range(order + 2, 0, -1):
+        b, b_up = b[:3 + j] + [x - y for x, y in zip(b[3 + j:], b_up)], b
+        n = j - 2  # b is B_(n+2)
+        if n >= 0:
+            end = 2 * n + 2 if n else 1
+            u[n:] = [x + y for x, y in zip(u[n:], b)]
+            u[end:] = [x - y for x, y in zip(u[end:], b)]
+    return (TruncatedSeries(b, order), TruncatedSeries(b_up, order),
+            TruncatedSeries(accumulate(u), order))
+
+
 def bot_series(order: int) -> TruncatedSeries:
-    """Returns to the ladder root, counted by walk length."""
-    return ladder_tower(order)[0]
+    """Returns to the ladder root, counted by walk length: B_2/B_1 (see
+    :func:`_convergents`)."""
+    b1, b2, _ = _convergents(order)
+    return b2 / b1
 
 
 def tot_series(order: int) -> TruncatedSeries:
-    """All walks from the ladder root, counted by length."""
-    return _tot_from_tower(ladder_tower(order))
-
-
-def _tot_from_tower(tower: tuple[TruncatedSeries, ...]) -> TruncatedSeries:
-    """Sum over the highest level n+1 reached: q^n forward steps, a
-    partial descent of up to n+1 further steps, and independent
-    excursions from each level visited.
+    """All walks from the ladder root, counted by length: T/B_1 (see
+    :func:`_convergents`).  A walk is summed by the highest level n+1 it
+    reaches: q^n forward steps, a partial descent of up to n+1 further
+    steps, and independent excursions from each level visited.
     """
-    order = tower[0].order
-    one = TruncatedSeries.one(order)
-    total = TruncatedSeries.zero(order)
-    prod = one
-    for n in range(order + 1):
-        if n < len(tower):
-            prod = prod * tower[n]
-        # else: deeper levels are 1 to this order
-        ramp_len = 1 if n == 0 else n + 2  # q^n (1 + q + ... + q^(n+1))
-        ramp = TruncatedSeries([0] * n + [1] * ramp_len, order)
-        total = total + ramp * prod
-    return total
+    b1, _, t = _convergents(order)
+    return t / b1
 
 
 def f1_series(order: int) -> TruncatedSeries:
-    """Exact counting series for 1-convex permutations by length."""
+    """Exact counting series for 1-convex permutations by length,
+
+        1 + q - 2 q^2 (1 + q^2 bot + q tot)/(-1 + q + q^3 bot),
+
+    with numerator and denominator multiplied by the unit B_1 of
+    :func:`_convergents`, so that one series division remains.
+    """
+    b1, b2, t = _convergents(order)
     q = TruncatedSeries.x(order)
     q2 = TruncatedSeries.monomial(2, order)
-    q3 = TruncatedSeries.monomial(3, order)
-    tower = ladder_tower(order)
-    bot = tower[0]
-    tot = _tot_from_tower(tower)
-    one = TruncatedSeries.one(order)
-    num = one + q2 * bot + q * tot
-    den = -one + q + q3 * bot
-    return one + q - 2 * q2 * (num / den)
+    num = b1 + q2 * b2 + q * t
+    den = q * b1 - b1 + TruncatedSeries.monomial(3, order) * b2
+    return 1 + q - 2 * q2 * (num / den)
 
 
 def m1_series(order: int) -> TruncatedSeries:
@@ -85,9 +117,9 @@ def m1_series(order: int) -> TruncatedSeries:
     resolvent is rescaled exactly as for the unweighted matrices.
     """
     q = TruncatedSeries.x(order)
-    tower = ladder_tower(order)
-    bot = tower[0]
-    tot = _tot_from_tower(tower)
+    b1, b2, t = _convergents(order)
+    inv = b1.invert()
+    bot, tot = b2 * inv, t * inv
     zero = TruncatedSeries.zero(order)
     one = TruncatedSeries.one(order)
     m = [
@@ -117,8 +149,13 @@ def k2_components(order: int):
     The subgraph hangs above the 1234 node of the 2-convex digraph;
     returns from the 1245 and 1256 nodes leave it, so their downward
     edges are suppressed and walks ending on those nodes are tracked
-    separately.  There is no closed form; the tests check the counts
-    against walks over the transitions with those edges dropped.
+    separately.  The paper's closed form built on them
+    (:func:`f2_formula_series`) is not exact: it first disagrees with
+    the counts at order 13 when rooted at 1245.  The returns do have a
+    closed form, a branched continued fraction H_j = 1/(1 - q^(j+2)
+    H_(j+1) H_(j+2)) with bot1' = H_5 and bot2' = q H_5 H_6 (equal to
+    these counts to order 150), not built here.  The tests check the
+    counts against walks over the transitions with those edges dropped.
 
     In the ladder notation of :func:`convexenum.perms.build_digraph`
     (k = 2), 1234, 1245 and 1256 are L_4, L_5 and L_6, and the subgraph

@@ -11,14 +11,19 @@ gives both by closed forms.  The counts of k-convex permutations come
 from a BFS of the digraph and the walk DP over all its nodes, and the
 walks on a ladder subgraph from following the transitions with an
 explicit set of edges dropped; the library counts walks on the ladder
-alone, by a recurrence that rests on the return-path lemma.
+alone, by a recurrence that rests on the return-path lemma.  The k = 1
+ladder series come from inverting every level of the continued-fraction
+tower and multiplying the levels out, in O(order^3); the library
+evaluates the fraction by its convergents, with one series division.
 """
 
 from fractions import Fraction
 
+from convexenum.cfrac import ladder_tower
 from convexenum.exact.polynomial import Polynomial
 from convexenum.exact.ratfun import RationalFunction
 from convexenum.exact.roots import NoRootError
+from convexenum.exact.series import TruncatedSeries
 from convexenum.perms import (
     build_digraph,
     realizable,
@@ -223,3 +228,35 @@ def ladder_walk_oracle(order):
     root = state_key((1, 2, 2, 3), 1)  # the 1223 node
     totals, (returns,) = subgraph_walks(1, root, order, {(root, "R")}, [root])
     return totals, returns
+
+
+def tower_bot_tot(order):
+    """(bot, tot) of the k = 1 ladder from the levels of
+    :func:`ladder_tower`.  bot is the first level.  tot sums over the
+    highest level n+1 reached: q^n forward steps, a partial descent of
+    up to n+1 further steps, and the product of the levels visited."""
+    tower = ladder_tower(order)
+    one = TruncatedSeries.one(order)
+    total = TruncatedSeries.zero(order)
+    prod = one
+    for n in range(order + 1):
+        if n < len(tower):
+            prod = prod * tower[n]
+        # else: deeper levels are 1 to this order
+        ramp_len = 1 if n == 0 else n + 2  # q^n (1 + q + ... + q^(n+1))
+        ramp = TruncatedSeries([0] * n + [1] * ramp_len, order)
+        total = total + ramp * prod
+    return tower[0], total
+
+
+def tower_f1(order):
+    """The 1-convex counting series from the tower's bot and tot,
+    1 + q - 2 q^2 (1 + q^2 bot + q tot)/(-1 + q + q^3 bot)."""
+    bot, tot = tower_bot_tot(order)
+    q = TruncatedSeries.x(order)
+    q2 = TruncatedSeries.monomial(2, order)
+    q3 = TruncatedSeries.monomial(3, order)
+    one = TruncatedSeries.one(order)
+    num = one + q2 * bot + q * tot
+    den = -one + q + q3 * bot
+    return one + q - 2 * q2 * (num / den)

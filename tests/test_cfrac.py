@@ -3,7 +3,7 @@
 import pytest
 
 import _oracles
-from _goldens import K2_COMPONENTS_200, TABLE_F1, TABLE_F2
+from _goldens import DEEP_F, K2_COMPONENTS_200, TABLE_F1, TABLE_F2
 from convexenum import cfrac
 from convexenum.cfrac import (
     bot_series,
@@ -17,7 +17,12 @@ from convexenum.cfrac import (
     tot_series,
 )
 from convexenum.exact.series import TruncatedSeries
-from convexenum.perms import count_perms_digraph, perm_counts, state_key
+from convexenum.perms import (
+    count_perms_digraph,
+    ladder_walks,
+    perm_counts,
+    state_key,
+)
 
 # the 2-convex upper subgraph as first built: walked from 1245 with the
 # downward (R) edges of 1234, 1245 and 1256 left out
@@ -41,6 +46,35 @@ class TestLadderSeries:
             small = series(18)
             large = series(36)
             assert large.truncate(18) == small
+
+    def test_convergents_equal_tower_evaluation(self):
+        # the convergents against inverting every level of the tower and
+        # multiplying the levels out
+        for order in [*range(41), 150]:
+            bot, tot = _oracles.tower_bot_tot(order)
+            f1 = _oracles.tower_f1(order)
+            assert bot_series(order) == bot, order
+            assert tot_series(order) == tot, order
+            assert f1_series(order) == f1, order
+            assert m1_series(order) == f1, order
+
+    def test_bot_is_the_first_tower_level(self):
+        # H_1 = B_2/B_1, through public names
+        for order in range(61):
+            assert bot_series(order) == ladder_tower(order)[0], order
+
+    def test_deep_series_match_ladder_walks(self):
+        # two engines: the convergents and the ladder recurrence from
+        # L_3, the 1223 node, whose walks never go below it
+        rows, totals = ladder_walks(1, 3, 250)
+        assert list(tot_series(250).coeffs) == totals
+        assert list(bot_series(250).coeffs) == [row[3] for row in rows]
+
+    def test_negative_order_is_a_value_error(self):
+        for fn in (ladder_tower, bot_series, tot_series, f1_series,
+                   m1_series):
+            with pytest.raises(ValueError):
+                fn(-1)
 
     def test_order_is_required(self):
         for fn in (ladder_tower, bot_series, tot_series, f1_series,
@@ -75,10 +109,11 @@ class TestOneConvexSeries:
         assert [int(f2[n]) for n in range(1, 41)] == perm_counts(2, 40)
 
     def test_tower_matches_ladder_counts_deep(self):
-        # two independent engines: the continued-fraction tower and the
-        # ladder recurrence
-        f1 = f1_series(150)
-        assert [int(f1[n]) for n in range(1, 151)] == perm_counts(1, 150)
+        # two independent engines: the continued fraction, evaluated by
+        # its convergents, and the ladder recurrence
+        f1 = f1_series(250)
+        assert list(f1.coeffs[1:]) == perm_counts(1, 250)
+        assert f1[250] == DEEP_F[1, 250]
 
 
 class TestTwoConvexComponents:
