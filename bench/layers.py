@@ -10,8 +10,9 @@ its median, its quartiles and its best time are kept.  On a noisy
 2-core host the best of a run can swing by 1.7x from one run to the
 next, so the quartiles show how far a run's times spread.  Every result
 is checked against ``tests/_goldens.py``, or ``tot_series`` against the
-ladder recurrence of ``perms.ladder_walks``, and a wrong one stops the
-run with exit 1.
+ladder recurrence of ``perms.ladder_walks`` and the deeper word search
+against ``words.count_words_dp``, and a wrong one stops the run with
+exit 1.
 No cache is left in ``convexenum.perms``, so the labels are timed cold.
 The code size is the number of lines of ``src`` that hold a token,
 leaving out blank lines, comments and docstrings, in total and per
@@ -75,6 +76,9 @@ def cases(cfrac, perms, words, g):
         ("count_words_bruteforce(12, 5, 1)",
          lambda: words.count_words_bruteforce(12, 5, 1),
          lambda out: out == search[12, 5, 1, False]),
+        ("count_words_bruteforce(13, 5, 1)",
+         lambda: words.count_words_bruteforce(13, 5, 1),
+         lambda out: out == words.count_words_dp(13, 5, 1)),
         ("count_perms_bruteforce(12, 1)",
          lambda: perms.count_perms_bruteforce(12, 1),
          lambda out: out == g.TABLE_F1[11]),

@@ -224,9 +224,42 @@ def _cfrac_f2check(args, rec):
 
 _INT = {"type": int, "required": True}
 _ORDER = {"type": int, "default": words.DEFAULT_ORDER}
+_MAX_N = {"type": int, "default": 12}
+
+#: group -> (its help, {subcommand -> (handler, options)}), where the
+#: options map each destination to its ``add_argument`` keywords, in
+#: the order they are declared
+COMMANDS = {
+    "words": ("locally convex words", {
+        "count": (_words_count, {"n": _INT, "p": _INT, "k": _INT}),
+        "gf": (_words_gf, {"p": _INT, "k": _INT, "order": _ORDER}),
+        "stable": (_words_stable, {"p": _INT}),
+        "encode": (_words_encode, {"p": _INT, "m": _INT, "w1": {"default": ""},
+                                   "w2": {"default": ""}, "n": _INT}),
+        "decode": (_words_decode, {"word": {"required": True}, "p": _INT}),
+    }),
+    "perms": ("locally convex permutations", {
+        "count": (_perms_count, {"n": _INT, "k": _INT}),
+        "table": (_perms_table, {"max_n": _MAX_N}),
+        "bounds": (_perms_bounds, {"k": _INT,
+                                   "precision": {"type": int, "default": 20}}),
+        "digraph": (_perms_digraph, {
+            "k": _INT, "depth": {"type": int},
+            "truncate": {"choices": ["cut", "loop"]},
+            "dot": {"action": "store_true",
+                    "help": "emit raw DOT instead of a record"}}),
+        "subadd": (_perms_subadd, {"k": _INT, "max_n": _MAX_N}),
+    }),
+    "cfrac": ("continued-fraction series", {
+        "bot": (_cfrac_series, {"order": _ORDER}),
+        "tot": (_cfrac_series, {"order": _ORDER}),
+        "f1": (_cfrac_series, {"order": _ORDER}),
+        "f2check": (_cfrac_f2check, {"order": _ORDER}),
+    }),
+}
 
 
-def _command(subparsers, name: str, handler, **options) -> None:
+def _command(subparsers, name: str, handler, options: dict) -> None:
     """Declare one subcommand: its options in order, the output flags
     shared by every subcommand, and the handler that fills its record.
     A ``dot`` option is an output format, exclusive with JSON and CSV."""
@@ -241,40 +274,39 @@ def _command(subparsers, name: str, handler, **options) -> None:
     p.set_defaults(handler=handler)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _level(parser, dest: str, table: dict, argv: list):
+    """Add the ``dest`` level of subparsers to ``parser``; return it and
+    the entries of ``table`` to declare there: the one that ``argv[0]``
+    names, or all of them when it names none.  With one entry, the
+    metavar lists them all, so the usage line of an "unrecognized
+    arguments" error is unchanged; with all, errors that name the level
+    itself (a missing or unknown entry) still call it ``dest``."""
+    if argv and argv[0] in table:
+        metavar = "{" + ",".join(table) + "}"
+        return parser.add_subparsers(dest=dest, required=True,
+                                     metavar=metavar), argv[:1]
+    return parser.add_subparsers(dest=dest, required=True), list(table)
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser for ``argv``: at each level it declares only the entry
+    that ``argv`` names there (the group ``argv[0]``, then the
+    subcommand ``argv[1]``), or every entry when it names none, so one
+    command builds three parsers.  argparse reads only the named
+    entries, and wherever a name is missing or unknown every sibling is
+    declared, so ``--help`` and usage errors are those of the parser
+    with every entry (``build_parser()``)."""
+    argv = list(argv)
     parser = argparse.ArgumentParser(
         prog="convexenum",
         description="Enumeration of locally convex words and permutations.")
-    top = parser.add_subparsers(dest="group", required=True)
-
-    pw = top.add_parser("words", help="locally convex words")
-    sw = pw.add_subparsers(dest="subcommand", required=True)
-    _command(sw, "count", _words_count, n=_INT, p=_INT, k=_INT)
-    _command(sw, "gf", _words_gf, p=_INT, k=_INT, order=_ORDER)
-    _command(sw, "stable", _words_stable, p=_INT)
-    _command(sw, "encode", _words_encode, p=_INT, m=_INT,
-             w1={"default": ""}, w2={"default": ""}, n=_INT)
-    _command(sw, "decode", _words_decode, word={"required": True}, p=_INT)
-
-    pp = top.add_parser("perms", help="locally convex permutations")
-    sp = pp.add_subparsers(dest="subcommand", required=True)
-    max_n = {"type": int, "default": 12}
-    _command(sp, "count", _perms_count, n=_INT, k=_INT)
-    _command(sp, "table", _perms_table, max_n=max_n)
-    _command(sp, "bounds", _perms_bounds, k=_INT,
-             precision={"type": int, "default": 20})
-    _command(sp, "digraph", _perms_digraph, k=_INT, depth={"type": int},
-             truncate={"choices": ["cut", "loop"]},
-             dot={"action": "store_true",
-                  "help": "emit raw DOT instead of a record"})
-    _command(sp, "subadd", _perms_subadd, k=_INT, max_n=max_n)
-
-    pc = top.add_parser("cfrac", help="continued-fraction series")
-    sc = pc.add_subparsers(dest="subcommand", required=True)
-    for name in ("bot", "tot", "f1"):
-        _command(sc, name, _cfrac_series, order=_ORDER)
-    _command(sc, "f2check", _cfrac_f2check, order=_ORDER)
-
+    top, groups = _level(parser, "group", COMMANDS, argv)
+    for group in groups:
+        about, commands = COMMANDS[group]
+        sub, names = _level(top.add_parser(group, help=about), "subcommand",
+                            commands, argv[1:])
+        for name in names:
+            _command(sub, name, *commands[name])
     return parser
 
 
@@ -286,7 +318,9 @@ def main(argv=None) -> int:
     """Run one command; exit 0 on success, 1 when engines disagree, 2
     on a usage, input or output error (one ``error:`` line on stderr)
     and 3 on an internal error (its traceback on stderr)."""
-    args = build_parser().parse_args(argv)
+    if argv is None:  # the console script
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     record = OutputRecord(
         f"{args.group} {args.subcommand}",
         {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS})

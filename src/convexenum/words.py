@@ -92,9 +92,18 @@ def count_convex_sequences(n: int, p: int, k: int, distinct: bool) -> int:
     hi = min(p, k + 2*last - prev).  Two shortcuts count without
     visiting every node.
 
-    Word tails: with two letters to go, a word continues with any v in
-    [1, hi] and then with any of clamp(k + 2v - last, 0, p) letters, so
-    the tail count is a flat sum over v.
+    Word tails: with three letters to go, a word continues with any v
+    in [1, hi], then any w in [1, h] with h = min(p, k + 2v - last), then
+    any of clamp(k + 2w - v, 0, p) letters.  The last two letters thus
+    number tail[v][h] = sum_{w=1..h} clamp(k + 2w - v, 0, p), which
+    depends on v and h alone, so one table of running sums over h,
+    (p + 1)^2 ints built once per search, counts them; a v with h <= 0
+    has no w and adds nothing (the table is not read there, where a
+    negative index would wrap).  The tail count is a flat sum over v.
+    It stops at three letters: a table of three-letter tails is indexed
+    by the pair (last, hi), and filling it is the backward transfer DP
+    over letter pairs (:func:`count_words_dp`) that the search is
+    checked against.
 
     Permutation reach (p = n, so every unused value must still be
     placed): a child is cut when the largest unused value lies above
@@ -109,15 +118,18 @@ def count_convex_sequences(n: int, p: int, k: int, distinct: bool) -> int:
         return sum(1 for _ in convex_sequences(n, p, k, distinct))
     used = [False] * (p + 1)
     first = _first_children(n, k) if distinct and p == n else None
+    tail = None if distinct else [
+        [0, *accumulate(max(0, min(p, k + 2 * w - v)) for w in range(1, p + 1))]
+        for v in range(p + 1)]
 
     def extend(last: int, hi: int, left: int, top: int) -> int:
         # top: the largest value the prefix must still place, or 0
         total = 0
-        if left == 2 and not distinct:  # count the last two letters
+        if left == 3 and not distinct:  # count the last three letters
             for v in range(1, hi + 1):
-                room = k + 2 * v - last
-                if room > 0:
-                    total += room if room < p else p
+                h = k + 2 * v - last
+                if h > 0:
+                    total += tail[v][h if h < p else p]
             return total
         for v in range(first[left - 1][last][top] if top else 1, hi + 1):
             if used[v]:

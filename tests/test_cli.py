@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import csv
 import hashlib
 import io
@@ -9,7 +10,7 @@ import pytest
 
 from _goldens import CLI_STDOUT_SHA256
 from convexenum import words
-from convexenum.cli import main
+from convexenum.cli import COMMANDS, build_parser, main
 
 
 def run(capsys, *argv):
@@ -284,3 +285,58 @@ def test_stdout_matches_golden_hash(capsys, command):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == \
         CLI_STDOUT_SHA256[command]
+
+
+def _parser_cases():
+    """Every subcommand with its required options, -h at each level, a
+    missing or unknown group or subcommand, a missing required option
+    and an unrecognized argument."""
+    yield []
+    yield ["-h"]
+    yield ["nonsense"]
+    for group, (_, commands) in COMMANDS.items():
+        yield [group]
+        yield [group, "-h"]
+        yield [group, "nonsense"]
+        for name, (_, options) in commands.items():
+            argv = [group, name]
+            for dest, spec in options.items():
+                if spec.get("required"):
+                    argv += ["--" + dest.replace("_", "-"), "1"]
+            yield argv
+            yield [group, name, "-h"]
+            yield argv + ["--nonsense"]
+            if len(argv) > 2:
+                yield argv[:-2]  # its last required option is missing
+
+
+def _parse(parser, argv, capsys):
+    try:
+        parsed = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        parsed = exc.code
+    return parsed, capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", list(_parser_cases()), ids=" ".join)
+def test_parser_for_argv_parses_as_the_full_parser(capsys, argv):
+    # the same namespace, or the same exit code, stdout and stderr
+    assert _parse(build_parser(argv), argv, capsys) == \
+        _parse(build_parser(), argv, capsys)
+
+
+def test_one_command_builds_three_parsers(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def recording(self, *args, **kwargs):
+        built.append(kwargs["prog"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording)
+    build_parser(["perms", "count", "--n", "3", "--k", "1"])
+    assert built == ["convexenum", "convexenum perms", "convexenum perms count"]
+    built.clear()
+    build_parser(["perms", "nonsense"])
+    assert built == ["convexenum", "convexenum perms"] + [
+        f"convexenum perms {name}" for name in COMMANDS["perms"][1]]

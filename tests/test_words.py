@@ -88,6 +88,17 @@ class TestCounting:
         assert count_words_bruteforce(12, 5, 1) == \
             SEARCH_COUNTS[12, 5, 1, False] == count_words_dp(12, 5, 1)
 
+    def test_three_letter_tails_with_bounds_below_one(self):
+        # with k <= 0 the bound k + 2v - last of a tail's middle letter
+        # falls to 0 or below, where the tail table must not be read
+        assert count_words_bruteforce(10, 6, 0) == 574 == \
+            count_words_dp(10, 6, 0)
+        for p in (5, 6):
+            for k in range(-3, 1):
+                for n in range(3, 10):
+                    assert count_words_bruteforce(n, p, k) == \
+                        count_words_dp(n, p, k), (n, p, k)
+
     @given(_searches())
     def test_counter_matches_generator(self, search):
         # the generator visits every node, so it is the oracle for the
