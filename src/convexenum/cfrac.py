@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from itertools import accumulate
 
-from convexenum.exact.linalg import SeriesMatrix, solve_series_system
+from convexenum import perms
+from convexenum.exact import linalg
 from convexenum.exact.series import TruncatedSeries
-from convexenum.perms import ladder_walks, perm_counts
 
 
 def ladder_tower(order: int) -> tuple[TruncatedSeries, ...]:
@@ -135,7 +135,7 @@ def m1_series(order: int) -> TruncatedSeries:
         for i in range(n)
     ]
     rhs = [one if i == 0 else zero for i in range(n)]
-    col = solve_series_system(SeriesMatrix(system), rhs)
+    col = linalg.solve_series_system(linalg.SeriesMatrix(system), rhs)
     total = zero
     for entry in col:
         total = total + entry
@@ -175,7 +175,7 @@ def k2_components(order: int):
     L_5, and no edge re-enters L_4.  So a walk from 1234 is the empty
     walk, or an L step followed by a walk from 1245.
     """
-    rows, totals = ladder_walks(2, 5, order)
+    rows, totals = perms.ladder_walks(2, 5, order)
     return (TruncatedSeries(totals, order),
             TruncatedSeries([row[5] for row in rows], order),
             TruncatedSeries([0, *(row[6] for row in rows[1:])], order))
@@ -239,7 +239,7 @@ def f2_exact_series(components) -> TruncatedSeries:
         [zero, zero, -q, zero, one],
     ]
     rhs = [one, one, one, one + q * inside, one]
-    sol = solve_series_system(SeriesMatrix(m), rhs)
+    sol = linalg.solve_series_system(linalg.SeriesMatrix(m), rhs)
     return one + q + 2 * p(2) * sol[0]
 
 
@@ -254,7 +254,7 @@ def f2_formula_check(order: int) -> dict:
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    exact = [1] + perm_counts(2, order)
+    exact = [1] + perms.perm_counts(2, order)
     components = k2_components(order)
     report = {"order": order, "exact": exact, "evaluations": {}}
     for root in ("1234", "1245"):

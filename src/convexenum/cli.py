@@ -12,13 +12,39 @@ in-band as skipped.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import io
 import json
 import sys
 
-from convexenum import cfrac, perms, words
-from convexenum.exact.roots import render_interval
-from convexenum.exact.series import TruncatedSeries
+
+def _register_lazily(*names: str) -> None:
+    """Put each named module in ``sys.modules``, and on its parent
+    package, without compiling or running it: that happens the first
+    time one of its attributes is read, so a command compiles only the
+    modules it runs.  A module already imported is left as it is."""
+    for name in names:
+        if name in sys.modules:
+            continue
+        spec = importlib.util.find_spec(name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+        parent, _, child = name.rpartition(".")
+        setattr(sys.modules[parent], child, module)
+
+
+# the library's modules, but for the package inits and ``frozen``,
+# which every other one imports when it runs
+_register_lazily(
+    "convexenum.exact.polynomial", "convexenum.exact.series",
+    "convexenum.exact.ratfun", "convexenum.exact.roots",
+    "convexenum.exact.linalg", "convexenum.words", "convexenum.perms",
+    "convexenum.cfrac")
+
+from convexenum import cfrac, perms, words  # noqa: E402
+from convexenum.exact import roots, series  # noqa: E402
 
 
 class OutputRecord:
@@ -98,7 +124,8 @@ def _parse_letters(text: str) -> tuple:
     return tuple(int(ch) for ch in text)
 
 
-def _add_series(rec: OutputRecord, engine: str, s: TruncatedSeries) -> None:
+def _add_series(rec: OutputRecord, engine: str,
+                s: series.TruncatedSeries) -> None:
     rec.provenance = [engine]
     rec.add("coefficients", [str(c) for c in s.coeffs])
 
@@ -176,8 +203,8 @@ def _perms_bounds(args, rec):
     rec.add("upper_gf_num", str(gb.upper_gf.num))
     rec.add("upper_gf_den", str(gb.upper_gf.den))
     digits = min(args.precision, 20)
-    rec.add("lower_gf_root", render_interval(*gb.lower_root, digits))
-    rec.add("upper_gf_root", render_interval(*gb.upper_root, digits))
+    rec.add("lower_gf_root", roots.render_interval(*gb.lower_root, digits))
+    rec.add("upper_gf_root", roots.render_interval(*gb.upper_root, digits))
     rec.add("rate_lower_bound", gb.lower_rate)
     rec.add("rate_upper_bound", gb.upper_rate)
 

@@ -4,9 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from convexenum.exact.polynomial import Polynomial
-from convexenum.exact.ratfun import RationalFunction
-from convexenum.exact.series import TruncatedSeries
+from convexenum.exact import polynomial, ratfun, series
 from convexenum.frozen import Frozen
 
 
@@ -29,7 +27,7 @@ class SeriesMatrix(Frozen):
         cols = len(entries[0])
         if any(len(row) != cols for row in entries):
             raise ValueError("ragged matrix")
-        if not all(isinstance(e, TruncatedSeries)
+        if not all(isinstance(e, series.TruncatedSeries)
                    for row in entries for e in row):
             raise TypeError("entries must be TruncatedSeries")
         if len({e.order for row in entries for e in row}) > 1:
@@ -73,7 +71,7 @@ def _gauss_jordan(rows, rhs, is_unit, inverse):
     return b
 
 
-def solve_series_system(m: SeriesMatrix, rhs) -> list[TruncatedSeries]:
+def solve_series_system(m: SeriesMatrix, rhs) -> list[series.TruncatedSeries]:
     """Solve M * F = rhs over truncated series.
 
     Requires a square system whose determinant is a unit in the series
@@ -81,7 +79,7 @@ def solve_series_system(m: SeriesMatrix, rhs) -> list[TruncatedSeries]:
     column without one means the determinant's constant term is zero.
     """
     return _gauss_jordan(m.entries, rhs, lambda e: e.coeffs[0] != 0,
-                         TruncatedSeries.invert)
+                         series.TruncatedSeries.invert)
 
 
 def solve_field_system(matrix, rhs):
@@ -95,7 +93,7 @@ def solve_field_system(matrix, rhs):
     return _gauss_jordan(matrix, rhs, bool, lambda e: Fraction(1) / e)
 
 
-def matrix_resolvent_row(m, row: int) -> list[RationalFunction]:
+def matrix_resolvent_row(m, row: int) -> list[ratfun.RationalFunction]:
     """Row ``row`` of (I - Mx)^{-1} as exact rational functions.
 
     ``m`` is a square nested list of polynomial (or integer) entries,
@@ -105,12 +103,12 @@ def matrix_resolvent_row(m, row: int) -> list[RationalFunction]:
     n = len(m)
     if any(len(r) != n for r in m):
         raise ValueError("matrix must be square")
-    x = Polynomial.x()
+    x = polynomial.Polynomial.x()
     # Solve (I - Mx)^T y = e_row; then y_j = [(I - Mx)^{-1}]_{row, j}.
     sys = [
-        [RationalFunction((1 if i == j else 0) - x * m[j][i])
+        [ratfun.RationalFunction((1 if i == j else 0) - x * m[j][i])
          for j in range(n)]
         for i in range(n)
     ]
-    rhs = [RationalFunction(1 if i == row else 0) for i in range(n)]
+    rhs = [ratfun.RationalFunction(1 if i == row else 0) for i in range(n)]
     return solve_field_system(sys, rhs)

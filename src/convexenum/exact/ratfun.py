@@ -6,8 +6,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
+from convexenum.exact import series
 from convexenum.exact.polynomial import Polynomial, convolve
-from convexenum.exact.series import TruncatedSeries
 from convexenum.frozen import Frozen
 
 
@@ -160,10 +160,10 @@ class RationalFunction(Frozen):
 
     # -- expansion ----------------------------------------------------
 
-    def to_series(self, order: int) -> TruncatedSeries:
+    def to_series(self, order: int) -> series.TruncatedSeries:
         """Power-series expansion; the denominator must be a unit at 0."""
-        return (TruncatedSeries(self.num.coeffs, order)
-                / TruncatedSeries(self.den.coeffs, order))
+        return (series.TruncatedSeries(self.num.coeffs, order)
+                / series.TruncatedSeries(self.den.coeffs, order))
 
     def __str__(self):
         return f"({self.num}) / ({self.den})"

@@ -12,12 +12,9 @@ permutations themselves.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from convexenum.exact.ratfun import RationalFunction
-from convexenum.exact.roots import decimal_value, smallest_positive_root
+from convexenum import words
+from convexenum.exact import ratfun, roots
 from convexenum.frozen import Frozen
-from convexenum.words import convex_sequences, count_convex_sequences
 
 
 class Permutation(Frozen):
@@ -59,12 +56,12 @@ def count_perms_bruteforce(n: int, k: int) -> int:
     words on [n] without a repeated letter."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return count_convex_sequences(n, n, k, distinct=True)
+    return words.count_convex_sequences(n, n, k, distinct=True)
 
 
 def all_convex_perms(n: int, k: int):
     """Yield every k-convex permutation of length n."""
-    for entries in convex_sequences(n, n, k, distinct=True):
+    for entries in words.convex_sequences(n, n, k, distinct=True):
         yield Permutation(tuple(entries))
 
 
@@ -541,17 +538,16 @@ class GrowthBounds(Frozen):
     __slots__ = ("k", "lower_gf", "upper_gf", "lower_root", "upper_root",
                  "lower_rate", "upper_rate")
 
-    def __init__(self, k: int, lower_gf: RationalFunction,
-                 upper_gf: RationalFunction,
-                 lower_root: tuple[Fraction, Fraction],
-                 upper_root: tuple[Fraction, Fraction],
+    def __init__(self, k: int, lower_gf: ratfun.RationalFunction,
+                 upper_gf: ratfun.RationalFunction,
+                 lower_root: tuple, upper_root: tuple,
                  lower_rate: str, upper_rate: str):
         super().__init__(k, lower_gf, upper_gf, lower_root, upper_root,
                          lower_rate, upper_rate)
 
 
-def gf_bound(k: int, side: str,
-             cutoff: tuple[int, int, int, int] | None = None) -> RationalFunction:
+def gf_bound(k: int, side: str, cutoff: tuple[int, int, int, int] | None = None
+             ) -> ratfun.RationalFunction:
     """Rational generating function of a truncated digraph's walk totals:
     the ``"lower"`` side cuts the digraph, the ``"upper"`` side cuts it
     and adds loop truncation's self-loop.
@@ -577,7 +573,7 @@ def gf_bound(k: int, side: str,
                       loop=side == "upper")
     n = len(g.nodes)
     terms = [1, 1] + [2 * sum(c) for c in walks(g, 2 * n + 3)]
-    return RationalFunction.from_sequence(terms, n + 2)
+    return ratfun.RationalFunction.from_sequence(terms, n + 2)
 
 
 def growth_bounds(k: int, precision: int = 20) -> GrowthBounds:
@@ -589,8 +585,8 @@ def growth_bounds(k: int, precision: int = 20) -> GrowthBounds:
         raise ValueError("precision must be positive")
     lower = gf_bound(k, "lower")
     upper = gf_bound(k, "upper")
-    lo_root = smallest_positive_root(lower.den, precision)
-    up_root = smallest_positive_root(upper.den, precision)
+    lo_root = roots.smallest_positive_root(lower.den, precision)
+    up_root = roots.smallest_positive_root(upper.den, precision)
     # rate bounds are reciprocals: the smaller root gives the larger rate
     return GrowthBounds(
         k=k,
@@ -598,8 +594,8 @@ def growth_bounds(k: int, precision: int = 20) -> GrowthBounds:
         upper_gf=upper,
         lower_root=lo_root,
         upper_root=up_root,
-        lower_rate=decimal_value(1 / lo_root[1], 10),
-        upper_rate=decimal_value(1 / up_root[0], 10),
+        lower_rate=roots.decimal_value(1 / lo_root[1], 10),
+        upper_rate=roots.decimal_value(1 / up_root[0], 10),
     )
 
 

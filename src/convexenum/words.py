@@ -12,8 +12,7 @@ import sys
 from itertools import accumulate
 from math import perm
 
-from convexenum.exact.ratfun import RationalFunction
-from convexenum.exact.series import TruncatedSeries
+from convexenum.exact import ratfun, series
 from convexenum.frozen import Frozen
 
 #: Order of :func:`word_gf`, and of the CLI's series, when none is given.
@@ -67,8 +66,8 @@ class WordGF(Frozen):
 
     __slots__ = ("p", "k", "series", "ratfun")
 
-    def __init__(self, p: int, k: int, series: TruncatedSeries,
-                 ratfun: RationalFunction | None = None):
+    def __init__(self, p: int, k: int, series: series.TruncatedSeries,
+                 ratfun: ratfun.RationalFunction | None = None):
         super().__init__(p, k, series, ratfun)
 
 
@@ -276,9 +275,11 @@ def word_gf(p: int, k: int, order: int = DEFAULT_ORDER,
     bound = p * p + 2
     n_terms = max(order + 1, 2 * bound + 4) if with_ratfun else order + 1
     terms = _word_counts(p, k, n_terms)
-    ratfun = RationalFunction.from_sequence(terms, bound) if with_ratfun else None
-    return WordGF(p=p, k=k, series=TruncatedSeries(terms[: order + 1], order),
-                  ratfun=ratfun)
+    closed = (ratfun.RationalFunction.from_sequence(terms, bound)
+              if with_ratfun else None)
+    return WordGF(p=p, k=k,
+                  series=series.TruncatedSeries(terms[: order + 1], order),
+                  ratfun=closed)
 
 
 def _word_counts(p: int, k: int, terms: int) -> list[int]:

@@ -5,6 +5,9 @@ import csv
 import hashlib
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -285,6 +288,17 @@ def test_stdout_matches_golden_hash(capsys, command):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == \
         CLI_STDOUT_SHA256[command]
+
+
+def test_module_run_prints_what_main_prints(capsys):
+    # ``python -m convexenum.cli`` runs the module as ``__main__``, which
+    # registers the library's modules itself
+    argv = ["cfrac", "f1", "--order", "5", "--csv"]
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-m", "convexenum.cli", *argv],
+                         cwd=src, capture_output=True, text=True,
+                         check=True).stdout
+    assert out == run(capsys, *argv)[1]
 
 
 def _parser_cases():

@@ -12,8 +12,11 @@ Every name the benchmark's tracer (``perfbench/tracing.py``) wraps
 still exists, with the parameters its counter hooks read, and each
 hook counts on a real call.
 
-``import convexenum.cli`` loads every module the tracer binds, and no
-standard module that only some commands need.
+``import convexenum.cli`` puts every module the tracer binds in
+``sys.modules``, but runs only the library modules every command needs,
+and no standard module that only some commands need.  A command runs
+only the modules it calls into, and the tracer wraps the functions of
+modules that have not run yet.
 
 The paper's value types and the exact kernel's compare by value, only
 to their own type.  They and the library's records cannot be assigned
@@ -28,6 +31,7 @@ import copy
 import importlib
 import importlib.util
 import inspect
+import json
 import pickle
 import subprocess
 import sys
@@ -202,27 +206,71 @@ def test_traced_functions_keep_what_their_hooks_read():
         assert counters and all(v > 0 for v in counters.values()), name
 
 
-def _modules_after(code: str) -> set[str]:
-    """The names in ``sys.modules`` after a fresh interpreter runs ``code``."""
+def _modules_after(code: str) -> dict[str, bool]:
+    """Each module in ``sys.modules`` after a fresh interpreter runs
+    ``code``, mapped to whether it has run: a module the CLI registers
+    lazily runs when one of its attributes is first read."""
     out = subprocess.run(
-        [sys.executable, "-c", code + "\nimport sys; print(*sys.modules)"],
+        [sys.executable, "-c", code + "\nimport sys, types\n"
+         "for name, module in list(sys.modules.items()):\n"
+         "    print(name, type(module) is types.ModuleType)"],
         capture_output=True, text=True, check=True).stdout
-    return set(out.split())
+    lines = (line.split() for line in out.splitlines())
+    return {name: ran == "True" for name, ran in lines}
+
+
+IMPORT_CLI = (f"import sys; sys.path.insert(0, {str(SRC)!r})\n"
+              "import convexenum.cli")
 
 
 def test_cli_import_defers_what_only_some_commands_need():
     # against a bare interpreter, so that what ``site`` preloads on a
     # given host does not count
     bare = _modules_after("pass")
-    cli = _modules_after(f"import sys; sys.path.insert(0, {str(SRC)!r})\n"
-                         "import convexenum.cli")
-    new = cli - bare
+    cli = _modules_after(IMPORT_CLI)
     # dataclasses pulls in inspect; traceback serves exit 3 only, csv
-    # one output format
-    assert not new & {"dataclasses", "inspect", "traceback", "csv"}
+    # one output format, and fractions (which imports decimal) the
+    # exact kernel
+    assert not (cli.keys() - bare.keys()) & {
+        "dataclasses", "inspect", "traceback", "csv", "fractions", "decimal"}
     # the tracer looks its modules up in sys.modules after this import
     tracing = _tracing_module()
-    assert {module for module, *_ in tracing.SPANS + tracing.COUNTS} <= cli
+    assert {module for module, *_ in tracing.SPANS + tracing.COUNTS} \
+        <= cli.keys()
+    # but of the library's modules only these have run: the CLI reads
+    # words.DEFAULT_ORDER, and words is built on frozen
+    ran = {"convexenum", "convexenum.exact", "convexenum.cli",
+           "convexenum.frozen", "convexenum.words"}
+    assert _library_modules() <= cli.keys()
+    assert {name for name in _library_modules() if cli[name]} == ran
+    # a command runs only the modules it calls into
+    table = _modules_after(
+        IMPORT_CLI + "\nimport os\nconvexenum.cli.main("
+        "['perms', 'table', '--max-n', '5', '--out', os.devnull])")
+    assert {name for name in _library_modules() if table[name]} == \
+        ran | {"convexenum.perms"}
+    assert not (table.keys() - bare.keys()) & {"fractions", "decimal"}
+
+
+def test_the_tracer_wraps_the_lazily_loaded_modules():
+    # as a traced benchmark job does: import the CLI, install the
+    # tracer, run one command
+    code = (
+        f"import json, os, sys\nsys.path[:0] = "
+        f"[{str(SRC)!r}, {str(ROOT / 'perfbench')!r}]\n"
+        "import convexenum.cli, tracing\n"
+        "tracer = tracing.install()\n"
+        "code = convexenum.cli.main("
+        "['perms', 'bounds', '--k', '1', '--out', os.devnull])\n"
+        "print(json.dumps([code, [s[0] for s in tracer.spans], "
+        "tracer.counters]))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    code, spans, counters = json.loads(out)
+    assert code == 0
+    assert {"cli.main", "perms.build_digraph",
+            "exact.roots.smallest_positive_root"} <= set(spans)
+    assert counters["exact.ratfun.RationalFunction.constructions"] > 0
 
 
 # the permutation, the partition and the polynomial hold the same field
