@@ -1,7 +1,8 @@
 """Layer timings of the exhaustive searches, the ladder counts of
 k-convex permutations, the digraph labels, the exact kernel's
-certified growth bounds, the k = 1 ladder's tot and f_1 series, and the
-2-convex formula report, and the size of the library's code.
+certified growth bounds, the k = 1 ladder's tot and f_1 series, the
+exact f_2 series from precomputed components and the 2-convex formula
+report, and the size of the library's code.
 
     python bench/layers.py [--label NAME] [--src DIR]
 
@@ -56,6 +57,7 @@ def cases(cfrac, perms, words, g):
     """(name, call, check) for every timed case."""
     search = g.SEARCH_COUNTS
     _, ladder_totals = perms.ladder_walks(1, 3, 60)  # walks from 1223
+    k2 = cfrac.k2_components(250)
 
     def labels(k, depth):
         graph = perms.build_digraph(k, depth=depth)
@@ -103,6 +105,9 @@ def cases(cfrac, perms, words, g):
          lambda out: out[120] == g.DEEP_F[1, 120]),
         ("f1_series(250)", lambda: cfrac.f1_series(250),
          lambda out: out[250] == g.DEEP_F[1, 250]),
+        ("f2_exact_series(k2_components(250))",
+         lambda: cfrac.f2_exact_series(k2),
+         lambda out: out[250] == g.DEEP_F[2, 250]),
         ("f2_formula_check(40)",
          lambda: cfrac.f2_formula_check(40),
          lambda out: out["exact"][1:13] == g.TABLE_F2

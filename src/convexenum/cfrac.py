@@ -9,9 +9,11 @@ three-term recurrence of shifted integer subtractions, with one series
 division per series (see :func:`_convergents`).  Feeding those series
 into a 5x5 weighted transfer matrix reproduces the exact counting
 series for 1-convex permutations.  For the 2-convex analogue the
-paper's closed form disagrees with the counts (first at order 13 when
-rooted at 1245, see :func:`f2_formula_check`); its components are walk
-counts on the ladder above the node 1245, from the ladder recurrence of
+paper's closed form is one term off (first wrong at order 13 when
+rooted at 1245, see :func:`f2_formula_check`): with its q^4 summand 1
+read as bot1' it is exact, one series division
+(:func:`f2_exact_series`).  Its components are walk counts on the
+ladder above the node 1245, from the ladder recurrence of
 :func:`convexenum.perms.ladder_walks`.
 """
 
@@ -150,8 +152,9 @@ def k2_components(order: int):
     returns from the 1245 and 1256 nodes leave it, so their downward
     edges are suppressed and walks ending on those nodes are tracked
     separately.  The paper's closed form built on them
-    (:func:`f2_formula_series`) is not exact: it first disagrees with
-    the counts at order 13 when rooted at 1245.  The returns do have a
+    (:func:`f2_formula_series`) first disagrees with the counts at order
+    13 when rooted at 1245; it has one wrong term, and corrected it is
+    :func:`f2_exact_series`.  The returns also have a
     closed form, a branched continued fraction H_j = 1/(1 - q^(j+2)
     H_(j+1) H_(j+2)) with bot1' = H_5 and bot2' = q H_5 H_6 (equal to
     these counts to order 150), not built here.  The tests check the
@@ -181,66 +184,86 @@ def k2_components(order: int):
             TruncatedSeries([0, *(row[6] for row in rows[1:])], order))
 
 
-def f2_formula_series(components, root: str = "1234") -> TruncatedSeries:
-    """Evaluate the reference closed form for f_2 from the components
-    (tot', bot1', bot2') that :func:`k2_components` returns, to their
-    order.
+def _f2_closed_form(components, s) -> TruncatedSeries:
+    """1 + q - 2 q^2 num/den, to the order of the components
+    (tot', bot1', bot2'), with
 
-    The closed form is stated in prose that leaves the walk root of the
-    component series ambiguous; both rootings, "1234" and "1245", are
-    supported so the check below can report on each.
+        num = 1 + q + q^2 + q^3 (1 + tot') + q^4 (s + bot2'),
+        den = -1 + q + q^2 + q^4 - q^7 bot2' + (q^5 - q^6)(bot1' + bot2').
+
+    den has constant term -1, so this is one series division.
     """
-    if root not in ("1234", "1245"):
-        raise ValueError("root must be '1234' or '1245'")
     totp, bot1, bot2 = components
     order = totp.order
     q = TruncatedSeries.x(order)
-    one = TruncatedSeries.one(order)
-    if root == "1234":  # one L step first; see k2_components
-        totp, bot1, bot2 = one + q * totp, q * bot1, q * bot2
 
     def p(exp):  # q^exp
         return TruncatedSeries.monomial(exp, order)
 
-    num = (one + q + p(2) + p(4) * (one + bot2) + p(3) * (one + totp))
-    den = (-one + q + p(2) + p(4) - p(7) * bot2
-           + p(5) * (bot1 + bot2) - p(6) * (bot1 + bot2))
-    return one + q - 2 * p(2) * (num / den)
+    num = 1 + q + p(2) + p(3) * (1 + totp) + p(4) * (s + bot2)
+    den = (-1 + q + p(2) + p(4) - p(7) * bot2
+           + (p(5) - p(6)) * (bot1 + bot2))
+    return 1 + q - 2 * p(2) * (num / den)
+
+
+def f2_formula_series(components, root: str = "1234") -> TruncatedSeries:
+    """Evaluate the reference closed form for f_2 from the components
+    (tot', bot1', bot2') that :func:`k2_components` returns, to their
+    order: :func:`_f2_closed_form` with s = 1.
+
+    The closed form is stated in prose that leaves the walk root of the
+    component series ambiguous; both rootings, "1234" and "1245", are
+    supported so the check below can report on each.  Neither is exact
+    (first mismatches at orders 7 and 13); at root 1245 the one wrong
+    term is the q^4 summand 1, which :func:`f2_exact_series` reads as
+    bot1'.
+    """
+    if root not in ("1234", "1245"):
+        raise ValueError("root must be '1234' or '1245'")
+    if root == "1234":  # one L step first; see k2_components
+        totp, bot1, bot2 = components
+        q = TruncatedSeries.x(totp.order)
+        components = 1 + q * totp, q * bot1, q * bot2
+    return _f2_closed_form(components, 1)
 
 
 def f2_exact_series(components) -> TruncatedSeries:
     """Exact f_2 series, to their order, from the components
-    (tot', bot1', bot2') that :func:`k2_components` returns (derived
-    closed form).
+    (tot', bot1', bot2') that :func:`k2_components` returns: the
+    reference closed form at root 1245 with its q^4 summand 1 read as
+    bot1', that is :func:`_f2_closed_form` with s = bot1'.
 
-    The lower part of the 2-convex digraph is a fixed 5-node system; the
-    upper subgraph enters through the node 1234, whose episode weight
-    collects the component series: walks that stay inside (including
-    partial descents along the two suppressed exit paths) terminate,
-    walks ending on 1245 re-enter at 1223 after 3 more steps, and walks
-    ending on 1256 re-enter at 1234 after 4 more steps.
+    Proof.  Let F_v count the walks from the node v of the 2-convex
+    digraph by length, the empty walk included, so that
+    f_2 = 1 + q + 2 q^2 F_12.  By the return-path lemma of
+    :func:`convexenum.perms.build_digraph`, 12 steps to 1223 (L) and
+    1332 (R); 1332 to 1223 (L) and itself (R); 1223 to 1234 (L) and
+    1332 (R); 1234 to 1245 (L), where the upper subgraph of
+    :func:`k2_components` starts, and to 1532 (R), which steps to 1332.
+    A walk from 1245 that reaches 1245 or 1256 may take its R edge and
+    follow the return path, of 3 steps to 1223 or of 4 steps to 1234;
+    every other step keeps it in the subgraph.  A walk from 1234 that
+    enters the subgraph so ends inside it, with weight
+    w = tot' + (q + q^2) bot1' + (q + q^2 + q^3) bot2' (stopping on a
+    return path included), or goes on from 1223 or 1234:
+
+        F_12   = 1 + q F_1223 + q F_1332,
+        F_1332 = 1 + q F_1223 + q F_1332,
+        F_1223 = 1 + q F_1234 + q F_1332,
+        F_1234 = 1 + q w + q^4 bot1' F_1223 + q^5 bot2' F_1234 + q F_1532,
+        F_1532 = 1 + q F_1332.
+
+    The first two give F_12 = F_1332 = A with (1 - q) A = 1 + q F_1223,
+    then the third gives q^2 F_1234 = (1 - q - q^2) A - (1 + q), and the
+    last F_1532 = 1 + q A.  Put these into q^2 times the fourth.  Of the
+    terms free of A, -q^5 bot1' and -(q^5 + q^6) bot2' cancel the terms
+    of q^3 w in bot1' and bot2' down to q^4 (bot1' + bot2'), so
+
+        A ((1 - q - q^2)(1 - q^5 bot2') - (q^5 - q^6) bot1' - q^4) = num
+
+    with s = bot1'.  The factor of A is -den, so F_12 = -num/den.
     """
-    totp, bot1, bot2 = components
-    order = totp.order
-    q = TruncatedSeries.x(order)
-    one = TruncatedSeries.one(order)
-
-    def p(exp):
-        return TruncatedSeries.monomial(exp, order)
-
-    # Unknowns: walks from 12, 1223, 1332, 1234, 1532.
-    inside = totp + bot1 * (q + p(2)) + bot2 * (q + p(2) + p(3))
-    zero = TruncatedSeries.zero(order)
-    m = [
-        [one, -q, -q, zero, zero],
-        [zero, one, -q, -q, zero],
-        [zero, -q, one - q, zero, zero],
-        [zero, -p(4) * bot1, zero, one - p(5) * bot2, -q],
-        [zero, zero, -q, zero, one],
-    ]
-    rhs = [one, one, one, one + q * inside, one]
-    sol = linalg.solve_series_system(linalg.SeriesMatrix(m), rhs)
-    return one + q + 2 * p(2) * sol[0]
+    return _f2_closed_form(components, components[1])
 
 
 def f2_formula_check(order: int) -> dict:

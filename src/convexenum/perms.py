@@ -404,28 +404,18 @@ def walks(g: DescendantDigraph, steps: int):
     ending at each node (a fresh list indexed like ``g.nodes``).
 
     On a depth-bounded digraph the counts are exact up to its depth.
-    Each step pulls every node's count from its first in-neighbour in one
-    gather, then adds its other in-edges.  The DP never reads back a list
-    it has yielded.
+    Each step pushes every count along every edge.  The DP never reads
+    back a list it has yielded.
     """
     n = len(g.nodes)
-    first = [n] * n  # a node without in-edges reads the zero slot n
-    extra = {}  # node -> in-neighbours past the first one
-    for u, v, _ in g.edges:
-        if first[v] == n:
-            first[v] = u
-        else:
-            extra.setdefault(v, []).append(u)
-    counts = [0] * (n + 1)  # private: a caller may edit the lists it is given
-    counts[0] = 1  # the root
-    yield counts[:n]
+    counts = [1] + [0] * (n - 1)  # the root
     for _ in range(steps):
-        nxt = list(map(counts.__getitem__, first))
-        for v, us in extra.items():
-            for u in us:
-                nxt[v] += counts[u]
-        counts[:n] = nxt
-        yield nxt
+        yield counts[:]  # a caller may edit the lists it is given
+        nxt = [0] * n
+        for u, v, _ in g.edges:
+            nxt[v] += counts[u]
+        counts = nxt
+    yield counts
 
 
 def walk_count(g: DescendantDigraph, n: int) -> int:

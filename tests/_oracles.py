@@ -15,11 +15,15 @@ alone, by a recurrence that rests on the return-path lemma.  The k = 1
 ladder series come from inverting every level of the continued-fraction
 tower and multiplying the levels out, in O(order^3); the library
 evaluates the fraction by its convergents, with one series division.
+The exact 2-convex series comes from eliminating the 5-node system of
+walks below the upper subgraph as a series matrix; the library divides
+the closed form that elimination gives.
 """
 
 from fractions import Fraction
 
 from convexenum.cfrac import ladder_tower
+from convexenum.exact.linalg import SeriesMatrix, solve_series_system
 from convexenum.exact.polynomial import Polynomial
 from convexenum.exact.ratfun import RationalFunction
 from convexenum.exact.roots import NoRootError
@@ -260,3 +264,33 @@ def tower_f1(order):
     num = one + q2 * bot + q * tot
     den = -one + q + q3 * bot
     return one + q - 2 * q2 * (num / den)
+
+
+def f2_by_elimination(components):
+    """Exact f_2 series, to their order, from the components (tot',
+    bot1', bot2') of ``cfrac.k2_components``, by Gauss-Jordan
+    elimination of the node equations for the walks from 12, 1223, 1332,
+    1234 and 1532.  The upper subgraph enters through 1234: walks that
+    stay inside (partial descents along the two suppressed return paths
+    included) end there, walks ending on 1245 re-enter at 1223 after 3
+    more steps, and walks ending on 1256 re-enter at 1234 after 4."""
+    totp, bot1, bot2 = components
+    order = totp.order
+    q = TruncatedSeries.x(order)
+    one = TruncatedSeries.one(order)
+    zero = TruncatedSeries.zero(order)
+
+    def p(exp):
+        return TruncatedSeries.monomial(exp, order)
+
+    inside = totp + bot1 * (q + p(2)) + bot2 * (q + p(2) + p(3))
+    m = [
+        [one, -q, -q, zero, zero],
+        [zero, one, -q, -q, zero],
+        [zero, -q, one - q, zero, zero],
+        [zero, -p(4) * bot1, zero, one - p(5) * bot2, -q],
+        [zero, zero, -q, zero, one],
+    ]
+    rhs = [one, one, one, one + q * inside, one]
+    sol = solve_series_system(SeriesMatrix(m), rhs)
+    return one + q + 2 * p(2) * sol[0]

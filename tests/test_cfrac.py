@@ -169,6 +169,16 @@ class TestTwoConvexComponents:
         with pytest.raises(ValueError):
             k2_components(-1)
 
+    def test_closed_form_equals_the_series_elimination(self):
+        # the one division against Gauss-Jordan elimination of the 5-node
+        # system it is derived from, and against the ladder counts
+        for order in [*range(41), 200]:
+            components = k2_components(order)
+            assert f2_exact_series(components) == \
+                _oracles.f2_by_elimination(components), order
+        f2 = f2_exact_series(k2_components(250))
+        assert list(f2.coeffs) == [1] + perm_counts(2, 250)
+
     def test_derived_closed_form_is_exact(self):
         f2 = f2_exact_series(k2_components(20))
         assert int(f2[0]) == 1
@@ -202,6 +212,16 @@ class TestFormulaReport:
         report = f2_formula_check(16)
         assert report["evaluations"]["root_1234"]["first_mismatch"] == 7
         assert report["evaluations"]["root_1245"]["first_mismatch"] == 13
+        # the one wrong term: tot' enters only the numerator, as
+        # q^3 (1 + tot'), so adding q (bot1' - 1) to it reads the q^4
+        # summand 1 as bot1', and then the formula is exact to order 250
+        exact = [1] + perm_counts(2, 250)
+        tot, bot1, bot2 = k2_components(250)
+        q = TruncatedSeries.x(250)
+        for tot_in, first in ((tot, 13), (tot + q * (bot1 - 1), None)):
+            series = f2_formula_series((tot_in, bot1, bot2), root="1245")
+            assert next((n for n in range(251) if series[n] != exact[n]),
+                        None) == first
 
     def test_components_are_built_once(self, monkeypatch):
         # both formula rootings and the derived closed form read one

@@ -250,6 +250,12 @@ def test_cli_import_defers_what_only_some_commands_need():
     assert {name for name in _library_modules() if table[name]} == \
         ran | {"convexenum.perms"}
     assert not (table.keys() - bare.keys()) & {"fractions", "decimal"}
+    # the 2-convex closed form is one series division, no elimination
+    f2check = _modules_after(
+        IMPORT_CLI + "\nimport os\nconvexenum.cli.main("
+        "['cfrac', 'f2check', '--order', '40', '--out', os.devnull])")
+    assert f2check["convexenum.cfrac"]
+    assert not f2check["convexenum.exact.linalg"]
 
 
 def test_the_tracer_wraps_the_lazily_loaded_modules():
