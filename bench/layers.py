@@ -2,7 +2,8 @@
 k-convex permutations, the digraph labels, the exact kernel's
 certified growth bounds, the k = 1 ladder's tot and f_1 series, the
 exact f_2 series from precomputed components and the 2-convex formula
-report, and the size of the library's code.
+report, the size of the library's code, and what each of the
+benchmark's CLI commands loads.
 
     python bench/layers.py [--label NAME] [--src DIR]
 
@@ -22,7 +23,11 @@ module.
 Start-up is not timed here: a best of five fresh interpreters cannot
 resolve differences below about 30 ms on a noisy 2-core host.  The
 benchmark in ``perfbench/`` measures it as ``setup_s`` on every job,
-with its spread.
+with its spread.  What it loads is recorded instead, which does not
+vary from run to run: each of the benchmark's CLI commands runs in a
+fresh interpreter without ``site`` (so nothing preloads a module), and
+its record lists the library modules that ran, whether ``fractions``
+was imported, and the code lines of those modules.
 
 The times are merged into ``BENCH_layers.json`` at the repository root
 under NAME (default ``current``), next to the runs already there, and
@@ -43,6 +48,7 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import time
 import tokenize
@@ -51,6 +57,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_layers.json"
 REPEAT = 7
+
+#: The CLI jobs of ``perfbench/workloads.py``, by workload
+CLI_COMMANDS = (
+    "perms bounds --k 1", "perms bounds --k 2",
+    "perms table --max-n 120", "perms subadd --k 2 --max-n 120",
+    "perms digraph --k 2 --depth 150 --dot", "perms count --n 12 --k 2",
+    "words count --n 12 --p 5 --k 1",
+    "words gf --p 6 --k 0 --order 30", "words gf --p 4 --k 2 --order 40",
+    "cfrac f1 --order 80", "cfrac tot --order 60",
+    "cfrac f2check --order 40")
 
 
 def cases(cfrac, perms, words, g):
@@ -153,6 +169,32 @@ def code_lines(src: Path) -> dict[str, int]:
     return counts
 
 
+def startup(src: Path, command: str, by_module: dict[str, int]) -> dict:
+    """What ``convexenum COMMAND`` loads from the library in ``src``, in
+    a fresh interpreter without ``site``: the library modules that run,
+    whether ``fractions`` is imported, and the code lines of those
+    modules.  A lazily registered module that is never read has not run.
+    A command that does not exit 0 stops the run."""
+    code = (
+        f"import os, sys, types\nsys.path.insert(0, {str(src)!r})\n"
+        "import convexenum.cli\n"
+        f"code = convexenum.cli.main({command.split()!r} + "
+        "['--out', os.devnull])\n"
+        "print(*sorted(name for name, module in sys.modules.items()\n"
+        "              if name.partition('.')[0] == 'convexenum'\n"
+        "              and type(module) is types.ModuleType))\n"
+        "print('fractions' in sys.modules)\nsys.exit(code)")
+    out = subprocess.run([sys.executable, "-S", "-c", code],
+                         capture_output=True, text=True)
+    if out.returncode:
+        raise SystemExit(f"convexenum {command} exited {out.returncode}:\n"
+                         f"{out.stderr}")
+    names, fractions = out.stdout.splitlines()
+    modules = names.split()
+    return {"modules": modules, "fractions": fractions == "True",
+            "code_lines": sum(by_module[name] for name in modules)}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", default="current")
@@ -174,6 +216,13 @@ def main(argv=None) -> int:
     by_module = code_lines(args.src)
     lines = sum(by_module.values())
     print(f"{lines:10d} code lines in {args.src}")
+    loads = {command: startup(args.src.resolve(), command, by_module)
+             for command in CLI_COMMANDS}
+    for command, record in loads.items():
+        print(f"{record['code_lines']:10d} code lines in "
+              f"{len(record['modules'])} modules, fractions "
+              f"{'loaded' if record['fractions'] else 'not loaded'}: "
+              f"convexenum {command}")
 
     report = json.loads(OUT.read_text()) if OUT.exists() else {}
     runs = report.get("runs", {})
@@ -186,6 +235,7 @@ def main(argv=None) -> int:
         "quartiles_s": quartiles,
         "src_code_lines": lines,
         "src_code_lines_by_module": by_module,
+        "cli_startup": loads,
     }
     first = {}  # case -> its median in the first run that recorded one
     for run in runs.values():

@@ -7,3 +7,9 @@ intervals.
 """
 
 __version__ = "0.1.0"
+
+#: Order of :func:`convexenum.words.word_gf`, and of the CLI's series,
+#: when none is given.  Large enough to cover every golden sequence with
+#: margin.  It lives here, where every import of the library runs it, so
+#: that the CLI reads it without running ``words``.
+DEFAULT_ORDER = 64

@@ -43,7 +43,10 @@ _register_lazily(
     "convexenum.exact.linalg", "convexenum.words", "convexenum.perms",
     "convexenum.cfrac")
 
-from convexenum import cfrac, perms, words  # noqa: E402
+# every command runs a module built on ``frozen``, so it runs with the
+# CLI's own start-up rather than inside the command
+import convexenum.frozen  # noqa: E402,F401
+from convexenum import DEFAULT_ORDER, cfrac, perms, words  # noqa: E402
 from convexenum.exact import roots, series  # noqa: E402
 
 
@@ -250,7 +253,7 @@ def _cfrac_f2check(args, rec):
 # ---------------------------------------------------------------------------
 
 _INT = {"type": int, "required": True}
-_ORDER = {"type": int, "default": words.DEFAULT_ORDER}
+_ORDER = {"type": int, "default": DEFAULT_ORDER}
 _MAX_N = {"type": int, "default": 12}
 
 #: group -> (its help, {subcommand -> (handler, options)}), where the

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 from convexenum.frozen import Frozen
@@ -14,9 +13,16 @@ def exact_coefficient(x) -> int | Fraction:
     equal coefficient tuples.  Anything but an ``int`` or a ``Fraction``
     raises ``TypeError``: a ``float``'s binary value is almost never the
     number that was meant, and parsing a string or a ``Decimal`` is the
-    caller's choice to make."""
+    caller's choice to make.
+
+    ``fractions`` is imported here, after the ``int`` test, and in the
+    other kernel branches that meet a value that is not an ``int``, never
+    at module level: the paper's series are integer series, so a command
+    that computes only with integers never imports ``fractions`` (or the
+    ``decimal`` and ``numbers`` modules it imports)."""
     if type(x) is int:
         return x
+    from fractions import Fraction
     if not isinstance(x, Fraction):
         raise TypeError(f"inexact coefficient {x!r}")
     return x.numerator if x.denominator == 1 else x
@@ -137,7 +143,10 @@ class Polynomial(Frozen):
     def _coerce(other):
         if isinstance(other, Polynomial):
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
+            return Polynomial((other,))
+        from fractions import Fraction
+        if isinstance(other, Fraction):
             return Polynomial((other,))
         return NotImplemented
 
@@ -153,6 +162,7 @@ class Polynomial(Frozen):
         if dq < 0:
             return Polynomial.zero(), self
         quot = [0] * (dq + 1)
+        from fractions import Fraction
         lead = Fraction(div[-1])  # int / int would be a float
         for i in range(dq, -1, -1):
             c = rem[i + len(div) - 1] / lead
@@ -191,6 +201,7 @@ class Polynomial(Frozen):
 
     def gcd(self, other: "Polynomial") -> "Polynomial":
         """Monic gcd, by the primitive pseudo-remainder sequence over Z."""
+        from fractions import Fraction
         a, b = self.primitive(), self._coerce(other).primitive()
         while b:
             a, b = b, a.pseudo_remainder(b).primitive()

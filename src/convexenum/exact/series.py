@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from convexenum.exact.polynomial import convolve, exact_coefficient
 from convexenum.frozen import Frozen
 
@@ -79,7 +77,10 @@ class TruncatedSeries(Frozen):
                 raise ValueError(
                     f"series orders differ: {self.order} and {other.order}")
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
+            return TruncatedSeries((other,), self.order)
+        from fractions import Fraction
+        if isinstance(other, Fraction):
             return TruncatedSeries((other,), self.order)
         return NotImplemented
 
@@ -119,7 +120,11 @@ class TruncatedSeries(Frozen):
         c0 = self.coeffs[0]
         if c0 == 0:
             raise ZeroDivisionError("series with zero constant term is not a unit")
-        u = c0 if c0 in (1, -1) else Fraction(1) / c0  # 1/c0
+        if c0 in (1, -1):
+            u = c0  # its own inverse: the series stays in the integers
+        else:
+            from fractions import Fraction
+            u = Fraction(1) / c0
         n = self.order
         inv = [0] * (n + 1)
         inv[0] = u

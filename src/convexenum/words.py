@@ -12,12 +12,9 @@ import sys
 from itertools import accumulate
 from math import perm
 
+from convexenum import DEFAULT_ORDER
 from convexenum.exact import ratfun, series
 from convexenum.frozen import Frozen
-
-#: Order of :func:`word_gf`, and of the CLI's series, when none is given.
-#: Large enough to cover every golden sequence with margin.
-DEFAULT_ORDER = 64
 
 
 class Word(Frozen):

@@ -6,7 +6,8 @@ file under ``src/`` and ``tests/`` is parsed, and neither
 may appear.  Dunder names such as ``__version__`` are public.
 
 Every name has one import path, its defining module: no package
-``__init__.py`` imports anything or binds a name other than a dunder.
+``__init__.py`` imports anything, and one holds only its docstring and
+literal constants, each a dunder or an upper-case name.
 
 Every name the benchmark's tracer (``perfbench/tracing.py``) wraps
 still exists, with the parameters its counter hooks read, and each
@@ -15,8 +16,9 @@ hook counts on a real call.
 ``import convexenum.cli`` puts every module the tracer binds in
 ``sys.modules``, but runs only the library modules every command needs,
 and no standard module that only some commands need.  A command runs
-only the modules it calls into, and the tracer wraps the functions of
-modules that have not run yet.
+only the modules it calls into, a command that computes only with
+integers never imports ``fractions``, and the tracer wraps the
+functions of modules that have not run yet.
 
 The paper's value types and the exact kernel's compare by value, only
 to their own type.  They and the library's records cannot be assigned
@@ -138,21 +140,22 @@ def _dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
-def test_package_inits_bind_only_dunders():
+def test_package_inits_import_nothing_and_hold_only_constants():
     inits = sorted(SRC.rglob("__init__.py"))
     assert len(inits) >= 2
     for path in inits:
         tree = ast.parse(path.read_text())
-        imports = [node for node in ast.walk(tree)
-                   if isinstance(node, (ast.Import, ast.ImportFrom))]
-        bound = [node.id for node in ast.walk(tree)
-                 if isinstance(node, ast.Name)
-                 and isinstance(node.ctx, ast.Store)]
-        bound += [node.name for node in ast.walk(tree)
-                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                       ast.ClassDef))]
-        assert not imports, path.relative_to(ROOT)
-        assert all(map(_dunder, bound)), path.relative_to(ROOT)
+        docstring, *statements = tree.body
+        assert isinstance(docstring, ast.Expr) \
+            and isinstance(docstring.value, ast.Constant), path
+        for node in statements:
+            # no import, def, class or computed value: a literal, bound
+            # to a dunder or an upper-case name
+            assert isinstance(node, ast.Assign) \
+                and isinstance(node.value, ast.Constant), path
+            assert all(isinstance(target, ast.Name)
+                       and (_dunder(target.id) or target.id.isupper())
+                       for target in node.targets), path
 
 
 def _tracing_module():
@@ -238,24 +241,38 @@ def test_cli_import_defers_what_only_some_commands_need():
     assert {module for module, *_ in tracing.SPANS + tracing.COUNTS} \
         <= cli.keys()
     # but of the library's modules only these have run: the CLI reads
-    # words.DEFAULT_ORDER, and words is built on frozen
+    # convexenum.DEFAULT_ORDER, and every command runs a module built on
+    # frozen
     ran = {"convexenum", "convexenum.exact", "convexenum.cli",
-           "convexenum.frozen", "convexenum.words"}
+           "convexenum.frozen"}
     assert _library_modules() <= cli.keys()
     assert {name for name in _library_modules() if cli[name]} == ran
-    # a command runs only the modules it calls into
-    table = _modules_after(
-        IMPORT_CLI + "\nimport os\nconvexenum.cli.main("
-        "['perms', 'table', '--max-n', '5', '--out', os.devnull])")
+
+    def run(*commands: str) -> dict[str, bool]:
+        """``_modules_after`` the commands, one after another."""
+        return _modules_after(IMPORT_CLI + "\nimport os\n" + "".join(
+            f"convexenum.cli.main({command.split()!r} + "
+            "['--out', os.devnull])\n" for command in commands))
+
+    # a command runs only the modules it calls into: the integer
+    # commands of the paper's tables run neither words nor the kernel
+    table = run("perms table --max-n 5", "perms subadd --k 2 --max-n 8",
+                "perms digraph --k 2 --depth 8 --dot")
     assert {name for name in _library_modules() if table[name]} == \
         ran | {"convexenum.perms"}
-    assert not (table.keys() - bare.keys()) & {"fractions", "decimal"}
+    # the integer series import neither fractions nor decimal (the
+    # modules only grow, so no one command of a sequence imports them)
+    integer = run("cfrac f1 --order 20", "cfrac tot --order 20",
+                  "cfrac f2check --order 20",
+                  "words gf --p 6 --k 0 --order 30",
+                  "words gf --p 4 --k 2 --order 40")
+    for modules in (table, integer):
+        assert not (modules.keys() - bare.keys()) & {"fractions", "decimal"}
     # the 2-convex closed form is one series division, no elimination
-    f2check = _modules_after(
-        IMPORT_CLI + "\nimport os\nconvexenum.cli.main("
-        "['cfrac', 'f2check', '--order', '40', '--out', os.devnull])")
-    assert f2check["convexenum.cfrac"]
-    assert not f2check["convexenum.exact.linalg"]
+    assert integer["convexenum.cfrac"]
+    assert not integer["convexenum.exact.linalg"]
+    # and a command that meets rationals does import fractions
+    assert "fractions" in run("perms bounds --k 1").keys() - bare.keys()
 
 
 def test_the_tracer_wraps_the_lazily_loaded_modules():

@@ -1,10 +1,13 @@
 """Unit tests for the exact-arithmetic core."""
 
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 from math import gcd
 from operator import add, mul, sub, truediv
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -306,6 +309,46 @@ class TestValueSemantics:
         assert bool(rf) == (rf != RationalFunction.zero())
         assert not Polynomial.zero() and not TruncatedSeries.zero(n) \
             and not RationalFunction.zero()
+
+
+# Every value the kernel meets that is not an int goes through a branch
+# that imports ``fractions`` itself.  Run from a fresh interpreter
+# without ``site`` (so nothing preloads ``fractions``), these give the
+# values they give in process, and the inexact ones still raise.
+RATIONAL_PATHS = """
+s, p = TruncatedSeries((2, 1, 3), 5), Polynomial((-2, 0, 2))
+values = [s.invert(), divmod(Polynomial((1, 2, 3)), Polynomial((2, 4))),
+          p.gcd(Polynomial((4, 4)))]
+from fractions import Fraction
+values += [s + Fraction(1, 2), p * Fraction(2, 3)]
+from decimal import Decimal
+for call in (lambda: exact_coefficient(0.5),
+             lambda: exact_coefficient(Decimal(1)),
+             lambda: exact_coefficient("1"), lambda: s * "x"):
+    try:
+        values.append(call())
+    except TypeError:
+        values.append("TypeError")
+"""
+
+
+def test_rational_paths_import_fractions_themselves():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (f"import sys\nsys.path.insert(0, {str(src)!r})\n"
+            "from convexenum.exact.polynomial import Polynomial, "
+            "exact_coefficient\n"
+            "from convexenum.exact.series import TruncatedSeries\n"
+            "assert 'fractions' not in sys.modules\n"
+            + RATIONAL_PATHS + "print(repr(values))")
+    out = subprocess.run([sys.executable, "-S", "-c", code],
+                         capture_output=True, text=True, check=True).stdout
+    here = {"Polynomial": Polynomial, "TruncatedSeries": TruncatedSeries,
+            "exact_coefficient": exact_coefficient}
+    exec(RATIONAL_PATHS, here)
+    values = here["values"]
+    assert out == repr(values) + "\n"
+    assert values[0][0] == Fraction(1, 2) and values[2] == Polynomial((1, 1))
+    assert values[-4:] == ["TypeError"] * 4
 
 
 class TestFromSequence:
