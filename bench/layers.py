@@ -1,9 +1,9 @@
 """Layer timings of the exhaustive searches, the ladder counts of
-k-convex permutations, the digraph labels, the exact kernel's
-certified growth bounds, the k = 1 ladder's tot and f_1 series, the
-exact f_2 series from precomputed components and the 2-convex formula
-report, the size of the library's code, and what each of the
-benchmark's CLI commands loads.
+k-convex permutations, the depth-150 digraphs (built, labeled and
+written as DOT), the exact kernel's certified growth bounds, the k = 1
+ladder's tot and f_1 series, the exact f_2 series from precomputed
+components and the 2-convex formula report, the size of the library's
+code, and what each of the benchmark's CLI commands loads.
 
     python bench/layers.py [--label NAME] [--src DIR]
 
@@ -15,7 +15,8 @@ is checked against ``tests/_goldens.py``, or ``tot_series`` against the
 ladder recurrence of ``perms.ladder_walks`` and the deeper word search
 against ``words.count_words_dp``, and a wrong one stops the run with
 exit 1.
-No cache is left in ``convexenum.perms``, so the labels are timed cold.
+No cache is left in ``convexenum.perms``, so the labels, and the DOT
+text that holds them, are timed cold.
 The code size is the number of lines of ``src`` that hold a token,
 leaving out blank lines, comments and docstrings, in total and per
 module.
@@ -75,11 +76,23 @@ def cases(cfrac, perms, words, g):
     _, ladder_totals = perms.ladder_walks(1, 3, 60)  # walks from 1223
     k2 = cfrac.k2_components(250)
 
-    def labels(k, depth):
+    def digraph(k, depth):
         graph = perms.build_digraph(k, depth=depth)
-        digest = g.LABELS_SHA256[k, depth]
-        return lambda: graph.labels, lambda out: hashlib.sha256(
-            "\n".join(out).encode()).hexdigest() == digest
+        dot, labels = g.DOT_SHA256[k, depth], g.LABELS_SHA256[k, depth]
+
+        def sha256(text):
+            return hashlib.sha256(text.encode()).hexdigest()
+
+        return [
+            (f"build_digraph({k}, depth={depth})",
+             lambda: perms.build_digraph(k, depth=depth),
+             lambda out: sha256(out.to_dot()) == dot),
+            (f"labels of build_digraph({k}, {depth}), cold",
+             lambda: graph.labels,
+             lambda out: sha256("\n".join(out)) == labels),
+            (f"to_dot of build_digraph({k}, {depth})", graph.to_dot,
+             lambda out: sha256(out) == dot),
+        ]
 
     def ladder(k, n):
         return (f"perm_counts({k}, {n})", lambda: perms.perm_counts(k, n),
@@ -112,7 +125,8 @@ def cases(cfrac, perms, words, g):
         ladder(1, 120),
         ladder(2, 250),
         ladder(2, 500),
-        ("labels of build_digraph(2, 150), cold", *labels(2, 150)),
+        *digraph(1, 150),
+        *digraph(2, 150),
         bounds(1),
         bounds(2),
         ("tot_series(60)", lambda: cfrac.tot_series(60),

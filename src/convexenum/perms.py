@@ -190,20 +190,6 @@ def state_key(t, k):
     return (d, c, b, a)
 
 
-def transitions(key, k):
-    """Out-edges ``(label, child key)`` of a node key, ``START_KEY`` included,
-    labeled "L"/"R" in canonical orientation."""
-    a, b, c, d = _SEED if key == START_KEY else key
-    out = []
-    if b is None or b - 2 * a <= k:  # left descent
-        child = (1, a + 1, None if c is None else c + 1, d + 1)
-        out.append(("L", state_key(child, k)))
-    if c is None or c - 2 * d <= k:  # right descent
-        child = (a + 1, None if b is None else b + 1, d + 1, 1)
-        out.append(("R", state_key(child, k)))
-    return out
-
-
 def _least_concrete(key, k) -> tuple[int, int, int, int]:
     """Smallest realizable endpoint tuple in a merged class (k in {1, 2}).
 
@@ -299,20 +285,23 @@ class DescendantDigraph(Frozen):
 
 def build_digraph(k: int, depth: int | None = None, cutoff=None,
                   loop: bool = False) -> DescendantDigraph:
-    """BFS the transition digraph from the start node (the permutation
-    12).
+    """The transition digraph from the start node (the permutation 12),
+    in BFS order, its nodes enumerated by the return-path lemma below.
 
     Without a ``cutoff``, expansion stops after ``depth`` generations
     (the graph is infinite), so walks of up to ``depth`` steps from the
-    start node are exact.  Left edges are explored before right edges.
+    start node are exact.  Left edges are listed before right edges.
 
     A ``cutoff`` endpoint tuple truncates the digraph: it cuts the
     ladder.  Write L_D for the ladder key (1, *, *, D), with * a starred
     entry; L_2 is the class of 1332.  The cutoff's key must be L_D with
-    D >= 3.  Its left edge is dropped, and the edited graph is explored
+    D >= 3.  Its left edge is dropped, and the edited graph is expanded
     from the start node to closure, or for ``depth`` generations.  The
-    closure is finite.  Past the start node every key is (1, b, c, d),
-    and by :func:`transitions`:
+    closure is finite.  Past the start node every key is (1, b, c, d).
+    By :func:`descend`, a step needs the end pair it extends to descend,
+    which the key marks by starring that pair's inner entry, and it
+    shifts every entry up by one; the child's key is :func:`state_key`
+    of the new endpoint tuple.  So:
 
     - an L step needs b starred and gives (1, *, c + 1, d + 1), where
       c + 1 is starred when c is or when c + 1 - 2(d + 1) <= k: a
@@ -333,14 +322,23 @@ def build_digraph(k: int, depth: int | None = None, cutoff=None,
     since (1, *, j+2, 2) is j - 2 - k L steps from a starred c.  For
     j = k + 2 the second R step already stars both inner entries and
     gives L_2, and for j = k + 1 (k = 2) the first one does.  So for
-    every j >= 3 the return path of L_j has exactly j - k steps and
-    ends at L_max(2, j-k), and each node inside it has a concrete entry,
-    so it is not on the ladder and has one out-edge.  With the left edge
-    of L_D dropped, every node reached is then L_2 .. L_D or on the
-    return path of one of them, and every return path rejoins the
-    ladder below its start: the closure is finite.  With any other
+    every j >= 3 the return path of L_j has exactly d_j = j - k steps
+    and ends at L_max(2, j-k), and each node inside it has a concrete
+    entry, so it is not on the ladder and has one out-edge.  With the
+    left edge of L_D dropped, every node reached is then L_2 .. L_D or
+    on the return path of one of them, and every return path rejoins
+    the ladder below its start: the closure is finite.  With any other
     cutoff the ladder L_3 -L-> L_4 -L-> ... stays whole and the closure
-    is infinite, so such a cutoff raises ``ValueError`` before the BFS.
+    is infinite, so such a cutoff raises ``ValueError`` at once.
+
+    The nodes are therefore enumerated, not searched for.  Node i of
+    the return path of L_j, for 1 <= i < d_j = max(1, j - k), is
+    (1, j+1, *, 2) for i = 1 and (1, *, j+i, i) for i >= 2; its one
+    in-edge comes from node i - 1 (L_j for i = 1), so it is new when
+    that node is expanded.  A child on the ladder is new exactly when
+    its level has no node yet.  The start node is expanded like L_2,
+    and each generation is expanded in the order it was found, L edges
+    first, as a BFS would.
 
     With ``loop`` the truncation also puts a self-loop, labeled L, at
     the last node (1, *, 2D-1-k, D-1-k) of the cutoff's return path.
@@ -356,7 +354,7 @@ def build_digraph(k: int, depth: int | None = None, cutoff=None,
         raise ValueError("need a depth bound or a truncation cutoff")
     if depth is not None and depth < 0:
         raise ValueError("depth must be nonnegative")
-    cut = None  # the cutoff's L edge, left out with or without the loop
+    level = None  # the cutoff's ladder level D, whose L edge is left out
     if cutoff is not None:
         cutoff_key = state_key(cutoff, k)
         level = cutoff_key[3]
@@ -365,25 +363,33 @@ def build_digraph(k: int, depth: int | None = None, cutoff=None,
                              f"(1, *, *, D) with D >= 3, not {cutoff}")
         if loop and level < k + 3:
             raise ValueError(f"loop mode needs a cutoff level D >= {k + 3}")
-        cut = (cutoff_key, "L")
+
+    def key(j, i):
+        """Node i of the return path of L_j; node 0 is L_j itself."""
+        if i == 0:
+            return (1, None, None, j)
+        return (1, j + 1, None, 2) if i == 1 else (1, None, j + i, i)
 
     nodes = [START_KEY]
-    index = {START_KEY: 0}
+    ladder = {}  # level j -> index of L_j
     edges = []
-    frontier = [0]
+    frontier = [(0, 2, 0)]  # (index, j, i); the start node branches like L_2
     generation = 0
     while frontier and (depth is None or generation < depth):
         nxt = []
-        for u in frontier:
-            key = nodes[u]
-            for label, child in transitions(key, k):
-                if (key, label) == cut:
-                    continue
-                if child not in index:
-                    index[child] = len(nodes)
-                    nodes.append(child)
-                    nxt.append(index[child])
-                edges.append((u, index[child], label))
+        for u, j, i in frontier:
+            ahead = (j, i + 1) if i + 1 < j - k else (max(2, j - k), 0)
+            out = [("R" if i < 2 else "L", ahead)]  # along the return path
+            if i == 0 and j != level:
+                out.insert(0, ("L", (j + 1, 0)))  # up the ladder
+            for label, (cj, ci) in out:
+                v = ladder[cj] if ci == 0 and cj in ladder else len(nodes)
+                if v == len(nodes):
+                    nodes.append(key(cj, ci))
+                    nxt.append((v, cj, ci))
+                    if ci == 0:
+                        ladder[cj] = v
+                edges.append((u, v, label))
         frontier = nxt
         generation += 1
 
@@ -392,7 +398,7 @@ def build_digraph(k: int, depth: int | None = None, cutoff=None,
             raise ValueError(
                 f"depth {depth} stops before the closure of the loop cutoff "
                 f"{cutoff} is built")
-        u = index[(1, None, 2 * level - 1 - k, level - 1 - k)]
+        u = nodes.index(key(level, level - 1 - k))
         edges.append((u, u, "L"))
 
     return DescendantDigraph(k=k, nodes=tuple(nodes), edges=tuple(edges))

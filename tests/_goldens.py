@@ -128,6 +128,8 @@ MATRIX_A_ROWS = {
 DOT_SHA256 = {
     (1, 60): "7f179b7d953efb03884d461cf3b06c9b76acaf0ae20e2862d4e466612dacb01a",
     (2, 60): "ea2142b668e4bf84b10740811a204285f4f65bb2c262dda84e24d6df786ca9d0",
+    (1, 150): "22f1c728d919e3c2a235132faa4bca612950ed606a47f1fa71d8a14144a97044",
+    (2, 150): "bff488a112e7e22b55f0cf784954bc2276f68efd832aade7b3f3015f2d107dd8",
     (1, "cut"): "578767b3073acded3bbc811fe771dc2d4ae05e77f52e637ea0862cc26155ca90",
     (1, "loop"): "c19e57a9f14aaa6b301b6b638fb0453cda6321c995dbedf98b4dbb5f0791a943",
     (2, "cut"): "e6d40744d1b9f3aef1c53ecd0272f063c4418e088e9c0422d2d67b114fe23bd9",

@@ -7,14 +7,17 @@ computes the same results in integer arithmetic; the tests compare the
 two.  The least realizable tuple of a merged digraph class is found by
 trying every filling in order, and the node that carries the loop of a
 truncated digraph by following the cutoff's return path; the library
-gives both by closed forms.  The counts of k-convex permutations come
-from a BFS of the digraph and the walk DP over all its nodes, and the
-walks on a ladder subgraph from following the transitions with an
-explicit set of edges dropped; the library counts walks on the ladder
-alone, by a recurrence that rests on the return-path lemma.  The k = 1
-ladder series come from inverting every level of the continued-fraction
-tower and multiplying the levels out, in O(order^3); the library
-evaluates the fraction by its convergents, with one series division.
+gives both by closed forms.  The digraph itself comes from a BFS over
+the transitions of each node key, which finds every node by hashing
+its key; the library enumerates the nodes by the return-path lemma.
+The counts of k-convex permutations come from that BFS digraph and
+the walk DP over all its nodes, and the walks on a ladder subgraph
+from following the transitions with an explicit set of edges dropped;
+the library counts walks on the ladder alone, by a recurrence that
+rests on the return-path lemma.  The k = 1 ladder series come from
+inverting every level of the continued-fraction tower and multiplying
+the levels out, in O(order^3); the library evaluates the fraction by
+its convergents, with one series division.
 The exact 2-convex series comes from eliminating the 5-node system of
 walks below the upper subgraph as a series matrix; the library divides
 the closed form that elimination gives.
@@ -29,10 +32,10 @@ from convexenum.exact.ratfun import RationalFunction
 from convexenum.exact.roots import NoRootError
 from convexenum.exact.series import TruncatedSeries
 from convexenum.perms import (
-    build_digraph,
+    START_KEY,
+    DescendantDigraph,
     realizable,
     state_key,
-    transitions,
     walks,
 )
 
@@ -185,10 +188,82 @@ def loop_node(g, cutoff_key):
     return cur
 
 
+def transitions(key, k):
+    """Out-edges ``(label, child key)`` of a node key, ``START_KEY`` included,
+    labeled "L"/"R" in canonical orientation: the descents of the
+    endpoint tuple, keyed by ``state_key``."""
+    a, b, c, d = (1, 2, 1, 2) if key == START_KEY else key  # 12's endpoints
+    out = []
+    if b is None or b - 2 * a <= k:  # left descent
+        child = (1, a + 1, None if c is None else c + 1, d + 1)
+        out.append(("L", state_key(child, k)))
+    if c is None or c - 2 * d <= k:  # right descent
+        child = (a + 1, None if b is None else b + 1, d + 1, 1)
+        out.append(("R", state_key(child, k)))
+    return out
+
+
+def bfs_digraph(k, depth=None, cutoff=None, loop=False):
+    """``build_digraph`` by a BFS from the start node over
+    :func:`transitions`, with the same argument checks: a node is new
+    when its key has no index yet, the cutoff's L edge is left out, and
+    loop truncation puts its self-loop at :func:`loop_node` of the
+    closure.  Nothing about the shape of the digraph is assumed past the
+    checks on the cutoff."""
+    if k not in (1, 2):
+        raise ValueError("digraph machinery requires k in {1, 2}")
+    if loop and cutoff is None:
+        raise ValueError("loop mode needs a truncation cutoff")
+    if cutoff is None and depth is None:
+        raise ValueError("need a depth bound or a truncation cutoff")
+    if depth is not None and depth < 0:
+        raise ValueError("depth must be nonnegative")
+    cut = None  # the cutoff's L edge, left out with or without the loop
+    if cutoff is not None:
+        cutoff_key = state_key(cutoff, k)
+        level = cutoff_key[3]
+        if cutoff_key[:3] != (1, None, None) or level < 3:
+            raise ValueError("a truncation needs a ladder cutoff "
+                             f"(1, *, *, D) with D >= 3, not {cutoff}")
+        if loop and level < k + 3:
+            raise ValueError(f"loop mode needs a cutoff level D >= {k + 3}")
+        cut = (cutoff_key, "L")
+
+    nodes = [START_KEY]
+    index = {START_KEY: 0}
+    edges = []
+    frontier = [0]
+    generation = 0
+    while frontier and (depth is None or generation < depth):
+        nxt = []
+        for u in frontier:
+            key = nodes[u]
+            for label, child in transitions(key, k):
+                if (key, label) == cut:
+                    continue
+                if child not in index:
+                    index[child] = len(nodes)
+                    nodes.append(child)
+                    nxt.append(index[child])
+                edges.append((u, index[child], label))
+        frontier = nxt
+        generation += 1
+
+    if loop:
+        if frontier:
+            raise ValueError(
+                f"depth {depth} stops before the closure of the loop cutoff "
+                f"{cutoff} is built")
+        u = loop_node(DescendantDigraph(k, tuple(nodes), tuple(edges)),
+                      cutoff_key)
+        edges.append((u, u, "L"))
+    return DescendantDigraph(k=k, nodes=tuple(nodes), edges=tuple(edges))
+
+
 def perm_counts_by_walks(k, max_n):
     """[f_k(1), ..., f_k(max_n)] from the digraph built by BFS to depth
     max_n - 2 and the walk DP over all of its nodes."""
-    g = build_digraph(k, depth=max(max_n - 2, 0))
+    g = bfs_digraph(k, depth=max(max_n - 2, 0))
     return ([1] + [2 * sum(c) for c in walks(g, max_n - 2)])[:max_n]
 
 

@@ -53,7 +53,6 @@ from convexenum.perms import (
     perm_counts,
     realizable,
     state_key,
-    transitions,
     walk_count,
     walks,
 )
@@ -359,6 +358,7 @@ class TestDigraph:
         def ladder(j):
             return (1, None, None, j)
 
+        transitions = _oracles.transitions
         assert transitions(START_KEY, k) == transitions(ladder(2), k)
         for j in range(3, 201):
             path = [child for label, child in transitions(ladder(j), k)
@@ -374,7 +374,8 @@ class TestDigraph:
     def test_only_the_start_node_and_the_ladder_branch(self, k):
         for key in build_digraph(k, depth=120).nodes:
             branches = key == START_KEY or key[:3] == (1, None, None)
-            assert len(transitions(key, k)) == (2 if branches else 1), key
+            assert len(_oracles.transitions(key, k)) == \
+                (2 if branches else 1), key
 
     def test_depth_bounded_walks_match_counts(self):
         g = build_digraph(1, depth=10)
@@ -457,13 +458,44 @@ class TestDigraph:
 
     def test_dot_matches_golden_hashes(self):
         for (k, how), digest in DOT_SHA256.items():
-            if how == 60:
-                g = build_digraph(k, depth=60)
+            if isinstance(how, int):
+                g = build_digraph(k, depth=how)
             else:
                 g = build_digraph(k, cutoff=DEFAULT_CUTOFF[k],
                                   loop=how == "loop")
             assert hashlib.sha256(g.to_dot().encode()).hexdigest() == \
                 digest, (k, how)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_build_digraph_equals_the_transition_bfs(self, k):
+        # the enumeration by the return-path lemma against the BFS that
+        # finds every node by hashing its key, with the same errors
+        def both(**kwargs):
+            built = []
+            for build in (build_digraph, _oracles.bfs_digraph):
+                try:
+                    g = build(k, **kwargs)
+                except ValueError as error:
+                    built.append(("ValueError", str(error)))
+                else:
+                    built.append((g.nodes, g.edges, g.to_dot()))
+            return built
+
+        for depth in (*range(41), 60, 150):
+            ours, bfs = both(depth=depth)
+            assert ours == bfs, depth
+        for level in range(3, 26):
+            cutoff = (1, 2, level - 1, level)
+            for depth in (*range(40), None):
+                for loop in (False, True):
+                    ours, bfs = both(depth=depth, cutoff=cutoff, loop=loop)
+                    assert ours == bfs, (level, depth, loop)
+                    # the closure is built once the loop node, 2D - 3 - k
+                    # steps from the start, is expanded
+                    shallow = level < k + 3 or (
+                        depth is not None and depth < 2 * level - 2 - k)
+                    assert (ours[0] == "ValueError") == (loop and shallow), \
+                        (level, depth, loop)
 
     def test_needs_depth_or_truncation(self):
         with pytest.raises(ValueError):
@@ -483,10 +515,10 @@ class TestDigraph:
 def _r_edge_landing(k, j):
     """The ladder level that the R edge of L_j leads to, found by
     following the transitions through nodes with one out-edge."""
-    (key,) = [child for label, child in transitions((1, None, None, j), k)
-              if label == "R"]
+    (key,) = [child for label, child
+              in _oracles.transitions((1, None, None, j), k) if label == "R"]
     while key[:3] != (1, None, None):
-        (_, key), = transitions(key, k)
+        (_, key), = _oracles.transitions(key, k)
     return key[3]
 
 
