@@ -12,9 +12,9 @@ its median, its quartiles and its best time are kept.  On a noisy
 2-core host the best of a run can swing by 1.7x from one run to the
 next, so the quartiles show how far a run's times spread.  Every result
 is checked against ``tests/_goldens.py``, or ``tot_series`` against the
-ladder recurrence of ``perms.ladder_walks`` and the deeper word search
-against ``words.count_words_dp``, and a wrong one stops the run with
-exit 1.
+convergents of the continued fraction in ``tests/_oracles.py`` and the
+deeper word search against ``words.count_words_dp``, and a wrong one
+stops the run with exit 1.
 No cache is left in ``convexenum.perms``, so the labels, and the DOT
 text that holds them, are timed cold.
 The code size is the number of lines of ``src`` that hold a token,
@@ -70,10 +70,11 @@ CLI_COMMANDS = (
     "cfrac f2check --order 40")
 
 
-def cases(cfrac, perms, words, g):
+def cases(cfrac, perms, words, g, oracles):
     """(name, call, check) for every timed case."""
     search = g.SEARCH_COUNTS
-    _, ladder_totals = perms.ladder_walks(1, 3, 60)  # walks from 1223
+    b1, _, t = oracles.convergents(60)
+    tot = t / b1  # walks from 1223
     k2 = cfrac.k2_components(250)
 
     def digraph(k, depth):
@@ -130,7 +131,7 @@ def cases(cfrac, perms, words, g):
         bounds(1),
         bounds(2),
         ("tot_series(60)", lambda: cfrac.tot_series(60),
-         lambda out: list(out.coeffs) == ladder_totals),
+         lambda out: out == tot),
         ("f1_series(120)", lambda: cfrac.f1_series(120),
          lambda out: out[120] == g.DEEP_F[1, 120]),
         ("f1_series(250)", lambda: cfrac.f1_series(250),
@@ -216,10 +217,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sys.path[:0] = [str(args.src.resolve()), str(ROOT / "tests")]
     import _goldens
+    import _oracles
     from convexenum import cfrac, perms, words
 
     times, medians, quartiles = {}, {}, {}
-    for name, call, check in cases(cfrac, perms, words, _goldens):
+    for name, call, check in cases(cfrac, perms, words, _goldens, _oracles):
         ts = run_times(call, check)
         q1, median, q3 = statistics.quantiles(ts, n=4)
         times[name] = round(min(ts), 5)

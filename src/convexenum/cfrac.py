@@ -1,28 +1,24 @@
-"""Continued-fraction and small-transfer-matrix generating functions.
+"""Continued-fraction and closed-form generating functions of the
+k-convex permutations, for k in {1, 2}.
 
-The infinite ladder subgraph hanging above the start of the 1-convex
-transition digraph supports closed-form walk counts: returns to the
-ladder root satisfy a continued-fraction recurrence, and the total walk
-count is an explicit sum over ladder levels.  Both are evaluated by the
-fraction's convergents, whose numerators and denominators obey a
-three-term recurrence of shifted integer subtractions, with one series
-division per series (see :func:`_convergents`).  Feeding those series
-into a 5x5 weighted transfer matrix reproduces the exact counting
-series for 1-convex permutations.  For the 2-convex analogue the
-paper's closed form is one term off (first wrong at order 13 when
-rooted at 1245, see :func:`f2_formula_check`): with its q^4 summand 1
-read as bot1' it is exact, one series division
-(:func:`f2_exact_series`).  Its components are walk counts on the
-ladder above the node 1245, from the ladder recurrence of
-:func:`convexenum.perms.ladder_walks`.
+Above the start of the transition digraph hangs an infinite ladder.
+For k = 1 the paper writes the returns to its root L_3, the node 1223,
+as a continued fraction (:func:`ladder_tower` gives its levels), and
+the counting series as a closed form over those returns and all walks
+from the root.  Both series are walk counts on the ladder, from the
+ladder recurrence of :func:`convexenum.ladder.ladder_walks` at root 3
+(see :func:`_k1_walks`), and the closed form is one series division
+(:func:`f1_series`).  For the 2-convex analogue the paper's closed form
+is one term off (first wrong at order 13 when rooted at 1245, see
+:func:`f2_formula_check`): with its q^4 summand 1 read as bot1' it is
+exact, one series division (:func:`f2_exact_series`).  Its components
+are walk counts on the ladder above the node 1245, from the same
+recurrence at root 5.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
-
-from convexenum import perms
-from convexenum.exact import linalg
+from convexenum import ladder, perms
 from convexenum.exact.series import TruncatedSeries
 
 
@@ -43,56 +39,44 @@ def ladder_tower(order: int) -> tuple[TruncatedSeries, ...]:
     return tuple(reversed(levels))
 
 
-def _convergents(order: int):
-    """(B_1, B_2, T) for the tower of :func:`ladder_tower`, in about
-    1.25 order^2 integer additions, as series to ``order``.
+def _k1_walks(order: int):
+    """(bot, tot) to ``order``: the walks from L_3, the 1223 node of the
+    1-convex digraph, that never go below it and end at L_3, and all of
+    them, by length; :func:`convexenum.ladder.ladder_walks` at root 3.
 
-    Set B_j = 1 for 3 + j > order and B_j = B_(j+1) - q^(3+j) B_(j+2)
-    below, each a shifted subtraction.  Then H_j = B_(j+1)/B_j for every
-    level j of the tower, and H_j = 1 = B_(j+1)/B_j deeper: by downward
-    induction, H_j = 1/(1 - q^(3+j) B_(j+2)/B_(j+1)) = B_(j+1)/B_j.
-    The tower's level j stops at depth max(1, order - 3) on a truncated
-    1, and B_j = 1 there too.  Truncating at order is a ring map, so the
-    identity holds in the truncated ring, and every B_j has constant
-    term 1, so each quotient stays in Z[[q]].  Products telescope,
-    H_1 ... H_m = B_(m+1)/B_1, so bot = H_1 = B_2/B_1, and the walk sum
-    of :func:`tot_series` is tot = T/B_1 with
+    bot is H_1 of :func:`ladder_tower`.  Let bot_r count the walks from
+    L_r (r >= 3) that never go below it and end at L_r.  Split such a
+    walk at its visits to L_r.  L_r's own R edge lands below it, so each
+    piece between two visits takes the L edge to L_(r+1), a walk from
+    L_(r+1) that ends there and never goes below it, and the R edge of
+    L_(r+1), whose return path of r steps is the only way back down to
+    L_r.  So
 
-        T = sum over n of ramp_n B_(n+2),
+        bot_r = 1 / (1 - q^(r+1) bot_(r+1)),
 
-    where ramp_0 = 1 and ramp_n = q^n (1 + q + ... + q^(n+1)) for
-    n >= 1.  Each ramp_n is (q^n - q^end)/(1 - q) with end = n + 1 at
-    n = 0 and 2n + 2 above, so (1 - q) T is two shifted additions per
-    level, and T is its running sum.
+    the recurrence of the tower with H_j = bot_(j+2).  A nonempty return
+    to L_r has at least r + 1 steps, so bot_(j+2) = 1 + O(q^(3+j)), like
+    H_j.  Both are 1 to this order one level below the tower's deepest,
+    and truncation is a ring map, so by downward induction
+    H_j = bot_(j+2) to this order at every level: bot = bot_3 = H_1.
     """
-    b, b_up = [1] + [0] * order, [1] + [0] * order  # B_(j+1), B_(j+2)
-    u = [0] * (order + 1)  # (1 - q) T
-    for j in range(order + 2, 0, -1):
-        b, b_up = b[:3 + j] + [x - y for x, y in zip(b[3 + j:], b_up)], b
-        n = j - 2  # b is B_(n+2)
-        if n >= 0:
-            end = 2 * n + 2 if n else 1
-            u[n:] = [x + y for x, y in zip(u[n:], b)]
-            u[end:] = [x - y for x, y in zip(u[end:], b)]
-    return (TruncatedSeries(b, order), TruncatedSeries(b_up, order),
-            TruncatedSeries(accumulate(u), order))
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    rows, totals = ladder.ladder_walks(1, 3, order)
+    return (TruncatedSeries([row[3] for row in rows], order),
+            TruncatedSeries(totals, order))
 
 
 def bot_series(order: int) -> TruncatedSeries:
-    """Returns to the ladder root, counted by walk length: B_2/B_1 (see
-    :func:`_convergents`)."""
-    b1, b2, _ = _convergents(order)
-    return b2 / b1
+    """Returns to the ladder root, counted by walk length: the first
+    level of the continued fraction (see :func:`_k1_walks`)."""
+    return _k1_walks(order)[0]
 
 
 def tot_series(order: int) -> TruncatedSeries:
-    """All walks from the ladder root, counted by length: T/B_1 (see
-    :func:`_convergents`).  A walk is summed by the highest level n+1 it
-    reaches: q^n forward steps, a partial descent of up to n+1 further
-    steps, and independent excursions from each level visited.
-    """
-    b1, _, t = _convergents(order)
-    return t / b1
+    """All walks from the ladder root, counted by length (see
+    :func:`_k1_walks`)."""
+    return _k1_walks(order)[1]
 
 
 def f1_series(order: int) -> TruncatedSeries:
@@ -100,48 +84,30 @@ def f1_series(order: int) -> TruncatedSeries:
 
         1 + q - 2 q^2 (1 + q^2 bot + q tot)/(-1 + q + q^3 bot),
 
-    with numerator and denominator multiplied by the unit B_1 of
-    :func:`_convergents`, so that one series division remains.
+    over the walk counts bot and tot of :func:`_k1_walks`, in one series
+    division.
+
+    Proof.  Let F_v count the walks from the node v of the 1-convex
+    digraph by length, the empty walk included, so that
+    f_1 = 1 + q + 2 q^2 F_12.  By the return-path lemma of
+    :func:`convexenum.perms.build_digraph`, 12 and 1332 both step to
+    1223 (L) and 1332 (R), so F_12 = F_1332 = A with
+    (1 - q) A = 1 + q F_1223.  A walk from 1223 that never takes the R
+    edge of 1223 stays at or above it (tot).  Any other takes that edge
+    first after a walk counted by bot, and its return path of 2 steps
+    ends at 1332: the walk stops inside it (q) or goes on from 1332
+    (q^2 A).  So F_1223 = tot + bot (q + q^2 A), and
+
+        A (1 - q - q^3 bot) = 1 + q^2 bot + q tot.
+
+    1 - q - q^3 bot has constant term 1, and f_1 = 1 + q + 2 q^2 A.
     """
-    b1, b2, t = _convergents(order)
+    bot, tot = _k1_walks(order)
     q = TruncatedSeries.x(order)
     q2 = TruncatedSeries.monomial(2, order)
-    num = b1 + q2 * b2 + q * t
-    den = q * b1 - b1 + TruncatedSeries.monomial(3, order) * b2
+    num = 1 + q2 * bot + q * tot
+    den = -1 + q + TruncatedSeries.monomial(3, order) * bot
     return 1 + q - 2 * q2 * (num / den)
-
-
-def m1_series(order: int) -> TruncatedSeries:
-    """Independent reassembly via the 5x5 weighted transfer matrix.
-
-    The ladder is collapsed into two series-weighted edges (returns, and
-    walks that never come back feed a sink); the first-column sum of the
-    resolvent is rescaled exactly as for the unweighted matrices.
-    """
-    q = TruncatedSeries.x(order)
-    b1, b2, t = _convergents(order)
-    inv = b1.invert()
-    bot, tot = b2 * inv, t * inv
-    zero = TruncatedSeries.zero(order)
-    one = TruncatedSeries.one(order)
-    m = [
-        [zero, zero, zero, zero, zero],
-        [one, one, zero, zero, one],
-        [tot - bot, tot - bot, zero, zero, zero],
-        [bot, bot, zero, zero, zero],
-        [zero, zero, zero, one, zero],
-    ]
-    n = len(m)
-    system = [
-        [(one if i == j else zero) - q * m[i][j] for j in range(n)]
-        for i in range(n)
-    ]
-    rhs = [one if i == 0 else zero for i in range(n)]
-    col = linalg.solve_series_system(linalg.SeriesMatrix(system), rhs)
-    total = zero
-    for entry in col:
-        total = total + entry
-    return one + q + 2 * (q * q * total)
 
 
 def k2_components(order: int):
@@ -162,7 +128,7 @@ def k2_components(order: int):
 
     In the ladder notation of :func:`convexenum.perms.build_digraph`
     (k = 2), 1234, 1245 and 1256 are L_4, L_5 and L_6, and the subgraph
-    is :func:`convexenum.perms.ladder_walks` at root 5.  That root cuts
+    is :func:`convexenum.ladder.ladder_walks` at root 5.  That root cuts
     the R edges that land below L_5.  L_j's lands at L_max(2, j-2), by
     the return-path lemma in :func:`convexenum.perms.build_digraph`'s
     docstring, so these are the R edges of L_2 .. L_6.  The
@@ -178,7 +144,7 @@ def k2_components(order: int):
     L_5, and no edge re-enters L_4.  So a walk from 1234 is the empty
     walk, or an L step followed by a walk from 1245.
     """
-    rows, totals = perms.ladder_walks(2, 5, order)
+    rows, totals = ladder.ladder_walks(2, 5, order)
     return (TruncatedSeries(totals, order),
             TruncatedSeries([row[5] for row in rows], order),
             TruncatedSeries([0, *(row[6] for row in rows[1:])], order))

@@ -40,8 +40,8 @@ def _register_lazily(*names: str) -> None:
 _register_lazily(
     "convexenum.exact.polynomial", "convexenum.exact.series",
     "convexenum.exact.ratfun", "convexenum.exact.roots",
-    "convexenum.exact.linalg", "convexenum.words", "convexenum.perms",
-    "convexenum.cfrac")
+    "convexenum.exact.linalg", "convexenum.words", "convexenum.ladder",
+    "convexenum.perms", "convexenum.cfrac")
 
 # every command runs a module built on ``frozen``, so it runs with the
 # CLI's own start-up rather than inside the command

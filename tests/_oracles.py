@@ -14,16 +14,20 @@ The counts of k-convex permutations come from that BFS digraph and
 the walk DP over all its nodes, and the walks on a ladder subgraph
 from following the transitions with an explicit set of edges dropped;
 the library counts walks on the ladder alone, by a recurrence that
-rests on the return-path lemma.  The k = 1 ladder series come from
-inverting every level of the continued-fraction tower and multiplying
-the levels out, in O(order^3); the library evaluates the fraction by
-its convergents, with one series division.
+rests on the return-path lemma.  The k = 1 ladder series come from the
+continued fraction twice: by inverting every level of its tower and
+multiplying the levels out, in O(order^3), and by its convergents, a
+three-term recurrence of shifted integer subtractions with one series
+division; the 1-convex counting series also comes from the resolvent of
+a 5x5 series-weighted transfer matrix.  The library reads all of them
+from the same ladder recurrence, and divides one closed form.
 The exact 2-convex series comes from eliminating the 5-node system of
 walks below the upper subgraph as a series matrix; the library divides
 the closed form that elimination gives.
 """
 
 from fractions import Fraction
+from itertools import accumulate
 
 from convexenum.cfrac import ladder_tower
 from convexenum.exact.linalg import SeriesMatrix, solve_series_system
@@ -326,6 +330,75 @@ def tower_bot_tot(order):
         ramp = TruncatedSeries([0] * n + [1] * ramp_len, order)
         total = total + ramp * prod
     return tower[0], total
+
+
+def convergents(order: int):
+    """(B_1, B_2, T) for the tower of :func:`ladder_tower`, in about
+    1.25 order^2 integer additions, as series to ``order``.
+
+    Set B_j = 1 for 3 + j > order and B_j = B_(j+1) - q^(3+j) B_(j+2)
+    below, each a shifted subtraction.  Then H_j = B_(j+1)/B_j for every
+    level j of the tower, and H_j = 1 = B_(j+1)/B_j deeper: by downward
+    induction, H_j = 1/(1 - q^(3+j) B_(j+2)/B_(j+1)) = B_(j+1)/B_j.
+    The tower's level j stops at depth max(1, order - 3) on a truncated
+    1, and B_j = 1 there too.  Truncating at order is a ring map, so the
+    identity holds in the truncated ring, and every B_j has constant
+    term 1, so each quotient stays in Z[[q]].  Products telescope,
+    H_1 ... H_m = B_(m+1)/B_1, so bot = H_1 = B_2/B_1, and the walk sum
+    of :func:`tower_bot_tot` is tot = T/B_1 with
+
+        T = sum over n of ramp_n B_(n+2),
+
+    where ramp_0 = 1 and ramp_n = q^n (1 + q + ... + q^(n+1)) for
+    n >= 1.  Each ramp_n is (q^n - q^end)/(1 - q) with end = n + 1 at
+    n = 0 and 2n + 2 above, so (1 - q) T is two shifted additions per
+    level, and T is its running sum.
+    """
+    b, b_up = [1] + [0] * order, [1] + [0] * order  # B_(j+1), B_(j+2)
+    u = [0] * (order + 1)  # (1 - q) T
+    for j in range(order + 2, 0, -1):
+        b, b_up = b[:3 + j] + [x - y for x, y in zip(b[3 + j:], b_up)], b
+        n = j - 2  # b is B_(n+2)
+        if n >= 0:
+            end = 2 * n + 2 if n else 1
+            u[n:] = [x + y for x, y in zip(u[n:], b)]
+            u[end:] = [x - y for x, y in zip(u[end:], b)]
+    return (TruncatedSeries(b, order), TruncatedSeries(b_up, order),
+            TruncatedSeries(accumulate(u), order))
+
+
+def m1_series(order: int) -> TruncatedSeries:
+    """The 1-convex counting series by the 5x5 weighted transfer matrix,
+    over bot and tot from :func:`convergents`.
+
+    The ladder is collapsed into two series-weighted edges (returns, and
+    walks that never come back feed a sink); the first-column sum of the
+    resolvent is rescaled exactly as for the unweighted matrices.
+    """
+    q = TruncatedSeries.x(order)
+    b1, b2, t = convergents(order)
+    inv = b1.invert()
+    bot, tot = b2 * inv, t * inv
+    zero = TruncatedSeries.zero(order)
+    one = TruncatedSeries.one(order)
+    m = [
+        [zero, zero, zero, zero, zero],
+        [one, one, zero, zero, one],
+        [tot - bot, tot - bot, zero, zero, zero],
+        [bot, bot, zero, zero, zero],
+        [zero, zero, zero, one, zero],
+    ]
+    n = len(m)
+    system = [
+        [(one if i == j else zero) - q * m[i][j] for j in range(n)]
+        for i in range(n)
+    ]
+    rhs = [one if i == 0 else zero for i in range(n)]
+    col = solve_series_system(SeriesMatrix(system), rhs)
+    total = zero
+    for entry in col:
+        total = total + entry
+    return one + q + 2 * (q * q * total)
 
 
 def tower_f1(order):

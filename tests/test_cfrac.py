@@ -13,16 +13,10 @@ from convexenum.cfrac import (
     f2_formula_series,
     k2_components,
     ladder_tower,
-    m1_series,
     tot_series,
 )
 from convexenum.exact.series import TruncatedSeries
-from convexenum.perms import (
-    count_perms_digraph,
-    ladder_walks,
-    perm_counts,
-    state_key,
-)
+from convexenum.perms import count_perms_digraph, perm_counts, state_key
 
 # the 2-convex upper subgraph as first built: walked from 1245 with the
 # downward (R) edges of 1234, 1245 and 1256 left out
@@ -42,13 +36,15 @@ class TestLadderSeries:
 
     def test_order_independence(self):
         # coefficients may not depend on the truncation order
-        for series in (bot_series, tot_series, f1_series, m1_series):
+        for series in (bot_series, tot_series, f1_series,
+                       _oracles.m1_series):
             small = series(18)
             large = series(36)
             assert large.truncate(18) == small
 
     def test_convergents_equal_tower_evaluation(self):
-        # the convergents against inverting every level of the tower and
+        # the ladder walks, and the transfer-matrix resolvent over the
+        # convergents, against inverting every level of the tower and
         # multiplying the levels out
         for order in [*range(41), 150]:
             bot, tot = _oracles.tower_bot_tot(order)
@@ -56,29 +52,30 @@ class TestLadderSeries:
             assert bot_series(order) == bot, order
             assert tot_series(order) == tot, order
             assert f1_series(order) == f1, order
-            assert m1_series(order) == f1, order
+            assert _oracles.m1_series(order) == f1, order
 
     def test_bot_is_the_first_tower_level(self):
-        # H_1 = B_2/B_1, through public names
+        # H_1 = bot_3, through public names
         for order in range(61):
             assert bot_series(order) == ladder_tower(order)[0], order
 
-    def test_deep_series_match_ladder_walks(self):
-        # two engines: the convergents and the ladder recurrence from
-        # L_3, the 1223 node, whose walks never go below it
-        rows, totals = ladder_walks(1, 3, 250)
-        assert list(tot_series(250).coeffs) == totals
-        assert list(bot_series(250).coeffs) == [row[3] for row in rows]
+    def test_deep_series_match_convergents(self):
+        # two engines: the ladder recurrence from L_3, the 1223 node,
+        # whose walks never go below it, and the continued fraction
+        # evaluated by its convergents
+        for order in [*range(41), 150, 400]:
+            b1, b2, t = _oracles.convergents(order)
+            assert bot_series(order) == b2 / b1, order
+            assert tot_series(order) == t / b1, order
 
     def test_negative_order_is_a_value_error(self):
-        for fn in (ladder_tower, bot_series, tot_series, f1_series,
-                   m1_series):
+        for fn in (ladder_tower, bot_series, tot_series, f1_series):
             with pytest.raises(ValueError):
                 fn(-1)
 
     def test_order_is_required(self):
         for fn in (ladder_tower, bot_series, tot_series, f1_series,
-                   m1_series, k2_components, f2_formula_check):
+                   k2_components, f2_formula_check):
             with pytest.raises(TypeError):
                 fn()
 
@@ -97,7 +94,7 @@ class TestOneConvexSeries:
         assert [int(f1[n]) for n in range(1, 13)] == TABLE_F1
 
     def test_two_derivations_agree(self):
-        assert f1_series(30) == m1_series(30)
+        assert f1_series(30) == _oracles.m1_series(30)
 
     def test_matches_digraph_counts(self):
         f1 = f1_series(20)
@@ -109,10 +106,10 @@ class TestOneConvexSeries:
         assert [int(f2[n]) for n in range(1, 41)] == perm_counts(2, 40)
 
     def test_tower_matches_ladder_counts_deep(self):
-        # two independent engines: the continued fraction, evaluated by
-        # its convergents, and the ladder recurrence
-        f1 = f1_series(250)
-        assert list(f1.coeffs[1:]) == perm_counts(1, 250)
+        # the closed form over the walks from L_3 against the walks from
+        # the start node, and against the recorded count
+        f1 = f1_series(400)
+        assert list(f1.coeffs) == [1] + perm_counts(1, 400)
         assert f1[250] == DEEP_F[1, 250]
 
 

@@ -7,12 +7,13 @@ import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from _goldens import CLI_STDOUT_SHA256
-from convexenum import words
+from convexenum import perms, words
 from convexenum.cli import COMMANDS, build_parser, main
 
 
@@ -121,6 +122,22 @@ class TestPermsCommands:
         assert res["upper_gf_root"].startswith("[0.65145978572056851")
         assert payload["provenance"] == \
             ["digraph", "walk_dp", "berlekamp_massey"]
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="render_interval truncates both endpoints, so "
+                              "a printed upper end can fall below the root")
+    def test_bounds_print_intervals_that_contain_the_roots(self, capsys):
+        for k in (1, 2):
+            for precision in (1, 20):
+                gb = perms.growth_bounds(k, precision)
+                code, payload = run_json(capsys, "perms", "bounds", "--k",
+                                         str(k), "--precision", str(precision))
+                res = results_dict(payload)
+                for side, (lo, hi) in (("lower", gb.lower_root),
+                                       ("upper", gb.upper_root)):
+                    a, b = res[f"{side}_gf_root"].strip("[]").split(", ")
+                    assert Fraction(a) <= lo and hi <= Fraction(b), \
+                        (k, precision, side)
 
     def test_digraph_dot_output(self, capsys):
         code, out = run(capsys, "perms", "digraph", "--k", "1",

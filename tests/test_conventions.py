@@ -259,17 +259,24 @@ def test_cli_import_defers_what_only_some_commands_need():
     table = run("perms table --max-n 5", "perms subadd --k 2 --max-n 8",
                 "perms digraph --k 2 --depth 8 --dot")
     assert {name for name in _library_modules() if table[name]} == \
-        ran | {"convexenum.perms"}
+        ran | {"convexenum.perms", "convexenum.ladder"}
+    # the k = 1 ladder series read the ladder recurrence alone
+    ladder = run("cfrac bot --order 20", "cfrac tot --order 20",
+                 "cfrac f1 --order 20")
+    assert ladder["convexenum.ladder"]
+    assert not ladder["convexenum.perms"]
+    assert not ladder["convexenum.exact.linalg"]
     # the integer series import neither fractions nor decimal (the
     # modules only grow, so no one command of a sequence imports them)
-    integer = run("cfrac f1 --order 20", "cfrac tot --order 20",
-                  "cfrac f2check --order 20",
+    integer = run("cfrac f2check --order 20",
                   "words gf --p 6 --k 0 --order 30",
                   "words gf --p 4 --k 2 --order 40")
-    for modules in (table, integer):
+    for modules in (table, ladder, integer):
         assert not (modules.keys() - bare.keys()) & {"fractions", "decimal"}
-    # the 2-convex closed form is one series division, no elimination
+    # the 2-convex closed form is one series division, no elimination,
+    # and f2check counts its exact side with perm_counts
     assert integer["convexenum.cfrac"]
+    assert integer["convexenum.perms"]
     assert not integer["convexenum.exact.linalg"]
     # and a command that meets rationals does import fractions
     assert "fractions" in run("perms bounds --k 1").keys() - bare.keys()

@@ -25,6 +25,7 @@ from _goldens import (
     root_fraction,
 )
 from convexenum import perms
+from convexenum.ladder import ladder_walks
 from convexenum.exact.linalg import matrix_resolvent_row
 from convexenum.exact.polynomial import Polynomial
 from convexenum.exact.ratfun import RationalFunction
@@ -48,7 +49,6 @@ from convexenum.perms import (
     growth_bounds,
     is_convex_perm,
     is_slow_riser,
-    ladder_walks,
     mountain_from_coloring,
     perm_counts,
     realizable,
