@@ -1,9 +1,10 @@
 """Layer timings of the exhaustive searches, the ladder counts of
 k-convex permutations, the depth-150 digraphs (built, labeled and
 written as DOT), the exact kernel's certified growth bounds, the k = 1
-ladder's tot and f_1 series, the exact f_2 series from precomputed
-components and the 2-convex formula report, the size of the library's
-code, and what each of the benchmark's CLI commands loads.
+ladder's tot and f_1 series, the k = 2 components, the exact f_2 series
+from precomputed components and the 2-convex formula report, the size
+of the library's code, and what each of the benchmark's CLI commands
+loads.
 
     python bench/layers.py [--label NAME] [--src DIR]
 
@@ -25,10 +26,11 @@ Start-up is not timed here: a best of five fresh interpreters cannot
 resolve differences below about 30 ms on a noisy 2-core host.  The
 benchmark in ``perfbench/`` measures it as ``setup_s`` on every job,
 with its spread.  What it loads is recorded instead, which does not
-vary from run to run: each of the benchmark's CLI commands runs in a
-fresh interpreter without ``site`` (so nothing preloads a module), and
-its record lists the library modules that ran, whether ``fractions``
-was imported, and the code lines of those modules.
+vary from run to run: each of the benchmark's CLI commands, as listed
+in ``perfbench/workloads.py``, runs in a fresh interpreter without
+``site`` (so nothing preloads a module), and its record lists the
+library modules that ran, whether ``fractions`` was imported, and the
+code lines of those modules.
 
 The times are merged into ``BENCH_layers.json`` at the repository root
 under NAME (default ``current``), next to the runs already there, and
@@ -59,15 +61,17 @@ ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_layers.json"
 REPEAT = 7
 
-#: The CLI jobs of ``perfbench/workloads.py``, by workload
-CLI_COMMANDS = (
-    "perms bounds --k 1", "perms bounds --k 2",
-    "perms table --max-n 120", "perms subadd --k 2 --max-n 120",
-    "perms digraph --k 2 --depth 150 --dot", "perms count --n 12 --k 2",
-    "words count --n 12 --p 5 --k 1",
-    "words gf --p 6 --k 0 --order 30", "words gf --p 4 --k 2 --order 40",
-    "cfrac f1 --order 80", "cfrac tot --order 60",
-    "cfrac f2check --order 40")
+def cli_commands(workloads) -> list[str]:
+    """The CLI jobs of ``perfbench/workloads.py``, by workload, as
+    commands, without the ``--json`` that the benchmark appends to
+    compare their results."""
+    commands = []
+    for jobs in workloads.WORKLOADS.values():
+        for job in jobs:
+            if job.kind == "cli":
+                argv = job.args[:-1] if job.args[-1] == "--json" else job.args
+                commands.append(" ".join(argv))
+    return commands
 
 
 def cases(cfrac, perms, words, g, oracles):
@@ -136,6 +140,8 @@ def cases(cfrac, perms, words, g, oracles):
          lambda out: out[120] == g.DEEP_F[1, 120]),
         ("f1_series(250)", lambda: cfrac.f1_series(250),
          lambda out: out[250] == g.DEEP_F[1, 250]),
+        ("k2_components(200)", lambda: cfrac.k2_components(200),
+         lambda out: tuple(s[200] for s in out) == g.K2_COMPONENTS_200),
         ("f2_exact_series(k2_components(250))",
          lambda: cfrac.f2_exact_series(k2),
          lambda out: out[250] == g.DEEP_F[2, 250]),
@@ -215,9 +221,11 @@ def main(argv=None) -> int:
     parser.add_argument("--label", default="current")
     parser.add_argument("--src", type=Path, default=ROOT / "src")
     args = parser.parse_args(argv)
-    sys.path[:0] = [str(args.src.resolve()), str(ROOT / "tests")]
+    sys.path[:0] = [str(args.src.resolve()), str(ROOT / "tests"),
+                    str(ROOT / "perfbench")]
     import _goldens
     import _oracles
+    import workloads
     from convexenum import cfrac, perms, words
 
     times, medians, quartiles = {}, {}, {}
@@ -233,7 +241,7 @@ def main(argv=None) -> int:
     lines = sum(by_module.values())
     print(f"{lines:10d} code lines in {args.src}")
     loads = {command: startup(args.src.resolve(), command, by_module)
-             for command in CLI_COMMANDS}
+             for command in cli_commands(workloads)}
     for command, record in loads.items():
         print(f"{record['code_lines']:10d} code lines in "
               f"{len(record['modules'])} modules, fractions "

@@ -7,7 +7,7 @@ as a continued fraction (:func:`ladder_tower` gives its levels), and
 the counting series as a closed form over those returns and all walks
 from the root.  Both series are walk counts on the ladder, from the
 ladder recurrence of :func:`convexenum.ladder.ladder_walks` at root 3
-(see :func:`_k1_walks`), and the closed form is one series division
+(see :func:`_ladder_series`), and the closed form is one series division
 (:func:`f1_series`).  For the 2-convex analogue the paper's closed form
 is one term off (first wrong at order 13 when rooted at 1245, see
 :func:`f2_formula_check`): with its q^4 summand 1 read as bot1' it is
@@ -39,18 +39,22 @@ def ladder_tower(order: int) -> tuple[TruncatedSeries, ...]:
     return tuple(reversed(levels))
 
 
-def _k1_walks(order: int):
-    """(bot, tot) to ``order``: the walks from L_3, the 1223 node of the
-    1-convex digraph, that never go below it and end at L_3, and all of
-    them, by length; :func:`convexenum.ladder.ladder_walks` at root 3.
+def _ladder_series(k: int, root: int, order: int):
+    """(all, at_root, above) to ``order``: the walks from the ladder node
+    L_root of the k-convex digraph that never go below it, by length,
+    and those of them that end at L_root and at L_(root+1);
+    :func:`convexenum.ladder.ladder_walks`, read once.  Every ladder
+    series of this module reads it, and it is where they check their
+    order.
 
-    bot is H_1 of :func:`ladder_tower`.  Let bot_r count the walks from
-    L_r (r >= 3) that never go below it and end at L_r.  Split such a
-    walk at its visits to L_r.  L_r's own R edge lands below it, so each
-    piece between two visits takes the L edge to L_(r+1), a walk from
-    L_(r+1) that ends there and never goes below it, and the R edge of
-    L_(r+1), whose return path of r steps is the only way back down to
-    L_r.  So
+    At (k, root) = (1, 3), the 1223 node of the 1-convex digraph, this
+    is (tot, bot, _), and bot is H_1 of :func:`ladder_tower`.  Let bot_r
+    count the walks from L_r (r >= 3) that never go below it and end at
+    L_r.  Split such a walk at its visits to L_r.  L_r's own R edge
+    lands below it, so each piece between two visits takes the L edge to
+    L_(r+1), a walk from L_(r+1) that ends there and never goes below
+    it, and the R edge of L_(r+1), whose return path of r steps is the
+    only way back down to L_r.  So
 
         bot_r = 1 / (1 - q^(r+1) bot_(r+1)),
 
@@ -59,24 +63,27 @@ def _k1_walks(order: int):
     H_j.  Both are 1 to this order one level below the tower's deepest,
     and truncation is a ring map, so by downward induction
     H_j = bot_(j+2) to this order at every level: bot = bot_3 = H_1.
+
+    At (2, 5) it is :func:`k2_components`.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    rows, totals = ladder.ladder_walks(1, 3, order)
-    return (TruncatedSeries([row[3] for row in rows], order),
-            TruncatedSeries(totals, order))
+    rows, totals = ladder.ladder_walks(k, root, order)
+    return (TruncatedSeries(totals, order),
+            TruncatedSeries([row[root] for row in rows], order),
+            TruncatedSeries([0, *(row[root + 1] for row in rows[1:])], order))
 
 
 def bot_series(order: int) -> TruncatedSeries:
     """Returns to the ladder root, counted by walk length: the first
-    level of the continued fraction (see :func:`_k1_walks`)."""
-    return _k1_walks(order)[0]
+    level of the continued fraction (see :func:`_ladder_series`)."""
+    return _ladder_series(1, 3, order)[1]
 
 
 def tot_series(order: int) -> TruncatedSeries:
     """All walks from the ladder root, counted by length (see
-    :func:`_k1_walks`)."""
-    return _k1_walks(order)[1]
+    :func:`_ladder_series`)."""
+    return _ladder_series(1, 3, order)[0]
 
 
 def f1_series(order: int) -> TruncatedSeries:
@@ -84,7 +91,7 @@ def f1_series(order: int) -> TruncatedSeries:
 
         1 + q - 2 q^2 (1 + q^2 bot + q tot)/(-1 + q + q^3 bot),
 
-    over the walk counts bot and tot of :func:`_k1_walks`, in one series
+    over the walk counts bot and tot of :func:`_ladder_series`, in one series
     division.
 
     Proof.  Let F_v count the walks from the node v of the 1-convex
@@ -102,7 +109,7 @@ def f1_series(order: int) -> TruncatedSeries:
 
     1 - q - q^3 bot has constant term 1, and f_1 = 1 + q + 2 q^2 A.
     """
-    bot, tot = _k1_walks(order)
+    tot, bot, _ = _ladder_series(1, 3, order)
     q = TruncatedSeries.x(order)
     q2 = TruncatedSeries.monomial(2, order)
     num = 1 + q2 * bot + q * tot
@@ -128,7 +135,7 @@ def k2_components(order: int):
 
     In the ladder notation of :func:`convexenum.perms.build_digraph`
     (k = 2), 1234, 1245 and 1256 are L_4, L_5 and L_6, and the subgraph
-    is :func:`convexenum.ladder.ladder_walks` at root 5.  That root cuts
+    is the ladder walks at root 5 (:func:`_ladder_series`).  That root cuts
     the R edges that land below L_5.  L_j's lands at L_max(2, j-2), by
     the return-path lemma in :func:`convexenum.perms.build_digraph`'s
     docstring, so these are the R edges of L_2 .. L_6.  The
@@ -144,10 +151,7 @@ def k2_components(order: int):
     L_5, and no edge re-enters L_4.  So a walk from 1234 is the empty
     walk, or an L step followed by a walk from 1245.
     """
-    rows, totals = ladder.ladder_walks(2, 5, order)
-    return (TruncatedSeries(totals, order),
-            TruncatedSeries([row[5] for row in rows], order),
-            TruncatedSeries([0, *(row[6] for row in rows[1:])], order))
+    return _ladder_series(2, 5, order)
 
 
 def _f2_closed_form(components, s) -> TruncatedSeries:
@@ -233,37 +237,26 @@ def f2_exact_series(components) -> TruncatedSeries:
 
 
 def f2_formula_check(order: int) -> dict:
-    """Differential report: the reference f_2 closed form vs exact counts.
+    """Differential report: the reference f_2 closed form vs exact counts,
+    as the six results ``cfrac f2check`` prints, in that order.
 
-    The walk-count pipeline is ground truth; the formula side is
-    verified, never assumed.  The formula is evaluated under both walk
-    rootings of its component series; each gets per-coefficient
-    agreement flags and a first-disagreement index.  The q^0 boundary is
+    ``exact`` is f_2(0..order), from the walk-count pipeline, which is
+    ground truth; the formula side is verified, never assumed.  For each
+    walk rooting of the component series, 1234 and 1245,
+    ``root_<root>_formula`` is the formula's coefficients to ``order``
+    and ``root_<root>_first_mismatch`` the least n where it differs from
+    ``exact``, or None.  ``derived_closed_form_agrees`` says whether
+    :func:`f2_exact_series` equals ``exact``.  The q^0 boundary is
     included (both sides use f_2(0) = 1 for the empty permutation).
     """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    exact = [1] + perms.perm_counts(2, order)
     components = k2_components(order)
-    report = {"order": order, "exact": exact, "evaluations": {}}
+    exact = [1] + perms.perm_counts(2, order)
+    report = {"exact": exact}
     for root in ("1234", "1245"):
-        formula = f2_formula_series(components, root=root)
-        per_coeff = []
-        first_mismatch = None
-        for n in range(order + 1):
-            agree = formula[n] == exact[n]
-            if not agree and first_mismatch is None:
-                first_mismatch = n
-            per_coeff.append({"n": n, "formula": str(formula[n]),
-                              "exact": exact[n], "agree": agree})
-        report["evaluations"][f"root_{root}"] = {
-            "coefficients": per_coeff,
-            "first_mismatch": first_mismatch,
-            "agrees": first_mismatch is None,
-        }
-    derived = f2_exact_series(components)
-    report["derived_closed_form_agrees"] = all(
-        derived[n] == exact[n] for n in range(order + 1))
-    report["agrees"] = any(ev["agrees"]
-                           for ev in report["evaluations"].values())
+        formula = list(f2_formula_series(components, root=root).coeffs)
+        report[f"root_{root}_formula"] = formula
+        report[f"root_{root}_first_mismatch"] = next(
+            (n for n, f in enumerate(formula) if f != exact[n]), None)
+    report["derived_closed_form_agrees"] = \
+        list(f2_exact_series(components).coeffs) == exact
     return report

@@ -241,11 +241,9 @@ def _cfrac_series(args, rec):
 def _cfrac_f2check(args, rec):
     report = cfrac.f2_formula_check(args.order)
     rec.provenance = ["cfrac", "digraph"]
-    rec.add("exact", [str(v) for v in report["exact"]])
-    for root, ev in report["evaluations"].items():
-        rec.add(f"{root}_formula", [c["formula"] for c in ev["coefficients"]])
-        rec.add(f"{root}_first_mismatch", ev["first_mismatch"])
-    rec.add("derived_closed_form_agrees", report["derived_closed_form_agrees"])
+    for name, value in report.items():
+        rec.add(name, [str(v) for v in value] if isinstance(value, list)
+                else value)
 
 
 # ---------------------------------------------------------------------------

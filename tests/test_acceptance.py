@@ -127,17 +127,22 @@ def test_criterion_7_continued_fraction_consistency():
 
 def test_criterion_8_two_convex_formula_report():
     report = cfrac.f2_formula_check(20)
-    assert report["exact"][:13] == [1] + TABLE_F2
+    exact = report["exact"]
+    assert exact[:13] == [1] + TABLE_F2
     for n in range(13, 21):
-        assert report["exact"][n] == perms.count_perms_digraph(2, n)
+        assert exact[n] == perms.count_perms_digraph(2, n)
     assert report["derived_closed_form_agrees"] is True
-    for ev in report["evaluations"].values():
-        assert isinstance(ev["agrees"], bool)
-        assert len(ev["coefficients"]) == 21
+    mismatches = {}
+    for root in ("1234", "1245"):
+        formula = report[f"root_{root}_formula"]
+        assert len(formula) == 21
+        first = report[f"root_{root}_first_mismatch"]
+        assert first == next(
+            (n for n in range(21) if formula[n] != exact[n]), None)
+        mismatches[f"root_{root}"] = first
+    assert mismatches == {"root_1234": 7, "root_1245": 13}
     print("PASS criterion 8: 2-convex formula report produced with an exact "
-          "oracle side; formula agreement recorded as "
-          + str({name: ev["first_mismatch"]
-                 for name, ev in report["evaluations"].items()}))
+          "oracle side; formula agreement recorded as " + str(mismatches))
 
 
 # --- criterion 9: structural property suites -------------------------------

@@ -69,8 +69,13 @@ class TestLadderSeries:
             assert tot_series(order) == t / b1, order
 
     def test_negative_order_is_a_value_error(self):
-        for fn in (ladder_tower, bot_series, tot_series, f1_series):
-            with pytest.raises(ValueError):
+        # one message from every entry point: the series check the order
+        # in the one ladder reader, and the report reads its components
+        # before the counts
+        for fn in (ladder_tower, bot_series, tot_series, f1_series,
+                   k2_components, f2_formula_check):
+            with pytest.raises(ValueError,
+                               match="^order must be nonnegative$"):
                 fn(-1)
 
     def test_order_is_required(self):
@@ -163,7 +168,7 @@ class TestTwoConvexComponents:
         assert list(f2.coeffs) == [1] + perm_counts(2, 200)
 
     def test_negative_order_is_a_value_error(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^order must be nonnegative$"):
             k2_components(-1)
 
     def test_closed_form_equals_the_series_elimination(self):
@@ -194,21 +199,30 @@ class TestTwoConvexComponents:
 
 class TestFormulaReport:
     def test_report_shape_and_oracle_side(self):
+        # the six results cfrac f2check prints, in its order
         report = f2_formula_check(20)
-        assert report["order"] == 20
-        assert report["exact"][:13] == [1] + TABLE_F2
+        assert list(report) == [
+            "exact", "root_1234_formula", "root_1234_first_mismatch",
+            "root_1245_formula", "root_1245_first_mismatch",
+            "derived_closed_form_agrees"]
+        exact = report["exact"]
+        assert exact[:13] == [1] + TABLE_F2
         assert report["derived_closed_form_agrees"] is True
-        assert set(report["evaluations"]) == {"root_1234", "root_1245"}
-        for ev in report["evaluations"].values():
-            assert len(ev["coefficients"]) == 21
-            assert ev["agrees"] == (ev["first_mismatch"] is None)
-            for row in ev["coefficients"]:
-                assert row["agree"] == (int(row["formula"]) == row["exact"])
+        components = k2_components(20)
+        for root in ("1234", "1245"):
+            formula = report[f"root_{root}_formula"]
+            assert len(formula) == 21
+            assert formula == list(
+                f2_formula_series(components, root=root).coeffs)
+            # the first n where the formula differs from the counts
+            mismatch = report[f"root_{root}_first_mismatch"]
+            assert formula[:mismatch] == exact[:mismatch]
+            assert mismatch is None or formula[mismatch] != exact[mismatch]
 
     def test_recorded_mismatch_points(self):
         report = f2_formula_check(16)
-        assert report["evaluations"]["root_1234"]["first_mismatch"] == 7
-        assert report["evaluations"]["root_1245"]["first_mismatch"] == 13
+        assert report["root_1234_first_mismatch"] == 7
+        assert report["root_1245_first_mismatch"] == 13
         # the one wrong term: tot' enters only the numerator, as
         # q^3 (1 + tot'), so adding q (bot1' - 1) to it reads the q^4
         # summand 1 as bot1', and then the formula is exact to order 250
