@@ -227,9 +227,8 @@ def _perms_subadd(args, rec):
     report = perms.check_subadditivity(args.k, args.max_n)
     rec.provenance = ["digraph"]
     rec.add("holds", report["holds"])
-    rec.add("violations",
-            [f"m={v['m']} n={v['n']} f={v['f_mn']} bound={v['bound']}"
-             for v in report["violations"]])
+    rec.add("violations", [f"m={m} n={n} f={f} bound={bound}"
+                           for m, n, f, bound in report["violations"]])
 
 
 def _cfrac_series(args, rec):

@@ -164,6 +164,3 @@ class RationalFunction(Frozen):
         """Power-series expansion; the denominator must be a unit at 0."""
         return (series.TruncatedSeries(self.num.coeffs, order)
                 / series.TruncatedSeries(self.den.coeffs, order))
-
-    def __str__(self):
-        return f"({self.num}) / ({self.den})"

@@ -44,10 +44,9 @@ def _sign_variations(chain, x: Fraction) -> int:
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def smallest_positive_root(p: Polynomial, precision: int = 18,
-                           search_bound=Fraction(1)):
+def smallest_positive_root(p: Polynomial, precision: int = 18):
     """Return a rational interval [lo, hi] of width < 10^-precision
-    containing the smallest real root of ``p`` in (0, search_bound].
+    containing the smallest real root of ``p`` in (0, 1].
 
     Isolation uses a Sturm chain of the squarefree part; the final
     certificate is an exact sign change of that squarefree part at the
@@ -63,7 +62,7 @@ def smallest_positive_root(p: Polynomial, precision: int = 18,
     if len(chain[-1]) > 1:  # the chain ends in gcd(p, p'): strip it
         chain = _sturm_chain((p // Polynomial(chain[-1])).primitive())
     sqf = chain[0]
-    lo, hi = Fraction(0), Fraction(search_bound)
+    lo, hi = Fraction(0), Fraction(1)
     if _sign_at(sqf, hi) == 0:
         # nudge the right endpoint past the root so sign logic stays exact
         hi += Fraction(1, 10**precision)
@@ -74,7 +73,7 @@ def smallest_positive_root(p: Polynomial, precision: int = 18,
         return variations(a) - variations(b)
 
     if roots_in(lo, hi) < 1:
-        raise NoRootError(f"no root of {p} in (0, {search_bound}]")
+        raise NoRootError(f"no root of {p} in (0, 1]")
 
     # shrink toward the leftmost root, then bisect on the sign change
     eps = Fraction(1, 10 ** (precision + 2))

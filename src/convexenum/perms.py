@@ -254,9 +254,6 @@ class DescendantDigraph(Frozen):
 
     __slots__ = ("k", "nodes", "edges")
 
-    def __init__(self, k: int, nodes: tuple, edges: tuple):
-        super().__init__(k, nodes, edges)
-
     @property
     def labels(self) -> tuple[str, ...]:
         """The least realizable endpoint tuple of each node, as digits."""
@@ -467,18 +464,12 @@ def count_perms_digraph(k: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 
 class GrowthBounds(Frozen):
-    """The bound GFs of f_k, their smallest positive roots as intervals,
-    and the growth-rate bounds those roots give, as decimal strings."""
+    """The bound GFs of f_k (``RationalFunction``s), their smallest
+    positive roots as ``Fraction`` intervals, and the growth-rate bounds
+    those roots give, as decimal strings."""
 
     __slots__ = ("k", "lower_gf", "upper_gf", "lower_root", "upper_root",
                  "lower_rate", "upper_rate")
-
-    def __init__(self, k: int, lower_gf: ratfun.RationalFunction,
-                 upper_gf: ratfun.RationalFunction,
-                 lower_root: tuple, upper_root: tuple,
-                 lower_rate: str, upper_rate: str):
-        super().__init__(k, lower_gf, upper_gf, lower_root, upper_root,
-                         lower_rate, upper_rate)
 
 
 def gf_bound(k: int, side: str, cutoff: tuple[int, int, int, int] | None = None
@@ -535,17 +526,16 @@ def growth_bounds(k: int, precision: int = 20) -> GrowthBounds:
 
 
 def check_subadditivity(k: int, max_n: int) -> dict:
-    """Probe f_k(m+n) <= f_k(m) f_k(n) for all splits; report violations.
+    """Probe f_k(m+n) <= f_k(m) f_k(n) for all splits m <= n with
+    m + n <= max_n; report the violations.
 
-    This is a report, not an assertion: the inequality is checked as
-    stated and any failing split is listed.
+    This is a report, not an assertion: the record ``perms subadd``
+    prints, ``holds`` and ``violations``, the (m, n, f_k(m+n),
+    f_k(m) f_k(n)) of each failing split in order of m, then n.
     """
-    f = dict(enumerate(perm_counts(k, max_n), start=1))
-    violations = [
-        {"m": m, "n": n, "f_mn": f[m + n], "bound": f[m] * f[n]}
-        for m in range(1, max_n)
-        for n in range(m, max_n - m + 1)
-        if f[m + n] > f[m] * f[n]
-    ]
-    return {"k": k, "max_n": max_n, "counts": f, "violations": violations,
-            "holds": not violations}
+    f = [None, *perm_counts(k, max_n)]  # f[n] = f_k(n)
+    violations = [(m, n, f[m + n], f[m] * f[n])
+                  for m in range(1, max_n)
+                  for n in range(m, max_n - m + 1)
+                  if f[m + n] > f[m] * f[n]]
+    return {"holds": not violations, "violations": violations}

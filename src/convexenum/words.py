@@ -29,9 +29,6 @@ class Word(Frozen):
                 raise ValueError(f"letter {x} outside [1, {alphabet_size}]")
         super().__init__(letters, alphabet_size)
 
-    def __len__(self):
-        return len(self.letters)
-
     def __str__(self):
         sep = "" if self.alphabet_size <= 9 else ","
         return sep.join(str(x) for x in self.letters)
@@ -59,13 +56,11 @@ class IntegerPartition(Frozen):
 
 
 class WordGF(Frozen):
-    """Generating-function bundle for fixed (p, k)."""
+    """Generating-function bundle for fixed (p, k): the counts as a
+    ``TruncatedSeries``, and the closed form as a ``RationalFunction``
+    or ``None``."""
 
     __slots__ = ("p", "k", "series", "ratfun")
-
-    def __init__(self, p: int, k: int, series: series.TruncatedSeries,
-                 ratfun: ratfun.RationalFunction | None = None):
-        super().__init__(p, k, series, ratfun)
 
 
 def is_convex_word(w: Word, k: int) -> bool:
@@ -317,8 +312,9 @@ def g0p_stable(p: int) -> int:
 
 
 def encode_word(m: int, w1: IntegerPartition, w2: IntegerPartition,
-                n: int, p: int | None = None) -> Word:
-    """Build the 0-convex word (prefix)(m...m)(suffix) of length n.
+                n: int, p: int) -> Word:
+    """Build the 0-convex word (prefix)(m...m)(suffix) of length n on
+    the alphabet [1, p].
 
     The increasing prefix realizes partition ``w1`` as its gap sequence
     (largest gap first); the decreasing suffix realizes ``w2`` (smallest
@@ -334,7 +330,7 @@ def encode_word(m: int, w1: IntegerPartition, w2: IntegerPartition,
     if plateau < 1:
         raise ValueError(f"length {n} too small for prefix, plateau and suffix")
     letters = pf + [m] * plateau + sf
-    return Word(tuple(letters), p if p is not None else m)
+    return Word(tuple(letters), p)
 
 
 def decode_word(w: Word) -> tuple[int, IntegerPartition, IntegerPartition]:

@@ -79,8 +79,7 @@ def sturm_count(chain, a: Fraction, b: Fraction) -> int:
     return sign_variations(chain, a) - sign_variations(chain, b)
 
 
-def smallest_positive_root(p: Polynomial, precision: int = 18,
-                           search_bound=Fraction(1)):
+def smallest_positive_root(p: Polynomial, precision: int = 18):
     """Sturm isolation evaluated at ``Fraction`` points throughout."""
     if not p:
         raise ValueError("zero polynomial")
@@ -88,7 +87,7 @@ def smallest_positive_root(p: Polynomial, precision: int = 18,
         raise ValueError("p(0) = 0; strip the root at the origin first")
     sqf = squarefree_part(p)
     chain = sturm_chain(sqf)
-    lo, hi = Fraction(0), Fraction(search_bound)
+    lo, hi = Fraction(0), Fraction(1)
     if sqf(hi) == 0:
         hi += Fraction(1, 10**precision)
 
@@ -96,7 +95,7 @@ def smallest_positive_root(p: Polynomial, precision: int = 18,
         return sturm_count(chain, a, b)
 
     if roots_in(lo, hi) < 1:
-        raise NoRootError(f"no root of {p} in (0, {search_bound}]")
+        raise NoRootError(f"no root of {p} in (0, 1]")
     while roots_in(lo, hi) > 1 or sqf(lo) * sqf(hi) >= 0:
         mid = (lo + hi) / 2
         if sqf(mid) == 0:

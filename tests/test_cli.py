@@ -69,6 +69,38 @@ class TestWordsCommands:
         assert res["w1"] == "{1}"
         assert res["w2"] == "{1,1}"
 
+    def test_decode_reads_comma_separated_letters(self, capsys):
+        plain = run_json(capsys, "words", "decode", "--word", "23321",
+                         "--p", "3")
+        commas = run_json(capsys, "words", "decode", "--word", "2,3,3,2,1",
+                          "--p", "3")
+        assert commas[0] == plain[0] == 0
+        assert commas[1]["results"] == plain[1]["results"] == \
+            [["m", 3], ["w1", "{1}"], ["w2", "{1,1}"]]
+        assert commas[1]["provenance"] == plain[1]["provenance"]
+        # past nine letters only the comma form can spell a word
+        code, payload = run_json(capsys, "words", "decode",
+                                 "--word", "9,10,10,9", "--p", "10")
+        assert code == 0
+        assert results_dict(payload) == {"m": 10, "w1": "{1}", "w2": "{1}"}
+
+    @pytest.mark.parametrize("flags,word,w1,w2", [
+        (["--w2", "1,1"], "33321", "{}", "{1,1}"),
+        (["--w1", "1"], "23333", "{1}", "{}"),
+        ([], "33333", "{}", "{}"),
+        (["--w1", "", "--w2", ""], "33333", "{}", "{}"),
+    ])
+    def test_encode_without_a_partition_reads_it_as_empty(
+            self, capsys, flags, word, w1, w2):
+        code, payload = run_json(capsys, "words", "encode", "--p", "3",
+                                 "--m", "3", *flags, "--n", "5")
+        assert code == 0
+        assert results_dict(payload)["word"] == word
+        code, payload = run_json(capsys, "words", "decode", "--word", word,
+                                 "--p", "3")
+        assert code == 0
+        assert results_dict(payload) == {"m": 3, "w1": w1, "w2": w2}
+
     def test_invalid_input_exits_2(self, capsys):
         code = main(["words", "decode", "--word", "313", "--p", "3"])
         capsys.readouterr()

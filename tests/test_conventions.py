@@ -25,7 +25,9 @@ to their own type.  They and the library's records cannot be assigned
 to or deleted from, pickle and copy back to an equal value, and the
 kernel's print as an expression that evaluates back to an equal value.
 No class but ``Frozen`` implements immutability, equality or pickling
-itself, so that there is one implementation of each.
+itself, so that there is one implementation of each.  A record is
+built by position, by field name or both, and no subclass of ``Frozen``
+has an ``__init__`` that only passes its parameters on to it.
 """
 
 import ast
@@ -335,7 +337,7 @@ def test_frozen_types_reject_assignment():
     records = [
         perms.DescendantDigraph(k=1, nodes=(perms.START_KEY,), edges=()),
         perms.GrowthBounds(**bounds),
-        WordGF(p=2, k=0, series=one),
+        WordGF(p=2, k=0, series=one, ratfun=None),
     ]
     assert records[-1].ratfun is None
     assert records[1] == perms.GrowthBounds(**bounds)
@@ -410,3 +412,108 @@ def test_the_fork_check_finds_methods_and_bindings():
         "    def __delattr__(self, name): ...\n"
         "    def __repr__(self): ...\n")
     assert protocol_forks(source) == ["Value.__hash__", "Value.__delattr__"]
+
+
+_RF = RationalFunction(Polynomial((1, -1)), Polynomial((1, -2)))
+# each record type of the library, with the fields of one value
+RECORDS = {
+    perms.DescendantDigraph: dict(k=1, nodes=(perms.START_KEY,), edges=()),
+    perms.GrowthBounds: dict(k=1, lower_gf=_RF, upper_gf=_RF,
+                             lower_root=(0, 1), upper_root=(0, 1),
+                             lower_rate="1", upper_rate="1"),
+    WordGF: dict(p=2, k=0, series=TruncatedSeries.one(3), ratfun=_RF),
+}
+
+
+@pytest.mark.parametrize("cls,fields", RECORDS.items(),
+                         ids=[cls.__name__ for cls in RECORDS])
+def test_records_are_built_by_position_or_by_field_name(cls, fields):
+    values = list(fields.values())
+    assert list(fields) == list(cls.__slots__)
+    by_position = cls(*values)
+    by_name = cls(**fields)
+    mixed = cls(*values[:2], **dict(list(fields.items())[2:]))
+    shuffled = cls(**dict(reversed(fields.items())))
+    assert by_position == by_name == mixed == shuffled
+    assert all(getattr(by_name, name) is value
+               for name, value in fields.items())
+
+
+@pytest.mark.parametrize("cls,fields", RECORDS.items(),
+                         ids=[cls.__name__ for cls in RECORDS])
+def test_a_missing_unknown_or_doubled_field_is_a_type_error(cls, fields):
+    first, last = cls.__slots__[0], cls.__slots__[-1]
+    values = list(fields.values())
+    without_last = {name: v for name, v in fields.items() if name != last}
+    for args, kwargs, named in (
+            ((), without_last, last),  # missing, by name
+            (values[:-1], {}, last),  # missing, by position
+            ((), {**fields, "extra": 0}, "extra"),  # unknown
+            (values[:1], fields, first),  # twice, by position and name
+            (values[:1], {first: values[0]}, first)):
+        with pytest.raises(TypeError,
+                           match=rf"^{cls.__name__}\(\) .*'{named}'$"):
+            cls(*args, **kwargs)
+    with pytest.raises(TypeError, match=rf"^{cls.__name__}\(\) takes "):
+        cls(*values, 0)
+
+
+def forwarders(source: str) -> list[str]:
+    """``Class.__init__`` for each direct subclass of ``Frozen`` in
+    ``source`` whose ``__init__``, but for a docstring, only passes its
+    own parameters on to ``super().__init__``: ``Frozen`` takes them by
+    position or by name itself."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef) or not any(
+                (_dotted(base) or "").split(".")[-1] == "Frozen"
+                for base in node.bases):
+            continue
+        for item in node.body:
+            if not (isinstance(item, ast.FunctionDef)
+                    and item.name == "__init__"):
+                continue
+            body = item.body[1:] if ast.get_docstring(item) else item.body
+            call = body[0].value if len(body) == 1 \
+                and isinstance(body[0], ast.Expr) else None
+            if not isinstance(call, ast.Call) \
+                    or ast.unparse(call.func) != "super().__init__":
+                continue
+            params = {arg.arg for arg in ast.walk(item.args)
+                      if isinstance(arg, ast.arg)}
+            passed = [getattr(arg, "value", arg) for arg in call.args] \
+                + [keyword.value for keyword in call.keywords]
+            if all(isinstance(arg, ast.Name) and arg.id in params
+                   for arg in passed):
+                found.append(f"{node.name}.__init__")
+    return found
+
+
+def test_no_frozen_subclass_only_forwards_its_fields():
+    files = sorted(SRC.rglob("*.py"))
+    assert len(files) > 10
+    found = {str(path.relative_to(ROOT)): forwarders(path.read_text())
+             for path in files}
+    assert {path: names for path, names in found.items() if names} == {}
+
+
+def test_the_forwarder_check_finds_forwarding_constructors():
+    source = (
+        "class Record(Frozen):\n"
+        "    def __init__(self, a, b=None):\n"
+        "        'A docstring does not count.'\n"
+        "        super().__init__(a, b)\n"
+        "class Named(frozen.Frozen):\n"
+        "    def __init__(self, *values, **fields):\n"
+        "        super().__init__(*values, **fields)\n"
+        "class Checked(Frozen):\n"
+        "    def __init__(self, a):\n"
+        "        a = tuple(a)\n"
+        "        super().__init__(a)\n"
+        "class Converted(Frozen):\n"
+        "    def __init__(self, a):\n"
+        "        super().__init__(tuple(a), 0)\n"
+        "class Other(Base):\n"
+        "    def __init__(self, a):\n"
+        "        super().__init__(a)\n")
+    assert forwarders(source) == ["Record.__init__", "Named.__init__"]

@@ -1,6 +1,7 @@
 """Tests for convex permutations, the transition digraph, and growth bounds."""
 
 import hashlib
+import re
 import time
 from fractions import Fraction
 from itertools import permutations, product
@@ -283,6 +284,11 @@ class TestCanonicalization:
     def test_unrealizable_rejected(self):
         with pytest.raises(ValueError):
             canonicalize_state((5, 1, 1, 5), 1)
+
+    def test_entries_below_one_are_unrealizable(self):
+        for k in (1, 2):
+            for t in ((0, 2, 3, 1), (1, 3, 2, -1), (1, 2, 1, 0)):
+                assert realizable(t, k) is False
 
     def test_only_mountain_parameters(self):
         # the endpoint test is proved for k in {1, 2} only (for k = 0 it
@@ -675,9 +681,28 @@ class TestSubadditivity:
     def test_report_lists_violations(self):
         report = check_subadditivity(2, 12)
         assert not report["holds"]
-        assert {"m": 6, "n": 6, "f_mn": 1088, "bound": 900} \
-            in report["violations"]
+        assert (6, 6, 1088, 900) in report["violations"]
         # every listed violation is a genuine inequality failure
-        f = report["counts"]
-        for v in report["violations"]:
-            assert f[v["m"] + v["n"]] > f[v["m"]] * f[v["n"]]
+        f = [None, *perm_counts(2, 12)]
+        for m, n, f_mn, bound in report["violations"]:
+            assert (f_mn, bound) == (f[m + n], f[m] * f[n])
+            assert f[m + n] > f[m] * f[n]
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: f0_closed(0), "n must be at least 1"),
+    (lambda: count_perms_digraph(1, 0), "n must be at least 1"),
+    (lambda: descend(Permutation((1, 2)), "U", 1),
+     "direction must be 'L' or 'R'"),
+    (lambda: endpoint_state(Permutation((1,))), "need length at least 2"),
+    (lambda: walk_count(build_digraph(1, depth=0), 1),
+     "walk counts are defined for n >= 2"),
+    (lambda: gf_bound(1, "middle"), "side must be 'lower' or 'upper'"),
+    (lambda: DescendantDigraph(k=1, nodes=(START_KEY, (2, None, None, 3)),
+                               edges=()).labels,
+     "no realizable representative for class (2, None, None, 3)"),
+], ids=["f0_closed", "count_perms_digraph", "descend", "endpoint_state",
+        "walk_count", "gf_bound", "labels"])
+def test_argument_checks(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

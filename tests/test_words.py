@@ -1,5 +1,6 @@
 """Tests for locally convex word counting and the partition bijection."""
 
+import re
 from itertools import product
 from math import perm
 
@@ -220,12 +221,25 @@ class TestBijection:
 
     def test_encode_rejects_oversized_partitions(self):
         with pytest.raises(ValueError):
-            encode_word(3, IntegerPartition((3,)), IntegerPartition(()), 5)
+            encode_word(3, IntegerPartition((3,)), IntegerPartition(()), 5, 3)
 
     def test_encode_rejects_missing_plateau(self):
         with pytest.raises(ValueError):
-            encode_word(3, IntegerPartition((1,)), IntegerPartition((1, 1)), 3)
+            encode_word(3, IntegerPartition((1,)), IntegerPartition((1, 1)), 3, 3)
 
     def test_decode_rejects_non_convex(self):
         with pytest.raises(ValueError):
             decode_word(Word((3, 1, 3), 3))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: word_gf(0, 1), "p must be positive"),
+    (lambda: word_gf(-2, 0, 5, with_ratfun=True), "p must be positive"),
+    (lambda: partition_count(-1), "j must be nonnegative"),
+    (lambda: g0p_stable(0), "p must be positive"),
+    (lambda: decode_word(Word((), 3)), "empty word"),
+], ids=["word_gf", "word_gf_ratfun", "partition_count", "g0p_stable",
+        "decode_word"])
+def test_argument_checks(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
