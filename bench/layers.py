@@ -74,7 +74,7 @@ def cli_commands(workloads) -> list[str]:
     return commands
 
 
-def cases(cfrac, perms, words, g, oracles):
+def cases(cfrac, ladder, perms, words, g, oracles):
     """(name, call, check) for every timed case."""
     search = g.SEARCH_COUNTS
     b1, _, t = oracles.convergents(60)
@@ -99,8 +99,8 @@ def cases(cfrac, perms, words, g, oracles):
              lambda out: sha256(out) == dot),
         ]
 
-    def ladder(k, n):
-        return (f"perm_counts({k}, {n})", lambda: perms.perm_counts(k, n),
+    def counts(k, n):
+        return (f"perm_counts({k}, {n})", lambda: ladder.perm_counts(k, n),
                 lambda out: len(out) == n and out[-1] == g.DEEP_F[k, n])
 
     def bounds(k):
@@ -127,9 +127,9 @@ def cases(cfrac, perms, words, g, oracles):
         ("count_perms_bruteforce(11, 4)",
          lambda: perms.count_perms_bruteforce(11, 4),
          lambda out: out == search[11, 11, 4, True]),
-        ladder(1, 120),
-        ladder(2, 250),
-        ladder(2, 500),
+        counts(1, 120),
+        counts(2, 250),
+        counts(2, 500),
         *digraph(1, 150),
         *digraph(2, 150),
         bounds(1),
@@ -226,10 +226,11 @@ def main(argv=None) -> int:
     import _goldens
     import _oracles
     import workloads
-    from convexenum import cfrac, perms, words
+    from convexenum import cfrac, ladder, perms, words
 
     times, medians, quartiles = {}, {}, {}
-    for name, call, check in cases(cfrac, perms, words, _goldens, _oracles):
+    for name, call, check in cases(cfrac, ladder, perms, words, _goldens,
+                                   _oracles):
         ts = run_times(call, check)
         q1, median, q3 = statistics.quantiles(ts, n=4)
         times[name] = round(min(ts), 5)

@@ -6,7 +6,10 @@ Every numeric value is rendered exactly: integers verbatim, rationals
 as num/den, root intervals as decimal strings with explicit endpoints.
 Commands that run more than one engine report their agreement in-band
 and exit nonzero on a mismatch; an engine that cannot run is named
-in-band as skipped.
+in-band as skipped.  Each group's subcommands and their handlers live
+in its module of :mod:`convexenum.commands`, which never imports this
+one: run as ``python -m convexenum.cli``, this file would otherwise
+compile twice.
 """
 
 from __future__ import annotations
@@ -38,16 +41,15 @@ def _register_lazily(*names: str) -> None:
 # the library's modules, but for the package inits and ``frozen``,
 # which every other one imports when it runs
 _register_lazily(
-    "convexenum.exact.polynomial", "convexenum.exact.series",
-    "convexenum.exact.ratfun", "convexenum.exact.roots",
-    "convexenum.exact.linalg", "convexenum.words", "convexenum.ladder",
-    "convexenum.perms", "convexenum.cfrac")
+    "convexenum.exact.coefficients", "convexenum.exact.polynomial",
+    "convexenum.exact.series", "convexenum.exact.ratfun",
+    "convexenum.exact.roots", "convexenum.exact.linalg", "convexenum.search",
+    "convexenum.words", "convexenum.ladder", "convexenum.perms",
+    "convexenum.cfrac")
 
 # every command runs a module built on ``frozen``, so it runs with the
 # CLI's own start-up rather than inside the command
 import convexenum.frozen  # noqa: E402,F401
-from convexenum import DEFAULT_ORDER, cfrac, perms, words  # noqa: E402
-from convexenum.exact import roots, series  # noqa: E402
 
 
 class OutputRecord:
@@ -64,6 +66,22 @@ class OutputRecord:
 
     def add(self, name: str, value) -> None:
         self.results.append((name, value))
+
+    def add_series(self, engine: str, s) -> None:
+        """Report the coefficients of the ``TruncatedSeries`` ``s``."""
+        self.provenance = [engine]
+        self.add("coefficients", [str(c) for c in s.coeffs])
+
+    def add_agreement(self, engines: dict) -> None:
+        """Report each engine's value and, when more than one ran, whether
+        they agree; exit 1 if not."""
+        self.provenance = list(engines)
+        for name, value in engines.items():
+            self.add(name, value)
+        if len(engines) > 1:
+            agree = len(set(engines.values())) == 1
+            self.add("agree", agree)
+            self.exit_code = 0 if agree else 1
 
     def to_dict(self) -> dict:
         return {
@@ -114,175 +132,16 @@ def _emit(record: OutputRecord, args) -> int:
     return record.exit_code
 
 
-def _parse_partition(text: str) -> words.IntegerPartition:
-    if not text:
-        return words.IntegerPartition(())
-    parts = tuple(sorted(int(x) for x in text.split(",")))
-    return words.IntegerPartition(parts)
-
-
-def _parse_letters(text: str) -> tuple:
-    if "," in text:
-        return tuple(int(x) for x in text.split(","))
-    return tuple(int(ch) for ch in text)
-
-
-def _add_series(rec: OutputRecord, engine: str,
-                s: series.TruncatedSeries) -> None:
-    rec.provenance = [engine]
-    rec.add("coefficients", [str(c) for c in s.coeffs])
-
-
-def _add_agreement(rec: OutputRecord, engines: dict) -> None:
-    """Report each engine's value and, when more than one ran, whether
-    they agree; exit 1 if not."""
-    rec.provenance = list(engines)
-    for name, value in engines.items():
-        rec.add(name, value)
-    if len(engines) > 1:
-        agree = len(set(engines.values())) == 1
-        rec.add("agree", agree)
-        rec.exit_code = 0 if agree else 1
-
-
-# ---------------------------------------------------------------------------
-# subcommand handlers: each fills the record main() built from its arguments
-# ---------------------------------------------------------------------------
-
-def _words_count(args, rec):
-    _add_agreement(rec, {
-        "bruteforce": words.count_words_bruteforce(args.n, args.p, args.k),
-        "dp": words.count_words_dp(args.n, args.p, args.k)})
-
-
-def _words_gf(args, rec):
-    _add_series(rec, "dp", words.word_gf(args.p, args.k, args.order).series)
-
-
-def _words_stable(args, rec):
-    rec.provenance = ["dp"]
-    rec.add("stable_count", words.g0p_stable(args.p))
-
-
-def _words_encode(args, rec):
-    w = words.encode_word(args.m, _parse_partition(args.w1),
-                          _parse_partition(args.w2), args.n, p=args.p)
-    rec.provenance = ["bijection"]
-    rec.add("word", str(w))
-
-
-def _words_decode(args, rec):
-    m, w1, w2 = words.decode_word(words.Word(_parse_letters(args.word), args.p))
-    rec.provenance = ["bijection"]
-    rec.add("m", m)
-    rec.add("w1", str(w1))
-    rec.add("w2", str(w2))
-
-
-def _perms_count(args, rec):
-    engines = {"bruteforce": perms.count_perms_bruteforce(args.n, args.k)}
-    if args.k == 0:
-        engines["closed_form"] = perms.f0_closed(args.n)
-    elif args.k in (1, 2):
-        engines["digraph"] = perms.count_perms_digraph(args.k, args.n)
-    _add_agreement(rec, engines)
-    if len(engines) == 1:  # nothing cross-checks the search
-        rec.add("skipped", "digraph (k must be 1 or 2)")
-
-
-def _perms_table(args, rec):
-    rec.provenance = ["closed_form", "digraph"]
-    f1 = perms.perm_counts(1, args.max_n)
-    f2 = perms.perm_counts(2, args.max_n)
-    for n in range(1, args.max_n + 1):
-        rec.add(f"n={n}", [perms.f0_closed(n), f1[n - 1], f2[n - 1]])
-
-
-def _perms_bounds(args, rec):
-    gb = perms.growth_bounds(args.k, args.precision)
-    rec.provenance = ["digraph", "walk_dp", "berlekamp_massey"]
-    rec.add("lower_gf_num", str(gb.lower_gf.num))
-    rec.add("lower_gf_den", str(gb.lower_gf.den))
-    rec.add("upper_gf_num", str(gb.upper_gf.num))
-    rec.add("upper_gf_den", str(gb.upper_gf.den))
-    digits = min(args.precision, 20)
-    rec.add("lower_gf_root", roots.render_interval(*gb.lower_root, digits))
-    rec.add("upper_gf_root", roots.render_interval(*gb.upper_root, digits))
-    rec.add("rate_lower_bound", gb.lower_rate)
-    rec.add("rate_upper_bound", gb.upper_rate)
-
-
-def _perms_digraph(args, rec):
-    g = perms.build_digraph(
-        args.k, depth=args.depth,
-        cutoff=perms.DEFAULT_CUTOFF.get(args.k) if args.truncate else None,
-        loop=args.truncate == "loop")
-    rec.provenance = ["digraph"]
-    rec.add("nodes", len(g.nodes))
-    rec.add("edges", len(g.edges))
-    rec.add("dot", g.to_dot())
-
-
-def _perms_subadd(args, rec):
-    report = perms.check_subadditivity(args.k, args.max_n)
-    rec.provenance = ["digraph"]
-    rec.add("holds", report["holds"])
-    rec.add("violations", [f"m={m} n={n} f={f} bound={bound}"
-                           for m, n, f, bound in report["violations"]])
-
-
-def _cfrac_series(args, rec):
-    engine = {"bot": cfrac.bot_series, "tot": cfrac.tot_series,
-              "f1": cfrac.f1_series}[args.subcommand]
-    _add_series(rec, "cfrac", engine(args.order))
-
-
-def _cfrac_f2check(args, rec):
-    report = cfrac.f2_formula_check(args.order)
-    rec.provenance = ["cfrac", "digraph"]
-    for name, value in report.items():
-        rec.add(name, [str(v) for v in value] if isinstance(value, list)
-                else value)
-
-
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
-_INT = {"type": int, "required": True}
-_ORDER = {"type": int, "default": DEFAULT_ORDER}
-_MAX_N = {"type": int, "default": 12}
-
-#: group -> (its help, {subcommand -> (handler, options)}), where the
-#: options map each destination to its ``add_argument`` keywords, in
-#: the order they are declared
-COMMANDS = {
-    "words": ("locally convex words", {
-        "count": (_words_count, {"n": _INT, "p": _INT, "k": _INT}),
-        "gf": (_words_gf, {"p": _INT, "k": _INT, "order": _ORDER}),
-        "stable": (_words_stable, {"p": _INT}),
-        "encode": (_words_encode, {"p": _INT, "m": _INT, "w1": {"default": ""},
-                                   "w2": {"default": ""}, "n": _INT}),
-        "decode": (_words_decode, {"word": {"required": True}, "p": _INT}),
-    }),
-    "perms": ("locally convex permutations", {
-        "count": (_perms_count, {"n": _INT, "k": _INT}),
-        "table": (_perms_table, {"max_n": _MAX_N}),
-        "bounds": (_perms_bounds, {"k": _INT,
-                                   "precision": {"type": int, "default": 20}}),
-        "digraph": (_perms_digraph, {
-            "k": _INT, "depth": {"type": int},
-            "truncate": {"choices": ["cut", "loop"]},
-            "dot": {"action": "store_true",
-                    "help": "emit raw DOT instead of a record"}}),
-        "subadd": (_perms_subadd, {"k": _INT, "max_n": _MAX_N}),
-    }),
-    "cfrac": ("continued-fraction series", {
-        "bot": (_cfrac_series, {"order": _ORDER}),
-        "tot": (_cfrac_series, {"order": _ORDER}),
-        "f1": (_cfrac_series, {"order": _ORDER}),
-        "f2check": (_cfrac_f2check, {"order": _ORDER}),
-    }),
+#: group -> its help; the subcommands of a group and their handlers are
+#: the ``COMMANDS`` of its module in :mod:`convexenum.commands`
+GROUPS = {
+    "words": "locally convex words",
+    "perms": "locally convex permutations",
+    "cfrac": "continued-fraction series",
 }
 
 
@@ -322,18 +181,20 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
     command builds three parsers.  argparse reads only the named
     entries, and wherever a name is missing or unknown every sibling is
     declared, so ``--help`` and usage errors are those of the parser
-    with every entry (``build_parser()``)."""
+    with every entry (``build_parser()``).  A group's subcommands are
+    read from its module in :mod:`convexenum.commands`, imported only
+    when the group is declared, so one command imports one of them."""
     argv = list(argv)
     parser = argparse.ArgumentParser(
         prog="convexenum",
         description="Enumeration of locally convex words and permutations.")
-    top, groups = _level(parser, "group", COMMANDS, argv)
+    top, groups = _level(parser, "group", GROUPS, argv)
     for group in groups:
-        about, commands = COMMANDS[group]
-        sub, names = _level(top.add_parser(group, help=about), "subcommand",
-                            commands, argv[1:])
+        commands = importlib.import_module(f"convexenum.commands.{group}")
+        sub, names = _level(top.add_parser(group, help=GROUPS[group]),
+                            "subcommand", commands.COMMANDS, argv[1:])
         for name in names:
-            _command(sub, name, *commands[name])
+            _command(sub, name, *commands.COMMANDS[name])
     return parser
 
 

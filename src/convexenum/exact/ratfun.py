@@ -7,7 +7,8 @@ from math import gcd, lcm
 from operator import mul
 
 from convexenum.exact import series
-from convexenum.exact.polynomial import Polynomial, convolve
+from convexenum.exact.coefficients import convolve
+from convexenum.exact.polynomial import Polynomial
 from convexenum.frozen import Frozen
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from convexenum.exact.polynomial import convolve, exact_coefficient
+from convexenum.exact.coefficients import convolve, exact_coefficient
 from convexenum.frozen import Frozen
 
 

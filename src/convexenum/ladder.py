@@ -4,9 +4,9 @@ The ladder is the chain of nodes L_j = (1, *, *, j) of
 :func:`convexenum.perms.build_digraph`; every other node lies on a
 return path with one out-edge, so walks on the infinite digraph are
 counted on the ladder alone, by one recurrence.  It serves the counts
-of k-convex permutations (:func:`convexenum.perms.perm_counts`) and
-every ladder series of :mod:`convexenum.cfrac`.  It is its own module
-so that those series run without loading the rest of ``perms``.
+of k-convex permutations (:func:`perm_counts`) and every ladder series
+of :mod:`convexenum.cfrac`.  It is its own module so that those counts
+and series run without loading ``perms``.
 """
 
 from __future__ import annotations
@@ -73,3 +73,19 @@ def ladder_walks(k: int, root: int, steps: int):
             nxt[j - k] += rows[t + 1 + k - j][j]
         rows.append(nxt)
     return rows, totals
+
+
+def perm_counts(k: int, max_n: int) -> list[int]:
+    """[f_k(1), ..., f_k(max_n)] (k in {1, 2}) from walks on the ladder
+    alone, in O(max_n^2) integer additions; f_k(n) = 2 W_(n-2) for
+    n >= 2, where W_t counts the walks of length t from the start node
+    (see :func:`convexenum.perms.walk_count`).
+
+    The start node has L_2's out-edges (L to L_3, R to L_2), so walks
+    from it are counted as the walks of :func:`ladder_walks` from L_2,
+    where no R edge is cut.
+    """
+    if max_n < 0:
+        raise ValueError("max_n must be nonnegative")
+    _, totals = ladder_walks(k, 2, max(max_n - 2, 0))
+    return [1, *(2 * w for w in totals)][:max_n]

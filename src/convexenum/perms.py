@@ -12,7 +12,7 @@ permutations themselves.
 
 from __future__ import annotations
 
-from convexenum import ladder, words
+from convexenum import ladder, search
 from convexenum.exact import ratfun, roots
 from convexenum.frozen import Frozen
 
@@ -56,12 +56,12 @@ def count_perms_bruteforce(n: int, k: int) -> int:
     words on [n] without a repeated letter."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return words.count_convex_sequences(n, n, k, distinct=True)
+    return search.count_convex_sequences(n, n, k, distinct=True)
 
 
 def all_convex_perms(n: int, k: int):
     """Yield every k-convex permutation of length n."""
-    for entries in words.convex_sequences(n, n, k, distinct=True):
+    for entries in search.convex_sequences(n, n, k, distinct=True):
         yield Permutation(tuple(entries))
 
 
@@ -435,28 +435,11 @@ def walk_count(g: DescendantDigraph, n: int) -> int:
     return sum(counts)
 
 
-def perm_counts(k: int, max_n: int) -> list[int]:
-    """[f_k(1), ..., f_k(max_n)] (k in {1, 2}) from walks on the ladder
-    alone, in O(max_n^2) integer additions; f_k(n) = 2 W_(n-2) for
-    n >= 2, where W_t counts the walks of length t from the start node
-    (see :func:`walk_count`).
-
-    The start node has L_2's out-edges (L to L_3, R to L_2), so walks
-    from it are counted as the walks of
-    :func:`convexenum.ladder.ladder_walks` from L_2, where no R edge is
-    cut.
-    """
-    if max_n < 0:
-        raise ValueError("max_n must be nonnegative")
-    _, totals = ladder.ladder_walks(k, 2, max(max_n - 2, 0))
-    return [1, *(2 * w for w in totals)][:max_n]
-
-
 def count_perms_digraph(k: int, n: int) -> int:
     """f_k(n) via the transition digraph (k in {1, 2})."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return perm_counts(k, n)[-1]
+    return ladder.perm_counts(k, n)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +516,7 @@ def check_subadditivity(k: int, max_n: int) -> dict:
     prints, ``holds`` and ``violations``, the (m, n, f_k(m+n),
     f_k(m) f_k(n)) of each failing split in order of m, then n.
     """
-    f = [None, *perm_counts(k, max_n)]  # f[n] = f_k(n)
+    f = [None, *ladder.perm_counts(k, max_n)]  # f[n] = f_k(n)
     violations = [(m, n, f[m + n], f[m] * f[n])
                   for m in range(1, max_n)
                   for n in range(m, max_n - m + 1)

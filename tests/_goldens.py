@@ -144,8 +144,8 @@ LABELS_SHA256 = {
 }
 
 # exhaustive counts past the tables, keyed by (n, p, k, distinct) of
-# words.count_convex_sequences; recorded from the unpruned generator
-# words.convex_sequences (p = n with distinct entries counts f_k(n))
+# search.count_convex_sequences; recorded from the unpruned generator
+# search.convex_sequences (p = n with distinct entries counts f_k(n))
 SEARCH_COUNTS = {
     (12, 12, 3, True): 125264,
     (11, 11, 4, True): 156380,

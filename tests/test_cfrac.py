@@ -16,7 +16,8 @@ from convexenum.cfrac import (
     tot_series,
 )
 from convexenum.exact.series import TruncatedSeries
-from convexenum.perms import count_perms_digraph, perm_counts, state_key
+from convexenum.ladder import perm_counts
+from convexenum.perms import count_perms_digraph, state_key
 
 # the 2-convex upper subgraph as first built: walked from 1245 with the
 # downward (R) edges of 1234, 1245 and 1256 left out

@@ -3,6 +3,7 @@
 import argparse
 import csv
 import hashlib
+import importlib
 import io
 import json
 import subprocess
@@ -14,7 +15,7 @@ import pytest
 
 from _goldens import CLI_STDOUT_SHA256
 from convexenum import perms, words
-from convexenum.cli import COMMANDS, build_parser, main
+from convexenum.cli import GROUPS, build_parser, main
 
 
 def run(capsys, *argv):
@@ -357,11 +358,12 @@ def _parser_cases():
     yield []
     yield ["-h"]
     yield ["nonsense"]
-    for group, (_, commands) in COMMANDS.items():
+    for group in GROUPS:
         yield [group]
         yield [group, "-h"]
         yield [group, "nonsense"]
-        for name, (_, options) in commands.items():
+        commands = importlib.import_module(f"convexenum.commands.{group}")
+        for name, (_, options) in commands.COMMANDS.items():
             argv = [group, name]
             for dest, spec in options.items():
                 if spec.get("required"):
@@ -402,4 +404,5 @@ def test_one_command_builds_three_parsers(monkeypatch):
     built.clear()
     build_parser(["perms", "nonsense"])
     assert built == ["convexenum", "convexenum perms"] + [
-        f"convexenum perms {name}" for name in COMMANDS["perms"][1]]
+        f"convexenum perms {name}" for name in
+        importlib.import_module("convexenum.commands.perms").COMMANDS]

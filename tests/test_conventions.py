@@ -46,6 +46,7 @@ from pathlib import Path
 import pytest
 
 from convexenum import perms
+from convexenum.cli import GROUPS
 from convexenum.exact import linalg, roots
 from convexenum.exact.polynomial import Polynomial
 from convexenum.exact.ratfun import RationalFunction
@@ -160,17 +161,19 @@ def test_package_inits_import_nothing_and_hold_only_constants():
                        for target in node.targets), path
 
 
-def _tracing_module():
-    """``perfbench/tracing.py``, imported without installing its wrappers."""
+def _perfbench_module(name: str):
+    """``perfbench/NAME.py``, imported under a name of its own; the
+    tracer's wrappers are not installed."""
     spec = importlib.util.spec_from_file_location(
-        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # a dataclass looks its module up
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_traced_name_resolves():
-    tracing = _tracing_module()
+    tracing = _perfbench_module("tracing")
     entries = [(module, attr) for module, attr, *_ in tracing.SPANS
                + tracing.COUNTS]
     assert len(entries) > 20
@@ -199,7 +202,7 @@ def test_traced_functions_keep_what_their_hooks_read():
             (linalg.SeriesMatrix([[one]]), [one]), {}),
         "exact.roots.smallest_positive_root": ((Polynomial((-1, 2)),), {}),
     }
-    tracing = _tracing_module()
+    tracing = _perfbench_module("tracing")
     hooked = {name: (module, attr, hook)
               for module, attr, name, hook in tracing.SPANS if hook}
     assert set(hooked) == set(calls)
@@ -228,6 +231,19 @@ IMPORT_CLI = (f"import sys; sys.path.insert(0, {str(SRC)!r})\n"
               "import convexenum.cli")
 
 
+def _ran(modules: dict[str, bool]) -> set[str]:
+    """The library modules that have run, of ``_modules_after``'s map."""
+    return {name for name in _library_modules() if modules.get(name)}
+
+
+def _benchmark_commands() -> list[str]:
+    """The CLI jobs of the benchmark's workloads, as commands."""
+    workloads = _perfbench_module("workloads")
+    return [" ".join(arg for arg in job.args if arg != "--json")
+            for jobs in workloads.WORKLOADS.values() for job in jobs
+            if job.kind == "cli"]
+
+
 def test_cli_import_defers_what_only_some_commands_need():
     # against a bare interpreter, so that what ``site`` preloads on a
     # given host does not count
@@ -239,16 +255,21 @@ def test_cli_import_defers_what_only_some_commands_need():
     assert not (cli.keys() - bare.keys()) & {
         "dataclasses", "inspect", "traceback", "csv", "fractions", "decimal"}
     # the tracer looks its modules up in sys.modules after this import
-    tracing = _tracing_module()
+    tracing = _perfbench_module("tracing")
     assert {module for module, *_ in tracing.SPANS + tracing.COUNTS} \
         <= cli.keys()
     # but of the library's modules only these have run: the CLI reads
     # convexenum.DEFAULT_ORDER, and every command runs a module built on
-    # frozen
+    # frozen; a group's command module is imported when a command
+    # declares the group
     ran = {"convexenum", "convexenum.exact", "convexenum.cli",
            "convexenum.frozen"}
-    assert _library_modules() <= cli.keys()
-    assert {name for name in _library_modules() if cli[name]} == ran
+    groups = {f"convexenum.commands.{group}" for group in GROUPS}
+    commands = groups | {"convexenum.commands"}
+    assert commands <= _library_modules()
+    assert _library_modules() - commands <= cli.keys()
+    assert not commands & cli.keys()
+    assert _ran(cli) == ran
 
     def run(*commands: str) -> dict[str, bool]:
         """``_modules_after`` the commands, one after another."""
@@ -260,8 +281,9 @@ def test_cli_import_defers_what_only_some_commands_need():
     # commands of the paper's tables run neither words nor the kernel
     table = run("perms table --max-n 5", "perms subadd --k 2 --max-n 8",
                 "perms digraph --k 2 --depth 8 --dot")
-    assert {name for name in _library_modules() if table[name]} == \
-        ran | {"convexenum.perms", "convexenum.ladder"}
+    assert _ran(table) == ran | {"convexenum.commands",
+                                 "convexenum.commands.perms",
+                                 "convexenum.perms", "convexenum.ladder"}
     # the k = 1 ladder series read the ladder recurrence alone
     ladder = run("cfrac bot --order 20", "cfrac tot --order 20",
                  "cfrac f1 --order 20")
@@ -275,13 +297,87 @@ def test_cli_import_defers_what_only_some_commands_need():
                   "words gf --p 4 --k 2 --order 40")
     for modules in (table, ladder, integer):
         assert not (modules.keys() - bare.keys()) & {"fractions", "decimal"}
-    # the 2-convex closed form is one series division, no elimination,
-    # and f2check counts its exact side with perm_counts
+    # the 2-convex closed form is one series division, no elimination
     assert integer["convexenum.cfrac"]
-    assert integer["convexenum.perms"]
     assert not integer["convexenum.exact.linalg"]
     # and a command that meets rationals does import fractions
     assert "fractions" in run("perms bounds --k 1").keys() - bare.keys()
+
+    # each of the benchmark's commands, in a fresh interpreter of its own
+    loads = {command: _ran(run(command)) for command in _benchmark_commands()}
+    assert len(loads) >= 10
+    for command, modules in loads.items():
+        # it imports the command module of its group and no other
+        group = command.split()[0]
+        assert modules & groups == {f"convexenum.commands.{group}"}, command
+    series = [command for command in loads
+              if command.startswith(("cfrac ", "words gf "))]
+    assert len(series) >= 5
+    for command in series:
+        # the series kernel reads its coefficient helpers from their
+        # own module, so these commands never compile Polynomial
+        assert "convexenum.exact.coefficients" in loads[command], command
+        assert "convexenum.exact.polynomial" not in loads[command], command
+    for command in loads:
+        if command.startswith("cfrac f2check "):
+            # f2check counts its exact side with ladder.perm_counts
+            assert "convexenum.perms" not in loads[command], command
+        if command.startswith("perms count "):
+            # permutations are counted by the shared search, not words
+            assert "convexenum.search" in loads[command], command
+            assert "convexenum.words" not in loads[command], command
+        if command.startswith("words gf "):
+            assert "convexenum.search" not in loads[command], command
+
+
+def cli_imports(source: str) -> list[str]:
+    """The statements of ``source`` that import ``convexenum.cli``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(name == "convexenum.cli" or name.startswith("convexenum.cli.")
+               for name in names):
+            found.append(ast.unparse(node))
+    return found
+
+
+def test_no_command_module_imports_the_cli():
+    # run as ``python -m convexenum.cli``, the CLI is ``__main__``, so
+    # a command module that imported ``convexenum.cli`` would compile
+    # and run it a second time
+    files = sorted((SRC / "convexenum" / "commands").glob("*.py"))
+    assert len(files) == len(GROUPS) + 1
+    found = {str(path.relative_to(ROOT)): cli_imports(path.read_text())
+             for path in files}
+    assert {path: names for path, names in found.items() if names} == {}
+    assert cli_imports("import convexenum.cli\n"
+                       "from convexenum import cli, words\n"
+                       "from convexenum.cli import OutputRecord\n"
+                       "from convexenum.commands import perms\n") == [
+        "import convexenum.cli", "from convexenum import cli, words",
+        "from convexenum.cli import OutputRecord"]
+    # and each group's command, run as the module, loads no second copy
+    code = (f"import os, runpy, sys\nsys.path.insert(0, {str(SRC)!r})\n"
+            "for argv in (['words', 'stable', '--p', '3'],\n"
+            "             ['perms', 'count', '--n', '5', '--k', '1'],\n"
+            "             ['cfrac', 'f1', '--order', '5']):\n"
+            "    sys.argv = ['convexenum', *argv, '--out', os.devnull]\n"
+            "    try:\n"
+            "        runpy.run_module('convexenum.cli', run_name='__main__')\n"
+            "    except SystemExit as exc:\n"
+            "        assert exc.code == 0, exc.code\n"
+            "print(sorted(name for name in sys.modules\n"
+            "             if name.startswith('convexenum.c')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out == repr(["convexenum.cfrac", "convexenum.commands",
+                        *sorted(f"convexenum.commands.{group}"
+                                for group in GROUPS)]) + "\n"
 
 
 def test_the_tracer_wraps_the_lazily_loaded_modules():

@@ -22,7 +22,8 @@ from convexenum.exact.linalg import (
     solve_field_system,
     solve_series_system,
 )
-from convexenum.exact.polynomial import Polynomial, convolve, exact_coefficient
+from convexenum.exact.coefficients import convolve, exact_coefficient
+from convexenum.exact.polynomial import Polynomial
 from convexenum.exact.ratfun import RationalFunction
 from convexenum.exact.roots import (
     NoRootError,
@@ -395,8 +396,8 @@ for call in (lambda: exact_coefficient(0.5),
 def test_rational_paths_import_fractions_themselves():
     src = Path(__file__).resolve().parent.parent / "src"
     code = (f"import sys\nsys.path.insert(0, {str(src)!r})\n"
-            "from convexenum.exact.polynomial import Polynomial, "
-            "exact_coefficient\n"
+            "from convexenum.exact.coefficients import exact_coefficient\n"
+            "from convexenum.exact.polynomial import Polynomial\n"
             "from convexenum.exact.series import TruncatedSeries\n"
             "assert 'fractions' not in sys.modules\n"
             + RATIONAL_PATHS + "print(repr(values))")

@@ -51,13 +51,13 @@ from convexenum.perms import (
     is_convex_perm,
     is_slow_riser,
     mountain_from_coloring,
-    perm_counts,
     realizable,
     state_key,
     walk_count,
     walks,
 )
-from convexenum.words import convex_sequences, count_convex_sequences
+from convexenum.ladder import perm_counts
+from convexenum.search import convex_sequences, count_convex_sequences
 
 
 class TestPermutationBasics:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from _goldens import ENCODE_EXAMPLES, G0P_STABLE, SEARCH_COUNTS, WORD_GF_30
-from convexenum import words
+from convexenum import search
 from convexenum.exact.linalg import solve_field_system
 from convexenum.exact.polynomial import Polynomial
 from convexenum.exact.ratfun import RationalFunction
@@ -75,13 +75,13 @@ class TestCounting:
     def test_deep_search_falls_back_to_the_generator(self, monkeypatch):
         # a search deeper than Python's recursion limit runs the generator
         calls = []
-        generator = words.convex_sequences
+        generator = search.convex_sequences
 
         def spy(*args):
             calls.append(args)
             return generator(*args)
 
-        monkeypatch.setattr(words, "convex_sequences", spy)
+        monkeypatch.setattr(search, "convex_sequences", spy)
         assert count_words_bruteforce(1200, 3, 0) == count_words_dp(1200, 3, 0)
         assert calls == [(1200, 3, 0, False)]
 
@@ -101,11 +101,11 @@ class TestCounting:
                         count_words_dp(n, p, k), (n, p, k)
 
     @given(_searches())
-    def test_counter_matches_generator(self, search):
+    def test_counter_matches_generator(self, args):
         # the generator visits every node, so it is the oracle for the
         # counter's flat word tails and its permutation reach cut
-        assert words.count_convex_sequences(*search) == \
-            sum(1 for _ in words.convex_sequences(*search)), search
+        assert search.count_convex_sequences(*args) == \
+            sum(1 for _ in search.convex_sequences(*args)), args
 
     def test_generator_matches_counts(self):
         # the definition itself, filtered over all p^n words in
