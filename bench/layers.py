@@ -80,6 +80,8 @@ def cases(cfrac, ladder, perms, words, g, oracles):
     b1, _, t = oracles.convergents(60)
     tot = t / b1  # walks from 1223
     k2 = cfrac.k2_components(250)
+    # older checkouts define perm_counts in perms, not in ladder
+    perm_counts = getattr(ladder, "perm_counts", None) or perms.perm_counts
 
     def digraph(k, depth):
         graph = perms.build_digraph(k, depth=depth)
@@ -100,7 +102,7 @@ def cases(cfrac, ladder, perms, words, g, oracles):
         ]
 
     def counts(k, n):
-        return (f"perm_counts({k}, {n})", lambda: ladder.perm_counts(k, n),
+        return (f"perm_counts({k}, {n})", lambda: perm_counts(k, n),
                 lambda out: len(out) == n and out[-1] == g.DEEP_F[k, n])
 
     def bounds(k):

@@ -46,11 +46,6 @@ def is_convex_perm(perm: Permutation, k: int) -> bool:
     return all(a[i - 1] + a[i + 1] - 2 * a[i] <= k for i in range(1, len(a) - 1))
 
 
-def is_slow_riser(perm: Permutation) -> bool:
-    a = perm.entries
-    return all(a[i + 1] <= a[i] + 1 for i in range(len(a) - 1))
-
-
 def count_perms_bruteforce(n: int, k: int) -> int:
     """Count k-convex permutations by backtracking: they are the k-convex
     words on [n] without a repeated letter."""
@@ -90,82 +85,11 @@ def descend(perm: Permutation, direction: str, k: int) -> Permutation | None:
     raise ValueError("direction must be 'L' or 'R'")
 
 
-def mountain_from_coloring(n: int, red: set[int]) -> Permutation:
-    """Mountain permutation from a 2-coloring of [n-1].
-
-    Red values ascend, then n, then the blue values descend.
-    """
-    if not red <= set(range(1, n)):
-        raise ValueError("red set must be a subset of [1, n-1]")
-    blue = sorted(set(range(1, n)) - red, reverse=True)
-    return Permutation(tuple(sorted(red)) + (n,) + tuple(blue))
-
-
 # ---------------------------------------------------------------------------
-# Endpoint states and the identically-descending digraph
+# The identically-descending digraph
 # ---------------------------------------------------------------------------
 
-_SEED = (1, 2, 1, 2)  # endpoint tuple of the permutation 12
 START_KEY = "12"  # key of the start node, which is never merged with a class
-
-
-def endpoint_state(perm: Permutation) -> tuple[int, int, int, int]:
-    """The (first, second, second-to-last, last) entries of ``perm``.
-
-    For length-3 permutations the middle entry fills both inner slots;
-    the start permutation 12 maps to the degenerate tuple (1, 2, 1, 2).
-    """
-    e = perm.entries
-    if len(e) < 2:
-        raise ValueError("need length at least 2")
-    return (e[0], e[1], e[-2], e[-1])
-
-
-def realizable(t: tuple[int, int, int, int], k: int) -> bool:
-    """Whether some k-convex permutation (k in {1, 2}) has the endpoint
-    tuple ``t`` = (first, second, second-to-last, last).
-
-    For k <= 2 every k-convex permutation is a mountain, since a valley
-    x > y < z of distinct entries has x + z - 2y >= 3.  A mountain is
-    k-convex iff its ascent gaps read from the left, and its descent
-    gaps read from the right, grow by at most k per step (the peak's
-    second difference is negative).
-
-    Past the seed, length-3, identity and reverse-identity shapes, the
-    values are distinct with a < b and d < c, and t is realizable iff
-    every value below min(b, c) is a or d.  Necessity: ascent entries
-    after a are >= b and descent entries before d are >= c, so no other
-    value below min(b, c) has a place.  Sufficiency, for k >= 1: if
-    b > c, take a, then [1, b] minus {a} decreasing; if c > b, take
-    [1, c] minus {d} increasing, then d.  By the condition these end in
-    a, b, c, d.  The long side skips only a (resp. d), so its gaps are 1
-    or 2 and grow by at most 1; the short side has a single gap.  For
-    k = 0 the condition does not suffice: (1, 2, 5, 3) meets it, but
-    4 must follow 2 in the ascent, a gap of 2 after a gap of 1.
-    """
-    if k not in (1, 2):
-        raise ValueError("realizability requires k in {1, 2}")
-    a, b, c, d = t
-    if min(t) < 1:
-        return False
-    if t == _SEED:
-        return True
-    if b == c:  # length-3 shape: the middle entry fills both inner slots
-        if sorted((a, b, d)) != [1, 2, 3]:
-            return False
-        return a + d - 2 * b <= k
-    if len({a, b, c, d}) < 4:
-        return False
-    if c < d:
-        # ends ascending, so the whole permutation ascends: identity only
-        return (a, b, c) == (1, 2, d - 1) and d >= 4
-    if a > b:
-        # starts descending: reverse identity only
-        return (b, c, d) == (a - 1, 2, 1) and a >= 4
-    # a and d are distinct, so the m - 1 values below m are all a or d
-    # iff that many of a, d lie below m
-    m = min(b, c)
-    return (a < m) + (d < m) == m - 1
 
 
 # Internal merged representation: (a, b, c, d) where b is None when all
@@ -190,57 +114,6 @@ def state_key(t, k):
     return (d, c, b, a)
 
 
-def _least_concrete(key, k) -> tuple[int, int, int, int]:
-    """Smallest realizable endpoint tuple in a merged class (k in {1, 2}).
-
-    A starred entry ranges over the values other than a and d that keep
-    the tuple descending, and tuples compare by (second, second-to-last).
-    Every realizable tuple has 1 at an end: a mountain's least entry is
-    first or last.  A key is oriented with a <= d, so a = 1, or the class
-    is not realizable.  The least second entry other than 1 and d is 2,
-    or 3 when d = 2.  Filling the stars with it and with the
-    second-to-last entry d - 1, or 3 when d = 2, gives the least member,
-    when any member is realizable (cases of :func:`realizable`):
-
-    - both starred: d = 2 gives the length-3 shape 1332, d = 3 gives
-      1223, and d >= 4 gives the identity 1 2 (d-1) d.  For d >= 4 a
-      smaller second-to-last entry after 2 lies below d, which only the
-      identity allows (the shape 1 2 2 d needs d = 3).
-    - second starred, second-to-last c concrete: c > 2d + k > d, and
-      (1, 2, c, d), or (1, 3, c, 2), meets the general condition.
-    - second b concrete, second-to-last starred: b > 2 + k, so 2 and 3
-      lie below b; for d >= 3 the value 2 has no place (the descent
-      side before d holds values above d), and for d = 2 the least
-      choice is 3, which meets the general condition.
-    - both concrete: the class is the key itself.
-
-    So the class is realizable iff the filled tuple is.
-    """
-    a, b, c, d = key
-    if b is None:
-        b = 3 if d == 2 else 2
-    if c is None:
-        c = 3 if d == 2 else d - 1
-    if a != 1 or not realizable((a, b, c, d), k):
-        raise ValueError(f"no realizable representative for class {key}")
-    return (a, b, c, d)
-
-
-def canonicalize_state(t: tuple[int, int, int, int],
-                       k: int) -> tuple[int, int, int, int]:
-    """Smallest endpoint tuple identically-descending with ``t``.
-
-    Applies reversal symmetry, then replaces the mutable end entries
-    (second-to-last when the state right-descends, second when it left
-    descends) by the least values that keep the state realizable.
-    Raises ``ValueError`` unless k is 1 or 2 and ``t`` is realizable.
-    """
-    t = _SEED if t == _SEED[::-1] else t
-    if not realizable(t, k):
-        raise ValueError(f"state {t} is not realizable for k={k}")
-    return t if t == _SEED else _least_concrete(state_key(t, k), k)
-
-
 #: Truncation points matching the published bound computations.
 DEFAULT_CUTOFF = {1: (1, 2, 6, 7), 2: (1, 2, 7, 8)}
 
@@ -256,12 +129,71 @@ class DescendantDigraph(Frozen):
 
     @property
     def labels(self) -> tuple[str, ...]:
-        """The least realizable endpoint tuple of each node, as digits."""
-        return tuple(
-            key if key == START_KEY
-            else "%d%d%d%d" % _least_concrete(key, self.k)
-            for key in self.nodes
-        )
+        """The least endpoint tuple of a k-convex permutation in each
+        node's class, as digits; the start node keeps its key, 12.
+
+        A class holds the tuples whose :func:`state_key` is its key.
+        Oriented like the key, (1, b, c, d), a starred entry ranges over
+        the values other than 1 and d that keep the tuple descending
+        (b - 2 <= k, c - 2d <= k), and tuples compare by (second,
+        second-to-last).  The label fills a starred second entry with
+        2, or 3 when d = 2, and a starred second-to-last entry with
+        d - 1, or 3 when d = 2; for k >= 1 both keep the tuple
+        descending, so the filled tuple is in the class.  For k <= 2
+        every k-convex permutation is a mountain, since a valley
+        x > y < z of distinct entries has x + z - 2y >= 3, and a
+        mountain's second differences are the growth of its gaps along
+        the ascent, and along the descent read from the right, and
+        negative at the peak.  The key of every node past the start has
+        one of the three shapes of :func:`build_digraph`:
+
+        - L_j = (1, *, *, j).  For j = 2 the fill is 1332, the tuple of
+          132, and for j = 3 it is 1223, that of 123; each inner entry
+          takes the least value other than 1 and j.  For j >= 4 it is
+          (1, 2, j-1, j), that of the identity 1 2 ... j.  Its second
+          entry is the least; a second-to-last entry below j - 1 lies
+          below the last one, j, so the mountain ends ascending and is
+          the identity, whose second-to-last entry is j - 1.
+        - (1, b, *, 2) with b concrete, so b > 2 + k >= 3.  The fill
+          (1, b, 3, 2) is the tuple of 1 b (b-1) ... 3 2, whose ascent
+          has one gap and whose descent gaps are all 1, and 3 is the
+          least value other than 1 and 2.
+        - (1, *, c, d) with c concrete, so c > 2d + k and d >= 2.  The
+          fill (1, 3, c, 2) for d = 2, or (1, 2, c, d) for d >= 3, is the
+          tuple of [1, c] minus {d} increasing, then d: its descent has
+          one gap, and its ascent gaps are 1 except one gap of 2 (after
+          1, or where d is skipped), so they grow by at most 1.  The
+          second entry is the least value other than 1 and d.
+
+        So each label is the least tuple of its class, with no
+        realizability test.  Any other key raises ``ValueError``.  One
+        with a concrete entry that keeps the tuple descending
+        (b <= 2 + k or c <= 2d + k) is no key of a tuple, since
+        :func:`state_key` stars such an entry.  The rest have no
+        k-convex member.  A key has a <= d, and 1 is exactly one end of
+        a mountain, so a = 1 < d.  A member (1, b, c, d) with a concrete
+        b > 2 + k is neither the identity nor a length-3 shape, so
+        c > d, and every value below b and c is 1 or d: the ascent after
+        1 holds values >= b, the descent before d values >= c.  The
+        value 2 is neither when d >= 3, and 3 is neither when d = 2 and
+        c > 4 + k is concrete.
+        """
+        k = self.k
+        labels = []
+        for key in self.nodes:
+            if key == START_KEY:
+                labels.append(key)
+                continue
+            a, b, c, d = key
+            if not (a == 1 and d >= 2
+                    and (b is None or c is None and d == 2 and b > 2 + k)
+                    and (c is None or c > 2 * d + k)):
+                raise ValueError(
+                    f"no realizable representative for class {key}")
+            labels.append("%d%d%d%d" % (
+                a, (3 if d == 2 else 2) if b is None else b,
+                (3 if d == 2 else d - 1) if c is None else c, d))
+        return tuple(labels)
 
     def to_dot(self) -> str:
         """DOT source; the self-loop that loop truncation adds is dashed.

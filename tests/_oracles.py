@@ -4,10 +4,22 @@ These are the textbook algorithms over ``Fraction``: Euclid's gcd, a
 Sturm chain of Euclidean remainders with Horner sign tests, and
 Berlekamp–Massey with rational connection polynomials.  The library
 computes the same results in integer arithmetic; the tests compare the
-two.  The least realizable tuple of a merged digraph class is found by
-trying every filling in order, and the node that carries the loop of a
+two.  The endpoint-tuple theory of the digraph's classes lives here:
+:func:`endpoint_state` reads a permutation's (first, second,
+second-to-last, last) entries, :func:`realizable` decides by a proved
+closed form whether a tuple ends some k-convex permutation (the tests
+check it against every endpoint state of the permutations up to length
+12 and a value-order DP), :func:`_least_concrete` fills a class key's
+starred entries and keeps the fill only when it is realizable, and
+:func:`canonicalize_state` maps a tuple to the least tuple of its class
+(the tests check that permutations with one canonical state share their
+descendant profiles).  The least realizable tuple of a merged digraph
+class is also found by trying every filling in order
+(:func:`least_concrete`), and the node that carries the loop of a
 truncated digraph by following the cutoff's return path; the library
-gives both by closed forms.  The digraph itself comes from a BFS over
+gives both by closed forms, the labels filled from the node key alone.
+:func:`is_slow_riser` and :func:`mountain_from_coloring` are two paper
+objects that only the tests use.  The digraph itself comes from a BFS over
 the transitions of each node key, which finds every node by hashing
 its key; the library enumerates the nodes by the return-path lemma.
 The counts of k-convex permutations come from that BFS digraph and
@@ -38,7 +50,7 @@ from convexenum.exact.series import TruncatedSeries
 from convexenum.perms import (
     START_KEY,
     DescendantDigraph,
-    realizable,
+    Permutation,
     state_key,
     walks,
 )
@@ -153,6 +165,135 @@ def berlekamp_massey(terms, complexity_bound: int) -> RationalFunction:
         raise ArithmeticError("terms break the recovered recurrence")
     num = [discrepancy(c, i) for i in range(length)]
     return RationalFunction(Polynomial(num), Polynomial(c))
+
+
+def is_slow_riser(perm: Permutation) -> bool:
+    a = perm.entries
+    return all(a[i + 1] <= a[i] + 1 for i in range(len(a) - 1))
+
+
+def mountain_from_coloring(n: int, red: set[int]) -> Permutation:
+    """Mountain permutation from a 2-coloring of [n-1].
+
+    Red values ascend, then n, then the blue values descend.
+    """
+    if not red <= set(range(1, n)):
+        raise ValueError("red set must be a subset of [1, n-1]")
+    blue = sorted(set(range(1, n)) - red, reverse=True)
+    return Permutation(tuple(sorted(red)) + (n,) + tuple(blue))
+
+
+_SEED = (1, 2, 1, 2)  # endpoint tuple of the permutation 12
+
+
+def endpoint_state(perm: Permutation) -> tuple[int, int, int, int]:
+    """The (first, second, second-to-last, last) entries of ``perm``.
+
+    For length-3 permutations the middle entry fills both inner slots;
+    the start permutation 12 maps to the degenerate tuple (1, 2, 1, 2).
+    """
+    e = perm.entries
+    if len(e) < 2:
+        raise ValueError("need length at least 2")
+    return (e[0], e[1], e[-2], e[-1])
+
+
+def realizable(t: tuple[int, int, int, int], k: int) -> bool:
+    """Whether some k-convex permutation (k in {1, 2}) has the endpoint
+    tuple ``t`` = (first, second, second-to-last, last).
+
+    For k <= 2 every k-convex permutation is a mountain, since a valley
+    x > y < z of distinct entries has x + z - 2y >= 3.  A mountain is
+    k-convex iff its ascent gaps read from the left, and its descent
+    gaps read from the right, grow by at most k per step (the peak's
+    second difference is negative).
+
+    Past the seed, length-3, identity and reverse-identity shapes, the
+    values are distinct with a < b and d < c, and t is realizable iff
+    every value below min(b, c) is a or d.  Necessity: ascent entries
+    after a are >= b and descent entries before d are >= c, so no other
+    value below min(b, c) has a place.  Sufficiency, for k >= 1: if
+    b > c, take a, then [1, b] minus {a} decreasing; if c > b, take
+    [1, c] minus {d} increasing, then d.  By the condition these end in
+    a, b, c, d.  The long side skips only a (resp. d), so its gaps are 1
+    or 2 and grow by at most 1; the short side has a single gap.  For
+    k = 0 the condition does not suffice: (1, 2, 5, 3) meets it, but
+    4 must follow 2 in the ascent, a gap of 2 after a gap of 1.
+    """
+    if k not in (1, 2):
+        raise ValueError("realizability requires k in {1, 2}")
+    a, b, c, d = t
+    if min(t) < 1:
+        return False
+    if t == _SEED:
+        return True
+    if b == c:  # length-3 shape: the middle entry fills both inner slots
+        if sorted((a, b, d)) != [1, 2, 3]:
+            return False
+        return a + d - 2 * b <= k
+    if len({a, b, c, d}) < 4:
+        return False
+    if c < d:
+        # ends ascending, so the whole permutation ascends: identity only
+        return (a, b, c) == (1, 2, d - 1) and d >= 4
+    if a > b:
+        # starts descending: reverse identity only
+        return (b, c, d) == (a - 1, 2, 1) and a >= 4
+    # a and d are distinct, so the m - 1 values below m are all a or d
+    # iff that many of a, d lie below m
+    m = min(b, c)
+    return (a < m) + (d < m) == m - 1
+
+
+def _least_concrete(key, k) -> tuple[int, int, int, int]:
+    """Smallest realizable endpoint tuple in a merged class (k in {1, 2}).
+
+    A starred entry ranges over the values other than a and d that keep
+    the tuple descending, and tuples compare by (second, second-to-last).
+    Every realizable tuple has 1 at an end: a mountain's least entry is
+    first or last.  A key is oriented with a <= d, so a = 1, or the class
+    is not realizable.  The least second entry other than 1 and d is 2,
+    or 3 when d = 2.  Filling the stars with it and with the
+    second-to-last entry d - 1, or 3 when d = 2, gives the least member,
+    when any member is realizable (cases of :func:`realizable`):
+
+    - both starred: d = 2 gives the length-3 shape 1332, d = 3 gives
+      1223, and d >= 4 gives the identity 1 2 (d-1) d.  For d >= 4 a
+      smaller second-to-last entry after 2 lies below d, which only the
+      identity allows (the shape 1 2 2 d needs d = 3).
+    - second starred, second-to-last c concrete: c > 2d + k > d, and
+      (1, 2, c, d), or (1, 3, c, 2), meets the general condition.
+    - second b concrete, second-to-last starred: b > 2 + k, so 2 and 3
+      lie below b; for d >= 3 the value 2 has no place (the descent
+      side before d holds values above d), and for d = 2 the least
+      choice is 3, which meets the general condition.
+    - both concrete: the class is the key itself.
+
+    So the class is realizable iff the filled tuple is.
+    """
+    a, b, c, d = key
+    if b is None:
+        b = 3 if d == 2 else 2
+    if c is None:
+        c = 3 if d == 2 else d - 1
+    if a != 1 or not realizable((a, b, c, d), k):
+        raise ValueError(f"no realizable representative for class {key}")
+    return (a, b, c, d)
+
+
+def canonicalize_state(t: tuple[int, int, int, int],
+                       k: int) -> tuple[int, int, int, int]:
+    """Smallest endpoint tuple identically-descending with ``t``.
+
+    Applies reversal symmetry, then replaces the mutable end entries
+    (second-to-last when the state right-descends, second when it left
+    descends) by the least values that keep the state realizable.
+    Raises ``ValueError`` unless k is 1 or 2 and ``t`` is realizable.
+    """
+    t = _SEED if t == _SEED[::-1] else t
+    if not realizable(t, k):
+        raise ValueError(f"state {t} is not realizable for k={k}")
+    return t if t == _SEED else _least_concrete(state_key(t, k), k)
 
 
 def least_concrete(key, k):

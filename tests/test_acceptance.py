@@ -212,7 +212,8 @@ def test_criterion_9_property_suites():
         profiles = {}
         for n in range(2, 10):
             for p in perms.all_convex_perms(n, k):
-                key = perms.canonicalize_state(perms.endpoint_state(p), k)
+                key = _oracles.canonicalize_state(
+                    _oracles.endpoint_state(p), k)
                 got = profile(p, k)
                 assert profiles.setdefault(key, got) == got, (p, key)
 

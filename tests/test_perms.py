@@ -10,6 +10,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 import _oracles
+from _oracles import (
+    canonicalize_state,
+    endpoint_state,
+    is_slow_riser,
+    mountain_from_coloring,
+    realizable,
+)
 from _goldens import (
     BOUND_GF,
     CUTOFF_1278_ROOT,
@@ -39,19 +46,14 @@ from convexenum.perms import (
     Permutation,
     all_convex_perms,
     build_digraph,
-    canonicalize_state,
     check_subadditivity,
     count_perms_bruteforce,
     count_perms_digraph,
     descend,
-    endpoint_state,
     f0_closed,
     gf_bound,
     growth_bounds,
     is_convex_perm,
-    is_slow_riser,
-    mountain_from_coloring,
-    realizable,
     state_key,
     walk_count,
     walks,
@@ -328,6 +330,43 @@ class TestCanonicalization:
                     want = t if t == (1, 2, 1, 2) else \
                         _oracles.least_concrete(state_key(t, k), k)
                     assert canonicalize_state(t, k) == want, (t, k)
+
+    def test_labels_of_every_cutoff_digraph_match_the_search_oracle(self):
+        # the closed-form fill against trying every filling in order, on
+        # every ladder cutoff (1, 2, D-1, D) with D <= 20, cut and looped
+        for k in (1, 2):
+            for level in range(3, 21):
+                for loop in (False, True)[:1 + (level >= k + 3)]:
+                    g = build_digraph(k, cutoff=(1, 2, level - 1, level),
+                                      loop=loop)
+                    assert g.labels[0] == START_KEY
+                    for key, label in zip(g.nodes[1:], g.labels[1:]):
+                        least = _oracles.least_concrete(key, k)
+                        assert realizable(least, k), (key, k)
+                        assert label == "%d%d%d%d" % least, (key, k, loop)
+
+    def test_labels_take_exactly_the_keys_of_realizable_tuples(self):
+        # a key gets a label iff it is the key of some realizable tuple,
+        # and that label is the least tuple of its class; keys with
+        # entries up to 12 against the realizable tuples up to 12
+        def label(key, k):
+            try:
+                return DescendantDigraph(k=k, nodes=(key,), edges=()).labels
+            except ValueError as error:
+                assert str(error) == \
+                    f"no realizable representative for class {key}"
+                return None
+
+        inner = (None, *range(1, 13))
+        for k in (1, 2):
+            keys = {state_key(t, k) for t in product(range(1, 13), repeat=4)
+                    if realizable(t, k)}
+            for key in product((1, 2), inner, inner, range(1, 13)):
+                got = label(key, k)
+                assert (got is not None) == (key in keys), (key, k)
+                if got is not None:
+                    least = _oracles.least_concrete(key, k)
+                    assert got == ("%d%d%d%d" % least,), (key, k)
 
     def test_general_states_match_value_order_dp(self):
         for k in (1, 2):
@@ -701,8 +740,11 @@ class TestSubadditivity:
     (lambda: DescendantDigraph(k=1, nodes=(START_KEY, (2, None, None, 3)),
                                edges=()).labels,
      "no realizable representative for class (2, None, None, 3)"),
+    (lambda: DescendantDigraph(k=1, nodes=(START_KEY, (1, 5, 9, 3)),
+                               edges=()).labels,
+     "no realizable representative for class (1, 5, 9, 3)"),
 ], ids=["f0_closed", "count_perms_digraph", "descend", "endpoint_state",
-        "walk_count", "gf_bound", "labels"])
+        "walk_count", "gf_bound", "labels", "labels_both_inner_concrete"])
 def test_argument_checks(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
