@@ -1,6 +1,7 @@
 """Layer timings of the exhaustive searches, the ladder counts of
 k-convex permutations, the depth-150 digraphs (built, labeled and
-written as DOT), the exact kernel's certified growth bounds, the k = 1
+written as DOT), the exact kernel's certified growth bounds, its
+rational-function elimination of the k = 1 cut digraph, the k = 1
 ladder's tot and f_1 series, the k = 2 components, the exact f_2 series
 from precomputed components and the 2-convex formula report, the size
 of the library's code, and what each of the benchmark's CLI commands
@@ -76,6 +77,8 @@ def cli_commands(workloads) -> list[str]:
 
 def cases(cfrac, ladder, perms, words, g, oracles):
     """(name, call, check) for every timed case."""
+    from convexenum.exact import linalg
+    from convexenum.exact.polynomial import Polynomial
     search = g.SEARCH_COUNTS
     b1, _, t = oracles.convergents(60)
     tot = t / b1  # walks from 1223
@@ -110,6 +113,19 @@ def cases(cfrac, ladder, perms, words, g, oracles):
         return (f"growth_bounds({k}, 20)", lambda: perms.growth_bounds(k, 20),
                 lambda out: (out.lower_root, out.upper_root) == roots)
 
+    def resolvent():
+        """The walk totals of the k = 1 cut digraph by elimination over
+        rational functions, the kernel path with the most operators; as
+        1 + x + 2 x^2 W they are the lower bound GF."""
+        x = Polynomial.x()
+        lower = perms.gf_bound(1, "lower")
+        m = oracles.adjacency(
+            perms.build_digraph(1, cutoff=perms.DEFAULT_CUTOFF[1]))
+        return (f"sum of matrix_resolvent_row(adjacency of "
+                f"build_digraph(1, cutoff={perms.DEFAULT_CUTOFF[1]}), 0)",
+                lambda: sum(linalg.matrix_resolvent_row(m, 0)),
+                lambda out: 1 + x + 2 * x * x * out == lower)
+
     return [
         ("count_words_bruteforce(12, 5, 1)",
          lambda: words.count_words_bruteforce(12, 5, 1),
@@ -136,6 +152,7 @@ def cases(cfrac, ladder, perms, words, g, oracles):
         *digraph(2, 150),
         bounds(1),
         bounds(2),
+        resolvent(),
         ("tot_series(60)", lambda: cfrac.tot_series(60),
          lambda out: out == tot),
         ("f1_series(120)", lambda: cfrac.f1_series(120),

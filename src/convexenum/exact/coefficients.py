@@ -1,7 +1,19 @@
-"""Coefficient helpers shared by polynomials and truncated series:
-the normal form of an exact coefficient and the truncated convolution.
-They are their own module so that series arithmetic runs without
-loading ``Polynomial``."""
+"""What the exact kernel's values are made of and what they take: the
+normal form of an exact coefficient, the test for a scalar operand, the
+one operand protocol of the binary operators, and the truncated
+convolution.  They are their own module so that series arithmetic runs
+without loading ``Polynomial``.
+
+Every binary operator of ``Polynomial``, ``TruncatedSeries`` and
+``RationalFunction`` is wrapped in :func:`binary`, so the three types
+share one operand protocol.  The type's own ``_coerce`` turns the other
+operand into a value of the type, or declines it with
+``NotImplemented``; Python then tries the other operand's reflected
+operator, and raises ``TypeError`` when that declines too.  A scalar
+operand (see :func:`is_scalar`) is a constant of the type.  The
+reflected subtraction is wrapped as well, so it coerces before it
+subtracts: two types that decline each other never hand a subtraction
+back and forth."""
 
 from __future__ import annotations
 
@@ -25,6 +37,33 @@ def exact_coefficient(x) -> int | Fraction:
     if not isinstance(x, Fraction):
         raise TypeError(f"inexact coefficient {x!r}")
     return x.numerator if x.denominator == 1 else x
+
+
+def is_scalar(x) -> bool:
+    """Whether ``x`` is an ``int`` or a ``Fraction``: an operand that the
+    kernel's types take as a constant.  ``fractions`` is imported only
+    for a value that is not an ``int``.  A ``bool`` passes, as an
+    ``int``, and :func:`exact_coefficient` then rejects it."""
+    if isinstance(x, int):
+        return True
+    from fractions import Fraction
+    return isinstance(x, Fraction)
+
+
+def binary(op):
+    """The binary operator ``op(self, other)``, called with ``other``
+    coerced by ``self._coerce``; when ``_coerce`` declines it, the
+    method returns ``NotImplemented``.  It keeps ``op``'s name and
+    docstring."""
+    def method(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return op(self, other)
+
+    method.__name__, method.__qualname__, method.__doc__ = (
+        op.__name__, op.__qualname__, op.__doc__)
+    return method
 
 
 def convolve(a, b, length: int) -> list:

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
-from convexenum.exact.coefficients import convolve, exact_coefficient
+from convexenum.exact.coefficients import (
+    binary, convolve, exact_coefficient, is_scalar)
 from convexenum.frozen import Frozen
 
 
@@ -67,10 +68,8 @@ class Polynomial(Frozen):
 
     # -- ring arithmetic ----------------------------------------------
 
+    @binary
     def __add__(self, other) -> "Polynomial":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -84,22 +83,16 @@ class Polynomial(Frozen):
     def __neg__(self) -> "Polynomial":
         return Polynomial(tuple(-c for c in self.coeffs))
 
+    @binary
     def __sub__(self, other) -> "Polynomial":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self + (-other)
 
+    @binary
     def __rsub__(self, other) -> "Polynomial":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
+        return other - self
 
+    @binary
     def __mul__(self, other) -> "Polynomial":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         a, b = self.coeffs, other.coeffs
         return Polynomial(convolve(a, b, len(a) + len(b) - 1))
 
@@ -109,17 +102,10 @@ class Polynomial(Frozen):
     def _coerce(other):
         if isinstance(other, Polynomial):
             return other
-        if isinstance(other, int):
-            return Polynomial((other,))
-        from fractions import Fraction
-        if isinstance(other, Fraction):
-            return Polynomial((other,))
-        return NotImplemented
+        return Polynomial((other,)) if is_scalar(other) else NotImplemented
 
+    @binary
     def __divmod__(self, other: "Polynomial"):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         if not other:
             raise ZeroDivisionError("division by zero polynomial")
         rem = list(self.coeffs)

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
 from convexenum.exact import series
-from convexenum.exact.coefficients import convolve
+from convexenum.exact.coefficients import (
+    binary, convolve, exact_coefficient, is_scalar)
 from convexenum.exact.polynomial import Polynomial
 from convexenum.frozen import Frozen
 
@@ -59,9 +59,11 @@ class RationalFunction(Frozen):
         first 2*bound terms determine N/D uniquely (Massey 1969); every
         further term is checked against the recurrence found.  It runs
         fraction-free, on primitive integer multiples of the rational
-        connection polynomials.
+        connection polynomials.  Each term is an ``int`` or a
+        ``Fraction``; any other term raises ``TypeError`` (see
+        ``exact_coefficient``).
         """
-        s = [Fraction(t) for t in terms]
+        s = [exact_coefficient(t) for t in terms]
         if len(s) < 2 * complexity_bound:
             raise ValueError(f"need {2 * complexity_bound} terms, got {len(s)}")
         # fraction-free: run on L * terms, L the lcm of their denominators
@@ -112,14 +114,12 @@ class RationalFunction(Frozen):
     def _coerce(cls, other):
         if isinstance(other, RationalFunction):
             return other
-        if isinstance(other, (int, Fraction, Polynomial)):
+        if isinstance(other, Polynomial) or is_scalar(other):
             return cls(other)
         return NotImplemented
 
+    @binary
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return RationalFunction(self.num * other.den + other.num * self.den,
                                 self.den * other.den)
 
@@ -128,35 +128,28 @@ class RationalFunction(Frozen):
     def __neg__(self):
         return RationalFunction(-self.num, self.den)
 
+    @binary
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self + (-other)
 
+    @binary
     def __rsub__(self, other):
-        return -(self - other)
+        return other - self
 
+    @binary
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
+    @binary
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         if not other:
             raise ZeroDivisionError("division by zero rational function")
         return RationalFunction(self.num * other.den, self.den * other.num)
 
+    @binary
     def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return other / self
 
     # -- expansion ----------------------------------------------------

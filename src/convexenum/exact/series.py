@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from convexenum.exact.coefficients import convolve, exact_coefficient
+from convexenum.exact.coefficients import (
+    binary, convolve, exact_coefficient, is_scalar)
 from convexenum.frozen import Frozen
 
 
@@ -71,23 +72,18 @@ class TruncatedSeries(Frozen):
 
     # -- arithmetic ---------------------------------------------------
 
-    def _operand(self, other):
+    def _coerce(self, other):
         if isinstance(other, TruncatedSeries):
             if other.order != self.order:
                 raise ValueError(
                     f"series orders differ: {self.order} and {other.order}")
             return other
-        if isinstance(other, int):
-            return TruncatedSeries((other,), self.order)
-        from fractions import Fraction
-        if isinstance(other, Fraction):
+        if is_scalar(other):
             return TruncatedSeries((other,), self.order)
         return NotImplemented
 
+    @binary
     def __add__(self, other):
-        other = self._operand(other)
-        if other is NotImplemented:
-            return NotImplemented
         return TruncatedSeries(
             tuple(x + y for x, y in zip(self.coeffs, other.coeffs)), self.order)
 
@@ -96,20 +92,17 @@ class TruncatedSeries(Frozen):
     def __neg__(self):
         return TruncatedSeries(tuple(-c for c in self.coeffs), self.order)
 
+    @binary
     def __sub__(self, other):
-        other = self._operand(other)
-        if other is NotImplemented:
-            return NotImplemented
         return TruncatedSeries(
             tuple(x - y for x, y in zip(self.coeffs, other.coeffs)), self.order)
 
+    @binary
     def __rsub__(self, other):
-        return -(self - other)
+        return other - self
 
+    @binary
     def __mul__(self, other):
-        other = self._operand(other)
-        if other is NotImplemented:
-            return NotImplemented
         return TruncatedSeries(
             convolve(self.coeffs, other.coeffs, self.order + 1), self.order)
 
@@ -136,8 +129,6 @@ class TruncatedSeries(Frozen):
             inv[m] = -acc * u
         return TruncatedSeries(inv, n)
 
+    @binary
     def __truediv__(self, other):
-        other = self._operand(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self * other.invert()

@@ -71,15 +71,16 @@ def descend(perm: Permutation, direction: str, k: int) -> Permutation | None:
     """Left/right descendant if it stays k-convex, else None.
 
     L prepends 1 after shifting every entry up; R appends 1 likewise.
-    Validity only depends on the relevant end pair.
+    Validity only depends on the relevant end pair, so a permutation
+    of length 0 or 1 has both descendants.
     """
     e = perm.entries
     if direction == "L":
-        if e[1] - 2 * e[0] > k:
+        if len(e) > 1 and e[1] - 2 * e[0] > k:
             return None
         return Permutation((1,) + tuple(x + 1 for x in e))
     if direction == "R":
-        if e[-2] - 2 * e[-1] > k:
+        if len(e) > 1 and e[-2] - 2 * e[-1] > k:
             return None
         return Permutation(tuple(x + 1 for x in e) + (1,))
     raise ValueError("direction must be 'L' or 'R'")

@@ -28,6 +28,10 @@ No class but ``Frozen`` implements immutability, equality or pickling
 itself, so that there is one implementation of each.  A record is
 built by position, by field name or both, and no subclass of ``Frozen``
 has an ``__init__`` that only passes its parameters on to it.
+
+The exact kernel has one operand protocol: only
+``coefficients.binary`` tests ``other is NotImplemented``, and no
+``_coerce`` imports ``Fraction`` to tell a scalar (``is_scalar`` does).
 """
 
 import ast
@@ -613,3 +617,77 @@ def test_the_forwarder_check_finds_forwarding_constructors():
         "    def __init__(self, a):\n"
         "        super().__init__(a)\n")
     assert forwarders(source) == ["Record.__init__", "Named.__init__"]
+
+
+def operand_forks(source: str, module: str) -> list[str]:
+    """``module.function`` (or ``module.Class.method``) for each function
+    of ``source`` but ``coefficients.binary`` whose body tests ``other
+    is NotImplemented``, and ``... import Fraction`` for each ``_coerce``
+    that imports ``Fraction``.  A nested function counts as part of the
+    function that holds it."""
+    found = []
+
+    def check(node, name):
+        body = list(ast.walk(node))
+        if name != "coefficients.binary" and any(
+                isinstance(sub, ast.Compare)
+                and ast.unparse(sub) == "other is NotImplemented"
+                for sub in body):
+            found.append(name)
+        if name.endswith("._coerce") and any(
+                isinstance(sub, ast.ImportFrom) and sub.module == "fractions"
+                and any(alias.name == "Fraction" for alias in sub.names)
+                for sub in body):
+            found.append(f"{name} imports Fraction")
+
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef):
+            check(node, f"{module}.{node.name}")
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    check(item, f"{module}.{node.name}.{item.name}")
+    return found
+
+
+def test_the_kernel_has_one_operand_protocol():
+    files = sorted((SRC / "convexenum" / "exact").glob("*.py"))
+    assert {"coefficients", "polynomial", "series", "ratfun"} \
+        <= {path.stem for path in files}
+    found = {str(path.relative_to(ROOT)): operand_forks(path.read_text(),
+                                                         path.stem)
+             for path in files}
+    assert {path: names for path, names in found.items() if names} == {}
+    # and the operators that binary wraps keep their own names
+    for cls in (Polynomial, TruncatedSeries, RationalFunction):
+        for name in ("__add__", "__sub__", "__rsub__", "__mul__"):
+            method = vars(cls)[name]
+            assert method.__qualname__ == f"{cls.__name__}.{name}"
+        assert vars(cls)["__radd__"] is vars(cls)["__add__"]
+        assert vars(cls)["__rmul__"] is vars(cls)["__mul__"]
+
+
+def test_the_operand_check_finds_preambles_and_fraction_imports():
+    source = (
+        "def binary(op):\n"
+        "    def operator(self, other):\n"
+        "        if other is NotImplemented:\n"
+        "            return NotImplemented\n"
+        "class Value:\n"
+        "    def __add__(self, other):\n"
+        "        other = self._coerce(other)\n"
+        "        if other is NotImplemented:\n"
+        "            return NotImplemented\n"
+        "    def __mul__(self, other):\n"
+        "        return self if other is None else other\n"
+        "    def _coerce(self, other):\n"
+        "        from fractions import Fraction\n"
+        "        return other\n"
+        "def helper(other):\n"
+        "    if other is NotImplemented:\n"
+        "        pass\n")
+    assert operand_forks(source, "coefficients") == [
+        "coefficients.Value.__add__",
+        "coefficients.Value._coerce imports Fraction",
+        "coefficients.helper"]
+    assert operand_forks(source, "series")[0] == "series.binary"

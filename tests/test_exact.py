@@ -372,6 +372,23 @@ class TestValueSemantics:
             op(left, right)
 
 
+@pytest.mark.parametrize("left,right", [
+    (Polynomial((1, 2)), TruncatedSeries((1,), 3)),
+    (Polynomial((1, 2)), "x"),
+    (TruncatedSeries((1,), 3), RationalFunction(1)),
+    (TruncatedSeries((1,), 3), None),
+    (RationalFunction(1), "x"),
+], ids=["polynomial-series", "polynomial-str", "series-ratfun",
+        "series-None", "ratfun-str"])
+def test_mixed_subtraction_is_a_type_error_both_ways(left, right):
+    # each reflected subtraction coerces its operand before it subtracts,
+    # so two types that decline each other do not hand the subtraction
+    # back and forth until the recursion limit
+    for a, b in ((left, right), (right, left)):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            a - b
+
+
 # Every value the kernel meets that is not an int goes through a branch
 # that imports ``fractions`` itself.  Run from a fresh interpreter
 # without ``site`` (so nothing preloads ``fractions``), these give the
@@ -434,6 +451,14 @@ class TestFromSequence:
         # x^3 has linear complexity 4; no extra terms are given
         with pytest.raises(ArithmeticError):
             RationalFunction.from_sequence([0, 0, 0, 1], 2)
+
+    @pytest.mark.parametrize("term", [0.1, "1/3", Decimal("0.1"), True],
+                             ids=["float", "str", "Decimal", "bool"])
+    def test_inexact_terms_are_a_type_error(self, term):
+        # as in every other kernel entry point: no term is parsed or
+        # rounded into a Fraction
+        with pytest.raises(TypeError, match="^inexact coefficient "):
+            RationalFunction.from_sequence([term] * 4, 2)
 
     @given(st.lists(st.integers(-5, 5), max_size=6),
            st.integers(-5, 5).filter(bool),

@@ -193,6 +193,18 @@ class TestDescendants:
         assert descend(p, "L", 1) is None
         assert descend(p, "L", 2) is not None
 
+    @pytest.mark.parametrize("k", (0, 1, 2))
+    def test_descendants_of_length_n_minus_1_are_length_n(self, k):
+        # for k <= 2 the entry 1 sits at an end of every k-convex
+        # permutation, so removing it (L or R) and shifting down is the
+        # inverse of descend; lengths 0 and 1 have both descendants
+        parents = [Permutation(())]
+        for n in range(1, 9):
+            children = {descend(p, direction, k)
+                        for p in parents for direction in "LR"} - {None}
+            parents = list(all_convex_perms(n, k))
+            assert children == set(parents), (n, k)
+
     def test_descendants_stay_convex(self):
         for k in (1, 2):
             for p in all_convex_perms(6, k):
