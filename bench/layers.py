@@ -1,11 +1,12 @@
 """Layer timings of the exhaustive searches, the ladder counts of
 k-convex permutations, the depth-150 digraphs (built, labeled and
-written as DOT), the exact kernel's certified growth bounds, its
-rational-function elimination of the k = 1 cut digraph, the k = 1
-ladder's tot and f_1 series, the k = 2 components, the exact f_2 series
-from precomputed components and the 2-convex formula report, the size
-of the library's code, and what each of the benchmark's CLI commands
-loads.
+written as DOT), the exact kernel's certified growth bounds and its
+root isolation alone on their four bound denominators and the k = 1
+lower one cut at (1, 2, 7, 8), its rational-function elimination of
+the k = 1 cut digraph, the k = 1 ladder's tot and f_1 series, the
+k = 2 components, the exact f_2 series from precomputed components and
+the 2-convex formula report, the size of the library's code, and what
+each of the benchmark's CLI commands loads.
 
     python bench/layers.py [--label NAME] [--src DIR]
 
@@ -78,6 +79,7 @@ def cli_commands(workloads) -> list[str]:
 def cases(cfrac, ladder, perms, words, g, oracles):
     """(name, call, check) for every timed case."""
     from convexenum.exact import linalg
+    from convexenum.exact.roots import smallest_positive_root
     from convexenum.exact.polynomial import Polynomial
     search = g.SEARCH_COUNTS
     b1, _, t = oracles.convergents(60)
@@ -112,6 +114,19 @@ def cases(cfrac, ladder, perms, words, g, oracles):
         roots = g.ROOT_INTERVALS[k, "lower"], g.ROOT_INTERVALS[k, "upper"]
         return (f"growth_bounds({k}, 20)", lambda: perms.growth_bounds(k, 20),
                 lambda out: (out.lower_root, out.upper_root) == roots)
+
+    def root(k, side, cutoff=None):
+        """Root isolation alone, on a bound denominator built before
+        the timing."""
+        den = perms.gf_bound(k, side, cutoff=cutoff).den
+        if cutoff is None:
+            name, interval = f"{side} {k}", g.ROOT_INTERVALS[k, side]
+        else:  # the one cut bound with a golden root
+            name = f"{side} {k}, cutoff={cutoff}"
+            interval = g.CUTOFF_1278_ROOT
+        return (f"smallest_positive_root(gf_bound({name}).den, 20)",
+                lambda: smallest_positive_root(den, 20),
+                lambda out: out == interval)
 
     def resolvent():
         """The walk totals of the k = 1 cut digraph by elimination over
@@ -152,6 +167,11 @@ def cases(cfrac, ladder, perms, words, g, oracles):
         *digraph(2, 150),
         bounds(1),
         bounds(2),
+        root(1, "lower"),
+        root(1, "upper"),
+        root(2, "lower"),
+        root(2, "upper"),
+        root(1, "lower", cutoff=(1, 2, 7, 8)),
         resolvent(),
         ("tot_series(60)", lambda: cfrac.tot_series(60),
          lambda out: out == tot),

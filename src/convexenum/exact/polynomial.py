@@ -152,9 +152,13 @@ class Polynomial(Frozen):
         return Polynomial(rem)
 
     def gcd(self, other: "Polynomial") -> "Polynomial":
-        """Monic gcd, by the primitive pseudo-remainder sequence over Z."""
+        """Monic gcd, by the primitive pseudo-remainder sequence over Z.
+        An operand that is not a ``Polynomial`` is a constant, so one
+        that is not exact raises ``TypeError``, as in the constructor."""
         from fractions import Fraction
-        a, b = self.primitive(), self._coerce(other).primitive()
+        if not isinstance(other, Polynomial):
+            other = Polynomial((other,))
+        a, b = self.primitive(), other.primitive()
         while b:
             a, b = b, a.pseudo_remainder(b).primitive()
         return a * Fraction(1, a.leading_coeff()) if a else a

@@ -11,7 +11,7 @@ from operator import add, floordiv, mod, mul, sub, truediv
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import _oracles
 from convexenum import cfrac, perms, words
@@ -364,6 +364,8 @@ class TestValueSemantics:
         (RationalFunction(1), mul, TruncatedSeries((1,), 3)),
         (RationalFunction(1), truediv, None),
         (None, truediv, RationalFunction(1)),
+        (Polynomial((1, 2)), Polynomial.gcd, "x"),
+        (Polynomial((1, 2)), Polynomial.gcd, 0.5),
     ])
     def test_mixed_types_are_a_type_error(self, left, op, right):
         # each kernel operation declines an operand it does not take,
@@ -604,6 +606,35 @@ def _root_cases(draw):
     return p
 
 
+# one polynomial per branch of the bisection: a root at 1 nudges the
+# right end to 1 + 10^-precision (alone, then with roots to count); a
+# midpoint that is a root returns at once when it is the smallest one,
+# whether roots are still counted or only signs compared, and not when
+# a smaller one lies left of it; a repeated root is stripped, or the
+# sign would not change across 1/2 or 1/3; a root at 5/8; and three
+# roots between opposite signs must be counted
+_ROOT_BRANCHES = [
+    Polynomial((-1, 1)),
+    Polynomial((-1, 1)) * Polynomial((-1, 3)),
+    Polynomial((-1, 2)) * Polynomial((-3, 4)),
+    Polynomial((-1, 4)) * Polynomial((-1, 2)),
+    Polynomial((-1, 2)),
+    Polynomial((-1, 2)) * Polynomial((-1, 2)) * Polynomial((-2, 1)),
+    Polynomial((-1, 3)) * Polynomial((-1, 3)) * Polynomial((-2, 1)),
+    Polynomial((-5, 8)) * Polynomial((-3, 1)),
+    Polynomial((-1, 5)) * Polynomial((-2, 5)) * Polynomial((-4, 5)),
+]
+
+
+def _examples(cases):
+    """Give a property test each argument tuple as an explicit example."""
+    def apply(test):
+        for case in cases:
+            test = example(*case)(test)
+        return test
+    return apply
+
+
 class TestRoots:
     def test_golden_ratio_root(self):
         p = Polynomial((1, -1, -1))  # 1 - x - x^2, root (sqrt(5)-1)/2
@@ -638,6 +669,7 @@ class TestRoots:
         with pytest.raises(ValueError, match="precision must be positive"):
             smallest_positive_root(Polynomial((-1, 2)), precision)
 
+    @_examples(product(_ROOT_BRANCHES, (1, 5, 20)))
     @settings(max_examples=200)
     @given(_root_cases(), st.integers(1, 20))
     def test_certificate_matches_rational_oracle(self, p, precision):

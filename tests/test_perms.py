@@ -713,6 +713,19 @@ class TestGrowthBounds:
         den = gf_bound(1, "lower", cutoff=(1, 2, 7, 8)).den
         assert smallest_positive_root(den, 20) == CUTOFF_1278_ROOT
 
+    @pytest.mark.parametrize("precision", [1, 7, 60])
+    def test_bound_roots_match_rational_oracle(self, precision):
+        # the goldens above pin precision 20; the same five denominators
+        # at the extremes, where at 60 the bisection's denominator
+        # reaches about 200 bits (too slow for a hypothesis example
+        # within its deadline)
+        dens = [gf_bound(k, side).den for k in (1, 2)
+                for side in ("lower", "upper")]
+        dens.append(gf_bound(1, "lower", cutoff=(1, 2, 7, 8)).den)
+        for den in dens:
+            assert smallest_positive_root(den, precision) == \
+                _oracles.smallest_positive_root(den, precision)
+
     @pytest.mark.parametrize("call", [lambda: growth_bounds(3),
                                       lambda: gf_bound(0, "lower")])
     def test_bad_k_is_a_value_error(self, call):
