@@ -3,7 +3,8 @@ k-convex permutations, the depth-150 digraphs (built, labeled and
 written as DOT), the exact kernel's certified growth bounds and its
 root isolation alone on their four bound denominators and the k = 1
 lower one cut at (1, 2, 7, 8), its rational-function elimination of
-the k = 1 cut digraph, the k = 1 ladder's tot and f_1 series, the
+the k = 1 cut digraph, the canonical form of a rational function
+with a common factor, the k = 1 ladder's tot and f_1 series, the
 k = 2 components, the exact f_2 series from precomputed components and
 the 2-convex formula report, the size of the library's code, and what
 each of the benchmark's CLI commands loads.
@@ -81,6 +82,7 @@ def cases(cfrac, ladder, perms, words, g, oracles):
     from convexenum.exact import linalg
     from convexenum.exact.roots import smallest_positive_root
     from convexenum.exact.polynomial import Polynomial
+    from convexenum.exact.ratfun import RationalFunction
     search = g.SEARCH_COUNTS
     b1, _, t = oracles.convergents(60)
     tot = t / b1  # walks from 1223
@@ -141,6 +143,17 @@ def cases(cfrac, ladder, perms, words, g, oracles):
                 lambda: sum(linalg.matrix_resolvent_row(m, 0)),
                 lambda out: 1 + x + 2 * x * x * out == lower)
 
+    def common_factor():
+        """The k = 1 lower bound GF g with both parts times
+        f = 1 + 2x + 3x^2: the one case whose gcd is not 1, so the one
+        that divides polynomials (by ``//``)."""
+        lower, f = perms.gf_bound(1, "lower"), Polynomial((1, 2, 3))
+        num, den = lower.num * f, lower.den * f
+        return ("RationalFunction(g.num * f, g.den * f), "
+                "g = gf_bound(1, lower), f = 1 + 2x + 3x^2",
+                lambda: RationalFunction(num, den),
+                lambda out: out == lower)
+
     return [
         ("count_words_bruteforce(12, 5, 1)",
          lambda: words.count_words_bruteforce(12, 5, 1),
@@ -173,6 +186,7 @@ def cases(cfrac, ladder, perms, words, g, oracles):
         root(2, "upper"),
         root(1, "lower", cutoff=(1, 2, 7, 8)),
         resolvent(),
+        common_factor(),
         ("tot_series(60)", lambda: cfrac.tot_series(60),
          lambda out: out == tot),
         ("f1_series(120)", lambda: cfrac.f1_series(120),

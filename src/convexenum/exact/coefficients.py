@@ -1,8 +1,15 @@
 """What the exact kernel's values are made of and what they take: the
 normal form of an exact coefficient, the test for a scalar operand, the
-one operand protocol of the binary operators, and the truncated
-convolution.  They are their own module so that series arithmetic runs
-without loading ``Polynomial``.
+exact reciprocal, the one operand protocol of the binary operators, and
+the truncated convolution.  They are their own module so that series
+arithmetic runs without loading ``Polynomial``.
+
+This is the one module of the kernel's arithmetic that turns a value
+into a ``Fraction``: polynomial division, the monic gcd, series
+inversion and the field elimination's pivots all invert through
+:func:`reciprocal`, which keeps 1 and -1 as they are, so an integer
+computation stays in the integers.  ``roots`` imports ``fractions`` as
+well, for the intervals it returns.
 
 Every binary operator of ``Polynomial``, ``TruncatedSeries`` and
 ``RationalFunction`` is wrapped in :func:`binary`, so the three types
@@ -27,10 +34,11 @@ def exact_coefficient(x) -> int | Fraction:
     caller's choice to make.
 
     ``fractions`` is imported here, after the ``int`` test, and in the
-    other kernel branches that meet a value that is not an ``int``, never
-    at module level: the paper's series are integer series, so a command
-    that computes only with integers never imports ``fractions`` (or the
-    ``decimal`` and ``numbers`` modules it imports)."""
+    other functions of this module that meet a value that is not an
+    ``int`` or not a unit, never at module level: the paper's series are
+    integer series, so a command that computes only with integers never
+    imports ``fractions`` (or the ``decimal`` and ``numbers`` modules it
+    imports)."""
     if type(x) is int:
         return x
     from fractions import Fraction
@@ -48,6 +56,18 @@ def is_scalar(x) -> bool:
         return True
     from fractions import Fraction
     return isinstance(x, Fraction)
+
+
+def reciprocal(c):
+    """1 / c, exactly: ``c`` itself for 1 and -1, so an ``int`` unit
+    stays an ``int`` and ``fractions`` is not imported, and
+    ``Fraction(1) / c`` otherwise, never a ``float``.  ``c`` may be any
+    value that a ``Fraction`` divides, such as a ``RationalFunction``;
+    0 raises ``ZeroDivisionError``."""
+    if c in (1, -1):
+        return c
+    from fractions import Fraction
+    return Fraction(1) / c
 
 
 def binary(op):

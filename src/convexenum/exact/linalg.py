@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from convexenum.exact import polynomial, ratfun, series
+from convexenum.exact.coefficients import reciprocal
 from convexenum.frozen import Frozen
 
 
@@ -84,13 +83,16 @@ def solve_series_system(m: SeriesMatrix, rhs) -> list[series.TruncatedSeries]:
 
 def solve_field_system(matrix, rhs):
     """Gaussian elimination over any field (entries support +, -, *,
-    ``bool`` and division of a ``Fraction`` by them).
+    ``bool``, comparison with 1 and -1, and division of a ``Fraction``
+    by them).
 
     ``matrix`` is a square nested list; raises on a singular matrix.
-    Each pivot is inverted as ``Fraction(1) / e``, so integer entries
-    give exact ``Fraction`` results, never floats.
+    Each pivot is inverted by ``coefficients.reciprocal``: a pivot of 1
+    or -1 is its own inverse and stays an ``int``, and any other is
+    inverted as ``Fraction(1) / e``, so integer entries give exact
+    ``int`` or ``Fraction`` results, never floats.
     """
-    return _gauss_jordan(matrix, rhs, bool, lambda e: Fraction(1) / e)
+    return _gauss_jordan(matrix, rhs, bool, reciprocal)
 
 
 def matrix_resolvent_row(m, row: int) -> list[ratfun.RationalFunction]:

@@ -5,8 +5,28 @@ from __future__ import annotations
 from math import gcd, lcm
 
 from convexenum.exact.coefficients import (
-    binary, convolve, exact_coefficient, is_scalar)
+    binary, convolve, exact_coefficient, is_scalar, reciprocal)
 from convexenum.frozen import Frozen
+
+
+def _pseudo_divide(a, b) -> tuple[list, list]:
+    """The pseudo-quotient and pseudo-remainder of the coefficient
+    sequences ``a`` and ``b``: lists q and r with lc(b)^e a = q b + r,
+    where e = len(q) = max(deg a - deg b + 1, 0) and deg r < deg b.
+    Each step scales the remainder by lc(b) instead of dividing by it
+    (Knuth, TAOCP vol. 2, 4.6.1, Algorithm R), so integer coefficients
+    stay integers.  This is the one polynomial division loop."""
+    if not b:
+        raise ZeroDivisionError("division by zero polynomial")
+    rem, lead, top = list(a), b[-1], len(b) - 1
+    quot = [0] * max(len(a) - top, 0)
+    for i in reversed(range(len(quot))):
+        q = rem.pop()
+        quot[i] = q * lead ** i
+        rem = [lead * c for c in rem]
+        for j in range(top):
+            rem[i + j] -= q * b[j]
+    return quot, rem
 
 
 class Polynomial(Frozen):
@@ -106,23 +126,9 @@ class Polynomial(Frozen):
 
     @binary
     def __divmod__(self, other: "Polynomial"):
-        if not other:
-            raise ZeroDivisionError("division by zero polynomial")
-        rem = list(self.coeffs)
-        div = other.coeffs
-        dq = len(rem) - len(div)
-        if dq < 0:
-            return Polynomial.zero(), self
-        quot = [0] * (dq + 1)
-        from fractions import Fraction
-        lead = Fraction(div[-1])  # int / int would be a float
-        for i in range(dq, -1, -1):
-            c = rem[i + len(div) - 1] / lead
-            quot[i] = c
-            if c != 0:
-                for j, d in enumerate(div):
-                    rem[i + j] -= c * d
-        return Polynomial(quot), Polynomial(rem)
+        quot, rem = _pseudo_divide(self.coeffs, other.coeffs)
+        scale = reciprocal(other.leading_coeff() ** len(quot))
+        return Polynomial(quot) * scale, Polynomial(rem) * scale
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -139,29 +145,19 @@ class Polynomial(Frozen):
 
     def pseudo_remainder(self, other: "Polynomial") -> "Polynomial":
         """lc(other)^(deg self - deg other + 1) * (self mod other), without
-        division (Knuth, TAOCP vol. 2, 4.6.1, Algorithm R)."""
-        if not other:
-            raise ZeroDivisionError("division by zero polynomial")
-        rem, div = list(self.coeffs), other.coeffs
-        lead, top = div[-1], len(div) - 1
-        for i in range(len(rem) - len(div), -1, -1):
-            q = rem.pop()
-            rem = [lead * c for c in rem]
-            for j in range(top):
-                rem[i + j] -= q * div[j]
-        return Polynomial(rem)
+        division (see ``_pseudo_divide``)."""
+        return Polynomial(_pseudo_divide(self.coeffs, other.coeffs)[1])
 
     def gcd(self, other: "Polynomial") -> "Polynomial":
         """Monic gcd, by the primitive pseudo-remainder sequence over Z.
         An operand that is not a ``Polynomial`` is a constant, so one
         that is not exact raises ``TypeError``, as in the constructor."""
-        from fractions import Fraction
         if not isinstance(other, Polynomial):
             other = Polynomial((other,))
         a, b = self.primitive(), other.primitive()
         while b:
             a, b = b, a.pseudo_remainder(b).primitive()
-        return a * Fraction(1, a.leading_coeff()) if a else a
+        return a * reciprocal(a.leading_coeff()) if a else a
 
     def derivative(self) -> "Polynomial":
         return Polynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i))

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from convexenum.exact.coefficients import (
-    binary, convolve, exact_coefficient, is_scalar)
+    binary, convolve, exact_coefficient, is_scalar, reciprocal)
 from convexenum.frozen import Frozen
 
 
@@ -113,11 +113,7 @@ class TruncatedSeries(Frozen):
         c0 = self.coeffs[0]
         if c0 == 0:
             raise ZeroDivisionError("series with zero constant term is not a unit")
-        if c0 in (1, -1):
-            u = c0  # its own inverse: the series stays in the integers
-        else:
-            from fractions import Fraction
-            u = Fraction(1) / c0
+        u = reciprocal(c0)  # 1 and -1 are their own: the series stays int
         n = self.order
         inv = [0] * (n + 1)
         inv[0] = u

@@ -32,6 +32,9 @@ has an ``__init__`` that only passes its parameters on to it.
 The exact kernel has one operand protocol: only
 ``coefficients.binary`` tests ``other is NotImplemented``, and no
 ``_coerce`` imports ``Fraction`` to tell a scalar (``is_scalar`` does).
+Only ``exact.coefficients``, which turns a value into a ``Fraction``,
+and ``exact.roots``, which returns ``Fraction`` intervals, import
+``fractions``.
 """
 
 import ast
@@ -334,8 +337,9 @@ def test_cli_import_defers_what_only_some_commands_need():
             assert "convexenum.search" not in loads[command], command
 
 
-def cli_imports(source: str) -> list[str]:
-    """The statements of ``source`` that import ``convexenum.cli``."""
+def imports_of(source: str, module: str) -> list[str]:
+    """The statements of ``source`` that import ``module`` or a name
+    from it."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -344,7 +348,7 @@ def cli_imports(source: str) -> list[str]:
             names = [f"{node.module}.{alias.name}" for alias in node.names]
         else:
             continue
-        if any(name == "convexenum.cli" or name.startswith("convexenum.cli.")
+        if any(name == module or name.startswith(f"{module}.")
                for name in names):
             found.append(ast.unparse(node))
     return found
@@ -356,13 +360,14 @@ def test_no_command_module_imports_the_cli():
     # and run it a second time
     files = sorted((SRC / "convexenum" / "commands").glob("*.py"))
     assert len(files) == len(GROUPS) + 1
-    found = {str(path.relative_to(ROOT)): cli_imports(path.read_text())
-             for path in files}
+    found = {str(path.relative_to(ROOT)):
+             imports_of(path.read_text(), "convexenum.cli") for path in files}
     assert {path: names for path, names in found.items() if names} == {}
-    assert cli_imports("import convexenum.cli\n"
-                       "from convexenum import cli, words\n"
-                       "from convexenum.cli import OutputRecord\n"
-                       "from convexenum.commands import perms\n") == [
+    assert imports_of("import convexenum.cli\n"
+                      "from convexenum import cli, words\n"
+                      "from convexenum.cli import OutputRecord\n"
+                      "from convexenum.commands import perms\n",
+                      "convexenum.cli") == [
         "import convexenum.cli", "from convexenum import cli, words",
         "from convexenum.cli import OutputRecord"]
     # and each group's command, run as the module, loads no second copy
@@ -691,3 +696,29 @@ def test_the_operand_check_finds_preambles_and_fraction_imports():
         "coefficients.Value._coerce imports Fraction",
         "coefficients.helper"]
     assert operand_forks(source, "series")[0] == "series.binary"
+
+
+def test_only_coefficients_and_roots_import_fractions():
+    # every other module inverts through coefficients.reciprocal
+    files = sorted(SRC.rglob("*.py"))
+    assert len(files) > 10
+    found = {str(path.relative_to(SRC)):
+             imports_of(path.read_text(), "fractions") for path in files}
+    assert {path for path, names in found.items() if names} == {
+        "convexenum/exact/coefficients.py", "convexenum/exact/roots.py"}
+
+
+def test_the_fractions_check_finds_every_import_form():
+    source = (
+        "from fractions import Fraction\n"
+        "import fractions, math\n"
+        "import fractions as fr\n"
+        "def invert(c):\n"
+        "    from fractions import Fraction as F\n"
+        "    return F(1) / c\n"
+        "from decimal import Decimal\n"
+        "from .fractions import local\n"
+        "import fractional\n")
+    assert imports_of(source, "fractions") == [
+        "from fractions import Fraction", "import fractions, math",
+        "import fractions as fr", "from fractions import Fraction as F"]

@@ -22,7 +22,8 @@ from convexenum.exact.linalg import (
     solve_field_system,
     solve_series_system,
 )
-from convexenum.exact.coefficients import convolve, exact_coefficient
+from convexenum.exact.coefficients import (
+    convolve, exact_coefficient, reciprocal)
 from convexenum.exact.polynomial import Polynomial
 from convexenum.exact.ratfun import RationalFunction
 from convexenum.exact.roots import (
@@ -79,12 +80,19 @@ class TestPolynomial:
         assert p - p == Polynomial.zero()
         assert 2 * x == Polynomial((0, 2))
 
-    def test_divmod_identity(self):
-        a = Polynomial((3, -2, 0, 1, 5))
-        b = Polynomial((1, 1, 2))
+    @example([3, -2, 0, 1, 5], [1, 1, 2])
+    @given(st.lists(_FRACTIONS, max_size=6),
+           st.lists(_FRACTIONS, max_size=4).filter(any))
+    def test_divmod_identity(self, a, b):
+        # over a field this identity fixes q and r, so it checks the
+        # pseudo-division loop through * and + alone
+        a, b = Polynomial(a), Polynomial(b)
         q, r = divmod(a, b)
         assert q * b + r == a
         assert r.degree < b.degree
+        assert (a // b, a % b) == (q, r)
+        if a.degree < b.degree:
+            assert not q
 
     def test_gcd_is_monic_common_divisor(self):
         x = Polynomial.x()
@@ -150,6 +158,15 @@ class TestPolynomial:
         assert g.coeffs == (Fraction(1, 2), 1)
         assert type(g.coeffs[0]) is Fraction
 
+    def test_reciprocal_keeps_units_and_is_exact(self):
+        for unit in (1, -1):
+            assert reciprocal(unit) == unit and type(reciprocal(unit)) is int
+        assert reciprocal(2) == Fraction(1, 2)
+        assert type(reciprocal(2)) is Fraction
+        assert reciprocal(Fraction(2, 3)) == Fraction(3, 2)
+        with pytest.raises(ZeroDivisionError):
+            reciprocal(0)
+
     def test_floats_rejected(self):
         # 0.1 would otherwise be kept as its binary value, the string
         # "12" read as the coefficients 1 and 2, and a Decimal parsed
@@ -181,8 +198,12 @@ class TestTruncatedSeries:
         assert (s * s.invert()).coeffs == TruncatedSeries.one(12).coeffs
 
     def test_zero_constant_term_not_a_unit(self):
-        with pytest.raises(ZeroDivisionError):
-            TruncatedSeries.x(5).invert()
+        x = TruncatedSeries.x(5)
+        for divide in (x.invert, lambda: TruncatedSeries.one(5) / x):
+            with pytest.raises(ZeroDivisionError,
+                               match="^series with zero constant term "
+                                     "is not a unit$"):
+                divide()
 
     def test_monomial_product_and_division(self):
         x = TruncatedSeries.x(8)
