@@ -172,24 +172,20 @@ class Polynomial(Frozen):
     # -- display ------------------------------------------------------
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
+        """The nonzero terms by rising exponent, e.g. ``-1/2 + 3*x - x^3``.
+
+        Each term's sign is written once: as the separator ``" + "`` or
+        ``" - "``, or as a leading ``-`` on a negative first term.  Its
+        magnitude m (an ``int`` or a ``Fraction`` ``p/q``) then prints as
+        ``m`` at x^0, as ``x`` or ``x^i`` when m = 1, and as ``m*x`` or
+        ``m*x^i`` otherwise.  The zero polynomial prints as ``0``.
+        ``perfbench/oracles.parse_poly`` reads this format back.
+        """
+        out = ""
         for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                term = str(c)
-            else:
-                xs = "x" if i == 1 else f"x^{i}"
-                if c == 1:
-                    term = xs
-                elif c == -1:
-                    term = f"-{xs}"
-                else:
-                    term = f"{c}*{xs}"
-            parts.append(term)
-        out = parts[0]
-        for term in parts[1:]:
-            out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-        return out
+            if c:
+                sep = " - " if c < 0 else " + "
+                out += sep if out else "-" * (c < 0)
+                m, xs = abs(c), ("x" if i == 1 else f"x^{i}")
+                out += str(m) if i == 0 else xs if m == 1 else f"{m}*{xs}"
+        return out or "0"

@@ -37,7 +37,7 @@ class RationalFunction(Frozen):
     def _canonicalize(num: Polynomial, den: Polynomial):
         if not num:
             return Polynomial.zero(), Polynomial.one()
-        g = num.gcd(den)
+        g = num.gcd(den).primitive()  # integer coefficients divide faster
         if g.degree > 0:
             num, den = num // g, den // g
         # one integer scale for both: clear denominators, divide by content

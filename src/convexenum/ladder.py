@@ -78,8 +78,8 @@ def ladder_walks(k: int, root: int, steps: int):
 def perm_counts(k: int, max_n: int) -> list[int]:
     """[f_k(1), ..., f_k(max_n)] (k in {1, 2}) from walks on the ladder
     alone, in O(max_n^2) integer additions; f_k(n) = 2 W_(n-2) for
-    n >= 2, where W_t counts the walks of length t from the start node
-    (see :func:`convexenum.perms.walk_count`).
+    n >= 2, where W_t, the totals[t] of :func:`ladder_walks` from L_2,
+    counts the walks of length t from the start node.
 
     The start node has L_2's out-edges (L to L_3, R to L_2), so walks
     from it are counted as the walks of :func:`ladder_walks` from L_2,

@@ -178,8 +178,8 @@ def decode_word(w: Word) -> tuple[int, IntegerPartition, IntegerPartition]:
     last = len(a) - 1 - a[::-1].index(m)
     pf = a[:first]
     sf = a[last + 1:]
-    gaps1 = [b - c for b, c in zip(pf[1:] + (m,), pf)] if pf else []
-    gaps2 = [b - c for b, c in zip((m,) + sf, sf)] if sf else []
+    gaps1 = [b - c for b, c in zip(pf[1:] + (m,), pf)]
+    gaps2 = [b - c for b, c in zip((m,) + sf, sf)]
     w1 = IntegerPartition(tuple(sorted(gaps1)))
     w2 = IntegerPartition(tuple(sorted(gaps2)))
     return m, w1, w2

@@ -222,6 +222,12 @@ CLI_STDOUT_SHA256 = {
         "5c3a868012e89041fcf04e02913a3ac10671274130cedabdef457efeb522f97a",
     "perms bounds --k 1 --precision 12 --csv":
         "a582970778add4a4ecf267e36e1f328da0cc172904aec6f17b9dfc99c5ef90e8",
+    "perms bounds --k 2 --precision 12":
+        "b32c4b800bf63fd0dd5bbe6a908d125c38798e06716b5fdbc530ee2b6333bee2",
+    "perms bounds --k 2 --precision 12 --json":
+        "e2c05d8e3a87f3b7c78076f8b2ca27492e24e5b19f979b05d662a673d0cf6c15",
+    "perms bounds --k 2 --precision 12 --csv":
+        "ef6ce83844bffc255f66801ad994f5321d71a515e9ce086ff76d76b917e85b14",
     "perms digraph --k 2 --depth 6 --truncate cut":
         "fb0493de7b4c3b390c4df67e0d8b8a762d4bab18c577b8779d4eed0bbe10cba4",
     "perms digraph --k 2 --depth 6 --truncate cut --json":

@@ -13,6 +13,9 @@ Every name the benchmark's tracer (``perfbench/tracing.py``) wraps
 still exists, with the parameters its counter hooks read, and each
 hook counts on a real call.
 
+The benchmark's oracle (``perfbench/oracles.py``) parses every
+printed ``Polynomial`` back to its nonzero terms.
+
 ``import convexenum.cli`` puts every module the tracer binds in
 ``sys.modules``, but runs only the library modules every command needs,
 and no standard module that only some commands need.  A command runs
@@ -48,9 +51,11 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from convexenum import perms
 from convexenum.cli import GROUPS
@@ -168,8 +173,9 @@ def test_package_inits_import_nothing_and_hold_only_constants():
                        for target in node.targets), path
 
 
+@cache
 def _perfbench_module(name: str):
-    """``perfbench/NAME.py``, imported under a name of its own; the
+    """``perfbench/NAME.py``, imported once under a name of its own; the
     tracer's wrappers are not installed."""
     spec = importlib.util.spec_from_file_location(
         f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
@@ -219,6 +225,14 @@ def test_traced_functions_keep_what_their_hooks_read():
         counters = Counter()
         hook(counters, fn, args, kwargs, fn(*args, **kwargs))
         assert counters and all(v > 0 for v in counters.values()), name
+
+
+@given(st.lists(st.builds(Fraction, st.integers(-12, 12),
+                          st.integers(1, 4)), max_size=7))
+def test_printed_polynomial_parses_back(coeffs):
+    p = Polynomial(coeffs)
+    terms = {i: c for i, c in enumerate(p.coeffs) if c}
+    assert _perfbench_module("oracles").parse_poly(str(p)) == terms
 
 
 def _modules_after(code: str) -> dict[str, bool]:

@@ -136,9 +136,20 @@ class TestPolynomial:
         assert p(2) == 3
         assert p.derivative() == Polynomial((-3, 4))
 
-    def test_str(self):
-        assert str(Polynomial((1, -1, 0, 2))) == "1 - x + 2*x^3"
-        assert str(Polynomial.zero()) == "0"
+    @pytest.mark.parametrize("coeffs, text", [
+        ((), "0"),
+        ((1,), "1"),
+        ((-1,), "-1"),
+        ((0, 1), "x"),
+        ((0, -1), "-x"),
+        ((-1, 0, -1), "-1 - x^2"),
+        ((Fraction(-1, 2), 0, 0, 3), "-1/2 + 3*x^3"),
+        ((0, 0, Fraction(-1, 2)), "-1/2*x^2"),
+        ((0, Fraction(3, 2), -1), "3/2*x - x^2"),
+        ((1, -1, 0, 2), "1 - x + 2*x^3"),
+    ])
+    def test_str(self, coeffs, text):
+        assert str(Polynomial(coeffs)) == text
 
     def test_closed_forms_stay_int(self):
         gfs = [perms.gf_bound(k, side) for k in (1, 2)
