@@ -2,12 +2,13 @@
 k-convex permutations, the depth-150 digraphs (built, labeled and
 written as DOT), the exact kernel's certified growth bounds and its
 root isolation alone on their four bound denominators and the k = 1
-lower one cut at (1, 2, 7, 8), its rational-function elimination of
-the k = 1 cut digraph, the canonical form of a rational function
-with a common factor, the k = 1 ladder's tot and f_1 series, the
-k = 2 components, the exact f_2 series from precomputed components and
-the 2-convex formula report, the size of the library's code, and what
-each of the benchmark's CLI commands loads.
+lower one cut at (1, 2, 7, 8), the gcd of each of those five with its
+derivative, its rational-function elimination of the k = 1 cut
+digraph, the canonical form of a rational function with a common
+factor, the k = 1 ladder's tot and f_1 series, the k = 2 components,
+the exact f_2 series from precomputed components and the 2-convex
+formula report, the size of the library's code, and what each of the
+benchmark's CLI commands loads.
 
     python bench/layers.py [--label NAME] [--src DIR]
 
@@ -130,6 +131,16 @@ def cases(cfrac, ladder, perms, words, g, oracles):
                 lambda: smallest_positive_root(den, 20),
                 lambda out: out == interval)
 
+    def squarefree(k, side, cutoff=None):
+        """The gcd of a bound denominator and its derivative, built
+        before the timing: the primitive remainder sequence alone.  Every
+        bound denominator is squarefree, so the gcd is 1."""
+        den = perms.gf_bound(k, side, cutoff=cutoff).den
+        name = f"{side} {k}" + (f", cutoff={cutoff}" if cutoff else "")
+        return (f"gcd(den, den') of gf_bound({name})",
+                lambda: den.gcd(den.derivative()),
+                lambda out: out == Polynomial.one())
+
     def resolvent():
         """The walk totals of the k = 1 cut digraph by elimination over
         rational functions, the kernel path with the most operators; as
@@ -185,6 +196,11 @@ def cases(cfrac, ladder, perms, words, g, oracles):
         root(2, "lower"),
         root(2, "upper"),
         root(1, "lower", cutoff=(1, 2, 7, 8)),
+        squarefree(1, "lower"),
+        squarefree(1, "upper"),
+        squarefree(2, "lower"),
+        squarefree(2, "upper"),
+        squarefree(1, "lower", cutoff=(1, 2, 7, 8)),
         resolvent(),
         common_factor(),
         ("tot_series(60)", lambda: cfrac.tot_series(60),

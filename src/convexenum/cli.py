@@ -83,38 +83,31 @@ class OutputRecord:
             self.add("agree", agree)
             self.exit_code = 0 if agree else 1
 
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "parameters": self.parameters,
-            "results": [[name, value] for name, value in self.results],
-            "provenance": self.provenance,
-        }
-
 
 def _render(record: OutputRecord, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(record.to_dict(), indent=2, sort_keys=False) + "\n"
+        return json.dumps(dict(
+            command=record.command, parameters=record.parameters,
+            results=record.results, provenance=record.provenance),
+            indent=2) + "\n"  # each (name, value) pair is an array
+    sep = ";" if fmt == "csv" else ", "  # between the items of a list
+    results = [(name, sep.join(map(str, value))
+                if isinstance(value, (list, tuple)) else value)
+               for name, value in record.results]
     if fmt == "csv":
         import csv  # here, so that start-up does not pay for it
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["name", "value"])
-        for name, value in record.results:
-            if isinstance(value, (list, tuple)):
-                value = ";".join(str(v) for v in value)
-            writer.writerow([name, value])
+        writer.writerows(results)
         return buf.getvalue()
-    lines = [f"{record.command}"]
+    lines = [record.command]
     if record.parameters:
         params = " ".join(f"{k}={v}" for k, v in record.parameters.items())
         lines.append(f"  parameters: {params}")
     if record.provenance:
         lines.append(f"  engines: {', '.join(record.provenance)}")
-    for name, value in record.results:
-        if isinstance(value, (list, tuple)):
-            value = ", ".join(str(v) for v in value)
-        lines.append(f"  {name}: {value}")
+    lines += (f"  {name}: {value}" for name, value in results)
     return "\n".join(lines) + "\n"
 
 

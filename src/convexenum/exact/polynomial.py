@@ -144,20 +144,37 @@ class Polynomial(Frozen):
         return Polynomial([c // content for c in ints])
 
     def pseudo_remainder(self, other: "Polynomial") -> "Polynomial":
-        """lc(other)^(deg self - deg other + 1) * (self mod other), without
-        division (see ``_pseudo_divide``)."""
+        """lc(other)^e * (self mod other), e = max(deg self - deg other
+        + 1, 0), without division (see ``_pseudo_divide``)."""
         return Polynomial(_pseudo_divide(self.coeffs, other.coeffs)[1])
 
+    def remainder_sequence(self, other: "Polynomial") -> list["Polynomial"]:
+        """The primitive pseudo-remainder sequence [self, other, r_2, ...]
+        up to its last nonzero term (Brown, JACM 1971).  Each r_i is the
+        pseudo-remainder of its two predecessors a and b, made primitive
+        and signed as a positive multiple of -(a mod b).  So its last
+        term is gcd(self, other) up to a constant factor, and from p and
+        p' it is the Sturm chain of p.  This is the one loop of remainder
+        sequences."""
+        seq = [self, other]
+        while seq[-1]:
+            a, b = seq[-2:]
+            # rem = lc(b)^e (a mod b) with e = max(deg a - deg b, -1) + 1:
+            # -rem is a positive multiple of -(a mod b) unless lc(b)^e < 0
+            rem = a.pseudo_remainder(b)
+            flip = b.leading_coeff() > 0 or max(a.degree - b.degree, -1) % 2
+            seq.append((-rem if flip else rem).primitive())
+        return seq[:-1]
+
     def gcd(self, other: "Polynomial") -> "Polynomial":
-        """Monic gcd, by the primitive pseudo-remainder sequence over Z.
-        An operand that is not a ``Polynomial`` is a constant, so one
-        that is not exact raises ``TypeError``, as in the constructor."""
+        """Monic gcd: the monic form of the last term of the primitive
+        remainder sequence of the primitive operands.  An operand that
+        is not a ``Polynomial`` is a constant, so one that is not exact
+        raises ``TypeError``, as in the constructor."""
         if not isinstance(other, Polynomial):
             other = Polynomial((other,))
-        a, b = self.primitive(), other.primitive()
-        while b:
-            a, b = b, a.pseudo_remainder(b).primitive()
-        return a * reciprocal(a.leading_coeff()) if a else a
+        g = self.primitive().remainder_sequence(other.primitive())[-1]
+        return g * reciprocal(g.leading_coeff()) if g else g
 
     def derivative(self) -> "Polynomial":
         return Polynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i))

@@ -18,19 +18,6 @@ class NoRootError(ValueError):
     """No positive real root was found in the search interval."""
 
 
-def _sturm_chain(p: Polynomial) -> list[tuple[int, ...]]:
-    """Coefficients of the Sturm chain of an integer p.  Each element
-    -sign(lc(b))^(deg a - deg b + 1) prem(a, b) over its content is a
-    positive multiple of the remainder -(a mod b)."""
-    chain = [p, p.derivative().primitive()]
-    while chain[-1]:
-        a, b = chain[-2:]
-        rem = a.pseudo_remainder(b)
-        flip = b.leading_coeff() > 0 or (a.degree - b.degree) % 2
-        chain.append((-rem if flip else rem).primitive())
-    return [q.coeffs for q in chain[:-1]]
-
-
 def _sign_at(coeffs, u: int, v: int) -> int:
     """Sign of the polynomial at x = u/v, v > 0: that of
     sum c_i u^i v^(d-i)."""
@@ -70,9 +57,12 @@ def smallest_positive_root(p: Polynomial, precision: int = 18):
         raise ValueError("zero polynomial")
     if p[0] == 0:
         raise ValueError("p(0) = 0; strip the root at the origin first")
-    chain = _sturm_chain(p.primitive())
-    if len(chain[-1]) > 1:  # the chain ends in gcd(p, p'): strip it
-        chain = _sturm_chain((p // Polynomial(chain[-1])).primitive())
+    q = p.primitive()
+    chain = q.remainder_sequence(q.derivative().primitive())  # q's Sturm chain
+    if chain[-1].degree > 0:  # the chain ends in gcd(p, p'): strip it
+        q = (q // chain[-1]).primitive()
+        chain = q.remainder_sequence(q.derivative().primitive())
+    chain = [r.coeffs for r in chain]
     sqf, scale = chain[0], 10**precision
     lo, hi, den = 0, 1, 1
     if _sign_at(sqf, 1, 1) == 0:

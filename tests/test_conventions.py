@@ -37,7 +37,9 @@ The exact kernel has one operand protocol: only
 ``_coerce`` imports ``Fraction`` to tell a scalar (``is_scalar`` does).
 Only ``exact.coefficients``, which turns a value into a ``Fraction``,
 and ``exact.roots``, which returns ``Fraction`` intervals, import
-``fractions``.
+``fractions``.  It has one pseudo-remainder sequence: only
+``Polynomial.remainder_sequence`` reads ``pseudo_remainder``, and the
+gcd and the Sturm chain read the sequence.
 """
 
 import ast
@@ -736,3 +738,53 @@ def test_the_fractions_check_finds_every_import_form():
     assert imports_of(source, "fractions") == [
         "from fractions import Fraction", "import fractions, math",
         "import fractions as fr", "from fractions import Fraction as F"]
+
+
+def pseudo_remainder_reads(source: str, module: str) -> list[str]:
+    """The scope, ``module`` or ``module.Class.function``, of each read
+    of a name ``pseudo_remainder`` in ``source``: a call, or a bound
+    method kept for later.  A nested function is a scope of its own."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if getattr(child, "attr", getattr(child, "id", None)) \
+                    == "pseudo_remainder":
+                found.append(scope)
+            visit(child, scope)
+
+    visit(ast.parse(source), module)
+    return found
+
+
+def test_one_pseudo_remainder_sequence():
+    # the gcd and the Sturm chain both read remainder_sequence
+    files = sorted(SRC.rglob("*.py"))
+    assert len(files) > 10
+    found = {str(path.relative_to(SRC)):
+             pseudo_remainder_reads(path.read_text(), path.stem)
+             for path in files}
+    assert {path: scopes for path, scopes in found.items() if scopes} == {
+        "convexenum/exact/polynomial.py":
+            ["polynomial.Polynomial.remainder_sequence"]}
+
+
+def test_the_remainder_check_finds_calls_and_bound_methods():
+    source = (
+        "def chain(p, q):\n"
+        "    return p.pseudo_remainder(q)\n"
+        "class Poly:\n"
+        "    def gcd(self, other):\n"
+        "        step = self.pseudo_remainder\n"
+        "        def inner():\n"
+        "            return pseudo_remainder(self, other)\n"
+        "    def pseudo_remainder(self, other):\n"
+        "        return self.remainder_sequence(other)\n"
+        "rem = a.pseudo_remainder(b)\n"
+        "name = 'pseudo_remainder'\n")
+    assert pseudo_remainder_reads(source, "roots") == [
+        "roots.chain", "roots.Poly.gcd", "roots.Poly.gcd.inner", "roots"]

@@ -109,6 +109,19 @@ class TestPolynomial:
         assert a.gcd(b) == _oracles.euclid_gcd(a, b)
         assert b.gcd(a) == _oracles.euclid_gcd(b, a)
 
+    @given(st.lists(st.integers(-9, 9), max_size=7),
+           st.lists(st.integers(-9, 9), max_size=7).filter(any))
+    @example([0, 1], [0, 0, 0, -1])  # deg a < deg b - 1 and lc(b) < 0
+    def test_remainder_sequence(self, a, b):
+        a, b = Polynomial(a), Polynomial(b)
+        seq = a.remainder_sequence(b)
+        assert seq[:2] == [a, b]
+        for i in range(2, len(seq)):
+            assert seq[i] == (-(seq[i - 2] % seq[i - 1])).primitive()
+        assert not seq[-2] % seq[-1]
+        g = seq[-1]
+        assert a.gcd(b) == g * Fraction(1, g.leading_coeff())
+
     @given(st.lists(_FRACTIONS, max_size=6), st.lists(_FRACTIONS, max_size=4))
     def test_pseudo_remainder_and_primitive_part(self, a, b):
         a, b = Polynomial(a), Polynomial(b)
