@@ -1,14 +1,15 @@
-"""Layer timings of the exhaustive searches, the ladder counts of
-k-convex permutations, the depth-150 digraphs (built, labeled and
-written as DOT), the exact kernel's certified growth bounds and its
-root isolation alone on their four bound denominators and the k = 1
-lower one cut at (1, 2, 7, 8), the gcd of each of those five with its
-derivative, its rational-function elimination of the k = 1 cut
-digraph, the canonical form of a rational function with a common
-factor, the k = 1 ladder's tot and f_1 series, the k = 2 components,
-the exact f_2 series from precomputed components and the 2-convex
-formula report, the size of the library's code, and what each of the
-benchmark's CLI commands loads.
+"""Layer timings of the exhaustive searches, the round trip of the
+0-convex word bijection (decode then encode every 0-convex word of
+length 11 on [6]), the ladder counts of k-convex permutations, the
+depth-150 digraphs (built, labeled and written as DOT), the exact
+kernel's certified growth bounds and its root isolation alone on their
+four bound denominators and the k = 1 lower one cut at (1, 2, 7, 8),
+the gcd of each of those five with its derivative, its rational-function
+elimination of the k = 1 cut digraph, the canonical form of a rational
+function with a common factor, the k = 1 ladder's tot and f_1 series,
+the k = 2 components, the exact f_2 series from precomputed components
+and the 2-convex formula report, the size of the library's code, and
+what each of the benchmark's CLI commands loads.
 
     python bench/layers.py [--label NAME] [--src DIR]
 
@@ -18,8 +19,8 @@ its median, its quartiles and its best time are kept.  On a noisy
 next, so the quartiles show how far a run's times spread.  Every result
 is checked against ``tests/_goldens.py``, or ``tot_series`` against the
 convergents of the continued fraction in ``tests/_oracles.py`` and the
-deeper word search against ``words.count_words_dp``, and a wrong one
-stops the run with exit 1.
+deeper word search against ``words.count_words_dp``, and the bijection's
+round trip against its input, and a wrong one stops the run with exit 1.
 No cache is left in ``convexenum.perms``, so the labels, and the DOT
 text that holds them, are timed cold.
 The code size is the number of lines of ``src`` that hold a token,
@@ -154,6 +155,17 @@ def cases(cfrac, ladder, perms, words, g, oracles):
                 lambda: sum(linalg.matrix_resolvent_row(m, 0)),
                 lambda out: 1 + x + 2 * x * x * out == lower)
 
+    def bijection(n, p):
+        """Decode then encode every 0-convex word of length n on [p],
+        listed before the timing; n > 2(p - 1), so there are
+        G0P_STABLE[p - 1] of them."""
+        ws = list(words.all_convex_words(n, p, 0))
+        return (f"encode_word(*decode_word(w), {n}, {p}) for every "
+                f"0-convex word w of length {n} on [{p}]",
+                lambda: [words.encode_word(*words.decode_word(w), n, p)
+                         for w in ws],
+                lambda out: out == ws and len(out) == g.G0P_STABLE[p - 1])
+
     def common_factor():
         """The k = 1 lower bound GF g with both parts times
         f = 1 + 2x + 3x^2: the one case whose gcd is not 1, so the one
@@ -172,6 +184,7 @@ def cases(cfrac, ladder, perms, words, g, oracles):
         ("count_words_bruteforce(13, 5, 1)",
          lambda: words.count_words_bruteforce(13, 5, 1),
          lambda out: out == words.count_words_dp(13, 5, 1)),
+        bijection(11, 6),
         ("count_perms_bruteforce(12, 1)",
          lambda: perms.count_perms_bruteforce(12, 1),
          lambda out: out == g.TABLE_F1[11]),

@@ -40,13 +40,13 @@ class RationalFunction(Frozen):
         g = num.gcd(den).primitive()  # integer coefficients divide faster
         if g.degree > 0:
             num, den = num // g, den // g
-        # one integer scale for both: clear denominators, divide by content
+        # one integer scale for both: clear denominators, divide by content;
+        # the last entry is den's leading coefficient, made positive
         split = len(num.coeffs)
         both = Polynomial(num.coeffs + den.coeffs).primitive().coeffs
-        num, den = Polynomial(both[:split]), Polynomial(both[split:])
-        if den.leading_coeff() < 0:
-            num, den = -num, -den
-        return num, den
+        if both[-1] < 0:
+            both = [-c for c in both]
+        return Polynomial(both[:split]), Polynomial(both[split:])
 
     # -- basics -------------------------------------------------------
 

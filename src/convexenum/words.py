@@ -127,62 +127,51 @@ def partition_count(j: int) -> int:
 
 
 def g0p_stable(p: int) -> int:
-    """Stable count of 0-convex words on [p], valid for lengths > 2(p-1)."""
+    """Stable count of 0-convex words on [p], valid for lengths > 2(p-1).
+
+    A word of maximum m is a pair of partitions whose totals are both
+    below m (see :func:`decode_word`), and at such a length each pair
+    leaves room for the plateau, since each flank has at most m - 1
+    letters.  So the count is the sum over m <= p of (the number of
+    partitions of totals below m) squared.
+    """
     if p < 1:
         raise ValueError("p must be positive")
-    total = 0
-    acc = 0
-    for m in range(1, p + 1):
-        acc += partition_count(m - 1)
-        total += acc * acc
-    return total
+    return sum(c * c for c in accumulate(map(partition_count, range(p))))
 
 
 def encode_word(m: int, w1: IntegerPartition, w2: IntegerPartition,
                 n: int, p: int) -> Word:
-    """Build the 0-convex word (prefix)(m...m)(suffix) of length n on
-    the alphabet [1, p].
-
-    The increasing prefix realizes partition ``w1`` as its gap sequence
-    (largest gap first); the decreasing suffix realizes ``w2`` (smallest
-    gap first).  The plateau at the maximum m fills the rest.
+    """The 0-convex word of length n on [1, p] with maximum m whose
+    differences are w1's parts largest first, then a plateau of zeros,
+    then w2's parts negated, smallest first (see :func:`decode_word`).
     """
     if w1.total >= m or w2.total >= m:
         raise ValueError("partition totals must be less than the maximum m")
-    # each flank steps away from the plateau by its parts, smallest first:
-    # the prefix is the mirror image of the suffix formula
-    pf = [m - s for s in accumulate(w1.parts)][::-1]
-    sf = [m - s for s in accumulate(w2.parts)]
-    plateau = n - len(pf) - len(sf)
+    plateau = n - len(w1.parts) - len(w2.parts)
     if plateau < 1:
         raise ValueError(f"length {n} too small for prefix, plateau and suffix")
-    letters = pf + [m] * plateau + sf
-    return Word(tuple(letters), p)
+    diffs = list(w1.parts[::-1]) + [0] * (plateau - 1) + [-d for d in w2.parts]
+    return Word(accumulate(diffs, initial=m - w1.total), p)
 
 
 def decode_word(w: Word) -> tuple[int, IntegerPartition, IntegerPartition]:
     """Inverse of :func:`encode_word` on 0-convex words.
 
-    Splits at the maximal plateau and reads both partitions off the gap
-    sequences of the flanks.  The plateau is contiguous: a 0-convex
-    word has non-increasing differences, so no letter between two
-    maxima is smaller.
+    A 0-convex word's differences never increase, so they run positive,
+    then zero, then negative.  The positive ones climb to the maximum m
+    and are w1's parts; the zeros lie on the plateau at m; the negative
+    ones, negated, are w2's parts.  Both flanks fall from m to letters
+    of at least 1, so both totals are below m.
     """
     if not is_convex_word(w, 0):
         raise ValueError("word is not 0-convex")
     a = w.letters
     if not a:
         raise ValueError("empty word")
-    m = max(a)
-    first = a.index(m)
-    last = len(a) - 1 - a[::-1].index(m)
-    pf = a[:first]
-    sf = a[last + 1:]
-    gaps1 = [b - c for b, c in zip(pf[1:] + (m,), pf)]
-    gaps2 = [b - c for b, c in zip((m,) + sf, sf)]
-    w1 = IntegerPartition(tuple(sorted(gaps1)))
-    w2 = IntegerPartition(tuple(sorted(gaps2)))
-    return m, w1, w2
+    diffs = [b - c for c, b in zip(a, a[1:])]
+    return (max(a), IntegerPartition(sorted(d for d in diffs if d > 0)),
+            IntegerPartition(sorted(-d for d in diffs if d < 0)))
 
 
 def all_convex_words(n: int, p: int, k: int):

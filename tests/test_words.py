@@ -213,11 +213,37 @@ class TestBijection:
             assert (back_m, back_w1.parts, back_w2.parts) == (m, w1, w2)
 
     def test_roundtrip_exhaustive(self):
-        for p in range(1, 5):
-            n = 2 * p - 1
-            for w in all_convex_words(n, p, 0):
-                m, w1, w2 = decode_word(w)
-                assert encode_word(m, w1, w2, n, p) == w
+        """decode then encode every 0-convex word of every length
+        n <= 2p + 1 on [p], p <= 5, also below the stable lengths
+        n > 2(p - 1)."""
+        for p in range(1, 6):
+            for n in range(1, 2 * p + 2):
+                for w in all_convex_words(n, p, 0):
+                    m, w1, w2 = decode_word(w)
+                    assert encode_word(m, w1, w2, n, p) == w
+
+    def test_encode_then_decode_exhaustive(self):
+        """encode then decode every pair of partitions with totals below
+        m, for every m <= p <= 5 and plateaus of length 1 to 3."""
+
+        def partitions(total, largest):
+            """Partitions of ``total`` into parts at most ``largest``,
+            as weakly increasing tuples."""
+            if total == 0:
+                yield ()
+            for part in range(min(total, largest), 0, -1):
+                for rest in partitions(total - part, part):
+                    yield rest + (part,)
+
+        for p in range(1, 6):
+            for m in range(1, p + 1):
+                below_m = [IntegerPartition(parts) for total in range(m)
+                           for parts in partitions(total, total)]
+                for w1, w2 in product(below_m, repeat=2):
+                    for plateau in range(1, 4):
+                        n = len(w1.parts) + plateau + len(w2.parts)
+                        w = encode_word(m, w1, w2, n, p)
+                        assert decode_word(w) == (m, w1, w2)
 
     def test_encode_rejects_oversized_partitions(self):
         with pytest.raises(ValueError):
