@@ -1,6 +1,7 @@
 """Layer timings of the exhaustive searches, the round trip of the
 0-convex word bijection (decode then encode every 0-convex word of
-length 11 on [6]), the ladder counts of k-convex permutations, the
+length 11 on [6]), the word DP's series of 1-convex words on [12] to
+order 300, the ladder counts of k-convex permutations, the
 depth-150 digraphs (built, labeled and written as DOT), the exact
 kernel's certified growth bounds and its root isolation alone on their
 four bound denominators and the k = 1 lower one cut at (1, 2, 7, 8),
@@ -20,7 +21,9 @@ next, so the quartiles show how far a run's times spread.  Every result
 is checked against ``tests/_goldens.py``, or ``tot_series`` against the
 convergents of the continued fraction in ``tests/_oracles.py`` and the
 deeper word search against ``words.count_words_dp``, and the bijection's
-round trip against its input, and a wrong one stops the run with exit 1.
+round trip against its input, and the word series' first seven
+coefficients against ``words.count_words_bruteforce``, and a wrong one
+stops the run with exit 1.
 No cache is left in ``convexenum.perms``, so the labels, and the DOT
 text that holds them, are timed cold.
 The code size is the number of lines of ``src`` that hold a token,
@@ -34,8 +37,10 @@ with its spread.  What it loads is recorded instead, which does not
 vary from run to run: each of the benchmark's CLI commands, as listed
 in ``perfbench/workloads.py``, runs in a fresh interpreter without
 ``site`` (so nothing preloads a module), and its record lists the
-library modules that ran, whether ``fractions`` was imported, and the
-code lines of those modules.
+library modules that ran, whether ``fractions`` was imported, the
+code lines of those modules, and ``gc_tracked_after_main``: the number
+of objects the cyclic collector tracks right after ``main`` returns,
+all of which the full collections at interpreter shutdown traverse.
 
 The times are merged into ``BENCH_layers.json`` at the repository root
 under NAME (default ``current``), next to the runs already there, and
@@ -87,6 +92,7 @@ def cases(cfrac, ladder, perms, words, g, oracles):
     from convexenum.exact.ratfun import RationalFunction
     search = g.SEARCH_COUNTS
     b1, _, t = oracles.convergents(60)
+    words_12_1 = [words.count_words_bruteforce(n, 12, 1) for n in range(7)]
     tot = t / b1  # walks from 1223
     k2 = cfrac.k2_components(250)
     # older checkouts define perm_counts in perms, not in ladder
@@ -185,6 +191,9 @@ def cases(cfrac, ladder, perms, words, g, oracles):
          lambda: words.count_words_bruteforce(13, 5, 1),
          lambda out: out == words.count_words_dp(13, 5, 1)),
         bijection(11, 6),
+        ("word_gf(12, 1, order=300)",
+         lambda: words.word_gf(12, 1, order=300),
+         lambda out: list(out.series.coeffs[:7]) == words_12_1),
         ("count_perms_bruteforce(12, 1)",
          lambda: perms.count_perms_bruteforce(12, 1),
          lambda out: out == g.TABLE_F1[11]),
@@ -275,27 +284,32 @@ def code_lines(src: Path) -> dict[str, int]:
 def startup(src: Path, command: str, by_module: dict[str, int]) -> dict:
     """What ``convexenum COMMAND`` loads from the library in ``src``, in
     a fresh interpreter without ``site``: the library modules that run,
-    whether ``fractions`` is imported, and the code lines of those
-    modules.  A lazily registered module that is never read has not run.
-    A command that does not exit 0 stops the run."""
+    whether ``fractions`` is imported, the code lines of those modules,
+    and the objects the cyclic collector still tracks right after
+    ``main`` returns, which shutdown's full collections traverse.  A
+    lazily registered module that is never read has not run.  A command
+    that does not exit 0 stops the run."""
     code = (
-        f"import os, sys, types\nsys.path.insert(0, {str(src)!r})\n"
+        f"import gc, os, sys, types\nsys.path.insert(0, {str(src)!r})\n"
         "import convexenum.cli\n"
         f"code = convexenum.cli.main({command.split()!r} + "
         "['--out', os.devnull])\n"
+        "tracked = len(gc.get_objects())\n"
         "print(*sorted(name for name, module in sys.modules.items()\n"
         "              if name.partition('.')[0] == 'convexenum'\n"
         "              and type(module) is types.ModuleType))\n"
-        "print('fractions' in sys.modules)\nsys.exit(code)")
+        "print('fractions' in sys.modules)\nprint(tracked)\n"
+        "sys.exit(code)")
     out = subprocess.run([sys.executable, "-S", "-c", code],
                          capture_output=True, text=True)
     if out.returncode:
         raise SystemExit(f"convexenum {command} exited {out.returncode}:\n"
                          f"{out.stderr}")
-    names, fractions = out.stdout.splitlines()
+    names, fractions, tracked = out.stdout.splitlines()
     modules = names.split()
     return {"modules": modules, "fractions": fractions == "True",
-            "code_lines": sum(by_module[name] for name in modules)}
+            "code_lines": sum(by_module[name] for name in modules),
+            "gc_tracked_after_main": int(tracked)}
 
 
 def main(argv=None) -> int:
@@ -328,8 +342,9 @@ def main(argv=None) -> int:
     for command, record in loads.items():
         print(f"{record['code_lines']:10d} code lines in "
               f"{len(record['modules'])} modules, fractions "
-              f"{'loaded' if record['fractions'] else 'not loaded'}: "
-              f"convexenum {command}")
+              f"{'loaded' if record['fractions'] else 'not loaded'}, "
+              f"{record['gc_tracked_after_main']} objects tracked after "
+              f"main: convexenum {command}")
 
     report = json.loads(OUT.read_text()) if OUT.exists() else {}
     runs = report.get("runs", {})

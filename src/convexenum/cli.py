@@ -15,6 +15,7 @@ compile twice.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib.util
 import io
 import json
@@ -198,7 +199,14 @@ _NOT_PARAMETERS = {"group", "subcommand", "handler", "json", "csv", "out", "dot"
 def main(argv=None) -> int:
     """Run one command; exit 0 on success, 1 when engines disagree, 2
     on a usage, input or output error (one ``error:`` line on stderr)
-    and 3 on an internal error (its traceback on stderr)."""
+    and 3 on an internal error (its traceback on stderr).
+
+    Once the command is done, ``main`` freezes the heap
+    (``gc.freeze()``): what it leaves lives until the process exits, so
+    the cyclic collector, and the full collections at shutdown, skip
+    it, while reference counting still frees it.  A caller that runs
+    ``main`` inside a long-lived process calls ``gc.unfreeze()`` if it
+    wants those objects collected again."""
     if argv is None:  # the console script
         argv = sys.argv[1:]
     args = build_parser(argv).parse_args(argv)
@@ -215,6 +223,8 @@ def main(argv=None) -> int:
         import traceback  # here, so that start-up does not pay for it
         traceback.print_exc()
         return 3
+    finally:
+        gc.freeze()
 
 
 if __name__ == "__main__":

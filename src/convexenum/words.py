@@ -103,14 +103,16 @@ def word_gf(p: int, k: int, order: int = DEFAULT_ORDER,
 
 def _word_counts(p: int, k: int, terms: int) -> list[int]:
     """Counts of k-convex words on [p] of lengths 0 .. terms-1."""
-    # pair (a, b) has index (a-1)*p + (b-1); succ lists the pairs (b, c)
-    succ = [[(b - 1) * p + c - 1 for c in range(1, min(p, k + 2 * b - a) + 1)]
-            for a in range(1, p + 1) for b in range(1, p + 1)]
-    f = [1] * len(succ)  # words of the current length, by first pair
+    # letters are 0 .. p-1 here; a word that starts (a, b) goes on with a
+    # c < lim[a][b], so its count is a prefix sum over the pairs (b, c)
+    lim = [[max(0, min(p, k + 2 * b - a + 1)) for b in range(p)]
+           for a in range(p)]
+    f = [[1] * p for _ in range(p)]  # words of this length, by first pair
     counts = [1, p]
     while len(counts) < terms:
-        counts.append(sum(f))
-        f = [sum(f[j] for j in s) for s in succ]
+        sums = [list(accumulate(row, initial=0)) for row in f]
+        counts.append(sum(row[p] for row in sums))
+        f = [[sums[b][end] for b, end in enumerate(row)] for row in lim]
     return counts[:terms]
 
 

@@ -406,3 +406,25 @@ def test_one_command_builds_three_parsers(monkeypatch):
     assert built == ["convexenum", "convexenum perms"] + [
         f"convexenum perms {name}" for name in
         importlib.import_module("convexenum.commands.perms").COMMANDS]
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    (["cfrac", "f1", "--order", "20"], 0),
+    (["perms", "digraph", "--k", "1", "--depth", "5", "--truncate", "loop"],
+     2),
+])
+def test_main_leaves_the_collector_nothing_to_track(argv, exit_code):
+    # what ``main`` leaves lives until the process exits, so ``main``
+    # freezes it and shutdown's full collections do not traverse it
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = (
+        f"import gc, os, sys\nsys.path.insert(0, {str(src)!r})\n"
+        "import convexenum.cli\n"
+        f"code = convexenum.cli.main({argv!r} + ['--out', os.devnull])\n"
+        "print(code, len(gc.get_objects()), gc.get_freeze_count())")
+    out = subprocess.run([sys.executable, "-S", "-c", script],
+                         capture_output=True, text=True, check=True).stdout
+    code, tracked, frozen = map(int, out.split())
+    assert code == exit_code
+    assert tracked < 100
+    assert frozen > 1000
