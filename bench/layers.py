@@ -90,6 +90,7 @@ def cases(cfrac, ladder, perms, words, g, oracles):
     from convexenum.exact.roots import smallest_positive_root
     from convexenum.exact.polynomial import Polynomial
     from convexenum.exact.ratfun import RationalFunction
+    from convexenum.search import convex_sequences
     search = g.SEARCH_COUNTS
     b1, _, t = oracles.convergents(60)
     words_12_1 = [words.count_words_bruteforce(n, 12, 1) for n in range(7)]
@@ -163,9 +164,11 @@ def cases(cfrac, ladder, perms, words, g, oracles):
 
     def bijection(n, p):
         """Decode then encode every 0-convex word of length n on [p],
-        listed before the timing; n > 2(p - 1), so there are
-        G0P_STABLE[p - 1] of them."""
-        ws = list(words.all_convex_words(n, p, 0))
+        listed by the shared search before the timing; n > 2(p - 1), so
+        there are G0P_STABLE[p - 1] of them."""
+        # the search yields one list, updated in place: Word copies it
+        ws = [words.Word(letters, p)
+              for letters in convex_sequences(n, p, 0, False)]
         return (f"encode_word(*decode_word(w), {n}, {p}) for every "
                 f"0-convex word w of length {n} on [{p}]",
                 lambda: [words.encode_word(*words.decode_word(w), n, p)
@@ -228,14 +231,15 @@ def cases(cfrac, ladder, perms, words, g, oracles):
         ("tot_series(60)", lambda: cfrac.tot_series(60),
          lambda out: out == tot),
         ("f1_series(120)", lambda: cfrac.f1_series(120),
-         lambda out: out[120] == g.DEEP_F[1, 120]),
+         lambda out: out.coeffs[120] == g.DEEP_F[1, 120]),
         ("f1_series(250)", lambda: cfrac.f1_series(250),
-         lambda out: out[250] == g.DEEP_F[1, 250]),
+         lambda out: out.coeffs[250] == g.DEEP_F[1, 250]),
         ("k2_components(200)", lambda: cfrac.k2_components(200),
-         lambda out: tuple(s[200] for s in out) == g.K2_COMPONENTS_200),
+         lambda out: tuple(s.coeffs[200] for s in out)
+         == g.K2_COMPONENTS_200),
         ("f2_exact_series(k2_components(250))",
          lambda: cfrac.f2_exact_series(k2),
-         lambda out: out[250] == g.DEEP_F[2, 250]),
+         lambda out: out.coeffs[250] == g.DEEP_F[2, 250]),
         ("f2_formula_check(40)",
          lambda: cfrac.f2_formula_check(40),
          lambda out: out["exact"][1:13] == g.TABLE_F2

@@ -5,17 +5,25 @@ from __future__ import annotations
 from convexenum import DEFAULT_ORDER, words
 
 
-def _parse_partition(text: str) -> words.IntegerPartition:
-    if not text:
-        return words.IntegerPartition(())
-    parts = tuple(sorted(int(x) for x in text.split(",")))
+def _parse_partition(text: str, option: str) -> words.IntegerPartition:
+    """The partition that ``option`` gives as its parts, separated by
+    commas in any order; an empty value is the empty partition."""
+    try:
+        parts = sorted(int(x) for x in text.split(",")) if text else ()
+    except ValueError:
+        raise ValueError(f"{option} takes parts separated by commas, such as "
+                         f"1,1,2, not {text!r}") from None
     return words.IntegerPartition(parts)
 
 
 def _parse_letters(text: str) -> tuple:
-    if "," in text:
-        return tuple(int(x) for x in text.split(","))
-    return tuple(int(ch) for ch in text)
+    """The letters of ``--word``: one digit each, or separated by commas."""
+    try:
+        return tuple(map(int, text.split(",") if "," in text else text))
+    except ValueError:
+        raise ValueError("--word takes one digit per letter, such as 23321, "
+                         "or letters separated by commas, such as 2,3,3,2,1, "
+                         f"not {text!r}") from None
 
 
 def _words_count(args, rec):
@@ -34,8 +42,8 @@ def _words_stable(args, rec):
 
 
 def _words_encode(args, rec):
-    w = words.encode_word(args.m, _parse_partition(args.w1),
-                          _parse_partition(args.w2), args.n, p=args.p)
+    w = words.encode_word(args.m, _parse_partition(args.w1, "--w1"),
+                          _parse_partition(args.w2, "--w2"), args.n, p=args.p)
     rec.provenance = ["bijection"]
     rec.add("word", str(w))
 

@@ -59,16 +59,6 @@ class Polynomial(Frozen):
     def x(cls) -> "Polynomial":
         return cls((0, 1))
 
-    @classmethod
-    def from_terms(cls, terms: dict) -> "Polynomial":
-        """Build from {exponent: coefficient}; exponents are nonnegative."""
-        if any(e < 0 for e in terms):
-            raise ValueError("negative exponent")
-        cs = [0] * (max(terms, default=-1) + 1)
-        for e, c in terms.items():
-            cs[e] = c
-        return cls(cs)
-
     # -- basics -------------------------------------------------------
 
     @property
@@ -132,9 +122,6 @@ class Polynomial(Frozen):
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
 
     def primitive(self) -> "Polynomial":
         """Positive rational multiple with integer coefficients, content 1."""

@@ -5,7 +5,6 @@ from __future__ import annotations
 from math import gcd, lcm
 from operator import mul
 
-from convexenum.exact import series
 from convexenum.exact.coefficients import (
     binary, convolve, exact_coefficient, is_scalar)
 from convexenum.exact.polynomial import Polynomial
@@ -97,14 +96,6 @@ class RationalFunction(Frozen):
         num = convolve(c, s, length)
         return cls(Polynomial(num), Polynomial([scale * cj for cj in c]))
 
-    @classmethod
-    def zero(cls) -> "RationalFunction":
-        return cls(Polynomial.zero())
-
-    @classmethod
-    def one(cls) -> "RationalFunction":
-        return cls(Polynomial.one())
-
     def __bool__(self) -> bool:
         return bool(self.num)
 
@@ -151,10 +142,3 @@ class RationalFunction(Frozen):
     @binary
     def __rtruediv__(self, other):
         return other / self
-
-    # -- expansion ----------------------------------------------------
-
-    def to_series(self, order: int) -> series.TruncatedSeries:
-        """Power-series expansion; the denominator must be a unit at 0."""
-        return (series.TruncatedSeries(self.num.coeffs, order)
-                / series.TruncatedSeries(self.den.coeffs, order))

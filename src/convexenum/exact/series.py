@@ -34,10 +34,6 @@ class TruncatedSeries(Frozen):
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls((), order)
-
-    @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
         return cls((1,), order)
 
@@ -54,18 +50,6 @@ class TruncatedSeries(Frozen):
         return cls((0,) * exponent + (1,), order)
 
     # -- basics -------------------------------------------------------
-
-    def __getitem__(self, n: int) -> int | Fraction:
-        if not 0 <= n <= self.order:
-            raise IndexError(f"coefficient {n} beyond truncation order {self.order}")
-        return self.coeffs[n]
-
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        if order == self.order:
-            return self
-        return TruncatedSeries(self.coeffs[: order + 1], order)
 
     def __bool__(self) -> bool:
         return any(self.coeffs)
@@ -88,9 +72,6 @@ class TruncatedSeries(Frozen):
             tuple(x + y for x, y in zip(self.coeffs, other.coeffs)), self.order)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return TruncatedSeries(tuple(-c for c in self.coeffs), self.order)
 
     @binary
     def __sub__(self, other):

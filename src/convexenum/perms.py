@@ -1,5 +1,5 @@
-"""Locally convex permutations: checkers, counting, and the
-endpoint-state transition digraph behind the growth-rate bounds.
+"""Locally convex permutations: counting, and the endpoint-state
+transition digraph behind the growth-rate bounds.
 
 A permutation is convex with parameter k when every second difference is
 at most k.  For k <= 2 such permutations are "mountains" (an increasing
@@ -17,35 +17,6 @@ from convexenum.exact import ratfun, roots
 from convexenum.frozen import Frozen
 
 
-class Permutation(Frozen):
-    """A bijection on [1, n] in one-line notation."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        entries = tuple(entries)
-        n = len(entries)
-        if sorted(entries) != list(range(1, n + 1)):
-            raise ValueError(f"{entries} is not a permutation of [1, {n}]")
-        super().__init__(entries)
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    def reverse(self) -> "Permutation":
-        return Permutation(self.entries[::-1])
-
-    def __str__(self):
-        sep = "" if self.n <= 9 else ","
-        return sep.join(str(x) for x in self.entries)
-
-
-def is_convex_perm(perm: Permutation, k: int) -> bool:
-    a = perm.entries
-    return all(a[i - 1] + a[i + 1] - 2 * a[i] <= k for i in range(1, len(a) - 1))
-
-
 def count_perms_bruteforce(n: int, k: int) -> int:
     """Count k-convex permutations by backtracking: they are the k-convex
     words on [n] without a repeated letter."""
@@ -54,36 +25,11 @@ def count_perms_bruteforce(n: int, k: int) -> int:
     return search.count_convex_sequences(n, n, k, distinct=True)
 
 
-def all_convex_perms(n: int, k: int):
-    """Yield every k-convex permutation of length n."""
-    for entries in search.convex_sequences(n, n, k, distinct=True):
-        yield Permutation(tuple(entries))
-
-
 def f0_closed(n: int) -> int:
     """Closed form for the number of 0-convex permutations."""
     if n < 1:
         raise ValueError("n must be at least 1")
     return {1: 1, 2: 2, 3: 4, 4: 6}.get(n, 8)
-
-
-def descend(perm: Permutation, direction: str, k: int) -> Permutation | None:
-    """Left/right descendant if it stays k-convex, else None.
-
-    L prepends 1 after shifting every entry up; R appends 1 likewise.
-    Validity only depends on the relevant end pair, so a permutation
-    of length 0 or 1 has both descendants.
-    """
-    e = perm.entries
-    if direction == "L":
-        if len(e) > 1 and e[1] - 2 * e[0] > k:
-            return None
-        return Permutation((1,) + tuple(x + 1 for x in e))
-    if direction == "R":
-        if len(e) > 1 and e[-2] - 2 * e[-1] > k:
-            return None
-        return Permutation(tuple(x + 1 for x in e) + (1,))
-    raise ValueError("direction must be 'L' or 'R'")
 
 
 # ---------------------------------------------------------------------------
@@ -228,10 +174,13 @@ def build_digraph(k: int, depth: int | None = None, cutoff=None,
     D >= 3.  Its left edge is dropped, and the edited graph is expanded
     from the start node to closure, or for ``depth`` generations.  The
     closure is finite.  Past the start node every key is (1, b, c, d).
-    By :func:`descend`, a step needs the end pair it extends to descend,
-    which the key marks by starring that pair's inner entry, and it
-    shifts every entry up by one; the child's key is :func:`state_key`
-    of the new endpoint tuple.  So:
+    An L step shifts every entry up by one and prepends 1, and an R step
+    shifts them and appends 1.  Only the new second difference can break
+    k-convexity, so a step keeps it exactly when the end pair it extends
+    descends: second - 2 first <= k for L, and second-to-last - 2 last
+    <= k for R.  The key marks such a pair by starring its inner entry,
+    and the child's key is :func:`state_key` of the new endpoint tuple.
+    So:
 
     - an L step needs b starred and gives (1, *, c + 1, d + 1), where
       c + 1 is starred when c is or when c + 1 - 2(d + 1) <= k: a

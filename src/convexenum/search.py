@@ -1,7 +1,9 @@
 """The backtracking search over k-convex sequences on [p], shared by
 words and permutations: one counter, :func:`count_convex_sequences`,
-and one generator, :func:`convex_sequences`, its oracle.  A sequence
-with no entry repeated and p = n is a permutation.  It is its own module
+and one generator, :func:`convex_sequences`.  The generator is the
+counter's oracle, and also its path past half the recursion limit,
+where the counter's recursion would overflow.  A sequence with no entry
+repeated and p = n is a permutation.  It is its own module
 so that counting permutations runs without loading ``words``, and a
 word's generating function without the search.
 """

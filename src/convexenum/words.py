@@ -174,9 +174,3 @@ def decode_word(w: Word) -> tuple[int, IntegerPartition, IntegerPartition]:
     diffs = [b - c for c, b in zip(a, a[1:])]
     return (max(a), IntegerPartition(sorted(d for d in diffs if d > 0)),
             IntegerPartition(sorted(-d for d in diffs if d < 0)))
-
-
-def all_convex_words(n: int, p: int, k: int):
-    """Yield every k-convex word of length n on [p] (brute force)."""
-    for letters in search.convex_sequences(n, p, k, distinct=False):
-        yield Word(tuple(letters), p)

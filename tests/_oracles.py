@@ -4,10 +4,17 @@ These are the textbook algorithms over ``Fraction``: Euclid's gcd, a
 Sturm chain of Euclidean remainders with Horner sign tests, and
 Berlekamp–Massey with rational connection polynomials.  The library
 computes the same results in integer arithmetic; the tests compare the
-two.  The endpoint-tuple theory of the digraph's classes lives here:
-:func:`endpoint_state` reads a permutation's (first, second,
-second-to-last, last) entries, :func:`realizable` decides by a proved
-closed form whether a tuple ends some k-convex permutation (the tests
+two.  The permutation layer of the paper lives here, since no command
+runs it: :class:`Permutation`, the convexity test
+:func:`is_convex_perm`, and :func:`descend`, the left and right
+descendants whose step rule ``perms.build_digraph`` restates on node
+keys.  So do two builders of goldens: :func:`from_terms`, a polynomial
+from its {exponent: coefficient} terms, and :func:`to_series`, the
+expansion of a rational function.  The endpoint-tuple theory of the
+digraph's classes is here as well: :func:`endpoint_state` reads a
+permutation's (first, second, second-to-last, last) entries,
+:func:`realizable` decides by a proved closed form whether a tuple
+ends some k-convex permutation (the tests
 check it against every endpoint state of the permutations up to length
 12 and a value-order DP), :func:`_least_concrete` fills a class key's
 starred entries and keeps the fill only when it is realizable, and
@@ -47,19 +54,69 @@ from convexenum.exact.polynomial import Polynomial
 from convexenum.exact.ratfun import RationalFunction
 from convexenum.exact.roots import NoRootError
 from convexenum.exact.series import TruncatedSeries
-from convexenum.perms import (
-    START_KEY,
-    DescendantDigraph,
-    Permutation,
-    state_key,
-    walks,
-)
+from convexenum.frozen import Frozen
+from convexenum.perms import START_KEY, DescendantDigraph, state_key, walks
+
+
+class Permutation(Frozen):
+    """A bijection on [1, n] in one-line notation."""
+
+    __slots__ = ("entries",)
+
+    def __init__(self, entries):
+        entries = tuple(entries)
+        n = len(entries)
+        if sorted(entries) != list(range(1, n + 1)):
+            raise ValueError(f"{entries} is not a permutation of [1, {n}]")
+        super().__init__(entries)
+
+
+def is_convex_perm(perm: Permutation, k: int) -> bool:
+    a = perm.entries
+    return all(a[i - 1] + a[i + 1] - 2 * a[i] <= k for i in range(1, len(a) - 1))
+
+
+def descend(perm: Permutation, direction: str, k: int) -> Permutation | None:
+    """Left/right descendant if it stays k-convex, else None.
+
+    L prepends 1 after shifting every entry up; R appends 1 likewise.
+    Validity only depends on the relevant end pair, so a permutation
+    of length 0 or 1 has both descendants.
+    """
+    e = perm.entries
+    if direction == "L":
+        if len(e) > 1 and e[1] - 2 * e[0] > k:
+            return None
+        return Permutation((1,) + tuple(x + 1 for x in e))
+    if direction == "R":
+        if len(e) > 1 and e[-2] - 2 * e[-1] > k:
+            return None
+        return Permutation(tuple(x + 1 for x in e) + (1,))
+    raise ValueError("direction must be 'L' or 'R'")
+
+
+def from_terms(terms: dict) -> Polynomial:
+    """The polynomial of {exponent: coefficient}; exponents are
+    nonnegative."""
+    if any(e < 0 for e in terms):
+        raise ValueError("negative exponent")
+    cs = [0] * (max(terms, default=-1) + 1)
+    for e, c in terms.items():
+        cs[e] = c
+    return Polynomial(cs)
+
+
+def to_series(rf: RationalFunction, order: int) -> TruncatedSeries:
+    """Power-series expansion of ``rf`` to ``order``; its denominator
+    must be a unit at 0."""
+    return (TruncatedSeries(rf.num.coeffs, order)
+            / TruncatedSeries(rf.den.coeffs, order))
 
 
 def euclid_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic gcd by Euclid's algorithm over the rationals."""
     while b:
-        a, b = b, a % b
+        a, b = b, divmod(a, b)[1]
     if not a:
         return a
     return a * (Fraction(1) / a.leading_coeff())
@@ -72,7 +129,7 @@ def squarefree_part(p: Polynomial) -> Polynomial:
 def sturm_chain(p: Polynomial) -> list[Polynomial]:
     chain = [p, p.derivative()]
     while chain[-1]:
-        chain.append(-(chain[-2] % chain[-1]))
+        chain.append(-divmod(chain[-2], chain[-1])[1])
     chain.pop()
     return chain
 
@@ -460,7 +517,7 @@ def tower_bot_tot(order):
     up to n+1 further steps, and the product of the levels visited."""
     tower = ladder_tower(order)
     one = TruncatedSeries.one(order)
-    total = TruncatedSeries.zero(order)
+    total = TruncatedSeries((), order)
     prod = one
     for n in range(order + 1):
         if n < len(tower):
@@ -519,7 +576,7 @@ def m1_series(order: int) -> TruncatedSeries:
     b1, b2, t = convergents(order)
     inv = b1.invert()
     bot, tot = b2 * inv, t * inv
-    zero = TruncatedSeries.zero(order)
+    zero = TruncatedSeries((), order)
     one = TruncatedSeries.one(order)
     m = [
         [zero, zero, zero, zero, zero],
@@ -550,7 +607,7 @@ def tower_f1(order):
     q3 = TruncatedSeries.monomial(3, order)
     one = TruncatedSeries.one(order)
     num = one + q2 * bot + q * tot
-    den = -one + q + q3 * bot
+    den = -1 + q + q3 * bot
     return one + q - 2 * q2 * (num / den)
 
 
@@ -566,18 +623,18 @@ def f2_by_elimination(components):
     order = totp.order
     q = TruncatedSeries.x(order)
     one = TruncatedSeries.one(order)
-    zero = TruncatedSeries.zero(order)
+    zero = TruncatedSeries((), order)
 
     def p(exp):
         return TruncatedSeries.monomial(exp, order)
 
     inside = totp + bot1 * (q + p(2)) + bot2 * (q + p(2) + p(3))
     m = [
-        [one, -q, -q, zero, zero],
-        [zero, one, -q, -q, zero],
-        [zero, -q, one - q, zero, zero],
-        [zero, -p(4) * bot1, zero, one - p(5) * bot2, -q],
-        [zero, zero, -q, zero, one],
+        [one, -1 * q, -1 * q, zero, zero],
+        [zero, one, -1 * q, -1 * q, zero],
+        [zero, -1 * q, one - q, zero, zero],
+        [zero, -1 * p(4) * bot1, zero, one - p(5) * bot2, -1 * q],
+        [zero, zero, -1 * q, zero, one],
     ]
     rhs = [one, one, one, one + q * inside, one]
     sol = solve_series_system(SeriesMatrix(m), rhs)

@@ -22,8 +22,9 @@ from _goldens import (
     WORD_GF_30,
     root_fraction,
 )
-from convexenum import cfrac, ladder, perms, words
-from convexenum.exact.polynomial import Polynomial
+from _oracles import (
+    Permutation, descend, from_terms, is_convex_perm, to_series)
+from convexenum import cfrac, ladder, perms, search, words
 from convexenum.exact.ratfun import RationalFunction
 from convexenum.exact.roots import smallest_positive_root
 from convexenum.exact.series import TruncatedSeries
@@ -35,7 +36,7 @@ def test_criterion_1_counting_pipelines_reproduce_reference_table():
         assert [perms.count_perms_bruteforce(n, k)
                 for n in range(1, 13)] == table
         assert ladder.perm_counts(k, 12) == table
-    f1 = cfrac.f1_series(12)
+    f1 = cfrac.f1_series(12).coeffs
     assert [int(f1[n]) for n in range(1, 13)] == TABLE_F1
     print("PASS criterion 1: all counting pipelines reproduce the "
           "f_0, f_1, f_2 table for n = 1..12")
@@ -46,7 +47,7 @@ def test_criterion_2_word_generating_function():
     assert [int(c) for c in gf.series.coeffs] == WORD_GF_30
     for p in range(1, 5):
         for k in range(4):
-            series = words.word_gf(p, k, order=10).series
+            series = words.word_gf(p, k, order=10).series.coeffs
             for n in range(11):
                 assert series[n] == words.count_words_bruteforce(n, p, k), \
                     (n, p, k)
@@ -77,7 +78,8 @@ def test_criterion_4_bijection_roundtrip():
         assert str(w) == expected
     for p in range(1, 5):
         n = 2 * p - 1
-        for w in words.all_convex_words(n, p, 0):
+        for letters in search.convex_sequences(n, p, 0, False):
+            w = words.Word(letters, p)
             m, w1, w2 = words.decode_word(w)
             assert words.encode_word(m, w1, w2, n, p) == w
     print("PASS criterion 4: encode/decode is the identity on all stable "
@@ -88,11 +90,10 @@ def test_criterion_5_rational_bound_generating_functions():
     order = 30
     x = TruncatedSeries.x(order)
     for (k, side), (nd, dd) in BOUND_GF.items():
-        reference = RationalFunction(Polynomial.from_terms(nd),
-                                     Polynomial.from_terms(dd))
+        reference = RationalFunction(from_terms(nd), from_terms(dd))
         expected = (TruncatedSeries.one(order) + x
-                    + 2 * x * x * reference.to_series(order))
-        assert perms.gf_bound(k, side).to_series(order) == expected, (k, side)
+                    + 2 * x * x * to_series(reference, order))
+        assert to_series(perms.gf_bound(k, side), order) == expected, (k, side)
     print("PASS criterion 5: lower/upper bound generating functions match "
           "all four reference rational functions to 30 coefficients")
 
@@ -100,7 +101,7 @@ def test_criterion_5_rational_bound_generating_functions():
 def test_criterion_6_certified_roots_and_rates():
     tol_root = Fraction(1, 10**18)
     for (k, side), (_, dd) in BOUND_GF.items():
-        lo, hi = smallest_positive_root(Polynomial.from_terms(dd), 20)
+        lo, hi = smallest_positive_root(from_terms(dd), 20)
         assert abs((lo + hi) / 2 - root_fraction(k, side)) < tol_root, (k, side)
     for k in (1, 2):
         gb = perms.growth_bounds(k, precision=20)
@@ -112,13 +113,13 @@ def test_criterion_6_certified_roots_and_rates():
 
 def test_criterion_7_continued_fraction_consistency():
     assert cfrac.f1_series(30) == _oracles.m1_series(30)
-    f1 = cfrac.f1_series(30)
+    f1 = cfrac.f1_series(30).coeffs
     g = perms.build_digraph(1, depth=28)
     for n in range(2, 31):
         assert int(f1[n]) == 2 * perms.walk_count(g, n), n
     totals, returns = _oracles.ladder_walk_oracle(20)
-    bot = cfrac.bot_series(20)
-    tot = cfrac.tot_series(20)
+    bot = cfrac.bot_series(20).coeffs
+    tot = cfrac.tot_series(20).coeffs
     assert [int(bot[n]) for n in range(21)] == returns
     assert [int(tot[n]) for n in range(21)] == totals
     print("PASS criterion 7: continued-fraction and transfer-matrix series "
@@ -159,22 +160,20 @@ def test_criterion_9_property_suites():
     # reversal closure
     for k in (1, 2):
         for n in range(2, 8):
-            for p in perms.all_convex_perms(n, k):
-                assert perms.is_convex_perm(p.reverse(), k)
+            for e in search.convex_sequences(n, n, k, True):
+                assert is_convex_perm(Permutation(e[::-1]), k)
 
     # consecutive 213/312 avoidance
     for k in (1, 2):
         for n in range(3, 9):
-            for p in perms.all_convex_perms(n, k):
-                e = p.entries
+            for e in search.convex_sequences(n, n, k, True):
                 for i in range(n - 2):
-                    assert _consecutive_pattern(*e[i:i + 3]) is None, p
+                    assert _consecutive_pattern(*e[i:i + 3]) is None, e
 
     # endpoint dichotomy: exactly one of six end conditions holds
     for k in (1, 2):
         for n in range(5, 9):
-            for p in perms.all_convex_perms(n, k):
-                e = p.entries
+            for e in search.convex_sequences(n, n, k, True):
                 conditions = [
                     e[0] == 1 and e[1] == 2,
                     e[-1] == 1 and e[-2] == 2,
@@ -183,7 +182,7 @@ def test_criterion_9_property_suites():
                     e[0] == 2 and e[1] == 3,
                     e[-1] == 2 and e[-2] == 3,
                 ]
-                assert sum(conditions) == 1, p
+                assert sum(conditions) == 1, e
 
     # slow risers are counted by 2^(n-1)
     for n in range(1, 10):
@@ -204,14 +203,15 @@ def test_criterion_9_property_suites():
         frontier = [p]
         for _ in range(depth):
             frontier = [c for q in frontier for d in "LR"
-                        for c in [perms.descend(q, d, k)] if c is not None]
+                        for c in [descend(q, d, k)] if c is not None]
             out.append(len(frontier))
         return tuple(out)
 
     for k in (1, 2):
         profiles = {}
         for n in range(2, 10):
-            for p in perms.all_convex_perms(n, k):
+            for e in search.convex_sequences(n, n, k, True):
+                p = Permutation(e)
                 key = _oracles.canonicalize_state(
                     _oracles.endpoint_state(p), k)
                 got = profile(p, k)

@@ -107,6 +107,25 @@ class TestWordsCommands:
         capsys.readouterr()
         assert code == 2
 
+    @pytest.mark.parametrize("argv,message", [
+        (["decode", "--word", "1,,2", "--p", "3"],
+         "--word takes one digit per letter, such as 23321, or letters "
+         "separated by commas, such as 2,3,3,2,1, not '1,,2'"),
+        (["decode", "--word", "12a", "--p", "3"],
+         "--word takes one digit per letter, such as 23321, or letters "
+         "separated by commas, such as 2,3,3,2,1, not '12a'"),
+        (["encode", "--p", "3", "--m", "3", "--w1", "1,,2", "--n", "5"],
+         "--w1 takes parts separated by commas, such as 1,1,2, not '1,,2'"),
+        (["encode", "--p", "3", "--m", "3", "--w2", "1;1", "--n", "5"],
+         "--w2 takes parts separated by commas, such as 1,1,2, not '1;1'"),
+    ], ids=["word_empty_letter", "word_not_a_digit", "w1", "w2"])
+    def test_malformed_option_names_itself_and_its_form(self, capsys, argv,
+                                                        message):
+        code = main(["words", *argv])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_empty_alphabet_exits_2(self, capsys):
         code = main(["words", "count", "--n", "1", "--p", "-1", "--k", "0"])
         err = capsys.readouterr().err

@@ -40,6 +40,12 @@ and ``exact.roots``, which returns ``Fraction`` intervals, import
 ``fractions``.  It has one pseudo-remainder sequence: only
 ``Polynomial.remainder_sequence`` reads ``pseudo_remainder``, and the
 gcd and the Sturm chain read the sequence.
+
+``src/`` holds what a command runs.  Under a call trace, the golden CLI
+commands, perfbench's call jobs, a word count deep enough for the
+counter's generator path, and one small call for each name that only
+perfbench's tracer wraps run every function of ``src/``, but for a
+short list of exemptions, each with its reason.
 """
 
 import ast
@@ -59,6 +65,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from _goldens import CLI_STDOUT_SHA256
+from _oracles import Permutation
 from convexenum import perms
 from convexenum.cli import GROUPS
 from convexenum.exact import linalg, roots
@@ -66,7 +74,6 @@ from convexenum.exact.polynomial import Polynomial
 from convexenum.exact.ratfun import RationalFunction
 from convexenum.exact.series import TruncatedSeries
 from convexenum.frozen import Frozen
-from convexenum.perms import Permutation
 from convexenum.words import IntegerPartition, Word, WordGF
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -426,6 +433,166 @@ def test_the_tracer_wraps_the_lazily_loaded_modules():
     assert counters["exact.ratfun.RationalFunction.constructions"] > 0
 
 
+def function_starts(sources: dict[str, str]) -> dict[str, tuple[str, int]]:
+    """``module.Class.function`` -> ``(module, first line)`` for each
+    function that ``sources`` (module name -> source) defines, nested
+    ones included.  The first line is that of its first decorator, as in
+    its code's ``co_firstlineno``."""
+    starts = {}
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                      ast.ClassDef)):
+                visit(child, module, scope)
+                continue
+            name = f"{scope}.{child.name}"
+            if not isinstance(child, ast.ClassDef):
+                starts[name] = module, min(
+                    [child.lineno] + [decorator.lineno
+                                      for decorator in child.decorator_list])
+            visit(child, module, name)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module, module)
+    return starts
+
+
+def unrun_functions(starts: dict[str, tuple[str, int]],
+                    ran: set[tuple[str, int]], exempt=()) -> list[str]:
+    """The functions of :func:`function_starts`' map whose code never
+    ran: no ``(module, first line)`` pair in ``ran`` is theirs.  A name
+    in ``exempt`` is left out."""
+    return [name for name, start in starts.items()
+            if start not in ran and name not in exempt]
+
+
+#: the functions that stay in ``src/`` though no command runs them
+_PROTOCOL = "Frozen's value protocol, which tests and callers use"
+_PINNED = "test_the_kernel_has_one_operand_protocol pins it"
+UNRUN_EXEMPT = {
+    "convexenum.frozen._values": _PROTOCOL,
+    **{f"convexenum.frozen.Frozen.{name}": _PROTOCOL for name in (
+        "__setattr__", "__delattr__", "__eq__", "__hash__", "__repr__",
+        "__reduce__")},
+    "convexenum.exact.series.TruncatedSeries.__rsub__": _PINNED,
+    "convexenum.exact.ratfun.RationalFunction.__rsub__": _PINNED,
+    "convexenum.exact.linalg.SeriesMatrix.rows":
+        "perfbench's tracer reads it in a counter hook",
+}
+
+#: a small call for each name that perfbench's tracer wraps and no
+#: command runs, keyed by that name, so that tracing it still works
+TRACED_ONLY = {
+    "convexenum.perms.walk_count":
+        "perms.walk_count(perms.build_digraph(1, depth=3), 5)",
+    "convexenum.cfrac.ladder_tower": "cfrac.ladder_tower(6)",
+    "convexenum.exact.linalg.matrix_resolvent_row":
+        "linalg.matrix_resolvent_row([[0, 1, 0], [0, 0, 1], [1, 1, 0]], 0)",
+    "convexenum.exact.linalg.solve_series_system":
+        "x, one = series.TruncatedSeries.x(3), series.TruncatedSeries.one(3)\n"
+        "linalg.solve_series_system(linalg.SeriesMatrix("
+        "[[x, one], [one, x]]), [one, x])",
+    "convexenum.exact.polynomial.Polynomial.__call__":
+        "polynomial.Polynomial((1, 2))(3)",
+}
+
+
+def _ran_by_the_commands() -> tuple[list[int], list, list]:
+    """Run every command of ``CLI_STDOUT_SHA256`` in text form, one with
+    ``--json`` and one with ``--csv``, perfbench's call jobs, and a word
+    count past half the recursion limit, which the counter hands to the
+    generator, in one fresh interpreter under a call-only trace started
+    before ``import convexenum.cli``; then the calls of ``TRACED_ONLY``.
+    Return the commands' exit codes, and the ``(file, first line)`` of
+    each library function that ran before those calls and by the end."""
+    commands = list(dict.fromkeys(
+        " ".join(arg for arg in command.split() if arg not in ("--json",
+                                                                "--csv"))
+        for command in CLI_STDOUT_SHA256))
+    commands += ["words stable --p 3 --json", "words stable --p 3 --csv",
+                 "words count --n 1200 --p 3 --k 0"]
+    code = (
+        f"import json, os, sys\nsys.path[:0] = "
+        f"[{str(SRC)!r}, {str(ROOT / 'perfbench')!r}]\n"
+        "ran = set()\n"
+        "def trace(frame, event, arg):\n"
+        "    code = frame.f_code\n"
+        "    ran.add((code.co_filename, code.co_firstlineno))\n"
+        "sys.settrace(trace)\n"
+        "import convexenum.cli\n"
+        "codes = [convexenum.cli.main(command.split() + ['--out', "
+        f"os.devnull]) for command in {commands!r}]\n"
+        "import child\n"
+        "for call in child.CALLS.values():\n"
+        "    call()\n"
+        "by_commands = set(ran)\n"
+        "from convexenum import cfrac, perms\n"
+        "from convexenum.exact import linalg, polynomial, series\n"
+        + "".join(call + "\n" for call in TRACED_ONLY.values()) +
+        "sys.settrace(None)\n"
+        f"mine = lambda lines: [l for l in lines if l[0].startswith("
+        f"{str(SRC)!r})]\n"
+        "print(json.dumps([codes, mine(by_commands), mine(ran)]))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    return json.loads(out)
+
+
+def test_every_library_function_runs_in_a_command():
+    codes, by_commands, by_the_end = _ran_by_the_commands()
+    assert len(codes) > 20 and set(codes) == {0}
+    paths = sorted(SRC.rglob("*.py"))
+    module = {str(path): ".".join(path.relative_to(SRC).with_suffix("")
+                                  .parts).removesuffix(".__init__")
+              for path in paths}
+    starts = function_starts({module[str(path)]: path.read_text()
+                              for path in paths})
+
+    def unrun(ran, exempt=()):
+        return unrun_functions(
+            starts, {(module[file], line) for file, line in ran}, exempt)
+
+    # every exemption names a function of src/, and no other stays unrun
+    assert set(UNRUN_EXEMPT) <= set(starts)
+    assert unrun(by_the_end, UNRUN_EXEMPT) == []
+    # the extra calls run exactly the traced names that no command runs
+    tracing = _perfbench_module("tracing")
+    traced = {f"{owner}.{attr}"
+              for owner, attr, *_ in tracing.SPANS + tracing.COUNTS}
+    traced_only = traced & set(unrun(by_commands))
+    assert set(TRACED_ONLY) <= traced_only
+    assert not traced_only & set(unrun(by_the_end))
+
+
+def test_the_unrun_check_finds_functions_methods_and_properties():
+    source = (
+        "def plain():\n"                     # line 1
+        "    def inner(): ...\n"             # 2
+        "class Value:\n"                     # 3
+        "    def method(self): ...\n"        # 4
+        "    @property\n"                    # 5
+        "    def size(self): ...\n"          # 6
+        "    @staticmethod\n"                # 7
+        "    @cache\n"                       # 8
+        "    def decorated(): ...\n"         # 9
+        "    def exempt(self): ...\n"        # 10
+        "    def ran(self): ...\n"           # 11
+        "    @property\n"                    # 12
+        "    def ran_too(self): ...\n"       # 13
+        "if True:\n"                         # 14
+        "    def guarded(): ...\n")          # 15
+    starts = function_starts({"mod": source, "other": "def ran(): ...\n"})
+    found = unrun_functions(starts, {("mod", 11), ("mod", 12), ("other", 1)},
+                            exempt={"mod.Value.exempt"})
+    assert found == ["mod.plain", "mod.plain.inner", "mod.Value.method",
+                     "mod.Value.size", "mod.Value.decorated", "mod.guarded"]
+    # a decorated function's code starts at its first decorator, not at
+    # its def line
+    assert starts["mod.Value.decorated"] == ("mod", 7)
+    assert "mod.Value.decorated" in unrun_functions(starts, {("mod", 9)})
+
+
 # the permutation, the partition and the polynomial hold the same field
 # values, so only their types tell them apart
 VALUES = [(Permutation, ((1, 2, 3),)), (Word, ((1, 2, 3), 3)),
@@ -486,7 +653,7 @@ def test_kernel_values_print_as_an_expression_for_an_equal_value():
     one = TruncatedSeries((1, Fraction(1, 2)), 3)
     values = [Polynomial((1, Fraction(-2, 3))), one,
               RationalFunction(Polynomial((1, -1)), Polynomial((1, -2))),
-              linalg.SeriesMatrix([[one, one], [one, -one]])]
+              linalg.SeriesMatrix([[one, one], [one, -1 * one]])]
     names = {cls.__name__: cls for cls in map(type, values)}
     for value in values:
         assert type(value).__repr__ is Frozen.__repr__

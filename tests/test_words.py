@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from _goldens import ENCODE_EXAMPLES, G0P_STABLE, SEARCH_COUNTS, WORD_GF_30
+from _oracles import to_series
 from convexenum import search
 from convexenum.exact.linalg import solve_field_system
 from convexenum.exact.polynomial import Polynomial
@@ -15,7 +16,6 @@ from convexenum.exact.ratfun import RationalFunction
 from convexenum.words import (
     IntegerPartition,
     Word,
-    all_convex_words,
     count_words_bruteforce,
     count_words_dp,
     decode_word,
@@ -116,7 +116,8 @@ class TestCounting:
                 every = [Word(w, p) for w in product(range(1, p + 1), repeat=n)]
                 for k in range(-3, 4):
                     convex = [w for w in every if is_convex_word(w, k)]
-                    assert list(all_convex_words(n, p, k)) == convex, (n, p, k)
+                    assert [Word(w, p) for w in search.convex_sequences(
+                        n, p, k, False)] == convex, (n, p, k)
                     assert count_words_bruteforce(n, p, k) == len(convex) == \
                         count_words_dp(n, p, k), (n, p, k)
 
@@ -126,7 +127,7 @@ class TestCounting:
         with pytest.raises(ValueError):
             count_words_bruteforce(-1, 2, 0)
         with pytest.raises(ValueError):
-            next(all_convex_words(-1, 2, 0))
+            next(search.convex_sequences(-1, 2, 0, False))
 
     def test_empty_alphabet_rejected(self):
         for p in (0, -1):
@@ -135,7 +136,7 @@ class TestCounting:
             with pytest.raises(ValueError):
                 count_words_bruteforce(1, p, 0)
             with pytest.raises(ValueError):
-                next(all_convex_words(1, p, 0))
+                next(search.convex_sequences(1, p, 0, False))
 
 
 class TestGeneratingFunction:
@@ -148,7 +149,8 @@ class TestGeneratingFunction:
             for k in range(4):
                 gf = word_gf(p, k, order=10)
                 for n in range(11):
-                    assert gf.series[n] == count_words_bruteforce(n, p, k), \
+                    assert gf.series.coeffs[n] == \
+                        count_words_bruteforce(n, p, k), \
                         (n, p, k)
 
     @given(st.integers(1, 5), st.integers(-3, 4), st.integers(0, 16),
@@ -163,7 +165,7 @@ class TestGeneratingFunction:
         for p, k in [(2, 0), (3, 0), (2, 1), (3, 2)]:
             gf = word_gf(p, k, order=15, with_ratfun=True)
             assert gf.ratfun is not None
-            assert gf.ratfun.to_series(15) == gf.series.truncate(15)
+            assert to_series(gf.ratfun, 15) == gf.series
 
     def test_closed_form_matches_transfer_system_elimination(self):
         # independent oracle: F(a,b) - x * sum_{c <= k+2b-a} F(b,c) = x^2,
@@ -218,7 +220,8 @@ class TestBijection:
         n > 2(p - 1)."""
         for p in range(1, 6):
             for n in range(1, 2 * p + 2):
-                for w in all_convex_words(n, p, 0):
+                for letters in search.convex_sequences(n, p, 0, False):
+                    w = Word(letters, p)
                     m, w1, w2 = decode_word(w)
                     assert encode_word(m, w1, w2, n, p) == w
 
