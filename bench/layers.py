@@ -147,13 +147,13 @@ def cases(cfrac, ladder, perms, words, g, oracles):
         name = f"{side} {k}" + (f", cutoff={cutoff}" if cutoff else "")
         return (f"gcd(den, den') of gf_bound({name})",
                 lambda: den.gcd(den.derivative()),
-                lambda out: out == Polynomial.one())
+                lambda out: out == Polynomial((1,)))
 
     def resolvent():
         """The walk totals of the k = 1 cut digraph by elimination over
         rational functions, the kernel path with the most operators; as
         1 + x + 2 x^2 W they are the lower bound GF."""
-        x = Polynomial.x()
+        x = Polynomial((0, 1))
         lower = perms.gf_bound(1, "lower")
         m = oracles.adjacency(
             perms.build_digraph(1, cutoff=perms.DEFAULT_CUTOFF[1]))
@@ -178,7 +178,7 @@ def cases(cfrac, ladder, perms, words, g, oracles):
     def common_factor():
         """The k = 1 lower bound GF g with both parts times
         f = 1 + 2x + 3x^2: the one case whose gcd is not 1, so the one
-        that divides polynomials (by ``//``)."""
+        that divides polynomials (by ``divmod``)."""
         lower, f = perms.gf_bound(1, "lower"), Polynomial((1, 2, 3))
         num, den = lower.num * f, lower.den * f
         return ("RationalFunction(g.num * f, g.den * f), "

@@ -30,11 +30,11 @@ def ladder_tower(order: int) -> tuple[TruncatedSeries, ...]:
     to this order, in any product: the tower stops at depth
     max(1, order - 3), whose level stands on a truncated 1.
     """
-    h_next = TruncatedSeries.one(order)
+    h_next = TruncatedSeries.monomial(0, order)
     levels: list[TruncatedSeries] = []
     for j in range(max(1, order - 3), 0, -1):
         weight = TruncatedSeries.monomial(3 + j, order)
-        h_next = (TruncatedSeries.one(order) - weight * h_next).invert()
+        h_next = (1 - weight * h_next).invert()
         levels.append(h_next)
     return tuple(reversed(levels))
 
@@ -110,7 +110,7 @@ def f1_series(order: int) -> TruncatedSeries:
     1 - q - q^3 bot has constant term 1, and f_1 = 1 + q + 2 q^2 A.
     """
     tot, bot, _ = _ladder_series(1, 3, order)
-    q = TruncatedSeries.x(order)
+    q = TruncatedSeries.monomial(1, order)
     q2 = TruncatedSeries.monomial(2, order)
     num = 1 + q2 * bot + q * tot
     den = -1 + q + TruncatedSeries.monomial(3, order) * bot
@@ -165,7 +165,7 @@ def _f2_closed_form(components, s) -> TruncatedSeries:
     """
     totp, bot1, bot2 = components
     order = totp.order
-    q = TruncatedSeries.x(order)
+    q = TruncatedSeries.monomial(1, order)
 
     def p(exp):  # q^exp
         return TruncatedSeries.monomial(exp, order)
@@ -192,7 +192,7 @@ def f2_formula_series(components, root: str = "1234") -> TruncatedSeries:
         raise ValueError("root must be '1234' or '1245'")
     if root == "1234":  # one L step first; see k2_components
         totp, bot1, bot2 = components
-        q = TruncatedSeries.x(totp.order)
+        q = TruncatedSeries.monomial(1, totp.order)
         components = 1 + q * totp, q * bot1, q * bot2
     return _f2_closed_form(components, 1)
 

@@ -105,7 +105,7 @@ def matrix_resolvent_row(m, row: int) -> list[ratfun.RationalFunction]:
     n = len(m)
     if any(len(r) != n for r in m):
         raise ValueError("matrix must be square")
-    x = polynomial.Polynomial.x()
+    x = polynomial.Polynomial((0, 1))
     # Solve (I - Mx)^T y = e_row; then y_j = [(I - Mx)^{-1}]_{row, j}.
     sys = [
         [ratfun.RationalFunction((1 if i == j else 0) - x * m[j][i])

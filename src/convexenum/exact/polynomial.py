@@ -45,20 +45,6 @@ class Polynomial(Frozen):
             cs.pop()
         super().__init__(tuple(cs))
 
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls(())
-
-    @classmethod
-    def one(cls) -> "Polynomial":
-        return cls((1,))
-
-    @classmethod
-    def x(cls) -> "Polynomial":
-        return cls((0, 1))
-
     # -- basics -------------------------------------------------------
 
     @property
@@ -67,11 +53,6 @@ class Polynomial(Frozen):
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
-
-    def __getitem__(self, exponent: int) -> int | Fraction:
-        if 0 <= exponent < len(self.coeffs):
-            return self.coeffs[exponent]
-        return 0
 
     def leading_coeff(self) -> int | Fraction:
         return self.coeffs[-1] if self.coeffs else 0
@@ -120,9 +101,6 @@ class Polynomial(Frozen):
         scale = reciprocal(other.leading_coeff() ** len(quot))
         return Polynomial(quot) * scale, Polynomial(rem) * scale
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
     def primitive(self) -> "Polynomial":
         """Positive rational multiple with integer coefficients, content 1."""
         scale = lcm(*(c.denominator for c in self.coeffs))
@@ -137,20 +115,23 @@ class Polynomial(Frozen):
 
     def remainder_sequence(self, other: "Polynomial") -> list["Polynomial"]:
         """The primitive pseudo-remainder sequence [self, other, r_2, ...]
-        up to its last nonzero term (Brown, JACM 1971).  Each r_i is the
-        pseudo-remainder of its two predecessors a and b, made primitive
-        and signed as a positive multiple of -(a mod b).  So its last
-        term is gcd(self, other) up to a constant factor, and from p and
-        p' it is the Sturm chain of p.  This is the one loop of remainder
+        of two integer polynomials, up to its last nonzero term (Brown,
+        JACM 1971).  Each r_i is the pseudo-remainder of its two
+        predecessors a and b, divided by its content signed so that r_i
+        is a positive multiple of -(a mod b).  So its last term is
+        gcd(self, other) up to a constant factor, and from p and p' it
+        is the Sturm chain of p.  This is the one loop of remainder
         sequences."""
         seq = [self, other]
         while seq[-1]:
             a, b = seq[-2:]
             # rem = lc(b)^e (a mod b) with e = max(deg a - deg b, -1) + 1:
-            # -rem is a positive multiple of -(a mod b) unless lc(b)^e < 0
-            rem = a.pseudo_remainder(b)
+            # rem over -content is a positive multiple of -(a mod b)
+            # unless lc(b)^e < 0, and then rem over content is
+            rem = a.pseudo_remainder(b).coeffs
             flip = b.leading_coeff() > 0 or max(a.degree - b.degree, -1) % 2
-            seq.append((-rem if flip else rem).primitive())
+            content = (gcd(*rem) or 1) * (-1 if flip else 1)
+            seq.append(Polynomial([c // content for c in rem]))
         return seq[:-1]
 
     def gcd(self, other: "Polynomial") -> "Polynomial":

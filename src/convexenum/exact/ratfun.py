@@ -35,10 +35,10 @@ class RationalFunction(Frozen):
     @staticmethod
     def _canonicalize(num: Polynomial, den: Polynomial):
         if not num:
-            return Polynomial.zero(), Polynomial.one()
+            return Polynomial(()), Polynomial((1,))
         g = num.gcd(den).primitive()  # integer coefficients divide faster
         if g.degree > 0:
-            num, den = num // g, den // g
+            num, den = divmod(num, g)[0], divmod(den, g)[0]
         # one integer scale for both: clear denominators, divide by content;
         # the last entry is den's leading coefficient, made positive
         split = len(num.coeffs)

@@ -55,12 +55,12 @@ def smallest_positive_root(p: Polynomial, precision: int = 18):
         raise ValueError("precision must be positive")
     if not p:
         raise ValueError("zero polynomial")
-    if p[0] == 0:
+    if p.coeffs[0] == 0:
         raise ValueError("p(0) = 0; strip the root at the origin first")
     q = p.primitive()
     chain = q.remainder_sequence(q.derivative().primitive())  # q's Sturm chain
     if chain[-1].degree > 0:  # the chain ends in gcd(p, p'): strip it
-        q = (q // chain[-1]).primitive()
+        q = divmod(q, chain[-1])[0].primitive()
         chain = q.remainder_sequence(q.derivative().primitive())
     chain = [r.coeffs for r in chain]
     sqf, scale = chain[0], 10**precision

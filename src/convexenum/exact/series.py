@@ -34,14 +34,6 @@ class TruncatedSeries(Frozen):
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def one(cls, order: int) -> "TruncatedSeries":
-        return cls((1,), order)
-
-    @classmethod
-    def x(cls, order: int) -> "TruncatedSeries":
-        return cls((0, 1), order)
-
-    @classmethod
     def monomial(cls, exponent: int, order: int) -> "TruncatedSeries":
         """x^exponent.  Multiplying by x^e is a product with it, best on
         the left, where the product walks its one nonzero term."""

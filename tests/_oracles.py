@@ -123,7 +123,7 @@ def euclid_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 
 
 def squarefree_part(p: Polynomial) -> Polynomial:
-    return p // euclid_gcd(p, p.derivative())
+    return divmod(p, euclid_gcd(p, p.derivative()))[0]
 
 
 def sturm_chain(p: Polynomial) -> list[Polynomial]:
@@ -516,7 +516,7 @@ def tower_bot_tot(order):
     highest level n+1 reached: q^n forward steps, a partial descent of
     up to n+1 further steps, and the product of the levels visited."""
     tower = ladder_tower(order)
-    one = TruncatedSeries.one(order)
+    one = TruncatedSeries.monomial(0, order)
     total = TruncatedSeries((), order)
     prod = one
     for n in range(order + 1):
@@ -572,12 +572,12 @@ def m1_series(order: int) -> TruncatedSeries:
     walks that never come back feed a sink); the first-column sum of the
     resolvent is rescaled exactly as for the unweighted matrices.
     """
-    q = TruncatedSeries.x(order)
+    q = TruncatedSeries.monomial(1, order)
     b1, b2, t = convergents(order)
     inv = b1.invert()
     bot, tot = b2 * inv, t * inv
     zero = TruncatedSeries((), order)
-    one = TruncatedSeries.one(order)
+    one = TruncatedSeries.monomial(0, order)
     m = [
         [zero, zero, zero, zero, zero],
         [one, one, zero, zero, one],
@@ -602,13 +602,12 @@ def tower_f1(order):
     """The 1-convex counting series from the tower's bot and tot,
     1 + q - 2 q^2 (1 + q^2 bot + q tot)/(-1 + q + q^3 bot)."""
     bot, tot = tower_bot_tot(order)
-    q = TruncatedSeries.x(order)
+    q = TruncatedSeries.monomial(1, order)
     q2 = TruncatedSeries.monomial(2, order)
     q3 = TruncatedSeries.monomial(3, order)
-    one = TruncatedSeries.one(order)
-    num = one + q2 * bot + q * tot
+    num = 1 + q2 * bot + q * tot
     den = -1 + q + q3 * bot
-    return one + q - 2 * q2 * (num / den)
+    return 1 + q - 2 * q2 * (num / den)
 
 
 def f2_by_elimination(components):
@@ -621,8 +620,8 @@ def f2_by_elimination(components):
     more steps, and walks ending on 1256 re-enter at 1234 after 4."""
     totp, bot1, bot2 = components
     order = totp.order
-    q = TruncatedSeries.x(order)
-    one = TruncatedSeries.one(order)
+    q = TruncatedSeries.monomial(1, order)
+    one = TruncatedSeries.monomial(0, order)
     zero = TruncatedSeries((), order)
 
     def p(exp):

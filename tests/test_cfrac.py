@@ -156,9 +156,9 @@ class TestTwoConvexComponents:
         totals, ending = _oracles.subgraph_walks(
             2, N1234, 60, K2_DROP, (N1245, N1256))
         for order in range(61):
-            q = TruncatedSeries.x(order)
+            q = TruncatedSeries.monomial(1, order)
             tot, bot1, bot2 = k2_components(order)
-            derived = (TruncatedSeries.one(order) + q * tot, q * bot1, q * bot2)
+            derived = (1 + q * tot, q * bot1, q * bot2)
             assert [list(s.coeffs) for s in derived] == \
                 [c[:order + 1] for c in (totals, *ending)], order
 
@@ -230,7 +230,7 @@ class TestFormulaReport:
         # summand 1 as bot1', and then the formula is exact to order 250
         exact = [1] + perm_counts(2, 250)
         tot, bot1, bot2 = k2_components(250)
-        q = TruncatedSeries.x(250)
+        q = TruncatedSeries.monomial(1, 250)
         for tot_in, first in ((tot, 13), (tot + q * (bot1 - 1), None)):
             series = f2_formula_series((tot_in, bot1, bot2),
                                        root="1245").coeffs

@@ -46,6 +46,9 @@ commands, perfbench's call jobs, a word count deep enough for the
 counter's generator path, and one small call for each name that only
 perfbench's tracer wraps run every function of ``src/``, but for a
 short list of exemptions, each with its reason.
+
+The suite's warning policy, in ``pyproject.toml``, turns warnings into
+errors but still lets a failing property test print its example.
 """
 
 import ast
@@ -215,7 +218,7 @@ def test_traced_functions_keep_what_their_hooks_read():
                       (roots.smallest_positive_root, {"p"})):
         assert names <= set(inspect.signature(fn).parameters), fn.__name__
     # each hook runs on a real call and counts something
-    one = TruncatedSeries.one(3)
+    one = TruncatedSeries.monomial(0, 3)
     calls = {
         "perms.build_digraph": ((1,), {"depth": 2}),
         "perms.walk_count": ((perms.build_digraph(1, depth=2), 4), {}),
@@ -490,7 +493,7 @@ TRACED_ONLY = {
     "convexenum.exact.linalg.matrix_resolvent_row":
         "linalg.matrix_resolvent_row([[0, 1, 0], [0, 0, 1], [1, 1, 0]], 0)",
     "convexenum.exact.linalg.solve_series_system":
-        "x, one = series.TruncatedSeries.x(3), series.TruncatedSeries.one(3)\n"
+        "x, one = (series.TruncatedSeries.monomial(e, 3) for e in (1, 0))\n"
         "linalg.solve_series_system(linalg.SeriesMatrix("
         "[[x, one], [one, x]]), [one, x])",
     "convexenum.exact.polynomial.Polynomial.__call__":
@@ -618,7 +621,7 @@ def test_value_types_compare_by_value_and_only_to_their_own_type(cls, args):
 
 
 def test_frozen_types_reject_assignment():
-    one = TruncatedSeries.one(3)
+    one = TruncatedSeries.monomial(0, 3)
     rf = RationalFunction(Polynomial((1, -1)), Polynomial((1, -2)))
     bounds = dict(k=1, lower_gf=rf, upper_gf=rf, lower_root=(0, 1),
                   upper_root=(0, 1), lower_rate="1", upper_rate="1")
@@ -709,7 +712,7 @@ RECORDS = {
     perms.GrowthBounds: dict(k=1, lower_gf=_RF, upper_gf=_RF,
                              lower_root=(0, 1), upper_root=(0, 1),
                              lower_rate="1", upper_rate="1"),
-    WordGF: dict(p=2, k=0, series=TruncatedSeries.one(3), ratfun=_RF),
+    WordGF: dict(p=2, k=0, series=TruncatedSeries.monomial(0, 3), ratfun=_RF),
 }
 
 
@@ -955,3 +958,20 @@ def test_the_remainder_check_finds_calls_and_bound_methods():
         "name = 'pseudo_remainder'\n")
     assert pseudo_remainder_reads(source, "roots") == [
         "roots.chain", "roots.Poly.gcd", "roots.Poly.gcd.inner", "roots"]
+
+
+def test_a_failing_property_test_reports_its_example(tmp_path):
+    # under the repo's warning policy a warning raised while hypothesis
+    # reports a failure must not end the run before the report
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n"
+        "@given(st.integers())\n"
+        "def test_fails(n):\n"
+        "    assert n < 0\n")
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"),
+         "--rootdir", str(tmp_path), "-p", "no:cacheprovider",
+         "test_fails.py"], cwd=tmp_path, capture_output=True, text=True)
+    assert "INTERNALERROR" not in run.stdout + run.stderr, run.stdout
+    assert "Falsifying example" in run.stdout
+    assert run.returncode == 1

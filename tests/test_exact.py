@@ -6,7 +6,7 @@ from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 from math import gcd
-from operator import add, floordiv, mul, sub, truediv
+from operator import add, mul, sub, truediv
 from pathlib import Path
 
 import pytest
@@ -53,14 +53,12 @@ class TestPolynomial:
     def test_trailing_zeros_stripped(self):
         assert Polynomial((1, 2, 0, 0)).coeffs == (1, 2)
         assert not Polynomial((0, 0))
-        assert Polynomial.zero().degree == -1
-        # a coefficient past the degree, or below 0, is 0
-        assert Polynomial((1, 2))[2] == Polynomial((1, 2))[-1] == 0
+        assert Polynomial(()).degree == -1
 
     def test_from_terms(self):
         p = _oracles.from_terms({0: 1, 3: -2})
         assert p.coeffs == (1, 0, 0, -2)
-        assert _oracles.from_terms({}) == Polynomial.zero()
+        assert _oracles.from_terms({}) == Polynomial(())
         for terms in ({2: 1, -1: 3}, {-3: 5}):
             with pytest.raises(ValueError, match="negative exponent"):
                 _oracles.from_terms(terms)
@@ -73,10 +71,10 @@ class TestPolynomial:
         assert convolve(a, b, length) == schoolbook
 
     def test_ring_arithmetic(self):
-        x = Polynomial.x()
+        x = Polynomial((0, 1))
         p = (1 + x) * (1 - x)
         assert p == Polynomial((1, 0, -1))
-        assert p - p == Polynomial.zero()
+        assert p - p == Polynomial(())
         assert 2 * x == Polynomial((0, 2))
 
     @example([3, -2, 0, 1, 5], [1, 1, 2])
@@ -89,12 +87,11 @@ class TestPolynomial:
         q, r = divmod(a, b)
         assert q * b + r == a
         assert r.degree < b.degree
-        assert a // b == q
         if a.degree < b.degree:
             assert not q
 
     def test_gcd_is_monic_common_divisor(self):
-        x = Polynomial.x()
+        x = Polynomial((0, 1))
         a = (1 - x) * (1 + x)
         b = (1 - x) * (2 + x)
         g = a.gcd(b)
@@ -141,7 +138,7 @@ class TestPolynomial:
     @given(*[st.lists(_FRACTIONS, max_size=5)] * 3)
     def test_ring_laws(self, f, g, h):
         _assert_ring_laws(Polynomial(f), Polynomial(g), Polynomial(h),
-                          Polynomial.zero(), Polynomial.one())
+                          Polynomial(()), Polynomial((1,)))
 
     def test_evaluation_and_derivative(self):
         p = Polynomial((1, -3, 2))  # 2x^2 - 3x + 1
@@ -203,12 +200,11 @@ class TestPolynomial:
             with pytest.raises(TypeError):
                 TruncatedSeries(coeffs, 2)
 
-    @pytest.mark.parametrize("op", [divmod, floordiv])
-    def test_division_by_zero_is_rejected(self, op):
-        for zero in (Polynomial.zero(), 0):
+    def test_division_by_zero_is_rejected(self):
+        for zero in (Polynomial(()), 0):
             with pytest.raises(ZeroDivisionError,
                                match="^division by zero polynomial$"):
-                op(Polynomial((1, 2)), zero)
+                divmod(Polynomial((1, 2)), zero)
 
 
 class TestTruncatedSeries:
@@ -219,21 +215,21 @@ class TestTruncatedSeries:
 
     def test_inverse_roundtrip(self):
         s = TruncatedSeries((1, 2, -3, 5), 12)
-        assert (s * s.invert()).coeffs == TruncatedSeries.one(12).coeffs
+        assert s * s.invert() == TruncatedSeries.monomial(0, 12)
 
     def test_zero_constant_term_not_a_unit(self):
-        x = TruncatedSeries.x(5)
-        for divide in (x.invert, lambda: TruncatedSeries.one(5) / x):
+        x = TruncatedSeries.monomial(1, 5)
+        for divide in (x.invert, lambda: TruncatedSeries.monomial(0, 5) / x):
             with pytest.raises(ZeroDivisionError,
                                match="^series with zero constant term "
                                      "is not a unit$"):
                 divide()
 
     def test_monomial_product_and_division(self):
-        x = TruncatedSeries.x(8)
+        x = TruncatedSeries.monomial(1, 8)
         x2 = TruncatedSeries.monomial(2, 8)
         assert x2 == x * x
-        assert TruncatedSeries.monomial(0, 8) == TruncatedSeries.one(8)
+        assert TruncatedSeries.monomial(0, 8) == TruncatedSeries((1,), 8)
         s = x2 * x / (1 - x)  # x^3 + x^4 + ...
         assert s.coeffs == (0, 0, 0, 1, 1, 1, 1, 1, 1)
         assert TruncatedSeries.monomial(9, 8) == TruncatedSeries((), 8)
@@ -241,9 +237,6 @@ class TestTruncatedSeries:
             TruncatedSeries.monomial(-2, 5)
 
     def test_order_is_required(self):
-        for make in (TruncatedSeries.one, TruncatedSeries.x):
-            with pytest.raises(TypeError):
-                make()
         with pytest.raises(TypeError):
             TruncatedSeries.monomial(2)
 
@@ -263,7 +256,7 @@ class TestTruncatedSeries:
             assert a / c == TruncatedSeries((inv, inv), 10)
 
     def test_immutability(self):
-        s = TruncatedSeries.one(3)
+        s = TruncatedSeries.monomial(0, 3)
         with pytest.raises(AttributeError):
             s.order = 5
 
@@ -290,7 +283,7 @@ class TestTruncatedSeries:
     def test_unit_inverse_roundtrip(self, c0, tail, n):
         s = TruncatedSeries([c0] + tail, n)
         inv = s.invert()
-        assert s * inv == TruncatedSeries.one(n)
+        assert s * inv == TruncatedSeries.monomial(0, n)
         assert all(type(c) is int for c in inv.coeffs)
 
 
@@ -299,7 +292,8 @@ class TestTruncatedSeries:
     def test_ring_laws(self, case):
         n, *cs = case
         _assert_ring_laws(*(TruncatedSeries(c, n) for c in cs),
-                          TruncatedSeries((), n), TruncatedSeries.one(n))
+                          TruncatedSeries((), n),
+                          TruncatedSeries.monomial(0, n))
 
 
 class TestRationalFunction:
@@ -309,7 +303,7 @@ class TestRationalFunction:
         rf = RationalFunction(Polynomial((Fraction(1, 2), 0, Fraction(-1, 2))),
                               Polynomial((Fraction(-1, 2), Fraction(-1, 2))))
         assert rf.num == Polynomial((-1, 1))
-        assert rf.den == Polynomial.one()
+        assert rf.den == Polynomial((1,))
 
     @given(st.lists(_FRACTIONS, max_size=5),
            st.lists(_FRACTIONS, min_size=1, max_size=5).filter(any),
@@ -318,36 +312,36 @@ class TestRationalFunction:
         # a shared factor, rational coefficients and any sign all reduce
         # away: coprime integer num/den with content 1 and a positive
         # leading denominator coefficient, equal to the quotient given
-        factor = Polynomial(common) or Polynomial.one()
+        factor = Polynomial(common) or Polynomial((1,))
         num, den = Polynomial(num), Polynomial(den)
         rf = RationalFunction(num * factor, den * factor)
         coeffs = rf.num.coeffs + rf.den.coeffs
         assert all(type(c) is int for c in coeffs)
         assert gcd(*coeffs) == 1
         assert rf.den.leading_coeff() > 0
-        assert _oracles.euclid_gcd(rf.num, rf.den) == Polynomial.one()
+        assert _oracles.euclid_gcd(rf.num, rf.den) == Polynomial((1,))
         assert rf.num * den == rf.den * num
 
     def test_field_arithmetic(self):
-        x = RationalFunction(Polynomial.x())
+        x = RationalFunction(Polynomial((0, 1)))
         h = 1 / (1 - x)
         assert h - 1 == x / (1 - x)
         assert h * (1 - x) == RationalFunction(1)
 
     def test_fibonacci_expansion(self):
-        x = Polynomial.x()
-        rf = RationalFunction(Polynomial.one(), 1 - x - x * x)
+        x = Polynomial((0, 1))
+        rf = RationalFunction(Polynomial((1,)), 1 - x - x * x)
         s = _oracles.to_series(rf, 10)
         assert [int(c) for c in s.coeffs] == [1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89]
 
     def test_expansion_requires_unit_denominator(self):
         with pytest.raises(ZeroDivisionError):
             _oracles.to_series(
-                RationalFunction(Polynomial.one(), Polynomial.x()), 5)
+                RationalFunction(Polynomial((1,)), Polynomial((0, 1))), 5)
 
     @pytest.mark.parametrize("call,message", [
         (lambda: RationalFunction(1, 0), "zero denominator"),
-        (lambda: RationalFunction(Polynomial.x(), Polynomial.zero()),
+        (lambda: RationalFunction(Polynomial((0, 1)), Polynomial(())),
          "zero denominator"),
         (lambda: RationalFunction(1) / RationalFunction(0),
          "division by zero rational function"),
@@ -366,7 +360,7 @@ class TestValueSemantics:
         # equal values must hash equally, and these hash differently
         assert Polynomial((5,)) != 5
         assert RationalFunction(3) != 3
-        assert RationalFunction(Polynomial.x()) != Polynomial.x()
+        assert RationalFunction(Polynomial((0, 1))) != Polynomial((0, 1))
 
     @given(st.lists(_FRACTIONS, max_size=4),
            st.lists(_FRACTIONS, min_size=1, max_size=3).filter(any),
@@ -375,10 +369,10 @@ class TestValueSemantics:
         p = Polynomial(cs)
         s = TruncatedSeries(cs, n)
         rf = RationalFunction(p, Polynomial(den))
-        assert bool(p) == (p != Polynomial.zero())
+        assert bool(p) == (p != Polynomial(()))
         assert bool(s) == (s != TruncatedSeries((), n))
         assert bool(rf) == (rf != RationalFunction(0))
-        assert not Polynomial.zero() and not TruncatedSeries((), n) \
+        assert not Polynomial(()) and not TruncatedSeries((), n) \
             and not RationalFunction(0)
 
     @pytest.mark.parametrize("left,op,right", [
@@ -387,7 +381,7 @@ class TestValueSemantics:
         ("x", sub, Polynomial((1, 2))),
         (Polynomial((1, 2)), mul, None),
         (Polynomial((1, 2)), divmod, "x"),
-        (Polynomial((1, 2)), floordiv, 0.5),
+        (Polynomial((1, 2)), divmod, 0.5),
         (TruncatedSeries((1,), 3), add, "x"),
         (TruncatedSeries((1,), 3), sub, None),
         (TruncatedSeries((1,), 3), mul, "x"),
@@ -470,8 +464,8 @@ class TestFromSequence:
     FIBONACCI = [1, 1, 2, 3, 5, 8, 13, 21, 34, 55]
 
     def test_fibonacci(self):
-        x = Polynomial.x()
-        expected = RationalFunction(Polynomial.one(), 1 - x - x * x)
+        x = Polynomial((0, 1))
+        expected = RationalFunction(Polynomial((1,)), 1 - x - x * x)
         assert RationalFunction.from_sequence(self.FIBONACCI[:4], 2) == expected
         assert RationalFunction.from_sequence(self.FIBONACCI, 2) == expected
         assert RationalFunction.from_sequence(self.FIBONACCI, 3) == expected
@@ -553,25 +547,25 @@ def _outcome(fn, *args):
 class TestLinearAlgebra:
     def test_solve_series_system(self):
         order = 10
-        x = TruncatedSeries.x(order)
-        one = TruncatedSeries.one(order)
+        x = TruncatedSeries.monomial(1, order)
+        one = TruncatedSeries.monomial(0, order)
         # F = 1 + x G, G = 1 + x F  =>  F = (1 + x) / (1 - x^2) = 1/(1-x)
         m = SeriesMatrix([[one, -1 * x], [-1 * x, one]])
         f, g = solve_series_system(m, [one, one])
         assert f.coeffs == (1,) * (order + 1)
 
     def test_series_matrix_takes_series_entries_only(self):
-        x = TruncatedSeries.x(3)
+        x = TruncatedSeries.monomial(1, 3)
         for entry in (1, Fraction(1, 2), Polynomial((0, -1))):
             with pytest.raises(TypeError,
                                match="^entries must be TruncatedSeries$"):
                 SeriesMatrix([[x, entry], [-1 * x, x]])
         with pytest.raises(ValueError, match="one truncation order"):
-            SeriesMatrix([[x, TruncatedSeries.x(4)]])
+            SeriesMatrix([[x, TruncatedSeries.monomial(1, 4)]])
 
     def test_non_unit_pivot_raises(self):
         order = 4
-        x = TruncatedSeries.x(order)
+        x = TruncatedSeries.monomial(1, order)
         with pytest.raises(NonUnitDeterminantError):
             solve_series_system(SeriesMatrix([[x]]), [x])
 
@@ -597,7 +591,7 @@ class TestLinearAlgebra:
                 solve_field_system(matrix, [f(2)] * len(matrix))
         with pytest.raises(ValueError, match="length mismatch"):
             solve_field_system([[f(1)]], [f(1), f(2)])
-        one = TruncatedSeries.one(3)
+        one = TruncatedSeries.monomial(0, 3)
         with pytest.raises(ValueError, match="must be square"):
             solve_series_system(SeriesMatrix([[one, one]]), [one])
         with pytest.raises(ValueError, match="length mismatch"):
@@ -614,7 +608,7 @@ class TestLinearAlgebra:
     ], ids=["empty", "empty_row", "ragged", "wide", "ragged_resolvent"])
     def test_argument_checks(self, call, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            call(TruncatedSeries.one(3))
+            call(TruncatedSeries.monomial(0, 3))
 
     def test_resolvent_counts_walks(self):
         # two-cycle: walks from 0 back and forth alternate 1, 0, 1, ...
@@ -625,7 +619,7 @@ class TestLinearAlgebra:
 
     def test_resolvent_accepts_polynomial_weights(self):
         # one loop of weight x: (1 - x^2)^{-1}
-        row = matrix_resolvent_row([[Polynomial.x()]], 0)
+        row = matrix_resolvent_row([[Polynomial((0, 1))]], 0)
         assert row == [RationalFunction(1, Polynomial((1, 0, -1)))]
 
 
@@ -686,7 +680,7 @@ class TestRoots:
         assert lo <= Fraction(1, 2) <= hi
 
     def test_smallest_of_several(self):
-        x = Polynomial.x()
+        x = Polynomial((0, 1))
         p = (1 - 2 * x) * (1 - 3 * x)  # roots 1/3 < 1/2
         lo, hi = smallest_positive_root(p, 15)
         assert lo < Fraction(1, 3) + Fraction(1, 10**14)

@@ -649,15 +649,24 @@ class TestWalks:
         _assert_walks_match_push_form(g, steps)
 
 
+def _bound_denominators():
+    """The denominators of the four bound GFs and of the k = 1 lower one
+    cut at (1, 2, 7, 8), each with its golden root interval."""
+    pairs = [(gf_bound(k, side).den, ROOT_INTERVALS[k, side])
+             for k, side in ROOT_INTERVALS]
+    cut = gf_bound(1, "lower", cutoff=(1, 2, 7, 8)).den
+    return pairs + [(cut, CUTOFF_1278_ROOT)]
+
+
 class TestGrowthBounds:
     @pytest.mark.parametrize("k,side", list(BOUND_GF))
     def test_gf_matches_reference(self, k, side):
         order = 30
         nd, dd = BOUND_GF[(k, side)]
         reference = RationalFunction(from_terms(nd), from_terms(dd))
-        x = TruncatedSeries.x(order)
+        x = TruncatedSeries.monomial(1, order)
         # reference series counts half-walks; rescale to full counts
-        expected = (TruncatedSeries.one(order) + x
+        expected = (1 + x
                     + 2 * x * x * to_series(reference, order))
         assert to_series(gf_bound(k, side), order) == expected
 
@@ -668,7 +677,7 @@ class TestGrowthBounds:
         walks = RationalFunction(0)
         for entry in matrix_resolvent_row(_oracles.adjacency(g), 0):
             walks = walks + entry
-        x = RationalFunction(Polynomial.x())
+        x = RationalFunction(Polynomial((0, 1)))
         assert gf_bound(2, "upper") == 1 + x + 2 * x * x * walks
 
     def test_lower_bound_undercounts_only_eventually(self):
@@ -720,12 +729,24 @@ class TestGrowthBounds:
         # at the extremes, where at 60 the bisection's denominator
         # reaches about 200 bits (too slow for a hypothesis example
         # within its deadline)
-        dens = [gf_bound(k, side).den for k in (1, 2)
-                for side in ("lower", "upper")]
-        dens.append(gf_bound(1, "lower", cutoff=(1, 2, 7, 8)).den)
-        for den in dens:
+        for den, _ in _bound_denominators():
             assert smallest_positive_root(den, precision) == \
                 _oracles.smallest_positive_root(den, precision)
+
+    def test_remainder_sequences_negate_no_polynomial(self, monkeypatch):
+        # the gcd and the Sturm chain build each term of the remainder
+        # sequence once, dividing by its signed content
+        cases, negated = _bound_denominators(), []
+
+        def neg(p):
+            negated.append(p)
+            return Polynomial(tuple(-c for c in p.coeffs))
+
+        monkeypatch.setattr(Polynomial, "__neg__", neg)
+        for den, interval in cases:
+            assert den.gcd(den.derivative()) == Polynomial((1,))
+            assert smallest_positive_root(den, 20) == interval
+        assert negated == []
 
     @pytest.mark.parametrize("call", [lambda: growth_bounds(3),
                                       lambda: gf_bound(0, "lower")])

@@ -170,7 +170,7 @@ class TestGeneratingFunction:
     def test_closed_form_matches_transfer_system_elimination(self):
         # independent oracle: F(a,b) - x * sum_{c <= k+2b-a} F(b,c) = x^2,
         # solved over the rational-function field
-        x = RationalFunction(Polynomial.x())
+        x = RationalFunction(Polynomial((0, 1)))
         for p, k in [(2, 0), (3, 0), (2, 1), (3, 2)]:
             pairs = [(a, b) for a in range(1, p + 1) for b in range(1, p + 1)]
             rows = []
