@@ -37,10 +37,16 @@ with its spread.  What it loads is recorded instead, which does not
 vary from run to run: each of the benchmark's CLI commands, as listed
 in ``perfbench/workloads.py``, runs in a fresh interpreter without
 ``site`` (so nothing preloads a module), and its record lists the
-library modules that ran, whether ``fractions`` was imported, the
-code lines of those modules, and ``gc_tracked_after_main``: the number
-of objects the cyclic collector tracks right after ``main`` returns,
-all of which the full collections at interpreter shutdown traverse.
+library modules that ran, whether ``fractions`` was imported, which of
+``argparse``, ``gettext``, ``locale``, ``json`` and ``re`` were
+(``deferred_imported``), the code lines of those modules, and
+``gc_tracked_after_main``: the number of objects the cyclic collector
+tracks right after ``main`` returns, all of which the full collections
+at interpreter shutdown traverse.  Each record also holds the medians
+of one ``fast_parse`` and of one ``build_parser().parse_args`` of the
+command's benchmark argv (``--json`` included), timed in process with
+warm imports (``fast_parse_s`` is None where the CLI has no
+``fast_parse``).
 
 The times are merged into ``BENCH_layers.json`` at the repository root
 under NAME (default ``current``), next to the runs already there, and
@@ -64,23 +70,25 @@ import statistics
 import subprocess
 import sys
 import time
+import timeit
 import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_layers.json"
 REPEAT = 7
+PARSES = 20  # calls in one timed sample of a parse
 
-def cli_commands(workloads) -> list[str]:
-    """The CLI jobs of ``perfbench/workloads.py``, by workload, as
-    commands, without the ``--json`` that the benchmark appends to
-    compare their results."""
-    commands = []
+def cli_commands(workloads) -> dict[str, list[str]]:
+    """The CLI jobs of ``perfbench/workloads.py``, by workload: each
+    one's command, without the ``--json`` that the benchmark appends to
+    compare their results, and its argv as the benchmark runs it."""
+    commands = {}
     for jobs in workloads.WORKLOADS.values():
         for job in jobs:
             if job.kind == "cli":
                 argv = job.args[:-1] if job.args[-1] == "--json" else job.args
-                commands.append(" ".join(argv))
+                commands[" ".join(argv)] = list(job.args)
     return commands
 
 
@@ -285,14 +293,20 @@ def code_lines(src: Path) -> dict[str, int]:
     return counts
 
 
+#: standard modules that a command needs only for help, a usage error
+#: or ``--json`` (and, for ``re``, ``fractions``)
+DEFERRED = ("argparse", "gettext", "locale", "json", "re")
+
+
 def startup(src: Path, command: str, by_module: dict[str, int]) -> dict:
     """What ``convexenum COMMAND`` loads from the library in ``src``, in
     a fresh interpreter without ``site``: the library modules that run,
-    whether ``fractions`` is imported, the code lines of those modules,
-    and the objects the cyclic collector still tracks right after
-    ``main`` returns, which shutdown's full collections traverse.  A
-    lazily registered module that is never read has not run.  A command
-    that does not exit 0 stops the run."""
+    whether ``fractions`` is imported, which of ``DEFERRED`` are, the
+    code lines of those library modules, and the objects the cyclic
+    collector still tracks right after ``main`` returns, which
+    shutdown's full collections traverse.  A lazily registered module
+    that is never read has not run.  A command that does not exit 0
+    stops the run."""
     code = (
         f"import gc, os, sys, types\nsys.path.insert(0, {str(src)!r})\n"
         "import convexenum.cli\n"
@@ -302,6 +316,7 @@ def startup(src: Path, command: str, by_module: dict[str, int]) -> dict:
         "print(*sorted(name for name, module in sys.modules.items()\n"
         "              if name.partition('.')[0] == 'convexenum'\n"
         "              and type(module) is types.ModuleType))\n"
+        f"print(*(name for name in {DEFERRED!r} if name in sys.modules))\n"
         "print('fractions' in sys.modules)\nprint(tracked)\n"
         "sys.exit(code)")
     out = subprocess.run([sys.executable, "-S", "-c", code],
@@ -309,11 +324,29 @@ def startup(src: Path, command: str, by_module: dict[str, int]) -> dict:
     if out.returncode:
         raise SystemExit(f"convexenum {command} exited {out.returncode}:\n"
                          f"{out.stderr}")
-    names, fractions, tracked = out.stdout.splitlines()
+    names, deferred, fractions, tracked = out.stdout.splitlines()
     modules = names.split()
     return {"modules": modules, "fractions": fractions == "True",
+            "deferred_imported": deferred.split(),
             "code_lines": sum(by_module[name] for name in modules),
             "gc_tracked_after_main": int(tracked)}
+
+
+def parse_times(cli, argv: list[str]) -> dict:
+    """Median seconds, in process and warm, of one ``fast_parse(argv)``
+    and of one ``build_parser().parse_args(argv)`` of the CLI module
+    ``cli``, each from ``REPEAT`` samples of ``PARSES`` calls; None for
+    a ``cli`` without ``fast_parse``.  A command's imports are not in
+    them: ``startup`` lists those."""
+    def median(call):
+        return round(statistics.median(timeit.repeat(
+            call, number=PARSES, repeat=REPEAT)) / PARSES, 7)
+
+    times = {"fast_parse_s": None,
+             "argparse_s": median(lambda: cli.build_parser().parse_args(argv))}
+    if hasattr(cli, "fast_parse"):
+        times["fast_parse_s"] = median(lambda: cli.fast_parse(argv))
+    return times
 
 
 def main(argv=None) -> int:
@@ -341,14 +374,23 @@ def main(argv=None) -> int:
     by_module = code_lines(args.src)
     lines = sum(by_module.values())
     print(f"{lines:10d} code lines in {args.src}")
-    loads = {command: startup(args.src.resolve(), command, by_module)
-             for command in cli_commands(workloads)}
-    for command, record in loads.items():
+    import convexenum.cli
+    loads = {}
+    for command, argv in cli_commands(workloads).items():
+        record = loads[command] = startup(args.src.resolve(), command,
+                                          by_module)
+        record.update(parse_times(convexenum.cli, argv))
+        fast = record["fast_parse_s"]
         print(f"{record['code_lines']:10d} code lines in "
               f"{len(record['modules'])} modules, fractions "
               f"{'loaded' if record['fractions'] else 'not loaded'}, "
+              f"imports of {'/'.join(DEFERRED)}: "
+              f"{' '.join(record['deferred_imported']) or 'none'}, "
               f"{record['gc_tracked_after_main']} objects tracked after "
-              f"main: convexenum {command}")
+              f"main, parsed in "
+              f"{'-' if fast is None else f'{fast * 1e6:.0f}'} us "
+              f"(argparse {record['argparse_s'] * 1e6:.0f} us): "
+              f"convexenum {command}")
 
     report = json.loads(OUT.read_text()) if OUT.exists() else {}
     runs = report.get("runs", {})

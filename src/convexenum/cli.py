@@ -14,12 +14,11 @@ compile twice.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import importlib.util
 import io
-import json
 import sys
+from types import SimpleNamespace
 
 
 def _register_lazily(*names: str) -> None:
@@ -87,6 +86,7 @@ class OutputRecord:
 
 def _render(record: OutputRecord, fmt: str) -> str:
     if fmt == "json":
+        import json  # here, so that start-up does not pay for it
         return json.dumps(dict(
             command=record.command, parameters=record.parameters,
             results=record.results, provenance=record.provenance),
@@ -139,67 +139,129 @@ GROUPS = {
 }
 
 
+#: the options every subcommand takes after its own, in this order: two
+#: output formats and the output file
+OUTPUT = {
+    "json": {"action": "store_true", "help": "emit JSON"},
+    "csv": {"action": "store_true", "help": "emit CSV"},
+    "out": {"help": "write output to a file"},
+}
+
+#: the output formats, of which a command takes at most one; ``dot`` is
+#: a subcommand's own
+_FORMATS = {"json", "csv", "dot"}
+
+
 def _command(subparsers, name: str, handler, options: dict) -> None:
-    """Declare one subcommand: its options in order, the output flags
-    shared by every subcommand, and the handler that fills its record.
-    A ``dot`` option is an output format, exclusive with JSON and CSV."""
+    """Declare one subcommand: its options in order, then ``OUTPUT``,
+    and the handler that fills its record.  The output formats are
+    mutually exclusive."""
     p = subparsers.add_parser(name)
     fmt = p.add_mutually_exclusive_group()
-    for dest, spec in options.items():
-        (fmt if dest == "dot" else p).add_argument(
+    for dest, spec in {**options, **OUTPUT}.items():
+        (fmt if dest in _FORMATS else p).add_argument(
             "--" + dest.replace("_", "-"), **spec)
-    fmt.add_argument("--json", action="store_true", help="emit JSON")
-    fmt.add_argument("--csv", action="store_true", help="emit CSV")
-    p.add_argument("--out", help="write output to a file")
     p.set_defaults(handler=handler)
 
 
-def _level(parser, dest: str, table: dict, argv: list):
-    """Add the ``dest`` level of subparsers to ``parser``; return it and
-    the entries of ``table`` to declare there: the one that ``argv[0]``
-    names, or all of them when it names none.  With one entry, the
-    metavar lists them all, so the usage line of an "unrecognized
-    arguments" error is unchanged; with all, errors that name the level
-    itself (a missing or unknown entry) still call it ``dest``."""
-    if argv and argv[0] in table:
-        metavar = "{" + ",".join(table) + "}"
-        return parser.add_subparsers(dest=dest, required=True,
-                                     metavar=metavar), argv[:1]
-    return parser.add_subparsers(dest=dest, required=True), list(table)
-
-
-def build_parser(argv=()) -> argparse.ArgumentParser:
-    """The parser for ``argv``: at each level it declares only the entry
-    that ``argv`` names there (the group ``argv[0]``, then the
-    subcommand ``argv[1]``), or every entry when it names none, so one
-    command builds three parsers.  argparse reads only the named
-    entries, and wherever a name is missing or unknown every sibling is
-    declared, so ``--help`` and usage errors are those of the parser
-    with every entry (``build_parser()``).  A group's subcommands are
-    read from its module in :mod:`convexenum.commands`, imported only
-    when the group is declared, so one command imports one of them."""
-    argv = list(argv)
+def build_parser():
+    """The ``argparse`` parser of every group and subcommand, each
+    group's read from its module in :mod:`convexenum.commands`.  It
+    reads what :func:`fast_parse` declines: help, usage errors and the
+    spellings only argparse reads, so a well-formed command never
+    imports ``argparse``, and ``--help`` at any level imports every
+    group's module."""
+    import argparse  # here, so that a well-formed command never loads it
     parser = argparse.ArgumentParser(
         prog="convexenum",
         description="Enumeration of locally convex words and permutations.")
-    top, groups = _level(parser, "group", GROUPS, argv)
-    for group in groups:
+    groups = parser.add_subparsers(dest="group", required=True)
+    for group, text in GROUPS.items():
         commands = importlib.import_module(f"convexenum.commands.{group}")
-        sub, names = _level(top.add_parser(group, help=GROUPS[group]),
-                            "subcommand", commands.COMMANDS, argv[1:])
-        for name in names:
-            _command(sub, name, *commands.COMMANDS[name])
+        sub = groups.add_parser(group, help=text).add_subparsers(
+            dest="subcommand", required=True)
+        for name, (handler, options) in commands.COMMANDS.items():
+            _command(sub, name, handler, options)
     return parser
 
 
+def _negative_number(token: str) -> bool:
+    """Whether argparse reads ``token`` as a negative number, and so as
+    a value rather than an option: ``-``, then digits with at most one
+    ``.`` that digits follow, such as ``-1``, ``-.5`` or ``-2.5``."""
+    head, dot, tail = token[1:].partition(".")
+    return token[:1] == "-" and (head + tail).isdecimal() \
+        and bool(tail or not dot)
+
+
+def fast_parse(argv: list):
+    """``build_parser().parse_args(argv)`` for a well-formed ``argv``,
+    read from the ``COMMANDS`` table of the group it names: the same
+    namespace, its keys in the same order (they order a record's
+    parameters).  Well-formed is a known group and subcommand, then
+    each option at most once as ``--name value`` (a flag alone), each
+    value converted by the option's ``type`` and among its
+    ``choices``, every required option given, and at most one output
+    format.
+    For any other ``argv`` it returns None: help, usage errors,
+    ``--name=value``, abbreviations, a repeated option and a value
+    that starts with ``-`` and is no negative number are left to
+    argparse, so its messages and exit codes are the only ones."""
+    if len(argv) < 2 or argv[0] not in GROUPS:
+        return None
+    commands = importlib.import_module(
+        f"convexenum.commands.{argv[0]}").COMMANDS
+    if argv[1] not in commands:
+        return None
+    handler, options = commands[argv[1]]
+    options = {**options, **OUTPUT}
+    dests = {"--" + dest.replace("_", "-"): dest for dest in options}
+    flags = {dest for dest, spec in options.items()
+             if spec.get("action") == "store_true"}
+    values = {dest: spec.get("default", False if dest in flags else None)
+              for dest, spec in options.items()}
+    seen = set()
+    tokens = iter(argv[2:])
+    for token in tokens:
+        dest = dests.get(token)
+        if dest is None or dest in seen:
+            return None
+        seen.add(dest)
+        if dest in flags:
+            values[dest] = True
+            continue
+        spec = options[dest]
+        value = next(tokens, None)
+        if value is None or value[:1] == "-" and not _negative_number(value):
+            return None
+        try:
+            value = spec.get("type", str)(value)
+        except (TypeError, ValueError):
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        values[dest] = value
+    if len(seen & _FORMATS) > 1 or any(
+            spec.get("required") and dest not in seen
+            for dest, spec in options.items()):
+        return None
+    return SimpleNamespace(group=argv[0], subcommand=argv[1], **values,
+                           handler=handler)
+
+
 # parsed arguments that select the handler or the output, not the result
-_NOT_PARAMETERS = {"group", "subcommand", "handler", "json", "csv", "out", "dot"}
+_NOT_PARAMETERS = {"group", "subcommand", "handler", *_FORMATS, *OUTPUT}
 
 
 def main(argv=None) -> int:
     """Run one command; exit 0 on success, 1 when engines disagree, 2
     on a usage, input or output error (one ``error:`` line on stderr)
     and 3 on an internal error (its traceback on stderr).
+
+    A well-formed command is read from the ``COMMANDS`` tables by
+    :func:`fast_parse`; ``argparse`` reads any other ``argv``
+    (:func:`build_parser`), so help, usage errors and their exit codes
+    are its own.
 
     Once the command is done, ``main`` freezes the heap
     (``gc.freeze()``): what it leaves lives until the process exits, so
@@ -209,7 +271,7 @@ def main(argv=None) -> int:
     wants those objects collected again."""
     if argv is None:  # the console script
         argv = sys.argv[1:]
-    args = build_parser(argv).parse_args(argv)
+    args = fast_parse(argv) or build_parser().parse_args(argv)
     record = OutputRecord(
         f"{args.group} {args.subcommand}",
         {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS})

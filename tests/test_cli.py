@@ -1,7 +1,8 @@
 """End-to-end tests of the command-line interface."""
 
-import argparse
+import contextlib
 import csv
+import functools
 import hashlib
 import importlib
 import io
@@ -12,10 +13,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from _goldens import CLI_STDOUT_SHA256
 from convexenum import perms, words
-from convexenum.cli import GROUPS, build_parser, main
+from convexenum.cli import GROUPS, OUTPUT, build_parser, fast_parse, main
 
 
 def run(capsys, *argv):
@@ -372,8 +374,8 @@ def test_module_run_prints_what_main_prints(capsys):
 
 def _parser_cases():
     """Every subcommand with its required options, -h at each level, a
-    missing or unknown group or subcommand, a missing required option
-    and an unrecognized argument."""
+    missing or unknown group or subcommand, a missing required option,
+    an unrecognized argument and a value outside an option's choices."""
     yield []
     yield ["-h"]
     yield ["nonsense"]
@@ -392,6 +394,9 @@ def _parser_cases():
             yield argv + ["--nonsense"]
             if len(argv) > 2:
                 yield argv[:-2]  # its last required option is missing
+            for dest, spec in options.items():
+                if "choices" in spec:
+                    yield argv + ["--" + dest.replace("_", "-"), "nonsense"]
 
 
 def _parse(parser, argv, capsys):
@@ -404,27 +409,109 @@ def _parse(parser, argv, capsys):
 
 @pytest.mark.parametrize("argv", list(_parser_cases()), ids=" ".join)
 def test_parser_for_argv_parses_as_the_full_parser(capsys, argv):
-    # the same namespace, or the same exit code, stdout and stderr
-    assert _parse(build_parser(argv), argv, capsys) == \
-        _parse(build_parser(), argv, capsys)
+    # a well-formed command is read by fast_parse, to the full parser's
+    # namespace in its order; help and usage errors are argparse's own
+    parsed, _ = _parse(build_parser(), argv, capsys)
+    fast = fast_parse(argv)
+    if isinstance(parsed, dict):
+        assert list(vars(fast).items()) == list(parsed.items())
+    else:
+        assert fast is None
 
 
-def test_one_command_builds_three_parsers(monkeypatch):
-    built = []
-    init = argparse.ArgumentParser.__init__
+@functools.cache
+def _full_parser():
+    return build_parser()
 
-    def recording(self, *args, **kwargs):
-        built.append(kwargs["prog"])
-        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording)
-    build_parser(["perms", "count", "--n", "3", "--k", "1"])
-    assert built == ["convexenum", "convexenum perms", "convexenum perms count"]
-    built.clear()
-    build_parser(["perms", "nonsense"])
-    assert built == ["convexenum", "convexenum perms"] + [
-        f"convexenum perms {name}" for name in
-        importlib.import_module("convexenum.commands.perms").COMMANDS]
+def _full_parse(argv):
+    """The full parser's namespace of ``argv`` as an ordered item list,
+    or None where it prints help or a usage error and exits."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return list(vars(_full_parser().parse_args(argv)).items())
+        except SystemExit:
+            return None
+
+
+def test_fast_parse_reads_every_golden_command():
+    for command in CLI_STDOUT_SHA256:
+        argv = command.split()
+        assert list(vars(fast_parse(argv)).items()) == _full_parse(argv), \
+            command
+
+
+def _values(spec):
+    """Values for ``spec``: its choices or a near miss, integers,
+    negative ones among them, or text, some of it starting with ``-``
+    as a negative number or an option does."""
+    if "choices" in spec:
+        return st.sampled_from([*spec["choices"], spec["choices"][0].upper()])
+    if spec.get("type") is int:
+        return st.integers(-3, 20).map(str)
+    return st.sampled_from(["", "1,1", "23321", "a b", "-1", "-.5", "-1.",
+                            "-x", "- 1"])
+
+
+_JUNK = ["-h", "--help", "--", "-", "-x", "- 1", "-.5", "1.5", "x", "",
+         "--nonsense", "words", "count"]
+
+
+@st.composite
+def _argvs(draw):
+    """A group and subcommand, mostly known ones, and their options in
+    any order, each required one and some others as ``--name value`` or
+    a flag alone; then up to three faults, each a dropped option or an
+    inserted token: junk, ``--name=value``, an abbreviated name, or an
+    option of the subcommand that may repeat one or have a bad value."""
+    group = draw(st.sampled_from([*GROUPS, "nonsense"]))
+    table = (importlib.import_module(f"convexenum.commands.{group}").COMMANDS
+             if group in GROUPS else {})
+    name = draw(st.sampled_from([*table, "nonsense"]))
+    options = {**table.get(name, (None, {}))[1], **OUTPUT}
+
+    def piece(dest, value):
+        flag = "--" + dest.replace("_", "-")
+        return [flag] if options[dest].get("action") == "store_true" \
+            else [flag, draw(value)]
+
+    pieces = [piece(dest, _values(options[dest]))
+              for dest in draw(st.permutations(list(options)))
+              if options[dest].get("required") or draw(st.booleans())]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(pieces)))
+        dest = draw(st.sampled_from(list(options)))
+        fault = draw(st.sampled_from(["drop", "junk", "joined", "abbreviated",
+                                      "option", "bad value"]))
+        good = piece(dest, _values(options[dest]))
+        if fault == "drop":
+            del pieces[at:at + 1]
+            continue
+        pieces.insert(at, {
+            "junk": [draw(st.sampled_from(_JUNK))],
+            "joined": ["=".join(good)],
+            "abbreviated": [good[0][:draw(st.integers(3, 5))], *good[1:]],
+            "option": good,
+            "bad value": piece(dest, st.sampled_from(_JUNK)),
+        }[fault])
+    return [group, name, *(token for tokens in pieces for token in tokens)]
+
+
+@settings(max_examples=500)
+@given(_argvs())
+def test_fast_parse_gives_none_or_the_full_parsers_namespace(argv):
+    fast = fast_parse(argv)
+    assert fast is None or list(vars(fast).items()) == _full_parse(argv)
+
+
+def test_negative_value_reads_as_its_equals_form(capsys):
+    # fast_parse reads --k -1 (a negative number is a value, as in
+    # argparse); --k=-1 is left to argparse; both give one record
+    spaced = ["words", "count", "--n", "6", "--p", "3", "--k", "-1"]
+    joined = ["words", "count", "--n=6", "--p=3", "--k=-1"]
+    assert fast_parse(spaced) is not None and fast_parse(joined) is None
+    assert run_json(capsys, *spaced) == run_json(capsys, *joined)
 
 
 @pytest.mark.parametrize("argv, exit_code", [

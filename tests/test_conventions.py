@@ -20,8 +20,10 @@ printed ``Polynomial`` back to its nonzero terms.
 ``sys.modules``, but runs only the library modules every command needs,
 and no standard module that only some commands need.  A command runs
 only the modules it calls into, a command that computes only with
-integers never imports ``fractions``, and the tracer wraps the
-functions of modules that have not run yet.
+integers never imports ``fractions``, a well-formed command never
+imports ``argparse`` (with its ``gettext`` and ``locale``) and only
+``--json`` imports ``json``, and the tracer wraps the functions of
+modules that have not run yet.
 
 The paper's value types and the exact kernel's compare by value, only
 to their own type.  They and the library's records cannot be assigned
@@ -283,10 +285,12 @@ def test_cli_import_defers_what_only_some_commands_need():
     bare = _modules_after("pass")
     cli = _modules_after(IMPORT_CLI)
     # dataclasses pulls in inspect; traceback serves exit 3 only, csv
-    # one output format, and fractions (which imports decimal) the
-    # exact kernel
+    # and json one output format each, argparse (which loads gettext
+    # and locale) help and usage errors, and fractions (which imports
+    # decimal) the exact kernel
     assert not (cli.keys() - bare.keys()) & {
-        "dataclasses", "inspect", "traceback", "csv", "fractions", "decimal"}
+        "dataclasses", "inspect", "traceback", "csv", "json", "argparse",
+        "gettext", "locale", "fractions", "decimal"}
     # the tracer looks its modules up in sys.modules after this import
     tracing = _perfbench_module("tracing")
     assert {module for module, *_ in tracing.SPANS + tracing.COUNTS} \
@@ -294,7 +298,7 @@ def test_cli_import_defers_what_only_some_commands_need():
     # but of the library's modules only these have run: the CLI reads
     # convexenum.DEFAULT_ORDER, and every command runs a module built on
     # frozen; a group's command module is imported when a command
-    # declares the group
+    # names the group
     ran = {"convexenum", "convexenum.exact", "convexenum.cli",
            "convexenum.frozen"}
     groups = {f"convexenum.commands.{group}" for group in GROUPS}
@@ -337,8 +341,18 @@ def test_cli_import_defers_what_only_some_commands_need():
     assert "fractions" in run("perms bounds --k 1").keys() - bare.keys()
 
     # each of the benchmark's commands, in a fresh interpreter of its own
-    loads = {command: _ran(run(command)) for command in _benchmark_commands()}
+    runs = {command: run(command) for command in _benchmark_commands()}
+    loads = {command: _ran(modules) for command, modules in runs.items()}
     assert len(loads) >= 10
+    # a well-formed command is read from the COMMANDS tables, not by
+    # argparse, and json (which imports re) serves --json alone; only
+    # fractions, for the commands that meet rationals, imports re
+    for command, modules in runs.items():
+        extra = modules.keys() - bare.keys()
+        assert not extra & {"argparse", "gettext", "locale", "json"}, command
+        assert "re" not in extra or "fractions" in extra, command
+    as_json = run("words stable --p 3 --json").keys()
+    assert "json" in as_json and "argparse" not in as_json
     for command, modules in loads.items():
         # it imports the command module of its group and no other
         group = command.split()[0]
@@ -503,9 +517,11 @@ TRACED_ONLY = {
 
 def _ran_by_the_commands() -> tuple[list[int], list, list]:
     """Run every command of ``CLI_STDOUT_SHA256`` in text form, one with
-    ``--json`` and one with ``--csv``, perfbench's call jobs, and a word
-    count past half the recursion limit, which the counter hands to the
-    generator, in one fresh interpreter under a call-only trace started
+    ``--json`` and one with ``--csv``, one with a negative value, one
+    that ``fast_parse`` declines (``--p=3``), which argparse reads,
+    perfbench's call jobs, and a word count past half the recursion
+    limit, which the counter hands to the generator, in one fresh
+    interpreter under a call-only trace started
     before ``import convexenum.cli``; then the calls of ``TRACED_ONLY``.
     Return the commands' exit codes, and the ``(file, first line)`` of
     each library function that ran before those calls and by the end."""
@@ -514,6 +530,7 @@ def _ran_by_the_commands() -> tuple[list[int], list, list]:
                                                                 "--csv"))
         for command in CLI_STDOUT_SHA256))
     commands += ["words stable --p 3 --json", "words stable --p 3 --csv",
+                 "words count --n 6 --p 3 --k -1", "words stable --p=3",
                  "words count --n 1200 --p 3 --k 0"]
     code = (
         f"import json, os, sys\nsys.path[:0] = "
