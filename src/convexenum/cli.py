@@ -185,15 +185,6 @@ def build_parser():
     return parser
 
 
-def _negative_number(token: str) -> bool:
-    """Whether argparse reads ``token`` as a negative number, and so as
-    a value rather than an option: ``-``, then digits with at most one
-    ``.`` that digits follow, such as ``-1``, ``-.5`` or ``-2.5``."""
-    head, dot, tail = token[1:].partition(".")
-    return token[:1] == "-" and (head + tail).isdecimal() \
-        and bool(tail or not dot)
-
-
 def fast_parse(argv: list):
     """``build_parser().parse_args(argv)`` for a well-formed ``argv``,
     read from the ``COMMANDS`` table of the group it names: the same
@@ -201,12 +192,13 @@ def fast_parse(argv: list):
     parameters).  Well-formed is a known group and subcommand, then
     each option at most once as ``--name value`` (a flag alone), each
     value converted by the option's ``type`` and among its
-    ``choices``, every required option given, and at most one output
-    format.
+    ``choices`` and not starting with ``-``, every required option
+    given, and at most one output format.
     For any other ``argv`` it returns None: help, usage errors,
     ``--name=value``, abbreviations, a repeated option and a value
-    that starts with ``-`` and is no negative number are left to
-    argparse, so its messages and exit codes are the only ones."""
+    that starts with ``-`` (a negative number among them) are left to
+    argparse, the one reader of those spellings, so its messages and
+    exit codes are the only ones."""
     if len(argv) < 2 or argv[0] not in GROUPS:
         return None
     commands = importlib.import_module(
@@ -232,7 +224,7 @@ def fast_parse(argv: list):
             continue
         spec = options[dest]
         value = next(tokens, None)
-        if value is None or value[:1] == "-" and not _negative_number(value):
+        if value is None or value[:1] == "-":
             return None
         try:
             value = spec.get("type", str)(value)
@@ -261,7 +253,8 @@ def main(argv=None) -> int:
     A well-formed command is read from the ``COMMANDS`` tables by
     :func:`fast_parse`; ``argparse`` reads any other ``argv``
     (:func:`build_parser`), so help, usage errors and their exit codes
-    are its own.
+    are its own, and so is a negative value (``--k -1`` as
+    ``--k=-1``).
 
     Once the command is done, ``main`` freezes the heap
     (``gc.freeze()``): what it leaves lives until the process exits, so

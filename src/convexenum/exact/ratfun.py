@@ -61,6 +61,15 @@ class RationalFunction(Frozen):
         connection polynomials.  Each term is an ``int`` or a
         ``Fraction``; any other term raises ``TypeError`` (see
         ``exact_coefficient``).
+
+        The N/D found is already reduced, so building it divides by no
+        common factor.  Berlekamp–Massey returns a shortest recurrence
+        of the terms it reads, of length L: its connection polynomial D,
+        with D(0) != 0, and N = D * terms mod x^L, so deg D <= L and
+        deg N < L.  A common factor g of N and D divides D, so
+        g(0) != 0.  If deg g >= 1, then D/g * terms = N/g, so the terms
+        satisfy the recurrence of connection polynomial D/g, of length
+        L - deg g < L, which contradicts minimality (Massey 1969).
         """
         s = [exact_coefficient(t) for t in terms]
         if len(s) < 2 * complexity_bound:

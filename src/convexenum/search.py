@@ -48,6 +48,20 @@ def count_convex_sequences(n: int, p: int, k: int, distinct: bool) -> int:
     every entry its prefix can still reach; :func:`_first_children`
     proves the bound and tabulates the least child that survives, once
     per search.  With p > n no value must be placed, and nothing is cut.
+
+    Word nodes: for 4 <= n <= half the recursion limit, ``extend`` runs
+    once for each k-convex word on [p] of length 1..n - 3, the prefix it
+    extends.  The first call takes each first letter, its bound hi = p
+    leaves the second letter free, and every later child is a letter of
+    [1, hi], so a call's children are exactly the letters that keep its
+    prefix k-convex, each a prefix of its own.  No child is cut, since a
+    word need place no letter, and a call with three letters to go
+    counts them flat and calls nothing.  So a count of words makes
+    sum_{j=1..n-3} w_k(j, p) calls, with w_k(j, p) the number of
+    k-convex words of length j on [p], which
+    :func:`convexenum.words.count_words_dp` gives before the search
+    runs; at n = 3 it makes p + p^2, one for each prefix of length 1
+    and 2.
     """
     check_length_and_alphabet(n, p)
     if n < 3:  # no second difference to check

@@ -366,9 +366,9 @@ def test_module_run_prints_what_main_prints(capsys):
     # registers the library's modules itself
     argv = ["cfrac", "f1", "--order", "5", "--csv"]
     src = Path(__file__).resolve().parent.parent / "src"
-    out = subprocess.run([sys.executable, "-m", "convexenum.cli", *argv],
-                         cwd=src, capture_output=True, text=True,
-                         check=True).stdout
+    out = subprocess.run(
+        [sys.executable, "-S", "-m", "convexenum.cli", *argv], cwd=src,
+        capture_output=True, text=True, check=True).stdout
     assert out == run(capsys, *argv)[1]
 
 
@@ -458,6 +458,17 @@ _JUNK = ["-h", "--help", "--", "-", "-x", "- 1", "-.5", "1.5", "x", "",
          "--nonsense", "words", "count"]
 
 
+def _table(group) -> dict:
+    """The ``COMMANDS`` table of ``group``, empty for an unknown one."""
+    return (importlib.import_module(f"convexenum.commands.{group}").COMMANDS
+            if group in GROUPS else {})
+
+
+def _options(group, name) -> dict:
+    """The options of subcommand ``name`` of ``group``, then ``OUTPUT``."""
+    return {**_table(group).get(name, (None, {}))[1], **OUTPUT}
+
+
 @st.composite
 def _argvs(draw):
     """A group and subcommand, mostly known ones, and their options in
@@ -466,10 +477,8 @@ def _argvs(draw):
     inserted token: junk, ``--name=value``, an abbreviated name, or an
     option of the subcommand that may repeat one or have a bad value."""
     group = draw(st.sampled_from([*GROUPS, "nonsense"]))
-    table = (importlib.import_module(f"convexenum.commands.{group}").COMMANDS
-             if group in GROUPS else {})
-    name = draw(st.sampled_from([*table, "nonsense"]))
-    options = {**table.get(name, (None, {}))[1], **OUTPUT}
+    name = draw(st.sampled_from([*_table(group), "nonsense"]))
+    options = _options(group, name)
 
     def piece(dest, value):
         flag = "--" + dest.replace("_", "-")
@@ -498,19 +507,33 @@ def _argvs(draw):
     return [group, name, *(token for tokens in pieces for token in tokens)]
 
 
+def _dash_value(argv) -> bool:
+    """Whether a token of ``argv`` that follows the name of an option
+    of its subcommand that takes a value starts with ``-``.  Then
+    ``fast_parse`` reads that token, or the name before it, as a value
+    that starts with ``-``, unless it declines earlier."""
+    names = {"--" + dest.replace("_", "-")
+             for dest, spec in _options(*argv[:2]).items()
+             if spec.get("action") != "store_true"}
+    return any(name in names and value[:1] == "-"
+               for name, value in zip(argv[2:], argv[3:]))
+
+
 @settings(max_examples=500)
 @given(_argvs())
 def test_fast_parse_gives_none_or_the_full_parsers_namespace(argv):
     fast = fast_parse(argv)
     assert fast is None or list(vars(fast).items()) == _full_parse(argv)
+    # a value that starts with - is argparse's to read
+    assert fast is None or not _dash_value(argv)
 
 
 def test_negative_value_reads_as_its_equals_form(capsys):
-    # fast_parse reads --k -1 (a negative number is a value, as in
-    # argparse); --k=-1 is left to argparse; both give one record
+    # fast_parse declines a value that starts with -, so argparse is the
+    # one reader of --k -1 as of --k=-1; both give one record
     spaced = ["words", "count", "--n", "6", "--p", "3", "--k", "-1"]
     joined = ["words", "count", "--n=6", "--p=3", "--k=-1"]
-    assert fast_parse(spaced) is not None and fast_parse(joined) is None
+    assert fast_parse(spaced) is None and fast_parse(joined) is None
     assert run_json(capsys, *spaced) == run_json(capsys, *joined)
 
 

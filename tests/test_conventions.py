@@ -23,7 +23,9 @@ only the modules it calls into, a command that computes only with
 integers never imports ``fractions``, a well-formed command never
 imports ``argparse`` (with its ``gettext`` and ``locale``) and only
 ``--json`` imports ``json``, and the tracer wraps the functions of
-modules that have not run yet.
+modules that have not run yet.  These checks run in interpreters
+without ``site`` (``python -S``), so that no module the host's
+``site`` preloads can hide an import.
 
 The paper's value types and the exact kernel's compare by value, only
 to their own type.  They and the library's records cannot be assigned
@@ -252,9 +254,11 @@ def test_printed_polynomial_parses_back(coeffs):
 def _modules_after(code: str) -> dict[str, bool]:
     """Each module in ``sys.modules`` after a fresh interpreter runs
     ``code``, mapped to whether it has run: a module the CLI registers
-    lazily runs when one of its attributes is first read."""
+    lazily runs when one of its attributes is first read.  It runs
+    without ``site``, so that nothing the host preloads hides an
+    import."""
     out = subprocess.run(
-        [sys.executable, "-c", code + "\nimport sys, types\n"
+        [sys.executable, "-S", "-c", code + "\nimport sys, types\n"
          "for name, module in list(sys.modules.items()):\n"
          "    print(name, type(module) is types.ModuleType)"],
         capture_output=True, text=True, check=True).stdout
@@ -280,15 +284,12 @@ def _benchmark_commands() -> list[str]:
 
 
 def test_cli_import_defers_what_only_some_commands_need():
-    # against a bare interpreter, so that what ``site`` preloads on a
-    # given host does not count
-    bare = _modules_after("pass")
     cli = _modules_after(IMPORT_CLI)
     # dataclasses pulls in inspect; traceback serves exit 3 only, csv
     # and json one output format each, argparse (which loads gettext
     # and locale) help and usage errors, and fractions (which imports
     # decimal) the exact kernel
-    assert not (cli.keys() - bare.keys()) & {
+    assert not cli.keys() & {
         "dataclasses", "inspect", "traceback", "csv", "json", "argparse",
         "gettext", "locale", "fractions", "decimal"}
     # the tracer looks its modules up in sys.modules after this import
@@ -333,12 +334,12 @@ def test_cli_import_defers_what_only_some_commands_need():
                   "words gf --p 6 --k 0 --order 30",
                   "words gf --p 4 --k 2 --order 40")
     for modules in (table, ladder, integer):
-        assert not (modules.keys() - bare.keys()) & {"fractions", "decimal"}
+        assert not modules.keys() & {"fractions", "decimal"}
     # the 2-convex closed form is one series division, no elimination
     assert integer["convexenum.cfrac"]
     assert not integer["convexenum.exact.linalg"]
     # and a command that meets rationals does import fractions
-    assert "fractions" in run("perms bounds --k 1").keys() - bare.keys()
+    assert "fractions" in run("perms bounds --k 1")
 
     # each of the benchmark's commands, in a fresh interpreter of its own
     runs = {command: run(command) for command in _benchmark_commands()}
@@ -348,9 +349,9 @@ def test_cli_import_defers_what_only_some_commands_need():
     # argparse, and json (which imports re) serves --json alone; only
     # fractions, for the commands that meet rationals, imports re
     for command, modules in runs.items():
-        extra = modules.keys() - bare.keys()
-        assert not extra & {"argparse", "gettext", "locale", "json"}, command
-        assert "re" not in extra or "fractions" in extra, command
+        assert not modules.keys() & {"argparse", "gettext", "locale",
+                                     "json"}, command
+        assert "re" not in modules or "fractions" in modules, command
     as_json = run("words stable --p 3 --json").keys()
     assert "json" in as_json and "argparse" not in as_json
     for command, modules in loads.items():
@@ -422,8 +423,8 @@ def test_no_command_module_imports_the_cli():
             "        assert exc.code == 0, exc.code\n"
             "print(sorted(name for name in sys.modules\n"
             "             if name.startswith('convexenum.c')))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True).stdout
+    out = subprocess.run([sys.executable, "-S", "-c", code],
+                         capture_output=True, text=True, check=True).stdout
     assert out == repr(["convexenum.cfrac", "convexenum.commands",
                         *sorted(f"convexenum.commands.{group}"
                                 for group in GROUPS)]) + "\n"
@@ -441,8 +442,8 @@ def test_the_tracer_wraps_the_lazily_loaded_modules():
         "['perms', 'bounds', '--k', '1', '--out', os.devnull])\n"
         "print(json.dumps([code, [s[0] for s in tracer.spans], "
         "tracer.counters]))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True).stdout
+    out = subprocess.run([sys.executable, "-S", "-c", code],
+                         capture_output=True, text=True, check=True).stdout
     code, spans, counters = json.loads(out)
     assert code == 0
     assert {"cli.main", "perms.build_digraph",
@@ -517,8 +518,8 @@ TRACED_ONLY = {
 
 def _ran_by_the_commands() -> tuple[list[int], list, list]:
     """Run every command of ``CLI_STDOUT_SHA256`` in text form, one with
-    ``--json`` and one with ``--csv``, one with a negative value, one
-    that ``fast_parse`` declines (``--p=3``), which argparse reads,
+    ``--json`` and one with ``--csv``, two that ``fast_parse`` declines
+    (a negative value and ``--p=3``), which argparse reads,
     perfbench's call jobs, and a word count past half the recursion
     limit, which the counter hands to the generator, in one fresh
     interpreter under a call-only trace started
@@ -554,8 +555,8 @@ def _ran_by_the_commands() -> tuple[list[int], list, list]:
         f"mine = lambda lines: [l for l in lines if l[0].startswith("
         f"{str(SRC)!r})]\n"
         "print(json.dumps([codes, mine(by_commands), mine(ran)]))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True).stdout
+    out = subprocess.run([sys.executable, "-S", "-c", code],
+                         capture_output=True, text=True, check=True).stdout
     return json.loads(out)
 
 

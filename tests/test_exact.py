@@ -501,6 +501,37 @@ class TestFromSequence:
         assert RationalFunction.from_sequence(terms, bound) == rf
 
 
+    @settings(max_examples=300)
+    @given(st.lists(st.integers(-4, 4), max_size=4),
+           st.integers(-4, 4).filter(bool),
+           st.lists(st.integers(-4, 4), max_size=4),
+           st.integers(-4, 4).filter(bool),
+           st.lists(st.integers(-4, 4), min_size=1, max_size=3))
+    def test_planted_common_factor_is_never_divided(self, num, d0, den_tail,
+                                                    g0, g_tail):
+        # Berlekamp-Massey finds the shortest recurrence, so the N/D it
+        # builds is already reduced: from the expansion of P g / (Q g),
+        # with a bound that fits P g / (Q g), it returns P / Q and never
+        # divides by a common factor
+        p, q = Polynomial(num), Polynomial([d0] + den_tail)
+        g = Polynomial([g0] + g_tail)
+        expected = RationalFunction(p, q)  # this may divide
+        bound = max((q * g).degree, (p * g).degree + 1)
+        terms = (TruncatedSeries((p * g).coeffs, 2 * bound + 2)
+                 / TruncatedSeries((q * g).coeffs, 2 * bound + 2)).coeffs
+        divided = []
+        divide = Polynomial.__divmod__
+
+        def spy(a, b):
+            divided.append((a, b))
+            return divide(a, b)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Polynomial, "__divmod__", spy)
+            found = RationalFunction.from_sequence(terms, bound)
+        assert found == expected
+        assert divided == []
+
     @pytest.mark.parametrize("k,side", list(product((1, 2), ("lower", "upper"))))
     def test_gf_bound_terms_match_rational_oracle(self, k, side):
         g = perms.build_digraph(k, cutoff=perms.DEFAULT_CUTOFF[k],

@@ -1,6 +1,7 @@
 """Tests for locally convex word counting and the partition bijection."""
 
 import re
+import sys
 from itertools import product
 from math import perm
 
@@ -99,6 +100,30 @@ class TestCounting:
                 for n in range(3, 10):
                     assert count_words_bruteforce(n, p, k) == \
                         count_words_dp(n, p, k), (n, p, k)
+
+    def test_word_search_visits_each_convex_prefix_once(self):
+        # the node bound of count_convex_sequences' docstring: one extend
+        # call per k-convex word of length 1..n - 3, or p + p^2 at n = 3
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            if event == "call" and frame.f_code.co_name == "extend" \
+                    and frame.f_code.co_filename == search.__file__:
+                calls += 1
+
+        previous = sys.getprofile()
+        for k, p, n in product(range(-1, 4), range(1, 7), range(3, 11)):
+            bound = p + p * p if n == 3 else sum(
+                count_words_dp(j, p, k) for j in range(1, n - 2))
+            calls = 0
+            sys.setprofile(count)
+            try:
+                total = count_words_bruteforce(n, p, k)
+            finally:
+                sys.setprofile(previous)
+            assert (calls, total) == (bound, count_words_dp(n, p, k)), \
+                (n, p, k)
 
     @given(_searches())
     def test_counter_matches_generator(self, args):
