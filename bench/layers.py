@@ -15,15 +15,14 @@ what each of the benchmark's CLI commands loads.
     python bench/layers.py [--label NAME] [--src DIR]
 
 Each in-process case runs seven times, timed with ``time.perf_counter``;
-its median, its quartiles and its best time are kept.  On a noisy
-2-core host the best of a run can swing by 1.7x from one run to the
-next, so the quartiles show how far a run's times spread.  Every result
-is checked against ``tests/_goldens.py``, or ``tot_series`` against the
-convergents of the continued fraction in ``tests/_oracles.py`` and the
-deeper word search against ``words.count_words_dp``, and the bijection's
-round trip against its input, and the word series' first seven
-coefficients against ``words.count_words_bruteforce``, and a wrong one
-stops the run with exit 1.
+its median and its quartiles, which show how far a run's times spread,
+are kept.  Every result is checked against ``tests/_goldens.py``, or
+``tot_series`` against the convergents of the continued fraction in
+``tests/_oracles.py`` and the deeper word search against
+``words.count_words_dp``, and the bijection's round trip against its
+input, and the word series' first seven coefficients against
+``words.count_words_bruteforce``, and a wrong one stops the run with
+exit 1.
 No cache is left in ``convexenum.perms``, so the labels, and the DOT
 text that holds them, are timed cold.
 The code size is the number of lines of ``src`` that hold a token,
@@ -45,15 +44,11 @@ tracks right after ``main`` returns, all of which the full collections
 at interpreter shutdown traverse.  Each record also holds the medians
 of one ``fast_parse`` and of one ``build_parser().parse_args`` of the
 command's benchmark argv (``--json`` included), timed in process with
-warm imports (``fast_parse_s`` is None where the CLI has no
-``fast_parse``).
+warm imports.
 
 The times are merged into ``BENCH_layers.json`` at the repository root
-under NAME (default ``current``), next to the runs already there, and
-each run's speedup over the first run in the file that recorded a
-median for the same case is recomputed from the medians.  Runs recorded
-before medians were kept have only best times and keep the speedups
-they were written with.  ``--src`` measures the library in another
+under NAME (default ``current``), next to the runs already there, which
+stay as they were recorded.  ``--src`` measures the library in another
 checkout's ``src`` directory, for example a clone of an older commit.
 """
 
@@ -104,8 +99,6 @@ def cases(cfrac, ladder, perms, words, g, oracles):
     words_12_1 = [words.count_words_bruteforce(n, 12, 1) for n in range(7)]
     tot = t / b1  # walks from 1223
     k2 = cfrac.k2_components(250)
-    # older checkouts define perm_counts in perms, not in ladder
-    perm_counts = getattr(ladder, "perm_counts", None) or perms.perm_counts
 
     def digraph(k, depth):
         graph = perms.build_digraph(k, depth=depth)
@@ -126,7 +119,7 @@ def cases(cfrac, ladder, perms, words, g, oracles):
         ]
 
     def counts(k, n):
-        return (f"perm_counts({k}, {n})", lambda: perm_counts(k, n),
+        return (f"perm_counts({k}, {n})", lambda: ladder.perm_counts(k, n),
                 lambda out: len(out) == n and out[-1] == g.DEEP_F[k, n])
 
     def bounds(k):
@@ -335,18 +328,14 @@ def startup(src: Path, command: str, by_module: dict[str, int]) -> dict:
 def parse_times(cli, argv: list[str]) -> dict:
     """Median seconds, in process and warm, of one ``fast_parse(argv)``
     and of one ``build_parser().parse_args(argv)`` of the CLI module
-    ``cli``, each from ``REPEAT`` samples of ``PARSES`` calls; None for
-    a ``cli`` without ``fast_parse``.  A command's imports are not in
-    them: ``startup`` lists those."""
+    ``cli``, each from ``REPEAT`` samples of ``PARSES`` calls.  A
+    command's imports are not in them: ``startup`` lists those."""
     def median(call):
         return round(statistics.median(timeit.repeat(
             call, number=PARSES, repeat=REPEAT)) / PARSES, 7)
 
-    times = {"fast_parse_s": None,
-             "argparse_s": median(lambda: cli.build_parser().parse_args(argv))}
-    if hasattr(cli, "fast_parse"):
-        times["fast_parse_s"] = median(lambda: cli.fast_parse(argv))
-    return times
+    return {"fast_parse_s": median(lambda: cli.fast_parse(argv)),
+            "argparse_s": median(lambda: cli.build_parser().parse_args(argv))}
 
 
 def main(argv=None) -> int:
@@ -361,16 +350,15 @@ def main(argv=None) -> int:
     import workloads
     from convexenum import cfrac, ladder, perms, words
 
-    times, medians, quartiles = {}, {}, {}
+    medians, quartiles = {}, {}
     for name, call, check in cases(cfrac, ladder, perms, words, _goldens,
                                    _oracles):
         ts = run_times(call, check)
         q1, median, q3 = statistics.quantiles(ts, n=4)
-        times[name] = round(min(ts), 5)
         medians[name] = round(median, 5)
         quartiles[name] = [round(q1, 5), round(q3, 5)]
         print(f"{median * 1000:10.1f} ms  [{q1 * 1000:.1f}, {q3 * 1000:.1f}]"
-              f"  best {min(ts) * 1000:.1f}  {name}")
+              f"  {name}")
     by_module = code_lines(args.src)
     lines = sum(by_module.values())
     print(f"{lines:10d} code lines in {args.src}")
@@ -380,15 +368,13 @@ def main(argv=None) -> int:
         record = loads[command] = startup(args.src.resolve(), command,
                                           by_module)
         record.update(parse_times(convexenum.cli, argv))
-        fast = record["fast_parse_s"]
         print(f"{record['code_lines']:10d} code lines in "
               f"{len(record['modules'])} modules, fractions "
               f"{'loaded' if record['fractions'] else 'not loaded'}, "
               f"imports of {'/'.join(DEFERRED)}: "
               f"{' '.join(record['deferred_imported']) or 'none'}, "
               f"{record['gc_tracked_after_main']} objects tracked after "
-              f"main, parsed in "
-              f"{'-' if fast is None else f'{fast * 1e6:.0f}'} us "
+              f"main, parsed in {record['fast_parse_s'] * 1e6:.0f} us "
               f"(argparse {record['argparse_s'] * 1e6:.0f} us): "
               f"convexenum {command}")
 
@@ -397,22 +383,13 @@ def main(argv=None) -> int:
     runs[args.label] = {
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {os.cpu_count()} cores",
-        "statistic": f"median, quartiles and best of {REPEAT}, in process",
-        "times_s": times,
+        "statistic": f"median and quartiles of {REPEAT}, in process",
         "median_s": medians,
         "quartiles_s": quartiles,
         "src_code_lines": lines,
         "src_code_lines_by_module": by_module,
         "cli_startup": loads,
     }
-    first = {}  # case -> its median in the first run that recorded one
-    for run in runs.values():
-        if "median_s" not in run:
-            continue
-        for name, t in run["median_s"].items():
-            first.setdefault(name, t)
-        run["speedup"] = {name: round(first[name] / t, 2)
-                          for name, t in run["median_s"].items() if t > 0}
     OUT.write_text(json.dumps({"harness": "bench/layers.py", "runs": runs},
                               indent=2) + "\n")
     print(f"wrote {OUT.name}: {', '.join(runs)}")

@@ -6,7 +6,7 @@ arithmetic runs without loading ``Polynomial``.
 
 This is the one module of the kernel's arithmetic that turns a value
 into a ``Fraction``: polynomial division, the monic gcd, series
-inversion and the field elimination's pivots all invert through
+division and the field elimination's pivots all invert through
 :func:`reciprocal`, which keeps 1 and -1 as they are, so an integer
 computation stays in the integers.  ``roots`` imports ``fractions`` as
 well, for the intervals it returns.
@@ -88,13 +88,11 @@ def binary(op):
 
 def convolve(a, b, length: int) -> list:
     """The first ``length`` coefficients of the product of the
-    coefficient sequences ``a`` and ``b``, skipping zero terms of both."""
+    coefficient sequences ``a`` and ``b``, skipping zero terms of ``a``:
+    put the sparser operand on the left, as a monomial stands there."""
     out = [0] * length
-    terms = [(j, y) for j, y in enumerate(b[:length]) if y]
     for i, x in enumerate(a[:length]):
-        while terms and terms[-1][0] >= length - i:
-            terms.pop()  # beyond the last coefficient kept
         if x:
-            for j, y in terms:
-                out[i + j] += x * y
+            for j, y in enumerate(b[:length - i], i):
+                out[j] += x * y
     return out

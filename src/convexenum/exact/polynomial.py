@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from math import gcd, lcm
 
 from convexenum.exact.coefficients import (
@@ -61,13 +62,8 @@ class Polynomial(Frozen):
 
     @binary
     def __add__(self, other) -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        cs = list(a)
-        for i, c in enumerate(b):
-            cs[i] += c
-        return Polynomial(cs)
+        return Polynomial(tuple(x + y for x, y in zip_longest(
+            self.coeffs, other.coeffs, fillvalue=0)))
 
     __radd__ = __add__
 
@@ -76,7 +72,8 @@ class Polynomial(Frozen):
 
     @binary
     def __sub__(self, other) -> "Polynomial":
-        return self + (-other)
+        return Polynomial(tuple(x - y for x, y in zip_longest(
+            self.coeffs, other.coeffs, fillvalue=0)))
 
     @binary
     def __rsub__(self, other) -> "Polynomial":

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from operator import mul
+
 from convexenum.exact.coefficients import (
     binary, convolve, exact_coefficient, is_scalar, reciprocal)
 from convexenum.frozen import Frozen
@@ -82,22 +84,20 @@ class TruncatedSeries(Frozen):
     __rmul__ = __mul__
 
     def invert(self) -> "TruncatedSeries":
-        """Multiplicative inverse; requires a nonzero constant term."""
-        c0 = self.coeffs[0]
-        if c0 == 0:
-            raise ZeroDivisionError("series with zero constant term is not a unit")
-        u = reciprocal(c0)  # 1 and -1 are their own: the series stays int
-        n = self.order
-        inv = [0] * (n + 1)
-        inv[0] = u
-        for m in range(1, n + 1):
-            acc = 0
-            for j in range(1, m + 1):
-                if self.coeffs[j] != 0:
-                    acc += self.coeffs[j] * inv[m - j]
-            inv[m] = -acc * u
-        return TruncatedSeries(inv, n)
+        """Multiplicative inverse, 1 / self; requires a nonzero constant
+        term."""
+        return TruncatedSeries((1,), self.order) / self
 
     @binary
     def __truediv__(self, other):
-        return self * other.invert()
+        """The quotient q = self / other, by the one division recurrence
+        q_m = (a_m - sum of b_j q_(m-j) for 1 <= j <= m) / b_0; requires
+        a nonzero constant term b_0.  1 / b_0 is ``reciprocal(b_0)``, so
+        an integer series over b_0 = 1 or -1 stays in the integers."""
+        a, b = self.coeffs, other.coeffs
+        if b[0] == 0:
+            raise ZeroDivisionError("series with zero constant term is not a unit")
+        u, tail, q = reciprocal(b[0]), b[1:], []
+        for am in a:  # map stops at the shorter: b_1 q_(m-1) .. b_m q_0
+            q.append((am - sum(map(mul, tail, reversed(q)))) * u)
+        return TruncatedSeries(q, self.order)

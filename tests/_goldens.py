@@ -152,6 +152,22 @@ SEARCH_COUNTS = {
     (12, 5, 1, False): 277900,
 }
 
+# calls of the search's extend() that count_perms_bruteforce(n, k) makes,
+# keyed by (n, k), recorded from the reach cut of search._first_children:
+# a ceiling, since a weaker cut visits more prefixes.  Not every
+# surviving prefix extends to a permutation: k = 0, n = 10 makes 474
+# calls for 8 permutations.
+PERM_SEARCH_CALLS = {
+    (3, 0): 7, (4, 0): 18, (5, 0): 39, (6, 0): 73,
+    (7, 0): 127, (8, 0): 203, (9, 0): 316, (10, 0): 474,
+    (3, 1): 7, (4, 1): 19, (5, 1): 45, (6, 1): 99,
+    (7, 1): 204, (8, 1): 405, (9, 1): 779, (10, 1): 1470,
+    (3, 2): 7, (4, 2): 19, (5, 2): 47, (6, 2): 108,
+    (7, 2): 239, (8, 2): 511, (9, 2): 1071, (10, 2): 2204,
+    (3, 3): 9, (4, 3): 31, (5, 3): 107, (6, 3): 387,
+    (7, 3): 1352, (8, 3): 4721, (9, 3): 16161, (10, 3): 55369,
+}
+
 # SHA-256 of the CLI's stdout, keyed by its arguments; every command exits 0.
 # Each subcommand runs as text, with --json and with --csv, plus one
 # digraph with --dot; "words gf" and "cfrac f1" run at the default order.

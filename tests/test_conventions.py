@@ -513,6 +513,8 @@ TRACED_ONLY = {
         "[[x, one], [one, x]]), [one, x])",
     "convexenum.exact.polynomial.Polynomial.__call__":
         "polynomial.Polynomial((1, 2))(3)",
+    "convexenum.exact.series.TruncatedSeries.invert":
+        "series.TruncatedSeries((1, -1), 4).invert()",
 }
 
 

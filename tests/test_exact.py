@@ -279,12 +279,22 @@ class TestTruncatedSeries:
 
     @given(st.sampled_from([1, -1]),
            st.lists(st.integers(-9, 9), max_size=12),
-           st.integers(0, 15))
-    def test_unit_inverse_roundtrip(self, c0, tail, n):
+           st.integers(0, 15),
+           st.integers(-9, 9).filter(bool),
+           st.lists(st.integers(-9, 9), max_size=16))
+    def test_unit_inverse_roundtrip(self, c0, tail, n, b0, numerator):
         s = TruncatedSeries([c0] + tail, n)
         inv = s.invert()
         assert s * inv == TruncatedSeries.monomial(0, n)
         assert all(type(c) is int for c in inv.coeffs)
+        # the division recurrence, over any nonzero integer constant term;
+        # an integer series over a constant term of 1 or -1 stays int
+        a = TruncatedSeries(numerator, n)
+        for b in (s, TruncatedSeries([b0] + tail, n)):
+            q = a / b
+            assert q * b == a
+            if b.coeffs[0] in (1, -1):
+                assert all(type(c) is int for c in q.coeffs)
 
 
     @given(st.integers(0, 8).flatmap(lambda n: st.tuples(

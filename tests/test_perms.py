@@ -2,6 +2,7 @@
 
 import hashlib
 import re
+import sys
 import time
 from fractions import Fraction
 from itertools import permutations, product
@@ -29,6 +30,7 @@ from _goldens import (
     DOT_SHA256,
     LABELS_SHA256,
     MATRIX_A_ROWS,
+    PERM_SEARCH_CALLS,
     RATES,
     ROOT_DIGITS,
     ROOT_INTERVALS,
@@ -37,7 +39,7 @@ from _goldens import (
     TABLE_F2,
     root_fraction,
 )
-from convexenum import perms
+from convexenum import perms, search
 from convexenum.ladder import ladder_walks
 from convexenum.exact.linalg import matrix_resolvent_row
 from convexenum.exact.polynomial import Polynomial
@@ -90,6 +92,31 @@ class TestCounting:
             for n in range(1, 9):
                 assert count_perms_bruteforce(n, k) == \
                     count_perms_digraph(k, n), (k, n)
+
+    def test_perm_search_calls_stay_under_the_recorded_ceiling(self):
+        # extend() calls of the permutation search, counted as
+        # test_word_search_visits_each_convex_prefix_once counts them;
+        # a weaker reach cut visits more prefixes and fails here
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            if event == "call" and frame.f_code.co_name == "extend" \
+                    and frame.f_code.co_filename == search.__file__:
+                calls += 1
+
+        previous = sys.getprofile()
+        for (n, k), ceiling in PERM_SEARCH_CALLS.items():
+            calls = 0
+            sys.setprofile(count)
+            try:
+                total = count_perms_bruteforce(n, k)
+            finally:
+                sys.setprofile(previous)
+            assert calls <= ceiling, (n, k, calls)
+            # the unpruned generator is the reach cut's oracle
+            assert total == sum(
+                1 for _ in convex_sequences(n, n, k, True)), (n, k)
 
     def test_reference_table(self):
         assert [f0_closed(n) for n in range(1, 13)] == TABLE_F0
