@@ -16,13 +16,21 @@ what each of the benchmark's CLI commands loads.
 
 Each in-process case runs seven times, timed with ``time.perf_counter``;
 its median and its quartiles, which show how far a run's times spread,
-are kept.  Every result is checked against ``tests/_goldens.py``, or
-``tot_series`` against the convergents of the continued fraction in
-``tests/_oracles.py`` and the deeper word search against
-``words.count_words_dp``, and the bijection's round trip against its
-input, and the word series' first seven coefficients against
-``words.count_words_bruteforce``, and a wrong one stops the run with
-exit 1.
+are kept.  Before every sample a fixed standard-library probe is timed
+(``probe``), as ``perfbench/run.py`` times its ``PROBE`` before every
+job, and each case also keeps the median of its samples over their
+probes.  The machine's speed drifts between runs, and drift slows a
+probe and the sample after it alike: in two back-to-back runs of one
+tree on a shared 2-core x86-64 host, ``count_perms_bruteforce(12, 2)``
+read 12.4 and 8.4 ms but 2.14 and 2.09 probes.  So comparisons across
+runs, such as a parent tree against a change, read that ratio; the raw
+times show the machine of one run.  Every result is checked against
+``tests/_goldens.py``, or ``tot_series`` against the convergents of the
+continued fraction in ``tests/_oracles.py`` and the deeper word search
+against ``words.count_words_dp``, and the bijection's round trip
+against its input, and the word series' first seven coefficients
+against ``words.count_words_bruteforce``, and a wrong one stops the run
+with exit 1.
 No cache is left in ``convexenum.perms``, so the labels, and the DOT
 text that holds them, are timed cold.
 The code size is the number of lines of ``src`` that hold a token,
@@ -67,6 +75,7 @@ import sys
 import time
 import timeit
 import tokenize
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -248,15 +257,31 @@ def cases(cfrac, ladder, perms, words, g, oracles):
     ]
 
 
-def run_times(call, check) -> list[float]:
-    times = []
+def probe() -> float:
+    """Seconds of a fixed computation in the standard library alone,
+    ``Fraction`` and list arithmetic, about 3 to 5 ms: a smaller copy of
+    ``perfbench/run.py``'s ``PROBE``."""
+    start = time.perf_counter()
+    a = [Fraction(i, i + 1) for i in range(1, 30)]
+    for _ in range(20):
+        a = [x * y + Fraction(1, 3) for x, y in zip(a, reversed(a))]
+        a = [Fraction(x.numerator % 10007, x.denominator % 10009 + 1)
+             for x in a]
+    return time.perf_counter() - start
+
+
+def run_times(call, check) -> tuple[list[float], list[float]]:
+    """The seconds of ``REPEAT`` calls, and the probe timed right before
+    each."""
+    times, probes = [], []
     for _ in range(REPEAT):
+        probes.append(probe())
         start = time.perf_counter()
         out = call()
         times.append(time.perf_counter() - start)
         if not check(out):
             raise SystemExit(f"wrong result: {out!r}")
-    return times
+    return times, probes
 
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
@@ -350,15 +375,20 @@ def main(argv=None) -> int:
     import workloads
     from convexenum import cfrac, ladder, perms, words
 
-    medians, quartiles = {}, {}
+    medians, quartiles, ratios, all_probes = {}, {}, {}, []
     for name, call, check in cases(cfrac, ladder, perms, words, _goldens,
                                    _oracles):
-        ts = run_times(call, check)
+        ts, probes = run_times(call, check)
+        all_probes += probes
         q1, median, q3 = statistics.quantiles(ts, n=4)
         medians[name] = round(median, 5)
         quartiles[name] = [round(q1, 5), round(q3, 5)]
+        ratios[name] = round(statistics.median(
+            t / p for t, p in zip(ts, probes)), 4)
         print(f"{median * 1000:10.1f} ms  [{q1 * 1000:.1f}, {q3 * 1000:.1f}]"
-              f"  {name}")
+              f"  {ratios[name]:8.3f} probes  {name}")
+    probe_s = statistics.median(all_probes)
+    print(f"{probe_s * 1000:10.1f} ms  median probe")
     by_module = code_lines(args.src)
     lines = sum(by_module.values())
     print(f"{lines:10d} code lines in {args.src}")
@@ -383,9 +413,12 @@ def main(argv=None) -> int:
     runs[args.label] = {
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {os.cpu_count()} cores",
-        "statistic": f"median and quartiles of {REPEAT}, in process",
+        "statistic": f"median and quartiles of {REPEAT}, in process; "
+                     "median of each sample over the probe before it",
         "median_s": medians,
         "quartiles_s": quartiles,
+        "probe_s": round(probe_s, 6),
+        "median_probe_ratio": ratios,
         "src_code_lines": lines,
         "src_code_lines_by_module": by_module,
         "cli_startup": loads,

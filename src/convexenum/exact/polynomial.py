@@ -40,7 +40,7 @@ class Polynomial(Frozen):
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs=()):
+    def __init__(self, coeffs):
         cs = [exact_coefficient(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
@@ -105,11 +105,6 @@ class Polynomial(Frozen):
         content = gcd(*ints) or 1
         return Polynomial([c // content for c in ints])
 
-    def pseudo_remainder(self, other: "Polynomial") -> "Polynomial":
-        """lc(other)^e * (self mod other), e = max(deg self - deg other
-        + 1, 0), without division (see ``_pseudo_divide``)."""
-        return Polynomial(_pseudo_divide(self.coeffs, other.coeffs)[1])
-
     def remainder_sequence(self, other: "Polynomial") -> list["Polynomial"]:
         """The primitive pseudo-remainder sequence [self, other, r_2, ...]
         of two integer polynomials, up to its last nonzero term (Brown,
@@ -125,7 +120,7 @@ class Polynomial(Frozen):
             # rem = lc(b)^e (a mod b) with e = max(deg a - deg b, -1) + 1:
             # rem over -content is a positive multiple of -(a mod b)
             # unless lc(b)^e < 0, and then rem over content is
-            rem = a.pseudo_remainder(b).coeffs
+            rem = _pseudo_divide(a.coeffs, b.coeffs)[1]
             flip = b.leading_coeff() > 0 or max(a.degree - b.degree, -1) % 2
             content = (gcd(*rem) or 1) * (-1 if flip else 1)
             seq.append(Polynomial([c // content for c in rem]))

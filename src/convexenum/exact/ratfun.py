@@ -34,8 +34,8 @@ class RationalFunction(Frozen):
 
     @staticmethod
     def _canonicalize(num: Polynomial, den: Polynomial):
-        if not num:
-            return Polynomial(()), Polynomial((1,))
+        # a zero num takes this path too: g is den up to a constant, so
+        # the parts come out as 0 and 1
         g = num.gcd(den).primitive()  # integer coefficients divide faster
         if g.degree > 0:
             num, den = divmod(num, g)[0], divmod(den, g)[0]

@@ -333,7 +333,7 @@ class GrowthBounds(Frozen):
     positive roots as ``Fraction`` intervals, and the growth-rate bounds
     those roots give, as decimal strings."""
 
-    __slots__ = ("k", "lower_gf", "upper_gf", "lower_root", "upper_root",
+    __slots__ = ("lower_gf", "upper_gf", "lower_root", "upper_root",
                  "lower_rate", "upper_rate")
 
 
@@ -380,7 +380,6 @@ def growth_bounds(k: int, precision: int = 20) -> GrowthBounds:
     up_root = roots.smallest_positive_root(upper.den, precision)
     # rate bounds are reciprocals: the smaller root gives the larger rate
     return GrowthBounds(
-        k=k,
         lower_gf=lower,
         upper_gf=upper,
         lower_root=lo_root,

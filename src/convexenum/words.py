@@ -54,11 +54,11 @@ class IntegerPartition(Frozen):
 
 
 class WordGF(Frozen):
-    """Generating-function bundle for fixed (p, k): the counts as a
+    """The generating function of :func:`word_gf`: the counts as a
     ``TruncatedSeries``, and the closed form as a ``RationalFunction``
-    or ``None``."""
+    or ``None``.  The caller knows its (p, k)."""
 
-    __slots__ = ("p", "k", "series", "ratfun")
+    __slots__ = ("series", "ratfun")
 
 
 def is_convex_word(w: Word, k: int) -> bool:
@@ -96,9 +96,7 @@ def word_gf(p: int, k: int, order: int = DEFAULT_ORDER,
     terms = _word_counts(p, k, n_terms)
     closed = (ratfun.RationalFunction.from_sequence(terms, bound)
               if with_ratfun else None)
-    return WordGF(p=p, k=k,
-                  series=series.TruncatedSeries(terms[: order + 1], order),
-                  ratfun=closed)
+    return WordGF(series=series.TruncatedSeries(terms, order), ratfun=closed)
 
 
 def _word_counts(p: int, k: int, terms: int) -> list[int]:

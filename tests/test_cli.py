@@ -557,3 +557,31 @@ def test_main_leaves_the_collector_nothing_to_track(argv, exit_code):
     assert code == exit_code
     assert tracked < 100
     assert frozen > 1000
+
+
+def test_every_benchmark_job_gives_its_reference_output(tmp_path):
+    # each job of perfbench's workloads, through perfbench's own checker
+    # (verify.check against reference.json and the job's oracle), in one
+    # fresh interpreter: a CLI job as main(args + ['--out', file]), a
+    # call job from child.CALLS as its JSON record
+    root = Path(__file__).resolve().parent.parent
+    script = (
+        f"import json, sys\nsys.path[:0] = "
+        f"[{str(root / 'src')!r}, {str(root / 'perfbench')!r}]\n"
+        "import convexenum.cli, child, verify, workloads\n"
+        "reference, found = verify.load_reference(), {}\n"
+        "for name, job in workloads.ALL_JOBS.items():\n"
+        "    if job.kind == 'cli':\n"
+        f"        out = {str(tmp_path / 'out')!r}\n"
+        "        code = convexenum.cli.main(list(job.args) + ['--out', out])\n"
+        "        text = open(out).read()\n"
+        "    else:\n"
+        "        code = 0\n"
+        "        text = json.dumps({'results': child.CALLS[job.args[0]]()})\n"
+        "    found[name] = [code, verify.check(job, text, reference)]\n"
+        "print(json.dumps(found))")
+    out = subprocess.run([sys.executable, "-S", "-c", script],
+                         capture_output=True, text=True, check=True).stdout
+    found = json.loads(out)
+    assert len(found) > 10
+    assert found == {name: [0, None] for name in found}

@@ -55,6 +55,10 @@ class TestPolynomial:
         assert not Polynomial((0, 0))
         assert Polynomial(()).degree == -1
 
+    def test_zero_has_one_spelling(self):
+        with pytest.raises(TypeError, match="coeffs"):
+            Polynomial()
+
     def test_from_terms(self):
         p = _oracles.from_terms({0: 1, 3: -2})
         assert p.coeffs == (1, 0, 0, -2)
@@ -118,22 +122,33 @@ class TestPolynomial:
         g = seq[-1]
         assert a.gcd(b) == g * Fraction(1, g.leading_coeff())
 
-    @given(st.lists(_FRACTIONS, max_size=6), st.lists(_FRACTIONS, max_size=4))
-    def test_pseudo_remainder_and_primitive_part(self, a, b):
-        a, b = Polynomial(a), Polynomial(b)
+    def test_remainder_sequence_builds_each_term_once(self, monkeypatch):
+        # one Polynomial per term past the operands, and one for the zero
+        # remainder that ends the sequence
+        a = Polynomial((3, -1, 0, 2, 5, -4))
+        b, built = a.derivative(), []
+
+        def init(self, coeffs, init=Polynomial.__init__):
+            built.append(self)
+            init(self, coeffs)
+
+        monkeypatch.setattr(Polynomial, "__init__", init)
+        seq = a.remainder_sequence(b)
+        assert len(seq) > 3 and len(built) == len(seq) - 1
+        assert all(x is y for x, y in zip(built, seq[2:]))
+        assert not built[-1]
+
+    @given(st.lists(_FRACTIONS, max_size=6))
+    def test_primitive_part(self, a):
+        a = Polynomial(a)
         prim = a.primitive()
         if a:
             assert all(type(c) is int for c in prim.coeffs)
             assert gcd(*prim.coeffs) == 1
             assert prim * a.leading_coeff() == a * prim.leading_coeff()
             assert prim.leading_coeff() * a.leading_coeff() > 0
-        if b:
-            delta = max(a.degree - b.degree + 1, 0)
-            assert a.pseudo_remainder(b) == \
-                divmod(a * b.leading_coeff() ** delta, b)[1]
         else:
-            with pytest.raises(ZeroDivisionError):
-                a.pseudo_remainder(b)
+            assert prim == Polynomial(())
 
     @given(*[st.lists(_FRACTIONS, max_size=5)] * 3)
     def test_ring_laws(self, f, g, h):
@@ -314,6 +329,15 @@ class TestRationalFunction:
                               Polynomial((Fraction(-1, 2), Fraction(-1, 2))))
         assert rf.num == Polynomial((-1, 1))
         assert rf.den == Polynomial((1,))
+        # a zero numerator over any nonzero denominator, monic or not,
+        # of either sign, is the one zero: 0 over 1
+        x = Polynomial((0, 1))
+        for den in (1, -3, Fraction(2, 3), 2 + 4 * x, -3 + x * x,
+                    Polynomial((Fraction(1, 2), 0, -5))):
+            for zero in (0, Polynomial(())):
+                rf = RationalFunction(zero, den)
+                assert rf == RationalFunction(0), den
+                assert rf.num == Polynomial(()) and rf.den == Polynomial((1,))
 
     @given(st.lists(_FRACTIONS, max_size=5),
            st.lists(_FRACTIONS, min_size=1, max_size=5).filter(any),
