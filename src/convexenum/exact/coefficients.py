@@ -5,11 +5,12 @@ the truncated convolution.  They are their own module so that series
 arithmetic runs without loading ``Polynomial``.
 
 This is the one module of the kernel's arithmetic that turns a value
-into a ``Fraction``: polynomial division, the monic gcd, series
-division and the field elimination's pivots all invert through
-:func:`reciprocal`, which keeps 1 and -1 as they are, so an integer
-computation stays in the integers.  ``roots`` imports ``fractions`` as
-well, for the intervals it returns.
+into a ``Fraction``: polynomial division, series division and the
+field elimination's pivots all invert through :func:`reciprocal`,
+which keeps 1 and -1 as they are, so an integer computation stays in
+the integers.  The gcd inverts nothing: it is a primitive integer
+polynomial.  ``roots`` imports ``fractions`` as well, for the intervals
+it returns.
 
 Every binary operator of ``Polynomial``, ``TruncatedSeries`` and
 ``RationalFunction`` is wrapped in :func:`binary`, so the three types

@@ -65,7 +65,7 @@ def _gauss_jordan(rows, rhs, is_unit, inverse):
             if r == col or not a[r][col]:
                 continue
             f = a[r][col]
-            a[r] = [e - f * p for e, p in zip(a[r], a[col])]
+            a[r] = [e - f * p if p else e for e, p in zip(a[r], a[col])]
             b[r] = b[r] - f * b[col]
     return b
 

@@ -99,10 +99,15 @@ class Polynomial(Frozen):
         return Polynomial(quot) * scale, Polynomial(rem) * scale
 
     def primitive(self) -> "Polynomial":
-        """Positive rational multiple with integer coefficients, content 1."""
+        """The primitive part: the rational multiple with integer
+        coefficients of content 1 and a positive leading coefficient,
+        and zero for zero.  This is the kernel's one normal form of a
+        polynomial up to a constant factor: ``gcd`` and the canonical
+        form of a rational function read it and pick no sign of their
+        own."""
         scale = lcm(*(c.denominator for c in self.coeffs))
         ints = [c.numerator * (scale // c.denominator) for c in self.coeffs]
-        content = gcd(*ints) or 1
+        content = (gcd(*ints) or 1) * (-1 if ints and ints[-1] < 0 else 1)
         return Polynomial([c // content for c in ints])
 
     def remainder_sequence(self, other: "Polynomial") -> list["Polynomial"]:
@@ -127,14 +132,16 @@ class Polynomial(Frozen):
         return seq[:-1]
 
     def gcd(self, other: "Polynomial") -> "Polynomial":
-        """Monic gcd: the monic form of the last term of the primitive
-        remainder sequence of the primitive operands.  An operand that
-        is not a ``Polynomial`` is a constant, so one that is not exact
-        raises ``TypeError``, as in the constructor."""
-        if not isinstance(other, Polynomial):
-            other = Polynomial((other,))
-        g = self.primitive().remainder_sequence(other.primitive())[-1]
-        return g * reciprocal(g.leading_coeff()) if g else g
+        """Primitive gcd: the primitive part of the last term of the
+        primitive remainder sequence of the primitive operands, so it has
+        integer coefficients, content 1 and a positive leading
+        coefficient (see ``primitive``), and it is zero only when both
+        operands are.  An operand that is not a ``Polynomial`` is a
+        constant, so one that is not exact raises ``TypeError``, as in
+        the constructor."""
+        other = other if isinstance(other, Polynomial) else Polynomial((other,))
+        seq = self.primitive().remainder_sequence(other.primitive())
+        return seq[-1].primitive()
 
     def derivative(self) -> "Polynomial":
         return Polynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i))

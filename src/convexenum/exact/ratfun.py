@@ -34,17 +34,15 @@ class RationalFunction(Frozen):
 
     @staticmethod
     def _canonicalize(num: Polynomial, den: Polynomial):
-        # a zero num takes this path too: g is den up to a constant, so
+        # a zero num takes this path too: g is den's primitive part, so
         # the parts come out as 0 and 1
-        g = num.gcd(den).primitive()  # integer coefficients divide faster
+        g = num.gcd(den)  # primitive: integer coefficients divide faster
         if g.degree > 0:
             num, den = divmod(num, g)[0], divmod(den, g)[0]
-        # one integer scale for both: clear denominators, divide by content;
-        # the last entry is den's leading coefficient, made positive
+        # one primitive part for both (see Polynomial.primitive): its last
+        # entry is den's leading coefficient, so that comes out positive
         split = len(num.coeffs)
         both = Polynomial(num.coeffs + den.coeffs).primitive().coeffs
-        if both[-1] < 0:
-            both = [-c for c in both]
         return Polynomial(both[:split]), Polynomial(both[split:])
 
     # -- basics -------------------------------------------------------

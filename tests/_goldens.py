@@ -168,6 +168,16 @@ PERM_SEARCH_CALLS = {
     (7, 3): 1352, (8, 3): 4721, (9, 3): 16161, (10, 3): 55369,
 }
 
+# RationalFunction constructions in matrix_resolvent_row(A, 0), A the
+# adjacency of build_digraph(1, cutoff=DEFAULT_CUTOFF[1]) (22 nodes): a
+# ceiling, since an elimination that builds the canonical form of every
+# zero product f * 0 in its row updates makes 7,611.  And the SHA-256 of
+# that row, one entry a line as "num / den", recorded from that
+# elimination.
+RESOLVENT_CONSTRUCTIONS = 1938
+RESOLVENT_ROW_SHA256 = (
+    "f02fe4c5fe49f400401c0d4155c274b5b195e249e912953de652206785802ae7")
+
 # SHA-256 of the CLI's stdout, keyed by its arguments; every command exits 0.
 # Each subcommand runs as text, with --json and with --csv, plus one
 # digraph with --dot; "words gf" and "cfrac f1" run at the default order.

@@ -32,6 +32,8 @@ from _goldens import (
     MATRIX_A_ROWS,
     PERM_SEARCH_CALLS,
     RATES,
+    RESOLVENT_CONSTRUCTIONS,
+    RESOLVENT_ROW_SHA256,
     ROOT_DIGITS,
     ROOT_INTERVALS,
     TABLE_F0,
@@ -706,6 +708,23 @@ class TestGrowthBounds:
             walks = walks + entry
         x = RationalFunction(Polynomial((0, 1)))
         assert gf_bound(2, "upper") == 1 + x + 2 * x * x * walks
+
+    def test_resolvent_elimination_skips_zero_products(self, monkeypatch):
+        # a row update keeps an entry whose pivot-row factor is zero, so
+        # the elimination builds no canonical form of a zero product
+        m = _oracles.adjacency(build_digraph(1, cutoff=DEFAULT_CUTOFF[1]))
+        built = []
+
+        def init(self, *args, init=RationalFunction.__init__):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(RationalFunction, "__init__", init)
+        row = matrix_resolvent_row(m, 0)
+        monkeypatch.undo()
+        text = "\n".join(f"{e.num} / {e.den}" for e in row)
+        assert hashlib.sha256(text.encode()).hexdigest() == RESOLVENT_ROW_SHA256
+        assert len(built) <= RESOLVENT_CONSTRUCTIONS
 
     def test_lower_bound_undercounts_only_eventually(self):
         lower = to_series(gf_bound(1, "lower"), 20).coeffs
