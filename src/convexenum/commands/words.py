@@ -7,9 +7,10 @@ from convexenum import DEFAULT_ORDER, words
 
 def _parse_partition(text: str, option: str) -> words.IntegerPartition:
     """The partition that ``option`` gives as its parts, separated by
-    commas in any order; an empty value is the empty partition."""
+    commas in any order, which ``IntegerPartition`` sorts; an empty
+    value is the empty partition."""
     try:
-        parts = sorted(int(x) for x in text.split(",")) if text else ()
+        parts = [int(x) for x in text.split(",")] if text else ()
     except ValueError:
         raise ValueError(f"{option} takes parts separated by commas, such as "
                          f"1,1,2, not {text!r}") from None

@@ -33,16 +33,15 @@ class Word(Frozen):
 
 
 class IntegerPartition(Frozen):
-    """Parts stored weakly increasing; total is their sum."""
+    """Parts given in any order and stored sorted, weakly increasing, so
+    two spellings of one partition are equal; total is their sum."""
 
     __slots__ = ("parts",)
 
     def __init__(self, parts):
-        parts = tuple(parts)
-        if any(p <= 0 for p in parts):
+        parts = tuple(sorted(parts))
+        if parts and parts[0] <= 0:
             raise ValueError("parts must be positive")
-        if any(a > b for a, b in zip(parts, parts[1:])):
-            raise ValueError("parts must be weakly increasing")
         super().__init__(parts)
 
     @property
@@ -59,11 +58,6 @@ class WordGF(Frozen):
     or ``None``.  The caller knows its (p, k)."""
 
     __slots__ = ("series", "ratfun")
-
-
-def is_convex_word(w: Word, k: int) -> bool:
-    a = w.letters
-    return all(a[i - 1] + a[i + 1] - 2 * a[i] <= k for i in range(1, len(a) - 1))
 
 
 def count_words_bruteforce(n: int, p: int, k: int) -> int:
@@ -163,12 +157,17 @@ def decode_word(w: Word) -> tuple[int, IntegerPartition, IntegerPartition]:
     and are w1's parts; the zeros lie on the plateau at m; the negative
     ones, negated, are w2's parts.  Both flanks fall from m to letters
     of at least 1, so both totals are below m.
+
+    The second difference a[i-1] + a[i+1] - 2 a[i] is d_i - d_(i-1) for
+    the differences d_i = a[i+1] - a[i], so the word is 0-convex exactly
+    when no difference exceeds the one before it; the differences are
+    computed once, for that test and for the parts.
     """
-    if not is_convex_word(w, 0):
-        raise ValueError("word is not 0-convex")
     a = w.letters
     if not a:
         raise ValueError("empty word")
     diffs = [b - c for c, b in zip(a, a[1:])]
-    return (max(a), IntegerPartition(sorted(d for d in diffs if d > 0)),
-            IntegerPartition(sorted(-d for d in diffs if d < 0)))
+    if any(d > e for e, d in zip(diffs, diffs[1:])):
+        raise ValueError("word is not 0-convex")
+    return (max(a), IntegerPartition(d for d in diffs if d > 0),
+            IntegerPartition(-d for d in diffs if d < 0))

@@ -10,7 +10,10 @@ runs it: :class:`Permutation`, the convexity test
 descendants whose step rule ``perms.build_digraph`` restates on node
 keys.  So do two builders of goldens: :func:`from_terms`, a polynomial
 from its {exponent: coefficient} terms, and :func:`to_series`, the
-expansion of a rational function.  The endpoint-tuple theory of the
+expansion of a rational function.  The convexity test of words,
+:func:`is_convex_word`, is the definition that the shared search is
+checked against; the library's ``decode_word`` reads 0-convexity from
+the differences that give its parts.  The endpoint-tuple theory of the
 digraph's classes is here as well: :func:`endpoint_state` reads a
 permutation's (first, second, second-to-last, last) entries,
 :func:`realizable` decides by a proved closed form whether a tuple
@@ -56,6 +59,7 @@ from convexenum.exact.roots import NoRootError
 from convexenum.exact.series import TruncatedSeries
 from convexenum.frozen import Frozen
 from convexenum.perms import START_KEY, DescendantDigraph, state_key, walks
+from convexenum.words import Word
 
 
 class Permutation(Frozen):
@@ -73,6 +77,11 @@ class Permutation(Frozen):
 
 def is_convex_perm(perm: Permutation, k: int) -> bool:
     a = perm.entries
+    return all(a[i - 1] + a[i + 1] - 2 * a[i] <= k for i in range(1, len(a) - 1))
+
+
+def is_convex_word(w: Word, k: int) -> bool:
+    a = w.letters
     return all(a[i - 1] + a[i + 1] - 2 * a[i] <= k for i in range(1, len(a) - 1))
 
 

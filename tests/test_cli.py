@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _goldens import CLI_STDOUT_SHA256
+from _goldens import CLI_STDOUT_SHA256, ENCODE_EXAMPLES
 from convexenum import perms, words
 from convexenum.cli import GROUPS, OUTPUT, build_parser, fast_parse, main
 
@@ -86,6 +86,24 @@ class TestWordsCommands:
                                  "--word", "9,10,10,9", "--p", "10")
         assert code == 0
         assert results_dict(payload) == {"m": 10, "w1": "{1}", "w2": "{1}"}
+
+    def test_encode_reads_parts_in_any_order(self, capsys):
+        # IntegerPartition sorts the parts, so the parser does not; the
+        # record differs from the sorted spelling's only in the echoed
+        # parameters
+        m, w1, w2, n, p, word = ENCODE_EXAMPLES[1]
+        code, ordered = run_json(capsys, "words", "encode", "--p", str(p),
+                                 "--m", str(m), "--w1", ",".join(map(str, w1)),
+                                 "--w2", ",".join(map(str, w2)), "--n", str(n))
+        assert code == 0
+        code, shuffled = run_json(capsys, "words", "encode", "--p", "8",
+                                  "--m", "8", "--w1", "3,1,2,1", "--w2", "4,2",
+                                  "--n", "15")
+        assert code == 0
+        assert shuffled["parameters"]["w1"] == "3,1,2,1"
+        del ordered["parameters"], shuffled["parameters"]
+        assert shuffled == ordered
+        assert results_dict(shuffled)["word"] == word == "146788888888862"
 
     @pytest.mark.parametrize("flags,word,w1,w2", [
         (["--w2", "1,1"], "33321", "{}", "{1,1}"),

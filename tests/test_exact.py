@@ -460,8 +460,9 @@ def test_mixed_subtraction_is_a_type_error_both_ways(left, right):
 # values they give in process, and the inexact ones still raise.
 RATIONAL_PATHS = """
 s, p = TruncatedSeries((2, 1, 3), 5), Polynomial((-2, 0, 2))
-values = [s.invert(), divmod(Polynomial((1, 2, 3)), Polynomial((2, 4))),
-          p.gcd(Polynomial((4, 4)))]
+quotient = divmod(Polynomial((1, 2, 3)), Polynomial((2, 4)))
+q = quotient[0]  # 1/8 + 3/4 x: primitive() clears a real denominator
+values = [s.invert(), quotient, q.gcd(q * Polynomial((1, 1)))]
 from fractions import Fraction
 values += [s + Fraction(1, 2), p * Fraction(2, 3)]
 from decimal import Decimal
@@ -491,7 +492,9 @@ def test_rational_paths_import_fractions_themselves():
     values = here["values"]
     assert out == repr(values) + "\n"
     assert values[0].coeffs[0] == Fraction(1, 2) \
-        and values[2] == Polynomial((1, 1))
+        and values[1][0].coeffs == (Fraction(1, 8), Fraction(3, 4))
+    assert values[2] == Polynomial((1, 6)) \
+        and [type(c) for c in values[2].coeffs] == [int, int]
     assert values[-4:] == ["TypeError"] * 4
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from _goldens import ENCODE_EXAMPLES, G0P_STABLE, SEARCH_COUNTS, WORD_GF_30
-from _oracles import to_series
+from _oracles import is_convex_word, to_series
 from convexenum import search
 from convexenum.exact.linalg import solve_field_system
 from convexenum.exact.polynomial import Polynomial
@@ -22,7 +22,6 @@ from convexenum.words import (
     decode_word,
     encode_word,
     g0p_stable,
-    is_convex_word,
     partition_count,
     word_gf,
 )
@@ -58,10 +57,12 @@ class TestWordBasics:
         assert is_convex_word(Word((3, 1), 3), 0)
 
     def test_partition_validation(self):
-        with pytest.raises(ValueError):
-            IntegerPartition((2, 1))  # must be weakly increasing
-        with pytest.raises(ValueError):
-            IntegerPartition((0,))
+        # parts in any order are stored sorted, so two spellings are equal
+        assert IntegerPartition((2, 1, 1)) == IntegerPartition((1, 1, 2))
+        assert IntegerPartition((2, 1, 1)).parts == (1, 1, 2)
+        for parts in ((0,), (2, -1)):
+            with pytest.raises(ValueError, match="^parts must be positive$"):
+                IntegerPartition(parts)
         assert IntegerPartition((1, 1, 3)).total == 5
 
 
@@ -284,6 +285,20 @@ class TestBijection:
     def test_decode_rejects_non_convex(self):
         with pytest.raises(ValueError):
             decode_word(Word((3, 1, 3), 3))
+
+    def test_decode_accepts_exactly_the_zero_convex_words(self):
+        """decode_word's test on the differences agrees with the
+        definition on every word of length 1 to 6 on [4]; each word it
+        accepts encodes back to itself."""
+        for n in range(1, 7):
+            for letters in product(range(1, 5), repeat=n):
+                w = Word(letters, 4)
+                if is_convex_word(w, 0):
+                    assert encode_word(*decode_word(w), n, 4) == w, w
+                else:
+                    with pytest.raises(ValueError,
+                                       match="^word is not 0-convex$"):
+                        decode_word(w)
 
 
 @pytest.mark.parametrize("call,message", [
