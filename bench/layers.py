@@ -5,12 +5,12 @@ order 300, the ladder counts of k-convex permutations, the
 depth-150 digraphs (built, labeled and written as DOT), the exact
 kernel's certified growth bounds and its root isolation alone on their
 four bound denominators and the k = 1 lower one cut at (1, 2, 7, 8),
-the gcd of each of those five with its derivative, its rational-function
-elimination of the k = 1 cut digraph, the canonical form of a rational
-function with a common factor, the k = 1 ladder's tot and f_1 series,
-the k = 2 components, the exact f_2 series from precomputed components
-and the 2-convex formula report, the size of the library's code, and
-what each of the benchmark's CLI commands loads.
+the gcd of each of those five with its derivative, the elimination of
+the resolvent row of the k = 1 cut digraph, the canonical form of a
+rational function with a common factor, the k = 1 ladder's tot and f_1
+series, the k = 2 components, the exact f_2 series from precomputed
+components and the 2-convex formula report, the size of the library's
+code, and what each of the benchmark's CLI commands loads.
 
     python bench/layers.py [--label NAME] [--src DIR]
 
@@ -160,17 +160,19 @@ def cases(cfrac, ladder, perms, words, g, oracles):
                 lambda out: out == Polynomial((1,)))
 
     def resolvent():
-        """The walk totals of the k = 1 cut digraph by elimination over
-        rational functions, the kernel path with the most operators; as
-        1 + x + 2 x^2 W they are the lower bound GF."""
+        """The walk totals W of the k = 1 cut digraph: its resolvent
+        row, eliminated by the kernel, summed exactly by
+        ``_oracles.rf_sum``; as 1 + x + 2 x^2 W they are the lower bound
+        GF."""
         x = Polynomial((0, 1))
         lower = perms.gf_bound(1, "lower")
         m = oracles.adjacency(
             perms.build_digraph(1, cutoff=perms.DEFAULT_CUTOFF[1]))
         return (f"sum of matrix_resolvent_row(adjacency of "
                 f"build_digraph(1, cutoff={perms.DEFAULT_CUTOFF[1]}), 0)",
-                lambda: sum(linalg.matrix_resolvent_row(m, 0)),
-                lambda out: 1 + x + 2 * x * x * out == lower)
+                lambda: oracles.rf_sum(linalg.matrix_resolvent_row(m, 0)),
+                lambda out: RationalFunction(
+                    (1 + x) * out.den + 2 * x * x * out.num, out.den) == lower)
 
     def bijection(n, p):
         """Decode then encode every 0-convex word of length n on [p],

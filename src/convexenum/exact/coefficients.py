@@ -6,16 +6,17 @@ arithmetic runs without loading ``Polynomial``.
 
 This is the one module of the kernel's arithmetic that turns a value
 into a ``Fraction``: polynomial division, series division and the
-field elimination's pivots all invert through :func:`reciprocal`,
-which keeps 1 and -1 as they are, so an integer computation stays in
-the integers.  The gcd inverts nothing: it is a primitive integer
-polynomial.  ``roots`` imports ``fractions`` as well, for the intervals
-it returns.
+exact quotients of the rational elimination all invert through
+:func:`reciprocal`, which keeps 1 and -1 as they are, so an integer
+computation stays in the integers.  The gcd inverts nothing: it is a
+primitive integer polynomial.  ``roots`` imports ``fractions`` as well,
+for the intervals it returns.
 
-Every binary operator of ``Polynomial``, ``TruncatedSeries`` and
-``RationalFunction`` is wrapped in :func:`binary`, so the three types
-share one operand protocol.  The type's own ``_coerce`` turns the other
-operand into a value of the type, or declines it with
+Every binary operator of ``Polynomial`` and ``TruncatedSeries`` is
+wrapped in :func:`binary`, so the two types share one operand
+protocol; a ``RationalFunction`` is a canonical record with no
+arithmetic, and takes no part in it.  The type's own ``_coerce`` turns
+the other operand into a value of the type, or declines it with
 ``NotImplemented``; Python then tries the other operand's reflected
 operator, and raises ``TypeError`` when that declines too.  A scalar
 operand (see :func:`is_scalar`) is a constant of the type.  The
@@ -62,9 +63,9 @@ def is_scalar(x) -> bool:
 def reciprocal(c):
     """1 / c, exactly: ``c`` itself for 1 and -1, so an ``int`` unit
     stays an ``int`` and ``fractions`` is not imported, and
-    ``Fraction(1) / c`` otherwise, never a ``float``.  ``c`` may be any
-    value that a ``Fraction`` divides, such as a ``RationalFunction``;
-    0 raises ``ZeroDivisionError``."""
+    ``Fraction(1) / c`` otherwise, never a ``float``.  ``c`` is an
+    ``int`` or a ``Fraction``: a ``RationalFunction`` has no arithmetic,
+    so it is not inverted here.  0 raises ``ZeroDivisionError``."""
     if c in (1, -1):
         return c
     from fractions import Fraction

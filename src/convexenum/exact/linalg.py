@@ -1,9 +1,22 @@
-"""Linear algebra over truncated series and the rational-function field."""
+"""Linear algebra over truncated series, the rationals and integer
+polynomials: one fraction-free Gauss-Jordan elimination,
+:func:`_gauss_jordan` (Bareiss, Math. Comp. 22, 1968), for all three.
+
+At a pivot p every other row r becomes (p row_r - a_rc row_c) / prev,
+prev the pivot before p.  By Sylvester's identity every entry is then a
+minor of the system, so each division is exact: the series solve divides
+by unit series, the rational solve through ``coefficients.reciprocal``
+and ``exact_coefficient``, so that an integer system stays in the
+integers, and the resolvent divides integer polynomials by ``divmod``,
+raising on a remainder.  The solution is the numerators over the last
+pivot."""
 
 from __future__ import annotations
 
+from operator import truediv
+
 from convexenum.exact import polynomial, ratfun, series
-from convexenum.exact.coefficients import reciprocal
+from convexenum.exact.coefficients import exact_coefficient, reciprocal
 from convexenum.frozen import Frozen
 
 
@@ -38,61 +51,75 @@ class SeriesMatrix(Frozen):
         return len(self.entries)
 
 
-def _gauss_jordan(rows, rhs, is_unit, inverse):
-    """Solve rows * X = rhs by Gauss-Jordan elimination.
+def _gauss_jordan(rows, rhs, is_pivot, divide):
+    """Solve rows * X = rhs by the fraction-free Gauss-Jordan
+    elimination of the module docstring: return the numerators of X and
+    the last pivot, which is the determinant up to sign.
 
     Each column pivots on its first remaining entry for which
-    ``is_unit`` holds, and the pivot row is scaled by ``inverse`` of its
-    pivot; no such entry means the determinant is not a unit.
+    ``is_pivot`` holds; no such entry means the determinant is not a
+    unit.  ``divide`` is the ring's exact quotient; prev is 1 at the
+    first pivot.  Negation is spelled 0 - a_rc, which every ring of the
+    kernel takes: ``Polynomial`` and ``TruncatedSeries`` have no unary
+    minus.
     """
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("system matrix must be square")
     if len(rhs) != n:
         raise ValueError("right-hand side length mismatch")
-    a = [list(row) for row in rows]
-    b = list(rhs)
+    a = [[*row, b] for row, b in zip(rows, rhs)]
+    prev = 1
     for col in range(n):
-        piv = next((r for r in range(col, n) if is_unit(a[r][col])), None)
+        piv = next((r for r in range(col, n) if is_pivot(a[r][col])), None)
         if piv is None:
             raise NonUnitDeterminantError(f"no unit pivot in column {col}")
         a[col], a[piv] = a[piv], a[col]
-        b[col], b[piv] = b[piv], b[col]
-        inv = inverse(a[col][col])
-        a[col] = [e * inv for e in a[col]]
-        b[col] = b[col] * inv
+        p = a[col][col]
         for r in range(n):
-            if r == col or not a[r][col]:
-                continue
-            f = a[r][col]
-            a[r] = [e - f * p if p else e for e, p in zip(a[r], a[col])]
-            b[r] = b[r] - f * b[col]
-    return b
+            if r != col:
+                g = 0 - a[r][col]
+                # zero over a zero pivot-row entry stays zero
+                a[r] = [divide(p * e + g * q if q else p * e, prev)
+                        if e or q else e for e, q in zip(a[r], a[col])]
+        prev = p
+    return [row[n] for row in a], prev
 
 
 def solve_series_system(m: SeriesMatrix, rhs) -> list[series.TruncatedSeries]:
     """Solve M * F = rhs over truncated series.
 
     Requires a square system whose determinant is a unit in the series
-    ring: the pivots are entries with a nonzero constant term, so a
-    column without one means the determinant's constant term is zero.
+    ring: the pivots are entries with a nonzero constant term, so every
+    division is by a unit series, and a column without one means the
+    determinant's constant term is zero.
     """
-    return _gauss_jordan(m.entries, rhs, lambda e: e.coeffs[0] != 0,
-                         series.TruncatedSeries.invert)
+    nums, det = _gauss_jordan(m.entries, rhs, lambda e: e.coeffs[0] != 0,
+                              truediv)
+    return [f / det for f in nums]
 
 
 def solve_field_system(matrix, rhs):
-    """Gaussian elimination over any field (entries support +, -, *,
-    ``bool``, comparison with 1 and -1, and division of a ``Fraction``
-    by them).
+    """Solve matrix * X = rhs over the rationals: ``matrix`` is a square
+    nested list of ``int`` or ``Fraction`` entries, and a singular one
+    raises ``NonUnitDeterminantError``.
 
-    ``matrix`` is a square nested list; raises on a singular matrix.
-    Each pivot is inverted by ``coefficients.reciprocal``: a pivot of 1
-    or -1 is its own inverse and stays an ``int``, and any other is
-    inverted as ``Fraction(1) / e``, so integer entries give exact
-    ``int`` or ``Fraction`` results, never floats.
+    Each exact quotient multiplies by ``coefficients.reciprocal`` and
+    normalizes through ``exact_coefficient``, so an integer system stays
+    in the integers, and an integral value of X is an ``int``.
     """
-    return _gauss_jordan(matrix, rhs, bool, reciprocal)
+    def divide(a, b):
+        return exact_coefficient(a * reciprocal(b))
+
+    nums, det = _gauss_jordan(matrix, rhs, bool, divide)
+    return [divide(x, det) for x in nums]
+
+
+def _exact_quotient(a, b):
+    quot, rem = divmod(a, b)
+    if rem:
+        raise ArithmeticError(f"{b} does not divide {a}")
+    return quot
 
 
 def matrix_resolvent_row(m, row: int) -> list[ratfun.RationalFunction]:
@@ -100,17 +127,17 @@ def matrix_resolvent_row(m, row: int) -> list[ratfun.RationalFunction]:
 
     ``m`` is a square nested list of polynomial (or integer) entries,
     typically an adjacency matrix; the resolvent row generates walk
-    counts out of vertex ``row``.
+    counts out of vertex ``row``.  The system (I - Mx)^T y = e_row,
+    y_j = [(I - Mx)^{-1}]_{row, j}, is eliminated over integer
+    polynomials: each pivot is a leading principal minor of I - xM^T,
+    which is 1 mod x, so none is zero and no row moves.  Each entry is
+    the canonical form of its numerator over the determinant.
     """
     n = len(m)
     if any(len(r) != n for r in m):
         raise ValueError("matrix must be square")
     x = polynomial.Polynomial((0, 1))
-    # Solve (I - Mx)^T y = e_row; then y_j = [(I - Mx)^{-1}]_{row, j}.
-    sys = [
-        [ratfun.RationalFunction((1 if i == j else 0) - x * m[j][i])
-         for j in range(n)]
-        for i in range(n)
-    ]
-    rhs = [ratfun.RationalFunction(1 if i == row else 0) for i in range(n)]
-    return solve_field_system(sys, rhs)
+    sys = [[int(i == j) - x * m[j][i] for j in range(n)] for i in range(n)]
+    nums, det = _gauss_jordan(sys, [int(i == row) for i in range(n)], bool,
+                              _exact_quotient)
+    return [ratfun.RationalFunction(y, det) for y in nums]

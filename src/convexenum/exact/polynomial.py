@@ -67,9 +67,6 @@ class Polynomial(Frozen):
 
     __radd__ = __add__
 
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self.coeffs))
-
     @binary
     def __sub__(self, other) -> "Polynomial":
         return Polynomial(tuple(x - y for x, y in zip_longest(

@@ -1,12 +1,18 @@
-"""Rational functions in one variable, kept in canonical form."""
+"""Rational functions in one variable, kept in canonical form.
+
+A ``RationalFunction`` is a canonical record, made by
+:meth:`RationalFunction.from_sequence` or by
+``linalg.matrix_resolvent_row``, with no arithmetic: it defines no
+operator and no truth value, so a caller tests ``rf.num`` for zero.  The
+kernel computes over ``Polynomial`` and ``TruncatedSeries`` and builds
+the canonical form once, from a numerator and a denominator."""
 
 from __future__ import annotations
 
 from math import gcd, lcm
 from operator import mul
 
-from convexenum.exact.coefficients import (
-    binary, convolve, exact_coefficient, is_scalar)
+from convexenum.exact.coefficients import convolve, exact_coefficient
 from convexenum.exact.polynomial import Polynomial
 from convexenum.frozen import Frozen
 
@@ -22,15 +28,11 @@ class RationalFunction(Frozen):
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=Polynomial((1,))):
-        num = self._as_poly(num)
-        den = self._as_poly(den)
+        num, den = (p if isinstance(p, Polynomial) else Polynomial((p,))
+                    for p in (num, den))
         if not den:
             raise ZeroDivisionError("zero denominator")
         super().__init__(*self._canonicalize(num, den))
-
-    @staticmethod
-    def _as_poly(p) -> Polynomial:
-        return p if isinstance(p, Polynomial) else Polynomial((p,))
 
     @staticmethod
     def _canonicalize(num: Polynomial, den: Polynomial):
@@ -102,50 +104,3 @@ class RationalFunction(Frozen):
             raise ArithmeticError("terms break the recovered recurrence")
         num = convolve(c, s, length)
         return cls(Polynomial(num), Polynomial([scale * cj for cj in c]))
-
-    def __bool__(self) -> bool:
-        return bool(self.num)
-
-    # -- field arithmetic ---------------------------------------------
-
-    @classmethod
-    def _coerce(cls, other):
-        if isinstance(other, RationalFunction):
-            return other
-        if isinstance(other, Polynomial) or is_scalar(other):
-            return cls(other)
-        return NotImplemented
-
-    @binary
-    def __add__(self, other):
-        return RationalFunction(self.num * other.den + other.num * self.den,
-                                self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den)
-
-    @binary
-    def __sub__(self, other):
-        return self + (-other)
-
-    @binary
-    def __rsub__(self, other):
-        return other - self
-
-    @binary
-    def __mul__(self, other):
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    @binary
-    def __truediv__(self, other):
-        if not other:
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    @binary
-    def __rtruediv__(self, other):
-        return other / self

@@ -16,13 +16,17 @@ from convexenum.frozen import Frozen
 
 
 class Word(Frozen):
-    """A finite sequence of letters from the alphabet [1, p]."""
+    """A finite sequence of letters from the alphabet [1, p].  A letter
+    that is not an ``int``, a ``bool`` included, raises ``TypeError``,
+    as an inexact coefficient does in the exact kernel."""
 
     __slots__ = ("letters", "alphabet_size")
 
     def __init__(self, letters, alphabet_size: int):
         letters = tuple(letters)
         for x in letters:
+            if type(x) is not int:
+                raise TypeError(f"letter {x!r} is not an int")
             if not 1 <= x <= alphabet_size:
                 raise ValueError(f"letter {x} outside [1, {alphabet_size}]")
         super().__init__(letters, alphabet_size)
@@ -34,12 +38,16 @@ class Word(Frozen):
 
 class IntegerPartition(Frozen):
     """Parts given in any order and stored sorted, weakly increasing, so
-    two spellings of one partition are equal; total is their sum."""
+    two spellings of one partition are equal; total is their sum.  A
+    part that is not an ``int``, a ``bool`` included, raises
+    ``TypeError``."""
 
     __slots__ = ("parts",)
 
     def __init__(self, parts):
         parts = tuple(sorted(parts))
+        if any(type(x) is not int for x in parts):
+            raise TypeError(f"parts must be ints: {parts!r}")
         if parts and parts[0] <= 0:
             raise ValueError("parts must be positive")
         super().__init__(parts)

@@ -169,12 +169,13 @@ PERM_SEARCH_CALLS = {
 }
 
 # RationalFunction constructions in matrix_resolvent_row(A, 0), A the
-# adjacency of build_digraph(1, cutoff=DEFAULT_CUTOFF[1]) (22 nodes): a
-# ceiling, since an elimination that builds the canonical form of every
-# zero product f * 0 in its row updates makes 7,611.  And the SHA-256 of
-# that row, one entry a line as "num / den", recorded from that
-# elimination.
-RESOLVENT_CONSTRUCTIONS = 1938
+# adjacency of build_digraph(1, cutoff=DEFAULT_CUTOFF[1]) (22 nodes): one
+# canonical form per entry of the row, since the elimination runs over
+# integer polynomials (one over the rational-function field built 1,938,
+# and 7,611 when it built the canonical form of every zero product).
+# And the SHA-256 of that row, one entry a line as "num / den", recorded
+# from the field elimination.
+RESOLVENT_CONSTRUCTIONS = 22
 RESOLVENT_ROW_SHA256 = (
     "f02fe4c5fe49f400401c0d4155c274b5b195e249e912953de652206785802ae7")
 

@@ -10,7 +10,11 @@ runs it: :class:`Permutation`, the convexity test
 descendants whose step rule ``perms.build_digraph`` restates on node
 keys.  So do two builders of goldens: :func:`from_terms`, a polynomial
 from its {exponent: coefficient} terms, and :func:`to_series`, the
-expansion of a rational function.  The convexity test of words,
+expansion of a rational function.  Since the library's
+``RationalFunction`` has no arithmetic, :func:`rf_sum` adds rational
+functions by cross-multiplying, and the library's fraction-free
+elimination is checked against :func:`determinant`, Leibniz's signed
+sum over permutations.  The convexity test of words,
 :func:`is_convex_word`, is the definition that the shared search is
 checked against; the library's ``decode_word`` reads 0-convexity from
 the differences that give its parts.  The endpoint-tuple theory of the
@@ -49,7 +53,8 @@ the closed form that elimination gives.
 """
 
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, combinations, permutations
+from math import prod
 
 from convexenum.cfrac import ladder_tower
 from convexenum.exact.linalg import SeriesMatrix, solve_series_system
@@ -122,6 +127,28 @@ def to_series(rf: RationalFunction, order: int) -> TruncatedSeries:
             / TruncatedSeries(rf.den.coeffs, order))
 
 
+def rf_sum(terms) -> RationalFunction:
+    """The exact sum of the ``RationalFunction``s ``terms``, one at a
+    time: the numerators cross-multiplied over the product of the
+    denominators, which the constructor brings to canonical form."""
+    total = RationalFunction(0)
+    for t in terms:
+        total = RationalFunction(total.num * t.den + t.num * total.den,
+                                 total.den * t.den)
+    return total
+
+
+def determinant(matrix):
+    """The determinant of a square nested list by Leibniz's formula, a
+    signed sum over every permutation of the columns."""
+    total = 0
+    for cols in permutations(range(len(matrix))):
+        inversions = sum(a > b for a, b in combinations(cols, 2))
+        total += (-1) ** inversions * prod(
+            row[c] for row, c in zip(matrix, cols))
+    return total
+
+
 def euclid_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic gcd by Euclid's algorithm over the rationals."""
     while b:
@@ -138,7 +165,7 @@ def squarefree_part(p: Polynomial) -> Polynomial:
 def sturm_chain(p: Polynomial) -> list[Polynomial]:
     chain = [p, p.derivative()]
     while chain[-1]:
-        chain.append(-divmod(chain[-2], chain[-1])[1])
+        chain.append(0 - divmod(chain[-2], chain[-1])[1])
     chain.pop()
     return chain
 

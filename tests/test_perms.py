@@ -700,18 +700,20 @@ class TestGrowthBounds:
         assert to_series(gf_bound(k, side), order) == expected
 
     def test_matches_resolvent_elimination(self):
-        # independent oracle: 1 + x + 2 x^2 times the start row of
-        # (I - xA)^{-1}, summed, solved over the rational-function field
+        # independent oracle: 1 + x + 2 x^2 W, for W the start row of
+        # (I - xA)^{-1} eliminated over integer polynomials and summed
         g = build_digraph(2, cutoff=DEFAULT_CUTOFF[2], loop=True)
-        walks = RationalFunction(0)
-        for entry in matrix_resolvent_row(_oracles.adjacency(g), 0):
-            walks = walks + entry
-        x = RationalFunction(Polynomial((0, 1)))
-        assert gf_bound(2, "upper") == 1 + x + 2 * x * x * walks
+        walks = _oracles.rf_sum(
+            matrix_resolvent_row(_oracles.adjacency(g), 0))
+        x = Polynomial((0, 1))
+        expected = RationalFunction((1 + x) * walks.den
+                                    + 2 * x * x * walks.num, walks.den)
+        assert gf_bound(2, "upper") == expected
 
-    def test_resolvent_elimination_skips_zero_products(self, monkeypatch):
-        # a row update keeps an entry whose pivot-row factor is zero, so
-        # the elimination builds no canonical form of a zero product
+    def test_resolvent_builds_one_canonical_form_per_entry(
+            self, monkeypatch):
+        # the elimination runs over integer polynomials, so the only
+        # canonical forms it builds are the entries it returns
         m = _oracles.adjacency(build_digraph(1, cutoff=DEFAULT_CUTOFF[1]))
         built = []
 
@@ -724,7 +726,8 @@ class TestGrowthBounds:
         monkeypatch.undo()
         text = "\n".join(f"{e.num} / {e.den}" for e in row)
         assert hashlib.sha256(text.encode()).hexdigest() == RESOLVENT_ROW_SHA256
-        assert len(built) <= RESOLVENT_CONSTRUCTIONS
+        assert len(built) == RESOLVENT_CONSTRUCTIONS == len(row)
+        assert all(b is e for b, e in zip(built, row))
 
     def test_lower_bound_undercounts_only_eventually(self):
         lower = to_series(gf_bound(1, "lower"), 20).coeffs
@@ -778,21 +781,6 @@ class TestGrowthBounds:
         for den, _ in _bound_denominators():
             assert smallest_positive_root(den, precision) == \
                 _oracles.smallest_positive_root(den, precision)
-
-    def test_remainder_sequences_negate_no_polynomial(self, monkeypatch):
-        # the gcd and the Sturm chain build each term of the remainder
-        # sequence once, dividing by its signed content
-        cases, negated = _bound_denominators(), []
-
-        def neg(p):
-            negated.append(p)
-            return Polynomial(tuple(-c for c in p.coeffs))
-
-        monkeypatch.setattr(Polynomial, "__neg__", neg)
-        for den, interval in cases:
-            assert den.gcd(den.derivative()) == Polynomial((1,))
-            assert smallest_positive_root(den, 20) == interval
-        assert negated == []
 
     @pytest.mark.parametrize("call", [lambda: growth_bounds(3),
                                       lambda: gf_bound(0, "lower")])

@@ -2,6 +2,7 @@
 
 import re
 import sys
+from fractions import Fraction
 from itertools import product
 from math import perm
 
@@ -9,9 +10,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from _goldens import ENCODE_EXAMPLES, G0P_STABLE, SEARCH_COUNTS, WORD_GF_30
-from _oracles import is_convex_word, to_series
+from _oracles import is_convex_word, rf_sum, to_series
 from convexenum import search
-from convexenum.exact.linalg import solve_field_system
+from convexenum.exact.linalg import matrix_resolvent_row
 from convexenum.exact.polynomial import Polynomial
 from convexenum.exact.ratfun import RationalFunction
 from convexenum.words import (
@@ -64,6 +65,24 @@ class TestWordBasics:
             with pytest.raises(ValueError, match="^parts must be positive$"):
                 IntegerPartition(parts)
         assert IntegerPartition((1, 1, 3)).total == 5
+
+    @pytest.mark.parametrize("entry", [1.5, 2.0, True, Fraction(2)],
+                             ids=["float", "integral_float", "bool",
+                                  "Fraction"])
+    def test_entries_must_be_ints(self, entry):
+        # as in the exact kernel, no entry is rounded or read as an int:
+        # a float letter printed as "2.53.03.03.0" and a bool part as
+        # "{True,2}"
+        with pytest.raises(TypeError, match="^letter .* is not an int$"):
+            Word((1, entry), 3)
+        with pytest.raises(TypeError, match="^parts must be ints: "):
+            IntegerPartition((entry, 2))
+
+    def test_encoding_a_float_maximum_is_a_type_error(self):
+        # the letters would run 2.0, 3.0, 3.0, 3.0
+        with pytest.raises(TypeError, match="^letter 2.0 is not an int$"):
+            encode_word(3.0, IntegerPartition((1,)), IntegerPartition(()),
+                        4, 3)
 
 
 class TestCounting:
@@ -195,20 +214,17 @@ class TestGeneratingFunction:
 
     def test_closed_form_matches_transfer_system_elimination(self):
         # independent oracle: F(a,b) - x * sum_{c <= k+2b-a} F(b,c) = x^2,
-        # solved over the rational-function field
-        x = RationalFunction(Polynomial((0, 1)))
+        # that is F = x^2 (I - xB)^{-1} 1 for the pair-transition matrix
+        # B: x^2 times every resolvent row of B, summed exactly
+        x = Polynomial((0, 1))
         for p, k in [(2, 0), (3, 0), (2, 1), (3, 2)]:
             pairs = [(a, b) for a in range(1, p + 1) for b in range(1, p + 1)]
-            rows = []
-            for a, b in pairs:
-                row = [RationalFunction(int(ab == (a, b))) for ab in pairs]
-                for c in range(1, min(p, k + 2 * b - a) + 1):
-                    j = pairs.index((b, c))
-                    row[j] = row[j] - x
-                rows.append(row)
-            total = RationalFunction(Polynomial((1, p)))
-            for s in solve_field_system(rows, [x * x] * len(pairs)):
-                total = total + s
+            m = [[int(b == b2 and c <= k + 2 * b - a) for b2, c in pairs]
+                 for a, b in pairs]
+            terms = [RationalFunction(x * x * e.num, e.den)
+                     for i in range(len(pairs))
+                     for e in matrix_resolvent_row(m, i)]
+            total = rf_sum([RationalFunction(Polynomial((1, p)))] + terms)
             assert word_gf(p, k, with_ratfun=True).ratfun == total, (p, k)
 
 
