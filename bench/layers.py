@@ -190,7 +190,7 @@ def cases(cfrac, ladder, perms, words, g, oracles):
     def common_factor():
         """The k = 1 lower bound GF g with both parts times
         f = 1 + 2x + 3x^2: the one case whose gcd is not 1, so the one
-        that divides polynomials (by ``divmod``)."""
+        that divides polynomials (by ``/``)."""
         lower, f = perms.gf_bound(1, "lower"), Polynomial((1, 2, 3))
         num, den = lower.num * f, lower.den * f
         return ("RationalFunction(g.num * f, g.den * f), "

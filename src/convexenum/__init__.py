@@ -1,8 +1,9 @@
 """Exact enumeration of locally convex words and permutations.
 
-Everything is exact: counts and series coefficients are Python ``int``s,
-and only values that are not integers become ``Fraction``s.  The only
-floating-point anywhere is the decimal rendering of certified root
+Everything is exact: the exact kernel computes in Z[x] and Z[[x]], so
+counts and every polynomial and series coefficient are Python ``int``s,
+and only the certified root intervals have ``Fraction`` endpoints.  The
+only floating-point anywhere is the decimal rendering of those
 intervals.
 """
 

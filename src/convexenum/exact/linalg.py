@@ -1,22 +1,20 @@
-"""Linear algebra over truncated series, the rationals and integer
-polynomials: one fraction-free Gauss-Jordan elimination,
+"""Linear algebra over truncated integer series, the rationals and
+integer polynomials: one fraction-free Gauss-Jordan elimination,
 :func:`_gauss_jordan` (Bareiss, Math. Comp. 22, 1968), for all three.
 
 At a pivot p every other row r becomes (p row_r - a_rc row_c) / prev,
 prev the pivot before p.  By Sylvester's identity every entry is then a
-minor of the system, so each division is exact: the series solve divides
-by unit series, the rational solve through ``coefficients.reciprocal``
-and ``exact_coefficient``, so that an integer system stays in the
-integers, and the resolvent divides integer polynomials by ``divmod``,
-raising on a remainder.  The solution is the numerators over the last
-pivot."""
+minor of the system, so each division is exact: the series solve and
+the resolvent divide by the ring's own exact ``/``, in Z[[x]] and Z[x],
+which raises should a quotient leave the ring, and the rational solve
+divides with a ``Fraction`` of its own.  The solution is the numerators
+over the last pivot."""
 
 from __future__ import annotations
 
 from operator import truediv
 
 from convexenum.exact import polynomial, ratfun, series
-from convexenum.exact.coefficients import exact_coefficient, reciprocal
 from convexenum.frozen import Frozen
 
 
@@ -87,12 +85,14 @@ def _gauss_jordan(rows, rhs, is_pivot, divide):
 
 
 def solve_series_system(m: SeriesMatrix, rhs) -> list[series.TruncatedSeries]:
-    """Solve M * F = rhs over truncated series.
+    """Solve M * F = rhs over truncated integer series.
 
-    Requires a square system whose determinant is a unit in the series
-    ring: the pivots are entries with a nonzero constant term, so every
-    division is by a unit series, and a column without one means the
-    determinant's constant term is zero.
+    Requires a square system whose determinant has a nonzero constant
+    term: the pivots are entries with a nonzero constant term, and a
+    column without one means the determinant's constant term is zero.
+    Every elimination step divides exactly.  The solution can leave
+    Z[[x]], and then raises ``ArithmeticError``, only when the
+    determinant is not a unit: when its constant term is not 1 or -1.
     """
     nums, det = _gauss_jordan(m.entries, rhs, lambda e: e.coeffs[0] != 0,
                               truediv)
@@ -104,22 +104,14 @@ def solve_field_system(matrix, rhs):
     nested list of ``int`` or ``Fraction`` entries, and a singular one
     raises ``NonUnitDeterminantError``.
 
-    Each exact quotient multiplies by ``coefficients.reciprocal`` and
-    normalizes through ``exact_coefficient``, so an integer system stays
-    in the integers, and an integral value of X is an ``int``.
+    The elimination divides with ``Fraction``, imported here: it is the
+    one rational division of the library.  An integral value of X is an
+    ``int``.
     """
-    def divide(a, b):
-        return exact_coefficient(a * reciprocal(b))
-
-    nums, det = _gauss_jordan(matrix, rhs, bool, divide)
-    return [divide(x, det) for x in nums]
-
-
-def _exact_quotient(a, b):
-    quot, rem = divmod(a, b)
-    if rem:
-        raise ArithmeticError(f"{b} does not divide {a}")
-    return quot
+    from fractions import Fraction
+    nums, det = _gauss_jordan(matrix, rhs, bool, Fraction)
+    return [x.numerator if x.denominator == 1 else x
+            for x in (Fraction(y, det) for y in nums)]
 
 
 def matrix_resolvent_row(m, row: int) -> list[ratfun.RationalFunction]:
@@ -139,5 +131,5 @@ def matrix_resolvent_row(m, row: int) -> list[ratfun.RationalFunction]:
     x = polynomial.Polynomial((0, 1))
     sys = [[int(i == j) - x * m[j][i] for j in range(n)] for i in range(n)]
     nums, det = _gauss_jordan(sys, [int(i == row) for i in range(n)], bool,
-                              _exact_quotient)
+                              truediv)
     return [ratfun.RationalFunction(y, det) for y in nums]

@@ -1,12 +1,12 @@
-"""Dense univariate polynomials with rational coefficients."""
+"""Dense univariate polynomials with integer coefficients: the ring Z[x]."""
 
 from __future__ import annotations
 
 from itertools import zip_longest
-from math import gcd, lcm
+from math import gcd
 
 from convexenum.exact.coefficients import (
-    binary, convolve, exact_coefficient, is_scalar, reciprocal)
+    binary, convolve, exact_coefficient, is_scalar)
 from convexenum.frozen import Frozen
 
 
@@ -33,9 +33,9 @@ def _pseudo_divide(a, b) -> tuple[list, list]:
 class Polynomial(Frozen):
     """A polynomial stored as a coefficient tuple, index = exponent.
 
-    Coefficients are normalized (see ``exact_coefficient``), so integer
-    coefficients stay ``int``.  Trailing zeros are stripped, so the zero
-    polynomial has an empty coefficient tuple and degree -1.
+    Coefficients are ``int``s (see ``exact_coefficient``).  Trailing
+    zeros are stripped, so the zero polynomial has an empty coefficient
+    tuple and degree -1.
     """
 
     __slots__ = ("coeffs",)
@@ -55,7 +55,7 @@ class Polynomial(Frozen):
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def leading_coeff(self) -> int | Fraction:
+    def leading_coeff(self) -> int:
         return self.coeffs[-1] if self.coeffs else 0
 
     # -- ring arithmetic ----------------------------------------------
@@ -90,22 +90,26 @@ class Polynomial(Frozen):
         return Polynomial((other,)) if is_scalar(other) else NotImplemented
 
     @binary
-    def __divmod__(self, other: "Polynomial"):
+    def __truediv__(self, other: "Polynomial") -> "Polynomial":
+        """The exact quotient q with q * other = self in Z[x]: the
+        pseudo-quotient of ``_pseudo_divide`` over lc(other)^e.  A
+        remainder, or a coefficient that lc(other)^e does not divide,
+        means the quotient leaves Z[x], and raises ``ArithmeticError``."""
         quot, rem = _pseudo_divide(self.coeffs, other.coeffs)
-        scale = reciprocal(other.leading_coeff() ** len(quot))
-        return Polynomial(quot) * scale, Polynomial(rem) * scale
+        scale = other.leading_coeff() ** len(quot)
+        if any(rem) or any(c % scale for c in quot):
+            raise ArithmeticError(f"{other} does not divide {self} in Z[x]")
+        return Polynomial([c // scale for c in quot])
 
     def primitive(self) -> "Polynomial":
-        """The primitive part: the rational multiple with integer
-        coefficients of content 1 and a positive leading coefficient,
-        and zero for zero.  This is the kernel's one normal form of a
-        polynomial up to a constant factor: ``gcd`` and the canonical
-        form of a rational function read it and pick no sign of their
-        own."""
-        scale = lcm(*(c.denominator for c in self.coeffs))
-        ints = [c.numerator * (scale // c.denominator) for c in self.coeffs]
-        content = (gcd(*ints) or 1) * (-1 if ints and ints[-1] < 0 else 1)
-        return Polynomial([c // content for c in ints])
+        """The primitive part: self over its content, signed so that the
+        leading coefficient is positive, and zero for zero.  This is the
+        kernel's one normal form of a polynomial up to a constant
+        factor: ``gcd`` and the canonical form of a rational function
+        read it and pick no sign of their own."""
+        cs = self.coeffs
+        content = (gcd(*cs) or 1) * (-1 if cs and cs[-1] < 0 else 1)
+        return Polynomial([c // content for c in cs])
 
     def remainder_sequence(self, other: "Polynomial") -> list["Polynomial"]:
         """The primitive pseudo-remainder sequence [self, other, r_2, ...]
@@ -134,8 +138,8 @@ class Polynomial(Frozen):
         integer coefficients, content 1 and a positive leading
         coefficient (see ``primitive``), and it is zero only when both
         operands are.  An operand that is not a ``Polynomial`` is a
-        constant, so one that is not exact raises ``TypeError``, as in
-        the constructor."""
+        constant, so one that is not an ``int`` raises ``TypeError``, as
+        in the constructor."""
         other = other if isinstance(other, Polynomial) else Polynomial((other,))
         seq = self.primitive().remainder_sequence(other.primitive())
         return seq[-1].primitive()
@@ -153,13 +157,12 @@ class Polynomial(Frozen):
     # -- display ------------------------------------------------------
 
     def __str__(self):
-        """The nonzero terms by rising exponent, e.g. ``-1/2 + 3*x - x^3``.
+        """The nonzero terms by rising exponent, e.g. ``-2 + 3*x - x^3``.
 
         Each term's sign is written once: as the separator ``" + "`` or
         ``" - "``, or as a leading ``-`` on a negative first term.  Its
-        magnitude m (an ``int`` or a ``Fraction`` ``p/q``) then prints as
-        ``m`` at x^0, as ``x`` or ``x^i`` when m = 1, and as ``m*x`` or
-        ``m*x^i`` otherwise.  The zero polynomial prints as ``0``.
+        magnitude m then prints as ``m`` at x^0, as ``x`` or ``x^i`` when
+        m = 1, and as ``m*x`` or ``m*x^i`` otherwise.  The zero polynomial prints as ``0``.
         ``perfbench/oracles.parse_poly`` reads this format back.
         """
         out = ""

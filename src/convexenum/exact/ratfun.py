@@ -4,12 +4,13 @@ A ``RationalFunction`` is a canonical record, made by
 :meth:`RationalFunction.from_sequence` or by
 ``linalg.matrix_resolvent_row``, with no arithmetic: it defines no
 operator and no truth value, so a caller tests ``rf.num`` for zero.  The
-kernel computes over ``Polynomial`` and ``TruncatedSeries`` and builds
-the canonical form once, from a numerator and a denominator."""
+kernel computes in Z[x] and Z[[x]], over ``Polynomial`` and
+``TruncatedSeries``, and builds the canonical form once, from a
+numerator and a denominator."""
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 from convexenum.exact.coefficients import convolve, exact_coefficient
@@ -38,9 +39,9 @@ class RationalFunction(Frozen):
     def _canonicalize(num: Polynomial, den: Polynomial):
         # a zero num takes this path too: g is den's primitive part, so
         # the parts come out as 0 and 1
-        g = num.gcd(den)  # primitive: integer coefficients divide faster
+        g = num.gcd(den)  # primitive, so it divides both in Z[x] (Gauss)
         if g.degree > 0:
-            num, den = divmod(num, g)[0], divmod(den, g)[0]
+            num, den = num / g, den / g
         # one primitive part for both (see Polynomial.primitive): its last
         # entry is den's leading coefficient, so that comes out positive
         split = len(num.coeffs)
@@ -58,9 +59,8 @@ class RationalFunction(Frozen):
         first 2*bound terms determine N/D uniquely (Massey 1969); every
         further term is checked against the recurrence found.  It runs
         fraction-free, on primitive integer multiples of the rational
-        connection polynomials.  Each term is an ``int`` or a
-        ``Fraction``; any other term raises ``TypeError`` (see
-        ``exact_coefficient``).
+        connection polynomials.  Each term is an ``int``; any other
+        term raises ``TypeError`` (see ``exact_coefficient``).
 
         The N/D found is already reduced, so building it divides by no
         common factor.  Berlekamp–Massey returns a shortest recurrence
@@ -74,9 +74,6 @@ class RationalFunction(Frozen):
         s = [exact_coefficient(t) for t in terms]
         if len(s) < 2 * complexity_bound:
             raise ValueError(f"need {2 * complexity_bound} terms, got {len(s)}")
-        # fraction-free: run on L * terms, L the lcm of their denominators
-        scale = lcm(*(t.denominator for t in s))
-        s = [t.numerator * (scale // t.denominator) for t in s]
 
         def discrepancy(c, i):
             return sum(map(mul, c, s[i::-1]))
@@ -103,4 +100,4 @@ class RationalFunction(Frozen):
                 discrepancy(c, i) for i in range(2 * complexity_bound, len(s))):
             raise ArithmeticError("terms break the recovered recurrence")
         num = convolve(c, s, length)
-        return cls(Polynomial(num), Polynomial([scale * cj for cj in c]))
+        return cls(Polynomial(num), Polynomial(c))

@@ -60,7 +60,7 @@ def smallest_positive_root(p: Polynomial, precision: int = 18):
     q = p.primitive()
     chain = q.remainder_sequence(q.derivative().primitive())  # q's Sturm chain
     if chain[-1].degree > 0:  # the chain ends in gcd(p, p'): strip it
-        q = divmod(q, chain[-1])[0].primitive()
+        q = (q / chain[-1]).primitive()
         chain = q.remainder_sequence(q.derivative().primitive())
     chain = [r.coeffs for r in chain]
     sqf, scale = chain[0], 10**precision

@@ -1,24 +1,24 @@
-"""Formal power series truncated at an explicit order."""
+"""Formal power series with integer coefficients, truncated at an
+explicit order: the ring Z[[x]] modulo x^(order + 1)."""
 
 from __future__ import annotations
 
 from operator import mul
 
 from convexenum.exact.coefficients import (
-    binary, convolve, exact_coefficient, is_scalar, reciprocal)
+    binary, convolve, exact_coefficient, is_scalar)
 from convexenum.frozen import Frozen
 
 
 class TruncatedSeries(Frozen):
     """A power series known exactly through the coefficient of x^order.
 
-    Coefficients are normalized (see ``exact_coefficient``): integers
-    stay ``int``, and a series with constant term 1 or -1 inverts without
-    leaving the integers.  Arithmetic never reads or writes coefficients
-    beyond the order.  Both operands of a binary operation have this one
-    order: an ``int`` or ``Fraction`` is a constant series of it, and a
-    series of another order raises ``ValueError``.  The zero series is
-    falsy.
+    Coefficients are ``int``s (see ``exact_coefficient``), and a series
+    with constant term 1 or -1 is a unit.  Arithmetic never reads or
+    writes coefficients beyond the order.  Both operands of a binary
+    operation have this one order: an ``int`` is a constant series of
+    it, and a series of another order raises ``ValueError``.  The zero
+    series is falsy.
     """
 
     __slots__ = ("coeffs", "order")
@@ -84,20 +84,25 @@ class TruncatedSeries(Frozen):
     __rmul__ = __mul__
 
     def invert(self) -> "TruncatedSeries":
-        """Multiplicative inverse, 1 / self; requires a nonzero constant
-        term."""
+        """Multiplicative inverse, 1 / self; requires a constant term of
+        1 or -1, or the quotient leaves the integers (see ``/``)."""
         return TruncatedSeries((1,), self.order) / self
 
     @binary
     def __truediv__(self, other):
-        """The quotient q = self / other, by the one division recurrence
-        q_m = (a_m - sum of b_j q_(m-j) for 1 <= j <= m) / b_0; requires
-        a nonzero constant term b_0.  1 / b_0 is ``reciprocal(b_0)``, so
-        an integer series over b_0 = 1 or -1 stays in the integers."""
+        """The exact quotient q with q * other = self, by the one
+        division recurrence q_m = (a_m - sum of b_j q_(m-j) for
+        1 <= j <= m) / b_0; requires a nonzero constant term b_0.  A q_m
+        that is not an integer leaves Z[[x]] and raises
+        ``ArithmeticError``, so division by a unit, b_0 = 1 or -1, always
+        goes through."""
         a, b = self.coeffs, other.coeffs
-        if b[0] == 0:
+        b0, tail, q = b[0], b[1:], []
+        if b0 == 0:
             raise ZeroDivisionError("series with zero constant term is not a unit")
-        u, tail, q = reciprocal(b[0]), b[1:], []
         for am in a:  # map stops at the shorter: b_1 q_(m-1) .. b_m q_0
-            q.append((am - sum(map(mul, tail, reversed(q)))) * u)
+            qm, r = divmod(am - sum(map(mul, tail, reversed(q))), b0)
+            if r:
+                raise ArithmeticError(f"quotient leaves Z[[x]] at x^{len(q)}")
+            q.append(qm)
         return TruncatedSeries(q, self.order)

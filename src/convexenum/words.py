@@ -16,13 +16,19 @@ from convexenum.frozen import Frozen
 
 
 class Word(Frozen):
-    """A finite sequence of letters from the alphabet [1, p].  A letter
-    that is not an ``int``, a ``bool`` included, raises ``TypeError``,
-    as an inexact coefficient does in the exact kernel."""
+    """A finite sequence of letters from the alphabet [1, p].  An
+    alphabet size or a letter that is not an ``int``, a ``bool``
+    included, raises ``TypeError``, as a coefficient that is not an
+    ``int`` does in the exact kernel, and an alphabet size below 1
+    raises ``ValueError``."""
 
     __slots__ = ("letters", "alphabet_size")
 
     def __init__(self, letters, alphabet_size: int):
+        if type(alphabet_size) is not int:
+            raise TypeError(f"alphabet size {alphabet_size!r} is not an int")
+        if alphabet_size < 1:
+            raise ValueError("p must be positive")
         letters = tuple(letters)
         for x in letters:
             if type(x) is not int:

@@ -1,10 +1,16 @@
 """Oracles for closed forms and integer algorithms of the library.
 
-These are the textbook algorithms over ``Fraction``: Euclid's gcd, a
-Sturm chain of Euclidean remainders with Horner sign tests, and
-Berlekamp–Massey with rational connection polynomials.  The library
-computes the same results in integer arithmetic; the tests compare the
-two.  The permutation layer of the paper lives here, since no command
+These are the textbook algorithms over the rationals, in a ring of
+their own: Q[x] as lists of ``Fraction``s (:func:`q_poly`, with
+:func:`q_add`, :func:`q_mul` and :func:`q_divmod`), which builds no
+kernel value and runs no kernel operator.  On it run Euclid's monic
+gcd, the squarefree part, a Sturm chain of Euclidean remainders with
+Horner sign tests and root isolation at ``Fraction`` points,
+Berlekamp–Massey with rational connection polynomials, and power-series
+division by the geometric series.  The library computes the same
+results in Z[x] and Z[[x]]; the tests bring an oracle's polynomials to
+the kernel's normal form with :func:`canonical_integers` and compare
+the two exactly.  The permutation layer of the paper lives here, since no command
 runs it: :class:`Permutation`, the convexity test
 :func:`is_convex_perm`, and :func:`descend`, the left and right
 descendants whose step rule ``perms.build_digraph`` restates on node
@@ -53,8 +59,8 @@ the closed form that elimination gives.
 """
 
 from fractions import Fraction
-from itertools import accumulate, combinations, permutations
-from math import prod
+from itertools import accumulate, combinations, permutations, zip_longest
+from math import gcd, lcm, prod
 
 from convexenum.cfrac import ladder_tower
 from convexenum.exact.linalg import SeriesMatrix, solve_series_system
@@ -121,8 +127,8 @@ def from_terms(terms: dict) -> Polynomial:
 
 
 def to_series(rf: RationalFunction, order: int) -> TruncatedSeries:
-    """Power-series expansion of ``rf`` to ``order``; its denominator
-    must be a unit at 0."""
+    """Power-series expansion of ``rf`` to ``order`` in Z[[x]]; its
+    denominator's constant term must be 1 or -1."""
     return (TruncatedSeries(rf.num.coeffs, order)
             / TruncatedSeries(rf.den.coeffs, order))
 
@@ -149,23 +155,106 @@ def determinant(matrix):
     return total
 
 
-def euclid_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd by Euclid's algorithm over the rationals."""
+# -- the oracle ring Q[x] ---------------------------------------------
+# A polynomial over the rationals is a list of ``Fraction``s, index =
+# exponent, with no trailing zero, so zero is [].  Its arithmetic is the
+# standard library's alone: no kernel value is built and no kernel
+# operator runs, so the oracles below do not rest on what they check.
+
+
+def q_poly(coeffs) -> list[Fraction]:
+    """The element of Q[x] with the coefficients ``coeffs``: any
+    sequence of ``int``s or ``Fraction``s, such as a kernel value's
+    ``coeffs``."""
+    cs = [Fraction(c) for c in coeffs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def q_add(a, b) -> list[Fraction]:
+    return q_poly(x + y for x, y in zip_longest(a, b, fillvalue=0))
+
+
+def q_mul(a, b) -> list[Fraction]:
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return q_poly(out)
+
+
+def q_divmod(a, b) -> tuple[list[Fraction], list[Fraction]]:
+    """Euclidean division over Q: q and r with a = q b + r and
+    deg r < deg b."""
+    a, b = q_poly(a), q_poly(b)
+    if not b:
+        raise ZeroDivisionError("division by the zero polynomial")
+    rem, quot = list(a), [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for i in reversed(range(len(quot))):
+        c = quot[i] = rem[i + len(b) - 1] / b[-1]
+        for j, bj in enumerate(b):
+            rem[i + j] -= c * bj
+    return q_poly(quot), q_poly(rem)
+
+
+def evaluate(a, x: Fraction) -> Fraction:
+    """a(x) by Horner's rule."""
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def derivative(a) -> list[Fraction]:
+    return q_poly(i * c for i, c in enumerate(a) if i)
+
+
+def canonical_integers(*parts) -> tuple[tuple[int, ...], ...]:
+    """The elements ``parts`` of Q[x] times the one rational that makes
+    all their coefficients coprime integers, with the leading
+    coefficient of the last nonzero part positive: the lcm of the
+    denominators, then the content.  It is the kernel's normal form of
+    a polynomial (``primitive``) or of a rational function (num, den)."""
+    scale = lcm(*(c.denominator for p in parts for c in p))
+    ints = [[int(c * scale) for c in p] for p in parts]
+    content = gcd(*(c for p in ints for c in p)) or 1
+    last = next((p[-1] for p in reversed(ints) if p), 1)
+    content *= -1 if last < 0 else 1
+    return tuple(tuple(c // content for c in p) for p in ints)
+
+
+def series_quotient(a, b, order: int) -> list[Fraction]:
+    """The coefficients of x^0 .. x^order of the power series a / b over
+    Q, b(0) != 0, from the geometric series 1/b = (1/b0) sum of u^k with
+    u = 1 - b/b0: u^k starts at x^k, so k <= order suffices."""
+    b0 = Fraction(b[0])
+    u = q_add([1], q_mul(b, [-1 / b0]))
+    inverse, power = [], [Fraction(1)]
+    for _ in range(order + 1):
+        inverse = q_add(inverse, power)
+        power = q_poly(q_mul(power, u)[:order + 1])
+    q = q_mul(q_mul(a, inverse), [1 / b0])
+    return (q + [Fraction(0)] * (order + 1))[:order + 1]
+
+
+def euclid_gcd(a, b) -> list[Fraction]:
+    """Monic gcd in Q[x] by Euclid's algorithm."""
+    a, b = q_poly(a), q_poly(b)
     while b:
-        a, b = b, divmod(a, b)[1]
-    if not a:
-        return a
-    return a * (Fraction(1) / a.leading_coeff())
+        a, b = b, q_divmod(a, b)[1]
+    return q_mul(a, [1 / a[-1]]) if a else a
 
 
-def squarefree_part(p: Polynomial) -> Polynomial:
-    return divmod(p, euclid_gcd(p, p.derivative()))[0]
+def squarefree_part(p) -> list[Fraction]:
+    return q_divmod(p, euclid_gcd(p, derivative(p)))[0]
 
 
-def sturm_chain(p: Polynomial) -> list[Polynomial]:
-    chain = [p, p.derivative()]
+def sturm_chain(p) -> list[list[Fraction]]:
+    """p, p' and the negated Euclidean remainders over Q."""
+    chain = [q_poly(p), derivative(p)]
     while chain[-1]:
-        chain.append(0 - divmod(chain[-2], chain[-1])[1])
+        chain.append(q_mul(q_divmod(chain[-2], chain[-1])[1], [-1]))
     chain.pop()
     return chain
 
@@ -173,7 +262,7 @@ def sturm_chain(p: Polynomial) -> list[Polynomial]:
 def sign_variations(chain, x: Fraction) -> int:
     signs = []
     for q in chain:
-        v = q(x)
+        v = evaluate(q, x)
         if v != 0:
             signs.append(1 if v > 0 else -1)
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
@@ -184,16 +273,22 @@ def sturm_count(chain, a: Fraction, b: Fraction) -> int:
     return sign_variations(chain, a) - sign_variations(chain, b)
 
 
-def smallest_positive_root(p: Polynomial, precision: int = 18):
-    """Sturm isolation evaluated at ``Fraction`` points throughout."""
+def smallest_positive_root(p, precision: int = 18):
+    """Sturm isolation in Q[x], evaluated at ``Fraction`` points
+    throughout; ``p`` is a coefficient sequence."""
+    p = q_poly(p)
     if not p:
         raise ValueError("zero polynomial")
-    if p(Fraction(0)) == 0:
+    if p[0] == 0:
         raise ValueError("p(0) = 0; strip the root at the origin first")
     sqf = squarefree_part(p)
     chain = sturm_chain(sqf)
     lo, hi = Fraction(0), Fraction(1)
-    if sqf(hi) == 0:
+
+    def at(x: Fraction) -> Fraction:
+        return evaluate(sqf, x)
+
+    if at(hi) == 0:
         hi += Fraction(1, 10**precision)
 
     def roots_in(a: Fraction, b: Fraction) -> int:
@@ -201,9 +296,9 @@ def smallest_positive_root(p: Polynomial, precision: int = 18):
 
     if roots_in(lo, hi) < 1:
         raise NoRootError(f"no root of {p} in (0, 1]")
-    while roots_in(lo, hi) > 1 or sqf(lo) * sqf(hi) >= 0:
+    while roots_in(lo, hi) > 1 or at(lo) * at(hi) >= 0:
         mid = (lo + hi) / 2
-        if sqf(mid) == 0:
+        if at(mid) == 0:
             if roots_in(lo, mid) == 1:
                 eps = Fraction(1, 10 ** (precision + 2))
                 return mid - eps, mid + eps
@@ -216,20 +311,23 @@ def smallest_positive_root(p: Polynomial, precision: int = 18):
     width_goal = Fraction(1, 10**precision)
     while hi - lo >= width_goal:
         mid = (lo + hi) / 2
-        v = sqf(mid)
+        v = at(mid)
         if v == 0:
             eps = Fraction(1, 10 ** (precision + 2))
             return mid - eps, mid + eps
-        if (v > 0) == (sqf(lo) > 0):
+        if (v > 0) == (at(lo) > 0):
             lo = mid
         else:
             hi = mid
     return lo, hi
 
 
-def berlekamp_massey(terms, complexity_bound: int) -> RationalFunction:
+def berlekamp_massey(terms, complexity_bound: int):
     """Berlekamp–Massey over the rationals, with the same contract as
-    ``RationalFunction.from_sequence``."""
+    ``RationalFunction.from_sequence``: the N/D found, reduced by
+    :func:`euclid_gcd`, as the integer pair of
+    :func:`canonical_integers`, to compare with a ``RationalFunction``'s
+    ``(num.coeffs, den.coeffs)``."""
     s = [Fraction(t) for t in terms]
     if len(s) < 2 * complexity_bound:
         raise ValueError(f"need {2 * complexity_bound} terms, got {len(s)}")
@@ -256,8 +354,9 @@ def berlekamp_massey(terms, complexity_bound: int) -> RationalFunction:
     if length > complexity_bound or any(
             discrepancy(c, i) for i in range(2 * complexity_bound, len(s))):
         raise ArithmeticError("terms break the recovered recurrence")
-    num = [discrepancy(c, i) for i in range(length)]
-    return RationalFunction(Polynomial(num), Polynomial(c))
+    num = q_poly(discrepancy(c, i) for i in range(length))
+    g = euclid_gcd(num, c)
+    return canonical_integers(q_divmod(num, g)[0], q_divmod(c, g)[0])
 
 
 def is_slow_riser(perm: Permutation) -> bool:

@@ -152,6 +152,13 @@ class TestWordsCommands:
         assert code == 2
         assert err == "error: p must be positive\n"
 
+    def test_decoding_over_an_empty_alphabet_exits_2(self, capsys):
+        # the Word checks its alphabet before its letters
+        code = main(["words", "decode", "--word", "1", "--p", "0"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: p must be positive\n"
+
 
 class TestPermsCommands:
     def test_count_multiple_engines(self, capsys):

@@ -39,10 +39,11 @@ has an ``__init__`` that only passes its parameters on to it.
 The exact kernel has one operand protocol: only
 ``coefficients.binary`` tests ``other is NotImplemented``, and no
 ``_coerce`` imports ``Fraction`` to tell a scalar (``is_scalar`` does).
-Only ``exact.coefficients``, which turns a value into a ``Fraction``,
-and ``exact.roots``, which returns ``Fraction`` intervals, import
-``fractions``.  It has one division loop, ``_pseudo_divide``, read
-only by ``Polynomial.__divmod__`` and ``Polynomial.remainder_sequence``,
+It computes in Z[x] and Z[[x]], so only ``exact.roots``, which returns
+``Fraction`` intervals, and the body of ``linalg.solve_field_system``,
+the one rational solve, import ``fractions``.  It has one division
+loop, ``_pseudo_divide``, read only by ``Polynomial.__truediv__`` and
+``Polynomial.remainder_sequence``,
 so it has one pseudo-remainder sequence, which the gcd and the Sturm
 chain read.
 
@@ -244,8 +245,7 @@ def test_traced_functions_keep_what_their_hooks_read():
         assert counters and all(v > 0 for v in counters.values()), name
 
 
-@given(st.lists(st.builds(Fraction, st.integers(-12, 12),
-                          st.integers(1, 4)), max_size=7))
+@given(st.lists(st.integers(-12, 12), max_size=7))
 def test_printed_polynomial_parses_back(coeffs):
     p = Polynomial(coeffs)
     terms = {i: c for i, c in enumerate(p.coeffs) if c}
@@ -289,7 +289,7 @@ def test_cli_import_defers_what_only_some_commands_need():
     # dataclasses pulls in inspect; traceback serves exit 3 only, csv
     # and json one output format each, argparse (which loads gettext
     # and locale) help and usage errors, and fractions (which imports
-    # decimal) the exact kernel
+    # decimal) root isolation
     assert not cli.keys() & {
         "dataclasses", "inspect", "traceback", "csv", "json", "argparse",
         "gettext", "locale", "fractions", "decimal"}
@@ -675,15 +675,15 @@ def test_frozen_types_reject_assignment():
 
 
 def test_kernel_values_print_as_an_expression_for_an_equal_value():
-    one = TruncatedSeries((1, Fraction(1, 2)), 3)
-    values = [Polynomial((1, Fraction(-2, 3))), one,
+    one = TruncatedSeries((1, -2), 3)
+    values = [Polynomial((1, -2)), one,
               RationalFunction(Polynomial((1, -1)), Polynomial((1, -2))),
               linalg.SeriesMatrix([[one, one], [one, -1 * one]])]
     names = {cls.__name__: cls for cls in map(type, values)}
     for value in values:
         assert type(value).__repr__ is Frozen.__repr__
-        assert eval(repr(value), {"Fraction": Fraction, **names}) == value
-    assert repr(values[0]) == "Polynomial(coeffs=(1, Fraction(-2, 3)))"
+        assert eval(repr(value), names) == value
+    assert repr(values[0]) == "Polynomial(coeffs=(1, -2))"
 
 
 PROTOCOL = {"__setattr__", "__delattr__", "__reduce__", "__eq__", "__hash__"}
@@ -912,14 +912,21 @@ def test_the_operand_check_finds_preambles_and_fraction_imports():
     assert operand_forks(source, "series")[0] == "series.binary"
 
 
-def test_only_coefficients_and_roots_import_fractions():
-    # every other module inverts through coefficients.reciprocal
+def test_only_roots_and_the_field_solve_import_fractions():
+    # the kernel computes in Z[x] and Z[[x]]: roots returns Fraction
+    # intervals, and the rational solve divides with a Fraction of its own
     files = sorted(SRC.rglob("*.py"))
     assert len(files) > 10
     found = {str(path.relative_to(SRC)):
              imports_of(path.read_text(), "fractions") for path in files}
     assert {path for path, names in found.items() if names} == {
-        "convexenum/exact/coefficients.py", "convexenum/exact/roots.py"}
+        "convexenum/exact/linalg.py", "convexenum/exact/roots.py"}
+    linalg_source = (SRC / "convexenum" / "exact" / "linalg.py").read_text()
+    (solve,) = [node for node in ast.parse(linalg_source).body
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "solve_field_system"]
+    assert imports_of(ast.unparse(solve), "fractions") \
+        == found["convexenum/exact/linalg.py"]
 
 
 def test_the_fractions_check_finds_every_import_form():
@@ -969,7 +976,7 @@ def test_one_pseudo_remainder_sequence():
              for path in files}
     assert {path: scopes for path, scopes in found.items() if scopes} == {
         "convexenum/exact/polynomial.py":
-            ["polynomial.Polynomial.__divmod__",
+            ["polynomial.Polynomial.__truediv__",
              "polynomial.Polynomial.remainder_sequence"]}
     assert not hasattr(Polynomial, "pseudo_remainder")
 

@@ -780,7 +780,7 @@ class TestGrowthBounds:
         # within its deadline)
         for den, _ in _bound_denominators():
             assert smallest_positive_root(den, precision) == \
-                _oracles.smallest_positive_root(den, precision)
+                _oracles.smallest_positive_root(den.coeffs, precision)
 
     @pytest.mark.parametrize("call", [lambda: growth_bounds(3),
                                       lambda: gf_bound(0, "lower")])

@@ -46,6 +46,25 @@ class TestWordBasics:
         with pytest.raises(ValueError):
             Word((0,), 3)
 
+    @pytest.mark.parametrize("size", [2.5, 3.0, True, Fraction(3), "3"],
+                             ids=["float", "integral_float", "bool",
+                                  "Fraction", "str"])
+    def test_alphabet_size_must_be_an_int(self, size):
+        # a bool size would print True's word as 1, and a float one let
+        # the letter 1 into the alphabet [1, 2.5]
+        with pytest.raises(TypeError, match="^alphabet size .* is not an int$"):
+            Word((1,), size)
+        with pytest.raises(TypeError, match="^alphabet size "):
+            encode_word(3, IntegerPartition((1,)), IntegerPartition(()), 4,
+                        size)
+
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_empty_alphabet_is_a_value_error(self, size):
+        # as in the search and the DP, whether or not the word has letters
+        for letters in ((), (1,)):
+            with pytest.raises(ValueError, match="^p must be positive$"):
+                Word(letters, size)
+
     def test_str_uses_commas_past_nine(self):
         assert str(Word((1, 2, 3), 3)) == "123"
         assert str(Word((10, 2), 10)) == "10,2"
