@@ -277,6 +277,17 @@ class TestTruncatedSeries:
         with pytest.raises(AttributeError):
             s.order = 5
 
+    def test_integral_fractions_are_rejected(self):
+        # Fraction(3) is not read as 3: a series holds ints only, and
+        # spellings of one series differ only in padding past the order
+        for coeffs in ((Fraction(3), 1), (3, Fraction(1, 2))):
+            with pytest.raises(TypeError, match="is not an int$"):
+                TruncatedSeries(coeffs, 1)
+        a = TruncatedSeries((3,), 1)
+        b = TruncatedSeries((3, 0, 7), 1)
+        assert a == b and hash(a) == hash(b) and a.coeffs == (3, 0)
+        assert type(a.coeffs[0]) is int
+
     def test_counting_series_stay_int(self):
         for s in (cfrac.f1_series(80), cfrac.tot_series(60),
                   cfrac.f2_exact_series(cfrac.k2_components(40)),
