@@ -1,13 +1,15 @@
 """Layer timings of the exhaustive searches, the round trip of the
 0-convex word bijection (decode then encode every 0-convex word of
 length 11 on [6]), the word DP's series of 1-convex words on [12] to
-order 300, the ladder counts of k-convex permutations, the
-depth-150 digraphs (built, labeled and written as DOT), the exact
-kernel's certified growth bounds and its root isolation alone on their
-four bound denominators and the k = 1 lower one cut at (1, 2, 7, 8),
-the gcd of each of those five with its derivative, the elimination of
-the resolvent row of the k = 1 cut digraph, the canonical form of a
-rational function with a common factor, the k = 1 ladder's tot and f_1
+order 300, the series and closed form of 1-convex words on [20], the
+ladder counts of k-convex permutations, the depth-150 digraphs
+(built, labeled and written as DOT), the exact kernel's certified
+growth bounds and its root isolation alone on their four bound
+denominators and the k = 1 lower one cut at (1, 2, 7, 8), the gcd of
+each of those five with its derivative, the elimination of the
+resolvent row of the k = 1 cut digraph, the reduction of a rational
+function with a common factor as the resolvent reduces each entry
+(gcd, exact division, constructor), the k = 1 ladder's tot and f_1
 series, the k = 2 components, the exact f_2 series from precomputed
 components and the 2-convex formula report, the size of the library's
 code, and what each of the benchmark's CLI commands loads.
@@ -29,8 +31,9 @@ times show the machine of one run.  Every result is checked against
 continued fraction in ``tests/_oracles.py`` and the deeper word search
 against ``words.count_words_dp``, and the bijection's round trip
 against its input, and the word series' first seven coefficients
-against ``words.count_words_bruteforce``, and a wrong one stops the run
-with exit 1.
+against ``words.count_words_bruteforce``, with the closed form on [20]
+expanded by ``_oracles.to_series`` against its series, and a wrong one
+stops the run with exit 1.
 No cache is left in ``convexenum.perms``, so the labels, and the DOT
 text that holds them, are timed cold.
 The code size is the number of lines of ``src`` that hold a token,
@@ -106,6 +109,7 @@ def cases(cfrac, ladder, perms, words, g, oracles):
     search = g.SEARCH_COUNTS
     b1, _, t = oracles.convergents(60)
     words_12_1 = [words.count_words_bruteforce(n, 12, 1) for n in range(7)]
+    words_20_1 = [words.count_words_bruteforce(n, 20, 1) for n in range(7)]
     tot = t / b1  # walks from 1223
     k2 = cfrac.k2_components(250)
 
@@ -188,15 +192,21 @@ def cases(cfrac, ladder, perms, words, g, oracles):
                 lambda out: out == ws and len(out) == g.G0P_STABLE[p - 1])
 
     def common_factor():
-        """The k = 1 lower bound GF g with both parts times
-        f = 1 + 2x + 3x^2: the one case whose gcd is not 1, so the one
-        that divides polynomials (by ``/``)."""
+        """The reduction that ``matrix_resolvent_row`` makes of each
+        entry, on the k = 1 lower bound GF g with both parts times
+        f = 1 + 2x + 3x^2: the gcd, ``/`` by it, then the constructor,
+        which takes the coprime pair."""
         lower, f = perms.gf_bound(1, "lower"), Polynomial((1, 2, 3))
         num, den = lower.num * f, lower.den * f
-        return ("RationalFunction(g.num * f, g.den * f), "
-                "g = gf_bound(1, lower), f = 1 + 2x + 3x^2",
-                lambda: RationalFunction(num, den),
-                lambda out: out == lower)
+
+        def reduce():
+            common = num.gcd(den)
+            return RationalFunction(num / common, den / common)
+
+        return ("RationalFunction(n / c, d / c), c = gcd(n, d), "
+                "n, d = g.num * f, g.den * f, g = gf_bound(1, lower), "
+                "f = 1 + 2x + 3x^2",
+                reduce, lambda out: out == lower)
 
     return [
         ("count_words_bruteforce(12, 5, 1)",
@@ -209,6 +219,10 @@ def cases(cfrac, ladder, perms, words, g, oracles):
         ("word_gf(12, 1, order=300)",
          lambda: words.word_gf(12, 1, order=300),
          lambda out: list(out.series.coeffs[:7]) == words_12_1),
+        ("word_gf(20, 1, with_ratfun=True)",
+         lambda: words.word_gf(20, 1, with_ratfun=True),
+         lambda out: list(out.series.coeffs[:7]) == words_20_1
+         and oracles.to_series(out.ratfun, out.series.order) == out.series),
         ("count_perms_bruteforce(12, 1)",
          lambda: perms.count_perms_bruteforce(12, 1),
          lambda out: out == g.TABLE_F1[11]),

@@ -2,8 +2,15 @@
 
 Grammar: ``convexenum <words|perms|cfrac> <subcommand> [--flags]``.
 
-Every numeric value is rendered exactly: integers verbatim, rationals
-as num/den, root intervals as decimal strings with explicit endpoints.
+Integers are printed verbatim, and closed forms as polynomial
+expressions; no command prints a rational.  A root interval prints as
+its two endpoints, each truncated to ``--precision`` decimal places (at
+most 20), so the printed interval can miss the certified root it
+stands for (the strict xfail
+``test_bounds_print_intervals_that_contain_the_roots``).  Outward
+rounding mends that, but it changes results that
+``perfbench/reference.json`` pins, so it waits on the benchmark's next
+revision (ROADMAP item 1, stage C).
 Commands that run more than one engine report their agreement in-band
 and exit nonzero on a mismatch; an engine that cannot run is named
 in-band as skipped.  Each group's subcommands and their handlers live

@@ -8,7 +8,9 @@ minor of the system, so each division is exact: the series solve and
 the resolvent divide by the ring's own exact ``/``, in Z[[x]] and Z[x],
 which raises should a quotient leave the ring, and the rational solve
 divides with a ``Fraction`` of its own.  The solution is the numerators
-over the last pivot."""
+over the last pivot; the resolvent divides each numerator and that
+pivot by their gcd, so that it builds each ``RationalFunction`` from a
+coprime pair."""
 
 from __future__ import annotations
 
@@ -123,13 +125,16 @@ def matrix_resolvent_row(m, row: int) -> list[ratfun.RationalFunction]:
     y_j = [(I - Mx)^{-1}]_{row, j}, is eliminated over integer
     polynomials: each pivot is a leading principal minor of I - xM^T,
     which is 1 mod x, so none is zero and no row moves.  Each entry is
-    the canonical form of its numerator over the determinant.
+    its numerator y over the determinant, both divided by their gcd g,
+    so that the constructor gets the coprime pair it takes; a zero y
+    comes out as 0 over 1.
     """
     n = len(m)
     if any(len(r) != n for r in m):
         raise ValueError("matrix must be square")
     x = polynomial.Polynomial((0, 1))
     sys = [[int(i == j) - x * m[j][i] for j in range(n)] for i in range(n)]
-    nums, det = _gauss_jordan(sys, [int(i == row) for i in range(n)], bool,
-                              truediv)
-    return [ratfun.RationalFunction(y, det) for y in nums]
+    rhs = [polynomial.Polynomial((int(i == row),)) for i in range(n)]
+    nums, det = _gauss_jordan(sys, rhs, bool, truediv)
+    return [ratfun.RationalFunction(y / g, det / g)
+            for y in nums for g in [y.gcd(det)]]

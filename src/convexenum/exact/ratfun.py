@@ -6,7 +6,8 @@ A ``RationalFunction`` is a canonical record, made by
 operator and no truth value, so a caller tests ``rf.num`` for zero.  The
 kernel computes in Z[x] and Z[[x]], over ``Polynomial`` and
 ``TruncatedSeries``, and builds the canonical form once, from a
-numerator and a denominator."""
+coprime numerator and denominator: each producer hands over a reduced
+pair, so the constructor runs no polynomial gcd."""
 
 from __future__ import annotations
 
@@ -23,7 +24,12 @@ class RationalFunction(Frozen):
 
     Canonical form: gcd(num, den) = 1, coefficients are integers with
     overall content 1, and the denominator has a positive leading
-    coefficient.
+    coefficient.  The constructor takes a coprime pair and fixes only
+    the other two: it divides both parts by their joint content, signed
+    by den's leading coefficient, and runs no polynomial gcd.  Its two
+    producers hand it coprime pairs: ``from_sequence`` by the
+    minimality of Berlekamp–Massey, and ``linalg.matrix_resolvent_row``
+    by reducing each entry first.
     """
 
     __slots__ = ("num", "den")
@@ -33,20 +39,11 @@ class RationalFunction(Frozen):
                     for p in (num, den))
         if not den:
             raise ZeroDivisionError("zero denominator")
-        super().__init__(*self._canonicalize(num, den))
-
-    @staticmethod
-    def _canonicalize(num: Polynomial, den: Polynomial):
-        # a zero num takes this path too: g is den's primitive part, so
-        # the parts come out as 0 and 1
-        g = num.gcd(den)  # primitive, so it divides both in Z[x] (Gauss)
-        if g.degree > 0:
-            num, den = num / g, den / g
         # one primitive part for both (see Polynomial.primitive): its last
         # entry is den's leading coefficient, so that comes out positive
         split = len(num.coeffs)
         both = Polynomial(num.coeffs + den.coeffs).primitive().coeffs
-        return Polynomial(both[:split]), Polynomial(both[split:])
+        super().__init__(Polynomial(both[:split]), Polynomial(both[split:]))
 
     # -- basics -------------------------------------------------------
 
@@ -62,14 +59,15 @@ class RationalFunction(Frozen):
         connection polynomials.  Each term is an ``int``; any other
         term raises ``TypeError`` (see ``exact_coefficient``).
 
-        The N/D found is already reduced, so building it divides by no
-        common factor.  Berlekamp–Massey returns a shortest recurrence
-        of the terms it reads, of length L: its connection polynomial D,
-        with D(0) != 0, and N = D * terms mod x^L, so deg D <= L and
-        deg N < L.  A common factor g of N and D divides D, so
-        g(0) != 0.  If deg g >= 1, then D/g * terms = N/g, so the terms
-        satisfy the recurrence of connection polynomial D/g, of length
-        L - deg g < L, which contradicts minimality (Massey 1969).
+        The N/D found is already reduced, so it is the coprime pair that
+        the constructor takes, and no gcd runs.  Berlekamp–Massey
+        returns a shortest recurrence of the terms it reads, of length
+        L: its connection polynomial D, with D(0) != 0, and
+        N = D * terms mod x^L, so deg D <= L and deg N < L.  A common
+        factor g of N and D divides D, so g(0) != 0.  If deg g >= 1,
+        then D/g * terms = N/g, so the terms satisfy the recurrence of
+        connection polynomial D/g, of length L - deg g < L, which
+        contradicts minimality (Massey 1969).
         """
         s = [exact_coefficient(t) for t in terms]
         if len(s) < 2 * complexity_bound:

@@ -10,11 +10,12 @@ Berlekamp–Massey with rational connection polynomials, and power-series
 division by the geometric series.  The library computes the same
 results in Z[x] and Z[[x]]; the tests bring an oracle's polynomials to
 the kernel's normal form with :func:`canonical_integers` and compare
-the two exactly.  The permutation layer of the paper lives here, since no command
-runs it: :class:`Permutation`, the convexity test
-:func:`is_convex_perm`, and :func:`descend`, the left and right
-descendants whose step rule ``perms.build_digraph`` restates on node
-keys.  So do two builders of goldens: :func:`from_terms`, a polynomial
+the two exactly; :func:`reduced` builds a ``RationalFunction`` from a
+pair that may share a factor.  The permutation layer of the paper
+lives here, since no command runs it: :class:`Permutation`, the
+convexity test :func:`is_convex_perm`, and :func:`descend`, the left
+and right descendants whose step rule ``perms.build_digraph`` restates
+on node keys.  So do two builders of goldens: :func:`from_terms`, a polynomial
 from its {exponent: coefficient} terms, and :func:`to_series`, the
 expansion of a rational function.  Since the library's
 ``RationalFunction`` has no arithmetic, :func:`rf_sum` adds rational
@@ -136,11 +137,11 @@ def to_series(rf: RationalFunction, order: int) -> TruncatedSeries:
 def rf_sum(terms) -> RationalFunction:
     """The exact sum of the ``RationalFunction``s ``terms``, one at a
     time: the numerators cross-multiplied over the product of the
-    denominators, which the constructor brings to canonical form."""
+    denominators, which :func:`reduced` brings to canonical form."""
     total = RationalFunction(0)
     for t in terms:
-        total = RationalFunction(total.num * t.den + t.num * total.den,
-                                 total.den * t.den)
+        total = reduced(total.num * t.den + t.num * total.den,
+                        total.den * t.den)
     return total
 
 
@@ -244,6 +245,17 @@ def euclid_gcd(a, b) -> list[Fraction]:
     while b:
         a, b = b, q_divmod(a, b)[1]
     return q_mul(a, [1 / a[-1]]) if a else a
+
+
+def reduced(num, den) -> RationalFunction:
+    """num/den in lowest terms, for two kernel ``Polynomial``s that may
+    share a factor: both divided by their :func:`euclid_gcd` in Q[x],
+    then brought to :func:`canonical_integers`.  The constructor only
+    receives the coprime pair, so no kernel gcd or division runs."""
+    g = euclid_gcd(num.coeffs, den.coeffs)
+    parts = canonical_integers(q_divmod(num.coeffs, g)[0],
+                               q_divmod(den.coeffs, g)[0])
+    return RationalFunction(*map(Polynomial, parts))
 
 
 def squarefree_part(p) -> list[Fraction]:

@@ -10,7 +10,7 @@ from operator import add, mul, sub, truediv
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import _oracles
 from convexenum import cfrac, perms, words
@@ -347,15 +347,14 @@ class TestTruncatedSeries:
 
 class TestRationalFunction:
     def test_canonical_form(self):
-        # common factor removed, integer content cleared, positive lead:
-        # 3(1 - x^2) over -3(1 + x) reduces to (x - 1)/1
-        rf = RationalFunction(Polynomial((3, 0, -3)), Polynomial((-3, -3)))
+        # integer content cleared, positive lead: 3(1 - x) over
+        # -6(1 + x) is (x - 1)/(2 + 2x)
+        rf = RationalFunction(Polynomial((3, -3)), Polynomial((-6, -6)))
         assert rf.num == Polynomial((-1, 1))
-        assert rf.den == Polynomial((1,))
-        # a zero numerator over any nonzero denominator, monic or not,
-        # of either sign, is the one zero: 0 over 1
-        x = Polynomial((0, 1))
-        for den in (1, -3, 6, 2 + 4 * x, -3 + x * x, Polynomial((1, 0, -10))):
+        assert rf.den == Polynomial((2, 2))
+        # a zero numerator over any nonzero constant, of either sign, is
+        # the one zero: 0 over 1
+        for den in (1, -3, 6):
             for zero in (0, Polynomial(())):
                 rf = RationalFunction(zero, den)
                 assert rf == RationalFunction(0), den
@@ -363,14 +362,29 @@ class TestRationalFunction:
 
     @given(st.lists(_INTS, max_size=5),
            st.lists(_INTS, min_size=1, max_size=5).filter(any),
-           st.lists(_INTS, max_size=3))
-    def test_canonical_form_of_any_quotient(self, num, den, common):
-        # a shared factor, a common content and any sign all reduce
-        # away: coprime integer num/den with content 1 and a positive
-        # leading denominator coefficient, equal to the quotient given
-        factor = Polynomial(common) or Polynomial((1,))
-        num, den = Polynomial(num), Polynomial(den)
-        rf = RationalFunction(num * factor, den * factor)
+           st.integers(-6, 6).filter(bool))
+    def test_canonical_form_of_any_quotient(self, num, den, scale):
+        # the constructor takes a coprime pair, of any content and sign,
+        # and fixes only those two, with no polynomial gcd or division:
+        # coprime integer num/den with content 1 and a positive leading
+        # denominator coefficient, equal to the quotient given
+        assume(_oracles.euclid_gcd(num, den) == [1])
+        num, den = Polynomial(num) * scale, Polynomial(den) * scale
+        called = []
+
+        def spy(name):
+            method = getattr(Polynomial, name)
+
+            def call(*args):
+                called.append(name)
+                return method(*args)
+            return call
+
+        with pytest.MonkeyPatch.context() as patch:
+            for name in ("gcd", "__truediv__"):
+                patch.setattr(Polynomial, name, spy(name))
+            rf = RationalFunction(num, den)
+        assert called == []
         assert gcd(*rf.num.coeffs, *rf.den.coeffs) == 1
         assert rf.den.leading_coeff() > 0
         assert _oracles.euclid_gcd(rf.num.coeffs, rf.den.coeffs) == [1]
@@ -412,7 +426,7 @@ class TestValueSemantics:
         # exactly when its numerator is
         p = Polynomial(cs)
         s = TruncatedSeries(cs, n)
-        rf = RationalFunction(p, Polynomial(den))
+        rf = _oracles.reduced(p, Polynomial(den))
         assert bool(p) == (p != Polynomial(()))
         assert bool(s) == (s != TruncatedSeries((), n))
         assert bool(rf.num) == (rf != RationalFunction(0))
@@ -546,7 +560,7 @@ class TestFromSequence:
            st.sampled_from([1, -1]),  # so the expansion is in Z[[x]]
            st.lists(st.integers(-5, 5), max_size=6))
     def test_series_roundtrip(self, num, d0, den_tail):
-        rf = RationalFunction(Polynomial(num), Polynomial([d0] + den_tail))
+        rf = _oracles.reduced(Polynomial(num), Polynomial([d0] + den_tail))
         bound = max(rf.den.degree, rf.num.degree + 1)
         terms = _oracles.to_series(rf, 2 * bound + 2).coeffs
         assert RationalFunction.from_sequence(terms, bound) == rf
@@ -567,7 +581,7 @@ class TestFromSequence:
         # the expansion is in Z[[x]])
         p, q = Polynomial(num), Polynomial([d0] + den_tail)
         g = Polynomial([g0] + g_tail)
-        expected = RationalFunction(p, q)  # this may divide
+        expected = _oracles.reduced(p, q)
         bound = max((q * g).degree, (p * g).degree + 1)
         terms = (TruncatedSeries((p * g).coeffs, 2 * bound + 2)
                  / TruncatedSeries((q * g).coeffs, 2 * bound + 2)).coeffs
@@ -583,6 +597,7 @@ class TestFromSequence:
             found = RationalFunction.from_sequence(terms, bound)
         assert found == expected
         assert divided == []
+        assert _oracles.euclid_gcd(found.num.coeffs, found.den.coeffs) == [1]
 
     @pytest.mark.parametrize("k,side", list(product((1, 2), ("lower", "upper"))))
     def test_gf_bound_terms_match_rational_oracle(self, k, side):
@@ -728,6 +743,10 @@ class TestLinearAlgebra:
                      for r in power]
         for entry, counts in zip(entries, walks):
             assert list(_oracles.to_series(entry, order).coeffs) == counts
+            # each numerator and the determinant are divided by their
+            # gcd, so every entry is the coprime pair the constructor takes
+            assert _oracles.euclid_gcd(entry.num.coeffs,
+                                       entry.den.coeffs) == [1]
 
     def test_system_shape_is_checked(self):
         f = Fraction
