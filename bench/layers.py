@@ -6,13 +6,12 @@ ladder counts of k-convex permutations, the depth-150 digraphs
 (built, labeled and written as DOT), the exact kernel's certified
 growth bounds and its root isolation alone on their four bound
 denominators and the k = 1 lower one cut at (1, 2, 7, 8), the gcd of
-each of those five with its derivative, the elimination of the
-resolvent row of the k = 1 cut digraph, the reduction of a rational
-function with a common factor as the resolvent reduces each entry
-(gcd, exact division, constructor), the k = 1 ladder's tot and f_1
-series, the k = 2 components, the exact f_2 series from precomputed
-components and the 2-convex formula report, the size of the library's
-code, and what each of the benchmark's CLI commands loads.
+each of those five with its derivative, the resolvent row of the
+k = 1 cut digraph (walk counts, then Berlekamp–Massey per entry), the
+k = 1 ladder's tot and f_1 series, the k = 2 components, the exact f_2
+series from precomputed components and the 2-convex formula report,
+the size of the library's code, and what each of the benchmark's CLI
+commands loads.
 
     python bench/layers.py [--label NAME] [--src DIR]
 
@@ -104,7 +103,6 @@ def cases(cfrac, ladder, perms, words, g, oracles):
     from convexenum.exact import linalg
     from convexenum.exact.roots import smallest_positive_root
     from convexenum.exact.polynomial import Polynomial
-    from convexenum.exact.ratfun import RationalFunction
     from convexenum.search import convex_sequences
     search = g.SEARCH_COUNTS
     b1, _, t = oracles.convergents(60)
@@ -165,18 +163,23 @@ def cases(cfrac, ladder, perms, words, g, oracles):
 
     def resolvent():
         """The walk totals W of the k = 1 cut digraph: its resolvent
-        row, eliminated by the kernel, summed exactly by
-        ``_oracles.rf_sum``; as 1 + x + 2 x^2 W they are the lower bound
-        GF."""
-        x = Polynomial((0, 1))
+        row, computed by the kernel, summed exactly by
+        ``_oracles.rf_sum``; as 1 + x + 2 x^2 W, formed in the oracles'
+        ring Q[x], they are the lower bound GF."""
         lower = perms.gf_bound(1, "lower")
         m = oracles.adjacency(
             perms.build_digraph(1, cutoff=perms.DEFAULT_CUTOFF[1]))
+
+        def check(out):
+            num, den = out.num.coeffs, out.den.coeffs
+            return oracles.reduced(oracles.q_add(
+                oracles.q_mul([1, 1], den), oracles.q_mul([0, 0, 2], num)),
+                den) == lower
+
         return (f"sum of matrix_resolvent_row(adjacency of "
                 f"build_digraph(1, cutoff={perms.DEFAULT_CUTOFF[1]}), 0)",
                 lambda: oracles.rf_sum(linalg.matrix_resolvent_row(m, 0)),
-                lambda out: RationalFunction(
-                    (1 + x) * out.den + 2 * x * x * out.num, out.den) == lower)
+                check)
 
     def bijection(n, p):
         """Decode then encode every 0-convex word of length n on [p],
@@ -190,23 +193,6 @@ def cases(cfrac, ladder, perms, words, g, oracles):
                 lambda: [words.encode_word(*words.decode_word(w), n, p)
                          for w in ws],
                 lambda out: out == ws and len(out) == g.G0P_STABLE[p - 1])
-
-    def common_factor():
-        """The reduction that ``matrix_resolvent_row`` makes of each
-        entry, on the k = 1 lower bound GF g with both parts times
-        f = 1 + 2x + 3x^2: the gcd, ``/`` by it, then the constructor,
-        which takes the coprime pair."""
-        lower, f = perms.gf_bound(1, "lower"), Polynomial((1, 2, 3))
-        num, den = lower.num * f, lower.den * f
-
-        def reduce():
-            common = num.gcd(den)
-            return RationalFunction(num / common, den / common)
-
-        return ("RationalFunction(n / c, d / c), c = gcd(n, d), "
-                "n, d = g.num * f, g.den * f, g = gf_bound(1, lower), "
-                "f = 1 + 2x + 3x^2",
-                reduce, lambda out: out == lower)
 
     return [
         ("count_words_bruteforce(12, 5, 1)",
@@ -253,7 +239,6 @@ def cases(cfrac, ladder, perms, words, g, oracles):
         squarefree(2, "upper"),
         squarefree(1, "lower", cutoff=(1, 2, 7, 8)),
         resolvent(),
-        common_factor(),
         ("tot_series(60)", lambda: cfrac.tot_series(60),
          lambda out: out == tot),
         ("f1_series(120)", lambda: cfrac.f1_series(120),

@@ -1,27 +1,28 @@
 """What the exact kernel's values are made of and what they take: the
-check of a coefficient, the test for a scalar operand, the one operand
+check of a coefficient, the test for a scalar operand, the operand
 protocol of the binary operators, and the truncated convolution.  They
 are their own module so that series arithmetic runs without loading
 ``Polynomial``.
 
-The kernel's two rings are Z[x] and Z[[x]]: every coefficient is an
-``int``, and ``/`` in each is exact division, which raises
-``ArithmeticError`` when the quotient leaves the ring.  Neither ring's
-arithmetic imports ``fractions``: only ``roots`` does, for the
-intervals it returns, and the body of ``linalg.solve_field_system``,
-the one rational solve.
+Every coefficient of the kernel is an ``int``.  It computes in Z[[x]]
+with operators, where ``/`` is exact division, which raises
+``ArithmeticError`` when the quotient leaves the ring, and in Z[x] on
+coefficient sequences: a ``Polynomial`` is a value with a normal form,
+a remainder sequence, a gcd, a derivative, evaluation and printing,
+but no operators.  Neither ring imports ``fractions``: only ``roots``
+does, for the intervals it returns, and the body of
+``linalg.solve_field_system``, the one rational solve.
 
-Every binary operator of ``Polynomial`` and ``TruncatedSeries`` is
-wrapped in :func:`binary`, so the two types share one operand
-protocol; a ``RationalFunction`` is a canonical record with no
-arithmetic, and takes no part in it.  The type's own ``_coerce`` turns
-the other operand into a value of the type, or declines it with
+Every binary operator of ``TruncatedSeries`` is wrapped in
+:func:`binary`, its one operand protocol; ``Polynomial`` and
+``RationalFunction`` have no arithmetic, and take no part in it.
+``_coerce`` turns the other operand into a series, or declines it with
 ``NotImplemented``; Python then tries the other operand's reflected
 operator, and raises ``TypeError`` when that declines too.  A scalar
-operand (see :func:`is_scalar`) is a constant of the type.  The
-reflected subtraction is wrapped as well, so it coerces before it
-subtracts: two types that decline each other never hand a subtraction
-back and forth."""
+operand (see :func:`is_scalar`) is a constant series.  The reflected
+subtraction is wrapped as well, so it coerces before it subtracts: two
+types that decline each other never hand a subtraction back and
+forth."""
 
 from __future__ import annotations
 
@@ -38,8 +39,8 @@ def exact_coefficient(x) -> int:
 
 
 def is_scalar(x) -> bool:
-    """Whether ``x`` is an ``int``: an operand that the kernel's types
-    take as a constant.  A ``bool`` passes, and
+    """Whether ``x`` is an ``int``: an operand that ``TruncatedSeries``
+    takes as a constant.  A ``bool`` passes, and
     :func:`exact_coefficient` then rejects it."""
     return isinstance(x, int)
 

@@ -1,22 +1,27 @@
-"""Linear algebra over truncated integer series, the rationals and
-integer polynomials: one fraction-free Gauss-Jordan elimination,
-:func:`_gauss_jordan` (Bareiss, Math. Comp. 22, 1968), for all three.
+"""Linear algebra over truncated integer series and the rationals: one
+fraction-free Gauss-Jordan elimination, :func:`_gauss_jordan` (Bareiss,
+Math. Comp. 22, 1968), for both solves; and the resolvent row of a
+transfer matrix, read from its walk counts.
 
 At a pivot p every other row r becomes (p row_r - a_rc row_c) / prev,
 prev the pivot before p.  By Sylvester's identity every entry is then a
-minor of the system, so each division is exact: the series solve and
-the resolvent divide by the ring's own exact ``/``, in Z[[x]] and Z[x],
-which raises should a quotient leave the ring, and the rational solve
-divides with a ``Fraction`` of its own.  The solution is the numerators
-over the last pivot; the resolvent divides each numerator and that
-pivot by their gcd, so that it builds each ``RationalFunction`` from a
-coprime pair."""
+minor of the system, so each division is exact: the series solve
+divides by the exact ``/`` of Z[[x]], which raises should a quotient
+leave the ring, and the rational solve divides with a ``Fraction`` of
+its own.  The solution is the numerators over the last pivot.
+
+The resolvent eliminates nothing: it counts walks by the integer walk
+DP and hands each column of counts to
+:meth:`RationalFunction.from_sequence`, whose Berlekamp–Massey pair is
+already reduced, so it runs no polynomial arithmetic, gcd or
+division."""
 
 from __future__ import annotations
 
 from operator import truediv
 
 from convexenum.exact import polynomial, ratfun, series
+from convexenum.exact.coefficients import exact_coefficient
 from convexenum.frozen import Frozen
 
 
@@ -59,9 +64,8 @@ def _gauss_jordan(rows, rhs, is_pivot, divide):
     Each column pivots on its first remaining entry for which
     ``is_pivot`` holds; no such entry means the determinant is not a
     unit.  ``divide`` is the ring's exact quotient; prev is 1 at the
-    first pivot.  Negation is spelled 0 - a_rc, which every ring of the
-    kernel takes: ``Polynomial`` and ``TruncatedSeries`` have no unary
-    minus.
+    first pivot.  Negation is spelled 0 - a_rc, which both rings take:
+    ``TruncatedSeries`` has no unary minus.
     """
     n = len(rows)
     if any(len(row) != n for row in rows):
@@ -120,21 +124,46 @@ def matrix_resolvent_row(m, row: int) -> list[ratfun.RationalFunction]:
     """Row ``row`` of (I - Mx)^{-1} as exact rational functions.
 
     ``m`` is a square nested list of polynomial (or integer) entries,
-    typically an adjacency matrix; the resolvent row generates walk
-    counts out of vertex ``row``.  The system (I - Mx)^T y = e_row,
-    y_j = [(I - Mx)^{-1}]_{row, j}, is eliminated over integer
-    polynomials: each pivot is a leading principal minor of I - xM^T,
-    which is 1 mod x, so none is zero and no row moves.  Each entry is
-    its numerator y over the determinant, both divided by their gcd g,
-    so that the constructor gets the coprime pair it takes; a zero y
+    typically an adjacency matrix, and ``row`` one of its indices; the
+    resolvent row generates walk counts out of vertex ``row``.  Its
+    coefficient vectors c_t satisfy c = e_row + x c M, that is
+
+        c_t[j] = [t = 0][j = row] + sum over i and e of w_ij,e c_(t-1-e)[i]
+
+    for w_ij,e the coefficient of x^e in m[i][j]: the integer walk DP,
+    run for 2B + 2 steps.  Entry j is then ``from_sequence`` of column
+    j with the complexity bound B = n (1 + d), d the largest degree of
+    a weight (0 for integer weights), and the last two steps check it.
+
+    B bounds the linear complexity of every entry.  By Cramer's rule
+    entry j is a cofactor of I - xM over det(I - xM).  Each entry of
+    I - xM has degree at most 1 + d, so a minor of size k has degree
+    at most k (1 + d): deg det <= B and deg cofactor <= B - 1 - d < B.
+    And det(0) = det(I) = 1.  A common factor g of the two divides the
+    determinant, so g(0) != 0, and dividing by it lowers both degrees.
+    So the reduced N/D has D(0) != 0 and max(deg D, deg N + 1) <= B.
+    Berlekamp–Massey returns that reduced pair (see ``from_sequence``),
+    so no entry runs an elimination, a gcd or a division; a zero entry
     comes out as 0 over 1.
     """
     n = len(m)
     if any(len(r) != n for r in m):
         raise ValueError("matrix must be square")
-    x = polynomial.Polynomial((0, 1))
-    sys = [[int(i == j) - x * m[j][i] for j in range(n)] for i in range(n)]
-    rhs = [polynomial.Polynomial((int(i == row),)) for i in range(n)]
-    nums, det = _gauss_jordan(sys, rhs, bool, truediv)
-    return [ratfun.RationalFunction(y / g, det / g)
-            for y in nums for g in [y.gcd(det)]]
+    if n and row not in range(n):
+        raise ValueError(f"row {row} is not an index of the {n}x{n} matrix")
+    # an edge (i, j, e, w_ij,e) for each nonzero coefficient of a weight
+    edges = [(i, j, e, w) for i, weights in enumerate(m)
+             for j, p in enumerate(weights)
+             for e, w in enumerate(p.coeffs if isinstance(
+                 p, polynomial.Polynomial) else (exact_coefficient(p),))
+             if w]
+    bound = n * (1 + max((e for _, _, e, _ in edges), default=0))
+    counts = [[int(j == row) for j in range(n)]]
+    for t in range(1, 2 * bound + 2):
+        c = [0] * n
+        for i, j, e, w in edges:
+            if e < t:
+                c[j] += w * counts[t - 1 - e][i]
+        counts.append(c)
+    return [ratfun.RationalFunction.from_sequence(column, bound)
+            for column in zip(*counts)]

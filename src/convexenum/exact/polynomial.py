@@ -1,22 +1,27 @@
-"""Dense univariate polynomials with integer coefficients: the ring Z[x]."""
+"""Dense univariate polynomials with integer coefficients, elements of
+Z[x] kept as values: a ``Polynomial`` has a normal form, a
+pseudo-remainder sequence, a gcd, a derivative, evaluation and
+printing, but no operators.  The kernel builds every one from
+coefficients it has computed as ``int``s, so no library code adds,
+multiplies or divides two of them."""
 
 from __future__ import annotations
 
-from itertools import zip_longest
 from math import gcd
 
-from convexenum.exact.coefficients import (
-    binary, convolve, exact_coefficient, is_scalar)
+from convexenum.exact.coefficients import exact_coefficient
 from convexenum.frozen import Frozen
 
 
-def _pseudo_divide(a, b) -> tuple[list, list]:
+def pseudo_divide(a, b) -> tuple[list, list]:
     """The pseudo-quotient and pseudo-remainder of the coefficient
     sequences ``a`` and ``b``: lists q and r with lc(b)^e a = q b + r,
     where e = len(q) = max(deg a - deg b + 1, 0) and deg r < deg b.
     Each step scales the remainder by lc(b) instead of dividing by it
     (Knuth, TAOCP vol. 2, 4.6.1, Algorithm R), so integer coefficients
-    stay integers.  This is the one polynomial division loop."""
+    stay integers.  This is the one polynomial division loop: the
+    remainder sequence reads its remainders, and the squarefree strip of
+    root isolation its quotient."""
     if not b:
         raise ZeroDivisionError("division by zero polynomial")
     rem, lead, top = list(a), b[-1], len(b) - 1
@@ -58,48 +63,7 @@ class Polynomial(Frozen):
     def leading_coeff(self) -> int:
         return self.coeffs[-1] if self.coeffs else 0
 
-    # -- ring arithmetic ----------------------------------------------
-
-    @binary
-    def __add__(self, other) -> "Polynomial":
-        return Polynomial(tuple(x + y for x, y in zip_longest(
-            self.coeffs, other.coeffs, fillvalue=0)))
-
-    __radd__ = __add__
-
-    @binary
-    def __sub__(self, other) -> "Polynomial":
-        return Polynomial(tuple(x - y for x, y in zip_longest(
-            self.coeffs, other.coeffs, fillvalue=0)))
-
-    @binary
-    def __rsub__(self, other) -> "Polynomial":
-        return other - self
-
-    @binary
-    def __mul__(self, other) -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
-        return Polynomial(convolve(a, b, len(a) + len(b) - 1))
-
-    __rmul__ = __mul__
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, Polynomial):
-            return other
-        return Polynomial((other,)) if is_scalar(other) else NotImplemented
-
-    @binary
-    def __truediv__(self, other: "Polynomial") -> "Polynomial":
-        """The exact quotient q with q * other = self in Z[x]: the
-        pseudo-quotient of ``_pseudo_divide`` over lc(other)^e.  A
-        remainder, or a coefficient that lc(other)^e does not divide,
-        means the quotient leaves Z[x], and raises ``ArithmeticError``."""
-        quot, rem = _pseudo_divide(self.coeffs, other.coeffs)
-        scale = other.leading_coeff() ** len(quot)
-        if any(rem) or any(c % scale for c in quot):
-            raise ArithmeticError(f"{other} does not divide {self} in Z[x]")
-        return Polynomial([c // scale for c in quot])
+    # -- normal form, remainders, gcd ---------------------------------
 
     def primitive(self) -> "Polynomial":
         """The primitive part: self over its content, signed so that the
@@ -126,7 +90,7 @@ class Polynomial(Frozen):
             # rem = lc(b)^e (a mod b) with e = max(deg a - deg b, -1) + 1:
             # rem over -content is a positive multiple of -(a mod b)
             # unless lc(b)^e < 0, and then rem over content is
-            rem = _pseudo_divide(a.coeffs, b.coeffs)[1]
+            rem = pseudo_divide(a.coeffs, b.coeffs)[1]
             flip = b.leading_coeff() > 0 or max(a.degree - b.degree, -1) % 2
             content = (gcd(*rem) or 1) * (-1 if flip else 1)
             seq.append(Polynomial([c // content for c in rem]))

@@ -1,13 +1,12 @@
 """Rational functions in one variable, kept in canonical form.
 
-A ``RationalFunction`` is a canonical record, made by
-:meth:`RationalFunction.from_sequence` or by
-``linalg.matrix_resolvent_row``, with no arithmetic: it defines no
-operator and no truth value, so a caller tests ``rf.num`` for zero.  The
-kernel computes in Z[x] and Z[[x]], over ``Polynomial`` and
-``TruncatedSeries``, and builds the canonical form once, from a
-coprime numerator and denominator: each producer hands over a reduced
-pair, so the constructor runs no polynomial gcd."""
+A ``RationalFunction`` is a canonical record with no arithmetic: it
+defines no operator and no truth value, so a caller tests ``rf.num``
+for zero.  The library builds one in one place,
+:meth:`RationalFunction.from_sequence`, which the bound GFs, the word
+GF and ``linalg.matrix_resolvent_row`` all call: the kernel computes
+integer terms, and Berlekamp–Massey hands the constructor a coprime
+numerator and denominator, so it runs no polynomial gcd."""
 
 from __future__ import annotations
 
@@ -26,10 +25,10 @@ class RationalFunction(Frozen):
     overall content 1, and the denominator has a positive leading
     coefficient.  The constructor takes a coprime pair and fixes only
     the other two: it divides both parts by their joint content, signed
-    by den's leading coefficient, and runs no polynomial gcd.  Its two
-    producers hand it coprime pairs: ``from_sequence`` by the
-    minimality of Berlekamp–Massey, and ``linalg.matrix_resolvent_row``
-    by reducing each entry first.
+    by den's leading coefficient, and runs no polynomial gcd.  Its one
+    producer in the library, ``from_sequence``, hands it a coprime pair
+    by the minimality of Berlekamp–Massey; a caller that builds one by
+    hand passes a coprime pair as well.
     """
 
     __slots__ = ("num", "den")

@@ -1,9 +1,12 @@
 """Certified isolation of the smallest positive real root of a polynomial.
 
-All arithmetic is in the integers: a point is a numerator over a
-denominator, the bisection's points share one denominator that doubles
-at each step, and only the returned interval is made of ``Fraction``s.
-The interval is certified by an exact sign change at its endpoints.
+All arithmetic is in the integers: the Sturm chain is
+``Polynomial.remainder_sequence``, the squarefree part is the
+pseudo-quotient of the one division loop, ``pseudo_divide``, scaled
+back by ``primitive``, a point is a numerator over a denominator, the
+bisection's points share one denominator that doubles at each step,
+and only the returned interval is made of ``Fraction``s.  The interval
+is certified by an exact sign change at its endpoints.
 Decimal output is a rendering step only.
 """
 
@@ -11,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from convexenum.exact.polynomial import Polynomial
+from convexenum.exact.polynomial import Polynomial, pseudo_divide
 
 
 class NoRootError(ValueError):
@@ -60,7 +63,8 @@ def smallest_positive_root(p: Polynomial, precision: int = 18):
     q = p.primitive()
     chain = q.remainder_sequence(q.derivative().primitive())  # q's Sturm chain
     if chain[-1].degree > 0:  # the chain ends in gcd(p, p'): strip it
-        q = (q / chain[-1]).primitive()
+        quot = pseudo_divide(q.coeffs, chain[-1].coeffs)[0]  # lc^e q / gcd
+        q = Polynomial(quot).primitive()
         chain = q.remainder_sequence(q.derivative().primitive())
     chain = [r.coeffs for r in chain]
     sqf, scale = chain[0], 10**precision

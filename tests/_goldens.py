@@ -170,9 +170,10 @@ PERM_SEARCH_CALLS = {
 
 # RationalFunction constructions in matrix_resolvent_row(A, 0), A the
 # adjacency of build_digraph(1, cutoff=DEFAULT_CUTOFF[1]) (22 nodes): one
-# canonical form per entry of the row, since the elimination runs over
-# integer polynomials (one over the rational-function field built 1,938,
-# and 7,611 when it built the canonical form of every zero product).
+# canonical form per entry of the row, since the resolvent counts walks
+# in integers and builds each entry by Berlekamp-Massey (an elimination
+# over the rational-function field built 1,938, and 7,611 when it built
+# the canonical form of every zero product).
 # And the SHA-256 of that row, one entry a line as "num / den", recorded
 # from the field elimination.
 RESOLVENT_CONSTRUCTIONS = 22

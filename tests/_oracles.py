@@ -11,8 +11,9 @@ division by the geometric series.  The library computes the same
 results in Z[x] and Z[[x]]; the tests bring an oracle's polynomials to
 the kernel's normal form with :func:`canonical_integers` and compare
 the two exactly; :func:`reduced` builds a ``RationalFunction`` from a
-pair that may share a factor.  The permutation layer of the paper
-lives here, since no command runs it: :class:`Permutation`, the
+pair that may share a factor, and :func:`z_mul` a ``Polynomial`` from a
+product, since ``Polynomial`` has no operators.  The permutation layer
+of the paper lives here, since no command runs it: :class:`Permutation`, the
 convexity test :func:`is_convex_perm`, and :func:`descend`, the left
 and right descendants whose step rule ``perms.build_digraph`` restates
 on node keys.  So do two builders of goldens: :func:`from_terms`, a polynomial
@@ -136,12 +137,13 @@ def to_series(rf: RationalFunction, order: int) -> TruncatedSeries:
 
 def rf_sum(terms) -> RationalFunction:
     """The exact sum of the ``RationalFunction``s ``terms``, one at a
-    time: the numerators cross-multiplied over the product of the
-    denominators, which :func:`reduced` brings to canonical form."""
+    time: the numerators cross-multiplied in Q[x] over the product of
+    the denominators, which :func:`reduced` brings to canonical form."""
     total = RationalFunction(0)
     for t in terms:
-        total = reduced(total.num * t.den + t.num * total.den,
-                        total.den * t.den)
+        a, b = total.num.coeffs, total.den.coeffs
+        c, d = t.num.coeffs, t.den.coeffs
+        total = reduced(q_add(q_mul(a, d), q_mul(c, b)), q_mul(b, d))
     return total
 
 
@@ -248,14 +250,26 @@ def euclid_gcd(a, b) -> list[Fraction]:
 
 
 def reduced(num, den) -> RationalFunction:
-    """num/den in lowest terms, for two kernel ``Polynomial``s that may
-    share a factor: both divided by their :func:`euclid_gcd` in Q[x],
-    then brought to :func:`canonical_integers`.  The constructor only
-    receives the coprime pair, so no kernel gcd or division runs."""
-    g = euclid_gcd(num.coeffs, den.coeffs)
-    parts = canonical_integers(q_divmod(num.coeffs, g)[0],
-                               q_divmod(den.coeffs, g)[0])
+    """num/den in lowest terms, for two elements of Q[x] (such as a
+    kernel value's ``coeffs``) that may share a factor: both divided by
+    their :func:`euclid_gcd`, then brought to
+    :func:`canonical_integers`.  The constructor only receives the
+    coprime pair, so no kernel gcd runs."""
+    g = euclid_gcd(num, den)
+    parts = canonical_integers(q_divmod(num, g)[0], q_divmod(den, g)[0])
     return RationalFunction(*map(Polynomial, parts))
+
+
+def z_mul(*factors) -> Polynomial:
+    """The product of integer polynomials, each a kernel ``Polynomial``
+    or a coefficient sequence, by :func:`q_mul`, as a kernel
+    ``Polynomial``: the kernel has no product of its own."""
+    out = [Fraction(1)]
+    for f in factors:
+        out = q_mul(out, q_poly(getattr(f, "coeffs", f)))
+    if any(c.denominator != 1 for c in out):
+        raise ValueError("factors must have integer coefficients")
+    return Polynomial([c.numerator for c in out])
 
 
 def squarefree_part(p) -> list[Fraction]:

@@ -39,13 +39,17 @@ has an ``__init__`` that only passes its parameters on to it.
 The exact kernel has one operand protocol: only
 ``coefficients.binary`` tests ``other is NotImplemented``, and no
 ``_coerce`` imports ``Fraction`` to tell a scalar (``is_scalar`` does).
-It computes in Z[x] and Z[[x]], so only ``exact.roots``, which returns
-``Fraction`` intervals, and the body of ``linalg.solve_field_system``,
-the one rational solve, import ``fractions``.  It has one division
-loop, ``_pseudo_divide``, read only by ``Polynomial.__truediv__`` and
-``Polynomial.remainder_sequence``,
-so it has one pseudo-remainder sequence, which the gcd and the Sturm
-chain read.
+Only ``TruncatedSeries`` takes part: ``Polynomial`` is a value with no
+operators.  The kernel computes in Z[x] and Z[[x]], so only
+``exact.roots``, which returns ``Fraction`` intervals, and the body of
+``linalg.solve_field_system``, the one rational solve, import
+``fractions``.  It has one division loop, ``pseudo_divide``, read only
+by ``Polynomial.remainder_sequence`` and by root isolation's
+squarefree strip, so it has one pseudo-remainder sequence, which the
+gcd and the Sturm chain read.  Only ``RationalFunction.from_sequence``
+builds a ``RationalFunction``, so every one the library builds comes
+from Berlekamp–Massey's reduced pair, and no library code calls a
+``gcd`` method.
 
 ``src/`` holds what a command runs.  Under a call trace, the golden CLI
 commands, perfbench's call jobs, a word count deep enough for the
@@ -872,19 +876,18 @@ def test_the_kernel_has_one_operand_protocol():
                                                          path.stem)
              for path in files}
     assert {path: names for path, names in found.items() if names} == {}
-    # and the operators that binary wraps keep their own names; the two
-    # types with arithmetic are the only ones that take part
-    for cls in (Polynomial, TruncatedSeries):
-        for name in ("__add__", "__sub__", "__rsub__", "__mul__"):
-            method = vars(cls)[name]
-            assert method.__qualname__ == f"{cls.__name__}.{name}"
-        assert vars(cls)["__radd__"] is vars(cls)["__add__"]
-        assert vars(cls)["__rmul__"] is vars(cls)["__mul__"]
-    arithmetic = {"_coerce", "__bool__", "__neg__", "__add__", "__radd__",
-                  "__sub__", "__rsub__", "__mul__", "__rmul__",
-                  "__truediv__", "__rtruediv__"}
-    assert not arithmetic & set(vars(RationalFunction))
-    assert "__neg__" not in vars(Polynomial)
+    # and the operators that binary wraps keep their own names; the one
+    # type with arithmetic is the only one that takes part
+    ops = vars(TruncatedSeries)
+    for name in ("__add__", "__sub__", "__rsub__", "__mul__", "__truediv__"):
+        assert ops[name].__qualname__ == f"TruncatedSeries.{name}"
+    assert ops["__radd__"] is ops["__add__"]
+    assert ops["__rmul__"] is ops["__mul__"]
+    arithmetic = {"_coerce", "__neg__", "__add__", "__radd__", "__sub__",
+                  "__rsub__", "__mul__", "__rmul__", "__truediv__",
+                  "__rtruediv__"}
+    assert not (arithmetic | {"__bool__"}) & set(vars(RationalFunction))
+    assert not arithmetic & set(vars(Polynomial))
 
 
 def test_the_operand_check_finds_preambles_and_fraction_imports():
@@ -948,7 +951,7 @@ def test_the_fractions_check_finds_every_import_form():
 
 def pseudo_divide_reads(source: str, module: str) -> list[str]:
     """The scope, ``module`` or ``module.Class.function``, of each read
-    of a name ``_pseudo_divide`` in ``source``: a call, or a function
+    of a name ``pseudo_divide`` in ``source``: a call, or a function
     kept for later.  A nested function is a scope of its own."""
     found = []
 
@@ -959,7 +962,7 @@ def pseudo_divide_reads(source: str, module: str) -> list[str]:
                 visit(child, f"{scope}.{child.name}")
                 continue
             if getattr(child, "attr", getattr(child, "id", None)) \
-                    == "_pseudo_divide":
+                    == "pseudo_divide":
                 found.append(scope)
             visit(child, scope)
 
@@ -968,8 +971,9 @@ def pseudo_divide_reads(source: str, module: str) -> list[str]:
 
 
 def test_one_pseudo_remainder_sequence():
-    # the one division loop serves the quotient and the remainder
-    # sequence, which the gcd and the Sturm chain both read
+    # the one division loop serves the remainder sequence, which the gcd
+    # and the Sturm chain both read, and the squarefree strip, which
+    # reads its quotient
     files = sorted(SRC.rglob("*.py"))
     assert len(files) > 10
     found = {str(path.relative_to(SRC)):
@@ -977,26 +981,89 @@ def test_one_pseudo_remainder_sequence():
              for path in files}
     assert {path: scopes for path, scopes in found.items() if scopes} == {
         "convexenum/exact/polynomial.py":
-            ["polynomial.Polynomial.__truediv__",
-             "polynomial.Polynomial.remainder_sequence"]}
+            ["polynomial.Polynomial.remainder_sequence"],
+        "convexenum/exact/roots.py": ["roots.smallest_positive_root"]}
     assert not hasattr(Polynomial, "pseudo_remainder")
 
 
 def test_the_remainder_check_finds_calls_and_bound_methods():
     source = (
         "def chain(p, q):\n"
-        "    return polynomial._pseudo_divide(p, q)\n"
+        "    return polynomial.pseudo_divide(p, q)\n"
         "class Poly:\n"
         "    def gcd(self, other):\n"
-        "        step = _pseudo_divide\n"
+        "        step = pseudo_divide\n"
         "        def inner():\n"
-        "            return _pseudo_divide(self, other)\n"
-        "    def _pseudo_divide(self, other):\n"
+        "            return pseudo_divide(self, other)\n"
+        "    def pseudo_divide(self, other):\n"
         "        return self.remainder_sequence(other)\n"
-        "rem = _pseudo_divide(a, b)[1]\n"
-        "name = '_pseudo_divide'\n")
+        "rem = pseudo_divide(a, b)[1]\n"
+        "name = 'pseudo_divide'\n")
     assert pseudo_divide_reads(source, "roots") == [
         "roots.chain", "roots.Poly.gcd", "roots.Poly.gcd.inner", "roots"]
+
+
+def reductions(source: str, module: str) -> list[str]:
+    """``scope builds`` for each call in ``source`` that builds a
+    ``RationalFunction``, and ``scope calls gcd`` for each call of a
+    ``gcd`` method (``math.gcd`` is an integer gcd), with the scopes of
+    :func:`pseudo_divide_reads`.  A call builds one when it calls a name
+    ``RationalFunction``, or ``cls`` or ``type(self)`` in the class
+    ``RationalFunction``."""
+    found = []
+
+    def visit(node, scope, in_ratfun):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}", in_ratfun or (
+                    isinstance(child, ast.ClassDef)
+                    and child.name == "RationalFunction"))
+                continue
+            if isinstance(child, ast.Call):
+                callee = ast.unparse(child.func)
+                if callee.split(".")[-1] == "RationalFunction" or (
+                        in_ratfun and callee in ("cls", "type(self)")):
+                    found.append(f"{scope} builds")
+                if isinstance(child.func, ast.Attribute) \
+                        and child.func.attr == "gcd" and callee != "math.gcd":
+                    found.append(f"{scope} calls gcd")
+            visit(child, scope, in_ratfun)
+
+    visit(ast.parse(source), module, False)
+    return found
+
+
+def test_only_berlekamp_massey_builds_a_rational_function():
+    # every RationalFunction of the library is a Berlekamp-Massey pair,
+    # which is reduced, so the constructor's coprime contract holds on
+    # every library path, and nothing reduces by a polynomial gcd
+    files = sorted(SRC.rglob("*.py"))
+    assert len(files) > 10
+    found = [name for path in files
+             for name in reductions(path.read_text(), path.stem)]
+    assert found == ["ratfun.RationalFunction.from_sequence builds"]
+
+
+def test_the_reduction_check_finds_builds_and_gcd_calls():
+    source = (
+        "def resolvent(y, det):\n"
+        "    g = y.gcd(det)\n"
+        "    return ratfun.RationalFunction(y, det), math.gcd(2, 4)\n"
+        "class RationalFunction:\n"
+        "    @classmethod\n"
+        "    def make(cls, n):\n"
+        "        return cls(n)\n"
+        "    def copy(self):\n"
+        "        return type(self)(self.num)\n"
+        "class Other:\n"
+        "    def make(cls):\n"
+        "        return cls(), gcd(1, 2)\n"
+        "ONE = RationalFunction(1)\n")
+    assert reductions(source, "m") == [
+        "m.resolvent calls gcd", "m.resolvent builds",
+        "m.RationalFunction.make builds", "m.RationalFunction.copy builds",
+        "m builds"]
 
 
 def test_a_failing_property_test_reports_its_example(tmp_path):

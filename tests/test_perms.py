@@ -44,7 +44,6 @@ from _goldens import (
 from convexenum import perms, search
 from convexenum.ladder import ladder_walks
 from convexenum.exact.linalg import matrix_resolvent_row
-from convexenum.exact.polynomial import Polynomial
 from convexenum.exact.ratfun import RationalFunction
 from convexenum.exact.roots import smallest_positive_root
 from convexenum.exact.series import TruncatedSeries
@@ -700,20 +699,22 @@ class TestGrowthBounds:
         assert to_series(gf_bound(k, side), order) == expected
 
     def test_matches_resolvent_elimination(self):
-        # independent oracle: 1 + x + 2 x^2 W, for W the start row of
-        # (I - xA)^{-1} eliminated over integer polynomials and summed
+        # a second route: 1 + x + 2 x^2 W, for W the start row of
+        # (I - xA)^{-1} (one Berlekamp-Massey fit per vertex, where
+        # gf_bound fits the walk totals) summed in the oracle ring, whose
+        # rows test_resolvent_row_inverts_the_system checks exactly
         g = build_digraph(2, cutoff=DEFAULT_CUTOFF[2], loop=True)
         walks = _oracles.rf_sum(
             matrix_resolvent_row(_oracles.adjacency(g), 0))
-        x = Polynomial((0, 1))
-        expected = RationalFunction((1 + x) * walks.den
-                                    + 2 * x * x * walks.num, walks.den)
+        num, den = walks.num.coeffs, walks.den.coeffs
+        expected = _oracles.reduced(_oracles.q_add(
+            _oracles.q_mul([1, 1], den), _oracles.q_mul([0, 0, 2], num)), den)
         assert gf_bound(2, "upper") == expected
 
     def test_resolvent_builds_one_canonical_form_per_entry(
             self, monkeypatch):
-        # the elimination runs over integer polynomials, so the only
-        # canonical forms it builds are the entries it returns
+        # the resolvent counts walks in integers, so the only canonical
+        # forms it builds are the entries that Berlekamp-Massey returns
         m = _oracles.adjacency(build_digraph(1, cutoff=DEFAULT_CUTOFF[1]))
         built = []
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from _goldens import ENCODE_EXAMPLES, G0P_STABLE, SEARCH_COUNTS, WORD_GF_30
-from _oracles import is_convex_word, rf_sum, to_series
+from _oracles import is_convex_word, q_mul, reduced, rf_sum, to_series
 from convexenum import search
 from convexenum.exact.linalg import matrix_resolvent_row
 from convexenum.exact.polynomial import Polynomial
@@ -234,13 +234,13 @@ class TestGeneratingFunction:
     def test_closed_form_matches_transfer_system_elimination(self):
         # independent oracle: F(a,b) - x * sum_{c <= k+2b-a} F(b,c) = x^2,
         # that is F = x^2 (I - xB)^{-1} 1 for the pair-transition matrix
-        # B: x^2 times every resolvent row of B, summed exactly
-        x = Polynomial((0, 1))
+        # B: x^2 times every resolvent row of B, summed exactly in the
+        # oracle ring
         for p, k in [(2, 0), (3, 0), (2, 1), (3, 2)]:
             pairs = [(a, b) for a in range(1, p + 1) for b in range(1, p + 1)]
             m = [[int(b == b2 and c <= k + 2 * b - a) for b2, c in pairs]
                  for a, b in pairs]
-            terms = [RationalFunction(x * x * e.num, e.den)
+            terms = [reduced(q_mul([0, 0, 1], e.num.coeffs), e.den.coeffs)
                      for i in range(len(pairs))
                      for e in matrix_resolvent_row(m, i)]
             total = rf_sum([RationalFunction(Polynomial((1, p)))] + terms)
