@@ -4,14 +4,15 @@ length 11 on [6]), the word DP's series of 1-convex words on [12] to
 order 300, the series and closed form of 1-convex words on [20], the
 ladder counts of k-convex permutations, the depth-150 digraphs
 (built, labeled and written as DOT), the exact kernel's certified
-growth bounds and its root isolation alone on their four bound
-denominators and the k = 1 lower one cut at (1, 2, 7, 8), the gcd of
-each of those five with its derivative, the resolvent row of the
-k = 1 cut digraph (walk counts, then Berlekamp–Massey per entry), the
-k = 1 ladder's tot and f_1 series, the k = 2 components, the exact f_2
-series from precomputed components and the 2-convex formula report,
-the size of the library's code, and what each of the benchmark's CLI
-commands loads.
+growth bounds and its integer root isolation alone (``root_interval``,
+what ``perms bounds`` runs) on their four bound denominators and the
+k = 1 lower one cut at (1, 2, 7, 8), the gcd of each of those five
+with its derivative, the resolvent row of the k = 1 cut digraph (walk
+counts, then Berlekamp–Massey per entry; its sum is checked outside
+the timed call), the k = 1 ladder's tot and f_1 series, the k = 2
+components, the exact f_2 series from precomputed components and the
+2-convex formula report, the size of the library's code, and what each
+of the benchmark's CLI commands loads.
 
     python bench/layers.py [--label NAME] [--src DIR]
 
@@ -26,7 +27,8 @@ tree on a shared 2-core x86-64 host, ``count_perms_bruteforce(12, 2)``
 read 12.4 and 8.4 ms but 2.14 and 2.09 probes.  So comparisons across
 runs, such as a parent tree against a change, read that ratio; the raw
 times show the machine of one run.  Every result is checked against
-``tests/_goldens.py``, or ``tot_series`` against the convergents of the
+``tests/_goldens.py``, a root interval (lo, hi, den) through
+``Fraction(lo, den)``, or ``tot_series`` against the convergents of the
 continued fraction in ``tests/_oracles.py`` and the deeper word search
 against ``words.count_words_dp``, and the bijection's round trip
 against its input, and the word series' first seven coefficients
@@ -59,7 +61,9 @@ warm imports.
 The times are merged into ``BENCH_layers.json`` at the repository root
 under NAME (default ``current``), next to the runs already there, which
 stay as they were recorded.  ``--src`` measures the library in another
-checkout's ``src`` directory, for example a clone of an older commit.
+checkout's ``src`` directory, for example a clone of an older commit;
+one older than ``roots.root_interval`` needs the harness of its own
+checkout.
 """
 
 from __future__ import annotations
@@ -101,7 +105,7 @@ def cli_commands(workloads) -> dict[str, list[str]]:
 def cases(cfrac, ladder, perms, words, g, oracles):
     """(name, call, check) for every timed case."""
     from convexenum.exact import linalg
-    from convexenum.exact.roots import smallest_positive_root
+    from convexenum.exact.roots import root_interval
     from convexenum.exact.polynomial import Polynomial
     from convexenum.search import convex_sequences
     search = g.SEARCH_COUNTS
@@ -133,10 +137,17 @@ def cases(cfrac, ladder, perms, words, g, oracles):
         return (f"perm_counts({k}, {n})", lambda: ladder.perm_counts(k, n),
                 lambda out: len(out) == n and out[-1] == g.DEEP_F[k, n])
 
+    def rational(interval):
+        """An integer interval (lo, hi, den) as its pair of
+        ``Fraction``s, to compare with a golden."""
+        lo, hi, den = interval
+        return Fraction(lo, den), Fraction(hi, den)
+
     def bounds(k):
         roots = g.ROOT_INTERVALS[k, "lower"], g.ROOT_INTERVALS[k, "upper"]
         return (f"growth_bounds({k}, 20)", lambda: perms.growth_bounds(k, 20),
-                lambda out: (out.lower_root, out.upper_root) == roots)
+                lambda out: (rational(out.lower_root),
+                             rational(out.upper_root)) == roots)
 
     def root(k, side, cutoff=None):
         """Root isolation alone, on a bound denominator built before
@@ -147,9 +158,9 @@ def cases(cfrac, ladder, perms, words, g, oracles):
         else:  # the one cut bound with a golden root
             name = f"{side} {k}, cutoff={cutoff}"
             interval = g.CUTOFF_1278_ROOT
-        return (f"smallest_positive_root(gf_bound({name}).den, 20)",
-                lambda: smallest_positive_root(den, 20),
-                lambda out: out == interval)
+        return (f"root_interval(gf_bound({name}).den, 20)",
+                lambda: root_interval(den, 20),
+                lambda out: rational(out) == interval)
 
     def squarefree(k, side, cutoff=None):
         """The gcd of a bound denominator and its derivative, built
@@ -162,24 +173,25 @@ def cases(cfrac, ladder, perms, words, g, oracles):
                 lambda out: out == Polynomial((1,)))
 
     def resolvent():
-        """The walk totals W of the k = 1 cut digraph: its resolvent
-        row, computed by the kernel, summed exactly by
-        ``_oracles.rf_sum``; as 1 + x + 2 x^2 W, formed in the oracles'
-        ring Q[x], they are the lower bound GF."""
+        """The resolvent row of the k = 1 cut digraph, computed by the
+        kernel alone.  Its check, outside the timed call, sums the row
+        exactly by ``_oracles.rf_sum`` into the walk totals W; as
+        1 + x + 2 x^2 W, formed in the oracles' ring Q[x], they are the
+        lower bound GF."""
         lower = perms.gf_bound(1, "lower")
         m = oracles.adjacency(
             perms.build_digraph(1, cutoff=perms.DEFAULT_CUTOFF[1]))
 
         def check(out):
-            num, den = out.num.coeffs, out.den.coeffs
+            walks = oracles.rf_sum(out)
+            num, den = walks.num.coeffs, walks.den.coeffs
             return oracles.reduced(oracles.q_add(
                 oracles.q_mul([1, 1], den), oracles.q_mul([0, 0, 2], num)),
                 den) == lower
 
-        return (f"sum of matrix_resolvent_row(adjacency of "
+        return (f"matrix_resolvent_row(adjacency of "
                 f"build_digraph(1, cutoff={perms.DEFAULT_CUTOFF[1]}), 0)",
-                lambda: oracles.rf_sum(linalg.matrix_resolvent_row(m, 0)),
-                check)
+                lambda: linalg.matrix_resolvent_row(m, 0), check)
 
     def bijection(n, p):
         """Decode then encode every 0-convex word of length n on [p],
@@ -313,7 +325,7 @@ def code_lines(src: Path) -> dict[str, int]:
 
 
 #: standard modules that a command needs only for help, a usage error
-#: or ``--json`` (and, for ``re``, ``fractions``)
+#: or ``--json``
 DEFERRED = ("argparse", "gettext", "locale", "json", "re")
 
 

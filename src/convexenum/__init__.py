@@ -1,10 +1,10 @@
 """Exact enumeration of locally convex words and permutations.
 
 Everything is exact: the exact kernel computes in Z[x] and Z[[x]], so
-counts and every polynomial and series coefficient are Python ``int``s,
-and only the certified root intervals have ``Fraction`` endpoints.  The
-only floating-point anywhere is the decimal rendering of those
-intervals.
+counts, every polynomial and series coefficient, and the certified root
+intervals, two numerators over one denominator, are Python ``int``s.
+Their decimal rendering is integer floor division: no command computes
+with a ``Fraction`` or a float.
 """
 
 __version__ = "0.1.0"

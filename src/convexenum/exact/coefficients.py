@@ -9,9 +9,10 @@ with operators, where ``/`` is exact division, which raises
 ``ArithmeticError`` when the quotient leaves the ring, and in Z[x] on
 coefficient sequences: a ``Polynomial`` is a value with a normal form,
 a remainder sequence, a gcd, a derivative, evaluation and printing,
-but no operators.  Neither ring imports ``fractions``: only ``roots``
-does, for the intervals it returns, and the body of
-``linalg.solve_field_system``, the one rational solve.
+but no operators.  Neither ring imports ``fractions``: only the bodies
+of ``roots.smallest_positive_root``, which turns an integer root
+interval into ``Fraction``s for callers that want them, and
+``linalg.solve_field_system``, the one rational solve, do.
 
 Every binary operator of ``TruncatedSeries`` is wrapped in
 :func:`binary`, its one operand protocol; ``Polynomial`` and

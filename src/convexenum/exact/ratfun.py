@@ -25,10 +25,12 @@ class RationalFunction(Frozen):
     overall content 1, and the denominator has a positive leading
     coefficient.  The constructor takes a coprime pair and fixes only
     the other two: it divides both parts by their joint content, signed
-    by den's leading coefficient, and runs no polynomial gcd.  Its one
-    producer in the library, ``from_sequence``, hands it a coprime pair
-    by the minimality of Berlekamp–Massey; a caller that builds one by
-    hand passes a coprime pair as well.
+    by den's leading coefficient, and runs no polynomial gcd.  A zero
+    numerator, whose gcd with any den is den, gets the denominator 1,
+    so zero has one form.  Its one producer in the library,
+    ``from_sequence``, hands it a coprime pair by the minimality of
+    Berlekamp–Massey; a caller that builds one by hand passes a coprime
+    pair as well.
     """
 
     __slots__ = ("num", "den")
@@ -38,6 +40,7 @@ class RationalFunction(Frozen):
                     for p in (num, den))
         if not den:
             raise ZeroDivisionError("zero denominator")
+        den = den if num else Polynomial((1,))  # zero has the one form 0/1
         # one primitive part for both (see Polynomial.primitive): its last
         # entry is den's leading coefficient, so that comes out positive
         split = len(num.coeffs)

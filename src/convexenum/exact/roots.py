@@ -3,16 +3,17 @@
 All arithmetic is in the integers: the Sturm chain is
 ``Polynomial.remainder_sequence``, the squarefree part is the
 pseudo-quotient of the one division loop, ``pseudo_divide``, scaled
-back by ``primitive``, a point is a numerator over a denominator, the
-bisection's points share one denominator that doubles at each step,
-and only the returned interval is made of ``Fraction``s.  The interval
-is certified by an exact sign change at its endpoints.
-Decimal output is a rendering step only.
+back by ``primitive``, a point is a numerator over a denominator, and
+the bisection's points share one denominator that doubles at each step.
+The interval it returns is the integer triple ``(lo, hi, den)``, and
+the decimals that render it are floor divisions, so the root of
+``perms bounds`` is isolated, inverted and printed in integers.  The
+interval is certified by an exact sign change at its endpoints.  Only
+:func:`smallest_positive_root`, an adapter for callers that want
+rationals, imports ``fractions``, in its body.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from convexenum.exact.polynomial import Polynomial, pseudo_divide
 
@@ -35,9 +36,10 @@ def _sign_variations(chain, u: int, v: int) -> int:
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def smallest_positive_root(p: Polynomial, precision: int = 18):
-    """Return a rational interval [lo, hi] of width < 10^-precision
-    containing the smallest real root of ``p`` in (0, 1].
+def root_interval(p: Polynomial, precision: int = 18):
+    """Return integers ``(lo, hi, den)``, den > 0, such that the
+    interval [lo/den, hi/den] has width < 10^-precision and contains
+    the smallest real root of ``p`` in (0, 1].
 
     One bisection loop runs on integer numerators ``lo`` and ``hi``
     over one denominator that starts at 1 (at 10^precision when a root
@@ -84,29 +86,36 @@ def smallest_positive_root(p: Polynomial, precision: int = 18):
         else:  # (lo, mid] holds the root iff the sign changes there
             v = v_lo if s == s_lo else v_hi
         if s == 0 and v == v_lo - 1:  # mid is the smallest root
-            mid, eps = Fraction(mid, den), Fraction(1, 100 * scale)
-            return mid - eps, mid + eps
+            n = 100 * scale * mid  # mid/den, over 100 scale den
+            return n - den, n + den, 100 * scale * den
         if v < v_lo:
             hi, v_hi = mid, v
         else:
             lo, v_lo = mid, v
+    return lo, hi, den
+
+
+def smallest_positive_root(p: Polynomial, precision: int = 18):
+    """The interval of :func:`root_interval` as a pair of
+    ``Fraction``s ``(lo, hi)``, for callers that want rationals."""
+    from fractions import Fraction
+
+    lo, hi, den = root_interval(p, precision)
     return Fraction(lo, den), Fraction(hi, den)
 
 
-def render_interval(lo: Fraction, hi: Fraction, digits: int) -> str:
-    """Both endpoints of an interval, each truncated to ``digits``
-    decimal places, e.g. for display."""
-    return f"[{decimal_value(lo, digits)}, {decimal_value(hi, digits)}]"
+def render_interval(lo: int, hi: int, den: int, digits: int) -> str:
+    """Both endpoints of the interval [lo/den, hi/den], each truncated
+    to ``digits`` decimal places, e.g. for display."""
+    return (f"[{decimal_value(lo, den, digits)}, "
+            f"{decimal_value(hi, den, digits)}]")
 
 
-def decimal_value(x: Fraction, digits: int) -> str:
-    """Truncated (not rounded) decimal string with ``digits`` places;
-    needs digits >= 1."""
+def decimal_value(num: int, den: int, digits: int) -> str:
+    """num/den as a truncated (not rounded) decimal string with
+    ``digits`` places, by one floor division; needs digits >= 1."""
     if digits < 1:
         raise ValueError("digits must be positive")
-    sign = "-" if x < 0 else ""
-    x = abs(x)
-    scaled = x * 10**digits
-    whole = int(scaled)
-    frac = str(whole % 10**digits).rjust(digits, "0")
-    return f"{sign}{whole // 10 ** digits}.{frac}"
+    sign = "-" if num * den < 0 else ""
+    whole, frac = divmod(abs(num) * 10**digits // abs(den), 10**digits)
+    return f"{sign}{whole}.{frac:0{digits}d}"

@@ -330,8 +330,9 @@ def count_perms_digraph(k: int, n: int) -> int:
 
 class GrowthBounds(Frozen):
     """The bound GFs of f_k (``RationalFunction``s), their smallest
-    positive roots as ``Fraction`` intervals, and the growth-rate bounds
-    those roots give, as decimal strings."""
+    positive roots as the integer intervals ``(lo, hi, den)`` of
+    :func:`roots.root_interval`, and the growth-rate bounds those roots
+    give, as decimal strings."""
 
     __slots__ = ("lower_gf", "upper_gf", "lower_root", "upper_root",
                  "lower_rate", "upper_rate")
@@ -369,23 +370,22 @@ def gf_bound(k: int, side: str, cutoff: tuple[int, int, int, int] | None = None
 
 def growth_bounds(k: int, precision: int = 20) -> GrowthBounds:
     """Bounds on the exponential growth rate of f_k from the smallest
-    roots of both :func:`gf_bound` sides, isolated in certified
-    intervals; only the lower rate is a proved bound (see
-    :func:`gf_bound`)."""
+    roots of both :func:`gf_bound` sides, isolated in certified integer
+    intervals (lo, hi, den); only the lower rate is a proved bound (see
+    :func:`gf_bound`).  A rate is the reciprocal of a root, den/hi or
+    den/lo, so it is printed by one floor division."""
     if precision < 1:
         raise ValueError("precision must be positive")
     lower = gf_bound(k, "lower")
     upper = gf_bound(k, "upper")
-    lo_root = roots.smallest_positive_root(lower.den, precision)
-    up_root = roots.smallest_positive_root(upper.den, precision)
+    lo_root = roots.root_interval(lower.den, precision)
+    up_root = roots.root_interval(upper.den, precision)
     # rate bounds are reciprocals: the smaller root gives the larger rate
     return GrowthBounds(
-        lower_gf=lower,
-        upper_gf=upper,
-        lower_root=lo_root,
-        upper_root=up_root,
-        lower_rate=roots.decimal_value(1 / lo_root[1], 10),
-        upper_rate=roots.decimal_value(1 / up_root[0], 10),
+        lower_gf=lower, upper_gf=upper,
+        lower_root=lo_root, upper_root=up_root,
+        lower_rate=roots.decimal_value(lo_root[2], lo_root[1], 10),
+        upper_rate=roots.decimal_value(up_root[2], up_root[0], 10),
     )
 
 

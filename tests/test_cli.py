@@ -212,10 +212,11 @@ class TestPermsCommands:
                 code, payload = run_json(capsys, "perms", "bounds", "--k",
                                          str(k), "--precision", str(precision))
                 res = results_dict(payload)
-                for side, (lo, hi) in (("lower", gb.lower_root),
-                                       ("upper", gb.upper_root)):
+                for side, (lo, hi, den) in (("lower", gb.lower_root),
+                                            ("upper", gb.upper_root)):
                     a, b = res[f"{side}_gf_root"].strip("[]").split(", ")
-                    assert Fraction(a) <= lo and hi <= Fraction(b), \
+                    assert Fraction(a) <= Fraction(lo, den) \
+                        and Fraction(hi, den) <= Fraction(b), \
                         (k, precision, side)
 
     def test_digraph_dot_output(self, capsys):

@@ -20,7 +20,9 @@ printed ``Polynomial`` back to its nonzero terms.
 ``sys.modules``, but runs only the library modules every command needs,
 and no standard module that only some commands need.  A command runs
 only the modules it calls into, a command that computes only with
-integers never imports ``fractions``, a well-formed command never
+integers never imports ``fractions``, and none of the benchmark's
+commands does, not even ``perms bounds``, whose root intervals are
+integers from bisection to print; a well-formed command never
 imports ``argparse`` (with its ``gettext`` and ``locale``) and only
 ``--json`` imports ``json``, and the tracer wraps the functions of
 modules that have not run yet.  These checks run in interpreters
@@ -40,11 +42,12 @@ The exact kernel has one operand protocol: only
 ``coefficients.binary`` tests ``other is NotImplemented``, and no
 ``_coerce`` imports ``Fraction`` to tell a scalar (``is_scalar`` does).
 Only ``TruncatedSeries`` takes part: ``Polynomial`` is a value with no
-operators.  The kernel computes in Z[x] and Z[[x]], so only
-``exact.roots``, which returns ``Fraction`` intervals, and the body of
+operators.  The kernel computes in Z[x] and Z[[x]], so only the
+bodies of ``roots.smallest_positive_root``, the adapter that turns the
+integer root interval into ``Fraction``s, and of
 ``linalg.solve_field_system``, the one rational solve, import
 ``fractions``.  It has one division loop, ``pseudo_divide``, read only
-by ``Polynomial.remainder_sequence`` and by root isolation's
+by ``Polynomial.remainder_sequence`` and by ``roots.root_interval``'s
 squarefree strip, so it has one pseudo-remainder sequence, which the
 gcd and the Sturm chain read.  Only ``RationalFunction.from_sequence``
 builds a ``RationalFunction``, so every one the library builds comes
@@ -293,7 +296,7 @@ def test_cli_import_defers_what_only_some_commands_need():
     # dataclasses pulls in inspect; traceback serves exit 3 only, csv
     # and json one output format each, argparse (which loads gettext
     # and locale) help and usage errors, and fractions (which imports
-    # decimal) root isolation
+    # decimal) the callers that want rational roots
     assert not cli.keys() & {
         "dataclasses", "inspect", "traceback", "csv", "json", "argparse",
         "gettext", "locale", "fractions", "decimal"}
@@ -343,20 +346,23 @@ def test_cli_import_defers_what_only_some_commands_need():
     # the 2-convex closed form is one series division, no elimination
     assert integer["convexenum.cfrac"]
     assert not integer["convexenum.exact.linalg"]
-    # and a command that meets rationals does import fractions
-    assert "fractions" in run("perms bounds --k 1")
+    # nor do the bounds: their root intervals stay integers from the
+    # bisection to the printed decimals, so fractions, with the decimal,
+    # numbers and re that it imports, stays out
+    assert not run("perms bounds --k 1").keys() & {
+        "fractions", "decimal", "numbers", "re"}
 
     # each of the benchmark's commands, in a fresh interpreter of its own
     runs = {command: run(command) for command in _benchmark_commands()}
     loads = {command: _ran(modules) for command, modules in runs.items()}
     assert len(loads) >= 10
     # a well-formed command is read from the COMMANDS tables, not by
-    # argparse, and json (which imports re) serves --json alone; only
-    # fractions, for the commands that meet rationals, imports re
+    # argparse, and json (which imports re) serves --json alone; no
+    # command imports fractions, so none imports re
     for command, modules in runs.items():
         assert not modules.keys() & {"argparse", "gettext", "locale",
                                      "json"}, command
-        assert "re" not in modules or "fractions" in modules, command
+        assert not modules.keys() & {"fractions", "re"}, command
     as_json = run("words stable --p 3 --json").keys()
     assert "json" in as_json and "argparse" not in as_json
     for command, modules in loads.items():
@@ -437,7 +443,8 @@ def test_no_command_module_imports_the_cli():
 
 def test_the_tracer_wraps_the_lazily_loaded_modules():
     # as a traced benchmark job does: import the CLI, install the
-    # tracer, run one command
+    # tracer, run one command, then the call job that isolates a root
+    # with the Fraction adapter, which the command no longer runs
     code = (
         f"import json, os, sys\nsys.path[:0] = "
         f"[{str(SRC)!r}, {str(ROOT / 'perfbench')!r}]\n"
@@ -445,13 +452,15 @@ def test_the_tracer_wraps_the_lazily_loaded_modules():
         "tracer = tracing.install()\n"
         "code = convexenum.cli.main("
         "['perms', 'bounds', '--k', '1', '--out', os.devnull])\n"
+        "import child\n"
+        "child.gf_bound_k1_cutoff1278_root()\n"
         "print(json.dumps([code, [s[0] for s in tracer.spans], "
         "tracer.counters]))")
     out = subprocess.run([sys.executable, "-S", "-c", code],
                          capture_output=True, text=True, check=True).stdout
     code, spans, counters = json.loads(out)
     assert code == 0
-    assert {"cli.main", "perms.build_digraph",
+    assert {"cli.main", "perms.build_digraph", "perms.growth_bounds",
             "exact.roots.smallest_positive_root"} <= set(spans)
     assert counters["exact.ratfun.RationalFunction.constructions"] > 0
 
@@ -650,8 +659,8 @@ def test_value_types_compare_by_value_and_only_to_their_own_type(cls, args):
 def test_frozen_types_reject_assignment():
     one = TruncatedSeries.monomial(0, 3)
     rf = RationalFunction(Polynomial((1, -1)), Polynomial((1, -2)))
-    bounds = dict(lower_gf=rf, upper_gf=rf, lower_root=(0, 1),
-                  upper_root=(0, 1), lower_rate="1", upper_rate="1")
+    bounds = dict(lower_gf=rf, upper_gf=rf, lower_root=(0, 1, 1),
+                  upper_root=(0, 1, 1), lower_rate="1", upper_rate="1")
     records = [
         perms.DescendantDigraph(k=1, nodes=(perms.START_KEY,), edges=()),
         perms.GrowthBounds(**bounds),
@@ -737,7 +746,7 @@ _RF = RationalFunction(Polynomial((1, -1)), Polynomial((1, -2)))
 RECORDS = {
     perms.DescendantDigraph: dict(k=1, nodes=(perms.START_KEY,), edges=()),
     perms.GrowthBounds: dict(lower_gf=_RF, upper_gf=_RF,
-                             lower_root=(0, 1), upper_root=(0, 1),
+                             lower_root=(0, 1, 1), upper_root=(0, 1, 1),
                              lower_rate="1", upper_rate="1"),
     WordGF: dict(series=TruncatedSeries.monomial(0, 3), ratfun=_RF),
 }
@@ -917,20 +926,23 @@ def test_the_operand_check_finds_preambles_and_fraction_imports():
 
 
 def test_only_roots_and_the_field_solve_import_fractions():
-    # the kernel computes in Z[x] and Z[[x]]: roots returns Fraction
-    # intervals, and the rational solve divides with a Fraction of its own
+    # the kernel computes in Z[x] and Z[[x]]: roots' adapter turns the
+    # integer interval into Fractions, and the rational solve divides
+    # with a Fraction of its own, each in its own body
     files = sorted(SRC.rglob("*.py"))
     assert len(files) > 10
     found = {str(path.relative_to(SRC)):
              imports_of(path.read_text(), "fractions") for path in files}
     assert {path for path, names in found.items() if names} == {
         "convexenum/exact/linalg.py", "convexenum/exact/roots.py"}
-    linalg_source = (SRC / "convexenum" / "exact" / "linalg.py").read_text()
-    (solve,) = [node for node in ast.parse(linalg_source).body
-                if isinstance(node, ast.FunctionDef)
-                and node.name == "solve_field_system"]
-    assert imports_of(ast.unparse(solve), "fractions") \
-        == found["convexenum/exact/linalg.py"]
+    for module, function in (("linalg", "solve_field_system"),
+                             ("roots", "smallest_positive_root")):
+        source = (SRC / "convexenum" / "exact" / f"{module}.py").read_text()
+        (body,) = [node for node in ast.parse(source).body
+                   if isinstance(node, ast.FunctionDef)
+                   and node.name == function]
+        assert imports_of(ast.unparse(body), "fractions") \
+            == found[f"convexenum/exact/{module}.py"], function
 
 
 def test_the_fractions_check_finds_every_import_form():
@@ -972,8 +984,8 @@ def pseudo_divide_reads(source: str, module: str) -> list[str]:
 
 def test_one_pseudo_remainder_sequence():
     # the one division loop serves the remainder sequence, which the gcd
-    # and the Sturm chain both read, and the squarefree strip, which
-    # reads its quotient
+    # and the Sturm chain both read, and root_interval's squarefree
+    # strip, which reads its quotient
     files = sorted(SRC.rglob("*.py"))
     assert len(files) > 10
     found = {str(path.relative_to(SRC)):
@@ -982,7 +994,7 @@ def test_one_pseudo_remainder_sequence():
     assert {path: scopes for path, scopes in found.items() if scopes} == {
         "convexenum/exact/polynomial.py":
             ["polynomial.Polynomial.remainder_sequence"],
-        "convexenum/exact/roots.py": ["roots.smallest_positive_root"]}
+        "convexenum/exact/roots.py": ["roots.root_interval"]}
     assert not hasattr(Polynomial, "pseudo_remainder")
 
 

@@ -28,6 +28,7 @@ from convexenum.exact.roots import (
     NoRootError,
     decimal_value,
     render_interval,
+    root_interval,
     smallest_positive_root,
 )
 from convexenum.exact.series import TruncatedSeries
@@ -337,6 +338,19 @@ class TestRationalFunction:
                 rf = RationalFunction(zero, den)
                 assert rf == RationalFunction(0), den
                 assert rf.num == Polynomial(()) and rf.den == Polynomial((1,))
+
+    def test_zero_over_a_polynomial_is_the_one_zero(self):
+        # gcd(0, den) is den, so no nonconstant den is coprime to zero:
+        # a zero numerator over 1 + x, over 3x or over 2 - x^2 is 0 over 1
+        for den in ((1, 1), (0, 3), (2, 0, -1), (-5, 0, 0, 7)):
+            for zero in (0, Polynomial(())):
+                rf = RationalFunction(zero, Polynomial(den))
+                assert rf == RationalFunction(0), den
+                assert rf.num == Polynomial(()) and rf.den == Polynomial((1,))
+        # and a zero denominator is still rejected, over zero as well
+        for num in (0, 1, Polynomial((0, 1))):
+            with pytest.raises(ZeroDivisionError, match="zero denominator"):
+                RationalFunction(num, Polynomial(()))
 
     @given(st.lists(_INTS, max_size=5),
            st.lists(_INTS, min_size=1, max_size=5).filter(any),
@@ -875,13 +889,20 @@ class TestRoots:
     @settings(max_examples=200)
     @given(_root_cases(), st.integers(1, 20))
     def test_certificate_matches_rational_oracle(self, p, precision):
+        # the integer interval and its Fraction adapter both give the
+        # oracle's interval, or raise what the oracle raises
         try:
             expected = _oracles.smallest_positive_root(p.coeffs, precision)
         except ValueError as exc:
-            with pytest.raises(ValueError) as raised:
-                smallest_positive_root(p, precision)
-            assert type(raised.value) is type(exc)
+            for isolate in (root_interval, smallest_positive_root):
+                with pytest.raises(ValueError) as raised:
+                    isolate(p, precision)
+                assert type(raised.value) is type(exc)
             return
+        ends = root_interval(p, precision)
+        assert all(type(end) is int for end in ends) and ends[2] > 0
+        assert (Fraction(ends[0], ends[2]), Fraction(ends[1], ends[2])) \
+            == expected
         lo, hi = smallest_positive_root(p, precision)
         assert (lo, hi) == expected
         assert type(lo) is Fraction and type(hi) is Fraction
@@ -893,19 +914,20 @@ class TestRoots:
         assert _oracles.sturm_count(chain, Fraction(0), lo) == 0
 
     def test_decimal_value_truncates(self):
-        assert decimal_value(Fraction(2, 3), 5) == "0.66666"
-        assert decimal_value(Fraction(-1, 8), 2) == "-0.12"
-        assert decimal_value(Fraction(5, 4), 3) == "1.250"
+        # num/den, from a numerator and a denominator
+        assert decimal_value(2, 3, 5) == "0.66666"
+        assert decimal_value(-1, 8, 2) == "-0.12"
+        assert decimal_value(5, 4, 3) == "1.250"
 
     def test_decimal_value_needs_a_digit(self):
         # with no places the rendering is wrong: 37/10 would read '3.0'
         # and -1/8 '-0.0'
-        for x in (Fraction(37, 10), Fraction(-1, 8)):
+        for num, den in ((37, 10), (-1, 8)):
             for digits in (0, -2):
                 with pytest.raises(ValueError, match="digits must be positive"):
-                    decimal_value(x, digits)
+                    decimal_value(num, den, digits)
 
     def test_render_interval_truncates_both_endpoints(self):
-        # each endpoint is cut to its own digits, not to a shared prefix
-        assert render_interval(Fraction(1, 3), Fraction(2, 3), 3) == \
-            "[0.333, 0.666]"
+        # each endpoint is cut to its own digits, not to a shared prefix:
+        # [1/3, 2/3], as numerators over the one denominator 3
+        assert render_interval(1, 2, 3, 3) == "[0.333, 0.666]"

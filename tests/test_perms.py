@@ -751,8 +751,9 @@ class TestGrowthBounds:
     @pytest.mark.parametrize("k", [1, 2])
     def test_certified_roots_and_rates(self, k):
         gb = growth_bounds(k, precision=20)
-        for side, (lo, hi) in (("lower", gb.lower_root),
-                               ("upper", gb.upper_root)):
+        for side, (lo, hi, den) in (("lower", gb.lower_root),
+                                    ("upper", gb.upper_root)):
+            lo, hi = Fraction(lo, den), Fraction(hi, den)
             target = root_fraction(k, side)
             assert hi - lo < Fraction(1, 10**20)
             assert abs((lo + hi) / 2 - target) < Fraction(1, 10**18), \
@@ -766,8 +767,10 @@ class TestGrowthBounds:
     def test_root_intervals_are_exact_goldens(self, k):
         gb = growth_bounds(k, precision=20)
         for root, side in ((gb.lower_root, "lower"), (gb.upper_root, "upper")):
-            assert root == ROOT_INTERVALS[(k, side)]
-            assert all(type(end) is Fraction for end in root)
+            lo, hi, den = root
+            assert (Fraction(lo, den), Fraction(hi, den)) \
+                == ROOT_INTERVALS[(k, side)]
+            assert all(type(end) is int for end in root) and den > 0
 
     def test_cutoff_root_interval_is_exact_golden(self):
         den = gf_bound(1, "lower", cutoff=(1, 2, 7, 8)).den
