@@ -2,7 +2,8 @@
 0-convex word bijection (decode then encode every 0-convex word of
 length 11 on [6]), the word DP's series of 1-convex words on [12] to
 order 300, the series and closed form of 1-convex words on [20], the
-ladder counts of k-convex permutations, the depth-150 digraphs
+ladder counts of k-convex permutations, to n = 1000 with the k = 1
+ladder's f_1 series beside them, the depth-150 digraphs
 (built, labeled and written as DOT), the exact kernel's certified
 growth bounds and its integer root isolation alone (``root_interval``,
 what ``perms bounds`` runs) on their four bound denominators and the
@@ -18,7 +19,11 @@ of the benchmark's CLI commands loads.
 
 Each in-process case runs seven times, timed with ``time.perf_counter``;
 its median and its quartiles, which show how far a run's times spread,
-are kept.  Before every sample a fixed standard-library probe is timed
+are kept.  The two cases at n = 1000 also keep the ``tracemalloc`` peak
+of one more call, made apart from the timed samples, which tracing
+slows about twentyfold; n = 2000 stays out, since there one traced
+call took 16 s on a 2-core x86-64 host, and CI runs this harness.
+Before every sample a fixed standard-library probe is timed
 (``probe``), as ``perfbench/run.py`` times its ``PROBE`` before every
 job, and each case also keeps the median of its samples over their
 probes.  The machine's speed drifts between runs, and drift slows a
@@ -32,7 +37,8 @@ times show the machine of one run.  Every result is checked against
 continued fraction in ``tests/_oracles.py`` and the deeper word search
 against ``words.count_words_dp``, and the bijection's round trip
 against its input, and the word series' first seven coefficients
-against ``words.count_words_bruteforce``, with the closed form on [20]
+against ``words.count_words_bruteforce``, ``f1_series(1000)`` against
+``ladder.perm_counts(1, 1000)``, with the closed form on [20]
 expanded by ``_oracles.to_series`` against its series, and a wrong one
 stops the run with exit 1.
 No cache is left in ``convexenum.perms``, so the labels, and the DOT
@@ -81,6 +87,7 @@ import sys
 import time
 import timeit
 import tokenize
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -88,6 +95,8 @@ ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_layers.json"
 REPEAT = 7
 PARSES = 20  # calls in one timed sample of a parse
+#: the cases whose tracemalloc peak is kept too
+PEAKED = ("perm_counts(2, 1000)", "f1_series(1000)")
 
 def cli_commands(workloads) -> dict[str, list[str]]:
     """The CLI jobs of ``perfbench/workloads.py``, by workload: each
@@ -114,6 +123,7 @@ def cases(cfrac, ladder, perms, words, g, oracles):
     words_20_1 = [words.count_words_bruteforce(n, 20, 1) for n in range(7)]
     tot = t / b1  # walks from 1223
     k2 = cfrac.k2_components(250)
+    f1 = ladder.perm_counts(1, 1000)
 
     def digraph(k, depth):
         graph = perms.build_digraph(k, depth=depth)
@@ -236,6 +246,8 @@ def cases(cfrac, ladder, perms, words, g, oracles):
         counts(1, 120),
         counts(2, 250),
         counts(2, 500),
+        ("perm_counts(2, 1000)", lambda: ladder.perm_counts(2, 1000),
+         lambda out: len(out) == 1000 and out[499] == g.DEEP_F[2, 500]),
         *digraph(1, 150),
         *digraph(2, 150),
         bounds(1),
@@ -257,6 +269,8 @@ def cases(cfrac, ladder, perms, words, g, oracles):
          lambda out: out.coeffs[120] == g.DEEP_F[1, 120]),
         ("f1_series(250)", lambda: cfrac.f1_series(250),
          lambda out: out.coeffs[250] == g.DEEP_F[1, 250]),
+        ("f1_series(1000)", lambda: cfrac.f1_series(1000),
+         lambda out: list(out.coeffs[1:]) == f1),
         ("k2_components(200)", lambda: cfrac.k2_components(200),
          lambda out: tuple(s.coeffs[200] for s in out)
          == g.K2_COMPONENTS_200),
@@ -295,6 +309,16 @@ def run_times(call, check) -> tuple[list[float], list[float]]:
         if not check(out):
             raise SystemExit(f"wrong result: {out!r}")
     return times, probes
+
+
+def peak_mib(call) -> float:
+    """The ``tracemalloc`` peak of one call, in MiB."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
 
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
@@ -388,7 +412,7 @@ def main(argv=None) -> int:
     import workloads
     from convexenum import cfrac, ladder, perms, words
 
-    medians, quartiles, ratios, all_probes = {}, {}, {}, []
+    medians, quartiles, ratios, peaks, all_probes = {}, {}, {}, {}, []
     for name, call, check in cases(cfrac, ladder, perms, words, _goldens,
                                    _oracles):
         ts, probes = run_times(call, check)
@@ -400,6 +424,9 @@ def main(argv=None) -> int:
             t / p for t, p in zip(ts, probes)), 4)
         print(f"{median * 1000:10.1f} ms  [{q1 * 1000:.1f}, {q3 * 1000:.1f}]"
               f"  {ratios[name]:8.3f} probes  {name}")
+        if name in PEAKED:
+            peaks[name] = round(peak_mib(call), 1)
+            print(f"{peaks[name]:10.1f} MiB tracemalloc peak  {name}")
     probe_s = statistics.median(all_probes)
     print(f"{probe_s * 1000:10.1f} ms  median probe")
     by_module = code_lines(args.src)
@@ -432,6 +459,7 @@ def main(argv=None) -> int:
         "quartiles_s": quartiles,
         "probe_s": round(probe_s, 6),
         "median_probe_ratio": ratios,
+        "tracemalloc_peak_mib": peaks,
         "src_code_lines": lines,
         "src_code_lines_by_module": by_module,
         "cli_startup": loads,

@@ -1,8 +1,6 @@
-"""What the exact kernel's values are made of and what they take: the
-check of a coefficient, the test for a scalar operand, the operand
-protocol of the binary operators, and the truncated convolution.  They
-are their own module so that series arithmetic runs without loading
-``Polynomial``.
+"""What the exact kernel's values are made of: the check of a
+coefficient, and the truncated convolution.  They are their own module
+so that series arithmetic runs without loading ``Polynomial``.
 
 Every coefficient of the kernel is an ``int``.  It computes in Z[[x]]
 with operators, where ``/`` is exact division, which raises
@@ -12,18 +10,7 @@ a remainder sequence, a gcd, a derivative, evaluation and printing,
 but no operators.  Neither ring imports ``fractions``: only the bodies
 of ``roots.smallest_positive_root``, which turns an integer root
 interval into ``Fraction``s for callers that want them, and
-``linalg.solve_field_system``, the one rational solve, do.
-
-Every binary operator of ``TruncatedSeries`` is wrapped in
-:func:`binary`, its one operand protocol; ``Polynomial`` and
-``RationalFunction`` have no arithmetic, and take no part in it.
-``_coerce`` turns the other operand into a series, or declines it with
-``NotImplemented``; Python then tries the other operand's reflected
-operator, and raises ``TypeError`` when that declines too.  A scalar
-operand (see :func:`is_scalar`) is a constant series.  The reflected
-subtraction is wrapped as well, so it coerces before it subtracts: two
-types that decline each other never hand a subtraction back and
-forth."""
+``linalg.solve_field_system``, the one rational solve, do."""
 
 from __future__ import annotations
 
@@ -37,29 +24,6 @@ def exact_coefficient(x) -> int:
     if type(x) is not int:
         raise TypeError(f"coefficient {x!r} is not an int")
     return x
-
-
-def is_scalar(x) -> bool:
-    """Whether ``x`` is an ``int``: an operand that ``TruncatedSeries``
-    takes as a constant.  A ``bool`` passes, and
-    :func:`exact_coefficient` then rejects it."""
-    return isinstance(x, int)
-
-
-def binary(op):
-    """The binary operator ``op(self, other)``, called with ``other``
-    coerced by ``self._coerce``; when ``_coerce`` declines it, the
-    method returns ``NotImplemented``.  It keeps ``op``'s name and
-    docstring."""
-    def method(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return op(self, other)
-
-    method.__name__, method.__qualname__, method.__doc__ = (
-        op.__name__, op.__qualname__, op.__doc__)
-    return method
 
 
 def convolve(a, b, length: int) -> list:

@@ -64,8 +64,7 @@ def _gauss_jordan(rows, rhs, is_pivot, divide):
     Each column pivots on its first remaining entry for which
     ``is_pivot`` holds; no such entry means the determinant is not a
     unit.  ``divide`` is the ring's exact quotient; prev is 1 at the
-    first pivot.  Negation is spelled 0 - a_rc, which both rings take:
-    ``TruncatedSeries`` has no unary minus.
+    first pivot.
     """
     n = len(rows)
     if any(len(row) != n for row in rows):
@@ -82,9 +81,9 @@ def _gauss_jordan(rows, rhs, is_pivot, divide):
         p = a[col][col]
         for r in range(n):
             if r != col:
-                g = 0 - a[r][col]
+                a_rc = a[r][col]
                 # zero over a zero pivot-row entry stays zero
-                a[r] = [divide(p * e + g * q if q else p * e, prev)
+                a[r] = [divide(p * e - a_rc * q if q else p * e, prev)
                         if e or q else e for e, q in zip(a[r], a[col])]
         prev = p
     return [row[n] for row in a], prev

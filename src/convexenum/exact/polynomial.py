@@ -60,9 +60,6 @@ class Polynomial(Frozen):
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def leading_coeff(self) -> int:
-        return self.coeffs[-1] if self.coeffs else 0
-
     # -- normal form, remainders, gcd ---------------------------------
 
     def primitive(self) -> "Polynomial":
@@ -91,7 +88,7 @@ class Polynomial(Frozen):
             # rem over -content is a positive multiple of -(a mod b)
             # unless lc(b)^e < 0, and then rem over content is
             rem = pseudo_divide(a.coeffs, b.coeffs)[1]
-            flip = b.leading_coeff() > 0 or max(a.degree - b.degree, -1) % 2
+            flip = b.coeffs[-1] > 0 or max(a.degree - b.degree, -1) % 2
             content = (gcd(*rem) or 1) * (-1 if flip else 1)
             seq.append(Polynomial([c // content for c in rem]))
         return seq[:-1]

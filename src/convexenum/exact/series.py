@@ -1,13 +1,42 @@
 """Formal power series with integer coefficients, truncated at an
-explicit order: the ring Z[[x]] modulo x^(order + 1)."""
+explicit order: the ring Z[[x]] modulo x^(order + 1).
+
+``TruncatedSeries`` is the one type of the exact kernel with operators;
+``Polynomial`` and ``RationalFunction`` have none.  Its binary operators
+share one operand protocol, :func:`_binary`: an ``int`` is a constant
+series, a series of another order raises ``ValueError``, and any other
+operand is declined with ``NotImplemented``; Python then tries the other
+operand's reflected operator, and raises ``TypeError`` when that
+declines too.  The reflected subtraction is wrapped as well, so it
+coerces before it subtracts: two types that decline each other never
+hand a subtraction back and forth."""
 
 from __future__ import annotations
 
 from operator import mul
 
-from convexenum.exact.coefficients import (
-    binary, convolve, exact_coefficient, is_scalar)
+from convexenum.exact.coefficients import convolve, exact_coefficient
 from convexenum.frozen import Frozen
+
+
+def _binary(op):
+    """The binary operator ``op(self, other)`` of ``TruncatedSeries``,
+    called with ``other`` as a series of ``self``'s order (see the module
+    docstring).  A ``bool`` passes as an ``int``, and the constructor
+    then rejects it.  The method keeps ``op``'s name and docstring."""
+    def method(self, other):
+        if isinstance(other, int):
+            other = TruncatedSeries((other,), self.order)
+        elif not isinstance(other, TruncatedSeries):
+            return NotImplemented
+        elif other.order != self.order:
+            raise ValueError(
+                f"series orders differ: {self.order} and {other.order}")
+        return op(self, other)
+
+    method.__name__, method.__qualname__, method.__doc__ = (
+        op.__name__, op.__qualname__, op.__doc__)
+    return method
 
 
 class TruncatedSeries(Frozen):
@@ -50,33 +79,23 @@ class TruncatedSeries(Frozen):
 
     # -- arithmetic ---------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, TruncatedSeries):
-            if other.order != self.order:
-                raise ValueError(
-                    f"series orders differ: {self.order} and {other.order}")
-            return other
-        if is_scalar(other):
-            return TruncatedSeries((other,), self.order)
-        return NotImplemented
-
-    @binary
+    @_binary
     def __add__(self, other):
         return TruncatedSeries(
             tuple(x + y for x, y in zip(self.coeffs, other.coeffs)), self.order)
 
     __radd__ = __add__
 
-    @binary
+    @_binary
     def __sub__(self, other):
         return TruncatedSeries(
             tuple(x - y for x, y in zip(self.coeffs, other.coeffs)), self.order)
 
-    @binary
+    @_binary
     def __rsub__(self, other):
         return other - self
 
-    @binary
+    @_binary
     def __mul__(self, other):
         return TruncatedSeries(
             convolve(self.coeffs, other.coeffs, self.order + 1), self.order)
@@ -88,7 +107,7 @@ class TruncatedSeries(Frozen):
         1 or -1, or the quotient leaves the integers (see ``/``)."""
         return TruncatedSeries((1,), self.order) / self
 
-    @binary
+    @_binary
     def __truediv__(self, other):
         """The exact quotient q with q * other = self, by the one
         division recurrence q_m = (a_m - sum of b_j q_(m-j) for

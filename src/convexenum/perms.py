@@ -283,24 +283,22 @@ def build_digraph(k: int, depth: int | None = None, cutoff=None,
     return DescendantDigraph(k=k, nodes=tuple(nodes), edges=tuple(edges))
 
 
-def walks(g: DescendantDigraph, steps: int):
-    """Yield, for lengths 0..steps, the number of walks from the root
-    (node 0, the start node of a digraph from :func:`build_digraph`)
-    ending at each node (a fresh list indexed like ``g.nodes``).
+def walks(g: DescendantDigraph, steps: int) -> list[int]:
+    """The number of walks from the root (node 0, the start node of a
+    digraph from :func:`build_digraph`) of each length 0..steps.
 
     On a depth-bounded digraph the counts are exact up to its depth.
-    Each step pushes every count along every edge.  The DP never reads
-    back a list it has yielded.
+    Each step pushes every node's count along every edge.
     """
-    n = len(g.nodes)
-    counts = [1] + [0] * (n - 1)  # the root
+    counts = [1] + [0] * (len(g.nodes) - 1)  # the root
+    totals = [1]
     for _ in range(steps):
-        yield counts[:]  # a caller may edit the lists it is given
-        nxt = [0] * n
+        nxt = [0] * len(counts)
         for u, v, _ in g.edges:
             nxt[v] += counts[u]
         counts = nxt
-    yield counts
+        totals.append(sum(counts))
+    return totals
 
 
 def walk_count(g: DescendantDigraph, n: int) -> int:
@@ -312,9 +310,7 @@ def walk_count(g: DescendantDigraph, n: int) -> int:
     """
     if n < 2:
         raise ValueError("walk counts are defined for n >= 2")
-    for counts in walks(g, n - 2):
-        pass
-    return sum(counts)
+    return walks(g, n - 2)[-1]
 
 
 def count_perms_digraph(k: int, n: int) -> int:
@@ -364,7 +360,7 @@ def gf_bound(k: int, side: str, cutoff: tuple[int, int, int, int] | None = None
     g = build_digraph(k, cutoff=cutoff or DEFAULT_CUTOFF[k],
                       loop=side == "upper")
     n = len(g.nodes)
-    terms = [1, 1] + [2 * sum(c) for c in walks(g, 2 * n + 3)]
+    terms = [1, 1] + [2 * w for w in walks(g, 2 * n + 3)]
     return ratfun.RationalFunction.from_sequence(terms, n + 2)
 
 

@@ -626,7 +626,7 @@ def perm_counts_by_walks(k, max_n):
     """[f_k(1), ..., f_k(max_n)] from the digraph built by BFS to depth
     max_n - 2 and the walk DP over all of its nodes."""
     g = bfs_digraph(k, depth=max(max_n - 2, 0))
-    return ([1] + [2 * sum(c) for c in walks(g, max_n - 2)])[:max_n]
+    return ([1] + [2 * w for w in walks(g, max_n - 2)])[:max_n]
 
 
 def adjacency(g):

@@ -38,14 +38,14 @@ itself, so that there is one implementation of each.  A record is
 built by position, by field name or both, and no subclass of ``Frozen``
 has an ``__init__`` that only passes its parameters on to it.
 
-The exact kernel has one operand protocol: only
-``coefficients.binary`` tests ``other is NotImplemented``, and no
-``_coerce`` imports ``Fraction`` to tell a scalar (``is_scalar`` does).
-Only ``TruncatedSeries`` takes part: ``Polynomial`` is a value with no
-operators.  The kernel computes in Z[x] and Z[[x]], so only the
-bodies of ``roots.smallest_positive_root``, the adapter that turns the
-integer root interval into ``Fraction``s, and of
-``linalg.solve_field_system``, the one rational solve, import
+The exact kernel has one operand protocol, the decorator
+``series._binary``: no other function of the kernel returns or tests
+``NotImplemented``, and the decorator imports no ``Fraction`` to tell
+an ``int`` operand.  Only ``TruncatedSeries`` takes part:
+``Polynomial`` is a value with no operators.  The kernel computes in
+Z[x] and Z[[x]], so only the bodies of ``roots.smallest_positive_root``,
+the adapter that turns the integer root interval into ``Fraction``s,
+and of ``linalg.solve_field_system``, the one rational solve, import
 ``fractions``.  It has one division loop, ``pseudo_divide``, read only
 by ``Polynomial.remainder_sequence`` and by ``roots.root_interval``'s
 squarefree strip, so it has one pseudo-remainder sequence, which the
@@ -846,22 +846,27 @@ def test_the_forwarder_check_finds_forwarding_constructors():
     assert forwarders(source) == ["Record.__init__", "Named.__init__"]
 
 
+#: the one function of the exact kernel that may decline an operand:
+#: the operand protocol of ``TruncatedSeries``
+OPERAND_PROTOCOL = "series._binary"
+
+
 def operand_forks(source: str, module: str) -> list[str]:
     """``module.function`` (or ``module.Class.method``) for each function
-    of ``source`` but ``coefficients.binary`` whose body tests ``other
-    is NotImplemented``, and ``... import Fraction`` for each ``_coerce``
-    that imports ``Fraction``.  A nested function counts as part of the
-    function that holds it."""
+    of ``source`` but ``OPERAND_PROTOCOL`` that names ``NotImplemented``,
+    to return it or to test ``other is NotImplemented``, and
+    ``... imports Fraction`` when ``OPERAND_PROTOCOL`` imports
+    ``Fraction``.  A nested function counts as part of the function that
+    holds it."""
     found = []
 
     def check(node, name):
         body = list(ast.walk(node))
-        if name != "coefficients.binary" and any(
-                isinstance(sub, ast.Compare)
-                and ast.unparse(sub) == "other is NotImplemented"
+        if name != OPERAND_PROTOCOL and any(
+                isinstance(sub, ast.Name) and sub.id == "NotImplemented"
                 for sub in body):
             found.append(name)
-        if name.endswith("._coerce") and any(
+        if name == OPERAND_PROTOCOL and any(
                 isinstance(sub, ast.ImportFrom) and sub.module == "fractions"
                 and any(alias.name == "Fraction" for alias in sub.names)
                 for sub in body):
@@ -885,8 +890,8 @@ def test_the_kernel_has_one_operand_protocol():
                                                          path.stem)
              for path in files}
     assert {path: names for path, names in found.items() if names} == {}
-    # and the operators that binary wraps keep their own names; the one
-    # type with arithmetic is the only one that takes part
+    # and the operators that the protocol wraps keep their own names;
+    # the one type with arithmetic is the only one that takes part
     ops = vars(TruncatedSeries)
     for name in ("__add__", "__sub__", "__rsub__", "__mul__", "__truediv__"):
         assert ops[name].__qualname__ == f"TruncatedSeries.{name}"
@@ -897,13 +902,15 @@ def test_the_kernel_has_one_operand_protocol():
                   "__rtruediv__"}
     assert not (arithmetic | {"__bool__"}) & set(vars(RationalFunction))
     assert not arithmetic & set(vars(Polynomial))
+    assert "_coerce" not in ops
 
 
 def test_the_operand_check_finds_preambles_and_fraction_imports():
     source = (
-        "def binary(op):\n"
-        "    def operator(self, other):\n"
-        "        if other is NotImplemented:\n"
+        "def _binary(op):\n"
+        "    from fractions import Fraction\n"
+        "    def method(self, other):\n"
+        "        if not isinstance(other, (int, Fraction)):\n"
         "            return NotImplemented\n"
         "class Value:\n"
         "    def __add__(self, other):\n"
@@ -913,16 +920,19 @@ def test_the_operand_check_finds_preambles_and_fraction_imports():
         "    def __mul__(self, other):\n"
         "        return self if other is None else other\n"
         "    def _coerce(self, other):\n"
-        "        from fractions import Fraction\n"
-        "        return other\n"
+        "        if isinstance(other, int):\n"
+        "            return Value(other)\n"
+        "        return NotImplemented\n"
         "def helper(other):\n"
         "    if other is NotImplemented:\n"
         "        pass\n")
-    assert operand_forks(source, "coefficients") == [
-        "coefficients.Value.__add__",
-        "coefficients.Value._coerce imports Fraction",
-        "coefficients.helper"]
-    assert operand_forks(source, "series")[0] == "series.binary"
+    assert operand_forks(source, "series") == [
+        "series._binary imports Fraction",
+        "series.Value.__add__",
+        "series.Value._coerce",
+        "series.helper"]
+    # the same decorator anywhere else is a second protocol
+    assert operand_forks(source, "coefficients")[0] == "coefficients._binary"
 
 
 def test_only_roots_and_the_field_solve_import_fractions():

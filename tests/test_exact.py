@@ -98,7 +98,7 @@ class TestPolynomial:
         b = Polynomial((2, -1, -1))  # (1 - x)(2 + x)
         g = a.gcd(b)
         assert g == Polynomial((-1, 1))
-        assert gcd(*g.coeffs) == 1 and g.leading_coeff() > 0
+        assert gcd(*g.coeffs) == 1 and g.coeffs[-1] > 0
         assert not _oracles.q_divmod(a.coeffs, g.coeffs)[1]
         assert not _oracles.q_divmod(b.coeffs, g.coeffs)[1]
         g = Polynomial((2, 4)).gcd(Polynomial((1, 2)))
@@ -150,9 +150,9 @@ class TestPolynomial:
         prim = a.primitive()
         if a:
             assert gcd(*prim.coeffs) == 1
-            assert _oracles.q_mul(prim.coeffs, [a.leading_coeff()]) \
-                == _oracles.q_mul(a.coeffs, [prim.leading_coeff()])
-            assert prim.leading_coeff() > 0
+            assert _oracles.q_mul(prim.coeffs, [a.coeffs[-1]]) \
+                == _oracles.q_mul(a.coeffs, [prim.coeffs[-1]])
+            assert prim.coeffs[-1] > 0
         else:
             assert prim == Polynomial(())
 
@@ -379,7 +379,7 @@ class TestRationalFunction:
             rf = RationalFunction(num, den)
         assert called == []
         assert gcd(*rf.num.coeffs, *rf.den.coeffs) == 1
-        assert rf.den.leading_coeff() > 0
+        assert rf.den.coeffs[-1] > 0
         assert _oracles.euclid_gcd(rf.num.coeffs, rf.den.coeffs) == [1]
         assert _oracles.q_mul(rf.num.coeffs, den.coeffs) \
             == _oracles.q_mul(rf.den.coeffs, num.coeffs)
@@ -599,7 +599,7 @@ class TestFromSequence:
         g = perms.build_digraph(k, cutoff=perms.DEFAULT_CUTOFF[k],
                                 loop=side == "upper")
         n = len(g.nodes)
-        terms = [1, 1] + [2 * sum(c) for c in perms.walks(g, 2 * n + 3)]
+        terms = [1, 1] + [2 * w for w in perms.walks(g, 2 * n + 3)]
         rf = RationalFunction.from_sequence(terms, n + 2)
         assert _pair(rf) == _oracles.berlekamp_massey(terms, n + 2)
         assert rf == perms.gf_bound(k, side)
