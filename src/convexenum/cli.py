@@ -60,29 +60,30 @@ import convexenum.frozen  # noqa: E402,F401
 
 
 class OutputRecord:
-    """Machine-readable result of one CLI invocation."""
+    """Machine-readable result of one CLI invocation; its provenance is
+    the engines of the command's ``COMMANDS`` row."""
 
     __slots__ = ("command", "parameters", "results", "provenance", "exit_code")
 
-    def __init__(self, command: str, parameters: dict):
+    def __init__(self, command: str, parameters: dict, engines):
         self.command = command
         self.parameters = parameters
         self.results = []
-        self.provenance = []
+        self.provenance = list(engines)
         self.exit_code = 0
 
     def add(self, name: str, value) -> None:
         self.results.append((name, value))
 
-    def add_series(self, engine: str, s) -> None:
+    def add_series(self, s) -> None:
         """Report the coefficients of the ``TruncatedSeries`` ``s``."""
-        self.provenance = [engine]
         self.add("coefficients", [str(c) for c in s.coeffs])
 
     def add_agreement(self, engines: dict) -> None:
         """Report each engine's value and, when more than one ran, whether
-        they agree; exit 1 if not."""
-        self.provenance = list(engines)
+        they agree; exit 1 if not.  The provenance keeps only the
+        engines that reported a value."""
+        self.provenance = [e for e in self.provenance if e in engines]
         for name, value in engines.items():
             self.add(name, value)
         if len(engines) > 1:
@@ -159,16 +160,17 @@ OUTPUT = {
 _FORMATS = {"json", "csv", "dot"}
 
 
-def _command(subparsers, name: str, handler, options: dict) -> None:
-    """Declare one subcommand: its options in order, then ``OUTPUT``,
-    and the handler that fills its record.  The output formats are
-    mutually exclusive."""
+def _command(subparsers, name: str, handler, engines, options: dict) -> None:
+    """Declare one subcommand from its ``COMMANDS`` row: its options in
+    order, then ``OUTPUT``, and the handler that fills its record and
+    the engines the record names.  The output formats are mutually
+    exclusive."""
     p = subparsers.add_parser(name)
     fmt = p.add_mutually_exclusive_group()
     for dest, spec in {**options, **OUTPUT}.items():
         (fmt if dest in _FORMATS else p).add_argument(
             "--" + dest.replace("_", "-"), **spec)
-    p.set_defaults(handler=handler)
+    p.set_defaults(handler=handler, engines=engines)
 
 
 def build_parser():
@@ -187,8 +189,8 @@ def build_parser():
         commands = importlib.import_module(f"convexenum.commands.{group}")
         sub = groups.add_parser(group, help=text).add_subparsers(
             dest="subcommand", required=True)
-        for name, (handler, options) in commands.COMMANDS.items():
-            _command(sub, name, handler, options)
+        for name, row in commands.COMMANDS.items():
+            _command(sub, name, *row)
     return parser
 
 
@@ -212,7 +214,7 @@ def fast_parse(argv: list):
         f"convexenum.commands.{argv[0]}").COMMANDS
     if argv[1] not in commands:
         return None
-    handler, options = commands[argv[1]]
+    handler, engines, options = commands[argv[1]]
     options = {**options, **OUTPUT}
     dests = {"--" + dest.replace("_", "-"): dest for dest in options}
     flags = {dest for dest, spec in options.items()
@@ -245,11 +247,13 @@ def fast_parse(argv: list):
             for dest, spec in options.items()):
         return None
     return SimpleNamespace(group=argv[0], subcommand=argv[1], **values,
-                           handler=handler)
+                           handler=handler, engines=engines)
 
 
-# parsed arguments that select the handler or the output, not the result
-_NOT_PARAMETERS = {"group", "subcommand", "handler", *_FORMATS, *OUTPUT}
+# parsed arguments that select the handler, its engines or the output, not
+# the result
+_NOT_PARAMETERS = {"group", "subcommand", "handler", "engines", *_FORMATS,
+                   *OUTPUT}
 
 
 def main(argv=None) -> int:
@@ -272,9 +276,9 @@ def main(argv=None) -> int:
     if argv is None:  # the console script
         argv = sys.argv[1:]
     args = fast_parse(argv) or build_parser().parse_args(argv)
-    record = OutputRecord(
-        f"{args.group} {args.subcommand}",
-        {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS})
+    record = OutputRecord(f"{args.group} {args.subcommand}", {
+        k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS},
+        args.engines)
     try:
         args.handler(args, record)
         return _emit(record, args)

@@ -34,24 +34,21 @@ def _words_count(args, rec):
 
 
 def _words_gf(args, rec):
-    rec.add_series("dp", words.word_gf(args.p, args.k, args.order).series)
+    rec.add_series(words.word_gf(args.p, args.k, args.order).series)
 
 
 def _words_stable(args, rec):
-    rec.provenance = ["dp"]
     rec.add("stable_count", words.g0p_stable(args.p))
 
 
 def _words_encode(args, rec):
     w = words.encode_word(args.m, _parse_partition(args.w1, "--w1"),
                           _parse_partition(args.w2, "--w2"), args.n, p=args.p)
-    rec.provenance = ["bijection"]
     rec.add("word", str(w))
 
 
 def _words_decode(args, rec):
     m, w1, w2 = words.decode_word(words.Word(_parse_letters(args.word), args.p))
-    rec.provenance = ["bijection"]
     rec.add("m", m)
     rec.add("w1", str(w1))
     rec.add("w2", str(w2))
@@ -60,14 +57,17 @@ def _words_decode(args, rec):
 _INT = {"type": int, "required": True}
 _ORDER = {"type": int, "default": DEFAULT_ORDER}
 
-#: subcommand -> (handler, options), where the options map each
-#: destination to its ``add_argument`` keywords, in the order they are
-#: declared
+#: subcommand -> (handler, engines, options): the engines its record
+#: names, in this order (``add_agreement`` drops any that did not run),
+#: and its options, which map each destination to its ``add_argument``
+#: keywords, in the order they are declared
 COMMANDS = {
-    "count": (_words_count, {"n": _INT, "p": _INT, "k": _INT}),
-    "gf": (_words_gf, {"p": _INT, "k": _INT, "order": _ORDER}),
-    "stable": (_words_stable, {"p": _INT}),
-    "encode": (_words_encode, {"p": _INT, "m": _INT, "w1": {"default": ""},
-                               "w2": {"default": ""}, "n": _INT}),
-    "decode": (_words_decode, {"word": {"required": True}, "p": _INT}),
+    "count": (_words_count, ("bruteforce", "dp"),
+              {"n": _INT, "p": _INT, "k": _INT}),
+    "gf": (_words_gf, ("dp",), {"p": _INT, "k": _INT, "order": _ORDER}),
+    "stable": (_words_stable, ("dp",), {"p": _INT}),
+    "encode": (_words_encode, ("bijection",), {"p": _INT, "m": _INT,
+               "w1": {"default": ""}, "w2": {"default": ""}, "n": _INT}),
+    "decode": (_words_decode, ("bijection",),
+               {"word": {"required": True}, "p": _INT}),
 }

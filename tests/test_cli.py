@@ -171,19 +171,29 @@ class TestPermsCommands:
 
     @pytest.mark.parametrize("k, count", [("3", 136), ("-1", 0)])
     def test_count_names_the_skipped_engine(self, capsys, k, count):
-        # brute force alone is not a cross-check, so no agreement is claimed
+        # brute force alone is not a cross-check, so no agreement is
+        # claimed, and neither the closed form nor the digraph ran
         code, out = run(capsys, "perms", "count", "--n", "6", "--k", k)
         assert code == 0
         assert out == ("perms count\n"
                        f"  parameters: n=6 k={k}\n"
                        "  engines: bruteforce\n"
                        f"  bruteforce: {count}\n"
-                       "  skipped: digraph (k must be 1 or 2)\n")
+                       "  skipped: closed_form (k must be 0), "
+                       "digraph (k must be 1 or 2)\n")
         code, payload = run_json(capsys, "perms", "count", "--n", "6", "--k", k)
         assert code == 0
         assert payload["provenance"] == ["bruteforce"]
         assert payload["results"] == [
-            ["bruteforce", count], ["skipped", "digraph (k must be 1 or 2)"]]
+            ["bruteforce", count],
+            ["skipped", ["closed_form (k must be 0)",
+                         "digraph (k must be 1 or 2)"]]]
+        code, out = run(capsys, "perms", "count", "--n", "6", "--k", k,
+                        "--csv")
+        assert code == 0
+        assert out == (f"name,value\nbruteforce,{count}\n"
+                       "skipped,closed_form (k must be 0);"
+                       "digraph (k must be 1 or 2)\n")
 
     def test_table(self, capsys):
         code, payload = run_json(capsys, "perms", "table", "--max-n", "12")
@@ -410,7 +420,7 @@ def _parser_cases():
         yield [group, "-h"]
         yield [group, "nonsense"]
         commands = importlib.import_module(f"convexenum.commands.{group}")
-        for name, (_, options) in commands.COMMANDS.items():
+        for name, (_, _, options) in commands.COMMANDS.items():
             argv = [group, name]
             for dest, spec in options.items():
                 if spec.get("required"):
@@ -492,7 +502,7 @@ def _table(group) -> dict:
 
 def _options(group, name) -> dict:
     """The options of subcommand ``name`` of ``group``, then ``OUTPUT``."""
-    return {**_table(group).get(name, (None, {}))[1], **OUTPUT}
+    return {**_table(group).get(name, (None, (), {}))[2], **OUTPUT}
 
 
 @st.composite

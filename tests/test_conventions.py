@@ -60,15 +60,22 @@ counter's generator path, and one small call for each name that only
 perfbench's tracer wraps run every function of ``src/``, but for a
 short list of exemptions, each with its reason.
 
+A record's engines come from its subcommand's ``COMMANDS`` row alone:
+no assignment under ``convexenum/commands/`` writes ``provenance``, and
+every golden command's record names its row's engines in row order,
+but for those it did not run.
+
 The suite's warning policy, in ``pyproject.toml``, turns warnings into
 errors but still lets a failing property test print its example.
 """
 
 import ast
+import contextlib
 import copy
 import importlib
 import importlib.util
 import inspect
+import io
 import json
 import pickle
 import subprocess
@@ -84,7 +91,7 @@ from hypothesis import given, strategies as st
 from _goldens import CLI_STDOUT_SHA256
 from _oracles import Permutation
 from convexenum import perms
-from convexenum.cli import GROUPS
+from convexenum.cli import GROUPS, main
 from convexenum.exact import linalg, roots
 from convexenum.exact.polynomial import Polynomial
 from convexenum.exact.ratfun import RationalFunction
@@ -441,6 +448,91 @@ def test_no_command_module_imports_the_cli():
                                 for group in GROUPS)]) + "\n"
 
 
+def provenance_writes(source: str) -> list[str]:
+    """The statements of ``source`` that assign to a ``provenance``
+    name or attribute, also inside a tuple target or by ``setattr``."""
+    def named(target):
+        if isinstance(target, (ast.Tuple, ast.List)):
+            return any(map(named, target.elts))
+        if isinstance(target, ast.Starred):
+            return named(target.value)
+        return getattr(target, "attr", getattr(target, "id", None)) \
+            == "provenance"
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assign):
+            writes = any(map(named, node.targets))
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            writes = named(node.target)
+        elif isinstance(node, ast.Call) and _dotted(node.func) == "setattr":
+            writes = getattr(node.args[1], "value", None) == "provenance"
+        else:
+            continue
+        if writes:
+            found.append((node.lineno, ast.unparse(node)))
+    return [text for _, text in sorted(found)]
+
+
+def test_no_handler_writes_provenance():
+    # a record's engines come from its subcommand's COMMANDS row alone
+    files = sorted((SRC / "convexenum" / "commands").glob("*.py"))
+    found = {str(path.relative_to(ROOT)): provenance_writes(path.read_text())
+             for path in files}
+    assert {path: lines for path, lines in found.items() if lines} == {}
+
+
+def test_the_provenance_check_finds_every_assignment_form():
+    assert provenance_writes(
+        "def handler(args, rec):\n"
+        "    rec.provenance = ['x']\n"
+        "    rec.provenance += ['y']\n"
+        "    rec.provenance: list = []\n"
+        "    rec.results, rec.provenance = [], ['x']\n"
+        "    setattr(rec, 'provenance', ['x'])\n"
+        "    provenance = ['x']\n"
+        "    rec.add('provenance', ['x'])\n"
+        "    seen = rec.provenance\n") == [
+        "rec.provenance = ['x']", "rec.provenance += ['y']",
+        "rec.provenance: list = []",
+        "rec.results, rec.provenance = ([], ['x'])",
+        "setattr(rec, 'provenance', ['x'])", "provenance = ['x']"]
+
+
+def _record(argv: list[str]) -> dict:
+    """The JSON record of the command ``argv``, run in process."""
+    argv = [arg for arg in argv if arg not in ("--json", "--csv", "--dot")]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main([*argv, "--json"]) == 0, argv
+    return json.loads(out.getvalue())
+
+
+def test_each_record_names_the_engines_of_its_row_that_ran():
+    # every golden command, and perms count on both sides of each
+    # engine's domain: a record names its row's engines in row order,
+    # but for those that did not run, which an agreement leaves out; a
+    # record that names skipped engines names every one of those
+    sweep = [["perms", "count", "--n", "6", "--k", str(k)]
+             for k in range(-1, 5)]
+    provenance = {}
+    for argv in [command.split() for command in CLI_STDOUT_SHA256] + sweep:
+        row = importlib.import_module(
+            f"convexenum.commands.{argv[0]}").COMMANDS[argv[1]][1]
+        record = _record(argv)
+        results = dict(map(tuple, record["results"]))
+        ran = [engine for engine in row if engine in results] or list(row)
+        assert record["provenance"] == ran, argv
+        if "skipped" in results:
+            assert [text.split(" (")[0] for text in results["skipped"]] == \
+                [engine for engine in row if engine not in ran], argv
+        provenance[" ".join(argv)] = record["provenance"]
+    assert [provenance[" ".join(argv)] for argv in sweep] == [
+        ["bruteforce"], ["bruteforce", "closed_form"],
+        ["bruteforce", "digraph"], ["bruteforce", "digraph"],
+        ["bruteforce"], ["bruteforce"]]
+
+
 def test_the_tracer_wraps_the_lazily_loaded_modules():
     # as a traced benchmark job does: import the CLI, install the
     # tracer, run one command, then the call job that isolates a root
@@ -536,7 +628,8 @@ TRACED_ONLY = {
 def _ran_by_the_commands() -> tuple[list[int], list, list]:
     """Run every command of ``CLI_STDOUT_SHA256`` in text form, one with
     ``--json`` and one with ``--csv``, two that ``fast_parse`` declines
-    (a negative value and ``--p=3``), which argparse reads,
+    (a negative value and ``--p=3``), which argparse reads, a
+    permutation count with k = 3, which runs brute force alone,
     perfbench's call jobs, and a word count past half the recursion
     limit, which the counter hands to the generator, in one fresh
     interpreter under a call-only trace started
@@ -549,7 +642,8 @@ def _ran_by_the_commands() -> tuple[list[int], list, list]:
         for command in CLI_STDOUT_SHA256))
     commands += ["words stable --p 3 --json", "words stable --p 3 --csv",
                  "words count --n 6 --p 3 --k -1", "words stable --p=3",
-                 "words count --n 1200 --p 3 --k 0"]
+                 "words count --n 1200 --p 3 --k 0",
+                 "perms count --n 8 --k 3"]
     code = (
         f"import json, os, sys\nsys.path[:0] = "
         f"[{str(SRC)!r}, {str(ROOT / 'perfbench')!r}]\n"

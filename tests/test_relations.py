@@ -8,7 +8,8 @@ engines it crosses, and its cases, each a case and whether the relation
 holds there.  The words are those of length n on [p] whose second
 differences w_(i-1) - 2 w_i + w_(i+1) are all at most k, counted as
 w_k(n, p) by ``count_words_dp``; f_k(n) counts the k-convex
-permutations of [n].
+permutations of [n].  The four word relations are also checked at
+lengths Hypothesis draws between the fixed sweep's.
 """
 
 from functools import cache
@@ -16,9 +17,11 @@ from math import factorial
 from typing import NamedTuple
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from convexenum.exact.series import TruncatedSeries
 from convexenum.ladder import perm_counts
-from convexenum.perms import count_perms_bruteforce, f0_closed
+from convexenum.perms import count_perms_bruteforce, f0_closed, gf_bound
 from convexenum.words import count_words_dp
 
 #: every word length the brute force reaches, then two only the DP does
@@ -26,35 +29,51 @@ WORD_LENGTHS = (*range(13), 100, 400)
 PERM_DEPTH = 500  # the ladder counts' depth
 
 w = cache(count_words_dp)  # w(n, p, k) = w_k(n, p)
+f = cache(perm_counts)  # f(k, N) = [f_k(1), ..., f_k(N)]
+
+
+def saturated(n, p, k):
+    return k < 2 * p - 2 or w(n, p, k) == p ** n
+
+
+def monotone_in_k(n, p, k):
+    return w(n, p, k) <= w(n, p, k + 1)
+
+
+def monotone_in_p(n, p, k):
+    return w(n, p, k) <= w(n, p + 1, k)
+
+
+def convex_in_p(n, p, k):
+    return p < 2 or w(n, p + 1, k) - 2 * w(n, p, k) + w(n, p - 1, k) >= 0
 
 
 def words_saturate():
     for n in WORD_LENGTHS:
         for p in range(1, 7):
             for k in (2 * p - 2, 2 * p + 1):
-                yield (n, p, k), w(n, p, k) == p ** n
+                yield (n, p, k), saturated(n, p, k)
 
 
 def words_monotone_in_k():
     for n in WORD_LENGTHS:
         for p in range(1, 7):
             for k in range(-3, 2 * p - 2):
-                yield (n, p, k), w(n, p, k) <= w(n, p, k + 1)
+                yield (n, p, k), monotone_in_k(n, p, k)
 
 
 def words_monotone_in_p():
     for n in WORD_LENGTHS:
         for p in range(1, 6):
             for k in range(-2, 5):
-                yield (n, p, k), w(n, p, k) <= w(n, p + 1, k)
+                yield (n, p, k), monotone_in_p(n, p, k)
 
 
 def words_convex_in_p():
     for n in WORD_LENGTHS:
         for p in range(2, 6):
             for k in range(-2, 5):
-                yield (n, p, k), \
-                    w(n, p + 1, k) - 2 * w(n, p, k) + w(n, p - 1, k) >= 0
+                yield (n, p, k), convex_in_p(n, p, k)
 
 
 def perms_saturate():
@@ -69,9 +88,18 @@ def perms_are_words():
 
 
 def perms_monotone_in_k():
-    f1, f2 = perm_counts(1, PERM_DEPTH), perm_counts(2, PERM_DEPTH)
+    f1, f2 = f(1, PERM_DEPTH), f(2, PERM_DEPTH)
     for n in range(1, PERM_DEPTH + 1):
         yield n, f0_closed(n) <= f1[n - 1] <= f2[n - 1]
+
+
+def perms_lower_bound():
+    for k in (1, 2):
+        gf = gf_bound(k, "lower")  # both denominators start with -1
+        lower = (TruncatedSeries(gf.num.coeffs, PERM_DEPTH)
+                 / TruncatedSeries(gf.den.coeffs, PERM_DEPTH)).coeffs
+        for n in range(1, PERM_DEPTH + 1):
+            yield (k, n), lower[n] <= f(k, PERM_DEPTH)[n - 1]
 
 
 class Relation(NamedTuple):
@@ -113,6 +141,11 @@ RELATIONS = [
         "f_0(n) <= f_1(n) <= f_2(n)",
         "a k-convex permutation is (k + 1)-convex",
         "f0_closed, perm_counts", perms_monotone_in_k),
+    Relation(
+        "[x^n] gf_bound(k, 'lower') <= f_k(n) for k in {1, 2}",
+        "the cut digraph is a subgraph of the digraph reachable from 12, "
+        "so each of its walks is a walk there",
+        "gf_bound, perm_counts", perms_lower_bound),
 ]
 
 
@@ -122,3 +155,18 @@ def test_relation_holds(relation):
     checked = list(relation.cases())
     assert len(checked) >= 8
     assert [case for case, holds in checked if not holds] == []
+
+
+@st.composite
+def _sizes(draw):
+    """(n, p, k) between the fixed sweep's lengths, with k from below
+    -2 up to past saturation."""
+    p = draw(st.integers(1, 8))
+    return draw(st.integers(13, 400)), p, draw(st.integers(-3, 2 * p))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sizes())
+def test_word_relations_hold_at_drawn_sizes(size):
+    for holds in (saturated, monotone_in_k, monotone_in_p, convex_in_p):
+        assert holds(*size), holds.__name__
