@@ -11,12 +11,16 @@ stands for (the strict xfail
 rounding mends that, but it changes results that
 ``perfbench/reference.json`` pins, so it waits on the benchmark's next
 revision (ROADMAP item 1, stage C).
-Commands that run more than one engine report their agreement in-band
-and exit nonzero on a mismatch; an engine that cannot run is named
-in-band as skipped.  Each group's subcommands and their handlers live
-in its module of :mod:`convexenum.commands`, which never imports this
-one: run as ``python -m convexenum.cli``, this file would otherwise
-compile twice.
+Each group's subcommands and their handlers live in its module of
+:mod:`convexenum.commands`, which never imports this one: run as
+``python -m convexenum.cli``, this file would otherwise compile twice.
+A handler yields ``(name, value)`` results, and :func:`main` builds
+the record from them and the engines of the subcommand's ``COMMANDS``
+row: a result named after one of those engines is its value; when
+more than one engine reports, ``main`` appends whether they ``agree``
+and exits 1 if not; and the record names the engines that reported,
+or the whole row when none did.  A handler names an engine that
+cannot run in-band as skipped.
 """
 
 from __future__ import annotations
@@ -59,50 +63,15 @@ _register_lazily(
 import convexenum.frozen  # noqa: E402,F401
 
 
-class OutputRecord:
-    """Machine-readable result of one CLI invocation; its provenance is
-    the engines of the command's ``COMMANDS`` row."""
-
-    __slots__ = ("command", "parameters", "results", "provenance", "exit_code")
-
-    def __init__(self, command: str, parameters: dict, engines):
-        self.command = command
-        self.parameters = parameters
-        self.results = []
-        self.provenance = list(engines)
-        self.exit_code = 0
-
-    def add(self, name: str, value) -> None:
-        self.results.append((name, value))
-
-    def add_series(self, s) -> None:
-        """Report the coefficients of the ``TruncatedSeries`` ``s``."""
-        self.add("coefficients", [str(c) for c in s.coeffs])
-
-    def add_agreement(self, engines: dict) -> None:
-        """Report each engine's value and, when more than one ran, whether
-        they agree; exit 1 if not.  The provenance keeps only the
-        engines that reported a value."""
-        self.provenance = [e for e in self.provenance if e in engines]
-        for name, value in engines.items():
-            self.add(name, value)
-        if len(engines) > 1:
-            agree = len(set(engines.values())) == 1
-            self.add("agree", agree)
-            self.exit_code = 0 if agree else 1
-
-
-def _render(record: OutputRecord, fmt: str) -> str:
+def _render(record: dict, fmt: str) -> str:
     if fmt == "json":
         import json  # here, so that start-up does not pay for it
-        return json.dumps(dict(
-            command=record.command, parameters=record.parameters,
-            results=record.results, provenance=record.provenance),
-            indent=2) + "\n"  # each (name, value) pair is an array
+        # each (name, value) pair is an array
+        return json.dumps(record, indent=2) + "\n"
     sep = ";" if fmt == "csv" else ", "  # between the items of a list
     results = [(name, sep.join(map(str, value))
                 if isinstance(value, (list, tuple)) else value)
-               for name, value in record.results]
+               for name, value in record["results"]]
     if fmt == "csv":
         import csv  # here, so that start-up does not pay for it
         buf = io.StringIO()
@@ -110,19 +79,19 @@ def _render(record: OutputRecord, fmt: str) -> str:
         writer.writerow(["name", "value"])
         writer.writerows(results)
         return buf.getvalue()
-    lines = [record.command]
-    if record.parameters:
-        params = " ".join(f"{k}={v}" for k, v in record.parameters.items())
+    lines = [record["command"]]
+    if record["parameters"]:
+        params = " ".join(f"{k}={v}" for k, v in record["parameters"].items())
         lines.append(f"  parameters: {params}")
-    if record.provenance:
-        lines.append(f"  engines: {', '.join(record.provenance)}")
+    if record["provenance"]:
+        lines.append(f"  engines: {', '.join(record['provenance'])}")
     lines += (f"  {name}: {value}" for name, value in results)
     return "\n".join(lines) + "\n"
 
 
-def _emit(record: OutputRecord, args) -> int:
+def _emit(record: dict, args) -> None:
     if getattr(args, "dot", False):
-        text = record.results[-1][1]  # DOT source prepared by the command
+        text = record["results"][-1][1]  # DOT source prepared by the command
     else:
         fmt = "json" if args.json else "csv" if args.csv else "text"
         text = _render(record, fmt)
@@ -131,7 +100,6 @@ def _emit(record: OutputRecord, args) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return record.exit_code
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +130,8 @@ _FORMATS = {"json", "csv", "dot"}
 
 def _command(subparsers, name: str, handler, engines, options: dict) -> None:
     """Declare one subcommand from its ``COMMANDS`` row: its options in
-    order, then ``OUTPUT``, and the handler that fills its record and
-    the engines the record names.  The output formats are mutually
+    order, then ``OUTPUT``, and the handler that yields its results and
+    the engines they may name.  The output formats are mutually
     exclusive."""
     p = subparsers.add_parser(name)
     fmt = p.add_mutually_exclusive_group()
@@ -276,12 +244,19 @@ def main(argv=None) -> int:
     if argv is None:  # the console script
         argv = sys.argv[1:]
     args = fast_parse(argv) or build_parser().parse_args(argv)
-    record = OutputRecord(f"{args.group} {args.subcommand}", {
-        k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS},
-        args.engines)
     try:
-        args.handler(args, record)
-        return _emit(record, args)
+        results = list(args.handler(args))
+        ran = {name: value for name, value in results if name in args.engines}
+        agree = len(set(ran.values())) <= 1
+        if len(ran) > 1:
+            results.append(("agree", agree))
+        _emit({"command": f"{args.group} {args.subcommand}",
+               "parameters": {k: v for k, v in vars(args).items()
+                              if k not in _NOT_PARAMETERS},
+               "results": results,
+               "provenance": [engine for engine in args.engines
+                              if engine in ran] or list(args.engines)}, args)
+        return 0 if agree else 1
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

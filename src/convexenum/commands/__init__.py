@@ -1,5 +1,7 @@
 """The CLI's command groups, one module each: a group's subcommand
-table, ``COMMANDS``, and the handlers that fill each subcommand's
-record.  :func:`convexenum.cli.fast_parse` imports the module of the
-group a command names, so a well-formed command compiles one of them;
-:func:`convexenum.cli.build_parser` imports all of them."""
+table, ``COMMANDS``, and its handlers.  A handler is a generator that
+takes the parsed arguments alone and yields the subcommand's
+``(name, value)`` results, from which :func:`convexenum.cli.main`
+builds the record.  :func:`convexenum.cli.fast_parse` imports the
+module of the group a command names, so a well-formed command compiles
+one of them; :func:`convexenum.cli.build_parser` imports all of them."""

@@ -5,16 +5,16 @@ from __future__ import annotations
 from convexenum import DEFAULT_ORDER, cfrac
 
 
-def _cfrac_series(args, rec):
+def _cfrac_series(args):
     engine = {"bot": cfrac.bot_series, "tot": cfrac.tot_series,
               "f1": cfrac.f1_series}[args.subcommand]
-    rec.add_series(engine(args.order))
+    yield "coefficients", [str(c) for c in engine(args.order).coeffs]
 
 
-def _cfrac_f2check(args, rec):
+def _cfrac_f2check(args):
     for name, value in cfrac.f2_formula_check(args.order).items():
-        rec.add(name, [str(v) for v in value] if isinstance(value, list)
-                else value)
+        yield name, ([str(v) for v in value] if isinstance(value, list)
+                     else value)
 
 
 _ORDER = {"type": int, "default": DEFAULT_ORDER}

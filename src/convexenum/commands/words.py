@@ -27,40 +27,42 @@ def _parse_letters(text: str) -> tuple:
                          f"not {text!r}") from None
 
 
-def _words_count(args, rec):
-    rec.add_agreement({
-        "bruteforce": words.count_words_bruteforce(args.n, args.p, args.k),
-        "dp": words.count_words_dp(args.n, args.p, args.k)})
+def _words_count(args):
+    yield "bruteforce", words.count_words_bruteforce(args.n, args.p, args.k)
+    yield "dp", words.count_words_dp(args.n, args.p, args.k)
 
 
-def _words_gf(args, rec):
-    rec.add_series(words.word_gf(args.p, args.k, args.order).series)
+def _words_gf(args):
+    series = words.word_gf(args.p, args.k, args.order).series
+    yield "coefficients", [str(c) for c in series.coeffs]
 
 
-def _words_stable(args, rec):
-    rec.add("stable_count", words.g0p_stable(args.p))
+def _words_stable(args):
+    yield "stable_count", words.g0p_stable(args.p)
 
 
-def _words_encode(args, rec):
+def _words_encode(args):
     w = words.encode_word(args.m, _parse_partition(args.w1, "--w1"),
                           _parse_partition(args.w2, "--w2"), args.n, p=args.p)
-    rec.add("word", str(w))
+    yield "word", str(w)
 
 
-def _words_decode(args, rec):
+def _words_decode(args):
     m, w1, w2 = words.decode_word(words.Word(_parse_letters(args.word), args.p))
-    rec.add("m", m)
-    rec.add("w1", str(w1))
-    rec.add("w2", str(w2))
+    yield "m", m
+    yield "w1", str(w1)
+    yield "w2", str(w2)
 
 
 _INT = {"type": int, "required": True}
 _ORDER = {"type": int, "default": DEFAULT_ORDER}
 
-#: subcommand -> (handler, engines, options): the engines its record
-#: names, in this order (``add_agreement`` drops any that did not run),
-#: and its options, which map each destination to its ``add_argument``
-#: keywords, in the order they are declared
+#: subcommand -> (handler, engines, options): the generator of its
+#: ``(name, value)`` results, the engines its record names, in this
+#: order (:func:`convexenum.cli.main` drops those that yield no result
+#: when one does, and checks that those that do agree), and its options,
+#: which map each destination to its ``add_argument`` keywords, in the
+#: order they are declared
 COMMANDS = {
     "count": (_words_count, ("bruteforce", "dp"),
               {"n": _INT, "p": _INT, "k": _INT}),

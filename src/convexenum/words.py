@@ -122,18 +122,6 @@ def _word_counts(p: int, k: int, terms: int) -> list[int]:
     return counts[:terms]
 
 
-def partition_count(j: int) -> int:
-    """Number of integer partitions of j, by a parts-bounded DP."""
-    if j < 0:
-        raise ValueError("j must be nonnegative")
-    # ways[t] = partitions of t into parts considered so far
-    ways = [1] + [0] * j
-    for part in range(1, j + 1):
-        for t in range(part, j + 1):
-            ways[t] += ways[t - part]
-    return ways[j]
-
-
 def g0p_stable(p: int) -> int:
     """Stable count of 0-convex words on [p], valid for lengths > 2(p-1).
 
@@ -145,7 +133,12 @@ def g0p_stable(p: int) -> int:
     """
     if p < 1:
         raise ValueError("p must be positive")
-    return sum(c * c for c in accumulate(map(partition_count, range(p))))
+    # ways[t] = partitions of t < p into the parts considered so far
+    ways = [1] + [0] * (p - 1)
+    for part in range(1, p):
+        for t in range(part, p):
+            ways[t] += ways[t - part]
+    return sum(c * c for c in accumulate(ways))
 
 
 def encode_word(m: int, w1: IntegerPartition, w2: IntegerPartition,

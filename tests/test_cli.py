@@ -389,6 +389,37 @@ class TestOutputFormats:
         assert captured.out == ""
 
 
+@pytest.mark.parametrize("module, engine, argv", [
+    (words, "count_words_dp",
+     ["words", "count", "--n", "6", "--p", "3", "--k", "0"]),
+    (perms, "f0_closed", ["perms", "count", "--n", "6", "--k", "0"]),
+    (perms, "count_perms_digraph", ["perms", "count", "--n", "6", "--k", "1"]),
+], ids=["dp", "closed_form", "digraph"])
+def test_engines_that_disagree_exit_1(monkeypatch, capsys, module, engine,
+                                      argv):
+    # an engine off by one fails the cross-check against brute force:
+    # both values print, the record names both engines, and the
+    # disagreement is the last result and the exit code, not an error
+    right = getattr(module, engine)
+    monkeypatch.setattr(module, engine, lambda *args: right(*args) + 1)
+    code, payload = run_json(capsys, *argv)
+    assert code == 1
+    engines = payload["provenance"]
+    assert len(engines) == 2 and engines[0] == "bruteforce"
+    res = results_dict(payload)
+    assert res[engines[1]] == res["bruteforce"] + 1
+    assert payload["results"][-1] == ["agree", False]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out.endswith(
+        f"  engines: bruteforce, {engines[1]}\n"
+        f"  bruteforce: {res['bruteforce']}\n"
+        f"  {engines[1]}: {res[engines[1]]}\n"
+        "  agree: False\n")
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize("command", list(CLI_STDOUT_SHA256))
 def test_stdout_matches_golden_hash(capsys, command):
     code, out = run(capsys, *command.split())

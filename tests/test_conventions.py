@@ -61,9 +61,11 @@ perfbench's tracer wraps run every function of ``src/``, but for a
 short list of exemptions, each with its reason.
 
 A record's engines come from its subcommand's ``COMMANDS`` row alone:
-no assignment under ``convexenum/commands/`` writes ``provenance``, and
-every golden command's record names its row's engines in row order,
-but for those it did not run.
+every handler is a generator that takes the parsed arguments alone and
+yields results, from which ``main`` builds the record; no assignment
+under ``convexenum/commands/`` writes ``provenance``; and every golden
+command's record names its row's engines in row order, but for those
+it did not run.
 
 The suite's warning policy, in ``pyproject.toml``, turns warnings into
 errors but still lets a failing property test print its example.
@@ -424,11 +426,11 @@ def test_no_command_module_imports_the_cli():
     assert {path: names for path, names in found.items() if names} == {}
     assert imports_of("import convexenum.cli\n"
                       "from convexenum import cli, words\n"
-                      "from convexenum.cli import OutputRecord\n"
+                      "from convexenum.cli import main\n"
                       "from convexenum.commands import perms\n",
                       "convexenum.cli") == [
         "import convexenum.cli", "from convexenum import cli, words",
-        "from convexenum.cli import OutputRecord"]
+        "from convexenum.cli import main"]
     # and each group's command, run as the module, loads no second copy
     code = (f"import os, runpy, sys\nsys.path.insert(0, {str(SRC)!r})\n"
             "for argv in (['words', 'stable', '--p', '3'],\n"
@@ -472,6 +474,16 @@ def provenance_writes(source: str) -> list[str]:
         if writes:
             found.append((node.lineno, ast.unparse(node)))
     return [text for _, text in sorted(found)]
+
+
+def test_each_handler_is_a_generator_of_args_alone():
+    # a handler yields its results and main builds the record from them
+    for group in GROUPS:
+        commands = importlib.import_module(f"convexenum.commands.{group}")
+        for name, (handler, _, _) in commands.COMMANDS.items():
+            assert inspect.isgeneratorfunction(handler), (group, name)
+            assert len(inspect.signature(handler).parameters) == 1, \
+                (group, name)
 
 
 def test_no_handler_writes_provenance():

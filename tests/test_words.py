@@ -23,7 +23,6 @@ from convexenum.words import (
     decode_word,
     encode_word,
     g0p_stable,
-    partition_count,
     word_gf,
 )
 
@@ -248,10 +247,6 @@ class TestGeneratingFunction:
 
 
 class TestStableCounts:
-    def test_partition_counts(self):
-        assert [partition_count(j) for j in range(9)] == \
-            [1, 1, 2, 3, 5, 7, 11, 15, 22]
-
     def test_stable_sequence(self):
         assert [g0p_stable(p) for p in range(1, 10)] == G0P_STABLE
 
@@ -265,6 +260,15 @@ class TestStableCounts:
             base = count_words_dp(2 * p - 1, p, 0)
             for extra in range(1, 4):
                 assert count_words_dp(2 * p - 1 + extra, p, 0) == base, p
+
+    def test_stable_count_starts_exactly_at_its_threshold(self):
+        # the word DP reaches the stable count at n = 2p - 1, stays
+        # there, and is strictly below it at n = 2p - 2
+        for p in range(1, 13):
+            for n in (2 * p - 1, 2 * p + 3):
+                assert g0p_stable(p) == count_words_dp(n, p, 0), (p, n)
+            if p >= 2:
+                assert count_words_dp(2 * p - 2, p, 0) < g0p_stable(p), p
 
 
 class TestBijection:
@@ -339,11 +343,9 @@ class TestBijection:
 @pytest.mark.parametrize("call,message", [
     (lambda: word_gf(0, 1), "p must be positive"),
     (lambda: word_gf(-2, 0, 5, with_ratfun=True), "p must be positive"),
-    (lambda: partition_count(-1), "j must be nonnegative"),
     (lambda: g0p_stable(0), "p must be positive"),
     (lambda: decode_word(Word((), 3)), "empty word"),
-], ids=["word_gf", "word_gf_ratfun", "partition_count", "g0p_stable",
-        "decode_word"])
+], ids=["word_gf", "word_gf_ratfun", "g0p_stable", "decode_word"])
 def test_argument_checks(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
