@@ -14,13 +14,16 @@ revision (ROADMAP item 1, stage C).
 Each group's subcommands and their handlers live in its module of
 :mod:`convexenum.commands`, which never imports this one: run as
 ``python -m convexenum.cli``, this file would otherwise compile twice.
-A handler yields ``(name, value)`` results, and :func:`main` builds
-the record from them and the engines of the subcommand's ``COMMANDS``
-row: a result named after one of those engines is its value; when
-more than one engine reports, ``main`` appends whether they ``agree``
-and exits 1 if not; and the record names the engines that reported,
-or the whole row when none did.  A handler names an engine that
-cannot run in-band as skipped.
+The parsers read only a row's options, so the parsed arguments hold
+the group, the subcommand and the option values, and :func:`main`
+looks up the row's handler and engines itself.  A record's parameters
+are the row's options, in row order, less the output formats.  A
+handler yields ``(name, value)`` results, and ``main`` builds the
+record from them by one rule over the row's engines: a result named
+after one of them is its value; when more than one engine reports,
+``main`` appends whether they ``agree`` and exits 1 if not; and the
+record names the engines that reported, or the whole row when none
+did.  A handler names an engine that cannot run in-band as skipped.
 """
 
 from __future__ import annotations
@@ -79,12 +82,9 @@ def _render(record: dict, fmt: str) -> str:
         writer.writerow(["name", "value"])
         writer.writerows(results)
         return buf.getvalue()
-    lines = [record["command"]]
-    if record["parameters"]:
-        params = " ".join(f"{k}={v}" for k, v in record["parameters"].items())
-        lines.append(f"  parameters: {params}")
-    if record["provenance"]:
-        lines.append(f"  engines: {', '.join(record['provenance'])}")
+    params = " ".join(f"{k}={v}" for k, v in record["parameters"].items())
+    lines = [record["command"], f"  parameters: {params}",
+             f"  engines: {', '.join(record['provenance'])}"]
     lines += (f"  {name}: {value}" for name, value in results)
     return "\n".join(lines) + "\n"
 
@@ -128,22 +128,11 @@ OUTPUT = {
 _FORMATS = {"json", "csv", "dot"}
 
 
-def _command(subparsers, name: str, handler, engines, options: dict) -> None:
-    """Declare one subcommand from its ``COMMANDS`` row: its options in
-    order, then ``OUTPUT``, and the handler that yields its results and
-    the engines they may name.  The output formats are mutually
-    exclusive."""
-    p = subparsers.add_parser(name)
-    fmt = p.add_mutually_exclusive_group()
-    for dest, spec in {**options, **OUTPUT}.items():
-        (fmt if dest in _FORMATS else p).add_argument(
-            "--" + dest.replace("_", "-"), **spec)
-    p.set_defaults(handler=handler, engines=engines)
-
-
 def build_parser():
     """The ``argparse`` parser of every group and subcommand, each
-    group's read from its module in :mod:`convexenum.commands`.  It
+    group's read from its module in :mod:`convexenum.commands`: a
+    subcommand declares its row's options in order, then ``OUTPUT``,
+    and its output formats are mutually exclusive.  It
     reads what :func:`fast_parse` declines: help, usage errors and the
     spellings only argparse reads, so a well-formed command never
     imports ``argparse``, and ``--help`` at any level imports every
@@ -157,20 +146,24 @@ def build_parser():
         commands = importlib.import_module(f"convexenum.commands.{group}")
         sub = groups.add_parser(group, help=text).add_subparsers(
             dest="subcommand", required=True)
-        for name, row in commands.COMMANDS.items():
-            _command(sub, name, *row)
+        for name, (_, _, options) in commands.COMMANDS.items():
+            p = sub.add_parser(name)
+            fmt = p.add_mutually_exclusive_group()
+            for dest, spec in {**options, **OUTPUT}.items():
+                (fmt if dest in _FORMATS else p).add_argument(
+                    "--" + dest.replace("_", "-"), **spec)
     return parser
 
 
 def fast_parse(argv: list):
     """``build_parser().parse_args(argv)`` for a well-formed ``argv``,
     read from the ``COMMANDS`` table of the group it names: the same
-    namespace, its keys in the same order (they order a record's
-    parameters).  Well-formed is a known group and subcommand, then
-    each option at most once as ``--name value`` (a flag alone), each
-    value converted by the option's ``type`` and among its
-    ``choices`` and not starting with ``-``, every required option
-    given, and at most one output format.
+    namespace of the group, the subcommand and the option values, its
+    keys in the same order.  Well-formed is a known group and
+    subcommand, then each option at most once as ``--name value`` (a
+    flag alone), each value converted by the option's ``type`` and
+    among its ``choices`` and not starting with ``-``, every required
+    option given, and at most one output format.
     For any other ``argv`` it returns None: help, usage errors,
     ``--name=value``, abbreviations, a repeated option and a value
     that starts with ``-`` (a negative number among them) are left to
@@ -182,8 +175,7 @@ def fast_parse(argv: list):
         f"convexenum.commands.{argv[0]}").COMMANDS
     if argv[1] not in commands:
         return None
-    handler, engines, options = commands[argv[1]]
-    options = {**options, **OUTPUT}
+    options = {**commands[argv[1]][2], **OUTPUT}
     dests = {"--" + dest.replace("_", "-"): dest for dest in options}
     flags = {dest for dest, spec in options.items()
              if spec.get("action") == "store_true"}
@@ -214,14 +206,7 @@ def fast_parse(argv: list):
             spec.get("required") and dest not in seen
             for dest, spec in options.items()):
         return None
-    return SimpleNamespace(group=argv[0], subcommand=argv[1], **values,
-                           handler=handler, engines=engines)
-
-
-# parsed arguments that select the handler, its engines or the output, not
-# the result
-_NOT_PARAMETERS = {"group", "subcommand", "handler", "engines", *_FORMATS,
-                   *OUTPUT}
+    return SimpleNamespace(group=argv[0], subcommand=argv[1], **values)
 
 
 def main(argv=None) -> int:
@@ -233,7 +218,9 @@ def main(argv=None) -> int:
     :func:`fast_parse`; ``argparse`` reads any other ``argv``
     (:func:`build_parser`), so help, usage errors and their exit codes
     are its own, and so is a negative value (``--k -1`` as
-    ``--k=-1``).
+    ``--k=-1``).  Either parser gives only the option values; ``main``
+    takes the handler, engines and options from the subcommand's
+    ``COMMANDS`` row.
 
     Once the command is done, ``main`` freezes the heap
     (``gc.freeze()``): what it leaves lives until the process exits, so
@@ -245,17 +232,19 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = fast_parse(argv) or build_parser().parse_args(argv)
     try:
-        results = list(args.handler(args))
-        ran = {name: value for name, value in results if name in args.engines}
+        handler, engines, options = importlib.import_module(
+            f"convexenum.commands.{args.group}").COMMANDS[args.subcommand]
+        results = list(handler(args))
+        ran = {name: value for name, value in results if name in engines}
         agree = len(set(ran.values())) <= 1
         if len(ran) > 1:
             results.append(("agree", agree))
         _emit({"command": f"{args.group} {args.subcommand}",
-               "parameters": {k: v for k, v in vars(args).items()
-                              if k not in _NOT_PARAMETERS},
+               "parameters": {dest: getattr(args, dest) for dest in options
+                              if dest not in _FORMATS},
                "results": results,
-               "provenance": [engine for engine in args.engines
-                              if engine in ran] or list(args.engines)}, args)
+               "provenance": [engine for engine in engines
+                              if engine in ran] or list(engines)}, args)
         return 0 if agree else 1
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -62,7 +62,7 @@ _ORDER = {"type": int, "default": DEFAULT_ORDER}
 #: order (:func:`convexenum.cli.main` drops those that yield no result
 #: when one does, and checks that those that do agree), and its options,
 #: which map each destination to its ``add_argument`` keywords, in the
-#: order they are declared
+#: order they are declared and a record lists its parameters
 COMMANDS = {
     "count": (_words_count, ("bruteforce", "dp"),
               {"n": _INT, "p": _INT, "k": _INT}),

@@ -604,6 +604,29 @@ def test_negative_value_reads_as_its_equals_form(capsys):
     assert run_json(capsys, *spaced) == run_json(capsys, *joined)
 
 
+def _joined(argv):
+    """``argv`` with each option that takes a value spelled
+    ``--name=value``; flags stay as they are."""
+    flags = {"--" + dest.replace("_", "-")
+             for dest, spec in _options(*argv[:2]).items()
+             if spec.get("action") == "store_true"}
+    joined, tokens = argv[:2], iter(argv[2:])
+    for token in tokens:
+        joined.append(token if token in flags else f"{token}={next(tokens)}")
+    return joined
+
+
+@pytest.mark.parametrize("command", list(CLI_STDOUT_SHA256))
+def test_argparse_prints_what_fast_parse_prints(capsys, command):
+    # fast_parse declines --name=value, so argparse reads it; both
+    # readers give the same record, byte for byte (a command that gives
+    # no option a value, such as cfrac f1, has one spelling)
+    spaced = command.split()
+    joined = _joined(spaced)
+    assert joined == spaced or fast_parse(joined) is None
+    assert run(capsys, *joined) == run(capsys, *spaced)
+
+
 @pytest.mark.parametrize("argv, exit_code", [
     (["cfrac", "f1", "--order", "20"], 0),
     (["perms", "digraph", "--k", "1", "--depth", "5", "--truncate", "loop"],

@@ -65,7 +65,11 @@ every handler is a generator that takes the parsed arguments alone and
 yields results, from which ``main`` builds the record; no assignment
 under ``convexenum/commands/`` writes ``provenance``; and every golden
 command's record names its row's engines in row order, but for those
-it did not run.
+it did not run.  The parsed arguments of a golden command, from either
+parser, hold its group, its subcommand and the options of its row and
+of ``OUTPUT``, and no callable: ``main`` reads the handler and engines
+from the row itself.  Every row names an engine and an option that is
+not an output format, so every text record prints both lines.
 
 The suite's warning policy, in ``pyproject.toml``, turns warnings into
 errors but still lets a failing property test print its example.
@@ -93,7 +97,7 @@ from hypothesis import given, strategies as st
 from _goldens import CLI_STDOUT_SHA256
 from _oracles import Permutation
 from convexenum import perms
-from convexenum.cli import GROUPS, main
+from convexenum.cli import GROUPS, OUTPUT, build_parser, fast_parse, main
 from convexenum.exact import linalg, roots
 from convexenum.exact.polynomial import Polynomial
 from convexenum.exact.ratfun import RationalFunction
@@ -492,6 +496,29 @@ def test_no_handler_writes_provenance():
     found = {str(path.relative_to(ROOT)): provenance_writes(path.read_text())
              for path in files}
     assert {path: lines for path, lines in found.items() if lines} == {}
+
+
+def test_parsed_arguments_hold_only_the_command_and_its_options():
+    # main reads the handler and engines from the row, so neither
+    # parser carries them
+    parser = build_parser()
+    for command in CLI_STDOUT_SHA256:
+        argv = command.split()
+        options = importlib.import_module(
+            f"convexenum.commands.{argv[0]}").COMMANDS[argv[1]][2]
+        for args in fast_parse(argv), parser.parse_args(argv):
+            assert list(vars(args)) == \
+                ["group", "subcommand", *options, *OUTPUT], command
+            assert not any(map(callable, vars(args).values())), command
+
+
+def test_each_row_names_an_engine_and_an_option_that_is_not_a_format():
+    # _render prints the parameters: and engines: lines of every record
+    for group in GROUPS:
+        commands = importlib.import_module(f"convexenum.commands.{group}")
+        for name, (_, engines, options) in commands.COMMANDS.items():
+            assert engines, (group, name)
+            assert set(options) - {"json", "csv", "dot"}, (group, name)
 
 
 def test_the_provenance_check_finds_every_assignment_form():
