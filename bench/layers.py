@@ -45,7 +45,7 @@ No cache is left in ``convexenum.perms``, so the labels, and the DOT
 text that holds them, are timed cold.
 The code size is the number of lines of ``src`` that hold a token,
 leaving out blank lines, comments and docstrings, in total and per
-module.
+module, and the same count of the ``tests`` directory next to ``src``.
 
 Start-up is not timed here: a best of five fresh interpreters cannot
 resolve differences below about 30 ms on a noisy 2-core host.  The
@@ -432,6 +432,9 @@ def main(argv=None) -> int:
     by_module = code_lines(args.src)
     lines = sum(by_module.values())
     print(f"{lines:10d} code lines in {args.src}")
+    tests_by_module = code_lines(args.src.parent / "tests")
+    print(f"{sum(tests_by_module.values()):10d} code lines in "
+          f"{args.src.parent / 'tests'}")
     import convexenum.cli
     loads = {}
     for command, argv in cli_commands(workloads).items():
@@ -462,6 +465,8 @@ def main(argv=None) -> int:
         "tracemalloc_peak_mib": peaks,
         "src_code_lines": lines,
         "src_code_lines_by_module": by_module,
+        "tests_code_lines": sum(tests_by_module.values()),
+        "tests_code_lines_by_module": tests_by_module,
         "cli_startup": loads,
     }
     OUT.write_text(json.dumps({"harness": "bench/layers.py", "runs": runs},

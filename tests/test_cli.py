@@ -10,11 +10,11 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _fresh import SRC, fresh
 from _goldens import CLI_STDOUT_SHA256, ENCODE_EXAMPLES
 from convexenum import perms, words
 from convexenum.cli import GROUPS, OUTPUT, build_parser, fast_parse, main
@@ -432,9 +432,8 @@ def test_module_run_prints_what_main_prints(capsys):
     # ``python -m convexenum.cli`` runs the module as ``__main__``, which
     # registers the library's modules itself
     argv = ["cfrac", "f1", "--order", "5", "--csv"]
-    src = Path(__file__).resolve().parent.parent / "src"
     out = subprocess.run(
-        [sys.executable, "-S", "-m", "convexenum.cli", *argv], cwd=src,
+        [sys.executable, "-S", "-m", "convexenum.cli", *argv], cwd=SRC,
         capture_output=True, text=True, check=True).stdout
     assert out == run(capsys, *argv)[1]
 
@@ -466,24 +465,12 @@ def _parser_cases():
                     yield argv + ["--" + dest.replace("_", "-"), "nonsense"]
 
 
-def _parse(parser, argv, capsys):
-    try:
-        parsed = vars(parser.parse_args(argv))
-    except SystemExit as exc:
-        parsed = exc.code
-    return parsed, capsys.readouterr()
-
-
 @pytest.mark.parametrize("argv", list(_parser_cases()), ids=" ".join)
-def test_parser_for_argv_parses_as_the_full_parser(capsys, argv):
+def test_parser_for_argv_parses_as_the_full_parser(argv):
     # a well-formed command is read by fast_parse, to the full parser's
     # namespace in its order; help and usage errors are argparse's own
-    parsed, _ = _parse(build_parser(), argv, capsys)
     fast = fast_parse(argv)
-    if isinstance(parsed, dict):
-        assert list(vars(fast).items()) == list(parsed.items())
-    else:
-        assert fast is None
+    assert (fast and list(vars(fast).items())) == _full_parse(argv)
 
 
 @functools.cache
@@ -635,15 +622,12 @@ def test_argparse_prints_what_fast_parse_prints(capsys, command):
 def test_main_leaves_the_collector_nothing_to_track(argv, exit_code):
     # what ``main`` leaves lives until the process exits, so ``main``
     # freezes it and shutdown's full collections do not traverse it
-    src = Path(__file__).resolve().parent.parent / "src"
     script = (
-        f"import gc, os, sys\nsys.path.insert(0, {str(src)!r})\n"
+        "import gc, os\n"
         "import convexenum.cli\n"
         f"code = convexenum.cli.main({argv!r} + ['--out', os.devnull])\n"
         "print(code, len(gc.get_objects()), gc.get_freeze_count())")
-    out = subprocess.run([sys.executable, "-S", "-c", script],
-                         capture_output=True, text=True, check=True).stdout
-    code, tracked, frozen = map(int, out.split())
+    code, tracked, frozen = map(int, fresh(script).split())
     assert code == exit_code
     assert tracked < 100
     assert frozen > 1000
@@ -654,10 +638,8 @@ def test_every_benchmark_job_gives_its_reference_output(tmp_path):
     # (verify.check against reference.json and the job's oracle), in one
     # fresh interpreter: a CLI job as main(args + ['--out', file]), a
     # call job from child.CALLS as its JSON record
-    root = Path(__file__).resolve().parent.parent
     script = (
-        f"import json, sys\nsys.path[:0] = "
-        f"[{str(root / 'src')!r}, {str(root / 'perfbench')!r}]\n"
+        "import json\n"
         "import convexenum.cli, child, verify, workloads\n"
         "reference, found = verify.load_reference(), {}\n"
         "for name, job in workloads.ALL_JOBS.items():\n"
@@ -670,8 +652,6 @@ def test_every_benchmark_job_gives_its_reference_output(tmp_path):
         "        text = json.dumps({'results': child.CALLS[job.args[0]]()})\n"
         "    found[name] = [code, verify.check(job, text, reference)]\n"
         "print(json.dumps(found))")
-    out = subprocess.run([sys.executable, "-S", "-c", script],
-                         capture_output=True, text=True, check=True).stdout
-    found = json.loads(out)
+    found = json.loads(fresh(script))
     assert len(found) > 10
     assert found == {name: [0, None] for name in found}

@@ -73,6 +73,20 @@ not an output format, so every text record prints both lines.
 
 The suite's warning policy, in ``pyproject.toml``, turns warnings into
 errors but still lets a failing property test print its example.
+
+Three helpers serve these checks, each the one implementation of its
+mechanism.  ``_fresh.fresh`` runs each probe's code in a fresh
+interpreter without ``site``, with ``src`` and ``perfbench`` first on
+``sys.path``.  ``scoped`` walks a module's syntax tree once and gives
+each node with the module, classes and functions that hold it; every
+checker that names a scope reads it from there.  ``_found`` sweeps a
+list of files with one checker and keeps, by path under the
+repository root, the files where it finds something.  Two scope rules
+ride on ``scoped``: a nested function is a scope of its own where the
+checks name functions (the unrun check), reads of ``pseudo_divide`` and
+builds of a ``RationalFunction``, but part of the function that holds it
+for the operand protocol, where the outermost function is the one that
+declines an operand.
 """
 
 import ast
@@ -89,11 +103,11 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from functools import cache
-from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from _fresh import ROOT, SRC, fresh
 from _goldens import CLI_STDOUT_SHA256
 from _oracles import Permutation
 from convexenum import perms
@@ -104,9 +118,6 @@ from convexenum.exact.ratfun import RationalFunction
 from convexenum.exact.series import TruncatedSeries
 from convexenum.frozen import Frozen
 from convexenum.words import IntegerPartition, Word, WordGF
-
-ROOT = Path(__file__).resolve().parent.parent
-SRC = ROOT / "src"
 
 
 def _private(name: str) -> bool:
@@ -129,6 +140,38 @@ def _dotted(node) -> str | None:
         head = _dotted(node.value)
         return head and f"{head}.{node.attr}"
     return None
+
+
+def _found(paths, check) -> dict:
+    """``{path under ROOT: findings}`` for each of ``paths`` in which
+    ``check(path)`` finds something."""
+    found = {str(path.relative_to(ROOT)): check(path) for path in paths}
+    return {path: findings for path, findings in found.items() if findings}
+
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def scoped(source: str, module: str):
+    """``(holders, node)`` for every node of ``source``, in source order.
+    The holders are the scopes that hold the node, outermost first: the
+    module, whose ``name`` is ``module``, then each enclosing class and
+    function.  A function's decorators and defaults count as its own."""
+    tree = ast.parse(source)
+    tree.name = module
+
+    def walk(node, holders):
+        for child in ast.iter_child_nodes(node):
+            yield holders, child
+            yield from walk(child, holders + (child,) if isinstance(
+                child, (*_FUNCTIONS, ast.ClassDef)) else holders)
+
+    return walk(tree, (tree,))
+
+
+def _scope(holders) -> str:
+    """``module.Class.function``: the dotted name of ``holders``."""
+    return ".".join(holder.name for holder in holders)
 
 
 def private_uses(source: str, modules: set[str]) -> list[str]:
@@ -164,9 +207,8 @@ def test_no_module_uses_another_modules_private_names():
     assert {"convexenum", "convexenum.exact.series"} <= modules
     files = sorted(SRC.rglob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
     assert len(files) > 15
-    uses = {str(path.relative_to(ROOT)): private_uses(path.read_text(), modules)
-            for path in files}
-    assert {path: found for path, found in uses.items() if found} == {}
+    assert _found(files, lambda path: private_uses(path.read_text(),
+                                                   modules)) == {}
 
 
 def test_the_check_finds_both_forms():
@@ -273,22 +315,24 @@ def test_printed_polynomial_parses_back(coeffs):
 
 
 def _modules_after(code: str) -> dict[str, bool]:
-    """Each module in ``sys.modules`` after a fresh interpreter runs
-    ``code``, mapped to whether it has run: a module the CLI registers
-    lazily runs when one of its attributes is first read.  It runs
-    without ``site``, so that nothing the host preloads hides an
-    import."""
-    out = subprocess.run(
-        [sys.executable, "-S", "-c", code + "\nimport sys, types\n"
-         "for name, module in list(sys.modules.items()):\n"
-         "    print(name, type(module) is types.ModuleType)"],
-        capture_output=True, text=True, check=True).stdout
+    """Each module in ``sys.modules`` after :func:`fresh` runs ``code``,
+    mapped to whether it has run: a module the CLI registers lazily runs
+    when one of its attributes is first read."""
+    out = fresh(code + "\nimport types\n"
+                "for name, module in list(sys.modules.items()):\n"
+                "    print(name, type(module) is types.ModuleType)")
     lines = (line.split() for line in out.splitlines())
     return {name: ran == "True" for name, ran in lines}
 
 
-IMPORT_CLI = (f"import sys; sys.path.insert(0, {str(SRC)!r})\n"
-              "import convexenum.cli")
+def test_fresh_runs_without_site_with_src_then_perfbench_first():
+    assert fresh("print(sys.flags.no_site, sys.path[:2])") == \
+        f"1 {[str(SRC), str(ROOT / 'perfbench')]}\n"
+    with pytest.raises(subprocess.CalledProcessError):
+        fresh("raise SystemExit(3)")
+
+
+IMPORT_CLI = "import convexenum.cli"
 
 
 def _ran(modules: dict[str, bool]) -> set[str]:
@@ -425,9 +469,8 @@ def test_no_command_module_imports_the_cli():
     # and run it a second time
     files = sorted((SRC / "convexenum" / "commands").glob("*.py"))
     assert len(files) == len(GROUPS) + 1
-    found = {str(path.relative_to(ROOT)):
-             imports_of(path.read_text(), "convexenum.cli") for path in files}
-    assert {path: names for path, names in found.items() if names} == {}
+    assert _found(files, lambda path: imports_of(path.read_text(),
+                                                 "convexenum.cli")) == {}
     assert imports_of("import convexenum.cli\n"
                       "from convexenum import cli, words\n"
                       "from convexenum.cli import main\n"
@@ -436,7 +479,7 @@ def test_no_command_module_imports_the_cli():
         "import convexenum.cli", "from convexenum import cli, words",
         "from convexenum.cli import main"]
     # and each group's command, run as the module, loads no second copy
-    code = (f"import os, runpy, sys\nsys.path.insert(0, {str(SRC)!r})\n"
+    code = ("import os, runpy\n"
             "for argv in (['words', 'stable', '--p', '3'],\n"
             "             ['perms', 'count', '--n', '5', '--k', '1'],\n"
             "             ['cfrac', 'f1', '--order', '5']):\n"
@@ -447,11 +490,9 @@ def test_no_command_module_imports_the_cli():
             "        assert exc.code == 0, exc.code\n"
             "print(sorted(name for name in sys.modules\n"
             "             if name.startswith('convexenum.c')))")
-    out = subprocess.run([sys.executable, "-S", "-c", code],
-                         capture_output=True, text=True, check=True).stdout
-    assert out == repr(["convexenum.cfrac", "convexenum.commands",
-                        *sorted(f"convexenum.commands.{group}"
-                                for group in GROUPS)]) + "\n"
+    assert fresh(code) == repr(["convexenum.cfrac", "convexenum.commands",
+                                *sorted(f"convexenum.commands.{group}"
+                                        for group in GROUPS)]) + "\n"
 
 
 def provenance_writes(source: str) -> list[str]:
@@ -493,9 +534,8 @@ def test_each_handler_is_a_generator_of_args_alone():
 def test_no_handler_writes_provenance():
     # a record's engines come from its subcommand's COMMANDS row alone
     files = sorted((SRC / "convexenum" / "commands").glob("*.py"))
-    found = {str(path.relative_to(ROOT)): provenance_writes(path.read_text())
-             for path in files}
-    assert {path: lines for path, lines in found.items() if lines} == {}
+    assert _found(files, lambda path: provenance_writes(path.read_text())) \
+        == {}
 
 
 def test_parsed_arguments_hold_only_the_command_and_its_options():
@@ -577,8 +617,7 @@ def test_the_tracer_wraps_the_lazily_loaded_modules():
     # tracer, run one command, then the call job that isolates a root
     # with the Fraction adapter, which the command no longer runs
     code = (
-        f"import json, os, sys\nsys.path[:0] = "
-        f"[{str(SRC)!r}, {str(ROOT / 'perfbench')!r}]\n"
+        "import json, os\n"
         "import convexenum.cli, tracing\n"
         "tracer = tracing.install()\n"
         "code = convexenum.cli.main("
@@ -587,9 +626,7 @@ def test_the_tracer_wraps_the_lazily_loaded_modules():
         "child.gf_bound_k1_cutoff1278_root()\n"
         "print(json.dumps([code, [s[0] for s in tracer.spans], "
         "tracer.counters]))")
-    out = subprocess.run([sys.executable, "-S", "-c", code],
-                         capture_output=True, text=True, check=True).stdout
-    code, spans, counters = json.loads(out)
+    code, spans, counters = json.loads(fresh(code))
     assert code == 0
     assert {"cli.main", "perms.build_digraph", "perms.growth_bounds",
             "exact.roots.smallest_positive_root"} <= set(spans)
@@ -601,24 +638,12 @@ def function_starts(sources: dict[str, str]) -> dict[str, tuple[str, int]]:
     function that ``sources`` (module name -> source) defines, nested
     ones included.  The first line is that of its first decorator, as in
     its code's ``co_firstlineno``."""
-    starts = {}
-
-    def visit(node, module, scope):
-        for child in ast.iter_child_nodes(node):
-            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                      ast.ClassDef)):
-                visit(child, module, scope)
-                continue
-            name = f"{scope}.{child.name}"
-            if not isinstance(child, ast.ClassDef):
-                starts[name] = module, min(
-                    [child.lineno] + [decorator.lineno
-                                      for decorator in child.decorator_list])
-            visit(child, module, name)
-
-    for module, source in sources.items():
-        visit(ast.parse(source), module, module)
-    return starts
+    return {_scope((*holders, node)): (module, min(
+                [node.lineno] + [decorator.lineno
+                                 for decorator in node.decorator_list]))
+            for module, source in sources.items()
+            for holders, node in scoped(source, module)
+            if isinstance(node, _FUNCTIONS)}
 
 
 def unrun_functions(starts: dict[str, tuple[str, int]],
@@ -684,8 +709,7 @@ def _ran_by_the_commands() -> tuple[list[int], list, list]:
                  "words count --n 1200 --p 3 --k 0",
                  "perms count --n 8 --k 3"]
     code = (
-        f"import json, os, sys\nsys.path[:0] = "
-        f"[{str(SRC)!r}, {str(ROOT / 'perfbench')!r}]\n"
+        "import json, os\n"
         "ran = set()\n"
         "def trace(frame, event, arg):\n"
         "    code = frame.f_code\n"
@@ -705,9 +729,7 @@ def _ran_by_the_commands() -> tuple[list[int], list, list]:
         f"mine = lambda lines: [l for l in lines if l[0].startswith("
         f"{str(SRC)!r})]\n"
         "print(json.dumps([codes, mine(by_commands), mine(ran)]))")
-    out = subprocess.run([sys.executable, "-S", "-c", code],
-                         capture_output=True, text=True, check=True).stdout
-    return json.loads(out)
+    return json.loads(fresh(code))
 
 
 def test_every_library_function_runs_in_a_command():
@@ -840,27 +862,23 @@ def protocol_forks(source: str) -> list[str]:
     """``Class.method`` for each method of :class:`Frozen`'s protocol
     that a class of ``source`` other than ``Frozen`` defines or binds."""
     found = []
-    for node in ast.walk(ast.parse(source)):
-        if not isinstance(node, ast.ClassDef) or node.name == "Frozen":
+    for (*_, owner), node in scoped(source, ""):
+        if not isinstance(owner, ast.ClassDef) or owner.name == "Frozen":
             continue
-        for item in node.body:
-            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                names = [item.name]
-            elif isinstance(item, ast.Assign):
-                names = [t.id for t in item.targets if isinstance(t, ast.Name)]
-            else:
-                continue
-            found += [f"{node.name}.{name}" for name in names
-                      if name in PROTOCOL]
+        if isinstance(node, _FUNCTIONS):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        found += [f"{owner.name}.{name}" for name in names if name in PROTOCOL]
     return found
 
 
 def test_only_frozen_implements_immutability_equality_and_pickling():
     files = sorted(SRC.rglob("*.py"))
     assert len(files) > 10
-    forks = {str(path.relative_to(ROOT)): protocol_forks(path.read_text())
-             for path in files}
-    assert {path: found for path, found in forks.items() if found} == {}
+    assert _found(files, lambda path: protocol_forks(path.read_text())) == {}
 
 
 def test_the_fork_check_finds_methods_and_bindings():
@@ -924,37 +942,32 @@ def forwarders(source: str) -> list[str]:
     own parameters on to ``super().__init__``: ``Frozen`` takes them by
     position or by name itself."""
     found = []
-    for node in ast.walk(ast.parse(source)):
-        if not isinstance(node, ast.ClassDef) or not any(
-                (_dotted(base) or "").split(".")[-1] == "Frozen"
-                for base in node.bases):
+    for (*_, owner), node in scoped(source, ""):
+        if not (isinstance(node, ast.FunctionDef) and node.name == "__init__"
+                and isinstance(owner, ast.ClassDef) and any(
+                    (_dotted(base) or "").split(".")[-1] == "Frozen"
+                    for base in owner.bases)):
             continue
-        for item in node.body:
-            if not (isinstance(item, ast.FunctionDef)
-                    and item.name == "__init__"):
-                continue
-            body = item.body[1:] if ast.get_docstring(item) else item.body
-            call = body[0].value if len(body) == 1 \
-                and isinstance(body[0], ast.Expr) else None
-            if not isinstance(call, ast.Call) \
-                    or ast.unparse(call.func) != "super().__init__":
-                continue
-            params = {arg.arg for arg in ast.walk(item.args)
-                      if isinstance(arg, ast.arg)}
-            passed = [getattr(arg, "value", arg) for arg in call.args] \
-                + [keyword.value for keyword in call.keywords]
-            if all(isinstance(arg, ast.Name) and arg.id in params
-                   for arg in passed):
-                found.append(f"{node.name}.__init__")
+        body = node.body[1:] if ast.get_docstring(node) else node.body
+        call = body[0].value if len(body) == 1 \
+            and isinstance(body[0], ast.Expr) else None
+        if not isinstance(call, ast.Call) \
+                or ast.unparse(call.func) != "super().__init__":
+            continue
+        params = {arg.arg for arg in ast.walk(node.args)
+                  if isinstance(arg, ast.arg)}
+        passed = [getattr(arg, "value", arg) for arg in call.args] \
+            + [keyword.value for keyword in call.keywords]
+        if all(isinstance(arg, ast.Name) and arg.id in params
+               for arg in passed):
+            found.append(f"{owner.name}.__init__")
     return found
 
 
 def test_no_frozen_subclass_only_forwards_its_fields():
     files = sorted(SRC.rglob("*.py"))
     assert len(files) > 10
-    found = {str(path.relative_to(ROOT)): forwarders(path.read_text())
-             for path in files}
-    assert {path: names for path, names in found.items() if names} == {}
+    assert _found(files, lambda path: forwarders(path.read_text())) == {}
 
 
 def test_the_forwarder_check_finds_forwarding_constructors():
@@ -992,37 +1005,28 @@ def operand_forks(source: str, module: str) -> list[str]:
     ``Fraction``.  A nested function counts as part of the function that
     holds it."""
     found = []
-
-    def check(node, name):
-        body = list(ast.walk(node))
-        if name != OPERAND_PROTOCOL and any(
-                isinstance(sub, ast.Name) and sub.id == "NotImplemented"
-                for sub in body):
+    for holders, node in scoped(source, module):
+        depth = next((i for i, holder in enumerate(holders)
+                      if isinstance(holder, _FUNCTIONS)), None)
+        if depth is None:
+            continue
+        name = _scope(holders[:depth + 1])
+        if name != OPERAND_PROTOCOL and isinstance(node, ast.Name) \
+                and node.id == "NotImplemented":
             found.append(name)
-        if name == OPERAND_PROTOCOL and any(
-                isinstance(sub, ast.ImportFrom) and sub.module == "fractions"
-                and any(alias.name == "Fraction" for alias in sub.names)
-                for sub in body):
+        if name == OPERAND_PROTOCOL and isinstance(node, ast.ImportFrom) \
+                and node.module == "fractions" \
+                and any(alias.name == "Fraction" for alias in node.names):
             found.append(f"{name} imports Fraction")
-
-    for node in ast.parse(source).body:
-        if isinstance(node, ast.FunctionDef):
-            check(node, f"{module}.{node.name}")
-        elif isinstance(node, ast.ClassDef):
-            for item in node.body:
-                if isinstance(item, ast.FunctionDef):
-                    check(item, f"{module}.{node.name}.{item.name}")
-    return found
+    return list(dict.fromkeys(found))
 
 
 def test_the_kernel_has_one_operand_protocol():
     files = sorted((SRC / "convexenum" / "exact").glob("*.py"))
     assert {"coefficients", "polynomial", "series", "ratfun"} \
         <= {path.stem for path in files}
-    found = {str(path.relative_to(ROOT)): operand_forks(path.read_text(),
-                                                         path.stem)
-             for path in files}
-    assert {path: names for path, names in found.items() if names} == {}
+    assert _found(files, lambda path: operand_forks(path.read_text(),
+                                                    path.stem)) == {}
     # and the operators that the protocol wraps keep their own names;
     # the one type with arithmetic is the only one that takes part
     ops = vars(TruncatedSeries)
@@ -1074,10 +1078,10 @@ def test_only_roots_and_the_field_solve_import_fractions():
     # with a Fraction of its own, each in its own body
     files = sorted(SRC.rglob("*.py"))
     assert len(files) > 10
-    found = {str(path.relative_to(SRC)):
-             imports_of(path.read_text(), "fractions") for path in files}
-    assert {path for path, names in found.items() if names} == {
-        "convexenum/exact/linalg.py", "convexenum/exact/roots.py"}
+    found = _found(files, lambda path: imports_of(path.read_text(),
+                                                  "fractions"))
+    assert set(found) == {"src/convexenum/exact/linalg.py",
+                          "src/convexenum/exact/roots.py"}
     for module, function in (("linalg", "solve_field_system"),
                              ("roots", "smallest_positive_root")):
         source = (SRC / "convexenum" / "exact" / f"{module}.py").read_text()
@@ -1085,7 +1089,7 @@ def test_only_roots_and_the_field_solve_import_fractions():
                    if isinstance(node, ast.FunctionDef)
                    and node.name == function]
         assert imports_of(ast.unparse(body), "fractions") \
-            == found[f"convexenum/exact/{module}.py"], function
+            == found[f"src/convexenum/exact/{module}.py"], function
 
 
 def test_the_fractions_check_finds_every_import_form():
@@ -1108,21 +1112,9 @@ def pseudo_divide_reads(source: str, module: str) -> list[str]:
     """The scope, ``module`` or ``module.Class.function``, of each read
     of a name ``pseudo_divide`` in ``source``: a call, or a function
     kept for later.  A nested function is a scope of its own."""
-    found = []
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef)):
-                visit(child, f"{scope}.{child.name}")
-                continue
-            if getattr(child, "attr", getattr(child, "id", None)) \
-                    == "pseudo_divide":
-                found.append(scope)
-            visit(child, scope)
-
-    visit(ast.parse(source), module)
-    return found
+    return [_scope(holders) for holders, node in scoped(source, module)
+            if getattr(node, "attr", getattr(node, "id", None))
+            == "pseudo_divide"]
 
 
 def test_one_pseudo_remainder_sequence():
@@ -1131,13 +1123,11 @@ def test_one_pseudo_remainder_sequence():
     # strip, which reads its quotient
     files = sorted(SRC.rglob("*.py"))
     assert len(files) > 10
-    found = {str(path.relative_to(SRC)):
-             pseudo_divide_reads(path.read_text(), path.stem)
-             for path in files}
-    assert {path: scopes for path, scopes in found.items() if scopes} == {
-        "convexenum/exact/polynomial.py":
+    assert _found(files, lambda path: pseudo_divide_reads(
+        path.read_text(), path.stem)) == {
+        "src/convexenum/exact/polynomial.py":
             ["polynomial.Polynomial.remainder_sequence"],
-        "convexenum/exact/roots.py": ["roots.root_interval"]}
+        "src/convexenum/exact/roots.py": ["roots.root_interval"]}
     assert not hasattr(Polynomial, "pseudo_remainder")
 
 
@@ -1166,26 +1156,19 @@ def reductions(source: str, module: str) -> list[str]:
     ``RationalFunction``, or ``cls`` or ``type(self)`` in the class
     ``RationalFunction``."""
     found = []
-
-    def visit(node, scope, in_ratfun):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef)):
-                visit(child, f"{scope}.{child.name}", in_ratfun or (
-                    isinstance(child, ast.ClassDef)
-                    and child.name == "RationalFunction"))
-                continue
-            if isinstance(child, ast.Call):
-                callee = ast.unparse(child.func)
-                if callee.split(".")[-1] == "RationalFunction" or (
-                        in_ratfun and callee in ("cls", "type(self)")):
-                    found.append(f"{scope} builds")
-                if isinstance(child.func, ast.Attribute) \
-                        and child.func.attr == "gcd" and callee != "math.gcd":
-                    found.append(f"{scope} calls gcd")
-            visit(child, scope, in_ratfun)
-
-    visit(ast.parse(source), module, False)
+    for holders, node in scoped(source, module):
+        if not isinstance(node, ast.Call):
+            continue
+        callee = ast.unparse(node.func)
+        in_ratfun = any(isinstance(holder, ast.ClassDef)
+                        and holder.name == "RationalFunction"
+                        for holder in holders)
+        if callee.split(".")[-1] == "RationalFunction" or (
+                in_ratfun and callee in ("cls", "type(self)")):
+            found.append(f"{_scope(holders)} builds")
+        if isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "gcd" and callee != "math.gcd":
+            found.append(f"{_scope(holders)} calls gcd")
     return found
 
 

@@ -1,18 +1,16 @@
 """Unit tests for the exact-arithmetic core."""
 
-import subprocess
-import sys
 from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 from math import gcd
 from operator import add, mul, sub, truediv
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import _oracles
+from _fresh import fresh
 from convexenum import cfrac, perms, words
 from convexenum.exact.linalg import (
     NonUnitDeterminantError,
@@ -498,16 +496,13 @@ for call in (lambda: exact_coefficient(0.5),
 
 
 def test_integer_paths_never_import_fractions():
-    src = Path(__file__).resolve().parent.parent / "src"
-    code = (f"import sys\nsys.path.insert(0, {str(src)!r})\n"
-            "from convexenum.exact.coefficients import exact_coefficient\n"
+    code = ("from convexenum.exact.coefficients import exact_coefficient\n"
             "from convexenum.exact.polynomial import Polynomial, "
             "pseudo_divide\n"
             "from convexenum.exact.series import TruncatedSeries\n"
             + INTEGER_PATHS + "assert 'fractions' not in sys.modules\n"
             "print(repr(values))")
-    out = subprocess.run([sys.executable, "-S", "-c", code],
-                         capture_output=True, text=True, check=True).stdout
+    out = fresh(code)
     here = {"Polynomial": Polynomial, "TruncatedSeries": TruncatedSeries,
             "exact_coefficient": exact_coefficient,
             "pseudo_divide": pseudo_divide}
